@@ -5,7 +5,8 @@ package hwtwbg
 // Tests that only exist in `go test -tags=invariants` runs: they arm
 // Options.Audit and require the runtime invariant auditor to check
 // every detector activation — TDR-1 aborts, TDR-2 repositionings and
-// idle passes, under both activation strategies — and to find nothing.
+// idle passes, under both the production detector and the STW oracle —
+// and to find nothing.
 // The differential and false-cycle tests in differential_test.go also
 // arm the auditor, so a tagged run re-verifies the paper's properties
 // across the whole randomized workload suite via assertAuditClean.
@@ -14,6 +15,15 @@ import (
 	"context"
 	"testing"
 )
+
+// auditedDetectors returns the two activation entry points the auditor
+// attaches to, keyed by the label their audit reports carry.
+func auditedDetectors(m *Manager) map[string]func() Stats {
+	return map[string]func() Stats{
+		"stw":      newSTWOracle(m).Detect,
+		"snapshot": m.Detect,
+	}
+}
 
 // auditedDeadlock builds the two-transaction cross-shard deadlock on m
 // and returns the channel carrying the two blocked Locks' errors.
@@ -37,20 +47,21 @@ func auditedDeadlock(t *testing.T, m *Manager) chan error {
 }
 
 // TestAuditorChecksEveryActivation runs a TDR-1 activation and an idle
-// activation under each detector strategy and requires one clean,
-// correctly-labelled report per activation.
+// activation under the STW oracle and the production detector and
+// requires one clean, correctly-labelled report per activation.
 func TestAuditorChecksEveryActivation(t *testing.T) {
-	for _, det := range []string{DetectorSTW, DetectorSnapshot} {
+	for _, det := range []string{"stw", "snapshot"} {
 		t.Run(det, func(t *testing.T) {
-			m := Open(Options{Shards: 4, Detector: det, Audit: true})
+			m := Open(Options{Shards: 4, Audit: true})
 			defer m.Close()
+			detect := auditedDetectors(m)[det]
 			errs := auditedDeadlock(t, m)
-			if st := m.Detect(); st.Aborted != 1 {
+			if st := detect(); st.Aborted != 1 {
 				t.Fatalf("activation = %+v, want one abort", st)
 			}
 			<-errs
 			<-errs
-			if st := m.Detect(); st.CyclesSearched != 0 {
+			if st := detect(); st.CyclesSearched != 0 {
 				t.Fatalf("second activation = %+v, want idle", st)
 			}
 			if n := m.AuditRuns(); n != 2 {
@@ -80,10 +91,11 @@ func TestAuditorChecksEveryActivation(t *testing.T) {
 // the auditor armed: the repositioning must survive the genuine-cycle
 // and post-resolution acyclicity checks.
 func TestAuditorTDR2Activation(t *testing.T) {
-	for _, det := range []string{DetectorSTW, DetectorSnapshot} {
+	for _, det := range []string{"stw", "snapshot"} {
 		t.Run(det, func(t *testing.T) {
-			m := Open(Options{Detector: det, Audit: true})
+			m := Open(Options{Audit: true})
 			defer m.Close()
+			detect := auditedDetectors(m)[det]
 			ctx := context.Background()
 			t1, t2, t3 := m.Begin(), m.Begin(), m.Begin()
 			if err := t1.Lock(ctx, "q", IS); err != nil {
@@ -99,7 +111,7 @@ func TestAuditorTDR2Activation(t *testing.T) {
 			waitBlocked(t, m, t3.ID())
 			go func() { lockErr <- t1.Lock(ctx, "h", S) }()
 			waitBlocked(t, m, t1.ID())
-			if st := m.Detect(); st.Repositioned != 1 || st.Aborted != 0 {
+			if st := detect(); st.Repositioned != 1 || st.Aborted != 0 {
 				t.Fatalf("activation = %+v, want one repositioning and no aborts", st)
 			}
 			if n := m.AuditRuns(); n != 1 {

@@ -11,10 +11,6 @@ import "hwtwbg/internal/detect"
 
 type auditState struct{}
 
-func (m *Manager) auditPreSTW() *auditState { return nil }
-
-func (m *Manager) auditPostSTW(*auditState, detect.Result) {}
-
 func (m *Manager) auditPreSnapshot() *auditState { return nil }
 
 func (m *Manager) auditPostSnapshot(*auditState, detect.Result) {}

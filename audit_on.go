@@ -6,13 +6,11 @@ package hwtwbg
 // manager, compiled only under the `invariants` build tag (and inert
 // even then unless Options.Audit is set). Each detector activation is
 // bracketed: the pre hook captures the activation's input state — the
-// merged live tables under the stopped world for DetectorSTW, the
-// snapshot arena for DetectorSnapshot — and the post hook re-derives
-// the paper's properties from that capture plus the detector's reported
-// resolutions (see internal/audit for what is checked and which
-// theorem each check mechanizes). Audited activations are slower and
-// report inflated Wake/Validate phase times; that is the price of a
-// debug build.
+// snapshot arena — and the post hook re-derives the paper's properties
+// from that capture plus the detector's reported resolutions (see
+// internal/audit for what is checked and which theorem each check
+// mechanizes). Audited activations are slower and report inflated
+// Validate phase times; that is the price of a debug build.
 
 import (
 	"hwtwbg/internal/audit"
@@ -27,34 +25,6 @@ import (
 type auditState struct {
 	graph *twbg.Graph
 	clone *table.Table
-}
-
-// auditPreSTW captures the pre-activation state. The world is stopped,
-// so merging every shard into one table yields a consistent view.
-func (m *Manager) auditPreSTW() *auditState {
-	if !m.opts.Audit {
-		return nil
-	}
-	snap := table.NewSnapshot()
-	for _, s := range m.shards {
-		s.tb.CopyInto(snap)
-	}
-	return &auditState{graph: twbg.Build(m.mt), clone: snap.Table()}
-}
-
-// auditPostSTW runs the checks with the world still stopped: the live
-// tables must satisfy the queue invariants, every reported cycle must
-// have been a genuine deadlock of the captured pre-state, and the live
-// graph must now be cycle-free (Theorem 4.1).
-func (m *Manager) auditPostSTW(pre *auditState, res detect.Result) {
-	if pre == nil {
-		return
-	}
-	vs := audit.CheckGraph(pre.graph)
-	vs = append(vs, audit.CheckResolutions(pre.graph, pre.clone, res.Resolutions)...)
-	vs = append(vs, audit.CheckTables(m.shardTables())...)
-	vs = append(vs, audit.CheckAcyclic(m.mt)...)
-	m.recordAudit("stw", vs)
 }
 
 // auditPreSnapshot captures the snapshot the algorithm is about to run

@@ -27,47 +27,37 @@ func main() {
 	period := flag.Duration("period", 20*time.Millisecond, "deadlock detection period")
 	noTDR2 := flag.Bool("no-tdr2", false, "resolve deadlocks by abort only (disable TDR-2)")
 	shards := flag.Int("shards", 0, "lock-table shards, rounded up to a power of two (0 = derive from GOMAXPROCS)")
-	detector := flag.String("detector", hwtwbg.DetectorSnapshot, "detector activation strategy: snapshot (copy-out, validate-then-act) or stw (stop-the-world)")
-	adaptive := flag.Bool("adaptive", false, "legacy alias for -scheduling adaptive")
-	scheduling := flag.String("scheduling", "", "detection scheduling policy: fixed, adaptive (halve after a deadlock, double after an idle pass) or costmodel (journal-fed cost model derives the cost-minimizing period); empty = fixed, or adaptive when -adaptive is set")
-	maxPeriod := flag.Duration("max-period", 0, "cap for the adaptive/costmodel period (0 = 8x period)")
+	scheduling := flag.String("scheduling", hwtwbg.SchedulingFixed, "detection scheduling policy: fixed (every -period, the paper's) or costmodel (journal-fed cost model derives the cost-minimizing period)")
+	maxPeriod := flag.Duration("max-period", 0, "cap for the costmodel period (0 = 8x period)")
 	journalSize := flag.Int("journal", 0, "flight-recorder capacity in records per ring (0 = default 4096, negative = disabled)")
-	incremental := flag.Bool("incremental", true, "reuse clean shards' regions of the previous detector snapshot, copying only shards mutated since the last activation (snapshot detector only; false = full copy every activation)")
 	traceOut := flag.String("trace-out", "", "on shutdown, write the flight recorder as Chrome trace-event/Perfetto JSON to this file (requires the journal)")
 	flag.Parse()
 
+	switch *scheduling {
+	case hwtwbg.SchedulingFixed, hwtwbg.SchedulingCostModel:
+	default:
+		fmt.Fprintf(os.Stderr, "lockd: unknown -scheduling %q (want fixed or costmodel)\n", *scheduling)
+		flag.Usage()
+		os.Exit(2)
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lockd: %v\n", err)
 		os.Exit(1)
 	}
-	switch *scheduling {
-	case "", hwtwbg.SchedulingFixed, hwtwbg.SchedulingAdaptive, hwtwbg.SchedulingCostModel:
-	default:
-		fmt.Fprintf(os.Stderr, "lockd: unknown -scheduling %q (want fixed, adaptive or costmodel)\n", *scheduling)
-		os.Exit(2)
-	}
 	srv := lockservice.Serve(ln, hwtwbg.Options{
-		Period:         *period,
-		Detector:       *detector,
-		Scheduling:     *scheduling,
-		AdaptivePeriod: *adaptive,
-		MaxPeriod:      *maxPeriod,
-		Shards:         *shards,
-		DisableTDR2:    *noTDR2,
-		JournalSize:    *journalSize,
-		IncrementalSnapshot: func() hwtwbg.IncrementalMode {
-			if *incremental {
-				return hwtwbg.IncrementalDefault
-			}
-			return hwtwbg.IncrementalOff
-		}(),
+		Period:      *period,
+		Scheduling:  *scheduling,
+		MaxPeriod:   *maxPeriod,
+		Shards:      *shards,
+		DisableTDR2: *noTDR2,
+		JournalSize: *journalSize,
 		OnVictim: func(id hwtwbg.TxnID) {
 			fmt.Printf("lockd: aborted %v to break a deadlock\n", id)
 		},
 	})
-	fmt.Printf("lockd: serving on %s (%s detector, detection every %v, %d shards)\n",
-		srv.Addr(), *detector, *period, srv.Manager().NumShards())
+	fmt.Printf("lockd: serving on %s (%s scheduling, detection every %v, %d shards)\n",
+		srv.Addr(), *scheduling, *period, srv.Manager().NumShards())
 
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)

@@ -195,3 +195,34 @@ func TestSchedulingCostModel(t *testing.T) {
 		t.Fatalf("samples = %d, want every tick observed", st.Samples)
 	}
 }
+
+// TestSchedulingFixedKeepsPeriod drives the background loop tick by
+// tick under every spelling that selects the fixed scheduler — the
+// default, the explicit constant, and an unknown value such as the
+// retired "adaptive" — and requires the period to stay Options.Period
+// across idle activations.
+func TestSchedulingFixedKeepsPeriod(t *testing.T) {
+	for _, sched := range []string{"", SchedulingFixed, "adaptive"} {
+		tick := make(chan time.Time)
+		notify := make(chan time.Duration, 1)
+		m := Open(Options{
+			Period:      4 * time.Millisecond,
+			MaxPeriod:   32 * time.Millisecond,
+			Scheduling:  sched,
+			schedTick:   tick,
+			schedNotify: notify,
+		})
+		for i := 0; i < 3; i++ {
+			tick <- time.Time{}
+			select {
+			case got := <-notify:
+				if got != 4*time.Millisecond || m.CurrentPeriod() != got {
+					t.Errorf("Scheduling %q tick %d: period = %v (CurrentPeriod %v), want 4ms", sched, i, got, m.CurrentPeriod())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Scheduling %q: scheduler never reported a period", sched)
+			}
+		}
+		m.Close()
+	}
+}

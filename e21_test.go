@@ -11,12 +11,12 @@ import (
 )
 
 // stallStress runs the E20 contended workload (8 workers, two random
-// hot X locks each, real deadlocks throughout) under the given detector
-// strategy and returns the manager's lifetime stats plus the worst
-// per-activation numbers.
-func stallStress(t *testing.T, detector string) (Stats, time.Duration) {
+// hot X locks each, real deadlocks throughout) against the background
+// detector and returns the manager's lifetime stats plus its retained
+// activation reports.
+func stallStress(t *testing.T) (Stats, []ActivationReport) {
 	t.Helper()
-	m := Open(Options{Shards: 8, Period: time.Millisecond, Detector: detector, HistorySize: 512})
+	m := Open(Options{Shards: 8, Period: time.Millisecond, HistorySize: 512})
 	defer m.Close()
 	const (
 		workers = 8
@@ -49,54 +49,41 @@ func stallStress(t *testing.T, detector string) (Stats, time.Duration) {
 	}
 	wg.Wait()
 
-	st := m.Stats()
-	var worstActivation time.Duration
 	reps, _ := m.Activations()
-	for _, r := range reps {
-		if r.Total > worstActivation {
-			worstActivation = r.Total
-		}
-	}
-	return st, worstActivation
+	return m.Stats(), reps
 }
 
-// TestE21StallComparison is the EXPERIMENTS.md E21 harness: the same
-// deadlock-heavy workload under DetectorSTW and DetectorSnapshot, with
-// Stats.STWMax as the worst stall either detector imposed on the grant
-// path (the full pause for STW, the longest single-shard copy hold for
-// snapshot). The snapshot detector must stall the grant path less than
-// stop-the-world does — that is this PR's claim. Run with -v for the
-// numbers E21 quotes.
+// TestE21StallComparison is the EXPERIMENTS.md E21 harness, minus its
+// retired stop-the-world leg: a deadlock-heavy workload whose every
+// activation's grant-path stall (the longest single-shard copy hold,
+// Stats.ShardHoldMax across the run) is set against the activation's
+// full length — what a stop-the-world detector would have stalled the
+// grant path for. Run with -v for the numbers.
 func TestE21StallComparison(t *testing.T) {
-	stSTW, worstSTW := stallStress(t, DetectorSTW)
-	stSnap, worstSnap := stallStress(t, DetectorSnapshot)
+	st, reps := stallStress(t)
+	if st.Runs == 0 || len(reps) == 0 {
+		t.Fatalf("detector idle: %+v", st)
+	}
+	if st.Aborted == 0 {
+		t.Fatalf("workload produced no deadlocks: %+v", st)
+	}
+	var hold, total, worst time.Duration
+	for _, r := range reps {
+		hold += r.MaxShardHold
+		total += r.Total
+		if r.Total > worst {
+			worst = r.Total
+		}
+	}
+	n := time.Duration(len(reps))
+	t.Logf("runs=%d cycles=%d aborted=%d stall max=%v mean=%v (activation mean %v, worst %v, false=%d validations=%d)",
+		st.Runs, st.CyclesSearched, st.Aborted, st.ShardHoldMax, hold/n, total/n, worst, st.FalseCycles, st.Validations)
 
-	if stSTW.Runs == 0 || stSnap.Runs == 0 {
-		t.Fatalf("detector idle: stw %d runs, snapshot %d runs", stSTW.Runs, stSnap.Runs)
-	}
-	if stSTW.Aborted == 0 || stSnap.Aborted == 0 {
-		t.Fatalf("workload produced no deadlocks: stw %+v, snapshot %+v", stSTW, stSnap)
-	}
-	t.Logf("stw:      runs=%d cycles=%d aborted=%d stall max=%v mean=%v (worst activation %v)",
-		stSTW.Runs, stSTW.CyclesSearched, stSTW.Aborted, stSTW.STWMax,
-		stSTW.STWTotal/time.Duration(stSTW.Runs), worstSTW)
-	t.Logf("snapshot: runs=%d cycles=%d aborted=%d stall max=%v mean=%v (worst activation %v, false=%d validations=%d)",
-		stSnap.Runs, stSnap.CyclesSearched, stSnap.Aborted, stSnap.STWMax,
-		stSnap.STWTotal/time.Duration(stSnap.Runs), worstSnap, stSnap.FalseCycles, stSnap.Validations)
-
-	// The headline: the grant-path stall must drop. STW holds every
-	// shard for the whole activation (build+search+resolve); the
-	// snapshot detector's stall is one shard's copy-out, a strict
-	// subset of that work. The gate is on the mean — the max is a
-	// single sample and one unlucky preemption mid-copy on a loaded
-	// host can inflate it past a lucky STW run (it is logged above and
-	// quoted in E21 from quiet runs).
-	meanSTW := stSTW.STWTotal / time.Duration(stSTW.Runs)
-	meanSnap := stSnap.STWTotal / time.Duration(stSnap.Runs)
-	if meanSnap >= meanSTW {
-		t.Errorf("mean grant-path stall did not drop: snapshot %v vs stw %v", meanSnap, meanSTW)
-	}
-	if stSnap.STWMax >= stSTW.STWMax {
-		t.Logf("note: max stall sample inflated by scheduling noise (snapshot %v vs stw %v)", stSnap.STWMax, stSTW.STWMax)
+	// The stall is one shard's copy-out, a strict subset of the
+	// activation's work. The gate is on the mean — the max is a single
+	// sample and one unlucky preemption mid-copy on a loaded host can
+	// inflate it.
+	if hold >= total {
+		t.Errorf("mean grant-path stall %v is not below the mean activation %v", hold/n, total/n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
@@ -11,16 +12,16 @@ import (
 // e25Run drives the E25 churn-skewed workload on one manager: every
 // shard pinned with perShard long-held resources (so each shard's copy
 // has real weight), then rounds of short-transaction churn confined to
-// shard 0, each round closed by one manual detector activation. It
-// returns the summed copy-phase time across the measured activations,
-// the shard copy/skip totals, and a decision transcript for A/B
-// comparison.
-func e25Run(t testing.TB, mode IncrementalMode, rounds int) (copyTotal time.Duration, copied, skipped int, decisions string) {
+// shard 0, each round closed by one manual activation through detect
+// (Manager.Detect, or the detectFullCopy oracle for the full-copy leg).
+// It returns each measured activation's copy-phase time, the shard
+// copy/skip totals, and a decision transcript for A/B comparison.
+func e25Run(t testing.TB, detect func(*Manager) Stats, rounds int) (copies []time.Duration, copied, skipped int, decisions string) {
 	const (
 		shards   = 32
 		perShard = 16
 	)
-	m := Open(Options{Shards: shards, Detector: DetectorSnapshot, IncrementalSnapshot: mode})
+	m := Open(Options{Shards: shards})
 	defer m.Close()
 	ctx := context.Background()
 
@@ -32,7 +33,7 @@ func e25Run(t testing.TB, mode IncrementalMode, rounds int) (copyTotal time.Dura
 			}
 		}
 	}
-	m.Detect() // warm-up: both modes pay one full copy here, outside the measurement
+	detect(m) // warm-up: both legs pay one full copy here, outside the measurement
 
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < 4; i++ {
@@ -46,30 +47,44 @@ func e25Run(t testing.TB, mode IncrementalMode, rounds int) (copyTotal time.Dura
 			}
 			tx.Recycle()
 		}
-		st := m.Detect()
+		st := detect(m)
 		decisions += fmt.Sprintf("%d/%d/%d;", st.CyclesSearched, st.Aborted, st.Repositioned)
 		last, ok := m.LastActivation()
 		if !ok {
 			t.Fatal("no activation report after Detect")
 		}
-		copyTotal += last.Copy
+		copies = append(copies, last.Copy)
 		copied += st.ShardsCopied
 		skipped += st.ShardsSkipped
 	}
-	return copyTotal, copied, skipped, decisions
+	return copies, copied, skipped, decisions
+}
+
+// sumAndMedian reduces per-activation durations; the median is immune
+// to the odd preemption landing inside one activation's clock reads.
+func sumAndMedian(ds []time.Duration) (sum, median time.Duration) {
+	sorted := append([]time.Duration(nil), ds...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	for _, d := range sorted {
+		sum += d
+	}
+	return sum, sorted[len(sorted)/2]
 }
 
 // TestE25IncrementalAB is the EXPERIMENTS.md E25 harness: the same
 // churn-skewed workload (one hot shard out of 32, the rest pinned but
-// untouched) under full-copy and incremental snapshots in the same
-// process. The incremental detector must reach identical decisions
-// while copying at most 20% of its shard visits, and its summed
-// copy-phase time must come in at least 3x below the full-copy run's.
+// untouched) under the full-copy oracle and the production incremental
+// activation in the same process. The incremental detector must reach identical decisions
+// while copying at most 20% of its shard visits, and its median
+// per-activation copy-phase time must come in at least 3x below the
+// full-copy run's.
 // Run with -v for the measured numbers.
 func TestE25IncrementalAB(t *testing.T) {
 	const rounds = 40
-	fullCopyNs, fullCopied, fullSkipped, fullDec := e25Run(t, IncrementalOff, rounds)
-	incCopyNs, incCopied, incSkipped, incDec := e25Run(t, IncrementalOn, rounds)
+	fullCopies, fullCopied, fullSkipped, fullDec := e25Run(t, detectFullCopy, rounds)
+	incCopies, incCopied, incSkipped, incDec := e25Run(t, (*Manager).Detect, rounds)
+	fullCopyNs, fullMedian := sumAndMedian(fullCopies)
+	incCopyNs, incMedian := sumAndMedian(incCopies)
 
 	t.Logf("full:        copy=%v copied=%d skipped=%d", fullCopyNs, fullCopied, fullSkipped)
 	t.Logf("incremental: copy=%v copied=%d skipped=%d", incCopyNs, incCopied, incSkipped)
@@ -87,11 +102,11 @@ func TestE25IncrementalAB(t *testing.T) {
 	if frac := float64(incCopied) / float64(total); frac > 0.20 {
 		t.Fatalf("incremental run copied %d of %d shard visits (%.0f%%), want <= 20%%", incCopied, total, 100*frac)
 	}
-	if incCopyNs <= 0 {
+	if incMedian <= 0 {
 		t.Fatal("incremental run reported zero copy time")
 	}
-	if ratio := float64(fullCopyNs) / float64(incCopyNs); ratio < 3 {
-		t.Fatalf("copy-time drop %.1fx (full %v vs incremental %v), want >= 3x", ratio, fullCopyNs, incCopyNs)
+	if ratio := float64(fullMedian) / float64(incMedian); ratio < 3 {
+		t.Fatalf("median copy-time drop %.1fx (full %v vs incremental %v), want >= 3x", ratio, fullMedian, incMedian)
 	}
 }
 
@@ -103,14 +118,13 @@ func TestE25IncrementalAB(t *testing.T) {
 // force a full recopy either way; the incremental win lives in the
 // idle majority. Returns the model's final state (D̂ and the derived
 // T*) and the victims' mean blocked time at abort.
-func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState, time.Duration) {
+func e25CostRun(t *testing.T, detect func(*Manager) Stats, rounds int) (CostModelState, time.Duration) {
 	t.Helper()
 	const shards = 32
 	m := Open(Options{
-		Shards:              shards,
-		Scheduling:          SchedulingCostModel,
-		Period:              time.Second, // background ticker stays out of the way
-		IncrementalSnapshot: mode,
+		Shards:     shards,
+		Scheduling: SchedulingCostModel,
+		Period:     time.Second, // background ticker stays out of the way
 	})
 	defer m.Close()
 	ctx := context.Background()
@@ -125,7 +139,7 @@ func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState,
 	}
 	r1 := shardResource(t, m, 0, 2000)
 	r2 := shardResource(t, m, 0, 2001)
-	m.Detect() // warm-up full copy
+	detect(m) // warm-up full copy
 
 	var victimNs int64
 	victims := 0
@@ -140,7 +154,7 @@ func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState,
 				t.Fatal(err)
 			}
 			tx.Recycle()
-			if st := m.Detect(); st.Aborted != 0 {
+			if st := detect(m); st.Aborted != 0 {
 				t.Fatalf("idle activation aborted someone: %+v", st)
 			}
 		}
@@ -165,7 +179,7 @@ func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState,
 		waitBlocked(t, m, a.ID())
 		go cross(b, r1)
 		waitBlocked(t, m, b.ID())
-		if st := m.Detect(); st.Aborted != 1 {
+		if st := detect(m); st.Aborted != 1 {
 			t.Fatalf("round %d: activation = %+v, want one abort", round, st)
 		}
 		<-errs
@@ -191,8 +205,8 @@ func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState,
 // Run with -v for D̂, T* and the mean victim blocked time.
 func TestE25CostModelFeedthrough(t *testing.T) {
 	const rounds = 25
-	cmFull, victimFull := e25CostRun(t, IncrementalOff, rounds)
-	cmInc, victimInc := e25CostRun(t, IncrementalOn, rounds)
+	cmFull, victimFull := e25CostRun(t, detectFullCopy, rounds)
+	cmInc, victimInc := e25CostRun(t, (*Manager).Detect, rounds)
 
 	t.Logf("full:        D-hat=%v T*=%v mean-victim-blocked=%v", cmFull.DetectCost, cmFull.Period, victimFull)
 	t.Logf("incremental: D-hat=%v T*=%v mean-victim-blocked=%v", cmInc.DetectCost, cmInc.Period, victimInc)

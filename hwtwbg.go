@@ -16,11 +16,13 @@
 // independent lock tables (Options.Shards, default derived from
 // GOMAXPROCS), each with its own mutex, so transactions touching
 // different resources proceed in parallel on different cores. The
-// periodic detector briefly stops the world — it takes every shard lock,
-// runs the paper's algorithm over the merged table, applies TDR-1/TDR-2
-// resolutions back into the owning shards, and releases — so cross-shard
-// deadlocks are found and resolved exactly as a single-table manager
-// would, at a cost paid once per period rather than on every operation.
+// periodic detector copies each shard out under its own mutex, one shard
+// at a time, runs the paper's algorithm over the merged snapshot with no
+// shard locks held, and applies each TDR-1/TDR-2 resolution back into the
+// owning shards only after re-validating its cycle against the live
+// tables — so cross-shard deadlocks are found and resolved exactly as a
+// single-table manager would, at a cost paid once per period rather than
+// on every operation.
 //
 // Typical use:
 //
@@ -107,56 +109,11 @@ var (
 	ErrClosed = errors.New("hwtwbg: manager closed")
 )
 
-// Detector activation strategies; see Options.Detector.
-const (
-	// DetectorSnapshot (the default) copies each shard out under its own
-	// mutex — briefly, one shard at a time — and runs the paper's
-	// algorithm over the merged snapshot with no shard locks held.
-	// Because shards are copied at different instants the view can be
-	// torn, so every resolution is re-validated against the live shards
-	// (validate-then-act) before it is applied; candidates whose cycle
-	// evidence no longer holds are dropped and counted in
-	// Stats.FalseCycles. The hot grant path is never stalled for longer
-	// than one shard's copy-out.
-	DetectorSnapshot = "snapshot"
-	// DetectorSTW freezes every shard (all shard locks in index order)
-	// for the whole activation — the PR 1 behavior, kept for
-	// differential testing and as a fallback. Grant-path stalls are the
-	// full activation long, but no validation is ever needed.
-	DetectorSTW = "stw"
-)
-
-// IncrementalMode selects whether the snapshot detector reuses clean
-// shards' copies between activations; see Options.IncrementalSnapshot.
-type IncrementalMode int8
-
-const (
-	// IncrementalDefault (the zero value) selects the default, which is
-	// incremental snapshots on.
-	IncrementalDefault IncrementalMode = iota
-	// IncrementalOn enables incremental snapshots explicitly: a shard
-	// whose mutation epoch is unchanged since the detector's last copy
-	// is not recopied — its region of the snapshot arena is reused —
-	// and the dirty shards are copied concurrently across a bounded
-	// worker pool. Per-activation copy cost becomes proportional to
-	// churn rather than table size.
-	IncrementalOn
-	// IncrementalOff forces a full serial copy-out every activation,
-	// kept selectable so incremental and full modes can be A/B compared
-	// in one process. Detection decisions are identical either way.
-	IncrementalOff
-)
-
 // Background-detector scheduling strategies; see Options.Scheduling.
 const (
 	// SchedulingFixed (also selected by "") re-runs the detector every
 	// Options.Period, unconditionally.
 	SchedulingFixed = "fixed"
-	// SchedulingAdaptive is the halve-on-deadlock / double-on-idle
-	// heuristic: the period is halved after an activation that found a
-	// deadlock (down to Period/8, floored at 100µs) and doubled after an
-	// idle one (up to MaxPeriod).
-	SchedulingAdaptive = "adaptive"
 	// SchedulingCostModel derives the period from the online cost model
 	// (Ling/Chen/Chiang): T* = sqrt(2·D̂/(λ̂·ρ̂)) from the measured
 	// deadlock formation rate, detection cost and deadlock persistence
@@ -169,36 +126,23 @@ type Options struct {
 	// Period is the detection interval. Zero disables the background
 	// detector; call Detect manually.
 	Period time.Duration
-	// Detector selects the activation strategy: DetectorSnapshot
-	// (default, also chosen by "") or DetectorSTW.
-	Detector string
 	// Scheduling selects how the background detector's period evolves
-	// between activations: SchedulingFixed (default, also chosen by ""),
-	// SchedulingAdaptive (the halve/double heuristic) or
-	// SchedulingCostModel (the Ling/Chen/Chiang cost-minimizing period,
-	// derived online; see CostModel). It has no effect when Period is
-	// zero. CurrentPeriod reports the live value.
+	// between activations: SchedulingFixed (the paper's; default, also
+	// chosen by "" and by any unknown value) or SchedulingCostModel (the
+	// Ling/Chen/Chiang cost-minimizing period, derived online; see
+	// CostModel). It has no effect when Period is zero. CurrentPeriod
+	// reports the live value.
 	Scheduling string
-	// AdaptivePeriod is the legacy spelling of Scheduling:
-	// SchedulingAdaptive, honored when Scheduling is empty.
-	AdaptivePeriod bool
-	// MaxPeriod caps the adaptive/cost-model period (default 8×Period).
+	// MaxPeriod caps the cost-model period (default 8×Period).
 	MaxPeriod time.Duration
 	// Shards is the number of lock-table stripes, rounded up to a power
 	// of two. Zero derives it from runtime.GOMAXPROCS(0). One shard
 	// reproduces the serial facade (every resource behind one mutex).
 	Shards int
-	// IncrementalSnapshot controls whether the snapshot detector skips
-	// recopying shards whose mutation epoch is unchanged since its last
-	// activation, reusing their region of the snapshot arena and copying
-	// only the dirty shards (concurrently, when there are enough). The
-	// default (zero value) is on; IncrementalOff restores the full
-	// serial copy-out for A/B comparison. Ignored under DetectorSTW.
-	IncrementalSnapshot IncrementalMode
 	// Cost prices victim candidates. Nil selects the built-in metric
 	// (locks held + 1), so younger transactions die first. Cost is
-	// called with the world stopped (every shard lock held) and must
-	// not call back into the Manager.
+	// called from the detector with no shard lock held and must not call
+	// back into the Manager.
 	Cost func(TxnID) float64
 	// DisableTDR2 turns off resolution-by-repositioning; every deadlock
 	// is then resolved by aborting a victim.
@@ -251,34 +195,27 @@ type Stats struct {
 	Repositioned   int // deadlocks resolved without any abort (TDR-2)
 	Salvaged       int // victims rescued at Step 3 because an earlier abort unblocked them
 
-	// FalseCycles counts snapshot-detector resolutions dropped at
-	// validation because the cycle seen in the (possibly torn) snapshot
-	// no longer held against the live shards; nothing was aborted or
-	// repositioned for them. Always zero under DetectorSTW.
+	// FalseCycles counts resolutions dropped at validation because the
+	// cycle seen in the (possibly torn) snapshot no longer held against
+	// the live shards; nothing was aborted or repositioned for them.
 	FalseCycles int
-	// Validations counts validate-then-act attempts by the snapshot
-	// detector (applied + dropped). Always zero under DetectorSTW.
+	// Validations counts validate-then-act attempts (applied + dropped).
 	Validations int
 
-	// ShardsCopied and ShardsSkipped count, across snapshot-detector
-	// activations, the shards recopied into the snapshot versus reused
-	// because their mutation epoch was unchanged (see
-	// Options.IncrementalSnapshot). With incremental snapshots off every
-	// activation copies all shards; both stay zero under DetectorSTW.
+	// ShardsCopied and ShardsSkipped count, across activations, the
+	// shards recopied into the snapshot versus reused because their
+	// mutation epoch was unchanged since the detector's previous copy.
 	ShardsCopied  int
 	ShardsSkipped int
 
-	// STWTotal/STWLast/STWMax record the worst stall a detector
-	// activation imposes on the grant path: under DetectorSTW the full
-	// stop-the-world pause; under DetectorSnapshot the longest time any
-	// single shard mutex was held for copy-out (the snapshot detector
-	// never stops the world). Total accumulates across activations, Last
-	// and Max are the most recent and worst single-activation values; in
-	// the Stats returned by one Detect call all three are that
-	// activation's stall.
-	STWTotal time.Duration
-	STWLast  time.Duration
-	STWMax   time.Duration
+	// ShardHoldLast/ShardHoldMax record the worst stall a detector
+	// activation imposes on the grant path: the longest time any single
+	// shard mutex was held for copy-out (the detector never stops the
+	// world). Last is the most recent activation's value, Max the worst
+	// so far; in the Stats returned by one Detect call both are that
+	// activation's hold.
+	ShardHoldLast time.Duration
+	ShardHoldMax  time.Duration
 }
 
 // ShardStat describes one shard's lifetime activity.
@@ -289,27 +226,23 @@ type ShardStat struct {
 }
 
 // ActivationReport decomposes one detector activation: when it ran,
-// what the stop-the-world pause was spent on, and what the algorithm
-// saw and did. The most recent reports are kept in a ring (see
-// Activations) alongside the deadlock-event history, and each report is
-// handed to Options.Tracer's OnActivation.
+// what its time was spent on, and what the algorithm saw and did. The
+// most recent reports are kept in a ring (see Activations) alongside the
+// deadlock-event history, and each report is handed to Options.Tracer's
+// OnActivation.
 //
-// Under DetectorSTW, Total ≈ Acquire + Build + Search + Resolve + Wake:
-// Acquire is the cost of taking every shard lock in index order (how
-// long the detector waited for in-flight operations to drain),
+// Total ≈ Acquire + Copy + Build + Search + Resolve + Validate: Acquire
+// is the summed wait to take each shard mutex one at a time, Copy the
+// dirty-shard scan plus the summed per-shard copy-out into the snapshot
+// arena and the merge (MaxShardHold is the worst single shard's hold —
+// the only stall the activation imposes on the grant path),
 // Build/Search/Resolve are the paper's Steps 1–3 (TST construction; the
 // O(n + e·(c′+1)) directed walk including TDR-2 queue repositionings;
-// abort confirmation and queue rescheduling), and Wake covers applying
-// the wakes and releasing the shard locks.
-//
-// Under DetectorSnapshot, Total ≈ Acquire + Copy + Build + Search +
-// Resolve + Validate: Acquire is the summed wait to take each shard
-// mutex one at a time, Copy the summed per-shard copy-out into the
-// snapshot arena (MaxShardHold is the worst single shard's hold — the
-// only stall the activation imposes on the grant path), Build/Search/
-// Resolve run over the snapshot with no locks held, and Validate covers
-// re-verifying every resolution against the live shards and applying
-// the survivors (including their wakeups; Wake stays zero).
+// abort confirmation and queue rescheduling) run over the snapshot with
+// no locks held, and Validate covers re-verifying every resolution
+// against the live shards and applying the survivors, including their
+// wakeups. Wake is always zero; the field is kept for report consumers
+// that read it by name.
 //
 // The json tags are the activation wire vocabulary; the wireschema
 // analyzer checks the PhaseTotals accumulator's subset against them.
@@ -320,17 +253,16 @@ type ActivationReport struct {
 	Seq  int       `json:"seq"` // 1-based activation number
 
 	Acquire  time.Duration `json:"acquire_ns"`
-	Copy     time.Duration `json:"copy_ns"` // snapshot only: summed copy-out
+	Copy     time.Duration `json:"copy_ns"` // dirty scan + summed copy-out + merge
 	Build    time.Duration `json:"build_ns"`
 	Search   time.Duration `json:"search_ns"`
 	Resolve  time.Duration `json:"resolve_ns"`
-	Validate time.Duration `json:"validate_ns"` // snapshot only: validate-then-act
-	Wake     time.Duration `json:"wake_ns"`
-	Total    time.Duration `json:"total_ns"` // the full activation (STW: the whole pause)
+	Validate time.Duration `json:"validate_ns"` // validate-then-act, wakeups included
+	Wake     time.Duration `json:"wake_ns"`     // always zero
+	Total    time.Duration `json:"total_ns"`    // the full activation
 
 	// MaxShardHold is the longest any single shard mutex was held by
-	// this activation: the copy-out hold under DetectorSnapshot, the
-	// whole pause under DetectorSTW.
+	// this activation's copy-out.
 	MaxShardHold time.Duration `json:"max_shard_hold_ns"`
 
 	Vertices       int `json:"vertices"`    // the graph's n
@@ -340,13 +272,12 @@ type ActivationReport struct {
 	Aborted        int `json:"aborted"`
 	Repositioned   int `json:"repositioned"`
 	Salvaged       int `json:"salvaged"`
-	FalseCycles    int `json:"false_cycles"` // snapshot only: resolutions dropped at validation
-	Validations    int `json:"validations"`  // snapshot only: validate-then-act attempts (applied + dropped)
+	FalseCycles    int `json:"false_cycles"` // resolutions dropped at validation
+	Validations    int `json:"validations"`  // validate-then-act attempts (applied + dropped)
 
 	// ShardsCopied/ShardsSkipped decompose the snapshot copy phase:
-	// shards recopied because their mutation epoch changed (or because
-	// incremental snapshots are off) versus shards whose previous copy
-	// was reused as-is. Both zero under DetectorSTW.
+	// shards recopied because their mutation epoch changed versus shards
+	// whose previous copy was reused as-is.
 	ShardsCopied  int `json:"shards_copied"`
 	ShardsSkipped int `json:"shards_skipped"`
 }
@@ -366,18 +297,12 @@ type Manager struct {
 	shards []*shard
 	mask   uint32 // len(shards)-1; shard count is a power of two
 	mt     *multiTable
-	det    *detect.Detector
 
 	// snap is the reusable snapshot arena and snapDet the detector bound
 	// to its merged view; both are touched only under detMu.
-	// incremental selects dirty-shard-only copy-out (see
-	// Options.IncrementalSnapshot); holdSample enables per-shard timing
-	// of the copy phase (off when no ActivationReport consumer exists);
 	// dirtyScratch is the reusable dirty-shard index list.
 	snap         *table.Snapshot
 	snapDet      *detect.Detector
-	incremental  bool
-	holdSample   bool
 	dirtyScratch []int
 
 	// detMu serializes detector activations (background and manual)
@@ -391,8 +316,8 @@ type Manager struct {
 	// cost is the online detection-scheduling cost model; always
 	// maintained (it is a handful of mutexed float updates per
 	// activation) so its state is observable even when Scheduling is not
-	// "costmodel". schedMin/schedMax are the period bounds every
-	// scheduling strategy clamps to.
+	// "costmodel". schedMin/schedMax are the bounds its period is
+	// clamped to.
 	cost               *costModel
 	schedMin, schedMax time.Duration
 
@@ -468,27 +393,17 @@ func Open(opts Options) *Manager {
 	m.history = newHistoryRing(size)
 	m.activations = newRing[ActivationReport](size)
 	m.postmortems = newRing[Postmortem](size)
+	m.snap = table.NewSnapshot()
 	cost := opts.Cost
 	if cost == nil {
-		cost = func(id TxnID) float64 { return float64(m.mt.heldCount(id) + 1) }
-	}
-	m.det = detect.New(m.mt, detect.Config{Cost: cost, DisableTDR2: opts.DisableTDR2})
-	m.snap = table.NewSnapshot()
-	snapCost := opts.Cost
-	if snapCost == nil {
 		// The default metric prices a candidate from the snapshot itself,
 		// since the live shards are unlocked while the algorithm runs.
-		snapCost = func(id TxnID) float64 { return float64(m.snap.Table().HeldCount(id) + 1) }
+		cost = func(id TxnID) float64 { return float64(m.snap.Table().HeldCount(id) + 1) }
 	}
 	// The detector runs over the snapshot's view, whose resource
 	// iteration is restricted to resources that can contribute graph
 	// edges (exactly output-preserving; see table.SnapView).
-	m.snapDet = detect.New(m.snap.View(), detect.Config{Cost: snapCost, DisableTDR2: opts.DisableTDR2})
-	m.incremental = opts.IncrementalSnapshot != IncrementalOff
-	// Per-shard copy timing exists for ActivationReport consumers (the
-	// history ring and tracers); with both disabled, the copy phase is
-	// timed as one block instead of per shard.
-	m.holdSample = size > 0 || opts.Tracer != nil
+	m.snapDet = detect.New(m.snap.View(), detect.Config{Cost: cost, DisableTDR2: opts.DisableTDR2})
 	m.cost = newCostModel(opts.now)
 	m.schedMin, m.schedMax = schedBounds(opts.Period, opts.MaxPeriod)
 	m.curPeriod.Store(int64(opts.Period))
@@ -500,25 +415,10 @@ func Open(opts Options) *Manager {
 	return m
 }
 
-// scheduling resolves Options.Scheduling, honoring the legacy
-// AdaptivePeriod flag; unknown values fall back to fixed (mirroring how
-// an unknown Options.Detector falls back to snapshot).
-func (m *Manager) scheduling() string {
-	switch m.opts.Scheduling {
-	case SchedulingAdaptive, SchedulingCostModel:
-		return m.opts.Scheduling
-	case "", SchedulingFixed:
-		if m.opts.Scheduling == "" && m.opts.AdaptivePeriod {
-			return SchedulingAdaptive
-		}
-	}
-	return SchedulingFixed
-}
-
-// schedBounds derives the period clamp every self-tuning scheduler
-// uses: min is period/8 floored at 100µs, max is MaxPeriod (default
-// 8×period; with no base period at all, 10s — the model is then
-// advisory only, since no background loop runs).
+// schedBounds derives the clamp on the cost-model period: min is
+// period/8 floored at 100µs, max is MaxPeriod (default 8×period; with
+// no base period at all, 10s — the model is then advisory only, since
+// no background loop runs).
 func schedBounds(period, maxPeriod time.Duration) (min, max time.Duration) {
 	min = period / 8
 	if min < 100*time.Microsecond {
@@ -538,23 +438,6 @@ func schedBounds(period, maxPeriod time.Duration) (min, max time.Duration) {
 	return min, max
 }
 
-// nextAdaptivePeriod is the halve-on-deadlock / double-on-idle step,
-// kept pure so the schedule is unit-testable without a clock.
-func nextAdaptivePeriod(cur time.Duration, foundDeadlock bool, min, max time.Duration) time.Duration {
-	if foundDeadlock {
-		cur /= 2
-		if cur < min {
-			cur = min
-		}
-		return cur
-	}
-	cur *= 2
-	if cur > max {
-		cur = max
-	}
-	return cur
-}
-
 // ceilPow2 rounds n up to the next power of two.
 func ceilPow2(n int) int {
 	p := 1
@@ -566,7 +449,7 @@ func ceilPow2(n int) int {
 
 func (m *Manager) loop(period time.Duration) {
 	defer close(m.done)
-	sched := m.scheduling()
+	selfTuning := m.opts.Scheduling == SchedulingCostModel
 	cur := period
 	var timer *time.Timer
 	tick := m.opts.schedTick
@@ -580,14 +463,8 @@ func (m *Manager) loop(period time.Duration) {
 		case <-m.stop:
 			return
 		case <-tick:
-			st := m.Detect()
-			switch sched {
-			case SchedulingAdaptive:
-				// The frequency/cost heuristic: finding a deadlock suggests
-				// the workload is conflict-heavy, so check sooner; an idle
-				// pass suggests the opposite, so back off.
-				cur = nextAdaptivePeriod(cur, st.CyclesSearched > 0, m.schedMin, m.schedMax)
-			case SchedulingCostModel:
+			m.Detect()
+			if selfTuning {
 				cur = m.cost.period(cur, m.schedMin, m.schedMax)
 			}
 			m.curPeriod.Store(int64(cur))
@@ -605,8 +482,8 @@ func (m *Manager) loop(period time.Duration) {
 }
 
 // CurrentPeriod returns the live detection interval: Options.Period, or
-// the self-tuned value when Scheduling is adaptive or costmodel. Zero
-// means the background detector is disabled.
+// the self-tuned value when Scheduling is costmodel. Zero means the
+// background detector is disabled.
 func (m *Manager) CurrentPeriod() time.Duration {
 	return time.Duration(m.curPeriod.Load())
 }
@@ -650,91 +527,29 @@ func (m *Manager) Close() {
 }
 
 // Detect runs one activation of the periodic detection-resolution
-// algorithm immediately and returns what it did. Under DetectorSTW the
-// activation stops the world: it takes every shard lock in index order,
-// runs the paper's algorithm over the merged table, and applies the
-// resolutions. Under DetectorSnapshot (the default) it copies each
-// shard out one at a time, runs the algorithm over the merged snapshot
-// with no locks held, and applies each resolution only after
-// re-validating its cycle against the live shards. Either way, a
-// deadlock whose cycle spans resources in different shards is handled
-// identically to one confined to a single shard.
+// algorithm immediately and returns what it did: it copies each dirty
+// shard out one at a time, runs the paper's algorithm over the merged
+// snapshot with no locks held, and applies each resolution only after
+// re-validating its cycle against the live shards. A deadlock whose
+// cycle spans resources in different shards is handled identically to
+// one confined to a single shard.
 func (m *Manager) Detect() Stats {
 	m.detMu.Lock()
 	defer m.detMu.Unlock()
 	if m.closed.Load() {
 		return Stats{}
 	}
-	if m.opts.Detector == DetectorSTW {
-		return m.detectSTW()
-	}
 	return m.detectSnapshot()
-}
-
-// detectSTW is the stop-the-world activation. Caller holds detMu.
-func (m *Manager) detectSTW() Stats {
-	start := time.Now()
-	m.stopTheWorld()
-	acquired := time.Now()
-	pre := m.auditPreSTW()
-	res := m.det.Run()
-	resolved := time.Now()
-	for _, v := range res.Aborted {
-		m.condemned.Store(v, struct{}{})
-		for _, s := range m.shards {
-			s.wake(v)
-		}
-	}
-	for _, g := range res.Granted {
-		m.shardFor(g.Resource).wake(g.Txn)
-	}
-	m.auditPostSTW(pre, res)
-	m.resumeTheWorld()
-	now := time.Now()
-	pause := now.Sub(start)
-
-	rep := ActivationReport{
-		Time:           now,
-		Acquire:        acquired.Sub(start),
-		Build:          res.BuildTime,
-		Search:         res.SearchTime,
-		Resolve:        res.ResolveTime,
-		Wake:           now.Sub(resolved),
-		Total:          pause,
-		MaxShardHold:   pause,
-		Vertices:       res.Vertices,
-		Edges:          res.Edges,
-		EdgeVisits:     res.EdgeVisits,
-		CyclesSearched: res.CyclesSearched,
-		Aborted:        len(res.Aborted),
-		Repositioned:   len(res.Repositioned),
-		Salvaged:       len(res.Salvaged),
-	}
-	events := make([]Event, 0, len(res.Aborted)+len(res.Repositioned)+len(res.Salvaged))
-	for _, v := range res.Aborted {
-		events = append(events, Event{Time: now, Kind: EventVictim, Txn: v})
-	}
-	for _, rp := range res.Repositioned {
-		events = append(events, Event{Time: now, Kind: EventReposition, Txn: rp.Junction, Resource: rp.Resource})
-	}
-	for _, sv := range res.Salvaged {
-		events = append(events, Event{Time: now, Kind: EventSalvage, Txn: sv})
-	}
-	return m.recordActivation(rep, pause, 0, res.Aborted, events, res.Resolutions)
 }
 
 // recordActivation folds one finished activation into the cumulative
 // stats, phase totals and rings, then — outside all locks — journals
 // the activation (with the cycle-edge evidence of every resolution it
 // acted on), generates the deadlock postmortems, and fires the OnVictim
-// and tracer hooks. stall is the worst grant-path stall the activation
-// caused (the whole pause for STW, the longest single-shard copy hold
-// for snapshot); it feeds the Stats.STW* gauges. resolutions carries
-// the cycles the activation resolved (salvaged and, for STW, all of
-// them; snapshot callers pass only the validated survivors). The
-// returned Stats describes this activation alone.
-func (m *Manager) recordActivation(rep ActivationReport, stall time.Duration, validations int, victims []TxnID, events []Event, resolutions []detect.Resolution) Stats {
-	rep.Validations = validations
+// and tracer hooks. resolutions carries the cycles the activation
+// validated and acted on. The returned Stats describes this activation
+// alone.
+func (m *Manager) recordActivation(rep ActivationReport, victims []TxnID, events []Event, resolutions []detect.Resolution) Stats {
 	activation := Stats{
 		Runs:           1,
 		CyclesSearched: rep.CyclesSearched,
@@ -742,12 +557,11 @@ func (m *Manager) recordActivation(rep ActivationReport, stall time.Duration, va
 		Repositioned:   rep.Repositioned,
 		Salvaged:       rep.Salvaged,
 		FalseCycles:    rep.FalseCycles,
-		Validations:    validations,
+		Validations:    rep.Validations,
 		ShardsCopied:   rep.ShardsCopied,
 		ShardsSkipped:  rep.ShardsSkipped,
-		STWTotal:       stall,
-		STWLast:        stall,
-		STWMax:         stall,
+		ShardHoldLast:  rep.MaxShardHold,
+		ShardHoldMax:   rep.MaxShardHold,
 	}
 	m.mu.Lock()
 	m.stats.Runs++
@@ -756,13 +570,12 @@ func (m *Manager) recordActivation(rep ActivationReport, stall time.Duration, va
 	m.stats.Repositioned += rep.Repositioned
 	m.stats.Salvaged += rep.Salvaged
 	m.stats.FalseCycles += rep.FalseCycles
-	m.stats.Validations += validations
+	m.stats.Validations += rep.Validations
 	m.stats.ShardsCopied += rep.ShardsCopied
 	m.stats.ShardsSkipped += rep.ShardsSkipped
-	m.stats.STWTotal += stall
-	m.stats.STWLast = stall
-	if stall > m.stats.STWMax {
-		m.stats.STWMax = stall
+	m.stats.ShardHoldLast = rep.MaxShardHold
+	if rep.MaxShardHold > m.stats.ShardHoldMax {
+		m.stats.ShardHoldMax = rep.MaxShardHold
 	}
 	rep.Seq = m.stats.Runs
 	m.phases.add(rep)

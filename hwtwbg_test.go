@@ -113,6 +113,11 @@ func TestDeadlockResolvedByBackgroundDetector(t *testing.T) {
 	if aborted != 1 {
 		t.Fatalf("errors: %v / %v, want exactly one ErrAborted", e1, e2)
 	}
+	// OnVictim fires outside all locks, after the victim has been woken,
+	// so its owner can get here first.
+	for deadline := time.Now().Add(5 * time.Second); victims.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if victims.Load() != 1 {
 		t.Fatalf("OnVictim called %d times", victims.Load())
 	}

@@ -249,37 +249,6 @@ func TestJournalPostmortem(t *testing.T) {
 	a.Abort()
 }
 
-// TestJournalTracerAdapter checks the JournalTracer tee: a manager with
-// its built-in recorder disabled still journals through the adapter,
-// and the chained tracer sees every hook.
-func TestJournalTracerAdapter(t *testing.T) {
-	ring := journal.NewRing(64, 0)
-	next := &countingTracer{}
-	m := Open(Options{JournalSize: -1, Tracer: &JournalTracer{Ring: ring, Next: next}})
-	defer m.Close()
-	tx := m.Begin()
-	if err := tx.Lock(context.Background(), "adapter", X); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	recs := ring.Snapshot(nil)
-	kinds := map[journal.Kind]int{}
-	for i := range recs {
-		kinds[recs[i].Kind]++
-	}
-	if kinds[journal.KindRequest] != 1 || kinds[journal.KindGrant] != 1 {
-		t.Fatalf("adapter journaled %v, want one request and one grant", kinds)
-	}
-	if recs[0].Resource() != "adapter" {
-		t.Fatalf("resource %q, want adapter", recs[0].Resource())
-	}
-	if next.events.Load() != 2 { // OnRequest + OnGrant
-		t.Fatalf("chained tracer saw %d hooks, want 2", next.events.Load())
-	}
-}
-
 // TestJournalStatsInMetrics checks the recorder's counters ride along
 // in MetricsSnapshot.
 func TestJournalStatsInMetrics(t *testing.T) {

@@ -300,8 +300,8 @@ func TestRecycle(t *testing.T) {
 // Lock calls on one manager and through LockAll batches on another, and
 // the two must be indistinguishable — byte-identical lock tables,
 // identical detector decisions (victims, repositionings, salvages)
-// under both the stop-the-world and snapshot detectors, and identical
-// deadlock-event histories.
+// under both the stop-the-world oracle and the production detector, and
+// identical deadlock-event histories.
 //
 // The script is decided against a sequential oracle table: runs of
 // immediately-grantable requests become batches (order within a batch
@@ -340,8 +340,8 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 			// decisions depend only on the script, so every replay issues
 			// the same effective sequence; batched switches grantable runs
 			// from sequential Lock calls to LockAll.
-			replay := func(detector string, batched bool) *Manager {
-				m := Open(Options{Shards: 4, Detector: detector, Audit: true})
+			replay := func(batched bool) *Manager {
+				m := Open(Options{Shards: 4, Audit: true})
 				oracle := table.New()
 				txns := make([]*Txn, nTxns)
 				for i := range txns {
@@ -401,10 +401,16 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 			}
 
 			ms := map[string]*Manager{
-				"seq/stw":  replay(DetectorSTW, false),
-				"bat/stw":  replay(DetectorSTW, true),
-				"seq/snap": replay(DetectorSnapshot, false),
-				"bat/snap": replay(DetectorSnapshot, true),
+				"seq/stw":  replay(false),
+				"bat/stw":  replay(true),
+				"seq/snap": replay(false),
+				"bat/snap": replay(true),
+			}
+			detect := map[string]func() Stats{
+				"seq/stw":  newSTWOracle(ms["seq/stw"]).Detect,
+				"bat/stw":  newSTWOracle(ms["bat/stw"]).Detect,
+				"seq/snap": ms["seq/snap"].Detect,
+				"bat/snap": ms["bat/snap"].Detect,
 			}
 			order := []string{"seq/stw", "bat/stw", "seq/snap", "bat/snap"}
 			defer func() {
@@ -428,9 +434,9 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 				if round > nTxns {
 					t.Fatalf("detectors did not quiesce after %d rounds", round)
 				}
-				ref := ms[order[0]].Detect()
+				ref := detect[order[0]]()
 				for _, k := range order[1:] {
-					st := ms[k].Detect()
+					st := detect[k]()
 					if st.CyclesSearched != ref.CyclesSearched || st.Aborted != ref.Aborted ||
 						st.Repositioned != ref.Repositioned || st.Salvaged != ref.Salvaged {
 						t.Fatalf("round %d decisions diverge:\n%s %+v\n%s %+v", round, order[0], ref, k, st)

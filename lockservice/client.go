@@ -297,7 +297,7 @@ func (c *Client) stats() (Stats, error) {
 		}
 		switch k {
 		case "runs", "cycles", "aborted", "repositioned", "salvaged",
-			"stw_total_ns", "stw_last_ns", "stw_max_ns", "shard_grants",
+			"hold_last_ns", "hold_max_ns", "shard_grants",
 			"false_cycles", "validations", "period_ns",
 			"last_false_cycles", "last_validations",
 			"cm_samples", "cm_deadlocks", "cm_rate_uhz",
@@ -323,12 +323,10 @@ func (c *Client) stats() (Stats, error) {
 			st.Repositioned = int(n)
 		case "salvaged":
 			st.Salvaged = int(n)
-		case "stw_total_ns":
-			st.STWTotal = time.Duration(n)
-		case "stw_last_ns":
-			st.STWLast = time.Duration(n)
-		case "stw_max_ns":
-			st.STWMax = time.Duration(n)
+		case "hold_last_ns":
+			st.ShardHoldLast = time.Duration(n)
+		case "hold_max_ns":
+			st.ShardHoldMax = time.Duration(n)
 		case "shard_grants":
 			st.ShardGrants = uint64(n)
 		case "false_cycles":

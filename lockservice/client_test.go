@@ -81,21 +81,27 @@ func TestClientStatsParsing(t *testing.T) {
 		},
 		{
 			name:  "full reply with service fields",
-			reply: "OK runs=10 cycles=4 aborted=3 repositioned=2 salvaged=1 stw_total_ns=1500000 stw_last_ns=120000 stw_max_ns=800000 shard_grants=424242",
+			reply: "OK runs=10 cycles=4 aborted=3 repositioned=2 salvaged=1 hold_last_ns=120000 hold_max_ns=800000 shard_grants=424242",
 			want: Stats{
 				Stats: hwtwbg.Stats{
 					Runs: 10, CyclesSearched: 4, Aborted: 3, Repositioned: 2, Salvaged: 1,
-					STWTotal: 1500 * time.Microsecond,
-					STWLast:  120 * time.Microsecond,
-					STWMax:   800 * time.Microsecond,
+					ShardHoldLast: 120 * time.Microsecond,
+					ShardHoldMax:  800 * time.Microsecond,
 				},
 				ShardGrants: 424242,
 			},
 		},
 		{
+			// A pre-PR-14 server still sends the retired stw_* keys; they
+			// are unknown now and skipped, values unparsed.
+			name:  "old server stw keys tolerated as unknown",
+			reply: "OK runs=10 stw_total_ns=1500000 stw_last_ns=120000 stw_max_ns=fast shard_grants=7",
+			want:  Stats{Stats: hwtwbg.Stats{Runs: 10}, ShardGrants: 7},
+		},
+		{
 			name:  "duration exceeding int32 nanoseconds",
-			reply: "OK stw_total_ns=86400000000000",
-			want:  Stats{Stats: hwtwbg.Stats{STWTotal: 24 * time.Hour}},
+			reply: "OK hold_max_ns=86400000000000",
+			want:  Stats{Stats: hwtwbg.Stats{ShardHoldMax: 24 * time.Hour}},
 		},
 		{
 			name:  "snapshot detector keys",
@@ -175,8 +181,8 @@ func TestClientStatsParsing(t *testing.T) {
 			// An old server that predates the incremental-snapshot keys:
 			// the new fields simply stay zero.
 			name:  "server without incremental snapshot keys",
-			reply: "OK runs=6 stw_last_ns=120000",
-			want:  Stats{Stats: hwtwbg.Stats{Runs: 6, STWLast: 120 * time.Microsecond}},
+			reply: "OK runs=6 hold_last_ns=120000",
+			want:  Stats{Stats: hwtwbg.Stats{Runs: 6, ShardHoldLast: 120 * time.Microsecond}},
 		},
 		{
 			name:    "incremental snapshot key with non-integer value",
@@ -240,7 +246,7 @@ func TestClientStatsParsing(t *testing.T) {
 		},
 		{
 			name:    "known duration key with non-integer value",
-			reply:   "OK runs=3 stw_total_ns=fast",
+			reply:   "OK runs=3 hold_last_ns=fast",
 			wantErr: "malformed",
 		},
 		{

@@ -136,11 +136,11 @@ func TestDeadlockAcrossClients(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The extended wire fields round-trip from a live server: the
-	// detector ran at least once (STW pause > 0) and at least three
+	// detector ran at least once (shard hold > 0) and at least three
 	// grants landed in the shards (a:x, b:y, and the survivor's second
 	// lock handed off by the victim's release).
-	if st.Runs < 1 || st.STWTotal <= 0 || st.STWLast <= 0 || st.STWMax < st.STWLast {
-		t.Fatalf("stw fields not populated: %+v", st)
+	if st.Runs < 1 || st.ShardHoldMax <= 0 || st.ShardHoldMax < st.ShardHoldLast {
+		t.Fatalf("shard-hold fields not populated: %+v", st)
 	}
 	if st.ShardGrants < 3 {
 		t.Fatalf("shard_grants = %d, want >= 3", st.ShardGrants)

@@ -17,7 +17,7 @@
 //	COMMIT                -> OK | ERR <msg>
 //	ABORT                 -> OK
 //	STATS                 -> OK runs=<n> cycles=<n> aborted=<n> repositioned=<n> salvaged=<n>
-//	                            stw_total_ns=<n> stw_last_ns=<n> stw_max_ns=<n> shard_grants=<n>
+//	                            hold_last_ns=<n> hold_max_ns=<n> shard_grants=<n>
 //	                            false_cycles=<n> validations=<n> period_ns=<n>
 //	                            last_false_cycles=<n> last_validations=<n>
 //	                            cm_samples=<n> cm_deadlocks=<n> cm_rate_uhz=<n>
@@ -368,13 +368,13 @@ func (sess *session) dispatch(line string) (resp string, quit bool) {
 		if jr := sess.srv.lm.Journal(); jr != nil {
 			js = jr.Stats()
 		}
-		return fmt.Sprintf("OK runs=%d cycles=%d aborted=%d repositioned=%d salvaged=%d stw_total_ns=%d stw_last_ns=%d stw_max_ns=%d shard_grants=%d false_cycles=%d validations=%d period_ns=%d last_false_cycles=%d last_validations=%d"+
+		return fmt.Sprintf("OK runs=%d cycles=%d aborted=%d repositioned=%d salvaged=%d hold_last_ns=%d hold_max_ns=%d shard_grants=%d false_cycles=%d validations=%d period_ns=%d last_false_cycles=%d last_validations=%d"+
 			" cm_samples=%d cm_deadlocks=%d cm_rate_uhz=%d cm_detect_ns=%d cm_persist_ns=%d cm_period_ns=%d"+
 			" journal_emitted=%d journal_overwritten=%d journal_torn_reads=%d"+
 			" copy_ns=%d acquire_ns=%d shards_copied=%d shards_skipped=%d"+
 			" tail_sessions=%d tail_lagged=%d op_tags=%d",
 			st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged,
-			st.STWTotal.Nanoseconds(), st.STWLast.Nanoseconds(), st.STWMax.Nanoseconds(), shardGrants,
+			st.ShardHoldLast.Nanoseconds(), st.ShardHoldMax.Nanoseconds(), shardGrants,
 			st.FalseCycles, st.Validations, sess.srv.lm.CurrentPeriod().Nanoseconds(),
 			last.FalseCycles, last.Validations,
 			cm.Samples, cm.Deadlocks, int64(cm.RatePerSec*1e6), cm.DetectCost.Nanoseconds(), cm.PersistCost.Nanoseconds(), cm.Period.Nanoseconds(),

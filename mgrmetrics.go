@@ -100,13 +100,12 @@ func (sm *shardMetrics) snapshot() ShardMetricsSnapshot {
 }
 
 // PhaseTotals accumulates the detector's per-phase wall clock over the
-// manager's lifetime: Acquire (waiting for shard locks), Copy (snapshot
-// copy-out, DetectorSnapshot only), Build (Step 1, TST construction),
+// manager's lifetime: Acquire (waiting for shard locks), Copy (dirty
+// scan, snapshot copy-out and merge), Build (Step 1, TST construction),
 // Search (Step 2, the directed walk with TDR-1/TDR-2 resolution),
-// Resolve (Step 3, abort confirmation and queue rescheduling), Validate
-// (live re-verification and application of snapshot resolutions,
-// DetectorSnapshot only) and Wake (applying wakes and releasing the
-// world, DetectorSTW only).
+// Resolve (Step 3, abort confirmation and queue rescheduling) and
+// Validate (live re-verification and application of the resolutions,
+// wakeups included). Wake mirrors ActivationReport.Wake and stays zero.
 //
 // Every tag here must name an ActivationReport tag (a renamed phase
 // would silently decouple the accumulator from the per-activation
@@ -232,8 +231,8 @@ func (m *Manager) WritePrometheus(w io.Writer) error {
 	metrics.WriteCounter(bw, "hwtwbg_detector_victims_total", "Transactions aborted by the detector (TDR-1).", nil, uint64(st.Aborted))
 	metrics.WriteCounter(bw, "hwtwbg_detector_repositions_total", "Deadlocks resolved without any abort (TDR-2).", nil, uint64(st.Repositioned))
 	metrics.WriteCounter(bw, "hwtwbg_detector_salvaged_total", "Victims rescued at Step 3.", nil, uint64(st.Salvaged))
-	metrics.WriteCounter(bw, "hwtwbg_detector_false_cycles_total", "Snapshot resolutions dropped at validation (torn-snapshot artifacts).", nil, uint64(st.FalseCycles))
-	metrics.WriteCounter(bw, "hwtwbg_detector_validations_total", "Validate-then-act attempts by the snapshot detector.", nil, uint64(st.Validations))
+	metrics.WriteCounter(bw, "hwtwbg_detector_false_cycles_total", "Resolutions dropped at validation (torn-snapshot artifacts).", nil, uint64(st.FalseCycles))
+	metrics.WriteCounter(bw, "hwtwbg_detector_validations_total", "Validate-then-act attempts (applied + dropped).", nil, uint64(st.Validations))
 	metrics.WriteCounter(bw, "hwtwbg_detector_shards_copied_total", "Shards copied into the incremental snapshot (dirty at activation).", nil, uint64(st.ShardsCopied))
 	metrics.WriteCounter(bw, "hwtwbg_detector_shards_skipped_total", "Shards skipped by the incremental snapshot (clean since last copy).", nil, uint64(st.ShardsSkipped))
 
@@ -252,10 +251,9 @@ func (m *Manager) WritePrometheus(w io.Writer) error {
 	} {
 		fmt.Fprintf(bw, "hwtwbg_detector_phase_seconds_total{phase=%q} %.9g\n", ph.name, ph.d.Seconds())
 	}
-	metrics.WriteGauge(bw, "hwtwbg_detector_stw_seconds_total", "Cumulative worst grant-path stall (STW pause, or snapshot copy hold).", nil, st.STWTotal.Seconds())
-	metrics.WriteGauge(bw, "hwtwbg_detector_stw_last_seconds", "Most recent activation's worst grant-path stall.", nil, st.STWLast.Seconds())
-	metrics.WriteGauge(bw, "hwtwbg_detector_stw_max_seconds", "Worst single-activation grant-path stall.", nil, st.STWMax.Seconds())
-	metrics.WriteGauge(bw, "hwtwbg_detector_period_seconds", "Live detection interval (self-tuned when AdaptivePeriod).", nil, m.CurrentPeriod().Seconds())
+	metrics.WriteGauge(bw, "hwtwbg_detector_shard_hold_last_seconds", "Most recent activation's longest single-shard copy hold (its worst grant-path stall).", nil, st.ShardHoldLast.Seconds())
+	metrics.WriteGauge(bw, "hwtwbg_detector_shard_hold_max_seconds", "Worst single-shard copy hold of any activation.", nil, st.ShardHoldMax.Seconds())
+	metrics.WriteGauge(bw, "hwtwbg_detector_period_seconds", "Live detection interval (self-tuned when Scheduling is costmodel).", nil, m.CurrentPeriod().Seconds())
 
 	cm := snap.CostModel
 	metrics.WriteCounter(bw, "hwtwbg_costmodel_samples_total", "Detector activations folded into the scheduling cost model.", nil, uint64(cm.Samples))

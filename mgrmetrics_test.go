@@ -173,7 +173,7 @@ func TestWritePrometheus(t *testing.T) {
 		`hwtwbg_detector_phase_seconds_total{phase="search"}`,
 		`hwtwbg_detector_phase_seconds_total{phase="resolve"}`,
 		`hwtwbg_detector_phase_seconds_total{phase="wake"}`,
-		"hwtwbg_detector_stw_last_seconds",
+		"hwtwbg_detector_shard_hold_last_seconds",
 		"hwtwbg_costmodel_samples_total 1",
 		"hwtwbg_costmodel_deadlocks_total 1",
 		"hwtwbg_costmodel_victim_waits_total 1",
@@ -375,5 +375,60 @@ func TestSlogTracerSmoke(t *testing.T) {
 	}
 	if NewSlogTracer(nil).L == nil {
 		t.Error("nil logger must default")
+	}
+}
+
+// TestActivationPhasesCoverTotal pins the report's own accounting: the
+// activation after one that applied a resolution starts by invalidating
+// every sub-snapshot (Snapshot.BeginRound) before it recopies the whole
+// table, and that work must land in a named phase — the named phases
+// sum to at least 95% of Total. The bystander locks give the
+// invalidation real weight; the best of a few attempts is judged so one
+// preemption between two clock reads cannot fail the test.
+func TestActivationPhasesCoverTotal(t *testing.T) {
+	m := Open(Options{Shards: 8})
+	defer m.Close()
+	ctx := context.Background()
+	pin := m.Begin()
+	for i := 0; i < 2048; i++ {
+		if err := pin.Lock(ctx, shardResource(t, m, uint32(i%8), i), S); err != nil {
+			t.Fatal(err)
+		}
+	}
+	best := 0.0
+	var bestRep ActivationReport
+	for attempt := 0; attempt < 5 && best < 0.95; attempt++ {
+		a, b := m.Begin(), m.Begin()
+		if err := a.Lock(ctx, "phase/x", X); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Lock(ctx, "phase/y", X); err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, 2)
+		go func() { errs <- a.Lock(ctx, "phase/y", X) }()
+		waitBlocked(t, m, a.ID())
+		go func() { errs <- b.Lock(ctx, "phase/x", X) }()
+		waitBlocked(t, m, b.ID())
+		if st := m.Detect(); st.Aborted != 1 {
+			t.Fatalf("activation = %+v, want one abort", st)
+		}
+		<-errs
+		<-errs
+		a.Abort()
+		b.Abort()
+
+		m.Detect()
+		rep, _ := m.LastActivation()
+		if rep.ShardsSkipped != 0 {
+			t.Fatalf("activation after a resolution reused %d shards, want a full recopy", rep.ShardsSkipped)
+		}
+		named := rep.Acquire + rep.Copy + rep.Build + rep.Search + rep.Resolve + rep.Validate
+		if share := float64(named) / float64(rep.Total); share > best {
+			best, bestRep = share, rep
+		}
+	}
+	if best < 0.95 {
+		t.Fatalf("named phases cover %.1f%% of Total, want >= 95%%: %v", 100*best, bestRep)
 	}
 }

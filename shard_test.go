@@ -85,8 +85,8 @@ func TestCrossShardDeadlockTDR1(t *testing.T) {
 	if st.Aborted != 1 || st.Repositioned != 0 {
 		t.Fatalf("activation = %+v, want one abort\n%s", st, m.Snapshot())
 	}
-	if st.STWLast <= 0 || st.STWLast != st.STWTotal || st.STWLast != st.STWMax {
-		t.Fatalf("activation STW fields inconsistent: %+v", st)
+	if st.ShardHoldLast <= 0 || st.ShardHoldLast != st.ShardHoldMax {
+		t.Fatalf("activation shard-hold fields inconsistent: %+v", st)
 	}
 	if m.Deadlocked() {
 		t.Fatalf("deadlock remains:\n%s", m.Snapshot())
@@ -437,7 +437,7 @@ func TestCrossShardStress(t *testing.T) {
 		t.Fatalf("residual lock state after stress:\n%s", snap)
 	}
 	st := m.Stats()
-	if st.Runs == 0 || st.STWTotal <= 0 {
+	if st.Runs == 0 || st.ShardHoldMax <= 0 {
 		t.Fatalf("detector never ran? stats = %+v", st)
 	}
 	m.Close()

@@ -8,7 +8,7 @@ import (
 	"hwtwbg/internal/detect"
 )
 
-// The snapshot detector (DetectorSnapshot) is the manager's answer to
+// The snapshot detector is the manager's answer to
 // the stop-the-world pause: instead of freezing every shard for the
 // whole activation, it copies each shard's lock table into a reusable
 // arena under only that shard's mutex — each held just long enough to
@@ -23,7 +23,7 @@ import (
 // validate.go for why a cycle that verifies live is always a real
 // deadlock.
 //
-// The copy-out is incremental by default (Options.IncrementalSnapshot):
+// The copy-out is incremental:
 // every mutating mutex round bumps its shard's epoch counter, and a
 // shard whose epoch is unchanged since the detector's previous copy is
 // not recopied — its sub-arena is reused in place — while the dirty
@@ -62,21 +62,17 @@ func copyWorkers(n int) int {
 }
 
 // copySnapshot fills the snapshot for one activation: pick the dirty
-// shards (all of them with incremental snapshots off), copy each under
-// its own mutex — concurrently when there are enough — and merge.
-// Caller holds detMu. Per-shard timing (acquire/hold split, max hold)
-// is taken only when an ActivationReport consumer exists; otherwise the
-// whole phase is two clock reads attributed to Copy.
-func (m *Manager) copySnapshot() snapCopy {
+// shards, copy each under its own mutex — concurrently when there are
+// enough — and merge. Caller holds detMu and passes the activation's
+// start instant: BeginRound (which invalidates every sub-snapshot after
+// an activation that applied a resolution) and the dirty scan are part
+// of producing the snapshot, so they count toward Copy.
+func (m *Manager) copySnapshot(start time.Time) snapCopy {
 	var cp snapCopy
-	n := len(m.shards)
-	// With incremental snapshots off every shard is treated as dirty —
-	// same copy machinery, no skipping — which recopies each record in
-	// place instead of tearing the arenas down (Reset) and rebuilding.
-	m.snap.BeginRound(n)
+	m.snap.BeginRound(len(m.shards))
 	dirty := m.dirtyScratch[:0]
 	for i, s := range m.shards {
-		if m.incremental && m.snap.ShardClean(i, s.epoch.load()) {
+		if m.snap.ShardClean(i, s.epoch.load()) {
 			cp.skipped++
 		} else {
 			dirty = append(dirty, i)
@@ -84,11 +80,14 @@ func (m *Manager) copySnapshot() snapCopy {
 	}
 	m.dirtyScratch = dirty
 	cp.dirty = len(dirty)
+	cp.copied = time.Since(start)
 	if len(dirty) == 0 {
 		return cp
 	}
 	if workers := copyWorkers(len(dirty)); workers == 1 {
-		cp.acquire, cp.copied, cp.maxHold = m.copyShards(dirty)
+		var copied time.Duration
+		cp.acquire, copied, cp.maxHold = m.copyShards(dirty)
+		cp.copied += copied
 	} else {
 		var tm [maxCopyWorkers]struct{ acquire, copied, maxHold time.Duration }
 		var wg sync.WaitGroup
@@ -121,22 +120,11 @@ func (m *Manager) copySnapshot() snapCopy {
 }
 
 // copyShards copies the listed shards into the snapshot, each under its
-// own mutex, returning the phase timing. With per-shard sampling on,
-// acquire/hold are split by chaining two clock reads per shard (one
-// after Lock, one after Unlock — the previous shard's post-unlock read
-// doubles as this shard's pre-lock instant); otherwise the whole loop
-// is timed as one block attributed to the copy (hold unsampled).
+// own mutex, returning the phase timing. Acquire/hold are split by
+// chaining two clock reads per shard (one after Lock, one after Unlock
+// — the previous shard's post-unlock read doubles as this shard's
+// pre-lock instant).
 func (m *Manager) copyShards(idx []int) (acquire, copied, maxHold time.Duration) {
-	if !m.holdSample {
-		t0 := time.Now()
-		for _, i := range idx {
-			s := m.shards[i]
-			s.mu.Lock()
-			m.snap.CopyShard(s.tb, i, s.epoch.load())
-			s.mu.Unlock()
-		}
-		return 0, time.Since(t0), 0
-	}
 	prev := time.Now()
 	for _, i := range idx {
 		s := m.shards[i]
@@ -156,10 +144,10 @@ func (m *Manager) copyShards(idx []int) (acquire, copied, maxHold time.Duration)
 	return acquire, copied, maxHold
 }
 
-// detectSnapshot is one snapshot-mode activation. Caller holds detMu.
+// detectSnapshot is one activation. Caller holds detMu.
 func (m *Manager) detectSnapshot() Stats {
 	start := time.Now()
-	cp := m.copySnapshot()
+	cp := m.copySnapshot(start)
 	if hook := m.testHookAfterCopy; hook != nil {
 		hook()
 	}
@@ -188,6 +176,7 @@ func (m *Manager) detectSnapshot() Stats {
 		Repositioned:   len(out.repositioned),
 		Salvaged:       len(out.salvaged),
 		FalseCycles:    out.falseCycles,
+		Validations:    out.validations,
 		ShardsCopied:   cp.dirty,
 		ShardsSkipped:  cp.skipped,
 	}
@@ -201,7 +190,7 @@ func (m *Manager) detectSnapshot() Stats {
 	for _, v := range out.salvaged {
 		events = append(events, Event{Time: now, Kind: EventSalvage, Txn: v})
 	}
-	return m.recordActivation(rep, cp.maxHold, out.validations, out.aborted, events, out.applied)
+	return m.recordActivation(rep, out.aborted, events, out.applied)
 }
 
 // replayOutcome summarizes the live replay of one snapshot activation's

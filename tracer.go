@@ -3,8 +3,6 @@ package hwtwbg
 import (
 	"log/slog"
 	"time"
-
-	"hwtwbg/journal"
 )
 
 // Tracer receives lock-manager lifecycle hooks. Set one with
@@ -98,83 +96,4 @@ func (s *SlogTracer) OnActivation(rep ActivationReport) {
 		"aborted", rep.Aborted,
 		"repositioned", rep.Repositioned,
 		"salvaged", rep.Salvaged)
-}
-
-// JournalTracer is a ready-made Tracer that mirrors every lifecycle
-// hook into a flight-recorder ring as journal records. The manager
-// journals natively (Options.JournalSize), so the adapter exists for
-// composition: tee lock events into a journal owned by the application
-// (a longer-retention ring, a per-tenant ring), or journal a manager
-// whose built-in recorder is disabled, while still chaining to another
-// tracer. Hook records carry the same kinds the built-in recorder
-// writes, so cmd/hwtrace and journal.BuildTrace consume either source.
-//
-// Like every Tracer, its hooks run outside the shard mutexes; each hook
-// is one stack-built record and one lock-free, allocation-free ring
-// write.
-type JournalTracer struct {
-	// Ring receives the records (journal.NewRing, or one ring of a
-	// journal.Journal). Hooks are dropped while Ring is nil.
-	Ring *journal.Ring
-	// Next, when non-nil, receives every hook after it is journaled.
-	Next Tracer
-}
-
-func (j *JournalTracer) OnRequest(txn TxnID, r ResourceID, m Mode) {
-	if j.Ring != nil {
-		rec := journal.Record{Txn: int64(txn), Kind: journal.KindRequest, Mode: uint8(m)}
-		rec.SetResource(string(r))
-		j.Ring.Emit(&rec)
-	}
-	if j.Next != nil {
-		j.Next.OnRequest(txn, r, m)
-	}
-}
-
-func (j *JournalTracer) OnBlock(txn TxnID, r ResourceID, m Mode, depth int) {
-	if j.Ring != nil {
-		rec := journal.Record{Txn: int64(txn), Arg: uint64(depth), Kind: journal.KindBlock, Mode: uint8(m)}
-		rec.SetResource(string(r))
-		j.Ring.Emit(&rec)
-	}
-	if j.Next != nil {
-		j.Next.OnBlock(txn, r, m, depth)
-	}
-}
-
-func (j *JournalTracer) OnGrant(txn TxnID, r ResourceID, m Mode, wait time.Duration) {
-	if j.Ring != nil {
-		rec := journal.Record{Txn: int64(txn), Arg: uint64(wait), Kind: journal.KindGrant, Mode: uint8(m)}
-		rec.SetResource(string(r))
-		j.Ring.Emit(&rec)
-	}
-	if j.Next != nil {
-		j.Next.OnGrant(txn, r, m, wait)
-	}
-}
-
-func (j *JournalTracer) OnAbort(txn TxnID) {
-	if j.Ring != nil {
-		rec := journal.Record{Txn: int64(txn), Kind: journal.KindAbort}
-		j.Ring.Emit(&rec)
-	}
-	if j.Next != nil {
-		j.Next.OnAbort(txn)
-	}
-}
-
-func (j *JournalTracer) OnActivation(rep ActivationReport) {
-	if j.Ring != nil {
-		rec := journal.Record{
-			TS:   rep.Time.UnixNano(),
-			Txn:  int64(rep.Seq),
-			Arg:  uint64(rep.Total),
-			Kind: journal.KindDetect,
-			Aux:  uint32(rep.CyclesSearched),
-		}
-		j.Ring.Emit(&rec)
-	}
-	if j.Next != nil {
-		j.Next.OnActivation(rep)
-	}
 }
