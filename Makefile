@@ -51,9 +51,11 @@ bench-compare:
 # conflict hand-off, group acquisition) piped straight into the archived
 # allocs-only gate, so an alloc regression on the hot path fails CI even
 # between full bench sweeps. Time-based -benchtime so warm-up allocations
-# (pools, freelists, first map growth) amortize out of allocs/op.
+# (pools, freelists, first map growth) amortize out of allocs/op; -cpu 1
+# because the archive was recorded at procs: 1 and MetricsSnapshot's
+# allocs/op depends on the shard count, which follows GOMAXPROCS.
 benchsmoke:
-	$(GO) test -run xxx -bench 'BenchmarkManagerUncontended|BenchmarkManagerConflict$$|BenchmarkManagerLockAll|BenchmarkMetricsSnapshot' -benchtime 50ms -benchmem . | $(GO) run ./cmd/benchjson compare -allocs-only $(BENCH_OUT).json -
+	$(GO) test -run xxx -bench 'BenchmarkManagerUncontended|BenchmarkManagerConflict$$|BenchmarkManagerLockAll|BenchmarkMetricsSnapshot' -benchtime 50ms -benchmem -cpu 1 . | $(GO) run ./cmd/benchjson compare -allocs-only $(BENCH_OUT).json -
 
 # hwbench (bench/, a module of its own that imports this one through a
 # replace directive) is outside `./...`: vet it and run its smoke and

@@ -19,9 +19,14 @@ func (m *Manager) auditPreSTW() *auditState {
 		return nil
 	}
 	snap := table.NewSnapshot()
-	for _, s := range m.shards {
-		s.tb.CopyInto(snap)
+	snap.BeginRound(len(m.shards))
+	dirty := make([]int, len(m.shards))
+	for i, s := range m.shards {
+		snap.CopyShard(s.tb, i, s.epoch.load())
+		snap.FinishShard(i)
+		dirty[i] = i
 	}
+	snap.MergeShards(dirty)
 	return &auditState{graph: twbg.Build(m.mt), clone: snap.Table()}
 }
 

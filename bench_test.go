@@ -420,56 +420,6 @@ func BenchmarkManagerParallel(b *testing.B) {
 	}
 }
 
-// countingTracer is the cheapest possible attached Tracer: one atomic
-// add per hook. Comparing it against a nil tracer isolates the cost of
-// the hook dispatch itself (E20).
-type countingTracer struct{ events atomic.Uint64 }
-
-func (n *countingTracer) OnRequest(TxnID, ResourceID, Mode)              { n.events.Add(1) }
-func (n *countingTracer) OnBlock(TxnID, ResourceID, Mode, int)           { n.events.Add(1) }
-func (n *countingTracer) OnGrant(TxnID, ResourceID, Mode, time.Duration) { n.events.Add(1) }
-func (n *countingTracer) OnAbort(TxnID)                                  { n.events.Add(1) }
-func (n *countingTracer) OnActivation(ActivationReport)                  { n.events.Add(1) }
-
-// BenchmarkManagerTracerOverhead measures the instrumented hot path
-// with the tracer compiled in but idle (nil) against an attached
-// minimal tracer, on the low-conflict parallel workload — the E20
-// acceptance measurement: the delta must be within noise.
-func BenchmarkManagerTracerOverhead(b *testing.B) {
-	const keys = 64 * 1024
-	run := func(b *testing.B, tracer Tracer) {
-		lm := Open(Options{Tracer: tracer})
-		defer lm.Close()
-		ctx := context.Background()
-		var seed atomic.Int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := rand.New(rand.NewSource(seed.Add(1)))
-			for pb.Next() {
-				t := lm.Begin()
-				i, j := rng.Intn(keys), rng.Intn(keys)
-				if i > j {
-					i, j = j, i
-				}
-				if err := t.Lock(ctx, ResourceID(fmt.Sprintf("k%07d", i)), X); err != nil {
-					b.Fatal(err)
-				}
-				if j != i {
-					if err := t.Lock(ctx, ResourceID(fmt.Sprintf("k%07d", j)), X); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := t.Commit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("tracer=idle", func(b *testing.B) { run(b, nil) })
-	b.Run("tracer=attached", func(b *testing.B) { run(b, &countingTracer{}) })
-}
-
 // BenchmarkMetricsSnapshot prices reading the full metric set while the
 // manager is live (the debug-endpoint path; must not stop the world).
 func BenchmarkMetricsSnapshot(b *testing.B) {

@@ -66,7 +66,6 @@ func main() {
 			srv.Close()
 			os.Exit(1)
 		}
-		srv.Manager().PublishExpvar("hwtwbg")
 		go http.Serve(dln, lockservice.DebugHandler(srv.Manager()))
 		fmt.Printf("lockd: debug server on http://%s (/metrics, /snapshot, /twbg.dot, /debug/pprof)\n",
 			dln.Addr())

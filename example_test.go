@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"os"
 	"time"
 
 	"hwtwbg"
+	"hwtwbg/journal"
 )
 
 // ExampleManager shows the basic begin-lock-commit flow.
@@ -71,6 +74,46 @@ func ExampleTxn_TryLock() {
 	fmt.Println("granted:", ok)
 	// Output:
 	// granted: false
+}
+
+// dropTime keeps the example's log output stable.
+func dropTime(_ []string, a slog.Attr) slog.Attr {
+	if a.Key == slog.TimeKey {
+		return slog.Attr{}
+	}
+	return a
+}
+
+// ExampleManager_Journal tails the flight recorder in-process: one
+// cursor per ring, drained into slog, blocks and waited grants only.
+func ExampleManager_Journal() {
+	lm := hwtwbg.Open(hwtwbg.Options{Shards: 1})
+	defer lm.Close()
+	ctx := context.Background()
+	a, b := lm.Begin(), lm.Begin()
+	a.Lock(ctx, "r", hwtwbg.X)
+	done := make(chan error)
+	go func() { done <- b.Lock(ctx, "r", hwtwbg.S) }()
+	for !lm.Blocked(b.ID()) {
+		time.Sleep(time.Millisecond)
+	}
+	a.Commit()
+	<-done
+	log := slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{ReplaceAttr: dropTime}))
+	jr := lm.Journal()
+	cursors := make([]uint64, jr.NumRings()) // kept across drains: each resumes where the last stopped
+	var buf []journal.Record
+	for i := range cursors {
+		buf, cursors[i], _ = jr.Ring(i).ReadFrom(cursors[i], 0, buf[:0])
+		for _, rec := range buf {
+			if rec.Kind == journal.KindBlock || rec.Kind == journal.KindGrant && rec.Arg > 0 {
+				log.Info(rec.Kind.String(), "txn", rec.Txn, "resource", rec.Resource(), "mode", rec.ModeString())
+			}
+		}
+	}
+	// Output:
+	// level=INFO msg=block txn=2 resource=r mode=S
+	// level=INFO msg=grant txn=2 resource=r mode=S
 }
 
 // ExampleComp demonstrates the compatibility matrix (Table 1 of the

@@ -150,10 +150,6 @@ type Options struct {
 	// OnVictim, if non-nil, is called (outside all manager locks) with
 	// the id of every transaction aborted by the detector.
 	OnVictim func(TxnID)
-	// Tracer, if non-nil, receives lifecycle hooks: requests, blocks,
-	// grants, aborts and detector activations. Hooks fire outside the
-	// shard mutexes (the OnVictim discipline); see Tracer.
-	Tracer Tracer
 	// HistorySize bounds both the deadlock-event history returned by
 	// History and the activation-report ring returned by Activations
 	// (default 128; negative disables recording).
@@ -228,8 +224,7 @@ type ShardStat struct {
 // ActivationReport decomposes one detector activation: when it ran,
 // what its time was spent on, and what the algorithm saw and did. The
 // most recent reports are kept in a ring (see Activations) alongside the
-// deadlock-event history, and each report is handed to Options.Tracer's
-// OnActivation.
+// deadlock-event history.
 //
 // Total ≈ Acquire + Copy + Build + Search + Resolve + Validate: Acquire
 // is the summed wait to take each shard mutex one at a time, Copy the
@@ -546,7 +541,7 @@ func (m *Manager) Detect() Stats {
 // stats, phase totals and rings, then — outside all locks — journals
 // the activation (with the cycle-edge evidence of every resolution it
 // acted on), generates the deadlock postmortems, and fires the OnVictim
-// and tracer hooks. resolutions carries the cycles the activation
+// hook. resolutions carries the cycles the activation
 // validated and acted on. The returned Stats describes this activation
 // alone.
 func (m *Manager) recordActivation(rep ActivationReport, victims []TxnID, events []Event, resolutions []detect.Resolution) Stats {
@@ -593,9 +588,6 @@ func (m *Manager) recordActivation(rep ActivationReport, victims []TxnID, events
 		for _, v := range victims {
 			cb(v)
 		}
-	}
-	if tr := m.opts.Tracer; tr != nil {
-		tr.OnActivation(rep)
 	}
 	return activation
 }

@@ -118,7 +118,7 @@ func checkBudget(p *Pass, root *Fn, budget int) {
 		}
 		for _, e := range fn.calls {
 			if e.elided {
-				// Optional-hook guard (if tracer != nil): the budget holds
+				// Optional-hook guard (if hook != nil): the budget holds
 				// for the hook-free configuration the benchmarks measure.
 				continue
 			}

@@ -7,9 +7,10 @@
 //
 //	lockorder     shard mutexes accumulated in a loop must be taken in
 //	              ascending index order (range over the shard slice)
-//	callbacklock  no tracer hook, histogram observation or blocking
-//	              channel send between a shard Lock and its Unlock —
-//	              directly or through any reachable module function
+//	callbacklock  no journal emission, histogram observation or
+//	              blocking channel send between a shard Lock and its
+//	              Unlock — directly or through any reachable module
+//	              function
 //	maprange      no wire/DOT output or unsorted slice accumulation
 //	              from `for range` over a map
 //	atomics       fields of the padded metric structs are touched only

@@ -5,22 +5,21 @@ import (
 	"go/types"
 )
 
-// CallbackUnderLock enforces the callback discipline documented on
-// Tracer and Options.OnVictim: user-visible hooks and heavyweight
-// metric operations fire outside the shard mutexes, because anything a
-// callback does (logging, exporting, blocking) would otherwise stall
-// every transaction hashed to that shard. The analyzer walks each
+// CallbackUnderLock enforces the discipline of the lock path's emission
+// seam (and of Options.OnVictim): journal emission, histogram
+// observation and anything that can block happen outside the shard
+// mutexes, because whatever they cost would otherwise stall every
+// transaction hashed to that shard. The analyzer walks each
 // function intraprocedurally, tracking how many shard mutexes are held
 // (shard mu.Lock/Unlock, plus the stopTheWorld/resumeTheWorld and
 // lockShards/unlockShards accumulators), and reports, while any is
 // held:
 //
-//   - calls to methods of a Tracer interface;
 //   - calls to metrics Histogram methods (Observe walks 34 buckets);
 //   - flight-recorder emissions (journal Ring.Emit) — the write itself
 //     is lock-free, but it reads the clock and packs a record, and the
 //     journal's contract is that the hot path journals after the shard
-//     mutex is released, next to the tracer hooks;
+//     mutex is released;
 //   - channel sends, unless inside a select with a default clause
 //     (the shard waker's non-blocking token deposit).
 //
@@ -30,7 +29,7 @@ import (
 // traffic (see shardMetrics).
 var CallbackUnderLock = &Analyzer{
 	Name: "callbacklock",
-	Doc:  "no tracer hook, histogram observation, or blocking channel send while a shard mutex is held",
+	Doc:  "no journal emission, histogram observation, or blocking channel send while a shard mutex is held",
 	Run:  runCallbackUnderLock,
 }
 
@@ -167,8 +166,8 @@ func (w *lockWalker) scanMaybe(s ast.Stmt, depth int) {
 // flagged operations, every call resolved through the module callgraph
 // is checked against its interprocedural summary: a callee that — any
 // number of frames down — emits to the journal, observes a histogram,
-// fires a tracer, blocks on a channel or acquires further shard
-// mutexes is reported here at the call site, with the chain that
+// blocks on a channel or acquires further shard mutexes is reported
+// here at the call site, with the chain that
 // reaches the effect.
 func (w *lockWalker) scan(n ast.Node, depth int) {
 	if depth <= 0 {
@@ -226,17 +225,6 @@ func pkgOf(p *Pass) *Package {
 // flaggedCall classifies a call that must not run under a shard mutex,
 // returning a description or "".
 func flaggedCall(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-		if n := namedType(s.Recv()); n != nil {
-			if _, isIface := n.Underlying().(*types.Interface); isIface && n.Obj().Name() == "Tracer" {
-				return "Tracer callback " + sel.Sel.Name
-			}
-		}
-	}
 	if pkg, typ, method, ok := methodOn(info, call); ok {
 		if pkg == "metrics" && typ == "Histogram" {
 			return "metrics.Histogram." + method

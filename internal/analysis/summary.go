@@ -5,7 +5,7 @@ package analysis
 //
 //   - held-lock effects: operations a function (or anything it calls)
 //     may perform that must not run while a shard mutex is held —
-//     tracer hooks, histogram observations, journal emission, blocking
+//     histogram observations, journal emission, blocking
 //     channel operations, sync waits, sleeps, and acquiring further
 //     shard mutexes;
 //   - allocation sites: every statement that can charge a heap
@@ -336,9 +336,9 @@ func blockingExternal(obj *types.Func) string {
 
 // nilGuardedHook reports whether an if statement has the optional-hook
 // shape `if x != nil { ... }` (or `x.f != nil`) with x of interface
-// type: the tracer/cost-hook guard. Allocation accounting skips the
+// type: the optional-hook guard. Allocation accounting skips the
 // guarded block — the budgets hold for the hook-free configuration the
-// benchmarks measure; enabling a tracer buys its own allocations
+// benchmarks measure; attaching a hook buys its own allocations
 // knowingly. (Pointer-typed guards like the journal ring do NOT elide:
 // journaling is part of the benched hot path.)
 func nilGuardedHook(info *types.Info, s *ast.IfStmt) bool {

@@ -1,10 +1,11 @@
 // Package callbacklock is the fixture for the callbacklock analyzer: a
-// miniature shard with a tracer, metrics, and waiter channels.
+// miniature shard with a journal ring, metrics, and waiter channels.
 package callbacklock
 
 import (
 	"sync"
 
+	"hwtwbg/journal"
 	"hwtwbg/metrics"
 )
 
@@ -13,13 +14,10 @@ type shard struct {
 	ch chan struct{}
 }
 
-type Tracer interface {
-	OnGrant(id int)
-}
-
 type mgr struct {
 	s    *shard
-	tr   Tracer
+	jr   *journal.Ring
+	rec  journal.Record
 	hist metrics.Histogram
 	cnt  metrics.Counter
 }
@@ -29,24 +27,25 @@ func (m *mgr) bad() {
 	m.s.mu.Lock()
 	m.cnt.Inc()          // the audited exception: one atomic add
 	m.hist.Observe(1)    // want "metrics.Histogram.Observe while a shard mutex is held"
-	m.tr.OnGrant(1)      // want "Tracer callback OnGrant while a shard mutex is held"
+	m.jr.Emit(&m.rec)    // want "journal.Ring.Emit while a shard mutex is held"
 	m.s.ch <- struct{}{} // want "blocking channel send while a shard mutex is held"
 	m.s.mu.Unlock()
 	m.hist.Observe(2) // fine: the mutex is released
-	m.tr.OnGrant(2)
+	m.jr.Emit(&m.rec)
 }
 
 // errPath unlocks on the early-return branch; the fall-through is still
-// under the lock, but both hooks fire after their respective unlocks.
+// under the lock, but both emissions come after their respective
+// unlocks.
 func (m *mgr) errPath(fail bool) {
 	m.s.mu.Lock()
 	if fail {
 		m.s.mu.Unlock()
-		m.tr.OnGrant(0)
+		m.jr.Emit(&m.rec)
 		return
 	}
 	m.s.mu.Unlock()
-	m.tr.OnGrant(1)
+	m.jr.Emit(&m.rec)
 }
 
 // stillHeld shows the early-return merge keeping the lock in the
@@ -57,7 +56,7 @@ func (m *mgr) stillHeld(fail bool) {
 		m.s.mu.Unlock()
 		return
 	}
-	m.tr.OnGrant(1) // want "Tracer callback OnGrant while a shard mutex is held"
+	m.jr.Emit(&m.rec) // want "journal.Ring.Emit while a shard mutex is held"
 	m.s.mu.Unlock()
 }
 

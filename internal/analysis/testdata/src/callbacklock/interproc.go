@@ -17,8 +17,8 @@ func (m *mgr) indirect() {
 	m.helperObserve() // fine: the mutex is released
 }
 
-// cycleA and cycleB are mutually recursive; the tracer hook inside the
-// cycle surfaces in both summaries (the SCC converges to the joint
+// cycleA and cycleB are mutually recursive; the journal emission inside
+// the cycle surfaces in both summaries (the SCC converges to the joint
 // effect set).
 func (m *mgr) cycleA(n int) {
 	if n <= 0 {
@@ -28,13 +28,13 @@ func (m *mgr) cycleA(n int) {
 }
 
 func (m *mgr) cycleB(n int) {
-	m.tr.OnGrant(n)
+	m.jr.Emit(&m.rec)
 	m.cycleA(n - 1)
 }
 
 func (m *mgr) lockedCycle() {
 	m.s.mu.Lock()
-	m.cycleA(3) // want "may perform Tracer callback OnGrant while a shard mutex is held"
+	m.cycleA(3) // want "may perform journal.Ring.Emit while a shard mutex is held"
 	m.s.mu.Unlock()
 }
 

@@ -1,8 +1,8 @@
 // Package flatcombine is the fixture for the group-acquisition and
 // flat-combining discipline, checked by two analyzers at once:
 // callbacklock proves a combiner's drain loop does no observer work
-// (journal emission, histogram observation, tracer hooks) while it
-// holds the shard mutex — the requester performs all of that on its own
+// (journal emission, histogram observation) while it holds the shard
+// mutex — the requester performs all of that on its own
 // side after `done` is published — and lockorder proves the batch
 // path's lock-accumulating walks over shards ascend by index.
 package flatcombine
@@ -15,10 +15,6 @@ import (
 	"hwtwbg/metrics"
 )
 
-type Tracer interface {
-	OnGrant(id int)
-}
-
 type fcRequest struct {
 	txn  int64
 	done atomic.Uint32
@@ -30,7 +26,6 @@ type shard struct {
 	jr   *journal.Ring
 	hist metrics.Histogram
 	cnt  metrics.Counter
-	tr   Tracer
 }
 
 // goodDrain is the shipped combiner shape: table work and counter bumps
@@ -48,8 +43,9 @@ func (s *shard) goodDrain() {
 		req.done.Store(1)
 	}
 	s.mu.Unlock()
+	rec := journal.Record{Kind: journal.KindGrant}
 	s.hist.Observe(1) // requester side: the mutex is released
-	s.tr.OnGrant(1)
+	s.jr.Emit(&rec)
 }
 
 // badDrain performs the requester's observer work inside the combiner,
@@ -65,7 +61,6 @@ func (s *shard) badDrain() {
 		rec := journal.Record{Txn: req.txn, Kind: journal.KindGrant}
 		s.jr.Emit(&rec)   // want "journal.Ring.Emit while a shard mutex is held"
 		s.hist.Observe(1) // want "metrics.Histogram.Observe while a shard mutex is held"
-		s.tr.OnGrant(1)   // want "Tracer callback OnGrant while a shard mutex is held"
 		req.done.Store(1)
 	}
 	s.mu.Unlock()

@@ -1,7 +1,7 @@
 // Package journalemit is the fixture for the flight-recorder emission
 // discipline, checked by two analyzers at once: callbacklock proves a
 // journal write never happens while a shard mutex is held (the txn.go
-// sites emit after Unlock, next to the tracer hooks), and atomics
+// sites emit after Unlock, through the emission seam), and atomics
 // proves the ring's lock-free internals are only touched through their
 // methods.
 package journalemit

@@ -24,14 +24,12 @@ import (
 // per-sub freelists, so a steady-state copy-out allocates (almost)
 // nothing whether the round is incremental or full.
 //
-// Two filling disciplines share the machinery:
-//
-//   - indexed (the incremental detector): BeginRound, then per shard
-//     either ShardClean (skip) or CopyShard+FinishShard, then one
-//     MergeShards call with the dirty indexes. CopyShard for distinct
-//     indexes may run concurrently; everything else is serial.
-//   - sequential (legacy CopyInto): each call copies one table into the
-//     next index and merges immediately. Reset starts a new round.
+// A round is BeginRound, then per shard either ShardClean (skip) or
+// CopyShard+FinishShard, then one MergeShards call with the dirty
+// indexes. CopyShard for distinct indexes may run concurrently;
+// everything else is serial. Resource identity is assumed disjoint
+// between source tables (each resource lives in exactly one shard); a
+// transaction whose locks span several has its held list merged.
 //
 // Detection runs over View, which restricts the resource iteration to
 // resources that can contribute graph edges (see SnapView). Mutating
@@ -43,7 +41,6 @@ import (
 type Snapshot struct {
 	tb   *Table
 	subs []*subSnapshot
-	seq  int // next index for sequential CopyInto rounds
 
 	// stFree recycles merged txnState records (unbounded: holds at most
 	// the peak live-transaction count, like the sub arenas).
@@ -70,8 +67,7 @@ type Snapshot struct {
 	// the next round invalidates every sub instead of reusing them.
 	mutated bool
 
-	view     SnapView
-	mergeOne [1]int
+	view SnapView
 }
 
 // subSnapshot is one source shard's contribution: a private record
@@ -124,12 +120,9 @@ func (s *Snapshot) Table() *Table { return s.tb }
 // pointer is stable across rounds.
 func (s *Snapshot) View() *SnapView { return &s.view }
 
-// Reset clears the snapshot for a new sequential round of CopyInto
-// calls, keeping every arena and slice capacity for reuse.
-func (s *Snapshot) Reset() {
-	s.invalidate()
-	s.seq = 0
-}
+// Reset forgets every copy, so the next round recopies every shard,
+// keeping every arena and slice capacity for reuse.
+func (s *Snapshot) Reset() { s.invalidate() }
 
 // invalidate forgets every copy: all records are retired to their
 // freelists (capacities preserved) and the merged table is emptied.
@@ -412,24 +405,6 @@ func (s *Snapshot) rebuildActive() {
 		s.active = append(s.active, sub.active...)
 	}
 	slices.SortFunc(s.active, func(a, b *Resource) int { return cmp.Compare(a.id, b.id) })
-}
-
-// CopyInto deep-copies every resource and every transaction's wait/hold
-// bookkeeping from t into s, sequential discipline: the first call
-// after Reset fills sub 0, the next sub 1, and so on, merging as it
-// goes. The caller must serialize CopyInto against mutations of t (the
-// sharded manager holds t's shard mutex); a transaction whose locks
-// span several source tables has its held list merged. Resource
-// identity is assumed disjoint between source tables (each resource
-// lives in exactly one shard).
-func (t *Table) CopyInto(s *Snapshot) {
-	i := s.seq
-	s.seq++
-	s.ensureSubs(i + 1)
-	s.CopyShard(t, i, 0)
-	s.FinishShard(i)
-	s.mergeOne[0] = i
-	s.MergeShards(s.mergeOne[:])
 }
 
 func (s *Snapshot) allocState() *txnState {

@@ -31,12 +31,12 @@ func buildSnapshotFixture(t *testing.T, tb *Table) {
 	mustReq(5, "R2", lock.X, false) // ...and then queues on R2
 }
 
-func TestSnapshotCopyInto(t *testing.T) {
+func TestSnapshotFullCopy(t *testing.T) {
 	src := New()
 	buildSnapshotFixture(t, src)
 
 	s := NewSnapshot()
-	src.CopyInto(s)
+	fullCopy(s, []*Table{src}, 1)
 	got := s.Table()
 
 	if got.String() != src.String() {
@@ -87,8 +87,7 @@ func TestSnapshotMergesShardedTables(t *testing.T) {
 	}
 
 	s := NewSnapshot()
-	a.CopyInto(s)
-	b.CopyInto(s)
+	fullCopy(s, []*Table{a, b}, 1)
 	got := s.Table()
 
 	if n := got.HeldCount(1); n != 1 {
@@ -110,13 +109,14 @@ func TestSnapshotResetReuse(t *testing.T) {
 	buildSnapshotFixture(t, src)
 	s := NewSnapshot()
 
-	// Warm up the arenas, then verify a Reset+CopyInto round trip is
+	// Warm up the arenas, then verify a Reset + full-copy round trip is
 	// (nearly) allocation-free and still faithful.
-	src.CopyInto(s)
+	srcs := []*Table{src}
+	fullCopy(s, srcs, 1)
 	want := s.Table().String()
 	allocs := testing.AllocsPerRun(50, func() {
 		s.Reset()
-		src.CopyInto(s)
+		fullCopy(s, srcs, 1)
 	})
 	if got := s.Table().String(); got != want {
 		t.Fatalf("reused snapshot differs:\n got:\n%s\nwant:\n%s", got, want)
@@ -124,7 +124,7 @@ func TestSnapshotResetReuse(t *testing.T) {
 	// Map reinsertion may allocate a little; copy-out must not scale
 	// allocations with table size.
 	if allocs > 4 {
-		t.Errorf("Reset+CopyInto allocates %.0f objects/run after warm-up, want <= 4", allocs)
+		t.Errorf("Reset + full copy allocates %.0f objects/run after warm-up, want <= 4", allocs)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestSnapshotTableStableAcrossReset(t *testing.T) {
 	before := s.Table()
 	src := New()
 	buildSnapshotFixture(t, src)
-	src.CopyInto(s)
+	fullCopy(s, []*Table{src}, 1)
 	s.Reset()
 	if s.Table() != before {
 		t.Fatalf("Table() pointer changed across Reset; detectors bind to it once")
@@ -150,8 +150,7 @@ func TestSnapshotTornWaitKeepsFirst(t *testing.T) {
 	b.Request(1, "Rb", lock.X) // and "again" in b
 
 	s := NewSnapshot()
-	a.CopyInto(s)
-	b.CopyInto(s)
+	fullCopy(s, []*Table{a, b}, 1)
 	rid, _, ok := s.Table().WaitingOn(1)
 	if !ok || rid != "Ra" {
 		t.Fatalf("WaitingOn(1) = (%s, %v), want first-seen (Ra, true)", rid, ok)
@@ -386,7 +385,7 @@ func TestSnapshotIncrementalRoundAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkSnapshotCopyInto(b *testing.B) {
+func BenchmarkSnapshotFullCopy(b *testing.B) {
 	src := New()
 	for i := 0; i < 64; i++ {
 		rid := ResourceID(fmt.Sprintf("R%02d", i))
@@ -395,10 +394,11 @@ func BenchmarkSnapshotCopyInto(b *testing.B) {
 		src.Request(TxnID(i+129), rid, lock.X) // one waiter per resource
 	}
 	s := NewSnapshot()
+	srcs := []*Table{src}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Reset()
-		src.CopyInto(s)
+		fullCopy(s, srcs, 1)
 	}
 }

@@ -55,9 +55,6 @@ type Options struct {
 	// History, when non-nil, records every committed transaction's
 	// read/write footprint for serializability auditing.
 	History *History
-	// Tracer, when non-nil, receives the lock manager's tracing hooks
-	// (requests, blocks, grants, aborts, detector activations).
-	Tracer hwtwbg.Tracer
 }
 
 // Store is a transactional key-value store. Create one with Open; all
@@ -81,8 +78,7 @@ func Open(opts Options) *Store {
 	}
 	return &Store{
 		lm: hwtwbg.Open(hwtwbg.Options{
-			Period: opts.DetectEvery, Shards: opts.Shards,
-			Tracer: opts.Tracer, JournalSize: opts.JournalSize,
+			Period: opts.DetectEvery, Shards: opts.Shards, JournalSize: opts.JournalSize,
 		}),
 		opts: opts,
 		wal:  opts.WAL,
@@ -97,7 +93,7 @@ func (s *Store) Close() { s.lm.Close() }
 func (s *Store) Stats() hwtwbg.Stats { return s.lm.Stats() }
 
 // Manager exposes the underlying lock manager, for wiring the store
-// into diagnostics (lockservice.DebugHandler, expvar publishing).
+// into diagnostics (lockservice.DebugHandler).
 func (s *Store) Manager() *hwtwbg.Manager { return s.lm }
 
 // MetricsSnapshot returns the lock manager's full metrics snapshot

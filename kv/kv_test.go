@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -350,36 +349,6 @@ func TestMetricsSnapshotAndManager(t *testing.T) {
 	}
 	if snap.Total.GrantNs.Count != snap.Total.Grants {
 		t.Fatalf("grant histogram count %d != grants %d", snap.Total.GrantNs.Count, snap.Total.Grants)
-	}
-}
-
-// recordingKVTracer counts hook invocations (kv-level wiring check).
-type recordingKVTracer struct {
-	requests, grants, aborts atomic.Uint64
-}
-
-func (r *recordingKVTracer) OnRequest(hwtwbg.TxnID, hwtwbg.ResourceID, hwtwbg.Mode) {
-	r.requests.Add(1)
-}
-func (r *recordingKVTracer) OnBlock(hwtwbg.TxnID, hwtwbg.ResourceID, hwtwbg.Mode, int) {}
-func (r *recordingKVTracer) OnGrant(hwtwbg.TxnID, hwtwbg.ResourceID, hwtwbg.Mode, time.Duration) {
-	r.grants.Add(1)
-}
-func (r *recordingKVTracer) OnAbort(hwtwbg.TxnID)                 { r.aborts.Add(1) }
-func (r *recordingKVTracer) OnActivation(hwtwbg.ActivationReport) {}
-
-func TestTracerOptionWired(t *testing.T) {
-	tr := &recordingKVTracer{}
-	s := Open(Options{DetectEvery: time.Millisecond, Tracer: tr})
-	defer s.Close()
-	ctx := context.Background()
-	if err := s.Update(ctx, func(tx *Tx) error {
-		return tx.Put(ctx, "k", "v")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if tr.requests.Load() < 2 || tr.grants.Load() < 2 {
-		t.Fatalf("tracer saw requests=%d grants=%d", tr.requests.Load(), tr.grants.Load())
 	}
 }
 

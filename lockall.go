@@ -4,8 +4,7 @@ import (
 	"context"
 	"time"
 
-	"hwtwbg/internal/lock"
-	"hwtwbg/journal"
+	"hwtwbg/internal/table"
 )
 
 // LockRequest names one acquisition of a group passed to LockAll.
@@ -21,13 +20,11 @@ type batchEnt struct {
 }
 
 // pendOutcome records what one table round did to one request, so the
-// observer work (histograms, journal, tracer) can run after the shard
+// outcome can be reported (the shard's emission seam) after the shard
 // mutex is released without re-probing the table.
 type pendOutcome struct {
-	idx     int32
-	depth   int32 // queue depth at enqueue (blocked requests only)
-	blocked bool
-	conv    bool
+	idx int32
+	res table.RequestResult
 }
 
 // batchScratch is LockAll's reusable sort and flush scratch, inlined
@@ -43,8 +40,8 @@ type batchScratch struct {
 // (original order preserved within a shard), and each shard's run is
 // granted or enqueued in a single mutex round, so a batch of K requests
 // mapping to S shards costs S uncontended mutex acquisitions instead of
-// K. Each request still journals and traces individually, exactly as
-// the single-request path does, so detector, audit and postmortem
+// K. Each request is still reported individually, through the same
+// emission seam as the single-request path, so detector, audit and postmortem
 // semantics are unchanged.
 //
 // Blocking is partial: the transaction parks on the first request a
@@ -75,7 +72,6 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 		return t.Lock(ctx, reqs[0].Resource, reqs[0].Mode)
 	}
 	m := t.m
-	tr := m.opts.Tracer
 
 	// Sort the batch by (shard, original index). Batches are small;
 	// insertion sort beats sort.Slice here and allocates nothing.
@@ -103,27 +99,20 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 		s := m.shards[sIdx]
 		start := time.Now()
 		t.journalBegin(start.UnixNano())
-		if tr != nil {
-			for _, e := range ord[pos:end] {
-				tr.OnRequest(t.id, reqs[e.idx].Resource, reqs[e.idx].Mode)
-			}
-		}
-		met := s.met
 		s.mu.Lock()
-		met.mutexAcquires.Inc()
+		s.met.mutexAcquires.Inc()
 		if err := t.checkLive(); err != nil {
 			s.drainPending()
 			s.mu.Unlock()
 			return err
 		}
-		// Counter updates are accumulated locally and applied in one Add
-		// per counter after the round — the counters are atomic, so they
-		// need neither the mutex nor one RMW per request.
+		// Counter updates are tallied locally and applied in one Add per
+		// counter after the round — the counters are atomic, so they need
+		// neither the mutex nor one RMW per request.
 		pend := t.batch.pend[:0]
 		var blockedCh chan struct{}
 		var applyErr error
-		var nFresh, nConv, nGrant, nBlocked uint64
-		var byMode [len(lock.Modes)]uint64
+		var tally requestTally
 		for pos < end {
 			e := ord[pos]
 			rq := reqs[e.idx]
@@ -133,49 +122,33 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 				break
 			}
 			t.noteShard(s)
-			if res.Conversion {
-				nConv++
-			} else {
-				nFresh++
-			}
-			pend = append(pend, pendOutcome{idx: e.idx, depth: int32(res.QueueDepth), blocked: !res.Granted, conv: res.Conversion})
+			tally.note(res, rq.Mode)
+			pend = append(pend, pendOutcome{idx: e.idx, res: res})
 			pos++
 			if !res.Granted {
 				// First block ends the round: the remainder of the batch
 				// waits with us, so the transaction has exactly one wait
 				// edge at every observable point.
-				nBlocked++
 				blockedCh = getWaiter()
 				s.waiters[t.id] = blockedCh
 				break
 			}
-			nGrant++
-			byMode[rq.Mode]++
 		}
-		if nFresh+nConv > 0 {
+		if len(pend) > 0 {
 			s.epoch.bump() // one bump covers the whole batch round
 		}
 		s.drainPending()
 		s.mu.Unlock()
-		met.fresh.Add(nFresh)
-		met.conversions.Add(nConv)
-		met.grants.Add(nGrant)
-		met.immediate.Add(nGrant)
-		met.blocked.Add(nBlocked)
-		for m, n := range byMode {
-			if n > 0 {
-				met.grantsByMode[m].Add(n)
-			}
-		}
+		s.met.count(&tally)
 		t.batch.pend = pend
 		t.flushBatch(s, reqs, pend, start)
 		if applyErr != nil {
 			return applyErr
 		}
 		if blockedCh != nil {
-			e := pend[len(pend)-1]
-			rq := reqs[e.idx]
-			if err := t.waitGrant(ctx, s, blockedCh, start, rq.Resource, rq.Mode, false); err != nil {
+			p := pend[len(pend)-1]
+			rq := reqs[p.idx]
+			if err := t.waitGrant(ctx, s, blockedCh, start, rq.Resource, rq.Mode, p.res.Conversion, false); err != nil {
 				return err
 			}
 		}
@@ -188,45 +161,19 @@ func less(a, b batchEnt) bool {
 	return a.shard < b.shard || (a.shard == b.shard && a.idx < b.idx)
 }
 
-// flushBatch performs the deferred observer work for one shard round of
-// a batch — histogram observations, journal records, tracer hooks — in
-// request order, after the shard mutex is released. Records are emitted
-// individually with the same shapes the single-request path emits, so
-// postmortems and differential replays cannot tell a batch from a run
-// of single requests.
+// flushBatch reports one shard round of a batch through the shard's
+// emission seam, in request order, after the shard mutex is released.
+// Each request is reported individually, exactly as the single-request
+// path reports it, so postmortems and differential replays cannot tell a
+// batch from a run of single requests.
 func (t *Txn) flushBatch(s *shard, reqs []LockRequest, pend []pendOutcome, start time.Time) {
-	tr := t.m.opts.Tracer
-	met := s.met
-	ts := start.UnixNano()
-	elapsed := uint64(time.Since(start)) // one clock read prices the whole round
+	elapsed := time.Since(start) // one clock read prices the whole round
 	for _, p := range pend {
 		rq := reqs[p.idx]
-		if p.blocked {
-			met.queueDepth.Observe(uint64(p.depth))
-			if s.jr != nil {
-				rec := journal.Record{TS: ts, Txn: int64(t.id), Arg: uint64(p.depth), Kind: journal.KindBlock, Mode: uint8(rq.Mode)}
-				if p.conv {
-					rec.Flags = journal.FlagConversion
-				}
-				rec.SetResource(string(rq.Resource))
-				s.jr.Emit(&rec)
-			}
-			if tr != nil {
-				tr.OnBlock(t.id, rq.Resource, rq.Mode, int(p.depth))
-			}
-			continue
-		}
-		met.grant.Observe(elapsed)
-		if s.jr != nil {
-			rec := journal.Record{TS: ts, Txn: int64(t.id), Kind: journal.KindGrant, Mode: uint8(rq.Mode)}
-			if p.conv {
-				rec.Flags = journal.FlagConversion
-			}
-			rec.SetResource(string(rq.Resource))
-			s.jr.Emit(&rec)
-		}
-		if tr != nil {
-			tr.OnGrant(t.id, rq.Resource, rq.Mode, 0)
+		if p.res.Granted {
+			s.granted(t.id, rq.Resource, rq.Mode, start, elapsed, 0, p.res.Conversion, false)
+		} else {
+			s.blocked(t.id, rq.Resource, rq.Mode, start, p.res.QueueDepth, p.res.Conversion)
 		}
 	}
 }

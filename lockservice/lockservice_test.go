@@ -128,9 +128,18 @@ func TestDeadlockAcrossClients(t *testing.T) {
 	if aborted != 1 {
 		t.Fatalf("e1=%v e2=%v; want exactly one ABORTED", e1, e2)
 	}
-	st, err := a.Stats()
-	if err != nil {
-		t.Fatal(err)
+	// The victim's LOCK returns as soon as its abort is applied, which is
+	// before the activation is folded into the stats and the cost model:
+	// poll until both have counted it.
+	var st Stats
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var err error
+		if st, err = a.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		if (st.Aborted >= 1 && st.CostModelDeadlocks >= 1) || time.Now().After(deadline) {
+			break
+		}
 	}
 	if st.Aborted != 1 {
 		t.Fatalf("stats = %+v", st)

@@ -2,12 +2,12 @@ package hwtwbg
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"time"
 
 	"hwtwbg/internal/lock"
+	"hwtwbg/internal/table"
 	"hwtwbg/journal"
 	"hwtwbg/metrics"
 )
@@ -35,6 +35,52 @@ type shardMetrics struct {
 	wait          metrics.Histogram                // ns blocked until grant (blocked requests only)
 	grant         metrics.Histogram                // ns request→grant, every granted request
 	_             [64]byte
+}
+
+// requestTally says which request counters a table round touched: one
+// request (Lock, TryLock, applyPublished) or a whole shard round
+// (LockAll). Each touched counter then takes exactly one Add.
+type requestTally struct {
+	fresh, conversions, blocked uint64
+	granted                     [len(lock.Modes)]uint64 // granted at once, by mode
+}
+
+// note tallies one request's outcome.
+func (c *requestTally) note(res table.RequestResult, mode Mode) {
+	if res.Conversion {
+		c.conversions++
+	} else {
+		c.fresh++
+	}
+	if res.Granted {
+		c.granted[mode]++
+	} else {
+		c.blocked++
+	}
+}
+
+// count adds a tally into the counters.
+func (sm *shardMetrics) count(c *requestTally) {
+	if c.fresh > 0 {
+		sm.fresh.Add(c.fresh)
+	}
+	if c.conversions > 0 {
+		sm.conversions.Add(c.conversions)
+	}
+	if c.blocked > 0 {
+		sm.blocked.Add(c.blocked)
+	}
+	var grants uint64
+	for m, n := range c.granted {
+		if n > 0 {
+			sm.grantsByMode[m].Add(n)
+			grants += n
+		}
+	}
+	if grants > 0 {
+		sm.grants.Add(grants)
+		sm.immediate.Add(grants)
+	}
 }
 
 // ShardMetricsSnapshot is a plain-value copy of one shard's counters
@@ -152,7 +198,7 @@ type MetricsSnapshot struct {
 }
 
 // MetricsSnapshot collects the current metrics without taking any shard
-// lock (safe to call from a Tracer hook or a debug endpoint at any
+// lock (safe to call from an OnVictim hook or a debug endpoint at any
 // rate).
 func (m *Manager) MetricsSnapshot() MetricsSnapshot {
 	snap := MetricsSnapshot{
@@ -172,21 +218,6 @@ func (m *Manager) MetricsSnapshot() MetricsSnapshot {
 	}
 	snap.CostModel = m.CostModel()
 	return snap
-}
-
-// ExpvarVar returns an expvar.Var that renders the full
-// MetricsSnapshot as JSON on demand — hand it to expvar.Publish, or use
-// PublishExpvar for the common case.
-func (m *Manager) ExpvarVar() expvar.Var {
-	return expvar.Func(func() any { return m.MetricsSnapshot() })
-}
-
-// PublishExpvar publishes the manager's metrics under name in the
-// process-global expvar registry (they then appear on /debug/vars).
-// Like expvar.Publish, it panics if name is already registered, so
-// publish each manager once under a distinct name.
-func (m *Manager) PublishExpvar(name string) {
-	expvar.Publish(name, m.ExpvarVar())
 }
 
 // WritePrometheus writes the current metrics in Prometheus text
@@ -289,9 +320,8 @@ func (e *errWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// MarshalJSON renders the snapshot (used by the expvar publisher and
-// the debug endpoints); defined explicitly so the type stays stable if
-// internals grow.
+// MarshalJSON renders the snapshot (used by the debug endpoints);
+// defined explicitly so the type stays stable if internals grow.
 func (s MetricsSnapshot) MarshalJSON() ([]byte, error) {
 	type alias MetricsSnapshot
 	return json.Marshal(alias(s))

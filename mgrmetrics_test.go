@@ -3,13 +3,9 @@ package hwtwbg
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"log/slog"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestMetricsSnapshotCounters(t *testing.T) {
@@ -198,74 +194,12 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestExpvarVarJSON(t *testing.T) {
+// TestActivationRing resolves one two-transaction deadlock by hand and
+// reads the activation back the three ways it is kept: the report ring,
+// the cumulative phase totals, and — for the request outcomes around it
+// — the journal.
+func TestActivationRing(t *testing.T) {
 	m := Open(Options{})
-	defer m.Close()
-	ctx := context.Background()
-	tx := m.Begin()
-	if err := tx.Lock(ctx, "r", X); err != nil {
-		t.Fatal(err)
-	}
-	tx.Commit()
-	var snap MetricsSnapshot
-	if err := json.Unmarshal([]byte(m.ExpvarVar().String()), &snap); err != nil {
-		t.Fatalf("expvar output is not valid JSON: %v", err)
-	}
-	if snap.Total.Grants != 1 || len(snap.Shards) != m.NumShards() {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
-// recordingTracer records hook invocations for assertion.
-type recordingTracer struct {
-	mu          sync.Mutex
-	requests    int
-	blocks      int
-	grants      int
-	waited      int // grants with wait > 0
-	aborts      int
-	activations []ActivationReport
-}
-
-func (r *recordingTracer) OnRequest(TxnID, ResourceID, Mode) {
-	r.mu.Lock()
-	r.requests++
-	r.mu.Unlock()
-}
-
-func (r *recordingTracer) OnBlock(_ TxnID, _ ResourceID, _ Mode, depth int) {
-	r.mu.Lock()
-	r.blocks++
-	r.mu.Unlock()
-	if depth < 1 {
-		panic("depth must count the newcomer")
-	}
-}
-
-func (r *recordingTracer) OnGrant(_ TxnID, _ ResourceID, _ Mode, wait time.Duration) {
-	r.mu.Lock()
-	r.grants++
-	if wait > 0 {
-		r.waited++
-	}
-	r.mu.Unlock()
-}
-
-func (r *recordingTracer) OnAbort(TxnID) {
-	r.mu.Lock()
-	r.aborts++
-	r.mu.Unlock()
-}
-
-func (r *recordingTracer) OnActivation(rep ActivationReport) {
-	r.mu.Lock()
-	r.activations = append(r.activations, rep)
-	r.mu.Unlock()
-}
-
-func TestTracerHooksAndActivationRing(t *testing.T) {
-	tr := &recordingTracer{}
-	m := Open(Options{Tracer: tr})
 	defer m.Close()
 	ctx := context.Background()
 
@@ -302,79 +236,32 @@ func TestTracerHooksAndActivationRing(t *testing.T) {
 		b.Commit()
 	}
 
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.requests != 4 {
-		t.Errorf("requests = %d, want 4", tr.requests)
+	// 2 blocks, 2 immediate grants + the survivor's waited grant, and
+	// the victim's owner-side abort.
+	got := tallyJournal(m.Journal().Snapshot())
+	if got.blocks != 2 || got.grants != 3 || got.waitedGrants != 1 || got.aborts != 1 || got.detects != 1 {
+		t.Errorf("journal tally = %+v", got)
 	}
-	if tr.blocks != 2 {
-		t.Errorf("blocks = %d, want 2", tr.blocks)
+
+	reports, total := m.Activations()
+	if total != 1 || len(reports) != 1 {
+		t.Fatalf("Activations() = %v, %d", reports, total)
 	}
-	if tr.grants != 3 { // 2 immediate + 1 survivor grant
-		t.Errorf("grants = %d, want 3", tr.grants)
-	}
-	if tr.waited != 1 {
-		t.Errorf("waited grants = %d, want 1", tr.waited)
-	}
-	if tr.aborts != 1 {
-		t.Errorf("aborts = %d, want 1", tr.aborts)
-	}
-	if len(tr.activations) != 1 {
-		t.Fatalf("activations = %d, want 1", len(tr.activations))
-	}
-	rep := tr.activations[0]
+	rep := reports[0]
 	if rep.Seq != 1 || rep.CyclesSearched != 1 || rep.Aborted != 1 || rep.Vertices != 2 {
 		t.Errorf("report = %+v", rep)
 	}
 	if rep.Total <= 0 || rep.Total < rep.Build+rep.Search+rep.Resolve {
 		t.Errorf("phase arithmetic wrong: %+v", rep)
 	}
-
-	// The ring must retain the same report.
-	reports, total := m.Activations()
-	if total != 1 || len(reports) != 1 || reports[0].Seq != 1 {
-		t.Fatalf("Activations() = %v, %d", reports, total)
-	}
-	if !strings.Contains(reports[0].String(), "activation 1:") {
-		t.Errorf("String() = %q", reports[0].String())
+	if !strings.Contains(rep.String(), "activation 1:") {
+		t.Errorf("String() = %q", rep.String())
 	}
 
 	// Cumulative phase totals must have accumulated the report.
 	snap := m.MetricsSnapshot()
 	if snap.Phases.Build != rep.Build || snap.Phases.Search != rep.Search {
 		t.Errorf("phases = %+v, report = %+v", snap.Phases, rep)
-	}
-}
-
-func TestSlogTracerSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	m := Open(Options{Tracer: NewSlogTracer(logger)})
-	defer m.Close()
-	ctx := context.Background()
-
-	a, b := m.Begin(), m.Begin()
-	if err := a.Lock(ctx, "r", X); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- b.Lock(ctx, "r", X) }()
-	waitBlocked(t, m, b.ID())
-	m.Detect()
-	a.Commit()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	b.Abort()
-
-	out := buf.String()
-	for _, want := range []string{"lock request", "lock blocked", "lock granted after wait", "detector activation", "txn aborted"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in slog output:\n%s", want, out)
-		}
-	}
-	if NewSlogTracer(nil).L == nil {
-		t.Error("nil logger must default")
 	}
 }
 

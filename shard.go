@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hwtwbg/internal/table"
 	"hwtwbg/journal"
@@ -100,9 +101,9 @@ func (f *fcRequest) prepare(txn TxnID, rid ResourceID, mode Mode, ch chan struct
 // the combiner). Results travel back through the request record: plain
 // writes first, then the done flag's atomic store makes them visible to
 // the spinning owner. All observer work for the drained requests —
-// histogram observations, journal records, tracer hooks — happens on
-// the owner's side after it sees done, so nothing here blocks or calls
-// out while the shard is locked.
+// histogram observations, journal records — happens on the owner's side
+// after it sees done (the emission seam below), so nothing here blocks
+// or calls out while the shard is locked.
 func (s *shard) drainPending() {
 	for i := range s.fc {
 		req := s.fc[i].Load()
@@ -126,27 +127,74 @@ func (s *shard) drainPending() {
 //hwlint:hotpath allocs=1
 func (s *shard) applyPublished(req *fcRequest) {
 	res, err := s.tb.RequestEx(req.txn, req.rid, req.mode)
-	met := s.met
-	met.flatCombined.Inc()
+	s.met.flatCombined.Inc()
 	if err == nil {
 		s.epoch.bump()
-		if res.Conversion {
-			met.conversions.Inc()
-		} else {
-			met.fresh.Inc()
-		}
-		if res.Granted {
-			met.grants.Inc()
-			met.grantsByMode[req.mode].Inc()
-			met.immediate.Inc()
-		} else {
-			met.blocked.Inc()
+		var c requestTally
+		c.note(res, req.mode)
+		s.met.count(&c)
+		if !res.Granted {
 			s.waiters[req.txn] = req.ch
 		}
 	}
 	req.res = res
 	req.err = err
 	req.done.Store(1)
+}
+
+// The emission seam: the only place a lock-path journal record is built
+// and the grant, wait and queue-depth histograms are observed. The
+// requester calls it after the shard mutex is released (hwlint's
+// callbacklock proves it is never reached with one held), passing its
+// own start clock read, so no report costs a clock read of its own.
+
+// granted reports a grant, elapsed after start. A grant at once (wait
+// zero) is stamped at the request; a waited grant is stamped at the
+// grant and carries its wait, so the blocked span can be rebuilt from
+// it alone once the block record is overwritten. try marks a TryLock.
+//
+//hwlint:hotpath allocs=0
+func (s *shard) granted(id TxnID, r ResourceID, mode Mode, start time.Time, elapsed, wait time.Duration, conv, try bool) {
+	s.met.grant.Observe(uint64(elapsed))
+	if wait > 0 {
+		s.met.wait.Observe(uint64(wait))
+	}
+	s.emit(journal.Record{TS: start.UnixNano() + int64(wait), Txn: int64(id), Arg: uint64(wait), Kind: journal.KindGrant, Mode: uint8(mode), Flags: requestFlags(conv, try)}, r)
+}
+
+// blocked reports a request enqueued depth deep in line, itself included.
+//
+//hwlint:hotpath allocs=0
+func (s *shard) blocked(id TxnID, r ResourceID, mode Mode, start time.Time, depth int, conv bool) {
+	s.met.queueDepth.Observe(uint64(depth))
+	s.emit(journal.Record{TS: start.UnixNano(), Txn: int64(id), Arg: uint64(depth), Kind: journal.KindBlock, Mode: uint8(mode), Flags: requestFlags(conv, false)}, r)
+}
+
+// refused reports a TryLock probe that would have blocked: nothing was
+// granted or enqueued, so the record is a bare request.
+//
+//hwlint:hotpath allocs=0
+func (s *shard) refused(id TxnID, r ResourceID, mode Mode, start time.Time) {
+	s.emit(journal.Record{TS: start.UnixNano(), Txn: int64(id), Kind: journal.KindRequest, Mode: uint8(mode), Flags: journal.FlagTry}, r)
+}
+
+// emit writes a lock-path record about r to the shard's ring.
+func (s *shard) emit(rec journal.Record, r ResourceID) {
+	if s.jr != nil {
+		rec.SetResource(string(r))
+		s.jr.Emit(&rec)
+	}
+}
+
+// requestFlags flags a conversion or a probe rather than journaling it twice.
+func requestFlags(conv, try bool) (f uint8) {
+	if conv {
+		f = journal.FlagConversion
+	}
+	if try {
+		f |= journal.FlagTry
+	}
+	return f
 }
 
 // waiterPool recycles waiter channels across blocking Lock calls. A

@@ -101,9 +101,8 @@ func (t *Txn) SetTag(tag uint64) {
 		return
 	}
 	t.tag = tag
-	if t.m != nil && t.m.jr != nil && tag != 0 {
-		rec := journal.Record{Txn: int64(t.id), Arg: tag, Kind: journal.KindOpTag}
-		t.m.jr.Control().Emit(&rec)
+	if t.m != nil && tag != 0 {
+		t.m.journalControl(journal.KindOpTag, t.id, 0, tag)
 	}
 }
 
@@ -143,29 +142,34 @@ func (t *Txn) Recycle() {
 // begin strictly before the request's grant or block records. Reusing
 // the caller's clock read keeps the record free.
 func (t *Txn) journalBegin(ts int64) {
-	if t.m.jr == nil || t.begun {
+	if t.begun {
 		return
 	}
 	t.begun = true
-	rec := journal.Record{TS: ts - 1, Txn: int64(t.id), Kind: journal.KindBegin}
-	t.m.jr.Control().Emit(&rec)
+	t.m.journalControl(journal.KindBegin, t.id, ts-1, 0)
 }
 
-// journalLifecycle writes one lifecycle record (commit/abort) to the
-// flight recorder's control ring. No-op when the journal is disabled;
-// never takes a lock, never allocates, never blocks.
-func (m *Manager) journalLifecycle(kind journal.Kind, id TxnID) {
+// journalControl writes one transaction-lifecycle record (begin, op tag,
+// commit, abort) to the flight recorder's control ring; a zero ts is
+// stamped at emission. No-op when the journal is disabled; never takes
+// a lock, never allocates, never blocks.
+func (m *Manager) journalControl(kind journal.Kind, id TxnID, ts int64, arg uint64) {
 	if m.jr == nil {
 		return
 	}
-	m.journalKind(kind, id)
+	rec := journal.Record{TS: ts, Txn: int64(id), Arg: arg, Kind: kind}
+	m.jr.Control().Emit(&rec)
 }
 
-// journalKind emits one control-ring record of the given kind. The
-// caller has already established m.jr != nil.
-func (m *Manager) journalKind(kind journal.Kind, id TxnID) {
-	rec := journal.Record{Txn: int64(id), Kind: kind}
-	m.jr.Control().Emit(&rec)
+// observeAbort is the owner's one exit for an abort it has just
+// observed — its own Abort, a cancelled wait, or an external verdict
+// (deadlock victim, Close): the abort is journaled, and when it ended a
+// wait in shard s (nil otherwise) the wait is counted as aborted.
+func (t *Txn) observeAbort(s *shard) {
+	if s != nil {
+		s.met.waitAborts.Inc()
+	}
+	t.m.journalControl(journal.KindAbort, t.id, 0, 0)
 }
 
 // ID returns the transaction identifier.
@@ -244,13 +248,8 @@ func (t *Txn) clearTouched() {
 //hwlint:hotpath allocs=1
 func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	s := t.m.shardFor(r)
-	tr := t.m.opts.Tracer
-	if tr != nil {
-		tr.OnRequest(t.id, r, mode)
-	}
 	start := time.Now()
 	t.journalBegin(start.UnixNano())
-	met := s.met
 	if !s.mu.TryLock() {
 		// Contended: publish into the shard's flat-combining slots so
 		// the current mutex holder applies the request on its own mutex
@@ -266,7 +265,7 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 		}
 		s.mu.Lock() // every slot occupied: fall back to the plain mutex path
 	}
-	met.mutexAcquires.Inc()
+	s.met.mutexAcquires.Inc()
 	if err := t.checkLive(); err != nil {
 		s.drainPending()
 		s.mu.Unlock()
@@ -280,35 +279,15 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	}
 	s.epoch.bump()
 	t.noteShard(s)
-	if res.Conversion {
-		met.conversions.Inc()
-	} else {
-		met.fresh.Inc()
-	}
+	var c requestTally
+	c.note(res, mode)
+	s.met.count(&c)
 	if res.Granted {
-		met.grants.Inc()
-		met.grantsByMode[mode].Inc()
-		met.immediate.Inc()
 		s.drainPending()
 		s.mu.Unlock()
-		met.grant.Observe(uint64(time.Since(start)))
-		if s.jr != nil {
-			// One record per immediate grant, timestamped at the request
-			// (no extra clock read); a conversion grant is flagged rather
-			// than journaled twice.
-			rec := journal.Record{TS: start.UnixNano(), Txn: int64(t.id), Kind: journal.KindGrant, Mode: uint8(mode)}
-			if res.Conversion {
-				rec.Flags = journal.FlagConversion
-			}
-			rec.SetResource(string(r))
-			s.jr.Emit(&rec)
-		}
-		if tr != nil {
-			tr.OnGrant(t.id, r, mode, 0)
-		}
+		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, false)
 		return nil
 	}
-	met.blocked.Inc()
 	// Blocked: register a waiter channel and park in waitGrant. The
 	// channel lives in the resource's shard, which is where every grant
 	// that can unblock us originates. It is a pooled one-token signal: a
@@ -320,19 +299,8 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	s.waiters[t.id] = ch
 	s.drainPending()
 	s.mu.Unlock()
-	met.queueDepth.Observe(uint64(res.QueueDepth))
-	if s.jr != nil {
-		rec := journal.Record{TS: start.UnixNano(), Txn: int64(t.id), Arg: uint64(res.QueueDepth), Kind: journal.KindBlock, Mode: uint8(mode)}
-		if res.Conversion {
-			rec.Flags = journal.FlagConversion
-		}
-		rec.SetResource(string(r))
-		s.jr.Emit(&rec)
-	}
-	if tr != nil {
-		tr.OnBlock(t.id, r, mode, res.QueueDepth)
-	}
-	return t.waitGrant(ctx, s, ch, start, r, mode, false)
+	s.blocked(t.id, r, mode, start, res.QueueDepth, res.Conversion)
+	return t.waitGrant(ctx, s, ch, start, r, mode, res.Conversion, false)
 }
 
 // lockPublished runs one contended request through the shard's
@@ -342,9 +310,8 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 // every slot was occupied; the caller falls back to the plain mutex
 // path. On handled requests the combiner has already updated the
 // request counters and, for a blocked request, registered the waiter
-// channel; this goroutine performs all deferred work (histogram
-// observations, journal records, tracer hooks) after the hand-off,
-// outside any shard mutex.
+// channel; this goroutine reports the outcome through the shard's
+// emission seam after the hand-off, outside any shard mutex.
 //
 // The one budgeted site is the table's Resource first-touch literal,
 // reached through the combiner's drain.
@@ -377,8 +344,6 @@ func (t *Txn) lockPublished(ctx context.Context, s *shard, r ResourceID, mode Mo
 		}
 		runtime.Gosched()
 	}
-	tr := t.m.opts.Tracer
-	met := s.met
 	res := req.res
 	if req.err != nil {
 		putWaiter(req.ch) // a failed request registers nothing
@@ -389,52 +354,29 @@ func (t *Txn) lockPublished(ctx context.Context, s *shard, r ResourceID, mode Mo
 	if res.Granted {
 		putWaiter(req.ch)
 		req.ch = nil
-		met.grant.Observe(uint64(time.Since(start)))
-		if s.jr != nil {
-			rec := journal.Record{TS: start.UnixNano(), Txn: int64(t.id), Kind: journal.KindGrant, Mode: uint8(mode)}
-			if res.Conversion {
-				rec.Flags = journal.FlagConversion
-			}
-			rec.SetResource(string(r))
-			s.jr.Emit(&rec)
-		}
-		if tr != nil {
-			tr.OnGrant(t.id, r, mode, 0)
-		}
+		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, false)
 		return true, nil
 	}
-	met.queueDepth.Observe(uint64(res.QueueDepth))
-	if s.jr != nil {
-		rec := journal.Record{TS: start.UnixNano(), Txn: int64(t.id), Arg: uint64(res.QueueDepth), Kind: journal.KindBlock, Mode: uint8(mode)}
-		if res.Conversion {
-			rec.Flags = journal.FlagConversion
-		}
-		rec.SetResource(string(r))
-		s.jr.Emit(&rec)
-	}
-	if tr != nil {
-		tr.OnBlock(t.id, r, mode, res.QueueDepth)
-	}
+	s.blocked(t.id, r, mode, start, res.QueueDepth, res.Conversion)
 	ch := req.ch
 	req.ch = nil
-	return true, t.waitGrant(ctx, s, ch, start, r, mode, true)
+	return true, t.waitGrant(ctx, s, ch, start, r, mode, res.Conversion, true)
 }
 
 // waitGrant parks the owner goroutine of a blocked request until the
 // request is granted, the transaction is aborted or cancelled, or the
 // manager closes. ch is the registered waiter channel — registered
 // under the shard mutex by the round that blocked the request, whether
-// this goroutine's own or a combiner's. recheck forces one immediate
-// table re-check before the first channel wait: the flat-combining path
-// enqueues on another goroutine's mutex round after this goroutine's
-// liveness check, so a concurrent Close (the one event that can condemn
-// a transaction that is not blocked) could otherwise slip between the
-// check and the park. Paths that enqueue under their own mutex round
-// (Lock, LockAll) pass recheck=false — their liveness check and the
-// enqueue are atomic under the shard mutex.
-func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start time.Time, r ResourceID, mode Mode, recheck bool) error {
-	tr := t.m.opts.Tracer
-	met := s.met
+// this goroutine's own or a combiner's — and conv is the request's
+// Conversion fact from that round, for the grant report. recheck forces
+// one immediate table re-check before the first channel wait: the
+// flat-combining path enqueues on another goroutine's mutex round after
+// this goroutine's liveness check, so a concurrent Close (the one event
+// that can condemn a transaction that is not blocked) could otherwise
+// slip between the check and the park. Paths that enqueue under their
+// own mutex round (Lock, LockAll) pass recheck=false — their liveness
+// check and the enqueue are atomic under the shard mutex.
+func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start time.Time, r ResourceID, mode Mode, conv, recheck bool) error {
 	for {
 		if recheck {
 			recheck = false
@@ -455,35 +397,31 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 				s.drainPending()
 				s.mu.Unlock()
 				putWaiter(ch)
-				met.waitAborts.Inc()
-				t.m.journalLifecycle(journal.KindAbort, t.id)
-				if tr != nil {
-					tr.OnAbort(t.id)
-				}
+				t.observeAbort(s)
 				return ctx.Err()
 			case <-ch:
 			}
 		}
 		s.mu.Lock()
-		met.mutexAcquires.Inc()
+		s.met.mutexAcquires.Inc()
 		if err := t.checkLive(); err != nil {
 			delete(s.waiters, t.id)
 			s.drainPending()
 			s.mu.Unlock()
 			putWaiter(ch)
-			met.waitAborts.Inc()
-			if errors.Is(err, ErrAborted) {
-				if !t.m.closed.Load() {
-					// A deadlock victim: its wait span is the persistence-
-					// cost sample for the scheduling cost model (Close also
-					// condemns, but arrives with closed already set).
-					t.m.cost.observeVictimWait(time.Since(start), t.m.CurrentPeriod())
-				}
-				t.m.journalLifecycle(journal.KindAbort, t.id)
-				if tr != nil {
-					tr.OnAbort(t.id)
-				}
+			if !errors.Is(err, ErrAborted) {
+				// ErrClosed ahead of Close's own sweep: the wait ends here,
+				// the abort is still Close's to deliver.
+				s.met.waitAborts.Inc()
+				return err
 			}
+			if !t.m.closed.Load() {
+				// A deadlock victim: its wait span is the persistence-
+				// cost sample for the scheduling cost model (Close also
+				// condemns, but arrives with closed already set).
+				t.m.cost.observeVictimWait(time.Since(start), t.m.CurrentPeriod())
+			}
+			t.observeAbort(s)
 			return err
 		}
 		if !s.tb.Blocked(t.id) {
@@ -494,19 +432,7 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 			s.mu.Unlock()
 			putWaiter(ch)
 			wait := time.Since(start)
-			met.wait.Observe(uint64(wait))
-			met.grant.Observe(uint64(wait))
-			if s.jr != nil {
-				// The grant record carries its wait, so a blocked span can
-				// be reconstructed from this record alone even after the
-				// block record has been overwritten.
-				rec := journal.Record{TS: start.UnixNano() + int64(wait), Txn: int64(t.id), Arg: uint64(wait), Kind: journal.KindGrant, Mode: uint8(mode)}
-				rec.SetResource(string(r))
-				s.jr.Emit(&rec)
-			}
-			if tr != nil {
-				tr.OnGrant(t.id, r, mode, wait)
-			}
+			s.granted(t.id, r, mode, start, wait, wait, conv, false)
 			return nil
 		}
 		// Spurious wake, or a first-pass re-check that found us still
@@ -529,59 +455,32 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 // transaction waiting.
 func (t *Txn) TryLock(r ResourceID, mode Mode) (bool, error) {
 	s := t.m.shardFor(r)
-	tr := t.m.opts.Tracer
-	if tr != nil {
-		tr.OnRequest(t.id, r, mode)
-	}
 	start := time.Now()
 	t.journalBegin(start.UnixNano())
-	met := s.met
 	s.mu.Lock()
-	met.mutexAcquires.Inc()
+	s.met.mutexAcquires.Inc()
 	if err := t.checkLive(); err != nil {
 		s.drainPending()
 		s.mu.Unlock()
 		return false, err
 	}
 	if !s.tb.WouldGrant(t.id, r, mode) {
-		met.tryRefused.Inc()
+		s.met.tryRefused.Inc()
 		s.drainPending()
 		s.mu.Unlock()
-		if s.jr != nil {
-			// A refused probe is the one case that journals a bare request
-			// record: nothing was granted and nothing enqueued.
-			rec := journal.Record{TS: start.UnixNano(), Txn: int64(t.id), Kind: journal.KindRequest, Mode: uint8(mode), Flags: journal.FlagTry}
-			rec.SetResource(string(r))
-			s.jr.Emit(&rec)
-		}
+		s.refused(t.id, r, mode, start)
 		return false, nil
 	}
 	res, err := s.tb.RequestEx(t.id, r, mode)
 	if res.Granted {
 		s.epoch.bump()
 		t.noteShard(s)
-		if res.Conversion {
-			met.conversions.Inc()
-		} else {
-			met.fresh.Inc()
-		}
-		met.grants.Inc()
-		met.grantsByMode[mode].Inc()
-		met.immediate.Inc()
+		var c requestTally
+		c.note(res, mode)
+		s.met.count(&c)
 		s.drainPending()
 		s.mu.Unlock()
-		met.grant.Observe(uint64(time.Since(start)))
-		if s.jr != nil {
-			rec := journal.Record{TS: start.UnixNano(), Txn: int64(t.id), Kind: journal.KindGrant, Mode: uint8(mode), Flags: journal.FlagTry}
-			if res.Conversion {
-				rec.Flags |= journal.FlagConversion
-			}
-			rec.SetResource(string(r))
-			s.jr.Emit(&rec)
-		}
-		if tr != nil {
-			tr.OnGrant(t.id, r, mode, 0)
-		}
+		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, true)
 		return true, err
 	}
 	s.drainPending()
@@ -640,15 +539,12 @@ func (t *Txn) Commit() error {
 	// Close may have raced with the releases above; honor its verdict.
 	if t.consumeCondemned() {
 		t.state = abortedState
-		t.m.journalLifecycle(journal.KindAbort, t.id)
-		if tr := t.m.opts.Tracer; tr != nil {
-			tr.OnAbort(t.id)
-		}
+		t.observeAbort(nil)
 		return ErrAborted
 	}
 	t.state = committedState
 	t.clearTouched()
-	t.m.journalLifecycle(journal.KindCommit, t.id)
+	t.m.journalControl(journal.KindCommit, t.id, 0, 0)
 	return nil
 }
 
@@ -660,10 +556,7 @@ func (t *Txn) Abort() {
 	}
 	t.abortTables()
 	t.state = abortedState
-	t.m.journalLifecycle(journal.KindAbort, t.id)
-	if tr := t.m.opts.Tracer; tr != nil {
-		tr.OnAbort(t.id)
-	}
+	t.observeAbort(nil)
 }
 
 // abortTables removes the transaction from every shard it touched,
