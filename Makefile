@@ -1,11 +1,10 @@
 GO ?= go
 
-# Bench runs are archived as BENCH_<tag>.{txt,json}; bump BENCH_OUT each
-# PR and compare against the predecessor with bench-compare.
-BENCH_OUT  ?= BENCH_PR8
-BENCH_PREV ?= BENCH_PR6
+# The archived bench run, BENCH_<tag>.{txt,json}: `bench` rewrites it,
+# `benchsmoke` gates allocs/op against it.
+BENCH_OUT ?= BENCH_PR8
 
-.PHONY: all build vet test race lint audit bench bench-compare benchsmoke benchcheck ci
+.PHONY: all build vet test race lint audit bench benchsmoke benchcheck ci
 
 all: ci
 
@@ -40,17 +39,11 @@ audit:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 200ms -benchmem ./... | tee $(BENCH_OUT).txt | $(GO) run ./cmd/benchjson > $(BENCH_OUT).json
 
-# Diff this PR's bench run against the previous one. The gate is
-# allocs-only: E22 showed cross-run ns/op on this host is environment-
-# dominated, so only allocs/op growth fails; ns/op deltas are printed
-# informationally.
-bench-compare:
-	$(GO) run ./cmd/benchjson compare -allocs-only $(BENCH_PREV).json $(BENCH_OUT).json
-
 # Quick harness check used by CI: the public-API benchmarks (uncontended,
 # conflict hand-off, group acquisition) piped straight into the archived
-# allocs-only gate, so an alloc regression on the hot path fails CI even
-# between full bench sweeps. Time-based -benchtime so warm-up allocations
+# allocs-only gate (E22 showed cross-run ns/op on this host is
+# environment-dominated, so only allocs/op growth fails), so an alloc
+# regression on the hot path fails CI even between full bench sweeps. Time-based -benchtime so warm-up allocations
 # (pools, freelists, first map growth) amortize out of allocs/op; -cpu 1
 # because the archive was recorded at procs: 1 and MetricsSnapshot's
 # allocs/op depends on the shard count, which follows GOMAXPROCS.

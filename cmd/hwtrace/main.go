@@ -8,6 +8,8 @@
 //	hwtrace report -slo p99=1ms journal.bin         # SLO gate: exit 1 when violated
 //	hwtrace report -slo commit:p95=10ms journal.bin # ([kind:]pNN=dur, comma-separated)
 //	hwtrace nearmiss journal.bin      # predictive partial-order pass alone
+//	hwtrace postmortems journal.bin   # each resolved deadlock: cycle, edge evidence, participant tail
+//	hwtrace postmortems -json journal.bin  # the same view the debug server's /postmortems serves
 //	hwtrace perfetto journal.bin > trace.json   # convert for ui.perfetto.dev
 //	hwtrace cat journal.bin           # print every record, one per line
 //	hwtrace tail localhost:7679       # live: refreshing summary off the TAIL stream
@@ -62,6 +64,13 @@ func usage(w io.Writer) {
   hwtrace nearmiss [-json] <dump> the predictive partial-order pass alone:
                                   cross-transaction lock-order reversals that
                                   never deadlocked in the observed schedule
+  hwtrace postmortems [-json] <dump>
+                                  deadlock postmortems rebuilt from the dump: per
+                                  resolved cycle the victim (or TDR-2 junction),
+                                  the edges with the grants and blocks that
+                                  formed them, and the participants' event tail;
+                                  resolutions whose records were partly
+                                  overwritten are counted, not shown
   hwtrace perfetto <dump>         convert to Chrome trace-event/Perfetto JSON
   hwtrace cat <dump>              print records one per line
   hwtrace tail [-raw] [-count n] [-from now|oldest] [-interval d] <addr>
@@ -90,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cmd := args[0]
 	switch cmd {
-	case "report", "nearmiss", "perfetto", "cat":
+	case "report", "nearmiss", "postmortems", "perfetto", "cat":
 	case "tail":
 		return runTail(args[1:], stdout, stderr)
 	default:
@@ -102,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var asJSON *bool
 	var sloSpec *string
-	if cmd == "report" || cmd == "nearmiss" {
+	if cmd == "report" || cmd == "nearmiss" || cmd == "postmortems" {
 		asJSON = fs.Bool("json", false, "emit the analysis as JSON")
 	}
 	if cmd == "report" {
@@ -180,6 +189,15 @@ func execute(cmd string, asJSON bool, slos []journal.SLO, recs []journal.Record,
 			return 0, writeJSON(rep)
 		}
 		rep.WriteReport(out)
+	case "postmortems":
+		pms, incomplete := journal.Postmortems(recs)
+		if asJSON {
+			return 0, writeJSON(struct {
+				Incomplete  int                  `json:"incomplete"`
+				Postmortems []journal.Postmortem `json:"postmortems"`
+			}{incomplete, pms})
+		}
+		writePostmortems(out, pms, incomplete)
 	case "perfetto":
 		return 0, journal.WriteTrace(out, recs)
 	case "cat":
@@ -188,6 +206,23 @@ func execute(cmd string, asJSON bool, slos []journal.SLO, recs []journal.Record,
 		}
 	}
 	return 0, nil
+}
+
+// writePostmortems renders the postmortem view as text for terminals:
+// one line per resolved cycle, one per edge (-json has the evidence).
+func writePostmortems(w io.Writer, pms []journal.Postmortem, incomplete int) {
+	fmt.Fprintf(w, "deadlock postmortems: %d resolved cycles reconstructed, %d incomplete (records overwritten)\n", len(pms), incomplete)
+	for _, pm := range pms {
+		how := "aborted"
+		if pm.TDR2 {
+			how = "repositioned " + pm.Resource + " at junction"
+		}
+		fmt.Fprintf(w, "activation %d at %s: %s T%d (tail %d events, op_tags %v)\n",
+			pm.Activation, pm.Time.Format("15:04:05.000000"), how, pm.Victim, len(pm.Tail), pm.OpTags)
+		for _, e := range pm.Cycle {
+			fmt.Fprintf(w, "  T%d waited by T%d on %s (%s), %d evidence events\n", e.From, e.To, e.Resource, e.Mode, len(e.Evidence))
+		}
+	}
 }
 
 // load reads one binary journal dump ("-" = stdin).

@@ -248,6 +248,7 @@ func TestUsageErrors(t *testing.T) {
 		{"bad slo spec", []string{"report", "-slo", "p42=1ms", path}, 2},
 		{"bad slo bound", []string{"report", "-slo", "p99=banana", path}, 2},
 		{"flag on cat", []string{"cat", "-json", path}, 2},
+		{"slo on postmortems", []string{"postmortems", "-slo", "p99=1ms", path}, 2},
 		{"unreadable dump", []string{"report", filepath.Join(t.TempDir(), "nope.bin")}, 1},
 	}
 	for _, tc := range cases {
@@ -299,7 +300,7 @@ func TestFixtureSchema(t *testing.T) {
 		t.Fatal("fixture yields no commit latency population")
 	}
 
-	for _, cmd := range []string{"report", "nearmiss", "perfetto", "cat"} {
+	for _, cmd := range []string{"report", "nearmiss", "postmortems", "perfetto", "cat"} {
 		out.Reset()
 		errOut.Reset()
 		if code := run([]string{cmd, fixture}, &out, &errOut); code != 0 {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"hwtwbg/internal/table"
+	"hwtwbg/journal"
 )
 
 // diffOp is one scripted lock request: txns[txn] asks for rid in mode.
@@ -78,11 +79,25 @@ func assertAuditClean(t *testing.T, m *Manager) {
 	}
 }
 
-// historyKey renders a deadlock-event sequence without timestamps.
-func historyKey(evs []Event) string {
+// decisions decodes every resolution m's detector has journaled —
+// victims, repositions and salvages in decision order — from the
+// control ring, failing the test if any group is incomplete.
+func decisions(t testing.TB, m *Manager) []journal.Resolution {
+	t.Helper()
+	evs, incomplete := journal.Resolutions(m.Journal().Control().Snapshot(nil))
+	if incomplete != 0 {
+		t.Fatalf("%d incomplete resolution groups in a quiescent control ring", incomplete)
+	}
+	return evs
+}
+
+// historyKey renders m's decision sequence (kind:txn:resource) without
+// timestamps.
+func historyKey(t testing.TB, m *Manager) string {
+	t.Helper()
 	s := ""
-	for _, e := range evs {
-		s += fmt.Sprintf("%v:%v:%s;", e.Kind, e.Txn, e.Resource)
+	for _, e := range decisions(t, m) {
+		s += fmt.Sprintf("%s:%d:%s;", e.Kind, e.Txn, e.Resource)
 	}
 	return s
 }
@@ -170,13 +185,10 @@ func TestDifferentialSTWvsSnapshot(t *testing.T) {
 				}
 			}
 
-			evSTW, _ := mSTW.History()
-			evSnap, _ := mSnap.History()
-			evInc, _ := mInc.History()
-			if a, b := historyKey(evSTW), historyKey(evSnap); a != b {
+			if a, b := historyKey(t, mSTW), historyKey(t, mSnap); a != b {
 				t.Fatalf("event histories diverge:\nstw:      %s\nsnapshot: %s", a, b)
 			}
-			if a, b := historyKey(evSnap), historyKey(evInc); a != b {
+			if a, b := historyKey(t, mSnap), historyKey(t, mInc); a != b {
 				t.Fatalf("event histories diverge:\nfull:        %s\nincremental: %s", a, b)
 			}
 			if mSTW.Deadlocked() || mSnap.Deadlocked() || mInc.Deadlocked() {
@@ -417,7 +429,7 @@ func TestSnapshotFalseCycle(t *testing.T) {
 	if err := a.Commit(); err != nil {
 		t.Fatalf("survivor commit: %v", err)
 	}
-	if evs, _ := m.History(); len(evs) != 0 {
+	if evs := decisions(t, m); len(evs) != 0 {
 		t.Fatalf("false cycle left history events: %v", evs)
 	}
 	// The auditor judges the detector against its input: the cycle was

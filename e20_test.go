@@ -91,7 +91,7 @@ func TestExample51PhaseReport(t *testing.T) {
 // distributions plus the cumulative phase breakdown (the E20 stress
 // numbers).
 func TestCrossShardStressHistograms(t *testing.T) {
-	m := Open(Options{Shards: 8, Period: time.Millisecond, HistorySize: 256})
+	m := Open(Options{Shards: 8, Period: time.Millisecond})
 	defer m.Close()
 	const (
 		workers = 8
@@ -139,15 +139,14 @@ func TestCrossShardStressHistograms(t *testing.T) {
 		t.Fatalf("histograms inconsistent: wait=%d queue=%d blocked=%d",
 			snap.Total.WaitNs.Count, snap.Total.QueueDepth.Count, snap.Total.Blocked)
 	}
-	total := snap.Phases.Acquire + snap.Phases.Build + snap.Phases.Search +
-		snap.Phases.Resolve + snap.Phases.Wake
+	ph := snap.Phases
+	total := ph.Acquire + ph.Copy + ph.Build + ph.Search + ph.Resolve + ph.Validate + ph.Wake
 	if snap.Detector.Runs > 0 && total <= 0 {
 		t.Fatalf("phase totals empty after %d runs", snap.Detector.Runs)
 	}
 	t.Logf("detector: %+v", snap.Detector)
-	t.Logf("phase totals over %d runs: acquire=%v build=%v search=%v resolve=%v wake=%v",
-		snap.Detector.Runs, snap.Phases.Acquire, snap.Phases.Build,
-		snap.Phases.Search, snap.Phases.Resolve, snap.Phases.Wake)
+	t.Logf("phase totals over %d runs: acquire=%v copy=%v build=%v search=%v resolve=%v validate=%v wake=%v",
+		snap.Detector.Runs, ph.Acquire, ph.Copy, ph.Build, ph.Search, ph.Resolve, ph.Validate, ph.Wake)
 	t.Logf("lock wait (ns):\n%v", snap.Total.WaitNs)
 	t.Logf("queue depth at enqueue:\n%v", snap.Total.QueueDepth)
 }

@@ -16,7 +16,7 @@ import (
 // activation reports.
 func stallStress(t *testing.T) (Stats, []ActivationReport) {
 	t.Helper()
-	m := Open(Options{Shards: 8, Period: time.Millisecond, HistorySize: 512})
+	m := Open(Options{Shards: 8, Period: time.Millisecond})
 	defer m.Close()
 	const (
 		workers = 8

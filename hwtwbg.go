@@ -150,10 +150,6 @@ type Options struct {
 	// OnVictim, if non-nil, is called (outside all manager locks) with
 	// the id of every transaction aborted by the detector.
 	OnVictim func(TxnID)
-	// HistorySize bounds both the deadlock-event history returned by
-	// History and the activation-report ring returned by Activations
-	// (default 128; negative disables recording).
-	HistorySize int
 	// JournalSize is the flight recorder's capacity in records per ring
 	// (one lock-free ring per shard plus a control ring for lifecycle and
 	// detector events), rounded up to a power of two. Zero selects the
@@ -223,8 +219,9 @@ type ShardStat struct {
 
 // ActivationReport decomposes one detector activation: when it ran,
 // what its time was spent on, and what the algorithm saw and did. The
-// most recent reports are kept in a ring (see Activations) alongside the
-// deadlock-event history.
+// most recent reports are kept in a ring (see Activations); what each
+// activation decided is journaled and read back through
+// journal.Resolutions and journal.Postmortems.
 //
 // Total ≈ Acquire + Copy + Build + Search + Resolve + Validate: Acquire
 // is the summed wait to take each shard mutex one at a time, Copy the
@@ -325,14 +322,12 @@ type Manager struct {
 	// control ring (Options.JournalSize). Nil when disabled.
 	jr *journal.Journal
 
-	// mu guards stats, phases, the history/activation/postmortem rings
-	// and the audit records only.
+	// mu guards stats, phases, the activation ring (report Seq lives in
+	// slot (Seq-1) mod its length) and the audit records only.
 	mu           sync.Mutex
 	stats        Stats
 	phases       PhaseTotals
-	history      *historyRing
-	activations  *ring[ActivationReport]
-	postmortems  *ring[Postmortem]
+	activations  []ActivationReport
 	auditRuns    int
 	auditReports []audit.Report
 
@@ -378,16 +373,7 @@ func Open(opts Options) *Manager {
 		}
 	}
 	m.mt = &multiTable{shards: m.shards}
-	size := opts.HistorySize
-	if size == 0 {
-		size = 128
-	}
-	if size < 0 {
-		size = 0
-	}
-	m.history = newHistoryRing(size)
-	m.activations = newRing[ActivationReport](size)
-	m.postmortems = newRing[Postmortem](size)
+	m.activations = make([]ActivationReport, 128)
 	m.snap = table.NewSnapshot()
 	cost := opts.Cost
 	if cost == nil {
@@ -538,13 +524,15 @@ func (m *Manager) Detect() Stats {
 }
 
 // recordActivation folds one finished activation into the cumulative
-// stats, phase totals and rings, then — outside all locks — journals
-// the activation (with the cycle-edge evidence of every resolution it
-// acted on), generates the deadlock postmortems, and fires the OnVictim
-// hook. resolutions carries the cycles the activation
-// validated and acted on. The returned Stats describes this activation
+// stats, phase totals and activation ring, then — outside all locks —
+// journals it and fires the OnVictim hook. The activation path only
+// emits: aborted and repositioned carry the resolutions it validated
+// and acted on (application order, each with its cycle evidence),
+// salvaged the victims that needed no action; readers reconstruct what
+// happened from those records on demand (journal.Resolutions,
+// journal.Postmortems). The returned Stats describes this activation
 // alone.
-func (m *Manager) recordActivation(rep ActivationReport, victims []TxnID, events []Event, resolutions []detect.Resolution) Stats {
+func (m *Manager) recordActivation(rep ActivationReport, aborted, repositioned []detect.Resolution, salvaged []TxnID) Stats {
 	activation := Stats{
 		Runs:           1,
 		CyclesSearched: rep.CyclesSearched,
@@ -574,63 +562,58 @@ func (m *Manager) recordActivation(rep ActivationReport, victims []TxnID, events
 	}
 	rep.Seq = m.stats.Runs
 	m.phases.add(rep)
-	m.activations.add(rep)
-	for _, ev := range events {
-		m.history.add(ev)
-	}
+	m.activations[(rep.Seq-1)%len(m.activations)] = rep
 	m.mu.Unlock()
 
 	m.cost.observeActivation(rep)
-	m.journalActivation(rep, events, resolutions)
-	m.generatePostmortems(rep, resolutions)
+	m.journalActivation(rep, aborted, repositioned, salvaged)
 
 	if cb := m.opts.OnVictim; cb != nil {
-		for _, v := range victims {
-			cb(v)
+		for i := range aborted {
+			cb(aborted[i].Victim)
 		}
 	}
 	return activation
 }
 
 // journalActivation writes one activation's detector events into the
-// control ring: the activation span, each resolution action, and the
-// cycle-edge evidence of every cycle acted on (the records a postmortem
-// is reconstructed from). Called outside all manager locks.
-func (m *Manager) journalActivation(rep ActivationReport, events []Event, resolutions []detect.Resolution) {
+// control ring: the activation span, then each acted resolution's
+// victim or reposition record immediately followed by that resolution's
+// own cycle edges, then the salvages. Emission order is what groups an
+// edge with its resolution when the records are read back (two cycles of
+// one activation can share a vertex). Called outside all manager locks.
+func (m *Manager) journalActivation(rep ActivationReport, aborted, repositioned []detect.Resolution, salvaged []TxnID) {
 	if m.jr == nil {
 		return
 	}
 	ctl := m.jr.Control()
 	ts := rep.Time.UnixNano()
+	seq := uint32(rep.Seq)
 	rec := journal.Record{TS: ts, Txn: int64(rep.Seq), Arg: uint64(rep.Total), Kind: journal.KindDetect, Aux: uint32(rep.CyclesSearched)}
 	ctl.Emit(&rec)
 	if len(m.shards) > 1 && rep.ShardsCopied+rep.ShardsSkipped > 0 {
 		cr := journal.Record{TS: ts, Txn: int64(rep.Seq), Arg: uint64(rep.ShardsCopied), Kind: journal.KindDetectCopy, Aux: uint32(rep.ShardsSkipped)}
 		ctl.Emit(&cr)
 	}
-	for _, ev := range events {
-		r := journal.Record{TS: ts, Txn: int64(ev.Txn), Aux: uint32(rep.Seq)}
-		switch ev.Kind {
-		case EventVictim:
-			r.Kind = journal.KindVictim
-		case EventReposition:
-			r.Kind = journal.KindReposition
-			r.SetResource(string(ev.Resource))
-		case EventSalvage:
-			r.Kind = journal.KindSalvage
-		}
+	resolution := func(kind journal.Kind, res *detect.Resolution) {
+		r := journal.Record{TS: ts, Txn: int64(res.Victim), Kind: kind, Aux: seq}
+		r.SetResource(string(res.Resource))
 		ctl.Emit(&r)
-	}
-	for i := range resolutions {
-		res := &resolutions[i]
-		if res.Salvaged {
-			continue
-		}
 		for _, e := range res.Cycle {
-			r := journal.Record{TS: ts, Txn: int64(e.From), Arg: uint64(e.To), Kind: journal.KindCycleEdge, Mode: uint8(e.Mode), Aux: uint32(rep.Seq)}
+			r := journal.Record{TS: ts, Txn: int64(e.From), Arg: uint64(e.To), Kind: journal.KindCycleEdge, Mode: uint8(e.Mode), Aux: seq}
 			r.SetResource(string(e.Resource))
 			ctl.Emit(&r)
 		}
+	}
+	for i := range aborted {
+		resolution(journal.KindVictim, &aborted[i])
+	}
+	for i := range repositioned {
+		resolution(journal.KindReposition, &repositioned[i])
+	}
+	for _, v := range salvaged {
+		r := journal.Record{TS: ts, Txn: int64(v), Kind: journal.KindSalvage, Aux: seq}
+		ctl.Emit(&r)
 	}
 }
 

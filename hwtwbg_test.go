@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hwtwbg/journal"
 )
 
 // waitBlocked polls until id is blocked (test orchestration helper).
@@ -448,75 +450,20 @@ func TestConversionThroughPublicAPI(t *testing.T) {
 }
 
 func TestHistory(t *testing.T) {
-	m := Open(Options{HistorySize: 4})
+	m := Open(Options{})
 	defer m.Close()
-	ctx := context.Background()
 	// Generate three deadlocks sequentially.
 	for i := 0; i < 3; i++ {
-		a, b := m.Begin(), m.Begin()
-		ra := ResourceID(fmt.Sprintf("h%da", i))
-		rb := ResourceID(fmt.Sprintf("h%db", i))
-		if err := a.Lock(ctx, ra, X); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Lock(ctx, rb, X); err != nil {
-			t.Fatal(err)
-		}
-		errs := make(chan error, 2)
-		go func() { errs <- a.Lock(ctx, rb, X) }()
-		go func() { errs <- b.Lock(ctx, ra, X) }()
-		waitBlocked(t, m, a.ID())
-		waitBlocked(t, m, b.ID())
-		if st := m.Detect(); st.Aborted != 1 {
-			t.Fatalf("round %d: %+v", i, st)
-		}
-		<-errs
-		<-errs
-		for _, tx := range []*Txn{a, b} {
-			if tx.Err() == nil {
-				if err := tx.Commit(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+		deadlockOnce(t, m, i)
 	}
-	events, total := m.History()
-	if total != 3 || len(events) != 3 {
-		t.Fatalf("history = %v (total %d)", events, total)
+	events := decisions(t, m)
+	if len(events) != 3 {
+		t.Fatalf("decisions = %+v, want 3", events)
 	}
-	for _, e := range events {
-		if e.Kind != EventVictim || e.Txn == 0 || e.Time.IsZero() {
+	for i, e := range events {
+		if e.Kind != journal.KindVictim.String() || e.Txn == 0 || e.Time.IsZero() || e.Activation != i+1 {
 			t.Fatalf("bad event %+v", e)
 		}
-		if !strings.HasPrefix(e.String(), "victim T") {
-			t.Fatalf("String() = %q", e.String())
-		}
-	}
-	if EventReposition.String() != "reposition" || EventSalvage.String() != "salvage" {
-		t.Error("kind names")
-	}
-	if got := (Event{Kind: EventReposition, Txn: 3, Resource: "R2"}).String(); got != "reposition R2 at junction T3" {
-		t.Errorf("String() = %q", got)
-	}
-	if got := EventKind(9).String(); got != "EventKind(9)" {
-		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestHistoryRingWraps(t *testing.T) {
-	h := newHistoryRing(2)
-	for i := 1; i <= 5; i++ {
-		h.add(Event{Txn: TxnID(i)})
-	}
-	ev := h.items()
-	if len(ev) != 2 || ev[0].Txn != 4 || ev[1].Txn != 5 || h.total != 5 {
-		t.Fatalf("events = %v, total %d", ev, h.total)
-	}
-	// Disabled history must not panic.
-	h0 := newHistoryRing(0)
-	h0.add(Event{Txn: 1})
-	if len(h0.items()) != 0 {
-		t.Fatal("disabled history retained events")
 	}
 }
 

@@ -112,6 +112,15 @@ func (d *Detector) victimSelection(v, w table.TxnID) {
 			continue
 		}
 		av, st := d.tb.PeekAVST(vu.pr, u)
+		if len(av) == 0 || av[len(av)-1].Txn != u {
+			// On a consistent table the junction closes its own AV (its
+			// blocked mode was just checked against the total mode). A
+			// torn snapshot can show u queued at two resources, with the
+			// mode from one checked against the queue of the other; then
+			// repositioning would move and kill nothing, and the walk
+			// would find this cycle again forever. TDR-1 still applies.
+			continue
+		}
 		sum := 0.0
 		for _, q := range st {
 			sum += d.cfg.cost(q.Txn)

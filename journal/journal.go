@@ -19,7 +19,8 @@
 package journal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -423,17 +424,22 @@ func (j *Journal) Stats() RingStats {
 // (ties broken by ring index, then per-ring sequence, so the order is
 // deterministic for any fixed set of records).
 func (j *Journal) Snapshot() []Record {
-	var out []Record
+	n := 0
+	for _, r := range j.rings {
+		st := r.Stats()
+		n += int(st.Emitted - st.Overwritten)
+	}
+	out := make([]Record, 0, n)
 	for _, r := range j.rings {
 		out = r.Snapshot(out)
 	}
 	// Per-ring snapshots are seq-ordered already; a stable sort by
 	// (TS, ring) therefore keeps each ring's internal order.
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].TS != out[b].TS {
-			return out[a].TS < out[b].TS
+	slices.SortStableFunc(out, func(a, b Record) int {
+		if c := cmp.Compare(a.TS, b.TS); c != 0 {
+			return c
 		}
-		return out[a].Shard < out[b].Shard
+		return cmp.Compare(a.Shard, b.Shard)
 	})
 	return out
 }

@@ -89,6 +89,38 @@ func TestJournalSnapshotMergesByTime(t *testing.T) {
 	}
 }
 
+// TestJournalSnapshotTiesKeepRingThenSeqOrder pins the merge order
+// where timestamps collide: by ring index, then each ring's own emit
+// order — a detector activation stamps all its control-ring records
+// alike, and the readers group them by that order.
+func TestJournalSnapshotTiesKeepRingThenSeqOrder(t *testing.T) {
+	j := New(2, 8)
+	// Interleave the emits so neither ring order nor wall order matches
+	// the expected (TS, ring, seq) order by accident.
+	for seq := int64(0); seq < 3; seq++ {
+		for _, ring := range []int{1, 0} {
+			for _, ts := range []int64{20, 10} {
+				j.Ring(ring).Emit(&Record{Kind: KindGrant, TS: ts, Txn: int64(ring), Arg: uint64(seq)})
+			}
+		}
+	}
+	recs := j.Snapshot()
+	if len(recs) != 12 || cap(recs) != 12 {
+		t.Fatalf("len %d cap %d, want 12 retained records in a slice sized for them", len(recs), cap(recs))
+	}
+	i := 0
+	for _, ts := range []int64{10, 20} {
+		for ring := int64(0); ring < 2; ring++ {
+			for seq := uint64(0); seq < 3; seq++ {
+				if r := recs[i]; r.TS != ts || r.Txn != ring || r.Arg != seq || int64(r.Shard) != ring {
+					t.Fatalf("recs[%d] = ts %d ring %d seq %d, want %d/%d/%d", i, r.TS, r.Txn, r.Arg, ts, ring, seq)
+				}
+				i++
+			}
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	j := New(1, 16)
 	for i := 0; i < 10; i++ {

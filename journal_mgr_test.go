@@ -49,10 +49,12 @@ func diffSeq(t *testing.T, got, want []jev) {
 }
 
 // TestJournalDisabled checks that a negative JournalSize turns the
-// flight recorder off completely: no journal, no postmortems, and the
-// lock path still works.
+// flight recorder off completely: no journal — so no event list and no
+// postmortems to read — while the lock path still works and Stats and
+// OnVictim still count and deliver every victim.
 func TestJournalDisabled(t *testing.T) {
-	m := Open(Options{JournalSize: -1})
+	var victims []TxnID
+	m := Open(Options{JournalSize: -1, OnVictim: func(id TxnID) { victims = append(victims, id) }})
 	defer m.Close()
 	if m.Journal() != nil {
 		t.Fatal("Journal() non-nil with JournalSize -1")
@@ -64,8 +66,15 @@ func TestJournalDisabled(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if pms, total := m.Postmortems(); len(pms) != 0 || total != 0 {
-		t.Fatalf("Postmortems() = %d (total %d), want none", len(pms), total)
+	deadlockOnce(t, m, 0)
+	if st := m.Stats(); st.Aborted != 1 || st.Runs != 1 {
+		t.Fatalf("stats = %+v, want the victim counted", st)
+	}
+	if len(victims) != 1 {
+		t.Fatalf("OnVictim delivered %v, want one victim", victims)
+	}
+	if reports, total := m.Activations(); len(reports) != 1 || total != 1 || reports[0].Aborted != 1 {
+		t.Fatalf("Activations() = %+v (total %d)", reports, total)
 	}
 }
 
@@ -183,8 +192,9 @@ func TestJournalEventSequence(t *testing.T) {
 
 // TestJournalPostmortem drives a plain write-write deadlock (no
 // compatible junction, so TDR-2 cannot apply and a victim dies) and
-// checks the generated postmortem: the victim, the cycle edges with
-// their journal evidence, and the participant-restricted tail.
+// checks the postmortem read back from the journal: the victim, the
+// cycle edges with their journal evidence, and the participant-
+// restricted tail.
 func TestJournalPostmortem(t *testing.T) {
 	m := Open(Options{Shards: 1})
 	defer m.Close()
@@ -212,15 +222,15 @@ func TestJournalPostmortem(t *testing.T) {
 		t.Fatalf("lock results %v / %v, want exactly one ErrAborted", err1, err2)
 	}
 
-	pms, total := m.Postmortems()
-	if total != 1 || len(pms) != 1 {
-		t.Fatalf("Postmortems() = %d reports (total %d), want 1", len(pms), total)
+	pms, incomplete := journal.Postmortems(m.Journal().Snapshot())
+	if len(pms) != 1 || incomplete != 0 {
+		t.Fatalf("Postmortems = %d reports (%d incomplete), want 1", len(pms), incomplete)
 	}
 	pm := pms[0]
 	if pm.TDR2 {
 		t.Fatal("postmortem claims TDR-2 for a victim abort")
 	}
-	if pm.Victim != a.ID() && pm.Victim != b.ID() {
+	if pm.Victim != int64(a.ID()) && pm.Victim != int64(b.ID()) {
 		t.Fatalf("victim %d is not a participant", pm.Victim)
 	}
 	if pm.Activation != 1 {
@@ -243,7 +253,7 @@ func TestJournalPostmortem(t *testing.T) {
 		t.Fatal("postmortem tail is empty")
 	}
 	for _, ev := range pm.Tail {
-		if ev.Txn != a.ID() && ev.Txn != b.ID() {
+		if ev.Txn != int64(a.ID()) && ev.Txn != int64(b.ID()) {
 			t.Errorf("tail event for non-participant T%d", ev.Txn)
 		}
 	}

@@ -453,10 +453,8 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 				sameSnapshots(fmt.Sprintf("round %d post-resolve", round))
 			}
 
-			evRef, _ := ms[order[0]].History()
 			for _, k := range order[1:] {
-				ev, _ := ms[k].History()
-				if a, b := historyKey(evRef), historyKey(ev); a != b {
+				if a, b := historyKey(t, ms[order[0]]), historyKey(t, ms[k]); a != b {
 					t.Fatalf("event histories diverge:\n%s: %s\n%s: %s", order[0], a, k, b)
 				}
 			}

@@ -18,10 +18,13 @@ import (
 //	/metrics     Prometheus text exposition (counters, histograms,
 //	             detector phase breakdown)
 //	/snapshot    full MetricsSnapshot as JSON
-//	/history     recent deadlock events as JSON
+//	/history     victim, reposition and salvage events (with activation
+//	             seq) decoded from the flight recorder, as JSON
 //	/activations recent detector activation reports as JSON
-//	/postmortems recent deadlock postmortems as JSON (per resolved cycle:
-//	             the edge evidence and the journal events that formed it)
+//	/postmortems deadlock postmortems as JSON (per resolved cycle: the
+//	             edge evidence and the journal events that formed it),
+//	             rebuilt from the flight recorder when asked; "incomplete"
+//	             counts resolutions whose records were partly overwritten
 //	/costmodel   scheduling cost-model state as JSON: deadlock formation
 //	             rate, detection and persistence cost estimates, and the
 //	             derived cost-minimizing detection period
@@ -41,15 +44,27 @@ import (
 //	/debug/vars  expvar (process-global registry)
 //	/debug/pprof profiling endpoints
 //
-// The flight-recorder endpoints (/postmortems, /trace.json,
+// The flight-recorder endpoints (/history, /postmortems, /trace.json,
 // /journal.bin, /nearmiss, /journal/stream) answer 404 when the
-// manager's journal is disabled (hwtwbg.Options.JournalSize < 0).
+// manager's journal is disabled (hwtwbg.Options.JournalSize < 0). The
+// "total" of /history and /postmortems is the manager's counters', so it
+// keeps counting what the rings no longer hold.
 //
 // The stop-the-world endpoints (/twbg.dot, /locktable) pause every
 // shard exactly like a detector activation; keep them off hot
 // monitoring loops.
 func DebugHandler(lm *hwtwbg.Manager) http.Handler {
 	mux := http.NewServeMux()
+	// journaled serves a flight-recorder endpoint, or 404 without one.
+	journaled := func(path string, h func(http.ResponseWriter, *journal.Journal)) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			if jr := lm.Journal(); jr != nil {
+				h(w, jr)
+			} else {
+				http.NotFound(w, r)
+			}
+		})
+	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -60,9 +75,9 @@ func DebugHandler(lm *hwtwbg.Manager) http.Handler {
 <h1>lockd debug</h1><ul>
 <li><a href="/metrics">/metrics</a> — Prometheus text exposition</li>
 <li><a href="/snapshot">/snapshot</a> — metrics snapshot (JSON)</li>
-<li><a href="/history">/history</a> — recent deadlock events (JSON)</li>
+<li><a href="/history">/history</a> — detector decisions decoded from the flight recorder (JSON)</li>
 <li><a href="/activations">/activations</a> — detector activation reports (JSON)</li>
-<li><a href="/postmortems">/postmortems</a> — deadlock postmortems (JSON)</li>
+<li><a href="/postmortems">/postmortems</a> — deadlock postmortems rebuilt from the flight recorder (JSON)</li>
 <li><a href="/costmodel">/costmodel</a> — scheduling cost-model state (JSON)</li>
 <li><a href="/nearmiss">/nearmiss</a> — predictive lock-order reversal analysis (JSON)</li>
 <li><a href="/trace.json">/trace.json</a> — flight recorder as Perfetto/Chrome trace JSON</li>
@@ -82,51 +97,34 @@ func DebugHandler(lm *hwtwbg.Manager) http.Handler {
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, lm.MetricsSnapshot())
 	})
-	mux.HandleFunc("/history", func(w http.ResponseWriter, r *http.Request) {
-		events, total := lm.History()
-		writeJSON(w, map[string]any{"total": total, "events": events})
+	journaled("/history", func(w http.ResponseWriter, jr *journal.Journal) {
+		events, _ := journal.Resolutions(jr.Control().Snapshot(nil))
+		st := lm.Stats()
+		writeJSON(w, map[string]any{"total": st.Aborted + st.Repositioned + st.Salvaged, "events": events})
 	})
 	mux.HandleFunc("/activations", func(w http.ResponseWriter, r *http.Request) {
 		reports, total := lm.Activations()
 		writeJSON(w, map[string]any{"total": total, "activations": reports})
 	})
-	mux.HandleFunc("/postmortems", func(w http.ResponseWriter, r *http.Request) {
-		if lm.Journal() == nil {
-			http.NotFound(w, r)
-			return
-		}
-		reports, total := lm.Postmortems()
-		writeJSON(w, map[string]any{"total": total, "postmortems": reports})
+	journaled("/postmortems", func(w http.ResponseWriter, jr *journal.Journal) {
+		reports, incomplete := journal.Postmortems(jr.Snapshot())
+		st := lm.Stats()
+		writeJSON(w, map[string]any{"total": st.Aborted + st.Repositioned, "incomplete": incomplete, "postmortems": reports})
 	})
 	mux.HandleFunc("/costmodel", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, lm.CostModel())
 	})
-	mux.HandleFunc("/nearmiss", func(w http.ResponseWriter, r *http.Request) {
-		jr := lm.Journal()
-		if jr == nil {
-			http.NotFound(w, r)
-			return
-		}
+	journaled("/nearmiss", func(w http.ResponseWriter, jr *journal.Journal) {
 		writeJSON(w, journal.NearMisses(jr.Snapshot()))
 	})
 	mux.HandleFunc("/journal/stream", func(w http.ResponseWriter, r *http.Request) {
 		serveJournalStream(lm, w, r)
 	})
-	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
-		jr := lm.Journal()
-		if jr == nil {
-			http.NotFound(w, r)
-			return
-		}
+	journaled("/trace.json", func(w http.ResponseWriter, jr *journal.Journal) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		journal.WriteTrace(w, jr.Snapshot())
 	})
-	mux.HandleFunc("/journal.bin", func(w http.ResponseWriter, r *http.Request) {
-		jr := lm.Journal()
-		if jr == nil {
-			http.NotFound(w, r)
-			return
-		}
+	journaled("/journal.bin", func(w http.ResponseWriter, jr *journal.Journal) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Disposition", `attachment; filename="journal.bin"`)
 		journal.Encode(w, jr.Snapshot())

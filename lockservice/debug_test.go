@@ -137,8 +137,12 @@ func TestDebugHandlerJSONEndpoints(t *testing.T) {
 	}
 
 	var hist struct {
-		Total  int               `json:"total"`
-		Events []json.RawMessage `json:"events"`
+		Total  int `json:"total"`
+		Events []struct {
+			Kind       string `json:"kind"`
+			Txn        int    `json:"txn"`
+			Activation int    `json:"activation"`
+		} `json:"events"`
 	}
 	body, _ = get(t, srv, "/history")
 	if err := json.Unmarshal([]byte(body), &hist); err != nil {
@@ -146,6 +150,9 @@ func TestDebugHandlerJSONEndpoints(t *testing.T) {
 	}
 	if hist.Total != 1 || len(hist.Events) != 1 {
 		t.Fatalf("/history = %s", body)
+	}
+	if ev := hist.Events[0]; ev.Kind != "victim" || ev.Txn == 0 || ev.Activation != 1 {
+		t.Fatalf("/history event = %+v", ev)
 	}
 
 	var acts struct {

@@ -92,11 +92,11 @@ func TestDumpJournalMalformedReplies(t *testing.T) {
 }
 
 // journaledDebugManager is debugManager plus a guarantee the resolved
-// deadlock produced a postmortem.
+// deadlock can be read back as a postmortem.
 func journaledDebugManager(t *testing.T) *hwtwbg.Manager {
 	t.Helper()
 	lm := debugManager(t)
-	if pms, _ := lm.Postmortems(); len(pms) == 0 {
+	if pms, _ := journal.Postmortems(lm.Journal().Snapshot()); len(pms) == 0 {
 		t.Fatal("debugManager produced no postmortem")
 	}
 	return lm
@@ -115,7 +115,8 @@ func TestDebugHandlerFlightRecorder(t *testing.T) {
 		t.Fatalf("/postmortems content type %q", ctype)
 	}
 	var pm struct {
-		Total       int `json:"total"`
+		Total       int  `json:"total"`
+		Incomplete  *int `json:"incomplete"`
 		Postmortems []struct {
 			Victim int  `json:"victim"`
 			TDR2   bool `json:"tdr2"`
@@ -132,6 +133,9 @@ func TestDebugHandlerFlightRecorder(t *testing.T) {
 	}
 	if pm.Total < 1 || len(pm.Postmortems) < 1 {
 		t.Fatalf("/postmortems empty: %s", body)
+	}
+	if pm.Incomplete == nil || *pm.Incomplete != 0 {
+		t.Fatalf("/postmortems incomplete = %v, want 0 on a quiescent, unwrapped journal: %s", pm.Incomplete, body)
 	}
 	first := pm.Postmortems[0]
 	if first.TDR2 || first.Victim == 0 {
@@ -191,7 +195,7 @@ func TestDebugHandlerFlightRecorderDisabled(t *testing.T) {
 	}
 	srv := httptest.NewServer(DebugHandler(lm))
 	defer srv.Close()
-	for _, path := range []string{"/postmortems", "/trace.json", "/journal.bin", "/nearmiss"} {
+	for _, path := range []string{"/history", "/postmortems", "/trace.json", "/journal.bin", "/nearmiss"} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -43,8 +43,8 @@ func newSTWOracle(m *Manager) *stwOracle {
 // Detect is the stop-the-world counterpart of Manager.Detect: it takes
 // every shard lock in index order, runs the paper's algorithm over the
 // merged live table, applies the resolutions, and records the
-// activation through the manager's own bookkeeping (stats, history,
-// journal, OnVictim), so both sides of a differential run are read back
+// activation through the manager's own bookkeeping (stats, journal,
+// OnVictim), so both sides of a differential run are read back
 // the same way. The whole pause is reported as both Total and
 // MaxShardHold: every shard is held for all of it.
 func (o *stwOracle) Detect() Stats {
@@ -91,17 +91,22 @@ func (o *stwOracle) Detect() Stats {
 		Repositioned:   len(res.Repositioned),
 		Salvaged:       len(res.Salvaged),
 	}
-	events := make([]Event, 0, len(res.Aborted)+len(res.Repositioned)+len(res.Salvaged))
-	for _, v := range res.Aborted {
-		events = append(events, Event{Time: now, Kind: EventVictim, Txn: v})
+	// The detector's own result lists fix the decision order; a victim is
+	// a junction of exactly one TDR-1 resolution, which carries its cycle.
+	byVictim := make(map[TxnID]detect.Resolution, len(res.Resolutions))
+	var repositioned []detect.Resolution
+	for _, r := range res.Resolutions {
+		if r.TDR2 {
+			repositioned = append(repositioned, r)
+		} else {
+			byVictim[r.Victim] = r
+		}
 	}
-	for _, rp := range res.Repositioned {
-		events = append(events, Event{Time: now, Kind: EventReposition, Txn: rp.Junction, Resource: rp.Resource})
+	aborted := make([]detect.Resolution, len(res.Aborted))
+	for i, v := range res.Aborted {
+		aborted[i] = byVictim[v]
 	}
-	for _, sv := range res.Salvaged {
-		events = append(events, Event{Time: now, Kind: EventSalvage, Txn: sv})
-	}
-	return m.recordActivation(rep, res.Aborted, events, res.Resolutions)
+	return m.recordActivation(rep, aborted, repositioned, res.Salvaged)
 }
 
 // The rest of detect.Table over the sharded tables — the mutating half

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hwtwbg/journal"
 )
 
 // distinctShardResources returns n resource ids that all land in
@@ -176,7 +178,7 @@ func TestCrossShardDeadlockTDR2(t *testing.T) {
 // tableau — a TDR-2 junction on q/h plus a plain two-cycle on x/y with
 // asymmetric held counts (so the cost metric picks a unique victim) —
 // runs one activation, and reports what the detector decided.
-func runShardScenario(t *testing.T, shards int) (victims []TxnID, activation Stats, events []Event, snapshot string) {
+func runShardScenario(t *testing.T, shards int) (victims []TxnID, activation Stats, events []journal.Resolution, snapshot string) {
 	t.Helper()
 	var mu sync.Mutex
 	m := Open(Options{
@@ -229,7 +231,7 @@ func runShardScenario(t *testing.T, shards int) (victims []TxnID, activation Sta
 
 	activation = m.Detect()
 	snapshot = m.Snapshot()
-	events, _ = m.History()
+	events = decisions(t, m)
 
 	// Unwind: the reposition granted t3's S on q, the abort of t5 freed
 	// y for t4; committing in dependency order drains the rest.
@@ -286,12 +288,12 @@ func TestShardedMatchesSerialDetector(t *testing.T) {
 	if v1[0] != 5 {
 		t.Fatalf("victim = T%d, want the cheaper T5", v1[0])
 	}
-	if len(e1) != len(e8) {
-		t.Fatalf("history lengths differ: %d vs %d", len(e1), len(e8))
+	if len(e1) != 2 || len(e1) != len(e8) {
+		t.Fatalf("decision counts: serial %d, sharded %d, want 2 each", len(e1), len(e8))
 	}
 	for i := range e1 {
 		if e1[i].Kind != e8[i].Kind || e1[i].Txn != e8[i].Txn || e1[i].Resource != e8[i].Resource {
-			t.Fatalf("history[%d] differs: serial %+v vs sharded %+v", i, e1[i], e8[i])
+			t.Fatalf("decision[%d] differs: serial %+v vs sharded %+v", i, e1[i], e8[i])
 		}
 	}
 	if s1 != s8 {

@@ -180,26 +180,15 @@ func (m *Manager) detectSnapshot() Stats {
 		ShardsCopied:   cp.dirty,
 		ShardsSkipped:  cp.skipped,
 	}
-	events := make([]Event, 0, len(out.aborted)+len(out.repositioned)+len(out.salvaged))
-	for _, v := range out.aborted {
-		events = append(events, Event{Time: now, Kind: EventVictim, Txn: v})
-	}
-	for _, rp := range out.repositioned {
-		events = append(events, Event{Time: now, Kind: EventReposition, Txn: rp.Victim, Resource: rp.Resource})
-	}
-	for _, v := range out.salvaged {
-		events = append(events, Event{Time: now, Kind: EventSalvage, Txn: v})
-	}
-	return m.recordActivation(rep, out.aborted, events, out.applied)
+	return m.recordActivation(rep, out.aborted, out.repositioned, out.salvaged)
 }
 
 // replayOutcome summarizes the live replay of one snapshot activation's
 // resolutions.
 type replayOutcome struct {
-	aborted      []TxnID             // victims actually aborted, in application order
+	aborted      []detect.Resolution // TDR-1 resolutions whose victim was aborted, in application order
 	repositioned []detect.Resolution // TDR-2 resolutions applied live
 	salvaged     []TxnID             // victims that needed no action after all
-	applied      []detect.Resolution // every resolution validated and acted on, with its cycle evidence
 	falseCycles  int
 	validations  int
 }
@@ -254,7 +243,6 @@ func (m *Manager) applyResolutions(rs []detect.Resolution) replayOutcome {
 		}
 		if r.TDR2 {
 			out.repositioned = append(out.repositioned, *r)
-			out.applied = append(out.applied, *r)
 		} else {
 			confirmed[i] = true
 		}
@@ -264,8 +252,7 @@ func (m *Manager) applyResolutions(rs []detect.Resolution) replayOutcome {
 			continue
 		}
 		if m.abortVictim(&rs[i]) {
-			out.aborted = append(out.aborted, rs[i].Victim)
-			out.applied = append(out.applied, rs[i])
+			out.aborted = append(out.aborted, rs[i])
 		} else {
 			out.salvaged = append(out.salvaged, rs[i].Victim)
 		}

@@ -154,7 +154,7 @@ func TestValidateECR2FirstConflictDrift(t *testing.T) {
 	if err := t4.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if evs, _ := m.History(); len(evs) != 0 {
+	if evs := decisions(t, m); len(evs) != 0 {
 		t.Fatalf("dropped cycle left history events: %v", evs)
 	}
 	assertAuditClean(t, m)
@@ -270,7 +270,7 @@ func TestValidateEvaporatedResource(t *testing.T) {
 	if st.Aborted != 0 || st.Repositioned != 0 || st.Salvaged != 0 {
 		t.Fatalf("activation acted on evaporated evidence: %+v", st)
 	}
-	if evs, _ := m.History(); len(evs) != 0 {
+	if evs := decisions(t, m); len(evs) != 0 {
 		t.Fatalf("dropped cycle left history events: %v", evs)
 	}
 	assertAuditClean(t, m)
