@@ -4,7 +4,7 @@ GO ?= go
 # `benchsmoke` gates allocs/op against it.
 BENCH_OUT ?= BENCH_PR8
 
-.PHONY: all build vet test race lint audit bench benchsmoke benchcheck ci
+.PHONY: all build vet test race lint audit fuzzsmoke bench benchsmoke benchcheck ci
 
 all: ci
 
@@ -34,6 +34,13 @@ lint: vet
 audit:
 	$(GO) test -tags=invariants ./...
 
+# Ten seconds of FuzzTableOps beyond its checked-in seeds: requests,
+# commits, aborts and the detector's queue surgery in arbitrary order,
+# the table's invariants — the maintained active set among them —
+# checked after every operation.
+fuzzsmoke:
+	$(GO) test -run xxx -fuzz FuzzTableOps -fuzztime 10s ./internal/table
+
 # Full bench sweep with allocation stats; the text output is archived
 # alongside a JSON rendering (cmd/benchjson) for diffing across PRs.
 bench:
@@ -61,4 +68,4 @@ benchcheck:
 # The gate CI runs: everything must pass, including the race detector
 # over the cross-shard stress tests, the static analyzers, and the
 # invariants-tagged audit suite.
-ci: build lint test race audit benchcheck
+ci: build lint test race audit fuzzsmoke benchcheck

@@ -31,12 +31,17 @@ type auditState struct {
 // over (after the copy-out and any test hook). The resolution checks
 // judge the detector against its actual input — the possibly torn
 // snapshot — not the live shards; live divergence is validate-then-
-// act's concern, exercised separately.
+// act's concern, exercised separately. That input is the active-only
+// copy, so the graph and the oracle's clone are built from the same
+// projection the detector sees; that leaving the inactive resources out
+// preserves the output is checked elsewhere — by the STW oracle over
+// the live multiTable in the three-way differential, and by
+// internal/table's TestActiveCopyEquivalence.
 func (m *Manager) auditPreSnapshot() *auditState {
 	if !m.opts.Audit {
 		return nil
 	}
-	tb := m.snap.Table()
+	tb := m.snap.ActiveTable()
 	return &auditState{graph: twbg.Build(tb), clone: tb.Clone()}
 }
 
@@ -53,7 +58,7 @@ func (m *Manager) auditPostSnapshot(pre *auditState, res detect.Result) {
 	}
 	vs := audit.CheckGraph(pre.graph)
 	vs = append(vs, audit.CheckResolutions(pre.graph, pre.clone, res.Resolutions)...)
-	vs = append(vs, audit.CheckAcyclic(m.snap.Table())...)
+	vs = append(vs, audit.CheckAcyclic(m.snap.ActiveTable())...)
 	m.stopTheWorld()
 	vs = append(vs, audit.CheckTables(m.shardTables())...)
 	m.resumeTheWorld()

@@ -27,7 +27,7 @@ func (m *Manager) auditPreSTW() *auditState {
 		dirty[i] = i
 	}
 	snap.MergeShards(dirty)
-	return &auditState{graph: twbg.Build(m.mt), clone: snap.Table()}
+	return &auditState{graph: twbg.Build(m.mt), clone: snap.ActiveTable()}
 }
 
 // auditPostSTW runs the checks with the world still stopped: the live

@@ -15,6 +15,7 @@ package hwtwbg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -441,12 +442,17 @@ func BenchmarkMetricsSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorActivation prices one snapshot-detector activation
-// at varying dirty fractions: 32 populated shards, of which 0%, 10% or
-// 90% see lock churn between activations. dirty0 is the incremental
-// snapshot's best case (every shard reused), dirty90 approaches the
-// full-copy cost plus the epoch bookkeeping. Churn runs outside the
-// timer, so the number is the activation alone.
+// BenchmarkDetectorActivation prices one snapshot-detector activation.
+// dirtyN: 32 populated shards, of which 0%, 10% or 90% see lock churn
+// between activations — dirty0 is the incremental snapshot's best case
+// (every shard reused), dirty90 recopies nearly everything. bystandersN:
+// hwbench's deadlock_storm shape — N locks that no one waits on, held by
+// 512 pinned transactions, and four X-rings of four transactions closed
+// into deadlocks that the activation resolves; an activation copies what
+// can carry an edge, so the 4096-lock table must cost what the 2048-lock
+// one does (TestActivationCostIgnoresBystanders asserts it). Churn and
+// ring set-up run outside the timer, so the number is the activation
+// alone.
 func BenchmarkDetectorActivation(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -492,6 +498,100 @@ func BenchmarkDetectorActivation(b *testing.B) {
 				m.Detect()
 			}
 		})
+	}
+	for _, locks := range []int{2048, 4096} {
+		b.Run(fmt.Sprintf("bystanders%d", locks), func(b *testing.B) {
+			s := newRingStorm(b, 512, locks/512)
+			defer s.close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s.arm(b)
+				b.StartTimer()
+				st := s.m.Detect()
+				b.StopTimer()
+				if st.Aborted != stormRings {
+					b.Fatalf("activation = %+v, want %d aborts", st, stormRings)
+				}
+				s.drain(b)
+			}
+		})
+	}
+}
+
+// ringStorm drives hwbench's deadlock_storm shape against one manager:
+// bystander transactions pinned on locks that nobody else wants, and per
+// round stormRings X-rings of four transactions, each closed into a
+// deadlock.
+type ringStorm struct {
+	m     *Manager
+	pins  []*Txn
+	round int
+	txns  [stormRings * 4]*Txn
+	done  chan error
+}
+
+const stormRings = 4
+
+func newRingStorm(tb testing.TB, bystanders, locksEach int) *ringStorm {
+	s := &ringStorm{m: Open(Options{Shards: 2}), done: make(chan error, stormRings*4)}
+	ctx := context.Background()
+	for i := 0; i < bystanders; i++ {
+		pin := s.m.Begin()
+		for j := 0; j < locksEach; j++ {
+			if err := pin.Lock(ctx, ResourceID(fmt.Sprintf("by/%d/%d", i, j)), S); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		s.pins = append(s.pins, pin)
+	}
+	return s
+}
+
+func (s *ringStorm) close() { s.m.Close() }
+
+// arm builds the round's rings and returns once every member is
+// blocked: member j of a ring holds resource j and waits for j+1.
+func (s *ringStorm) arm(tb testing.TB) {
+	ctx := context.Background()
+	s.round++
+	name := func(ring, j int) ResourceID {
+		return ResourceID(fmt.Sprintf("ring/%d/%d/%d", s.round, ring, j%4))
+	}
+	for i := range s.txns {
+		s.txns[i] = s.m.Begin()
+		if err := s.txns[i].Lock(ctx, name(i/4, i), X); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i, tx := range s.txns {
+		go func(tx *Txn, r ResourceID) {
+			err := tx.Lock(ctx, r, X)
+			if err == nil {
+				err = tx.Commit()
+			} else if errors.Is(err, ErrAborted) {
+				tx.Abort()
+				err = nil
+			}
+			s.done <- err
+		}(tx, name(i/4, i+1))
+		for !s.m.Blocked(tx.ID()) {
+			runtime.Gosched()
+		}
+	}
+}
+
+// drain waits until every member of the round has finished: the victims
+// abort, and each ring then unwinds one commit at a time.
+func (s *ringStorm) drain(tb testing.TB) {
+	for range s.txns {
+		if err := <-s.done; err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, tx := range s.txns {
+		tx.Recycle()
 	}
 }
 

@@ -241,6 +241,14 @@ type ShardStat struct {
 //
 //hwlint:wire emit actphase
 type ActivationReport struct {
+	// Time is the instant the activation turned from searching to
+	// acting: it began Total−Validate earlier and ended Validate later.
+	// Every copy its decisions were made from precedes that instant, and
+	// everything acting on them sets off — a woken waiter's grant, a
+	// victim's abort, each stamped by its own goroutine's clock —
+	// follows it. The activation's end would not order that way: a
+	// waiter woken by the first resolution can stamp its grant before
+	// the last one is applied.
 	Time time.Time `json:"time"`
 	Seq  int       `json:"seq"` // 1-based activation number
 
@@ -379,11 +387,11 @@ func Open(opts Options) *Manager {
 	if cost == nil {
 		// The default metric prices a candidate from the snapshot itself,
 		// since the live shards are unlocked while the algorithm runs.
-		cost = func(id TxnID) float64 { return float64(m.snap.Table().HeldCount(id) + 1) }
+		cost = func(id TxnID) float64 { return float64(m.snap.HeldCount(id) + 1) }
 	}
-	// The detector runs over the snapshot's view, whose resource
-	// iteration is restricted to resources that can contribute graph
-	// edges (exactly output-preserving; see table.SnapView).
+	// The detector runs over the snapshot's view, which holds only the
+	// resources that can contribute graph edges (exactly output-
+	// preserving; see table.SnapView).
 	m.snapDet = detect.New(m.snap.View(), detect.Config{Cost: cost, DisableTDR2: opts.DisableTDR2})
 	m.cost = newCostModel(opts.now)
 	m.schedMin, m.schedMax = schedBounds(opts.Period, opts.MaxPeriod)
@@ -582,6 +590,9 @@ func (m *Manager) recordActivation(rep ActivationReport, aborted, repositioned [
 // own cycle edges, then the salvages. Emission order is what groups an
 // edge with its resolution when the records are read back (two cycles of
 // one activation can share a vertex). Called outside all manager locks.
+// The records share the report's stamp (see ActivationReport.Time), so
+// in timestamp order the group sits between its evidence and its
+// effects whatever the scheduler does.
 func (m *Manager) journalActivation(rep ActivationReport, aborted, repositioned []detect.Resolution, salvaged []TxnID) {
 	if m.jr == nil {
 		return

@@ -449,8 +449,12 @@ func (d *Detector) step2() {
 				continue
 			}
 			if d.verts[w].ancestor != 0 {
+				if !d.victimSelection(v, w) {
+					d.emit(TraceEvent{Kind: TraceSkip, From: v, To: w})
+					vv.cur++
+					continue
+				}
 				d.cycles++
-				d.victimSelection(v, w)
 				v = w
 				continue
 			}

@@ -14,8 +14,9 @@ type TraceKind uint8
 const (
 	// TraceVisit: the walk moved forward along an edge to a new vertex.
 	TraceVisit TraceKind = iota
-	// TraceSkip: the walk skipped an edge (end-of-queue 0 or an
-	// exhausted/killed target).
+	// TraceSkip: the walk skipped an edge (end-of-queue 0, an
+	// exhausted/killed target, or — on a torn snapshot only — one that
+	// would close a cycle of W edges alone, which is no deadlock).
 	TraceSkip
 	// TraceBacktrack: the walk retreated to the vertex's ancestor.
 	TraceBacktrack

@@ -29,9 +29,34 @@ type candidate struct {
 //     mode is compatible with the total mode of the resource it waits on
 //     is additionally a TDR-2 candidate with cost sum(Cost(ST))/2, since
 //     the ST transactions are delayed, not aborted.
-func (d *Detector) victimSelection(v, w table.TxnID) {
-	// Reconstruct the cycle: ancestors lead from v back to w; the edge
-	// v -> w closes it. In cycle order the vertices are w, ..., v.
+//
+// It reports false, having changed, allocated and traced nothing, when
+// the cycle has no junction. On a consistent table that cannot happen
+// (Lemma 3: every cycle has at least two TRRPs), but a snapshot merged
+// from shards copied at different instants can show one transaction
+// queued at two resources, and two such transactions adjacent in
+// opposite orders make a cycle of W edges alone. That is no deadlock,
+// and the caller steps over the edge that closed it.
+func (d *Detector) victimSelection(v, w table.TxnID) bool {
+	// outEdge(u) is the cycle edge leaving u: the edge its cursor points
+	// at (cursors only advance past skipped edges, so the tree edge and
+	// the closing edge are still current).
+	outEdge := func(u table.TxnID) wedge {
+		vu := d.verts[u]
+		return vu.edges[vu.cur]
+	}
+
+	// The cycle's vertices are v and its ancestors up to w; the edge
+	// v -> w closes it. A junction is one whose cycle edge is H-labeled.
+	junction := outEdge(w).Mode == lock.NL
+	for u := v; u != w && !junction; u = d.verts[u].ancestor {
+		junction = outEdge(u).Mode == lock.NL
+	}
+	if !junction {
+		return false
+	}
+
+	// Reconstruct the cycle in cycle order: w, ..., v.
 	var rev []table.TxnID
 	for u := v; u != w; u = d.verts[u].ancestor {
 		rev = append(rev, u)
@@ -42,14 +67,6 @@ func (d *Detector) victimSelection(v, w table.TxnID) {
 		cycle = append(cycle, rev[i])
 	}
 	d.emit(TraceEvent{Kind: TraceCycle, From: v, To: w, Cycle: cycle})
-
-	// outEdge(u) is the cycle edge leaving u: the edge its cursor points
-	// at (cursors only advance past skipped edges, so the tree edge and
-	// the closing edge are still current).
-	outEdge := func(u table.TxnID) wedge {
-		vu := d.verts[u]
-		return vu.edges[vu.cur]
-	}
 
 	// Capture the cycle's edge evidence (for snapshot callers to
 	// re-verify): the edge leaving cycle[i] targets cycle[i+1], with the
@@ -132,11 +149,6 @@ func (d *Detector) victimSelection(v, w table.TxnID) {
 		}
 	}
 
-	if best.cost < 0 {
-		// Lemma 3 guarantees at least two TRRPs, hence at least one
-		// junction, in every cycle.
-		panic("detect: cycle without a junction transaction (violates Lemma 3)")
-	}
 	d.apply(best, evidence)
 
 	// Backtracking: clear the ancestor of every backtracked vertex
@@ -144,6 +156,7 @@ func (d *Detector) victimSelection(v, w table.TxnID) {
 	for _, u := range rev {
 		d.verts[u].ancestor = 0
 	}
+	return true
 }
 
 // apply carries out the selected resolution and records it, with the

@@ -6,27 +6,70 @@ import (
 	"hwtwbg/internal/lock"
 )
 
+// fuzzResources are the resources FuzzTableOps draws from.
+var fuzzResources = []ResourceID{"a", "b", "c", "d"}
+
+// Encoders for FuzzTableOps's byte pairs, so the checked-in seeds read
+// as the schedules they are. Modes index IS, IX, S, SIX, X.
+const (
+	fzIS = iota
+	fzIX
+	fzS
+	fzSIX
+	fzX
+)
+
+func fzRequest(txn, res, mode int) []byte { return []byte{0, byte(txn - 1 | res<<3 | mode<<5)} }
+func fzCommit(txn int) []byte             { return []byte{1, byte(txn - 1)} }
+func fzAbort(txn int) []byte              { return []byte{2, byte(txn - 1)} }
+func fzTDR2(res, queuePos int) []byte     { return []byte{3, byte(res<<3 | queuePos<<5)} }
+func fzSchedule(res int) []byte           { return []byte{4, byte(res << 3)} }
+
+func fzSeq(ops ...[]byte) []byte {
+	var out []byte
+	for _, op := range ops {
+		out = append(out, op...)
+	}
+	return out
+}
+
 // FuzzTableOps decodes an arbitrary byte string into a stream of table
 // operations and checks that no operation sequence can panic the table
-// or break its structural invariants. Byte pairs decode as
-// (op, argument): request (with txn/resource/mode packed into the
-// argument), commit, or abort.
+// or break its structural invariants, the maintained active set
+// included. Byte pairs decode as (op, argument): request (with
+// txn/resource/mode packed into the argument), commit, abort, and the
+// detector's two pieces of surgery — a TDR-2 repositioning at a queued
+// junction (followed, as in Step 3, by scheduling that queue) and a bare
+// ScheduleQueue.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x10, 0x23, 0x20, 0x01})
 	f.Add([]byte("crossing locks"))
 	f.Add([]byte{0x00, 0x3f, 0x00, 0x00, 0x10, 0x3f, 0x20, 0x00})
+	// A resource enters the active set, leaves it through each exit, and
+	// enters again. Exit: abort of the only waiter.
+	f.Add(fzSeq(fzRequest(1, 0, fzX), fzRequest(2, 0, fzX), fzAbort(2), fzRequest(3, 0, fzX)))
+	// Exit: a blocked conversion granted by a release; back in by a queue.
+	f.Add(fzSeq(fzRequest(1, 0, fzS), fzRequest(2, 0, fzS), fzRequest(1, 0, fzX), fzCommit(2), fzRequest(3, 0, fzS)))
+	// Exit: the whole queue granted at once by grantFromQueue.
+	f.Add(fzSeq(fzRequest(1, 0, fzX), fzRequest(2, 0, fzS), fzRequest(3, 0, fzS), fzCommit(1), fzRequest(4, 0, fzX)))
+	// Exit: drained, then the record itself retired and recycled.
+	f.Add(fzSeq(fzRequest(1, 0, fzX), fzRequest(2, 0, fzX), fzAbort(2), fzCommit(1), fzRequest(1, 0, fzX), fzRequest(2, 0, fzX)))
+	// The TDR-2 tableau: T3's S is moved ahead of T2's X on a and granted;
+	// a keeps T2 queued and stays active, b is scheduled to no effect.
+	f.Add(fzSeq(fzRequest(1, 0, fzIS), fzRequest(3, 1, fzX), fzRequest(2, 0, fzX), fzRequest(3, 0, fzS), fzRequest(1, 1, fzS),
+		fzTDR2(0, 1), fzSchedule(1), fzAbort(2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tb := New()
 		modes := []lock.Mode{lock.IS, lock.IX, lock.S, lock.SIX, lock.X}
 		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%3, data[i+1]
+			op, arg := data[i]%5, data[i+1]
 			txn := TxnID(arg&0x07 + 1)
+			rid := fuzzResources[(arg>>3)&0x03]
 			switch op {
 			case 0:
 				if tb.Blocked(txn) {
 					continue
 				}
-				rid := ResourceID([]string{"a", "b", "c", "d"}[(arg>>3)&0x03])
 				m := modes[int(arg>>5)%len(modes)]
 				if _, err := tb.Request(txn, rid, m); err != nil {
 					t.Fatalf("Request(%v,%s,%v): %v", txn, rid, m, err)
@@ -38,8 +81,26 @@ func FuzzTableOps(f *testing.F) {
 				if _, err := tb.Release(txn); err != nil {
 					t.Fatalf("Release(%v): %v", txn, err)
 				}
-			default:
+			case 2:
 				tb.Abort(txn)
+			case 3:
+				r := tb.Resource(rid)
+				if r == nil || r.QueueLen() == 0 {
+					continue
+				}
+				j := r.QueueAt(int(arg>>5) % r.QueueLen())
+				if !lock.Comp(j.Blocked, r.TotalMode()) {
+					continue // not a TDR-2 junction (Definition 4.1)
+				}
+				tb.RepositionAVST(rid, j.Txn)
+				// Between Step 2 and Step 3 the queue head is grantable by
+				// design; the active set must already be right.
+				if err := tb.validateActive(); err != nil {
+					t.Fatalf("after RepositionAVST(%s,%v): %v", rid, j.Txn, err)
+				}
+				tb.ScheduleQueue(rid)
+			default:
+				tb.ScheduleQueue(rid)
 			}
 			fuzzCheckInvariants(t, tb)
 		}
@@ -66,5 +127,8 @@ func fuzzCheckInvariants(t *testing.T, tb *Table) {
 		if q := r.Queue(); len(q) > 0 && lock.Comp(q[0].Blocked, r.TotalMode()) {
 			t.Fatalf("%s: grantable queue head %v stranded", r.ID(), q[0])
 		}
+	}
+	if err := tb.validateActive(); err != nil {
+		t.Fatal(err)
 	}
 }

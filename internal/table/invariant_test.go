@@ -99,6 +99,10 @@ func checkInvariants(t *testing.T, tb *Table) {
 			}
 		}
 	}
+	// 8. The maintained active set is exactly the contended resources.
+	if err := tb.validateActive(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRandomWorkloadInvariants drives the table with a long random

@@ -23,30 +23,79 @@ func (opSeq) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(s)
 }
 
+// Decoding of one opSeq element, shared by every replay.
+var (
+	replayModes     = []lock.Mode{lock.IS, lock.IX, lock.S, lock.SIX, lock.X}
+	replayResources = []ResourceID{"q1", "q2", "q3"}
+)
+
+// opRequest encodes the element that makes txn (1..8) request resource
+// res (an index into replayResources) in mode (an index into
+// replayModes), for tests that plant a known state in front of a random
+// sequence.
+func opRequest(txn, res, mode int) uint16 {
+	hi := mode << 2
+	for hi%3 != res { // four consecutive values cover every residue
+		hi++
+	}
+	return uint16(hi<<6 | (txn - 1))
+}
+
 // replay drives a fresh table with the sequence and returns it.
-func replay(s opSeq) *Table {
-	tb := New()
-	modes := []lock.Mode{lock.IS, lock.IX, lock.S, lock.SIX, lock.X}
-	resources := []ResourceID{"q1", "q2", "q3"}
+func replay(s opSeq) *Table { return replaySharded(s, 1)[0] }
+
+// replaySharded drives n fresh tables as the shards of one lock manager:
+// resource k lives in table k%n, a transaction blocked in one shard
+// issues nothing in any, and a commit or abort reaches every shard. The
+// tables together hold exactly what the single table of n = 1 holds.
+func replaySharded(s opSeq, n int) []*Table {
+	tbs := make([]*Table, n)
+	for i := range tbs {
+		tbs[i] = New()
+	}
+	applyOps(tbs, s, nil)
+	return tbs
+}
+
+// applyOps continues the replay on existing shard tables, reporting each
+// shard an operation reaches to touched (if non-nil).
+func applyOps(tbs []*Table, s opSeq, touched func(shard int)) {
+	blocked := func(txn TxnID) bool {
+		for _, tb := range tbs {
+			if tb.Blocked(txn) {
+				return true
+			}
+		}
+		return false
+	}
+	all := func(f func(*Table)) {
+		for i, tb := range tbs {
+			f(tb)
+			if touched != nil {
+				touched(i)
+			}
+		}
+	}
 	for _, code := range s {
 		txn := TxnID(code&0x07 + 1)
 		switch (code >> 3) % 8 {
 		case 6:
-			if !tb.Blocked(txn) {
-				tb.Release(txn)
+			if !blocked(txn) {
+				all(func(tb *Table) { tb.Release(txn) })
 			}
 		case 7:
-			tb.Abort(txn)
+			all(func(tb *Table) { tb.Abort(txn) })
 		default:
-			if tb.Blocked(txn) {
+			if blocked(txn) {
 				continue
 			}
-			rid := resources[(code>>6)%3]
-			m := modes[int(code>>8)%len(modes)]
-			tb.Request(txn, rid, m)
+			k := int(code>>6) % len(replayResources)
+			tbs[k%len(tbs)].Request(txn, replayResources[k], replayModes[int(code>>8)%len(replayModes)])
+			if touched != nil {
+				touched(k % len(tbs))
+			}
 		}
 	}
-	return tb
 }
 
 // TestQuickRepositionPreservesQueue: for any reachable state and any
@@ -72,6 +121,9 @@ func TestQuickRepositionPreservesQueue(t *testing.T) {
 		j := before[int(pick)%len(before)].Txn
 		av, st := tb.RepositionAVST(r.ID(), j)
 		after := r.Queue()
+		if tb.validateActive() != nil {
+			return false
+		}
 
 		if len(after) != len(before) {
 			return false
@@ -135,29 +187,10 @@ func TestQuickCloneEquivalence(t *testing.T) {
 			return false
 		}
 		// Apply the same suffix to both.
-		apply := func(target *Table) {
-			modes := []lock.Mode{lock.IS, lock.IX, lock.S, lock.SIX, lock.X}
-			resources := []ResourceID{"q1", "q2", "q3"}
-			for _, code := range suffix {
-				txn := TxnID(code&0x07 + 1)
-				switch (code >> 3) % 8 {
-				case 6:
-					if !target.Blocked(txn) {
-						target.Release(txn)
-					}
-				case 7:
-					target.Abort(txn)
-				default:
-					if target.Blocked(txn) {
-						continue
-					}
-					target.Request(txn, resources[(code>>6)%3], modes[int(code>>8)%len(modes)])
-				}
-			}
-		}
+		apply := func(target *Table) { applyOps([]*Table{target}, suffix, nil) }
 		apply(tb)
 		apply(c)
-		return tb.String() == c.String()
+		return tb.String() == c.String() && tb.validateActive() == nil && c.validateActive() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -149,6 +149,7 @@ func (t *Table) grantFromQueue(r *Resource) {
 		st.upgrading = false
 		t.grantBuf = append(t.grantBuf, Grant{Txn: q.Txn, Resource: r.id, Mode: q.Blocked})
 	}
+	t.deactivate(r)
 }
 
 // ScheduleQueue runs the queue-grant process on rid without any removal.

@@ -106,6 +106,7 @@ func (t *Table) convert(st *txnState, r *Resource, i int, m lock.Mode) bool {
 	} else {
 		r.insertUpgrader(entry)
 	}
+	t.activate(r)
 	st.waitingOn = r
 	st.waitMode = newMode
 	st.upgrading = true
@@ -123,6 +124,7 @@ func (t *Table) newRequest(st *txnState, r *Resource, txn TxnID, m lock.Mode) bo
 		return true
 	}
 	r.queue = append(r.queue, QueueEntry{Txn: txn, Blocked: m})
+	t.activate(r)
 	st.waitingOn = r
 	st.waitMode = m
 	st.upgrading = false

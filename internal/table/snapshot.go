@@ -8,179 +8,175 @@ import (
 	"hwtwbg/internal/lock"
 )
 
-// Snapshot is a reusable deep copy of one or more lock tables, merged
-// into a single *Table view. The sharded manager fills one per detector
-// activation — each shard is copied under its own mutex — and the
-// detector then runs over the merge with no shard locks held at all.
+// Snapshot is a reusable copy of the part of one or more lock tables
+// that can carry a graph edge, merged into a single *Table view. The
+// sharded manager fills one per detector activation — each shard is
+// copied under its own mutex — and the detector then runs over the
+// merge with no shard locks held at all.
+//
+// ECR 1–3 draw edges only at resources with a queued waiter or a
+// blocked conversion, so that is all a copy takes: each source table
+// maintains that active set (Table.active), and CopyShard copies its
+// Resource records plus, for the victim cost, how many locks each
+// transaction of the shard holds. Everything else — merged wait/hold
+// state, the id-sorted iteration order — is derived from those records.
+// A copy therefore costs what the contention costs, not what the lock
+// table does; the one term that is not bounded by the active set is the
+// flat held-count list, one pair of ints per transaction of the shard.
 //
 // Storage is split into per-shard sub-snapshots so the copy can be
-// incremental: each source shard owns a private arena of Resource and
-// fragment records plus the sorted id lists describing what it
-// contributed last round. A shard whose mutation epoch is unchanged is
-// skipped entirely — its records stay byte-for-byte in place, still
-// wired into the merged table — and only dirty shards are recopied and
-// re-merged (diffing the old and new id lists, so the merge cost is
-// proportional to churn, not table size). Records are recycled through
-// per-sub freelists, so a steady-state copy-out allocates (almost)
-// nothing whether the round is incremental or full.
+// incremental: a shard whose mutation epoch is unchanged is skipped
+// entirely — its records stay in place and are merged again as they
+// are — and only dirty shards are recopied. Records are recycled
+// through per-sub freelists, so a steady-state copy-out allocates
+// (almost) nothing whether the round is incremental or full.
 //
 // A round is BeginRound, then per shard either ShardClean (skip) or
 // CopyShard+FinishShard, then one MergeShards call with the dirty
-// indexes. CopyShard for distinct indexes may run concurrently;
-// everything else is serial. Resource identity is assumed disjoint
-// between source tables (each resource lives in exactly one shard); a
-// transaction whose locks span several has its held list merged.
+// indexes. Resource identity is assumed disjoint between source tables
+// (each resource lives in exactly one shard); a transaction whose locks
+// span several has its held list merged.
 //
-// Detection runs over View, which restricts the resource iteration to
-// resources that can contribute graph edges (see SnapView). Mutating
-// the snapshot through the view (a detector applying its resolutions)
-// marks it dirty, and the next BeginRound/Reset rebuilds everything
-// from scratch — mutation breaks the sub-arena/merge invariants, and
-// deadlock resolutions are rare enough that a one-round full recopy
-// costs nothing in steady state.
+// Detection runs over View. A detector applying its resolutions to the
+// snapshot through the view rewrites records in place; the subs owning
+// those records stop being clean, so the next round recopies them — and
+// only them.
 type Snapshot struct {
 	tb   *Table
 	subs []*subSnapshot
 
 	// stFree recycles merged txnState records (unbounded: holds at most
-	// the peak live-transaction count, like the sub arenas).
+	// the peak count of transactions at active resources).
 	stFree []*txnState
-
-	// affected is the per-merge scratch set of transactions whose merged
-	// state must be rebuilt (every txn added to or removed from a dirty
-	// shard this round).
-	affected map[TxnID]struct{}
-
-	// fragShards maps each transaction to the bitmask of sub indexes
-	// holding a fragment for it, so rebuilding a merged state visits
-	// only the shards that contribute. Maintained only while the shard
-	// count fits a word (useMask); beyond that the rebuild scans all
-	// subs.
-	fragShards map[TxnID]uint64
-	useMask    bool
-
-	// active is the merged, id-sorted list of resources that can
-	// contribute graph edges (queued waiters or blocked conversions).
-	active []*Resource
-
-	// mutated is set when the snapshot was modified through its view;
-	// the next round invalidates every sub instead of reusing them.
-	mutated bool
 
 	view SnapView
 }
 
-// subSnapshot is one source shard's contribution: a private record
-// arena plus the sorted contents lists from the current and previous
-// rounds (the merge diffs them).
+// subSnapshot is one source shard's contribution.
 type subSnapshot struct {
 	epoch uint64 // source shard mutation epoch at copy time
-	valid bool   // a copy is present and reusable
+	valid bool   // a copy is present, unmodified, and reusable
 
-	res   map[ResourceID]*Resource
-	frags map[TxnID]*txnFrag
+	recs []*Resource // copies of the source's active resources; id-sorted once finished
+	free []*Resource
 
-	rids, prevRids   []ResourceID
-	txids, prevTxids []TxnID
-	active           []*Resource
-
-	resFree  []*Resource
-	fragFree []*txnFrag
+	// counts is how many locks each transaction holds in the source
+	// shard, active resource or not.
+	counts heldCounts
 }
 
-// txnFrag is one transaction's footprint within a single shard: the
-// held resources (pointing at the sub's own records) and the wait, if
-// the transaction is blocked in this shard.
-type txnFrag struct {
-	held      []*Resource
-	wait      *Resource
-	waitMode  lock.Mode
-	upgrading bool
+// heldCounts maps the transactions of one shard to the number of locks
+// each holds there: an open-addressed table in one flat, pointer-free,
+// reusable slice. It is refilled under the shard mutex on every copy
+// and read only when an activation prices a victim, so filling has to be
+// cheap. On the storm-shaped table of EXPERIMENTS.md E26 a Go map made
+// the shard hold half as long again, and sorting a plain list of pairs
+// on first use cost more than the rest of the activation together.
+type heldCounts struct {
+	slots []heldCount // length a power of two, at most half full; txn None marks a free slot
+	shift uint        // 64 - log2(len(slots))
+}
+
+type heldCount struct {
+	txn TxnID
+	n   int
+}
+
+// reset empties the table and makes room for n transactions.
+func (h *heldCounts) reset(n int) {
+	size := 8
+	for size < 2*n {
+		size <<= 1
+	}
+	if size <= cap(h.slots) {
+		h.slots = h.slots[:size]
+		clear(h.slots)
+	} else {
+		h.slots = make([]heldCount, size)
+	}
+	h.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// slot returns txn's slot, or the free slot where it belongs. The
+// multiplicative hash spreads the sequential ids transactions get.
+func (h *heldCounts) slot(txn TxnID) *heldCount {
+	i := int(uint64(txn) * 0x9E3779B97F4A7C15 >> h.shift)
+	for h.slots[i].txn != txn && h.slots[i].txn != None {
+		i = (i + 1) & (len(h.slots) - 1)
+	}
+	return &h.slots[i]
 }
 
 // NewSnapshot returns an empty snapshot.
 func NewSnapshot() *Snapshot {
-	s := &Snapshot{
-		tb:         New(),
-		affected:   make(map[TxnID]struct{}),
-		fragShards: make(map[TxnID]uint64),
-		useMask:    true,
-	}
+	s := &Snapshot{tb: New()}
 	s.view.s = s
 	return s
 }
 
-// Table returns the merged table view. It implements everything a
+// ActiveTable returns the merged table: the active resources of every
+// copied shard and the transactions holding or waiting at them, with
+// held lists restricted to those resources — so its Held and HeldCount
+// answer for active resources only, and a victim is priced with
+// Snapshot.HeldCount instead (the root package's
+// TestDefaultCostCountsInactiveLocks). It implements everything a
 // detector needs (including mutation: aborts and repositionings applied
 // to a snapshot stay in the snapshot). The pointer is stable across
 // Reset, so a detect.Detector can be bound to it once.
-func (s *Snapshot) Table() *Table { return s.tb }
+func (s *Snapshot) ActiveTable() *Table { return s.tb }
 
 // View returns the detection-facing view of the merged table. The
 // pointer is stable across rounds.
 func (s *Snapshot) View() *SnapView { return &s.view }
 
+// HeldCount returns the number of locks txn held across the copied
+// shards, inactive resources included — what Table.HeldCount summed
+// over the sources said at their copy instants.
+func (s *Snapshot) HeldCount(txn TxnID) int {
+	n := 0
+	for _, sub := range s.subs {
+		n += sub.counts.slot(txn).n
+	}
+	return n
+}
+
 // Reset forgets every copy, so the next round recopies every shard,
 // keeping every arena and slice capacity for reuse.
-func (s *Snapshot) Reset() { s.invalidate() }
-
-// invalidate forgets every copy: all records are retired to their
-// freelists (capacities preserved) and the merged table is emptied.
-func (s *Snapshot) invalidate() {
+func (s *Snapshot) Reset() {
 	for _, sub := range s.subs {
-		for rid, r := range sub.res {
-			delete(sub.res, rid)
-			sub.retireRes(r)
-		}
-		for id, f := range sub.frags {
-			delete(sub.frags, id)
-			sub.retireFrag(f)
-		}
-		sub.rids = sub.rids[:0]
-		sub.prevRids = sub.prevRids[:0]
-		sub.txids = sub.txids[:0]
-		sub.prevTxids = sub.prevTxids[:0]
-		sub.active = sub.active[:0]
+		sub.retire()
+		sub.counts.reset(0)
 		sub.valid = false
-		sub.epoch = 0
 	}
-	for id, st := range s.tb.txns {
-		delete(s.tb.txns, id)
+	s.clearMerged()
+}
+
+// clearMerged empties the merged table, recycling its transaction
+// states.
+func (s *Snapshot) clearMerged() {
+	tb := s.tb
+	for _, st := range tb.txns {
 		s.freeState(st)
 	}
-	clear(s.tb.resources)
-	clear(s.fragShards)
-	clear(s.affected)
-	s.tb.resCache = s.tb.resCache[:0]
-	s.tb.resDirty = true
-	// The detector's view mutators retire records it deletes into the
-	// merged table's own freelists; those records belong to the sub
-	// arenas, so drop the aliases.
-	s.tb.resFree = s.tb.resFree[:0]
-	s.tb.stFree = s.tb.stFree[:0]
-	s.active = s.active[:0]
-	s.mutated = false
+	clear(tb.txns)
+	clear(tb.resources)
+	tb.active = tb.active[:0]
+	tb.resDirty = true
+	// A detector's aborts retire what they delete into the merged
+	// table's own freelists. The transaction states are ours to reuse;
+	// the Resource records belong to the sub arenas, so drop the aliases.
+	s.stFree = append(s.stFree, tb.stFree...)
+	tb.stFree = tb.stFree[:0]
+	tb.resFree = tb.resFree[:0]
 }
 
-// BeginRound prepares an indexed round over n source shards. If the
-// previous round's snapshot was mutated (a detector applied
-// resolutions to it), every sub is invalidated so the whole table is
-// recopied.
+// BeginRound prepares an indexed round over n source shards.
 func (s *Snapshot) BeginRound(n int) {
-	s.ensureSubs(n)
-	if s.mutated {
-		s.invalidate()
-	}
-}
-
-func (s *Snapshot) ensureSubs(n int) {
 	for len(s.subs) < n {
-		s.subs = append(s.subs, &subSnapshot{
-			res:   make(map[ResourceID]*Resource),
-			frags: make(map[TxnID]*txnFrag),
-		})
+		sub := &subSnapshot{}
+		sub.counts.reset(0)
+		s.subs = append(s.subs, sub)
 	}
-	s.useMask = len(s.subs) <= 64
 }
 
 // ShardClean reports whether sub i holds a reusable copy taken at
@@ -191,229 +187,97 @@ func (s *Snapshot) ShardClean(i int, epoch uint64) bool {
 	return sub.valid && sub.epoch == epoch
 }
 
-// ShardHadWaiters reports whether sub i's last copy contributed any
-// active resources (queued waiters or blocked conversions) — the
-// pre-filter deciding whether a clean shard can possibly affect the
-// graph.
-func (s *Snapshot) ShardHadWaiters(i int) bool {
-	return len(s.subs[i].active) > 0
-}
-
-// CopyShard deep-copies table t into sub i, recording the source's
-// mutation epoch. The caller must hold t's mutex for the duration;
-// calls for distinct indexes may run concurrently (each touches only
-// its own sub). FinishShard(i) must follow before MergeShards sees i.
+// CopyShard copies table t's active set and held counts into sub i,
+// recording the source's mutation epoch. The caller must hold t's mutex
+// for the duration. FinishShard(i) must follow before MergeShards sees
+// i.
 func (s *Snapshot) CopyShard(t *Table, i int, epoch uint64) {
 	sub := s.subs[i]
-	sub.prevRids, sub.rids = sub.rids, sub.prevRids[:0]
-	sub.prevTxids, sub.txids = sub.txids, sub.prevTxids[:0]
-	sub.active = sub.active[:0]
-	for rid, r := range t.resources {
-		nr := sub.res[rid]
-		if nr == nil {
-			nr = sub.allocRes()
-			sub.res[rid] = nr
-		}
-		nr.id = rid
+	sub.retire()
+	for _, r := range t.active {
+		nr := sub.allocRes()
+		nr.id = r.id
 		nr.total = r.total
-		nr.holders = append(nr.holders[:0], r.holders...)
-		nr.queue = append(nr.queue[:0], r.queue...)
-		sub.rids = append(sub.rids, rid)
-		if len(nr.queue) > 0 || nr.blockedLen() > 0 {
-			sub.active = append(sub.active, nr)
-		}
+		nr.holders = append(nr.holders, r.holders...)
+		nr.queue = append(nr.queue, r.queue...)
+		sub.recs = append(sub.recs, nr)
 	}
+	sub.counts.reset(len(t.txns))
 	for id, st := range t.txns {
-		if len(st.held) == 0 && st.waitingOn == nil {
-			continue
+		if n := len(st.held); n > 0 {
+			*sub.counts.slot(id) = heldCount{id, n}
 		}
-		f := sub.frags[id]
-		if f == nil {
-			f = sub.allocFrag()
-			sub.frags[id] = f
-		}
-		f.held = f.held[:0]
-		for _, r := range st.held {
-			f.held = append(f.held, sub.res[r.id])
-		}
-		if st.waitingOn != nil {
-			f.wait = sub.res[st.waitingOn.id]
-			f.waitMode = st.waitMode
-			f.upgrading = st.upgrading
-		} else {
-			f.wait = nil
-			f.waitMode = lock.NL
-			f.upgrading = false
-		}
-		sub.txids = append(sub.txids, id)
 	}
 	sub.epoch = epoch
 	sub.valid = true
 }
 
-// FinishShard sorts sub i's contents lists. It is split from CopyShard
-// so the sorting happens outside the source shard's mutex.
+// FinishShard sorts sub i's records by id, which is how touch finds a
+// record's owner. It is split from CopyShard so the sorting happens
+// outside the source shard's mutex.
 func (s *Snapshot) FinishShard(i int) {
-	sub := s.subs[i]
-	slices.Sort(sub.rids)
-	slices.Sort(sub.txids)
-	slices.SortFunc(sub.active, func(a, b *Resource) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(s.subs[i].recs, compareID)
 }
 
-// MergeShards folds the listed dirty subs into the merged table:
-// resources and fragments that disappeared since the sub's previous
-// copy are retired, new ones wired in, and the merged wait/hold state
-// of every transaction touched by a dirty shard is rebuilt (reading the
-// clean shards' fragments in place). Merge cost is proportional to the
-// dirty shards' content, not the table.
+func compareID(a, b *Resource) int { return cmp.Compare(a.id, b.id) }
+
+// MergeShards rebuilds the merged table after the listed dirty subs
+// were recopied: every valid sub's records, clean or fresh, are wired
+// in, and each transaction's wait/hold state is reassembled from the
+// holder and queue entries that name it. Subs are visited in ascending
+// index order, so the merged held lists and the "first wait seen"
+// tie-break (a torn multi-shard copy can show one transaction waiting
+// in two shards) do not depend on which shards happened to be dirty.
+// The cost is proportional to the entries at active resources — the
+// size of the graph Step 1 is about to build from them.
 func (s *Snapshot) MergeShards(dirty []int) {
 	if len(dirty) == 0 {
 		return
 	}
-	clear(s.affected)
-	setChanged := false
-	for _, i := range dirty {
-		sub := s.subs[i]
-		// Resource diff: prevRids and rids are sorted.
-		a, b := sub.prevRids, sub.rids
-		x, y := 0, 0
-		for x < len(a) || y < len(b) {
-			switch {
-			case y >= len(b) || (x < len(a) && a[x] < b[y]):
-				rid := a[x]
-				x++
-				if r := sub.res[rid]; r != nil {
-					delete(sub.res, rid)
-					delete(s.tb.resources, rid)
-					sub.retireRes(r)
-				}
-				setChanged = true
-			case x >= len(a) || b[y] < a[x]:
-				rid := b[y]
-				y++
-				s.tb.resources[rid] = sub.res[rid]
-				setChanged = true
-			default:
-				// Unchanged id: the record was rewritten in place and the
-				// merged table already points at it.
-				x++
-				y++
-			}
-		}
-		// Fragment diff: every txn present in either round is affected.
-		bit := uint64(1) << uint(i&63)
-		a2, b2 := sub.prevTxids, sub.txids
-		x, y = 0, 0
-		for x < len(a2) || y < len(b2) {
-			switch {
-			case y >= len(b2) || (x < len(a2) && a2[x] < b2[y]):
-				id := a2[x]
-				x++
-				if f := sub.frags[id]; f != nil {
-					delete(sub.frags, id)
-					sub.retireFrag(f)
-				}
-				if s.useMask {
-					if m := s.fragShards[id] &^ bit; m == 0 {
-						delete(s.fragShards, id)
-					} else {
-						s.fragShards[id] = m
-					}
-				}
-				s.affected[id] = struct{}{}
-			case x >= len(a2) || b2[y] < a2[x]:
-				id := b2[y]
-				y++
-				if s.useMask {
-					s.fragShards[id] |= bit
-				}
-				s.affected[id] = struct{}{}
-			default:
-				s.affected[a2[x]] = struct{}{}
-				x++
-				y++
-			}
-		}
-	}
-	if setChanged {
-		s.tb.resDirty = true
-	}
-	for id := range s.affected {
-		s.rebuildTxn(id)
-	}
-	s.rebuildActive()
-}
-
-// rebuildTxn reassembles the merged wait/hold state of one transaction
-// from its per-shard fragments, in ascending sub index order — the same
-// order a sequential full copy visits shards, so the merged held list
-// and the "first wait seen" tie-break (a torn multi-shard copy can show
-// one transaction waiting in two shards) are byte-identical to a full
-// copy of the same sub contents.
-func (s *Snapshot) rebuildTxn(id TxnID) {
-	st := s.tb.txns[id]
-	if st != nil {
-		st.held = st.held[:0]
-		st.waitingOn = nil
-		st.waitMode = lock.NL
-		st.upgrading = false
-	}
-	add := func(f *txnFrag) {
-		if st == nil {
-			st = s.allocState()
-			s.tb.txns[id] = st
-		}
-		st.held = append(st.held, f.held...)
-		if f.wait != nil && st.waitingOn == nil {
-			st.waitingOn = f.wait
-			st.waitMode = f.waitMode
-			st.upgrading = f.upgrading
-		}
-	}
-	if s.useMask {
-		for m := s.fragShards[id]; m != 0; {
-			i := bits.TrailingZeros64(m)
-			m &^= 1 << uint(i)
-			if f := s.subs[i].frags[id]; f != nil {
-				add(f)
-			}
-		}
-	} else {
-		for _, sub := range s.subs {
-			if !sub.valid {
-				continue
-			}
-			if f := sub.frags[id]; f != nil {
-				add(f)
-			}
-		}
-	}
-	if st != nil && len(st.held) == 0 && st.waitingOn == nil {
-		delete(s.tb.txns, id)
-		s.freeState(st)
-	}
-}
-
-// rebuildActive reassembles the merged id-sorted active-resource list
-// from the per-sub lists.
-func (s *Snapshot) rebuildActive() {
-	s.active = s.active[:0]
+	s.clearMerged()
+	tb := s.tb
 	for _, sub := range s.subs {
 		if !sub.valid {
 			continue
 		}
-		s.active = append(s.active, sub.active...)
+		for _, r := range sub.recs {
+			tb.resources[r.id] = r
+			tb.active = append(tb.active, r)
+			for _, h := range r.holders {
+				st := s.state(h.Txn)
+				st.held = append(st.held, r)
+				if h.Blocked != lock.NL && st.waitingOn == nil {
+					st.waitingOn, st.waitMode, st.upgrading = r, h.Blocked, true
+				}
+			}
+			for _, q := range r.queue {
+				if st := s.state(q.Txn); st.waitingOn == nil {
+					st.waitingOn, st.waitMode, st.upgrading = r, q.Blocked, false
+				}
+			}
+		}
 	}
-	slices.SortFunc(s.active, func(a, b *Resource) int { return cmp.Compare(a.id, b.id) })
+	// The merged active set doubles as the view's iteration order, which
+	// must be by resource id across shards.
+	slices.SortFunc(tb.active, compareID)
+	for i, r := range tb.active {
+		r.activeIdx = i + 1
+	}
 }
 
-func (s *Snapshot) allocState() *txnState {
-	if n := len(s.stFree); n > 0 {
-		st := s.stFree[n-1]
-		s.stFree = s.stFree[:n-1]
-		return st
+// state returns txn's merged state, creating it on first mention.
+func (s *Snapshot) state(txn TxnID) *txnState {
+	st := s.tb.txns[txn]
+	if st == nil {
+		if n := len(s.stFree); n > 0 {
+			st = s.stFree[n-1]
+			s.stFree = s.stFree[:n-1]
+		} else {
+			st = &txnState{}
+		}
+		s.tb.txns[txn] = st
 	}
-	return &txnState{}
+	return st
 }
 
 func (s *Snapshot) freeState(st *txnState) {
@@ -424,53 +288,51 @@ func (s *Snapshot) freeState(st *txnState) {
 	s.stFree = append(s.stFree, st)
 }
 
+// touch marks the sub owning record r as needing a recopy: the caller
+// is about to rewrite r in place. Subs already marked are skipped —
+// an earlier rewrite may have blanked one of their ids, and a sub need
+// not be marked twice.
+func (s *Snapshot) touch(r *Resource) {
+	for _, sub := range s.subs {
+		if !sub.valid {
+			continue
+		}
+		if i, ok := slices.BinarySearchFunc(sub.recs, r, compareID); ok && sub.recs[i] == r {
+			sub.valid = false
+			return
+		}
+	}
+}
+
+// retire moves every record of the sub to its freelist, capacities
+// preserved.
+func (sub *subSnapshot) retire() {
+	sub.free = append(sub.free, sub.recs...)
+	sub.recs = sub.recs[:0]
+}
+
 func (sub *subSnapshot) allocRes() *Resource {
-	if n := len(sub.resFree); n > 0 {
-		r := sub.resFree[n-1]
-		sub.resFree = sub.resFree[:n-1]
+	if n := len(sub.free); n > 0 {
+		r := sub.free[n-1]
+		sub.free = sub.free[:n-1]
+		r.holders = r.holders[:0]
+		r.queue = r.queue[:0]
 		return r
 	}
 	return &Resource{}
 }
 
-func (sub *subSnapshot) retireRes(r *Resource) {
-	r.id = ""
-	r.total = lock.NL
-	r.holders = r.holders[:0]
-	r.queue = r.queue[:0]
-	sub.resFree = append(sub.resFree, r)
-}
-
-func (sub *subSnapshot) allocFrag() *txnFrag {
-	if n := len(sub.fragFree); n > 0 {
-		f := sub.fragFree[n-1]
-		sub.fragFree = sub.fragFree[:n-1]
-		return f
-	}
-	return &txnFrag{}
-}
-
-func (sub *subSnapshot) retireFrag(f *txnFrag) {
-	f.held = f.held[:0]
-	f.wait = nil
-	f.waitMode = lock.NL
-	f.upgrading = false
-	sub.fragFree = append(sub.fragFree, f)
-}
-
 // SnapView is the detection-facing view of a snapshot: reads delegate
-// to the merged table, but EachResource iterates only the *active*
-// resources — those with a queued waiter or a blocked conversion.
-// Resources with neither contribute no vertex and no edge to the
-// H/W-TWBG (every W-edge needs a queue entry; every H-edge needs a
-// blocked party, and NL is compatible with every mode), so skipping
-// them is exactly output-preserving while making the build scan
-// proportional to contention rather than table size.
+// to the merged table, and EachResource iterates its resources — all of
+// them active, by construction of the copy — in id order. A resource
+// with neither a queued waiter nor a blocked conversion contributes no
+// vertex and no edge to the H/W-TWBG (every W-edge needs a queue entry;
+// every H-edge needs a blocked party, and NL is compatible with every
+// mode), so leaving it out of the copy is exactly output-preserving.
 //
 // Mutations (a detector applying TDR-1/TDR-2 to its own input) are
-// forwarded to the merged table and mark the snapshot mutated, forcing
-// the next round to recopy every shard — the sub-arena bookkeeping no
-// longer matches the merged table after surgery.
+// forwarded to the merged table after marking the subs whose records
+// they rewrite, so the next round recopies those shards.
 type SnapView struct {
 	s *Snapshot
 }
@@ -478,7 +340,7 @@ type SnapView struct {
 // EachResource calls f for every active resource in id order, stopping
 // if f returns false.
 func (v *SnapView) EachResource(f func(*Resource) bool) {
-	for _, r := range v.s.active {
+	for _, r := range v.s.tb.active {
 		if !f(r) {
 			return
 		}
@@ -498,22 +360,34 @@ func (v *SnapView) PeekAVST(rid ResourceID, j TxnID) (av, st []QueueEntry) {
 	return v.s.tb.PeekAVST(rid, j)
 }
 
-// RepositionAVST applies TDR-2 queue surgery to the snapshot and marks
-// it mutated.
+// RepositionAVST applies TDR-2 queue surgery to the snapshot.
 func (v *SnapView) RepositionAVST(rid ResourceID, j TxnID) (av, st []QueueEntry) {
-	v.s.mutated = true
+	v.touchID(rid)
 	return v.s.tb.RepositionAVST(rid, j)
 }
 
-// Abort applies a TDR-1 abort to the snapshot and marks it mutated.
+// Abort applies a TDR-1 abort to the snapshot. It rewrites every record
+// the victim holds or waits at.
 func (v *SnapView) Abort(txn TxnID) []Grant {
-	v.s.mutated = true
+	if st := v.s.tb.txns[txn]; st != nil {
+		for _, r := range st.held {
+			v.s.touch(r)
+		}
+		if st.waitingOn != nil {
+			v.s.touch(st.waitingOn)
+		}
+	}
 	return v.s.tb.Abort(txn)
 }
 
-// ScheduleQueue reschedules a queue in the snapshot and marks it
-// mutated.
+// ScheduleQueue reschedules a queue in the snapshot.
 func (v *SnapView) ScheduleQueue(rid ResourceID) []Grant {
-	v.s.mutated = true
+	v.touchID(rid)
 	return v.s.tb.ScheduleQueue(rid)
+}
+
+func (v *SnapView) touchID(rid ResourceID) {
+	if r := v.s.tb.resources[rid]; r != nil {
+		v.s.touch(r)
+	}
 }

@@ -2,6 +2,9 @@ package table
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"hwtwbg/internal/lock"
@@ -31,16 +34,49 @@ func buildSnapshotFixture(t *testing.T, tb *Table) {
 	mustReq(5, "R2", lock.X, false) // ...and then queues on R2
 }
 
+// activeString renders what a snapshot of the given tables should hold:
+// their resources with a queued waiter or a blocked conversion, in the
+// paper's notation, one per line, sorted by id.
+func activeString(tbs ...*Table) string {
+	var lines []string
+	for _, tb := range tbs {
+		for _, r := range tb.Resources() {
+			if len(r.queue) > 0 || r.blockedLen() > 0 {
+				lines = append(lines, r.String()+"\n")
+			}
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "")
+}
+
+// activeHeld is txn's held list restricted to active resources, sorted.
+func activeHeld(tb *Table, txn TxnID) []ResourceID {
+	var out []ResourceID
+	for _, rid := range tb.Held(txn) {
+		if r := tb.Resource(rid); len(r.queue) > 0 || r.blockedLen() > 0 {
+			out = append(out, rid)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestSnapshotFullCopy(t *testing.T) {
 	src := New()
 	buildSnapshotFixture(t, src)
 
 	s := NewSnapshot()
 	fullCopy(s, []*Table{src}, 1)
-	got := s.Table()
+	got := s.ActiveTable()
 
-	if got.String() != src.String() {
-		t.Fatalf("snapshot table differs from source:\n got:\n%s\nwant:\n%s", got.String(), src.String())
+	// The snapshot is the source's active projection: R1 and R2 with
+	// their holders and queues; R3, which nobody waits on, is left out.
+	if got.String() != activeString(src) {
+		t.Fatalf("snapshot table differs from the source's active projection:\n got:\n%s\nwant:\n%s", got.String(), activeString(src))
+	}
+	if got.Resource("R3") != nil {
+		t.Fatal("inactive R3 was copied")
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("snapshot table invalid: %v", err)
@@ -52,7 +88,14 @@ func TestSnapshotFullCopy(t *testing.T) {
 			t.Errorf("WaitingOn(%d): snapshot (%s, %v, %v), source (%s, %v, %v)",
 				txn, gotRid, gotMode, gotOk, wantRid, wantMode, wantOk)
 		}
-		if a, b := got.HeldCount(txn), src.HeldCount(txn); a != b {
+		// Held lists are restricted to active resources; the count the
+		// victim cost needs is kept whole, beside them.
+		held := got.Held(txn)
+		slices.Sort(held)
+		if want := activeHeld(src, txn); !slices.Equal(held, want) {
+			t.Errorf("Held(%d): snapshot %v, source's active %v", txn, held, want)
+		}
+		if a, b := s.HeldCount(txn), src.HeldCount(txn); a != b {
 			t.Errorf("HeldCount(%d): snapshot %d, source %d", txn, a, b)
 		}
 		if got.Upgrading(txn) != src.Upgrading(txn) {
@@ -62,7 +105,7 @@ func TestSnapshotFullCopy(t *testing.T) {
 
 	// Mutating the snapshot must not leak into the source.
 	got.Abort(3)
-	if src.String() == got.String() {
+	if activeString(src) == got.String() {
 		t.Fatalf("aborting in the snapshot changed nothing (shared state?)")
 	}
 	if !src.Blocked(3) {
@@ -88,10 +131,16 @@ func TestSnapshotMergesShardedTables(t *testing.T) {
 
 	s := NewSnapshot()
 	fullCopy(s, []*Table{a, b}, 1)
-	got := s.Table()
+	got := s.ActiveTable()
 
 	if n := got.HeldCount(1); n != 1 {
 		t.Errorf("merged HeldCount(1) = %d, want 1", n)
+	}
+	if n := s.HeldCount(1); n != 1 {
+		t.Errorf("Snapshot.HeldCount(1) = %d, want 1", n)
+	}
+	if got, want := got.String(), activeString(a, b); got != want {
+		t.Errorf("merge differs from the sources' active projection:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	if rid, _, ok := got.WaitingOn(1); !ok || rid != "Rb" {
 		t.Errorf("merged WaitingOn(1) = (%s, %v), want (Rb, true)", rid, ok)
@@ -113,12 +162,12 @@ func TestSnapshotResetReuse(t *testing.T) {
 	// (nearly) allocation-free and still faithful.
 	srcs := []*Table{src}
 	fullCopy(s, srcs, 1)
-	want := s.Table().String()
+	want := s.ActiveTable().String()
 	allocs := testing.AllocsPerRun(50, func() {
 		s.Reset()
 		fullCopy(s, srcs, 1)
 	})
-	if got := s.Table().String(); got != want {
+	if got := s.ActiveTable().String(); got != want {
 		t.Fatalf("reused snapshot differs:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	// Map reinsertion may allocate a little; copy-out must not scale
@@ -130,12 +179,12 @@ func TestSnapshotResetReuse(t *testing.T) {
 
 func TestSnapshotTableStableAcrossReset(t *testing.T) {
 	s := NewSnapshot()
-	before := s.Table()
+	before := s.ActiveTable()
 	src := New()
 	buildSnapshotFixture(t, src)
 	fullCopy(s, []*Table{src}, 1)
 	s.Reset()
-	if s.Table() != before {
+	if s.ActiveTable() != before {
 		t.Fatalf("Table() pointer changed across Reset; detectors bind to it once")
 	}
 }
@@ -151,14 +200,14 @@ func TestSnapshotTornWaitKeepsFirst(t *testing.T) {
 
 	s := NewSnapshot()
 	fullCopy(s, []*Table{a, b}, 1)
-	rid, _, ok := s.Table().WaitingOn(1)
+	rid, _, ok := s.ActiveTable().WaitingOn(1)
 	if !ok || rid != "Ra" {
 		t.Fatalf("WaitingOn(1) = (%s, %v), want first-seen (Ra, true)", rid, ok)
 	}
 	// The stale queue entry in Rb remains (the validate-then-act layer
 	// is what protects against acting on it), but the table must still
 	// be internally consistent enough to walk.
-	if r := s.Table().Resource("Rb"); r == nil || r.QueueLen() != 1 {
+	if r := s.ActiveTable().Resource("Rb"); r == nil || r.QueueLen() != 1 {
 		t.Fatalf("Rb queue not copied")
 	}
 }
@@ -178,11 +227,12 @@ func fullCopy(s *Snapshot, srcs []*Table, epoch uint64) {
 
 // TestSnapshotShardCleanEpoch pins the skip decision: a sub is clean
 // only when it holds a copy taken at exactly the source's current
-// epoch, and detector-side mutation invalidates every sub at the next
-// BeginRound.
+// epoch, and detector-side mutation makes the subs it rewrote — only
+// those — unclean.
 func TestSnapshotShardCleanEpoch(t *testing.T) {
 	a, b := New(), New()
 	a.Request(1, "Ra", lock.X)
+	a.Request(4, "Ra", lock.X) // T4 waits, so shard 0 has something to keep
 	b.Request(2, "Rb", lock.X)
 	b.Request(3, "Rb", lock.X) // T3 waits, so an abort has something to mutate
 
@@ -199,20 +249,30 @@ func TestSnapshotShardCleanEpoch(t *testing.T) {
 		t.Fatal("sub clean at an epoch it was not copied at")
 	}
 
-	// A detector mutation (abort applied to the snapshot) poisons every
-	// sub: the next round must recopy from scratch.
+	// A detector mutation (abort applied to the snapshot) rewrites Rb's
+	// record: shard 1 must be recopied next round, shard 0 must not.
+	raRec := s.ActiveTable().Resource("Ra")
 	s.View().Abort(2)
 	s.BeginRound(2)
-	if s.ShardClean(0, 3) || s.ShardClean(1, 3) {
-		t.Fatal("subs still clean after a snapshot-side mutation")
+	if !s.ShardClean(0, 3) {
+		t.Fatal("untouched sub no longer clean after a mutation elsewhere")
 	}
-	fullCopy(s, []*Table{a, b}, 4)
-	if got, want := s.Table().String(), func() string {
-		ref := NewSnapshot()
-		fullCopy(ref, []*Table{a, b}, 4)
-		return ref.Table().String()
-	}(); got != want {
+	if s.ShardClean(1, 3) {
+		t.Fatal("sub still clean after a snapshot-side mutation of its record")
+	}
+	s.CopyShard(b, 1, 3)
+	s.FinishShard(1)
+	s.MergeShards([]int{1})
+	ref := NewSnapshot()
+	fullCopy(ref, []*Table{a, b}, 3)
+	if got, want := s.ActiveTable().String(), ref.ActiveTable().String(); got != want {
 		t.Fatalf("recopy after mutation differs:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if err := s.ActiveTable().Validate(); err != nil {
+		t.Fatalf("recopy after mutation invalid: %v", err)
+	}
+	if s.ActiveTable().Resource("Ra") != raRec {
+		t.Fatal("untouched shard's record was recopied")
 	}
 }
 
@@ -228,7 +288,7 @@ func TestSnapshotIncrementalSkipReuse(t *testing.T) {
 
 	s := NewSnapshot()
 	fullCopy(s, []*Table{cold, hot}, 1)
-	coldRes := s.Table().Resource("R1")
+	coldRes := s.ActiveTable().Resource("R1")
 	if coldRes == nil {
 		t.Fatal("cold shard's R1 missing from the merge")
 	}
@@ -254,25 +314,31 @@ func TestSnapshotIncrementalSkipReuse(t *testing.T) {
 
 	ref := NewSnapshot()
 	fullCopy(ref, []*Table{cold, hot}, 2)
-	if got, want := s.Table().String(), ref.Table().String(); got != want {
+	if got, want := s.ActiveTable().String(), ref.ActiveTable().String(); got != want {
 		t.Fatalf("incremental merge differs from full copy:\n got:\n%s\nwant:\n%s", got, want)
 	}
-	if err := s.Table().Validate(); err != nil {
+	if got, want := s.ActiveTable().String(), activeString(cold, hot); got != want {
+		t.Fatalf("incremental merge differs from the sources' active projection:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if err := s.ActiveTable().Validate(); err != nil {
 		t.Fatalf("incremental merge invalid: %v", err)
 	}
-	if s.Table().Resource("R1") != coldRes {
+	if n := s.HeldCount(22); n != 1 {
+		t.Fatalf("HeldCount(22) = %d, want 1 (H2 is inactive, its holder still counted)", n)
+	}
+	if s.ActiveTable().Resource("R1") != coldRes {
 		t.Fatal("skipped shard's resource was recopied, not reused in place")
 	}
-	if rid, _, ok := s.Table().WaitingOn(23); !ok || rid != "H1" {
+	if rid, _, ok := s.ActiveTable().WaitingOn(23); !ok || rid != "H1" {
 		t.Fatalf("WaitingOn(23) = (%s, %v), want (H1, true)", rid, ok)
 	}
-	if s.Table().Blocked(21) {
+	if s.ActiveTable().Blocked(21) {
 		t.Fatal("aborted waiter survived the incremental recopy")
 	}
 }
 
-// TestSnapshotIncrementalDeletes drives the two-pointer diff in the
-// delete direction: resources and transactions that vanish from a
+// TestSnapshotIncrementalDeletes drives the merge in the delete
+// direction: resources, transactions and held counts that vanish from a
 // recopied shard must vanish from the merge.
 func TestSnapshotIncrementalDeletes(t *testing.T) {
 	a, b := New(), New()
@@ -283,7 +349,7 @@ func TestSnapshotIncrementalDeletes(t *testing.T) {
 
 	s := NewSnapshot()
 	fullCopy(s, []*Table{a, b}, 1)
-	if s.Table().Resource("Rb2") == nil || !s.Table().Blocked(3) {
+	if s.ActiveTable().Resource("Rb1") == nil || !s.ActiveTable().Blocked(3) || s.HeldCount(2) != 2 {
 		t.Fatal("setup: first round incomplete")
 	}
 
@@ -295,27 +361,27 @@ func TestSnapshotIncrementalDeletes(t *testing.T) {
 	s.FinishShard(1)
 	s.MergeShards([]int{1})
 
-	if r := s.Table().Resource("Rb1"); r != nil {
-		t.Fatalf("Rb1 survived its last holder: %v", r)
+	if r := s.ActiveTable().Resource("Rb1"); r != nil {
+		t.Fatalf("Rb1 survived its last waiter: %v", r)
 	}
-	if r := s.Table().Resource("Rb2"); r != nil {
-		t.Fatalf("Rb2 survived its last holder: %v", r)
-	}
-	if s.Table().HeldCount(2) != 0 || s.Table().Blocked(3) {
+	if s.HeldCount(2) != 0 || s.ActiveTable().HeldCount(2) != 0 || s.ActiveTable().Blocked(3) {
 		t.Fatal("aborted transactions survived the incremental merge")
 	}
-	if s.Table().HeldCount(1) != 1 {
-		t.Fatal("skipped shard's holder lost")
+	if s.HeldCount(1) != 1 {
+		t.Fatal("skipped shard's held count lost")
 	}
-	if err := s.Table().Validate(); err != nil {
+	if got := s.ActiveTable().String(); got != "" {
+		t.Fatalf("merge not empty after the last waiter left:\n%s", got)
+	}
+	if err := s.ActiveTable().Validate(); err != nil {
 		t.Fatalf("post-delete merge invalid: %v", err)
 	}
 }
 
-// TestSnapshotViewActiveFilter checks the W-edge pre-filter: the
-// detection view iterates only resources that can contribute graph
-// elements (a queue or a blocked conversion), while the merged table
-// itself still holds everything.
+// TestSnapshotViewActiveFilter checks what a copy takes: only resources
+// that can contribute graph elements (a queue or a blocked conversion)
+// reach the merged table and the detection view; of the rest, only the
+// per-transaction held counts.
 func TestSnapshotViewActiveFilter(t *testing.T) {
 	quiet, busy := New(), New()
 	quiet.Request(1, "Q1", lock.S) // held, nobody waiting
@@ -326,12 +392,6 @@ func TestSnapshotViewActiveFilter(t *testing.T) {
 	s := NewSnapshot()
 	fullCopy(s, []*Table{quiet, busy}, 1)
 
-	if s.ShardHadWaiters(0) {
-		t.Fatal("quiet shard reports waiters")
-	}
-	if !s.ShardHadWaiters(1) {
-		t.Fatal("busy shard reports no waiters")
-	}
 	var seen []ResourceID
 	s.View().EachResource(func(r *Resource) bool {
 		seen = append(seen, r.ID())
@@ -340,10 +400,12 @@ func TestSnapshotViewActiveFilter(t *testing.T) {
 	if len(seen) != 1 || seen[0] != "B1" {
 		t.Fatalf("view iterated %v, want just the active B1", seen)
 	}
-	// The full merge still knows the quiet resources — audits and
-	// validation read the table, not the filtered view.
-	if s.Table().Resource("Q1") == nil || s.Table().Resource("Q2") == nil {
-		t.Fatal("quiet resources missing from the merged table")
+	if s.ActiveTable().Resource("Q1") != nil || s.ActiveTable().Resource("Q2") != nil {
+		t.Fatal("quiet resources were copied into the merged table")
+	}
+	if s.HeldCount(1) != 1 || s.HeldCount(2) != 1 || s.HeldCount(3) != 1 || s.HeldCount(4) != 0 {
+		t.Fatalf("held counts = %d %d %d %d, want 1 1 1 0",
+			s.HeldCount(1), s.HeldCount(2), s.HeldCount(3), s.HeldCount(4))
 	}
 
 	// Draining the busy queue and recopying must empty the view.
@@ -359,9 +421,46 @@ func TestSnapshotViewActiveFilter(t *testing.T) {
 	}
 }
 
+// addBystanders gives tb n transactions (ids from 1000) holding four
+// locks each that nobody else wants.
+func addBystanders(tb *Table, n int) {
+	for b := 0; b < n; b++ {
+		for j := 0; j < 4; j++ {
+			tb.Request(TxnID(1000+b), ResourceID(fmt.Sprintf("by/%d/%d", b, j)), lock.S)
+		}
+	}
+}
+
+// addStormTableau adds hwbench's deadlock_storm tableau to tb: 24
+// contended resources — four X-rings of four transactions (T1..T16)
+// and four TDR-2 tableaux of three (T17..T28).
+func addStormTableau(tb *Table) {
+	txn := TxnID(1)
+	for ring := 0; ring < 4; ring++ {
+		for j := 0; j < 4; j++ {
+			tb.Request(txn+TxnID(j), ResourceID(fmt.Sprintf("ring%d/%d", ring, j)), lock.X)
+		}
+		for j := 0; j < 4; j++ {
+			tb.Request(txn+TxnID(j), ResourceID(fmt.Sprintf("ring%d/%d", ring, (j+1)%4)), lock.X)
+		}
+		txn += 4
+	}
+	for k := 0; k < 4; k++ {
+		q, h := ResourceID(fmt.Sprintf("tab%d/q", k)), ResourceID(fmt.Sprintf("tab%d/h", k))
+		t1, t2, t3 := txn, txn+1, txn+2
+		tb.Request(t1, q, lock.IS)
+		tb.Request(t3, h, lock.X)
+		tb.Request(t2, q, lock.X) // blocks
+		tb.Request(t3, q, lock.S) // queued behind T2, compatible with tm
+		tb.Request(t1, h, lock.S) // closes the cycle
+		txn += 3
+	}
+}
+
 // TestSnapshotIncrementalRoundAllocs extends the arena-reuse guarantee
-// to the incremental round shape: steady-state rounds that recopy one
-// dirty shard out of several allocate (nearly) nothing.
+// to the incremental round shapes: steady-state rounds that recopy one
+// dirty shard out of several, or the shard a resolution rewrote, allocate
+// (nearly) nothing.
 func TestSnapshotIncrementalRoundAllocs(t *testing.T) {
 	cold, hot := New(), New()
 	buildSnapshotFixture(t, cold)
@@ -383,22 +482,64 @@ func TestSnapshotIncrementalRoundAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Errorf("incremental round allocates %.0f objects/run after warm-up, want <= 4", allocs)
 	}
+
+	// The storm shape: 2048 inactive resources beside 24 active ones, and
+	// every round a detector applies an abort and a TDR-2 repositioning
+	// to the snapshot, so the next round has the shard to recopy. With
+	// the whole-table copy this cost 25 allocations a round (the
+	// resolution dropped the freelist aliases, and the recopy paid for
+	// it); now the three that RepositionAVST itself makes, and change.
+	storm := New()
+	addBystanders(storm, 512)
+	addStormTableau(storm)
+	s = NewSnapshot()
+	round := func() {
+		s.BeginRound(1)
+		if !s.ShardClean(0, 1) {
+			s.CopyShard(storm, 0, 1)
+			s.FinishShard(0)
+			s.MergeShards([]int{0})
+		}
+		v := s.View()
+		v.Abort(1)
+		v.RepositionAVST("tab0/q", 19)
+		v.ScheduleQueue("tab0/q")
+	}
+	round()
+	if s.ShardClean(0, 1) {
+		t.Fatal("shard still clean after a resolution was applied to its records")
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs > 8 {
+		t.Errorf("storm-shaped round allocates %.0f objects/run after warm-up, want <= 8", allocs)
+	}
 }
 
+// BenchmarkSnapshotFullCopy prices a from-scratch round over one shard:
+// every resource contended, or — the table a copy must not be
+// proportional to — 2048 held resources nobody waits on.
 func BenchmarkSnapshotFullCopy(b *testing.B) {
-	src := New()
+	contended := New()
 	for i := 0; i < 64; i++ {
 		rid := ResourceID(fmt.Sprintf("R%02d", i))
-		src.Request(TxnID(i+1), rid, lock.S)
-		src.Request(TxnID(i+65), rid, lock.S)
-		src.Request(TxnID(i+129), rid, lock.X) // one waiter per resource
+		contended.Request(TxnID(i+1), rid, lock.S)
+		contended.Request(TxnID(i+65), rid, lock.S)
+		contended.Request(TxnID(i+129), rid, lock.X) // one waiter per resource
 	}
-	s := NewSnapshot()
-	srcs := []*Table{src}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		fullCopy(s, srcs, 1)
+	inactive := New()
+	addBystanders(inactive, 512)
+	for _, tc := range []struct {
+		name string
+		src  *Table
+	}{{"contended64", contended}, {"inactive2048", inactive}} {
+		b.Run(tc.name, func(b *testing.B) {
+			s := NewSnapshot()
+			srcs := []*Table{tc.src}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Reset()
+				fullCopy(s, srcs, 1)
+			}
+		})
 	}
 }

@@ -83,6 +83,9 @@ type Resource struct {
 	total   lock.Mode // tm
 	holders []HolderEntry
 	queue   []QueueEntry
+	// activeIdx is the resource's 1-based position in its table's active
+	// set, 0 while it is not a member (see Table.active).
+	activeIdx int
 }
 
 // ID returns the resource identifier.
@@ -164,6 +167,13 @@ func (r *Resource) queueIndex(txn TxnID) int {
 	return -1
 }
 
+// contended reports whether the resource can carry a graph edge: it
+// has a queued waiter or a blocked conversion. This is the active set's
+// membership predicate.
+func (r *Resource) contended() bool {
+	return len(r.queue) > 0 || (len(r.holders) > 0 && r.holders[0].Blocked != lock.NL)
+}
+
 // blockedLen returns the length of the blocked-upgrader prefix of the
 // holder list.
 func (r *Resource) blockedLen() int {
@@ -209,6 +219,14 @@ type Table struct {
 
 	resources map[ResourceID]*Resource
 	txns      map[TxnID]*txnState
+
+	// active is the set of contended resources — the only ones ECR 1–3
+	// draw edges at — in no particular order. A resource enters at its
+	// first enqueue or blocked conversion and leaves when its queue and
+	// blocked prefix drain; Resource.activeIdx is the back-index that
+	// makes both O(1). A detector activation copies this set, not the
+	// table (Snapshot.CopyShard).
+	active []*Resource
 
 	// resCache is the sorted resource list, rebuilt lazily when the
 	// resource set changes; detectors walk it on every activation.
@@ -301,6 +319,35 @@ func (t *Table) retireResource(r *Resource) {
 	r.holders = r.holders[:0]
 	r.queue = r.queue[:0]
 	t.resFree = append(t.resFree, r)
+}
+
+// activate puts r into the active set; the caller has just queued a
+// request on it or blocked a conversion in its holder list.
+//
+//hwlint:hotpath allocs=0
+func (t *Table) activate(r *Resource) {
+	if r.activeIdx == 0 {
+		t.active = append(t.active, r)
+		r.activeIdx = len(t.active)
+	}
+}
+
+// deactivate takes r out of the active set once nothing waits on it any
+// more. Every path that shortens a queue or a blocked prefix ends in
+// grantFromQueue, which calls this.
+//
+//hwlint:hotpath allocs=0
+func (t *Table) deactivate(r *Resource) {
+	if r.activeIdx == 0 || r.contended() {
+		return
+	}
+	last := len(t.active) - 1
+	moved := t.active[last]
+	t.active[r.activeIdx-1] = moved
+	moved.activeIdx = r.activeIdx
+	t.active[last] = nil
+	t.active = t.active[:last]
+	r.activeIdx = 0
 }
 
 // Resource returns the table entry for rid, or nil if rid is not locked.
@@ -440,6 +487,9 @@ func (t *Table) Clone() *Table {
 		nr.holders = append([]HolderEntry(nil), r.holders...)
 		nr.queue = append([]QueueEntry(nil), r.queue...)
 		c.resources[rid] = nr
+		if r.activeIdx != 0 {
+			c.activate(nr)
+		}
 	}
 	for id, st := range t.txns {
 		ns := &txnState{waitMode: st.waitMode, upgrading: st.upgrading}

@@ -22,7 +22,10 @@ import (
 //     strands one);
 //  5. the queue head is incompatible with the total mode;
 //  6. no transaction waits in two places (Axiom 1), and the per-
-//     transaction wait bookkeeping matches the physical structures.
+//     transaction wait bookkeeping matches the physical structures;
+//  7. the maintained active set is exactly the resources with a queued
+//     waiter or a blocked conversion, and every back-index points at its
+//     own slot.
 func (t *Table) Validate() error {
 	waiters := make(map[TxnID]ResourceID)
 	for _, r := range t.Resources() {
@@ -37,6 +40,30 @@ func (t *Table) Validate() error {
 		if _, ok := waiters[id]; !ok {
 			return fmt.Errorf("table: %v marked blocked but present in no structure", id)
 		}
+	}
+	return t.validateActive()
+}
+
+// validateActive checks invariant 7. Membership must match the
+// predicate, and every member must sit in the slot its back-index
+// names; members then occupy distinct slots, so equal counts leave the
+// set no room for strays.
+func (t *Table) validateActive() error {
+	members := 0
+	for _, r := range t.resources {
+		in, want := r.activeIdx != 0, len(r.queue) > 0 || r.blockedLen() > 0
+		if in != want {
+			return fmt.Errorf("table: %s: in active set = %v, but has waiters = %v", r.id, in, want)
+		}
+		if in {
+			if r.activeIdx > len(t.active) || t.active[r.activeIdx-1] != r {
+				return fmt.Errorf("table: %s: back-index %d does not point at its active-set slot", r.id, r.activeIdx)
+			}
+			members++
+		}
+	}
+	if members != len(t.active) {
+		return fmt.Errorf("table: active set holds %d entries, %d resources are members", len(t.active), members)
 	}
 	return nil
 }

@@ -106,10 +106,99 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err := tb.Validate(); err == nil || !strings.Contains(err.Error(), "no structure") {
 		t.Fatalf("err = %v", err)
 	}
+
+	// 7: the active set. R has a queue and a blocked upgrade, so it is a
+	// member; Q is held and uncontended, so it is not.
+	tb, r = build()
+	r.activeIdx = 0 // contended resource dropped out
+	if err := tb.Validate(); err == nil || !strings.Contains(err.Error(), "in active set = false") {
+		t.Fatalf("err = %v", err)
+	}
+
+	tb, _ = build()
+	tb.Request(2, "Q", lock.S)
+	q := tb.Resource("Q")
+	tb.active = append(tb.active, q) // uncontended resource slipped in
+	q.activeIdx = len(tb.active)
+	if err := tb.Validate(); err == nil || !strings.Contains(err.Error(), "in active set = true") {
+		t.Fatalf("err = %v", err)
+	}
+
+	tb, r = build()
+	tb.active = append(tb.active, r) // listed twice
+	if err := tb.Validate(); err == nil || !strings.Contains(err.Error(), "active set holds 2 entries") {
+		t.Fatalf("err = %v", err)
+	}
+
+	tb, r = build()
+	tb.Request(2, "Q", lock.S)
+	tb.active[0] = tb.Resource("Q") // slot overwritten: back-index dangles
+	if err := tb.Validate(); err == nil || !strings.Contains(err.Error(), "back-index") {
+		t.Fatalf("err = %v", err)
+	}
 }
 
 func TestValidateEmpty(t *testing.T) {
 	if err := New().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestActiveSetEnterLeave walks resource a into the active set, out
+// through each of its exits, and in again, checking the set after every
+// step: the first enqueue or blocked conversion enters it, and it
+// leaves when its queue and blocked prefix have drained — by the abort
+// of its only waiter, by a release that grants a blocked conversion, by
+// grantFromQueue emptying the queue, by the record being retired and
+// recycled — and at no other time.
+func TestActiveSetEnterLeave(t *testing.T) {
+	type step struct {
+		do     func(*Table)
+		active bool
+	}
+	req := func(txn TxnID, m lock.Mode) func(*Table) {
+		return func(tb *Table) { tb.Request(txn, "a", m) }
+	}
+	commit := func(txn TxnID) func(*Table) { return func(tb *Table) { tb.Release(txn) } }
+	abort := func(txn TxnID) func(*Table) { return func(tb *Table) { tb.Abort(txn) } }
+	for name, steps := range map[string][]step{
+		"abort of the only waiter": {
+			{req(1, lock.X), false}, {req(2, lock.X), true}, {abort(2), false}, {req(3, lock.X), true},
+		},
+		"abort of a waiter behind another": {
+			{req(1, lock.X), false}, {req(2, lock.X), true}, {req(3, lock.X), true}, {abort(3), true}, {abort(2), false},
+		},
+		"conversion granted by a release": {
+			{req(1, lock.S), false}, {req(2, lock.S), false}, {req(1, lock.X), true}, {commit(2), false}, {req(3, lock.S), true},
+		},
+		"queue drained by grantFromQueue": {
+			{req(1, lock.X), false}, {req(2, lock.S), true}, {req(3, lock.S), true}, {commit(1), false}, {req(4, lock.X), true},
+		},
+		"hand-off that leaves a queue": {
+			{req(1, lock.X), false}, {req(2, lock.X), true}, {req(3, lock.X), true}, {commit(1), true}, {commit(2), false},
+		},
+		"resource retired and recycled": {
+			{req(1, lock.X), false}, {req(2, lock.X), true}, {abort(2), false}, {commit(1), false},
+			{req(1, lock.X), false}, {req(2, lock.X), true},
+		},
+		"reposition and schedule": {
+			{req(1, lock.IS), false}, {req(2, lock.X), true}, {req(3, lock.S), true},
+			{func(tb *Table) { tb.RepositionAVST("a", 3) }, true},
+			{func(tb *Table) { tb.ScheduleQueue("a") }, true}, // T3 granted, T2 still queued
+			{abort(2), false},
+		},
+	} {
+		tb := New()
+		tb.Request(9, "other", lock.X) // a bystander that never enters
+		for i, s := range steps {
+			s.do(tb)
+			got := len(tb.active) == 1 && tb.active[0].id == "a"
+			if got != s.active || (!got && len(tb.active) != 0) {
+				t.Errorf("%s, step %d: a active = %v (set size %d), want %v", name, i, got, len(tb.active), s.active)
+			}
+			if err := tb.validateActive(); err != nil {
+				t.Errorf("%s, step %d: %v", name, i, err)
+			}
+		}
 	}
 }

@@ -51,7 +51,11 @@ const (
 	KindCommit
 	// KindDetect: one detector activation finished; Txn is the
 	// activation sequence number, Arg its total wall clock in
-	// nanoseconds, Aux the cycles it searched (control ring).
+	// nanoseconds, Aux the cycles it searched (control ring). It and
+	// the decision records that follow it are stamped where the
+	// activation stopped searching and began to act, so that they sort
+	// after the evidence and before the grants and aborts they caused;
+	// an activation that resolved something ended that much later.
 	KindDetect
 	// KindVictim: the detector aborted Txn to break a deadlock; Aux is
 	// the activation sequence (control ring).

@@ -80,6 +80,9 @@ func BuildTrace(recs []Record) Trace {
 		case KindAbort:
 			add(TraceEvent{Name: "abort", Ph: "i", TS: us(r.TS), PID: PIDTransactions, TID: r.Txn, S: "t"})
 		case KindDetect:
+			// Stamped where the activation began to act, so the slice
+			// of one that resolved something leads its true span by the
+			// acting time; the markers and wake-ups line up with its end.
 			add(TraceEvent{Name: fmt.Sprintf("activation %d", r.Txn), Ph: "X",
 				TS: us(r.TS - int64(r.Arg)), Dur: float64(r.Arg) / 1e3,
 				PID: PIDDetector, TID: 0, Args: map[string]any{"cycles": r.Aux}})

@@ -218,8 +218,9 @@ func Postmortems(recs []Record) (pms []Postmortem, incomplete int) {
 	for k, r := range acted {
 		pm := Postmortem{Time: r.Time, Activation: r.Activation, TDR2: r.Kind == KindReposition.String(), Victim: r.Txn, Resource: r.Resource}
 		// Only events up to the resolving activation belong in the story;
-		// the detector's own records for it carry the same stamp, and any
-		// later traffic already racing in is cut off.
+		// the detector's own records for it carry the same stamp — the
+		// instant it began to act — so what it caused, and any later
+		// traffic already racing in, is cut off.
 		cutoff := r.Time.UnixNano()
 		var tail []int
 		for _, ei := range r.cycle {

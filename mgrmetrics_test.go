@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestMetricsSnapshotCounters(t *testing.T) {
@@ -265,13 +266,17 @@ func TestActivationRing(t *testing.T) {
 	}
 }
 
-// TestActivationPhasesCoverTotal pins the report's own accounting: the
-// activation after one that applied a resolution starts by invalidating
-// every sub-snapshot (Snapshot.BeginRound) before it recopies the whole
-// table, and that work must land in a named phase — the named phases
-// sum to at least 95% of Total. The bystander locks give the
-// invalidation real weight; the best of a few attempts is judged so one
-// preemption between two clock reads cannot fail the test.
+// TestActivationPhasesCoverTotal pins the report's own accounting:
+// everything an activation does — the dirty scan, the per-shard copies,
+// the merge, Steps 1–3, the live replay — must land in a named phase.
+// For the activation that resolves a deadlock the named phases sum to
+// at least 95% of Total; the one after it recopies only the shards
+// whose sub-snapshots the resolution rewrote (the bystander locks in
+// the other shards are not copied again), which takes a few
+// microseconds, so there the two clock reads that separate the phases
+// are themselves 5% and the bound is absolute: a microsecond. The best
+// of a few attempts is judged so one preemption between two clock reads
+// cannot fail the test.
 func TestActivationPhasesCoverTotal(t *testing.T) {
 	m := Open(Options{Shards: 8})
 	defer m.Close()
@@ -300,19 +305,26 @@ func TestActivationPhasesCoverTotal(t *testing.T) {
 		if st := m.Detect(); st.Aborted != 1 {
 			t.Fatalf("activation = %+v, want one abort", st)
 		}
+		resolving, _ := m.LastActivation()
 		<-errs
 		<-errs
 		a.Abort()
 		b.Abort()
 
 		m.Detect()
-		rep, _ := m.LastActivation()
-		if rep.ShardsSkipped != 0 {
-			t.Fatalf("activation after a resolution reused %d shards, want a full recopy", rep.ShardsSkipped)
+		after, _ := m.LastActivation()
+		if after.ShardsCopied > 2 {
+			t.Fatalf("activation after a resolution copied %d shards, want at most the deadlock's 2", after.ShardsCopied)
 		}
-		named := rep.Acquire + rep.Copy + rep.Build + rep.Search + rep.Resolve + rep.Validate
-		if share := float64(named) / float64(rep.Total); share > best {
-			best, bestRep = share, rep
+		named := func(rep ActivationReport) time.Duration {
+			return rep.Acquire + rep.Copy + rep.Build + rep.Search + rep.Resolve + rep.Validate
+		}
+		if after.Total-named(after) > time.Microsecond {
+			bestRep = after
+			continue
+		}
+		if share := float64(named(resolving)) / float64(resolving.Total); share > best {
+			best, bestRep = share, resolving
 		}
 	}
 	if best < 0.95 {

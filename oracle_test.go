@@ -75,7 +75,7 @@ func (o *stwOracle) Detect() Stats {
 	pause := now.Sub(start)
 
 	rep := ActivationReport{
-		Time:           now,
+		Time:           resolved,
 		Acquire:        acquired.Sub(start),
 		Build:          res.BuildTime,
 		Search:         res.SearchTime,

@@ -1,8 +1,6 @@
 package hwtwbg
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"hwtwbg/internal/detect"
@@ -10,9 +8,10 @@ import (
 
 // The snapshot detector is the manager's answer to
 // the stop-the-world pause: instead of freezing every shard for the
-// whole activation, it copies each shard's lock table into a reusable
-// arena under only that shard's mutex — each held just long enough to
-// copy — and runs the paper's Steps 1–3 over the merged snapshot with
+// whole activation, it copies what each shard's lock table has to say
+// about waiting into a reusable arena under only that shard's mutex —
+// each held just long enough to copy — and runs the paper's Steps 1–3
+// over the merged snapshot with
 // no shard locks held at all. Because the copies are taken at
 // different instants the merged view can be torn, so the algorithm's
 // output is treated as a set of *candidates*: each resolution carries
@@ -23,51 +22,35 @@ import (
 // validate.go for why a cycle that verifies live is always a real
 // deadlock.
 //
-// The copy-out is incremental:
-// every mutating mutex round bumps its shard's epoch counter, and a
-// shard whose epoch is unchanged since the detector's previous copy is
-// not recopied — its sub-arena is reused in place — while the dirty
-// shards are copied concurrently across a bounded worker pool. The
-// epoch is loaded without the shard mutex, so a copy decision can be
-// one round stale; that only widens the tearing the validate-then-act
-// replay already absorbs (DESIGN.md §13 states the argument in full).
+// The copy-out takes only what can carry an edge — each shard table's
+// maintained set of resources with a queued waiter or a blocked
+// conversion, plus per-transaction held counts for the victim cost — so
+// it costs what the contention costs, not what the lock table does. It
+// is also incremental: every mutating mutex round bumps its shard's
+// epoch counter, and a shard whose epoch is unchanged since the
+// detector's previous copy is not recopied — its sub-snapshot is reused
+// in place. The epoch is loaded without the shard mutex, so a copy
+// decision can be one round stale; that only widens the tearing the
+// validate-then-act replay already absorbs (DESIGN.md §13 states the
+// argument in full).
 
 // snapCopy summarizes one activation's copy phase.
 type snapCopy struct {
-	acquire, copied, maxHold time.Duration
-	dirty, skipped           int
-}
-
-// maxCopyWorkers bounds the copy worker pool, and minParallelCopy is
-// the dirty-shard count below which spawning workers costs more than
-// the copies.
-const (
-	maxCopyWorkers  = 8
-	minParallelCopy = 4
-)
-
-// copyWorkers picks the worker-pool width for copying n dirty shards.
-func copyWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > maxCopyWorkers {
-		w = maxCopyWorkers
-	}
-	if w > n {
-		w = n
-	}
-	if n < minParallelCopy || w < 2 {
-		return 1
-	}
-	return w
+	acquire, maxHold time.Duration
+	dirty, skipped   int
 }
 
 // copySnapshot fills the snapshot for one activation: pick the dirty
-// shards, copy each under its own mutex — concurrently when there are
-// enough — and merge. Caller holds detMu and passes the activation's
-// start instant: BeginRound (which invalidates every sub-snapshot after
-// an activation that applied a resolution) and the dirty scan are part
-// of producing the snapshot, so they count toward Copy.
-func (m *Manager) copySnapshot(start time.Time) snapCopy {
+// shards — epoch moved, or a record rewritten when the previous
+// activation applied its resolutions to the snapshot — copy each under
+// its own mutex, and merge. Caller holds detMu. Lock waits and holds
+// are told apart by chaining two clock reads per shard (one after Lock,
+// one after Unlock — the previous shard's post-unlock read doubles as
+// this shard's pre-lock instant). The dirty scan before the first copy
+// and the sorting and merging after the last run with no shard lock
+// held and are part of producing the snapshot: the caller charges the
+// whole call, less acquire, to Copy.
+func (m *Manager) copySnapshot() snapCopy {
 	var cp snapCopy
 	m.snap.BeginRound(len(m.shards))
 	dirty := m.dirtyScratch[:0]
@@ -80,74 +63,33 @@ func (m *Manager) copySnapshot(start time.Time) snapCopy {
 	}
 	m.dirtyScratch = dirty
 	cp.dirty = len(dirty)
-	cp.copied = time.Since(start)
 	if len(dirty) == 0 {
 		return cp
 	}
-	if workers := copyWorkers(len(dirty)); workers == 1 {
-		var copied time.Duration
-		cp.acquire, copied, cp.maxHold = m.copyShards(dirty)
-		cp.copied += copied
-	} else {
-		var tm [maxCopyWorkers]struct{ acquire, copied, maxHold time.Duration }
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*len(dirty)/workers, (w+1)*len(dirty)/workers
-			wg.Add(1)
-			go func(w int, part []int) {
-				defer wg.Done()
-				tm[w].acquire, tm[w].copied, tm[w].maxHold = m.copyShards(part)
-			}(w, dirty[lo:hi])
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			cp.acquire += tm[w].acquire
-			cp.copied += tm[w].copied
-			if tm[w].maxHold > cp.maxHold {
-				cp.maxHold = tm[w].maxHold
-			}
-		}
-	}
-	// Sorting and merging run with no shard locks held; their cost is
-	// part of producing the snapshot, so it counts toward Copy.
-	mstart := time.Now()
-	for _, i := range dirty {
-		m.snap.FinishShard(i)
-	}
-	m.snap.MergeShards(dirty)
-	cp.copied += time.Since(mstart)
-	return cp
-}
-
-// copyShards copies the listed shards into the snapshot, each under its
-// own mutex, returning the phase timing. Acquire/hold are split by
-// chaining two clock reads per shard (one after Lock, one after Unlock
-// — the previous shard's post-unlock read doubles as this shard's
-// pre-lock instant).
-func (m *Manager) copyShards(idx []int) (acquire, copied, maxHold time.Duration) {
 	prev := time.Now()
-	for _, i := range idx {
+	for _, i := range dirty {
 		s := m.shards[i]
 		s.mu.Lock()
 		t1 := time.Now()
 		m.snap.CopyShard(s.tb, i, s.epoch.load())
 		s.mu.Unlock()
 		t2 := time.Now()
-		acquire += t1.Sub(prev)
-		hold := t2.Sub(t1)
-		copied += hold
-		if hold > maxHold {
-			maxHold = hold
-		}
+		cp.acquire += t1.Sub(prev)
+		cp.maxHold = max(cp.maxHold, t2.Sub(t1))
 		prev = t2
 	}
-	return acquire, copied, maxHold
+	for _, i := range dirty {
+		m.snap.FinishShard(i)
+	}
+	m.snap.MergeShards(dirty)
+	return cp
 }
 
 // detectSnapshot is one activation. Caller holds detMu.
 func (m *Manager) detectSnapshot() Stats {
 	start := time.Now()
-	cp := m.copySnapshot(start)
+	cp := m.copySnapshot()
+	copied := time.Now()
 	if hook := m.testHookAfterCopy; hook != nil {
 		hook()
 	}
@@ -159,9 +101,9 @@ func (m *Manager) detectSnapshot() Stats {
 	now := time.Now()
 
 	rep := ActivationReport{
-		Time:           now,
+		Time:           vstart,
 		Acquire:        cp.acquire,
-		Copy:           cp.copied,
+		Copy:           copied.Sub(start) - cp.acquire,
 		Build:          res.BuildTime,
 		Search:         res.SearchTime,
 		Resolve:        res.ResolveTime,

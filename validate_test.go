@@ -275,3 +275,200 @@ func TestValidateEvaporatedResource(t *testing.T) {
 	}
 	assertAuditClean(t, m)
 }
+
+// TestValidateWindowActiveCopy enumerates what the active-only copy
+// adds to the window between copy and act, one mutation per row. A
+// snapshot now holds a resource only while somebody waits on it, and of
+// everything else only per-transaction lock counts, so the ways it can
+// be out of date are: a resource that was not worth copying becomes the
+// missing half of a cycle (a), a copied one drains (b), a count goes
+// stale while every record stays right (c), and — across shards, where
+// an epoch load racing a bump lets one sub-snapshot be a round older
+// than its neighbour — a waiter stays on record behind a holder that no
+// longer exists anywhere (d). In each the detector may act only on what
+// validation confirms, and whatever it misses the next activation
+// finds. Every scene starts with a holding x and b holding y, in
+// different shards; two activations run, the mutation in the window of
+// the first.
+func TestValidateWindowActiveCopy(t *testing.T) {
+	type outcome struct{ cycles, aborted, falseCycles int }
+	bg := context.Background()
+	// park blocks tx on r in a goroutine and returns where the result
+	// of its Lock will arrive; finish lets a parked transaction end
+	// whichever way the detector decided.
+	park := func(t *testing.T, m *Manager, ctx context.Context, tx *Txn, r ResourceID) <-chan error {
+		errc := make(chan error, 1)
+		go func() { errc <- tx.Lock(ctx, r, X) }()
+		waitBlocked(t, m, tx.ID())
+		return errc
+	}
+	finish := func(t *testing.T, tx *Txn, errc <-chan error) {
+		switch err := <-errc; {
+		case err == nil:
+			if err := tx.Commit(); err != nil {
+				t.Error(err)
+			}
+		case errors.Is(err, ErrAborted):
+			tx.Abort()
+		default:
+			t.Errorf("T%d's lock: %v", tx.ID(), err)
+		}
+	}
+	for _, row := range []struct {
+		name string
+		// arrange builds the scene and returns the mutation for the first
+		// activation's window (nil: the scene is already out of date) and
+		// the unwinding that lets every transaction finish.
+		arrange       func(t *testing.T, m *Manager, a, b *Txn, rs []ResourceID) (mutate, unwind func())
+		first, second outcome
+		journaled     int // resolutions on record after both activations
+	}{
+		{
+			name: "a uncopied resource gets the waiter that closes the cycle",
+			arrange: func(t *testing.T, m *Manager, a, b *Txn, rs []ResourceID) (func(), func()) {
+				aErr := park(t, m, bg, a, rs[1])
+				var bErr <-chan error
+				// x is held and uncontended when its shard is copied: the
+				// snapshot has half a cycle and no trace of x.
+				return func() { bErr = park(t, m, bg, b, rs[0]) },
+					func() { finish(t, a, aErr); finish(t, b, bErr) }
+			},
+			first:     outcome{0, 0, 0},
+			second:    outcome{1, 1, 0},
+			journaled: 1,
+		},
+		{
+			name: "b copied resource drains",
+			arrange: func(t *testing.T, m *Manager, a, b *Txn, rs []ResourceID) (func(), func()) {
+				aErr := park(t, m, bg, a, rs[1])
+				ctx, cancel := context.WithCancel(bg)
+				bErr := park(t, m, ctx, b, rs[0])
+				// b gives up: x keeps its holder and loses its queue, y
+				// passes to a. Both copied records are now wrong.
+				return func() {
+					cancel()
+					if err := <-bErr; !errors.Is(err, context.Canceled) {
+						t.Errorf("b's lock = %v, want context.Canceled", err)
+					}
+				}, func() { finish(t, a, aErr) }
+			},
+			first:  outcome{1, 0, 1},
+			second: outcome{0, 0, 0},
+		},
+		{
+			name: "c only the held count of the victim is stale",
+			arrange: func(t *testing.T, m *Manager, a, b *Txn, rs []ResourceID) (func(), func()) {
+				// Locks nobody wants, in shards that hold nothing else of
+				// their owners: a is the cheaper victim, 3+1 against 5+1.
+				quiet := shardIndex(rs[2], m.mask)
+				for i := 0; i < 2; i++ {
+					mustLock(t, a, shardResource(t, m, quiet, 500+i))
+				}
+				for i := 0; i < 4; i++ {
+					mustLock(t, b, shardResource(t, m, shardIndex(rs[3], m.mask), 500+i))
+				}
+				aErr := park(t, m, bg, a, rs[1])
+				bErr := park(t, m, bg, b, rs[0])
+				// What an abort's shard-by-shard sweep looks like when it
+				// has reached only the quiet shard: a's two locks there are
+				// gone, its place in the cycle is not.
+				return func() {
+						s := m.shards[quiet]
+						s.mu.Lock()
+						s.wakeGrants(s.tb.Abort(a.ID()))
+						s.epoch.bump()
+						s.mu.Unlock()
+						if n := m.snap.HeldCount(a.ID()); n != 3 {
+							t.Errorf("snapshot counts %d locks for the victim, want the 3 it held at copy time", n)
+						}
+					}, func() {
+						if err := <-aErr; !errors.Is(err, ErrAborted) {
+							t.Errorf("a's lock = %v, want it chosen on the copied counts and aborted", err)
+						}
+						a.Abort()
+						finish(t, b, bErr)
+					}
+			},
+			first:     outcome{1, 1, 0},
+			second:    outcome{0, 0, 0},
+			journaled: 1,
+		},
+		{
+			name: "d stale sub-snapshot keeps a waiter behind a vanished holder",
+			arrange: func(t *testing.T, m *Manager, a, b *Txn, rs []ResourceID) (func(), func()) {
+				bErr := park(t, m, bg, b, rs[0])
+				m.Detect() // x's shard is copied with b queued behind a
+				sx := m.shards[shardIndex(rs[0], m.mask)]
+				copied := sx.epoch.load()
+				ctx, cancel := context.WithCancel(bg)
+				aErr := park(t, m, ctx, a, rs[1]) // the cycle closes...
+				cancel()                          // ...and a gives up: x passes to b
+				if err := <-aErr; !errors.Is(err, context.Canceled) {
+					t.Fatalf("a's lock = %v, want context.Canceled", err)
+				}
+				if err := <-bErr; err != nil {
+					t.Fatalf("b's lock = %v, want x handed over", err)
+				}
+				// The detector's next load of x's shard epoch races those
+				// bumps and sees the value it copied at; y's shard, copied
+				// afresh, knows neither a nor any contention.
+				sx.epoch.v.Store(copied)
+				return nil, func() {
+					sx.mu.Lock()
+					sx.epoch.bump()
+					sx.mu.Unlock()
+					m.Detect()
+					if rep, _ := m.LastActivation(); rep.Vertices != 0 {
+						t.Errorf("graph still has %d vertices once the stale shard is recopied", rep.Vertices)
+					}
+					if err := b.Commit(); err != nil {
+						t.Error(err)
+					}
+				}
+			},
+			first:  outcome{0, 0, 0},
+			second: outcome{0, 0, 0},
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			m := Open(Options{Shards: 4, Audit: true})
+			defer m.Close()
+			rs := distinctShardResources(t, m, 4)
+			a, b := m.Begin(), m.Begin()
+			mustLock(t, a, rs[0])
+			mustLock(t, b, rs[1])
+			mutate, unwind := row.arrange(t, m, a, b, rs)
+
+			m.testHookAfterCopy = mutate
+			st := m.Detect()
+			m.testHookAfterCopy = nil
+			if got := (outcome{st.CyclesSearched, st.Aborted, st.FalseCycles}); got != row.first || st.Repositioned != 0 {
+				t.Errorf("first activation = %+v, want cycles/aborted/false = %+v", st, row.first)
+			}
+			// Every scene shows the detector two transactions, whether
+			// they are both still there or not.
+			if rep, _ := m.LastActivation(); rep.Vertices != 2 {
+				t.Errorf("first activation's graph has %d vertices, want 2", rep.Vertices)
+			}
+			st = m.Detect()
+			if got := (outcome{st.CyclesSearched, st.Aborted, st.FalseCycles}); got != row.second || st.Repositioned != 0 {
+				t.Errorf("second activation = %+v, want cycles/aborted/false = %+v", st, row.second)
+			}
+			if evs := decisions(t, m); len(evs) != row.journaled {
+				t.Errorf("%d resolutions journaled, want %d: %v", len(evs), row.journaled, evs)
+			}
+			unwind()
+			if m.Deadlocked() {
+				t.Errorf("deadlock left behind:\n%s", m.Snapshot())
+			}
+			assertAuditClean(t, m)
+		})
+	}
+}
+
+func mustLock(t *testing.T, tx *Txn, r ResourceID) {
+	t.Helper()
+	if err := tx.Lock(context.Background(), r, X); err != nil {
+		t.Fatal(err)
+	}
+}
