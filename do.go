@@ -35,7 +35,10 @@ func (m *Manager) Do(ctx context.Context, fn func(*Txn) error) error {
 	return m.DoWith(ctx, DoOptions{}, fn)
 }
 
-// DoWith is Do with explicit retry tuning.
+// DoWith is Do with explicit retry tuning. The backoff's jitter is drawn
+// on the abort branch only, from math/rand's top-level functions
+// (auto-seeded, safe for concurrent use), so a call that is never
+// aborted touches no random state.
 func (m *Manager) DoWith(ctx context.Context, opts DoOptions, fn func(*Txn) error) error {
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 100
@@ -43,7 +46,6 @@ func (m *Manager) DoWith(ctx context.Context, opts DoOptions, fn func(*Txn) erro
 	if opts.MaxBackoff == 0 {
 		opts.MaxBackoff = 50 * time.Millisecond
 	}
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	for attempt := 1; attempt <= opts.MaxRetries; attempt++ {
 		t := m.Begin()
 		err := fn(t)
@@ -60,7 +62,7 @@ func (m *Manager) DoWith(ctx context.Context, opts DoOptions, fn func(*Txn) erro
 		if !errors.Is(err, ErrAborted) {
 			return err
 		}
-		backoff := time.Duration(rng.Int63n(int64(attempt)*int64(500*time.Microsecond))) + 100*time.Microsecond
+		backoff := time.Duration(rand.Int63n(int64(attempt)*int64(500*time.Microsecond))) + 100*time.Microsecond
 		if backoff > opts.MaxBackoff {
 			backoff = opts.MaxBackoff
 		}

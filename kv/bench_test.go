@@ -31,6 +31,41 @@ func BenchmarkGetPut(b *testing.B) {
 	}
 }
 
+// BenchmarkViewGet and BenchmarkUpdatePut go through View/Update, so they
+// pay for the restart loop around the transaction as a caller does; the
+// benchmarks that Begin and Commit by hand never ran it.
+func BenchmarkViewGet(b *testing.B) {
+	benchRetryLoop(b, func(ctx context.Context, s *Store, key string) error {
+		return s.View(ctx, func(tx *Tx) error { _, _, err := tx.Get(ctx, key); return err })
+	})
+}
+
+func BenchmarkUpdatePut(b *testing.B) {
+	benchRetryLoop(b, func(ctx context.Context, s *Store, key string) error {
+		return s.Update(ctx, func(tx *Tx) error { return tx.Put(ctx, key, "v") })
+	})
+}
+
+func benchRetryLoop(b *testing.B, txn func(ctx context.Context, s *Store, key string) error) {
+	s := Open(Options{DetectEvery: 10 * time.Millisecond})
+	defer s.Close()
+	ctx := context.Background()
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = "k" + strconv.Itoa(i)
+		if err := s.Update(ctx, func(tx *Tx) error { return tx.Put(ctx, keys[i], "v") }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := txn(ctx, s, keys[i%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGetPutParallel measures read-modify-write transactions under
 // b.RunParallel over a key space wide enough that conflicts are rare —
 // the workload the sharded lock table parallelizes across cores.

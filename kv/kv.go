@@ -12,6 +12,13 @@
 // as hwtwbg.ErrAborted, and the Update/View helpers retry them with
 // jittered backoff.
 //
+// A transaction asks the manager for the root only when the mode it
+// needs adds to what it already holds there: k accesses are k+1 lock
+// calls, plus one per IS→IX or IX→SIX conversion. A key's lock is named
+// by the key itself, or by "kv:/"+key when the key begins with the
+// root's name "kv:/": injective, never the root, allocation-free for any
+// other key, and readable in hwtrace and /locktable.
+//
 // Writes are buffered in the transaction and applied atomically at
 // Commit, so aborting is free and readers never observe dirty data.
 package kv
@@ -30,8 +37,14 @@ import (
 // root is the resource representing the whole store (the MGL root).
 const root hwtwbg.ResourceID = "kv:/"
 
+// keyResource names the lock of key; see the package comment. The
+// prefix test is written out because strings.HasPrefix is not among the
+// calls hwlint's allocation budgets (Get, lockWrite) can see through.
 func keyResource(key string) hwtwbg.ResourceID {
-	return hwtwbg.ResourceID("kv:/" + key)
+	if len(key) >= len(root) && key[:len(root)] == string(root) {
+		return root + hwtwbg.ResourceID(key)
+	}
+	return hwtwbg.ResourceID(key)
 }
 
 // Options configures a Store.
@@ -115,14 +128,58 @@ var ErrTooManyRetries = errors.New("kv: transaction exceeded retry budget")
 type Tx struct {
 	s      *Store
 	t      *hwtwbg.Txn
-	writes map[string]*string // nil value = delete
+	root   hwtwbg.Mode        // strongest mode granted on the store root so far
+	writes map[string]*string // made by the first write; nil value = delete
 	reads  map[string]string  // first-read values, for the history auditor
 }
 
 // Begin starts a transaction. Prefer Update/View, which handle retry
 // and commit.
 func (s *Store) Begin() *Tx {
-	return &Tx{s: s, t: s.lm.Begin(), writes: make(map[string]*string)}
+	return &Tx{s: s, t: s.lm.Begin()}
+}
+
+// lockRoot makes the transaction hold m on the store root, calling the
+// manager only for a mode that adds to the one held (first use, IS→IX,
+// IX→SIX, ...). The memo is advanced only by a granted request, so it
+// never claims more than the manager holds; a covered request still
+// fails on a finished transaction, as the elided call would have.
+func (tx *Tx) lockRoot(ctx context.Context, m hwtwbg.Mode) error {
+	want := hwtwbg.Conv(tx.root, m)
+	if want == tx.root {
+		return tx.t.Err()
+	}
+	if err := tx.t.Lock(ctx, root, m); err != nil {
+		return err
+	}
+	tx.root = want
+	return nil
+}
+
+// lockBatch is lockRoot plus keyMode on every key, in one LockAll batch
+// that leaves the root out when it is already covered.
+func (tx *Tx) lockBatch(ctx context.Context, m, keyMode hwtwbg.Mode, keys []string) error {
+	reqs := make([]hwtwbg.LockRequest, 0, len(keys)+1)
+	want := hwtwbg.Conv(tx.root, m)
+	if want != tx.root {
+		reqs = append(reqs, hwtwbg.LockRequest{Resource: root, Mode: m})
+	}
+	for _, k := range keys {
+		reqs = append(reqs, hwtwbg.LockRequest{Resource: keyResource(k), Mode: keyMode})
+	}
+	if err := tx.t.LockAll(ctx, reqs); err != nil {
+		return err
+	}
+	tx.root = want
+	return nil
+}
+
+// buffer records a write (nil = delete) in the write set.
+func (tx *Tx) buffer(key string, v *string) {
+	if tx.writes == nil {
+		tx.writes = make(map[string]*string)
+	}
+	tx.writes[key] = v
 }
 
 // SetOpTag attaches an application-defined operation tag to the
@@ -132,6 +189,10 @@ func (tx *Tx) SetOpTag(tag uint64) { tx.t.SetTag(tag) }
 
 // Get returns the value of key. The transaction sees its own buffered
 // writes.
+//
+// The budgeted site is Txn.Lock's Resource first-touch literal.
+//
+//hwlint:hotpath allocs=1
 func (tx *Tx) Get(ctx context.Context, key string) (string, bool, error) {
 	if w, ok := tx.writes[key]; ok {
 		if w == nil {
@@ -139,7 +200,7 @@ func (tx *Tx) Get(ctx context.Context, key string) (string, bool, error) {
 		}
 		return *w, true, nil
 	}
-	if err := tx.t.Lock(ctx, root, hwtwbg.IS); err != nil {
+	if err := tx.lockRoot(ctx, hwtwbg.IS); err != nil {
 		return "", false, err
 	}
 	if err := tx.t.Lock(ctx, keyResource(key), hwtwbg.S); err != nil {
@@ -150,7 +211,7 @@ func (tx *Tx) Get(ctx context.Context, key string) (string, bool, error) {
 	v, ok := tx.s.data[key]
 	if tx.s.opts.History != nil {
 		if tx.reads == nil {
-			tx.reads = make(map[string]string)
+			tx.reads = make(map[string]string) //hwlint:allow allocbudget -- auditing (Options.History) only
 		}
 		if _, seen := tx.reads[key]; !seen {
 			tx.reads[key] = v // "" when absent
@@ -160,13 +221,12 @@ func (tx *Tx) Get(ctx context.Context, key string) (string, bool, error) {
 }
 
 // GetAll returns the values of every key in keys, omitting absent ones.
-// All key locks (plus IS on the root) are acquired in one LockAll
-// batch — one shard-mutex round per shard instead of one per key — and
-// the transaction sees its own buffered writes, exactly as Get does.
+// All key locks (plus IS on the root, unless already covered) are
+// acquired in one LockAll batch — one shard-mutex round per shard
+// instead of one per key — and the transaction sees its own buffered
+// writes, exactly as Get does.
 func (tx *Tx) GetAll(ctx context.Context, keys ...string) (map[string]string, error) {
 	out := make(map[string]string, len(keys))
-	reqs := make([]hwtwbg.LockRequest, 0, len(keys)+1)
-	reqs = append(reqs, hwtwbg.LockRequest{Resource: root, Mode: hwtwbg.IS})
 	need := make([]string, 0, len(keys))
 	for _, k := range keys {
 		if _, ok := tx.writes[k]; ok {
@@ -177,10 +237,7 @@ func (tx *Tx) GetAll(ctx context.Context, keys ...string) (map[string]string, er
 	// Sorted key order keeps the lock footprint deterministic for a
 	// given key set (LockAll itself re-sorts by shard).
 	sort.Strings(need)
-	for _, k := range need {
-		reqs = append(reqs, hwtwbg.LockRequest{Resource: keyResource(k), Mode: hwtwbg.S})
-	}
-	if err := tx.t.LockAll(ctx, reqs); err != nil {
+	if err := tx.lockBatch(ctx, hwtwbg.IS, hwtwbg.S, need); err != nil {
 		return nil, err
 	}
 	tx.s.mu.RLock()
@@ -208,7 +265,8 @@ func (tx *Tx) GetAll(ctx context.Context, keys ...string) (map[string]string, er
 }
 
 // PutAll buffers writes of every entry in kvs, acquiring all the write
-// locks (IX on the root plus X per key) in one LockAll batch.
+// locks (IX on the root, unless already covered, plus X per key) in one
+// LockAll batch.
 func (tx *Tx) PutAll(ctx context.Context, kvs map[string]string) error {
 	if len(kvs) == 0 {
 		return nil
@@ -218,17 +276,12 @@ func (tx *Tx) PutAll(ctx context.Context, kvs map[string]string) error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	reqs := make([]hwtwbg.LockRequest, 0, len(keys)+1)
-	reqs = append(reqs, hwtwbg.LockRequest{Resource: root, Mode: hwtwbg.IX})
-	for _, k := range keys {
-		reqs = append(reqs, hwtwbg.LockRequest{Resource: keyResource(k), Mode: hwtwbg.X})
-	}
-	if err := tx.t.LockAll(ctx, reqs); err != nil {
+	if err := tx.lockBatch(ctx, hwtwbg.IX, hwtwbg.X, keys); err != nil {
 		return err
 	}
 	for _, k := range keys {
 		v := kvs[k]
-		tx.writes[k] = &v
+		tx.buffer(k, &v)
 	}
 	return nil
 }
@@ -239,7 +292,7 @@ func (tx *Tx) Put(ctx context.Context, key, value string) error {
 		return err
 	}
 	v := value
-	tx.writes[key] = &v
+	tx.buffer(key, &v)
 	return nil
 }
 
@@ -248,12 +301,15 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	if err := tx.lockWrite(ctx, key); err != nil {
 		return err
 	}
-	tx.writes[key] = nil
+	tx.buffer(key, nil)
 	return nil
 }
 
+// lockWrite takes the locks of a Put or Delete; its budget is Txn.Lock's.
+//
+//hwlint:hotpath allocs=1
 func (tx *Tx) lockWrite(ctx context.Context, key string) error {
-	if err := tx.t.Lock(ctx, root, hwtwbg.IX); err != nil {
+	if err := tx.lockRoot(ctx, hwtwbg.IX); err != nil {
 		return err
 	}
 	return tx.t.Lock(ctx, keyResource(key), hwtwbg.X)
@@ -264,7 +320,7 @@ func (tx *Tx) lockWrite(ctx context.Context, key string) error {
 // phantom-safe: no concurrent transaction can commit an insert or
 // delete while the scanning transaction lives.
 func (tx *Tx) Scan(ctx context.Context) ([]KV, error) {
-	if err := tx.t.Lock(ctx, root, hwtwbg.S); err != nil {
+	if err := tx.lockRoot(ctx, hwtwbg.S); err != nil {
 		return nil, err
 	}
 	tx.s.mu.RLock()
@@ -342,8 +398,10 @@ func (s *Store) View(ctx context.Context, fn func(tx *Tx) error) error {
 	return s.retry(ctx, fn)
 }
 
+// retry is the restart loop behind Update and View. Only a deadlock abort
+// backs off, with jitter from math/rand's auto-seeded, goroutine-safe
+// top-level functions: an un-aborted transaction touches no random state.
 func (s *Store) retry(ctx context.Context, fn func(tx *Tx) error) error {
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	for attempt := 1; attempt <= s.opts.MaxRetries; attempt++ {
 		tx := s.Begin()
 		err := fn(tx)
@@ -361,7 +419,7 @@ func (s *Store) retry(ctx context.Context, fn func(tx *Tx) error) error {
 			return err
 		}
 		// Deadlock victim: back off and retry.
-		backoff := time.Duration(rng.Intn(attempt*500)+100) * time.Microsecond
+		backoff := time.Duration(rand.Intn(attempt*500)+100) * time.Microsecond
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
