@@ -20,11 +20,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Static analysis: go vet plus the project's own analyzers (cmd/hwlint:
-# shard lock ordering, callbacks under shard mutexes, nondeterministic
-# map-iteration output, direct metric-field access). Zero findings
-# required; deliberate exceptions carry //hwlint:allow annotations.
+# Static analysis: gofmt-clean sources, go vet, plus the project's own
+# analyzers (cmd/hwlint: shard lock ordering, callbacks under shard
+# mutexes, nondeterministic map-iteration output, direct metric-field
+# access). Zero findings required; deliberate exceptions carry
+# //hwlint:allow annotations.
 lint: vet
+	test -z "$$(gofmt -l .)"
 	$(GO) run ./cmd/hwlint ./...
 
 # Runtime invariant audit: the whole test suite with the invariants
@@ -34,12 +36,15 @@ lint: vet
 audit:
 	$(GO) test -tags=invariants ./...
 
-# Ten seconds of FuzzTableOps beyond its checked-in seeds: requests,
-# commits, aborts and the detector's queue surgery in arbitrary order,
-# the table's invariants — the maintained active set among them —
-# checked after every operation.
+# Ten seconds of each fuzzer beyond its checked-in seeds. FuzzTableOps:
+# requests, commits, aborts and the detector's queue surgery in
+# arbitrary order, the table's invariants — the maintained active set
+# among them — checked after every operation. FuzzDispatch: wire request
+# streams answered by a live server and by the old string dispatcher,
+# reply for reply.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz FuzzTableOps -fuzztime 10s ./internal/table
+	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./lockservice
 
 # Full bench sweep with allocation stats; the text output is archived
 # alongside a JSON rendering (cmd/benchjson) for diffing across PRs.

@@ -48,7 +48,7 @@ func skipDecision(s *shard, seen uint64) bool {
 // lets it escape the method surface, and a zeroing store that rewinds
 // the version history the detector keys its reuse on.
 func bad(s *shard) uint64 {
-	e := s.epoch.v // want "field v of shardEpoch touched directly"
+	e := s.epoch.v  // want "field v of shardEpoch touched directly"
 	p := &s.epoch.v // want "field v of shardEpoch touched directly"
 	_ = p
 	s.mu.Lock()

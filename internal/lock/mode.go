@@ -8,7 +8,11 @@
 // exclusive) and X (exclusive), plus NL (no lock) as the identity.
 package lock
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"strconv"
+)
 
 // Mode is one of the six lock modes of Section 2 of the paper.
 // The zero value is NL (no lock).
@@ -46,14 +50,16 @@ func (m Mode) String() string {
 func (m Mode) Valid() bool { return m < numModes }
 
 // Parse converts a mode name as printed in the paper (case sensitive:
-// "NL", "IS", "IX", "SIX", "S", "X") back into a Mode.
+// "NL", "IS", "IX", "SIX", "S", "X") back into a Mode. s does not
+// escape, so the wire server parses a mode from request bytes without
+// allocating.
 func Parse(s string) (Mode, error) {
 	for i, name := range modeNames {
 		if s == name {
 			return Mode(i), nil
 		}
 	}
-	return NL, fmt.Errorf("lock: unknown lock mode %q", s)
+	return NL, errors.New("lock: unknown lock mode " + strconv.Quote(s))
 }
 
 // MustParse is Parse but panics on invalid input. It is intended for

@@ -23,6 +23,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Ping(); err != nil {
@@ -84,6 +85,7 @@ func BenchmarkLockCommitCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Begin(); err != nil {

@@ -2,6 +2,7 @@ package lockservice
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -23,6 +24,7 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	r    *bufio.Reader
+	buf  []byte // the request being sent, reused
 
 	// tag is the sticky op tag appended to transaction-scoped requests
 	// (SetOpTag); 0 = none.
@@ -75,85 +77,114 @@ func (c *Client) SetOpTag(tag uint64) { c.tag.Store(tag) }
 // OpTag returns the sticky operation tag (0 when none).
 func (c *Client) OpTag() uint64 { return c.tag.Load() }
 
-// tagSuffix renders the sticky tag as the request's trailing field
-// ("" when no tag is set).
-func (c *Client) tagSuffix() string {
-	t := c.tag.Load()
-	if t == 0 {
-		return ""
-	}
-	return fmt.Sprintf(" tag=%d", t)
-}
-
-// roundTrip sends one line and reads one reply line.
-func (c *Client) roundTrip(req string) (string, error) {
+// call does one request/reply exchange under c.mu; every verb goes
+// through it. req appends the request line, newline excluded, to the
+// client's reused buffer, which goes out in one conn.Write. reply
+// classifies the trimmed reply line while c.mu is still held: the line
+// is the reader's buffer and lives only until the next read, which is
+// also why multi-line replies are read inside reply.
+func (c *Client) call(req func([]byte) []byte, reply func([]byte) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := fmt.Fprintf(c.conn, "%s\n", req); err != nil {
-		return "", err
+	c.buf = append(req(c.buf[:0]), '\n')
+	if _, err := c.conn.Write(c.buf); err != nil {
+		return err
 	}
-	line, err := c.r.ReadString('\n')
+	line, err := c.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// Longer than the reader's buffer (a long ERR message, a broken
+		// server): accumulate it.
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
+			line, err = c.r.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
+	}
 	if err != nil {
-		return "", err
+		return err
 	}
-	return strings.TrimSpace(line), nil
+	return reply(bytes.TrimSpace(line))
 }
 
-func parseErr(resp string) error {
+// appendTag appends the sticky tag as the request's trailing ` tag=<n>`
+// field, if one is set.
+func (c *Client) appendTag(b []byte) []byte {
+	if t := c.tag.Load(); t != 0 {
+		b = strconv.AppendUint(append(b, " tag="...), t, 10)
+	}
+	return b
+}
+
+// appendLock appends one ` <resource> <mode>` pair.
+func appendLock(b []byte, resource string, mode hwtwbg.Mode) []byte {
+	b = append(append(append(b, ' '), resource...), ' ')
+	return append(b, mode.String()...)
+}
+
+// replyErr classifies a reply line: nil for OK and OK <payload>,
+// ErrAborted, ErrBusy, the server's message for ERR <msg>, and a
+// malformed-reply error for anything else. Only the errors allocate.
+func replyErr(line []byte) error {
 	switch {
-	case resp == "OK" || strings.HasPrefix(resp, "OK "):
+	case string(line) == "OK" || bytes.HasPrefix(line, []byte("OK ")):
 		return nil
-	case resp == "ABORTED":
+	case string(line) == "ABORTED":
 		return ErrAborted
-	case resp == "BUSY":
+	case string(line) == "BUSY":
 		return ErrBusy
-	case strings.HasPrefix(resp, "ERR "):
-		return errors.New("lockservice: " + strings.TrimPrefix(resp, "ERR "))
+	case bytes.HasPrefix(line, []byte("ERR ")):
+		return errors.New("lockservice: " + string(line[len("ERR "):]))
 	default:
-		return fmt.Errorf("lockservice: malformed reply %q", resp)
+		return fmt.Errorf("lockservice: malformed reply %q", line)
 	}
 }
+
+// okPayload returns what follows "OK " in a reply line.
+func okPayload(line []byte) []byte { return bytes.TrimPrefix(line, []byte("OK ")) }
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
 	start := time.Now()
-	resp, err := c.roundTrip("PING")
-	if err != nil {
-		return c.observe(VerbPing, start, err)
-	}
-	if resp != "PONG" {
-		err = fmt.Errorf("lockservice: malformed reply %q", resp)
-	}
+	err := c.call(func(b []byte) []byte { return append(b, "PING"...) }, func(line []byte) error {
+		if string(line) != "PONG" {
+			return fmt.Errorf("lockservice: malformed reply %q", line)
+		}
+		return nil
+	})
 	return c.observe(VerbPing, start, err)
 }
 
 // Begin starts a transaction and returns its server-side id.
 func (c *Client) Begin() (hwtwbg.TxnID, error) {
 	start := time.Now()
-	resp, err := c.roundTrip("BEGIN" + c.tagSuffix())
+	var id int
+	err := c.call(func(b []byte) []byte { return c.appendTag(append(b, "BEGIN"...)) }, func(line []byte) error {
+		if err := replyErr(line); err != nil {
+			return err
+		}
+		n, err := strconv.Atoi(string(okPayload(line)))
+		if err != nil {
+			return fmt.Errorf("lockservice: malformed BEGIN reply %q", line)
+		}
+		id = n
+		return nil
+	})
 	if err != nil {
 		return 0, c.observe(VerbBegin, start, err)
-	}
-	if err := parseErr(resp); err != nil {
-		return 0, c.observe(VerbBegin, start, err)
-	}
-	n, err := strconv.Atoi(strings.TrimPrefix(resp, "OK "))
-	if err != nil {
-		return 0, c.observe(VerbBegin, start, fmt.Errorf("lockservice: malformed BEGIN reply %q", resp))
 	}
 	c.observe(VerbBegin, start, nil)
-	return hwtwbg.TxnID(n), nil
+	return hwtwbg.TxnID(id), nil
 }
 
 // Lock blocks until the lock is granted, returning ErrAborted if the
 // transaction was chosen as a deadlock victim.
 func (c *Client) Lock(resource string, mode hwtwbg.Mode) error {
 	start := time.Now()
-	resp, err := c.roundTrip(fmt.Sprintf("LOCK %s %v%s", resource, mode, c.tagSuffix()))
-	if err != nil {
-		return c.observe(VerbLock, start, err)
-	}
-	return c.observe(VerbLock, start, parseErr(resp))
+	err := c.call(func(b []byte) []byte {
+		return c.appendTag(appendLock(append(b, "LOCK"...), resource, mode))
+	}, replyErr)
+	return c.observe(VerbLock, start, err)
 }
 
 // LockAll acquires every lock in reqs in one round trip, blocking until
@@ -167,48 +198,38 @@ func (c *Client) LockAll(reqs []hwtwbg.LockRequest) error {
 		return nil
 	}
 	start := time.Now()
-	var b strings.Builder
-	b.WriteString("LOCKALL")
-	for _, rq := range reqs {
-		fmt.Fprintf(&b, " %s %v", rq.Resource, rq.Mode)
-	}
-	b.WriteString(c.tagSuffix())
-	resp, err := c.roundTrip(b.String())
-	if err != nil {
-		return c.observe(VerbLockAll, start, err)
-	}
-	return c.observe(VerbLockAll, start, parseErr(resp))
+	err := c.call(func(b []byte) []byte {
+		b = append(b, "LOCKALL"...)
+		for _, rq := range reqs {
+			b = appendLock(b, string(rq.Resource), rq.Mode)
+		}
+		return c.appendTag(b)
+	}, replyErr)
+	return c.observe(VerbLockAll, start, err)
 }
 
 // TryLock attempts the lock without blocking; ErrBusy means it would
 // have blocked (and was not queued).
 func (c *Client) TryLock(resource string, mode hwtwbg.Mode) error {
 	start := time.Now()
-	resp, err := c.roundTrip(fmt.Sprintf("TRYLOCK %s %v%s", resource, mode, c.tagSuffix()))
-	if err != nil {
-		return c.observe(VerbTryLock, start, err)
-	}
-	return c.observe(VerbTryLock, start, parseErr(resp))
+	err := c.call(func(b []byte) []byte {
+		return c.appendTag(appendLock(append(b, "TRYLOCK"...), resource, mode))
+	}, replyErr)
+	return c.observe(VerbTryLock, start, err)
 }
 
 // Commit commits the transaction, releasing every lock.
 func (c *Client) Commit() error {
 	start := time.Now()
-	resp, err := c.roundTrip("COMMIT")
-	if err != nil {
-		return c.observe(VerbCommit, start, err)
-	}
-	return c.observe(VerbCommit, start, parseErr(resp))
+	err := c.call(func(b []byte) []byte { return append(b, "COMMIT"...) }, replyErr)
+	return c.observe(VerbCommit, start, err)
 }
 
 // Abort rolls the transaction back.
 func (c *Client) Abort() error {
 	start := time.Now()
-	resp, err := c.roundTrip("ABORT")
-	if err != nil {
-		return c.observe(VerbAbort, start, err)
-	}
-	return c.observe(VerbAbort, start, parseErr(resp))
+	err := c.call(func(b []byte) []byte { return append(b, "ABORT"...) }, replyErr)
+	return c.observe(VerbAbort, start, err)
 }
 
 // Stats is the server's detector statistics plus the service-level
@@ -268,7 +289,6 @@ type Stats struct {
 // The wireschema analyzer holds this parser's key vocabulary equal to
 // the server's STATS emitter — both the recognition switch and the
 // assignment switch below must cover every emitted key.
-//
 func (c *Client) Stats() (Stats, error) {
 	start := time.Now()
 	st, err := c.stats()
@@ -283,14 +303,15 @@ func (c *Client) Stats() (Stats, error) {
 //hwlint:wire parse stats
 func (c *Client) stats() (Stats, error) {
 	var st Stats
-	resp, err := c.roundTrip("STATS")
+	var payload string
+	err := c.call(func(b []byte) []byte { return append(b, "STATS"...) }, func(line []byte) error {
+		payload = string(okPayload(line))
+		return replyErr(line)
+	})
 	if err != nil {
 		return st, err
 	}
-	if err := parseErr(resp); err != nil {
-		return st, err
-	}
-	for _, f := range strings.Fields(strings.TrimPrefix(resp, "OK ")) {
+	for _, f := range strings.Fields(payload) {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok {
 			continue // not a key=value field; tolerate
@@ -387,32 +408,29 @@ func (c *Client) DumpJournal() ([]journal.Record, error) {
 }
 
 func (c *Client) dumpJournal() ([]journal.Record, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := fmt.Fprintf(c.conn, "DUMP\n"); err != nil {
-		return nil, err
-	}
-	head, err := c.r.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	head = strings.TrimSpace(head)
-	if err := parseErr(head); err != nil {
-		return nil, err
-	}
-	n, err := strconv.Atoi(strings.TrimPrefix(head, "OK "))
-	if err != nil {
-		return nil, fmt.Errorf("lockservice: malformed DUMP header %q", head)
-	}
-	recs := make([]journal.Record, n)
-	for i := 0; i < n; i++ {
-		line, err := c.r.ReadString('\n')
+	var recs []journal.Record
+	err := c.call(func(b []byte) []byte { return append(b, "DUMP"...) }, func(head []byte) error {
+		if err := replyErr(head); err != nil {
+			return err
+		}
+		n, err := strconv.Atoi(string(okPayload(head)))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("lockservice: malformed DUMP header %q", head)
 		}
-		if err := recs[i].UnmarshalText([]byte(strings.TrimSpace(line))); err != nil {
-			return nil, fmt.Errorf("lockservice: DUMP record %d: %w", i, err)
+		recs = make([]journal.Record, n)
+		for i := range recs {
+			line, err := c.r.ReadString('\n')
+			if err != nil {
+				return err
+			}
+			if err := recs[i].UnmarshalText([]byte(strings.TrimSpace(line))); err != nil {
+				return fmt.Errorf("lockservice: DUMP record %d: %w", i, err)
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return recs, nil
 }
@@ -426,30 +444,26 @@ func (c *Client) Snapshot() (string, error) {
 }
 
 func (c *Client) snapshot() (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := fmt.Fprintf(c.conn, "SNAPSHOT\n"); err != nil {
-		return "", err
-	}
-	head, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	head = strings.TrimSpace(head)
-	if err := parseErr(head); err != nil {
-		return "", err
-	}
-	n, err := strconv.Atoi(strings.TrimPrefix(head, "OK "))
-	if err != nil {
-		return "", fmt.Errorf("lockservice: malformed SNAPSHOT header %q", head)
-	}
 	var b strings.Builder
-	for i := 0; i < n; i++ {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return "", err
+	err := c.call(func(b []byte) []byte { return append(b, "SNAPSHOT"...) }, func(head []byte) error {
+		if err := replyErr(head); err != nil {
+			return err
 		}
-		b.WriteString(line)
+		n, err := strconv.Atoi(string(okPayload(head)))
+		if err != nil {
+			return fmt.Errorf("lockservice: malformed SNAPSHOT header %q", head)
+		}
+		for i := 0; i < n; i++ {
+			line, err := c.r.ReadString('\n')
+			if err != nil {
+				return err
+			}
+			b.WriteString(line)
+		}
+		return nil
+	})
+	if err != nil {
+		return "", err
 	}
 	return b.String(), nil
 }

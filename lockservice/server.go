@@ -74,6 +74,7 @@ package lockservice
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -81,6 +82,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"hwtwbg"
 	"hwtwbg/journal"
@@ -172,11 +175,26 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// maxLine bounds a request line: at most maxLine-1 bytes before its
+// newline (the 1 MiB bufio.Scanner limit the server always had). A
+// longer line closes the connection unanswered.
+const maxLine = 1 << 20
+
+// bufSize is the request read buffer, and the largest reply buffer a
+// session keeps between requests.
+const bufSize = 4096
+
 // session is the per-connection state.
 type session struct {
 	srv *Server
 	txn *hwtwbg.Txn
 	ctx context.Context
+
+	// Scratch reused by every request: the line's fields (subslices of
+	// the line), the reply being built and the LOCKALL batch.
+	fields [][]byte
+	out    []byte
+	reqs   []hwtwbg.LockRequest
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -200,39 +218,153 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	w := bufio.NewWriter(conn)
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		// TAIL streams many lines, so it bypasses the one-line dispatch
-		// path and owns the writer until the stream ends.
-		if fields := strings.Fields(line); strings.ToUpper(fields[0]) == "TAIL" {
-			if !sess.serveTail(w, fields[1:]) {
+	r := bufio.NewReaderSize(conn, bufSize)
+	// long accumulates a line that outgrows r's buffer; it is dropped
+	// once served so one long line does not pin its size for the
+	// connection's lifetime.
+	var long []byte
+	for {
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			if long = append(long, line...); len(long) >= maxLine {
 				return
 			}
 			continue
 		}
-		resp, quit := sess.dispatch(line)
-		fmt.Fprintf(w, "%s\n", resp)
-		if err := w.Flush(); err != nil || quit {
+		if long != nil {
+			line, long = append(long, line...), nil
+		}
+		n := len(line)
+		if n > 0 && line[n-1] == '\n' {
+			n--
+		}
+		if n >= maxLine {
+			return
+		}
+		// A read error still serves the bytes before it, as a final
+		// unterminated line.
+		if line = bytes.TrimSpace(line); len(line) > 0 && !sess.serve(w, line) {
+			return
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-// dispatch executes one protocol line against the session.
-//
-// The STATS reply's key=value vocabulary is the wire contract checked
-// by the wireschema analyzer against Client.Stats: adding a key here
-// without teaching the client parser (or vice versa) fails lint.
-//
-//hwlint:wire emit stats
-func (sess *session) dispatch(line string) (resp string, quit bool) {
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
+// serve answers one non-blank request line; false closes the
+// connection.
+func (sess *session) serve(w *bufio.Writer, line []byte) bool {
+	sess.fields = appendFields(sess.fields[:0], line)
+	cmd := verb(sess.fields[0])
+	// TAIL streams many lines, so it bypasses the one-line dispatch path
+	// and owns the writer until the stream ends.
+	if cmd == "TAIL" {
+		args := make([]string, len(sess.fields)-1)
+		for i, f := range sess.fields[1:] {
+			args[i] = string(f)
+		}
+		return sess.serveTail(w, args)
+	}
+	sess.out = sess.out[:0]
+	quit := sess.dispatch(line, cmd)
+	clear(sess.fields) // they may point into a long line's buffer
+	sess.out = append(sess.out, '\n')
+	w.Write(sess.out)
+	if cap(sess.out) > bufSize {
+		sess.out = nil // a DUMP or SNAPSHOT reply: do not keep its size
+	}
+	return w.Flush() == nil && !quit
+}
+
+// appendFields appends line's fields to dst, split exactly where
+// strings.Fields splits: at runs of unicode.IsSpace, where an invalid
+// UTF-8 byte is not a space. Each field is a two-index subslice of line,
+// so its capacity records its offset (see fieldString).
+func appendFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(line); {
+		r, size := rune(line[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(line[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// verbs are the commands the server knows, in strings.ToUpper's case.
+var verbs = [...]string{
+	"BEGIN", "LOCK", "LOCKALL", "TRYLOCK", "COMMIT", "ABORT",
+	"STATS", "DUMP", "SNAPSHOT", "TAIL", "PING", "QUIT",
+}
+
+// verb returns strings.ToUpper of a request's first field: one of verbs,
+// without allocating, when f spells it in ASCII; a fresh string
+// otherwise (an unknown command, or a non-ASCII spelling such as "pıng"
+// that upper-cases to a verb).
+func verb(f []byte) string {
+next:
+	for _, v := range verbs {
+		if len(v) != len(f) {
+			continue
+		}
+		for i, c := range f {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			if c != v[i] {
+				continue next
+			}
+		}
+		return v
+	}
+	return strings.ToUpper(string(f))
+}
+
+// fieldString returns f's text as a substring of s, a string copy of
+// line, so a request costs one allocation however many resources it
+// names. f must be a subslice of line (appendFields makes them so): its
+// offset is its capacity's distance from line's.
+func fieldString(s string, line, f []byte) hwtwbg.ResourceID {
+	off := cap(line) - cap(f)
+	return hwtwbg.ResourceID(s[off : off+len(f)])
+}
+
+// reply appends s to the reply being built.
+func (sess *session) reply(s string) { sess.out = append(sess.out, s...) }
+
+// replyErr appends the ERR reply for err.
+func (sess *session) replyErr(err error) { sess.reply("ERR " + err.Error()) }
+
+// replyOutcome appends the reply to a LOCK, LOCKALL or COMMIT outcome.
+func (sess *session) replyOutcome(err error) {
+	switch {
+	case err == nil:
+		sess.reply("OK")
+	case errors.Is(err, hwtwbg.ErrAborted):
+		sess.reply("ABORTED")
+	default:
+		sess.replyErr(err)
+	}
+}
+
+// dispatch executes one request line against the session, appending its
+// reply (without the newline) to sess.out. The line's fields are in
+// sess.fields; cmd is the upper-cased verb.
+func (sess *session) dispatch(line []byte, cmd string) (quit bool) {
+	fields := sess.fields
 	// The transaction-scoped verbs accept a trailing ` tag=<uint64>`
 	// attaching an application op tag; peel it before argument counting
 	// so the verbs' usage shapes are unchanged.
@@ -240,15 +372,14 @@ func (sess *session) dispatch(line string) (resp string, quit bool) {
 	var hasTag bool
 	switch cmd {
 	case "BEGIN", "LOCK", "LOCKALL", "TRYLOCK":
-		if len(fields) > 1 {
-			if v, ok := strings.CutPrefix(fields[len(fields)-1], "tag="); ok {
-				n, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					return "ERR malformed tag= field", false
-				}
-				tag, hasTag = n, true
-				fields = fields[:len(fields)-1]
+		if last := len(fields) - 1; last > 0 && bytes.HasPrefix(fields[last], []byte("tag=")) {
+			n, err := strconv.ParseUint(string(fields[last][len("tag="):]), 10, 64)
+			if err != nil {
+				sess.reply("ERR malformed tag= field")
+				return false
 			}
+			tag, hasTag = n, true
+			fields = fields[:last]
 		}
 	}
 	// setTag applies the peeled tag to the live transaction — before the
@@ -262,156 +393,173 @@ func (sess *session) dispatch(line string) (resp string, quit bool) {
 	}
 	switch cmd {
 	case "PING":
-		return "PONG", false
+		sess.reply("PONG")
 	case "QUIT":
-		return "BYE", true
+		sess.reply("BYE")
+		return true
 	case "BEGIN":
 		if sess.txn != nil {
 			if sess.txn.Err() == nil {
-				return "ERR transaction already active; COMMIT or ABORT first", false
+				sess.reply("ERR transaction already active; COMMIT or ABORT first")
+				return false
 			}
 			sess.txn.Recycle() // finished (aborted) handle: hand it back
 		}
 		sess.txn = sess.srv.lm.Begin()
 		setTag()
-		return fmt.Sprintf("OK %d", int(sess.txn.ID())), false
+		sess.out = strconv.AppendInt(append(sess.out, "OK "...), int64(sess.txn.ID()), 10)
 	case "LOCK", "TRYLOCK":
 		if len(fields) != 3 {
-			return "ERR usage: " + cmd + " <resource> <mode>", false
+			sess.reply("ERR usage: " + cmd + " <resource> <mode>")
+			return false
 		}
 		if sess.txn == nil {
-			return "ERR no transaction; BEGIN first", false
+			sess.reply("ERR no transaction; BEGIN first")
+			return false
 		}
-		mode, err := hwtwbg.ParseMode(fields[2])
+		mode, err := hwtwbg.ParseMode(string(fields[2]))
 		if err != nil {
-			return "ERR " + err.Error(), false
+			sess.replyErr(err)
+			return false
 		}
-		rid := hwtwbg.ResourceID(fields[1])
+		rid := fieldString(string(line), line, fields[1])
 		setTag()
-		if cmd == "TRYLOCK" {
-			ok, err := sess.txn.TryLock(rid, mode)
-			switch {
-			case errors.Is(err, hwtwbg.ErrAborted):
-				return "ABORTED", false
-			case err != nil:
-				return "ERR " + err.Error(), false
-			case !ok:
-				return "BUSY", false
-			default:
-				return "OK", false
-			}
+		if cmd == "LOCK" {
+			sess.replyOutcome(sess.txn.Lock(sess.ctx, rid, mode))
+			return false
 		}
-		err = sess.txn.Lock(sess.ctx, rid, mode)
+		ok, err := sess.txn.TryLock(rid, mode)
 		switch {
-		case err == nil:
-			return "OK", false
 		case errors.Is(err, hwtwbg.ErrAborted):
-			return "ABORTED", false
+			sess.reply("ABORTED")
+		case err != nil:
+			sess.replyErr(err)
+		case !ok:
+			sess.reply("BUSY")
 		default:
-			return "ERR " + err.Error(), false
+			sess.reply("OK")
 		}
 	case "LOCKALL":
 		if len(fields) < 3 || len(fields)%2 == 0 {
-			return "ERR usage: LOCKALL <resource> <mode> [<resource> <mode> ...]", false
+			sess.reply("ERR usage: LOCKALL <resource> <mode> [<resource> <mode> ...]")
+			return false
 		}
 		if sess.txn == nil {
-			return "ERR no transaction; BEGIN first", false
+			sess.reply("ERR no transaction; BEGIN first")
+			return false
 		}
-		reqs := make([]hwtwbg.LockRequest, 0, (len(fields)-1)/2)
-		for i := 1; i < len(fields); i += 2 {
-			mode, err := hwtwbg.ParseMode(fields[i+1])
+		reqs := sess.reqs[:0]
+		for i := 2; i < len(fields); i += 2 {
+			mode, err := hwtwbg.ParseMode(string(fields[i]))
 			if err != nil {
-				return "ERR " + err.Error(), false
+				sess.replyErr(err)
+				return false
 			}
-			reqs = append(reqs, hwtwbg.LockRequest{Resource: hwtwbg.ResourceID(fields[i]), Mode: mode})
+			reqs = append(reqs, hwtwbg.LockRequest{Mode: mode})
+		}
+		s := string(line)
+		for i := range reqs {
+			reqs[i].Resource = fieldString(s, line, fields[1+2*i])
 		}
 		setTag()
-		err := sess.txn.LockAll(sess.ctx, reqs)
-		switch {
-		case err == nil:
-			return "OK", false
-		case errors.Is(err, hwtwbg.ErrAborted):
-			return "ABORTED", false
-		default:
-			return "ERR " + err.Error(), false
-		}
+		sess.replyOutcome(sess.txn.LockAll(sess.ctx, reqs))
+		// The manager keeps the names it holds; the scratch keeps none.
+		clear(reqs)
+		sess.reqs = reqs
 	case "COMMIT":
 		if sess.txn == nil {
-			return "ERR no transaction", false
+			sess.reply("ERR no transaction")
+			return false
 		}
 		err := sess.txn.Commit()
 		sess.txn.Recycle() // no-op if Commit failed with the txn still live
 		sess.txn = nil
-		if err != nil {
-			if errors.Is(err, hwtwbg.ErrAborted) {
-				return "ABORTED", false
-			}
-			return "ERR " + err.Error(), false
-		}
-		return "OK", false
+		sess.replyOutcome(err)
 	case "ABORT":
 		if sess.txn != nil {
 			sess.txn.Abort()
 			sess.txn.Recycle()
 			sess.txn = nil
 		}
-		return "OK", false
+		sess.reply("OK")
 	case "STATS":
-		st := sess.srv.lm.Stats()
-		var shardGrants uint64
-		for _, sh := range sess.srv.lm.ShardStats() {
-			shardGrants += sh.Grants
-		}
-		last, _ := sess.srv.lm.LastActivation() // zero report when none has run
-		cm := sess.srv.lm.CostModel()
-		var js journal.RingStats
-		if jr := sess.srv.lm.Journal(); jr != nil {
-			js = jr.Stats()
-		}
-		return fmt.Sprintf("OK runs=%d cycles=%d aborted=%d repositioned=%d salvaged=%d hold_last_ns=%d hold_max_ns=%d shard_grants=%d false_cycles=%d validations=%d period_ns=%d last_false_cycles=%d last_validations=%d"+
-			" cm_samples=%d cm_deadlocks=%d cm_rate_uhz=%d cm_detect_ns=%d cm_persist_ns=%d cm_period_ns=%d"+
-			" journal_emitted=%d journal_overwritten=%d journal_torn_reads=%d"+
-			" copy_ns=%d acquire_ns=%d shards_copied=%d shards_skipped=%d"+
-			" tail_sessions=%d tail_lagged=%d op_tags=%d",
-			st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged,
-			st.ShardHoldLast.Nanoseconds(), st.ShardHoldMax.Nanoseconds(), shardGrants,
-			st.FalseCycles, st.Validations, sess.srv.lm.CurrentPeriod().Nanoseconds(),
-			last.FalseCycles, last.Validations,
-			cm.Samples, cm.Deadlocks, int64(cm.RatePerSec*1e6), cm.DetectCost.Nanoseconds(), cm.PersistCost.Nanoseconds(), cm.Period.Nanoseconds(),
-			js.Emitted, js.Overwritten, js.TornReads,
-			last.Copy.Nanoseconds(), last.Acquire.Nanoseconds(), st.ShardsCopied, st.ShardsSkipped,
-			sess.srv.tailSessions.Load(), sess.srv.tailLagged.Load(), sess.srv.opTags.Load()), false
+		sess.reply(sess.stats())
 	case "DUMP":
-		jr := sess.srv.lm.Journal()
-		if jr == nil {
-			return "ERR journal disabled", false
-		}
-		recs := jr.Snapshot()
-		var b strings.Builder
-		fmt.Fprintf(&b, "OK %d", len(recs))
-		for i := range recs {
-			txt, err := recs[i].MarshalText()
-			if err != nil {
-				return "ERR " + err.Error(), false
-			}
-			b.WriteString("\n")
-			b.Write(txt)
-		}
-		return b.String(), false
+		sess.reply(sess.dump())
 	case "SNAPSHOT":
-		snap := sess.srv.lm.Snapshot()
-		lines := strings.Split(strings.TrimRight(snap, "\n"), "\n")
-		if snap == "" {
-			lines = nil
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "OK %d", len(lines))
-		for _, l := range lines {
-			b.WriteString("\n")
-			b.WriteString(l)
-		}
-		return b.String(), false
+		sess.reply(sess.snapshot())
 	default:
-		return "ERR unknown command " + cmd, false
+		sess.reply("ERR unknown command " + cmd)
 	}
+	return false
+}
+
+// stats renders the STATS reply.
+//
+// Its key=value vocabulary is the wire contract checked by the
+// wireschema analyzer against Client.Stats: adding a key here without
+// teaching the client parser (or vice versa) fails lint.
+//
+//hwlint:wire emit stats
+func (sess *session) stats() string {
+	st := sess.srv.lm.Stats()
+	var shardGrants uint64
+	for _, sh := range sess.srv.lm.ShardStats() {
+		shardGrants += sh.Grants
+	}
+	last, _ := sess.srv.lm.LastActivation() // zero report when none has run
+	cm := sess.srv.lm.CostModel()
+	var js journal.RingStats
+	if jr := sess.srv.lm.Journal(); jr != nil {
+		js = jr.Stats()
+	}
+	return fmt.Sprintf("OK runs=%d cycles=%d aborted=%d repositioned=%d salvaged=%d hold_last_ns=%d hold_max_ns=%d shard_grants=%d false_cycles=%d validations=%d period_ns=%d last_false_cycles=%d last_validations=%d"+
+		" cm_samples=%d cm_deadlocks=%d cm_rate_uhz=%d cm_detect_ns=%d cm_persist_ns=%d cm_period_ns=%d"+
+		" journal_emitted=%d journal_overwritten=%d journal_torn_reads=%d"+
+		" copy_ns=%d acquire_ns=%d shards_copied=%d shards_skipped=%d"+
+		" tail_sessions=%d tail_lagged=%d op_tags=%d",
+		st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged,
+		st.ShardHoldLast.Nanoseconds(), st.ShardHoldMax.Nanoseconds(), shardGrants,
+		st.FalseCycles, st.Validations, sess.srv.lm.CurrentPeriod().Nanoseconds(),
+		last.FalseCycles, last.Validations,
+		cm.Samples, cm.Deadlocks, int64(cm.RatePerSec*1e6), cm.DetectCost.Nanoseconds(), cm.PersistCost.Nanoseconds(), cm.Period.Nanoseconds(),
+		js.Emitted, js.Overwritten, js.TornReads,
+		last.Copy.Nanoseconds(), last.Acquire.Nanoseconds(), st.ShardsCopied, st.ShardsSkipped,
+		sess.srv.tailSessions.Load(), sess.srv.tailLagged.Load(), sess.srv.opTags.Load())
+}
+
+// dump renders the DUMP reply: a header and one line per record.
+func (sess *session) dump() string {
+	jr := sess.srv.lm.Journal()
+	if jr == nil {
+		return "ERR journal disabled"
+	}
+	recs := jr.Snapshot()
+	var b strings.Builder
+	fmt.Fprintf(&b, "OK %d", len(recs))
+	for i := range recs {
+		txt, err := recs[i].MarshalText()
+		if err != nil {
+			return "ERR " + err.Error()
+		}
+		b.WriteString("\n")
+		b.Write(txt)
+	}
+	return b.String()
+}
+
+// snapshot renders the SNAPSHOT reply: a header and the lock table.
+func (sess *session) snapshot() string {
+	snap := sess.srv.lm.Snapshot()
+	lines := strings.Split(strings.TrimRight(snap, "\n"), "\n")
+	if snap == "" {
+		lines = nil
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "OK %d", len(lines))
+	for _, l := range lines {
+		b.WriteString("\n")
+		b.WriteString(l)
+	}
+	return b.String()
 }

@@ -172,62 +172,64 @@ func (c *Client) TailJournal(opts TailOptions) (TailCursor, error) {
 }
 
 func (c *Client) tailJournal(opts TailOptions) (TailCursor, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var req strings.Builder
-	req.WriteString("TAIL")
-	if opts.Cursor != nil {
-		fmt.Fprintf(&req, " cursor=%s", opts.Cursor)
-	} else if opts.FromOldest {
-		req.WriteString(" from=oldest")
-	} else {
-		req.WriteString(" from=now")
-	}
-	if opts.Max > 0 {
-		fmt.Fprintf(&req, " max=%d", opts.Max)
-	}
-	if opts.Heartbeat > 0 {
-		fmt.Fprintf(&req, " hb=%s", opts.Heartbeat)
-	}
-	if _, err := fmt.Fprintf(c.conn, "%s\n", req.String()); err != nil {
-		return nil, err
-	}
-	head, err := c.r.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	head = strings.TrimSpace(head)
-	if err := parseErr(head); err != nil {
-		return nil, err
-	}
 	var cursor TailCursor
-	for _, f := range strings.Fields(strings.TrimPrefix(head, "OK ")) {
-		if v, ok := strings.CutPrefix(f, "cursor="); ok {
-			for _, p := range strings.Split(v, ",") {
-				n, perr := strconv.ParseUint(p, 10, 64)
-				if perr != nil {
-					return nil, fmt.Errorf("lockservice: malformed TAIL header %q", head)
+	err := c.call(func(b []byte) []byte {
+		b = append(b, "TAIL"...)
+		if opts.Cursor != nil {
+			b = fmt.Appendf(b, " cursor=%s", opts.Cursor)
+		} else if opts.FromOldest {
+			b = append(b, " from=oldest"...)
+		} else {
+			b = append(b, " from=now"...)
+		}
+		if opts.Max > 0 {
+			b = fmt.Appendf(b, " max=%d", opts.Max)
+		}
+		if opts.Heartbeat > 0 {
+			b = fmt.Appendf(b, " hb=%s", opts.Heartbeat)
+		}
+		return b
+	}, func(head []byte) error {
+		if err := replyErr(head); err != nil {
+			return err
+		}
+		var cur TailCursor
+		for _, f := range strings.Fields(string(okPayload(head))) {
+			if v, ok := strings.CutPrefix(f, "cursor="); ok {
+				for _, p := range strings.Split(v, ",") {
+					n, perr := strconv.ParseUint(p, 10, 64)
+					if perr != nil {
+						return fmt.Errorf("lockservice: malformed TAIL header %q", head)
+					}
+					cur = append(cur, n)
 				}
-				cursor = append(cursor, n)
 			}
 		}
-	}
-	if cursor == nil {
-		return nil, fmt.Errorf("lockservice: malformed TAIL header %q", head)
-	}
+		if cur == nil {
+			return fmt.Errorf("lockservice: malformed TAIL header %q", head)
+		}
+		// From here on the cursor names the exact resume point, whatever
+		// ends the stream.
+		cursor = cur
+		return c.tailStream(opts, cursor)
+	})
+	return cursor, err
+}
+
+// tailStream consumes frames after the TAIL header, advancing cursor in
+// place, until END, a callback's stop or an error.
+func (c *Client) tailStream(opts TailOptions, cursor TailCursor) error {
 	for {
 		line, err := c.r.ReadString('\n')
 		if err != nil {
-			// The connection died mid-stream; the cursor still names the
-			// exact resume point for the next session.
-			return cursor, err
+			return err
 		}
 		line = strings.TrimSpace(line)
 		switch {
 		case strings.HasPrefix(line, "BATCH "):
 			ring, n, next, lost, err := parseTailBatchHeader(line)
 			if err != nil {
-				return cursor, err
+				return err
 			}
 			b := TailBatch{Ring: ring, Next: next, Lost: lost}
 			if n > 0 {
@@ -236,10 +238,10 @@ func (c *Client) tailJournal(opts TailOptions) (TailCursor, error) {
 			for i := 0; i < n; i++ {
 				rl, err := c.r.ReadString('\n')
 				if err != nil {
-					return cursor, err
+					return err
 				}
 				if err := b.Records[i].UnmarshalText([]byte(strings.TrimSpace(rl))); err != nil {
-					return cursor, fmt.Errorf("lockservice: TAIL record %d: %w", i, err)
+					return fmt.Errorf("lockservice: TAIL record %d: %w", i, err)
 				}
 			}
 			if ring >= 0 && ring < len(cursor) {
@@ -248,30 +250,30 @@ func (c *Client) tailJournal(opts TailOptions) (TailCursor, error) {
 			if opts.OnBatch != nil {
 				if err := opts.OnBatch(b); err != nil {
 					if errors.Is(err, ErrStopTail) {
-						return cursor, nil
+						return nil
 					}
-					return cursor, err
+					return err
 				}
 			}
 		case strings.HasPrefix(line, "HB "):
 			hb, err := parseTailHeartbeat(line)
 			if err != nil {
-				return cursor, err
+				return err
 			}
 			if opts.OnHeartbeat != nil {
 				if err := opts.OnHeartbeat(hb); err != nil {
 					if errors.Is(err, ErrStopTail) {
-						return cursor, nil
+						return nil
 					}
-					return cursor, err
+					return err
 				}
 			}
 		case strings.HasPrefix(line, "END"):
-			return cursor, nil
+			return nil
 		case line == "":
 			continue
 		default:
-			return cursor, fmt.Errorf("lockservice: malformed TAIL frame %q", line)
+			return fmt.Errorf("lockservice: malformed TAIL frame %q", line)
 		}
 	}
 }
