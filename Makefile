@@ -52,7 +52,9 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 200ms -benchmem ./... | tee $(BENCH_OUT).txt | $(GO) run ./cmd/benchjson > $(BENCH_OUT).json
 
 # Quick harness check used by CI: the public-API benchmarks (uncontended,
-# conflict hand-off, group acquisition) piped straight into the archived
+# conflict hand-off, group acquisition) and the detector activations
+# (snapshot rounds, storm rounds among bystanders, a bare steady-state
+# Run — all allocation-free once warm) piped straight into the archived
 # allocs-only gate (E22 showed cross-run ns/op on this host is
 # environment-dominated, so only allocs/op growth fails), so an alloc
 # regression on the hot path fails CI even between full bench sweeps. Time-based -benchtime so warm-up allocations
@@ -60,7 +62,7 @@ bench:
 # because the archive was recorded at procs: 1 and MetricsSnapshot's
 # allocs/op depends on the shard count, which follows GOMAXPROCS.
 benchsmoke:
-	$(GO) test -run xxx -bench 'BenchmarkManagerUncontended|BenchmarkManagerConflict$$|BenchmarkManagerLockAll|BenchmarkMetricsSnapshot' -benchtime 50ms -benchmem -cpu 1 . | $(GO) run ./cmd/benchjson compare -allocs-only $(BENCH_OUT).json -
+	$(GO) test -run xxx -bench 'BenchmarkManagerUncontended|BenchmarkManagerConflict$$|BenchmarkManagerLockAll|BenchmarkMetricsSnapshot|BenchmarkDetectorActivation|BenchmarkDetectSteadyState' -benchtime 50ms -benchmem -cpu 1 . | $(GO) run ./cmd/benchjson compare -allocs-only $(BENCH_OUT).json -
 
 # hwbench (bench/, a module of its own that imports this one through a
 # replace directive) is outside `./...`: vet it and run its smoke and

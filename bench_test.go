@@ -503,6 +503,9 @@ func BenchmarkDetectorActivation(b *testing.B) {
 		b.Run(fmt.Sprintf("bystanders%d", locks), func(b *testing.B) {
 			s := newRingStorm(b, 512, locks/512)
 			defer s.close()
+			s.arm(b) // warm-up: the detector's and the table's storage grow to a round's size
+			s.m.Detect()
+			s.drain(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -523,19 +526,22 @@ func BenchmarkDetectorActivation(b *testing.B) {
 // ringStorm drives hwbench's deadlock_storm shape against one manager:
 // bystander transactions pinned on locks that nobody else wants, and per
 // round stormRings X-rings of four transactions, each closed into a
-// deadlock.
+// deadlock — plus, when tableau is set, one TestManualDetectAndTDR2
+// tableau, which the activation resolves by a TDR-2 repositioning.
 type ringStorm struct {
-	m     *Manager
-	pins  []*Txn
-	round int
-	txns  [stormRings * 4]*Txn
-	done  chan error
+	m       *Manager
+	pins    []*Txn
+	round   int
+	txns    [stormRings * 4]*Txn
+	tableau bool
+	tab     [3]*Txn // the tableau's T1, T2, T3, when armed
+	done    chan error
 }
 
 const stormRings = 4
 
 func newRingStorm(tb testing.TB, bystanders, locksEach int) *ringStorm {
-	s := &ringStorm{m: Open(Options{Shards: 2}), done: make(chan error, stormRings*4)}
+	s := &ringStorm{m: Open(Options{Shards: 2}), done: make(chan error, stormRings*4+3)}
 	ctx := context.Background()
 	for i := 0; i < bystanders; i++ {
 		pin := s.m.Begin()
@@ -551,57 +557,91 @@ func newRingStorm(tb testing.TB, bystanders, locksEach int) *ringStorm {
 
 func (s *ringStorm) close() { s.m.Close() }
 
+// ringName is resource j (mod 4) of ring in the current round.
+func (s *ringStorm) ringName(ring, j int) ResourceID {
+	return ResourceID(fmt.Sprintf("ring/%d/%d/%d", s.round, ring, j%4))
+}
+
+// tabName is the current round's tableau resource q or h.
+func (s *ringStorm) tabName(r string) ResourceID {
+	return ResourceID(fmt.Sprintf("tab/%d/%s", s.round, r))
+}
+
 // arm builds the round's rings and returns once every member is
-// blocked: member j of a ring holds resource j and waits for j+1.
+// blocked: member j of a ring holds resource j and waits for j+1. The
+// tableau, if any, follows: T1 holds IS on q and T3 X on h, then T2
+// queues X and T3 S on q, and T1's S on h closes the cycle.
 func (s *ringStorm) arm(tb testing.TB) {
 	ctx := context.Background()
 	s.round++
-	name := func(ring, j int) ResourceID {
-		return ResourceID(fmt.Sprintf("ring/%d/%d/%d", s.round, ring, j%4))
-	}
 	for i := range s.txns {
 		s.txns[i] = s.m.Begin()
-		if err := s.txns[i].Lock(ctx, name(i/4, i), X); err != nil {
+		if err := s.txns[i].Lock(ctx, s.ringName(i/4, i), X); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	for i, tx := range s.txns {
-		go func(tx *Txn, r ResourceID) {
-			err := tx.Lock(ctx, r, X)
-			if err == nil {
-				err = tx.Commit()
-			} else if errors.Is(err, ErrAborted) {
-				tx.Abort()
-				err = nil
-			}
-			s.done <- err
-		}(tx, name(i/4, i+1))
-		for !s.m.Blocked(tx.ID()) {
-			runtime.Gosched()
+		s.park(tx, s.ringName(i/4, i+1), X)
+	}
+	if !s.tableau {
+		return
+	}
+	t1, t2, t3 := s.m.Begin(), s.m.Begin(), s.m.Begin()
+	s.tab = [3]*Txn{t1, t2, t3}
+	if err := t1.Lock(ctx, s.tabName("q"), IS); err != nil {
+		tb.Fatal(err)
+	}
+	if err := t3.Lock(ctx, s.tabName("h"), X); err != nil {
+		tb.Fatal(err)
+	}
+	s.park(t2, s.tabName("q"), X)
+	s.park(t3, s.tabName("q"), S)
+	s.park(t1, s.tabName("h"), S)
+}
+
+// park issues tx's blocking request on its own goroutine, which then
+// commits (or, as a victim, aborts), and returns once tx is blocked.
+func (s *ringStorm) park(tx *Txn, r ResourceID, mode Mode) {
+	go func() {
+		err := tx.Lock(context.Background(), r, mode)
+		if err == nil {
+			err = tx.Commit()
+		} else if errors.Is(err, ErrAborted) {
+			tx.Abort()
+			err = nil
 		}
+		s.done <- err
+	}()
+	for !s.m.Blocked(tx.ID()) {
+		runtime.Gosched()
 	}
 }
 
 // drain waits until every member of the round has finished: the victims
 // abort, and each ring then unwinds one commit at a time.
 func (s *ringStorm) drain(tb testing.TB) {
-	for range s.txns {
+	members := s.txns[:]
+	if s.tableau {
+		members = append(members, s.tab[:]...)
+	}
+	for range members {
 		if err := <-s.done; err != nil {
 			tb.Fatal(err)
 		}
 	}
-	for _, tx := range s.txns {
+	for _, tx := range members {
 		tx.Recycle()
 	}
 }
 
 // BenchmarkDetectSteadyState measures repeated activations of ONE
 // detector on a live (deadlock-free) table — the deployed shape, where
-// the vertex pool and maps are recycled across runs and a steady-state
-// activation allocates almost nothing.
+// the vertex pool, maps and arenas are recycled across runs and a
+// steady-state activation allocates nothing.
 func BenchmarkDetectSteadyState(b *testing.B) {
 	tb := synth.Chain(200)
 	d := detect.New(tb, detect.Config{})
+	d.Run() // warm-up: the storage grows to the table's size
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

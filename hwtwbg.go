@@ -300,10 +300,12 @@ type Manager struct {
 
 	// snap is the reusable snapshot arena and snapDet the detector bound
 	// to its merged view; both are touched only under detMu.
-	// dirtyScratch is the reusable dirty-shard index list.
+	// dirtyScratch is the reusable dirty-shard index list and replay the
+	// validate-then-act storage, likewise detMu's.
 	snap         *table.Snapshot
 	snapDet      *detect.Detector
 	dirtyScratch []int
+	replay       replayScratch
 
 	// detMu serializes detector activations (background and manual)
 	// and Close; it is always acquired before any shard lock.
@@ -339,17 +341,50 @@ type Manager struct {
 	auditRuns    int
 	auditReports []audit.Report
 
-	closed atomic.Bool
-	nextID atomic.Int64
-	// condemned holds the ids of transactions marked for an externally-
-	// initiated abort (deadlock victims, Close) that the owning
-	// goroutine has not yet observed; entries are consumed on
-	// observation, so the map is empty in steady state and the hot
-	// path's check of it is a lock-free load that almost always misses.
-	condemned sync.Map
+	closed    atomic.Bool
+	nextID    atomic.Int64
+	condemned condemnedSet
 
 	stop chan struct{}
 	done chan struct{}
+}
+
+// condemnedSet holds the ids of transactions marked for an externally-
+// initiated abort (deadlock victims, Close) that the owning goroutine
+// has not yet observed. Entries are consumed on observation, so the set
+// is empty in steady state, and n — the number of entries — lets the
+// owner's check on every Lock be one atomic load that finds zero. mu
+// guards m alone and is taken last: under shard mutexes, never around
+// another lock.
+type condemnedSet struct {
+	n  atomic.Int64
+	mu sync.Mutex
+	m  map[TxnID]struct{}
+}
+
+// add marks id for abort.
+func (c *condemnedSet) add(id TxnID) {
+	c.mu.Lock()
+	if _, ok := c.m[id]; !ok {
+		c.m[id] = struct{}{}
+		c.n.Add(1)
+	}
+	c.mu.Unlock()
+}
+
+// take consumes id's mark, reporting whether there was one.
+func (c *condemnedSet) take(id TxnID) bool {
+	if c.n.Load() == 0 {
+		return false
+	}
+	c.mu.Lock()
+	_, ok := c.m[id]
+	if ok {
+		delete(c.m, id)
+		c.n.Add(-1)
+	}
+	c.mu.Unlock()
+	return ok
 }
 
 // Open creates a Manager and, when opts.Period > 0, starts its
@@ -380,6 +415,7 @@ func Open(opts Options) *Manager {
 			m.shards[i].jr = m.jr.Ring(i)
 		}
 	}
+	m.condemned.m = make(map[TxnID]struct{})
 	m.mt = &multiTable{shards: m.shards}
 	m.activations = make([]ActivationReport, 128)
 	m.snap = table.NewSnapshot()
@@ -505,7 +541,7 @@ func (m *Manager) Close() {
 	for _, s := range m.shards {
 		for _, id := range s.tb.Txns() {
 			s.tb.Abort(id)
-			m.condemned.Store(id, struct{}{})
+			m.condemned.add(id)
 		}
 		s.epoch.bump()
 		s.wakeAll()

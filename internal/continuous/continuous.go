@@ -194,7 +194,7 @@ func (d *Detector) resolve(cycle []twbg.Edge) (victim table.TxnID, aborted bool)
 		if r == nil || !lock.Comp(bm, r.TotalMode()) {
 			continue
 		}
-		_, st := d.tb.PeekAVST(rid, u)
+		_, st := d.tb.PeekAVST(rid, u, nil, nil)
 		sum := 0.0
 		for _, q := range st {
 			sum += d.cost(q.Txn)
@@ -207,7 +207,7 @@ func (d *Detector) resolve(cycle []twbg.Edge) (victim table.TxnID, aborted bool)
 		panic("continuous: cycle without a junction transaction (violates Lemma 3)")
 	}
 	if best.tdr2 {
-		_, st := d.tb.RepositionAVST(best.resource, best.junction)
+		_, st := d.tb.RepositionAVST(best.resource, best.junction, nil, nil)
 		if d.Costs != nil {
 			for _, q := range st {
 				d.Costs.Set(q.Txn, d.Costs.Cost(q.Txn)+1)

@@ -12,7 +12,7 @@ package detect
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hwtwbg/internal/lock"
@@ -33,8 +33,8 @@ type Table interface {
 	EachResource(f func(*table.Resource) bool)
 	Resource(rid table.ResourceID) *table.Resource
 	WaitingOn(txn table.TxnID) (table.ResourceID, lock.Mode, bool)
-	PeekAVST(rid table.ResourceID, j table.TxnID) (av, st []table.QueueEntry)
-	RepositionAVST(rid table.ResourceID, j table.TxnID) (av, st []table.QueueEntry)
+	PeekAVST(rid table.ResourceID, j table.TxnID, av, st []table.QueueEntry) ([]table.QueueEntry, []table.QueueEntry)
+	RepositionAVST(rid table.ResourceID, j table.TxnID, av, st []table.QueueEntry) ([]table.QueueEntry, []table.QueueEntry)
 	Abort(txn table.TxnID) []table.Grant
 	ScheduleQueue(rid table.ResourceID) []table.Grant
 }
@@ -79,14 +79,14 @@ func (c Config) cost(t table.TxnID) float64 {
 		return c.Costs.Cost(t)
 	}
 	if c.Cost != nil {
-		return c.Cost(t)
+		return c.Cost(t) //hwlint:allow allocbudget -- caller-supplied price; the manager's default reads the snapshot's held counts without allocating
 	}
 	return 1
 }
 
 func (c Config) boost(old float64) float64 {
 	if c.Boost != nil {
-		return c.Boost(old)
+		return c.Boost(old) //hwlint:allow allocbudget -- caller-supplied boost, applied only with a Costs table, which the manager does not use
 	}
 	return old + 1
 }
@@ -115,7 +115,7 @@ func (c *CostTable) Cost(t table.TxnID) float64 {
 // Set assigns an explicit cost to t.
 func (c *CostTable) Set(t table.TxnID, cost float64) {
 	if c.m == nil {
-		c.m = make(map[table.TxnID]float64)
+		c.m = make(map[table.TxnID]float64) //hwlint:allow allocbudget -- a zero-value CostTable's first Set only
 	}
 	c.m[t] = cost
 }
@@ -189,7 +189,10 @@ func (r Reposition) String() string {
 	return s + "]"
 }
 
-// Result reports one periodic activation.
+// Result reports one periodic activation. Its slices, and the Cycle, AV
+// and ST slices inside them, live in the detector's arenas: they are
+// valid until that detector's next Run, and a caller that keeps any of
+// them longer must copy.
 type Result struct {
 	// Aborted lists the victims actually aborted at Step 3, in
 	// processing order.
@@ -236,20 +239,37 @@ type Detector struct {
 	verts map[table.TxnID]*vertex
 	order []table.TxnID // all transaction ids, ascending ("for v := 1 to N")
 
-	abortion    []table.TxnID
+	abortion    []int // indexes into resolutions of the TDR-1 ones, in selection order
 	change      []table.ResourceID
 	reposs      []Reposition
 	resolutions []Resolution
+	aborted     []table.TxnID
+	salvaged    []table.TxnID
+	granted     []table.Grant
 
 	cycles     int
 	edgeVisits int
 
-	// Vertex storage is pooled in fixed chunks and reused across runs,
-	// so a steady-state activation allocates almost nothing: the
-	// "reasonable storage complexity" of Section 5 in practice.
-	chunks    [][]vertex
-	usedVerts int
-	grantSet  map[table.TxnID]bool
+	// Storage is kept across runs, so a steady-state activation
+	// allocates nothing: the "reasonable storage complexity" of Section
+	// 5 in practice. Vertices are pooled in fixed chunks. The arenas
+	// hold what a Result and the trace point into — cycle vertices,
+	// cycle evidence, TDR-2's AV/ST entries — appended to during a run
+	// and truncated by the next one (see Result). rev, peekAV and peekST
+	// are scratch that nothing outlives.
+	chunks     [][]vertex
+	usedVerts  int
+	grantSet   map[table.TxnID]bool
+	cycleVerts []table.TxnID
+	evidence   []CycleEdge
+	queued     []table.QueueEntry
+	rev        []table.TxnID
+	peekAV     []table.QueueEntry
+	peekST     []table.QueueEntry
+
+	// wireW and wireH are Step 1's EachResource visitors, bound once:
+	// a method value made per run would be allocated per run.
+	wireW, wireH func(*table.Resource) bool
 }
 
 // vertex is one TST entry: the waited adjacency list (W edge first, then
@@ -278,12 +298,14 @@ const rootMark table.TxnID = -1
 // New returns a detector bound to tb (a *table.Table, or any adapter
 // satisfying the Table interface).
 func New(tb Table, cfg Config) *Detector {
-	return &Detector{
+	d := &Detector{
 		tb:       tb,
 		cfg:      cfg,
 		verts:    make(map[table.TxnID]*vertex),
 		grantSet: make(map[table.TxnID]bool),
 	}
+	d.wireW, d.wireH = d.wireQueue, d.wireHolders
+	return d
 }
 
 // vertexChunk is the pooled allocation unit.
@@ -310,6 +332,10 @@ func (d *Detector) allocVertex() *vertex {
 // victims by TDR, and Step 3 confirms aborts and grants. The table is
 // left deadlock-free. The per-step wall-clock breakdown is reported in
 // the Result's BuildTime/SearchTime/ResolveTime.
+//
+// The Result and every Cycle, AV and ST slice inside it are valid until
+// this detector's next Run, which reuses their storage; so are the
+// Cycle slices of the run's TraceCycle events.
 func (d *Detector) Run() Result {
 	t0 := time.Now()
 	d.step1()
@@ -348,79 +374,95 @@ func (d *Detector) Wiring() map[table.TxnID][]WireEdge {
 
 // step1 constructs the per-run TST: W edges from every queue (always
 // conceptually present), H edges by ECR-1 and ECR-2 over every resource,
-// and initializes ancestor/current plus the three global lists.
+// and initializes ancestor/current plus the global lists and arenas.
 func (d *Detector) step1() {
 	clear(d.verts)
 	d.usedVerts = 0
 	d.order = d.order[:0]
 	d.abortion = d.abortion[:0]
 	d.change = d.change[:0]
-	d.reposs = nil      // returned to the caller; must be fresh
-	d.resolutions = nil // likewise
+	d.reposs = d.reposs[:0]
+	d.resolutions = d.resolutions[:0]
+	d.aborted = d.aborted[:0]
+	d.salvaged = d.salvaged[:0]
+	d.granted = d.granted[:0]
+	d.cycleVerts = d.cycleVerts[:0]
+	d.evidence = d.evidence[:0]
+	d.queued = d.queued[:0]
 	d.cycles = 0
 	d.edgeVisits = 0
 
-	vert := func(id table.TxnID) *vertex {
-		v, ok := d.verts[id]
-		if !ok {
-			v = d.allocVertex()
-			d.verts[id] = v
-			d.order = append(d.order, id)
-		}
-		return v
-	}
 	// W edges first so they sit at the front of each waited list
 	// ("the edge whose lock is not NL is put at the front").
-	d.tb.EachResource(func(r *table.Resource) bool {
-		qn := r.QueueLen()
-		for i := 0; i < qn; i++ {
-			entry := r.QueueAt(i)
-			v := vert(entry.Txn)
-			v.pr = r.ID()
-			v.inQueue = true
-			next := table.TxnID(0)
-			if i+1 < qn {
-				next = r.QueueAt(i + 1).Txn
-			}
-			v.edges = append(v.edges, wedge{Mode: entry.Blocked, To: next, rsrc: r.ID()})
-		}
-		return true
-	})
+	d.tb.EachResource(d.wireW)
 	// H edges by ECR-1 and ECR-2.
-	d.tb.EachResource(func(r *table.Resource) bool {
-		hn, qn := r.NumHolders(), r.QueueLen()
-		addH := func(from, to table.TxnID) {
-			vert(to) // ensure the target exists as a vertex
-			v := vert(from)
-			v.edges = append(v.edges, wedge{Mode: lock.NL, To: to, rsrc: r.ID()})
-		}
-		for i := 0; i < hn; i++ {
-			hi := r.HolderAt(i)
-			for j := i + 1; j < hn; j++ {
-				hj := r.HolderAt(j)
-				if !lock.Comp(hi.Granted, hj.Blocked) || !lock.Comp(hi.Blocked, hj.Blocked) {
-					addH(hi.Txn, hj.Txn)
-				}
-				if !lock.Comp(hi.Blocked, hj.Granted) {
-					addH(hj.Txn, hi.Txn)
-				}
-			}
-		}
-		for i := 0; i < hn; i++ {
-			h := r.HolderAt(i)
-			for j := 0; j < qn; j++ {
-				w := r.QueueAt(j)
-				if !lock.Comp(w.Blocked, h.Granted) || !lock.Comp(w.Blocked, h.Blocked) {
-					addH(h.Txn, w.Txn)
-					break
-				}
-			}
-		}
-		return true
-	})
-	sort.Slice(d.order, func(i, j int) bool { return d.order[i] < d.order[j] })
+	d.tb.EachResource(d.wireH)
+	slices.Sort(d.order)
 	// ancestor and current start clean: ancestor = 0, current = waited.
 	// (vertex zero values already satisfy this.)
+}
+
+// vertex returns id's TST entry, creating it on first mention.
+func (d *Detector) vertex(id table.TxnID) *vertex {
+	v, ok := d.verts[id]
+	if !ok {
+		v = d.allocVertex()
+		d.verts[id] = v
+		d.order = append(d.order, id)
+	}
+	return v
+}
+
+// wireQueue adds the W edge of every member of r's queue.
+func (d *Detector) wireQueue(r *table.Resource) bool {
+	qn := r.QueueLen()
+	for i := 0; i < qn; i++ {
+		entry := r.QueueAt(i)
+		v := d.vertex(entry.Txn)
+		v.pr = r.ID()
+		v.inQueue = true
+		next := table.TxnID(0)
+		if i+1 < qn {
+			next = r.QueueAt(i + 1).Txn
+		}
+		v.edges = append(v.edges, wedge{Mode: entry.Blocked, To: next, rsrc: r.ID()})
+	}
+	return true
+}
+
+// wireHolders adds the H edges r induces by ECR-1 and ECR-2.
+func (d *Detector) wireHolders(r *table.Resource) bool {
+	hn, qn := r.NumHolders(), r.QueueLen()
+	for i := 0; i < hn; i++ {
+		hi := r.HolderAt(i)
+		for j := i + 1; j < hn; j++ {
+			hj := r.HolderAt(j)
+			if !lock.Comp(hi.Granted, hj.Blocked) || !lock.Comp(hi.Blocked, hj.Blocked) {
+				d.addH(hi.Txn, hj.Txn, r.ID())
+			}
+			if !lock.Comp(hi.Blocked, hj.Granted) {
+				d.addH(hj.Txn, hi.Txn, r.ID())
+			}
+		}
+	}
+	for i := 0; i < hn; i++ {
+		h := r.HolderAt(i)
+		for j := 0; j < qn; j++ {
+			w := r.QueueAt(j)
+			if !lock.Comp(w.Blocked, h.Granted) || !lock.Comp(w.Blocked, h.Blocked) {
+				d.addH(h.Txn, w.Txn, r.ID())
+				break
+			}
+		}
+	}
+	return true
+}
+
+// addH adds the H edge from -> to induced at rid.
+func (d *Detector) addH(from, to table.TxnID, rid table.ResourceID) {
+	d.vertex(to) // ensure the target exists as a vertex
+	v := d.vertex(from)
+	v.edges = append(v.edges, wedge{Mode: lock.NL, To: to, rsrc: rid})
 }
 
 // step2 is the directed walk of the paper: for each transaction in id
@@ -488,50 +530,46 @@ func (d *Detector) kill(id table.TxnID) {
 // victim salvages an earlier one (Example 5.1).
 func (d *Detector) step3() Result {
 	res := Result{
-		Repositioned:   d.reposs,
-		Resolutions:    d.resolutions,
 		CyclesSearched: d.cycles,
 		EdgeVisits:     d.edgeVisits,
 		Vertices:       len(d.order),
-	}
-	// A junction appears in at most one resolution (its vertex is killed
-	// when selected), so victim id identifies the resolution to mark.
-	byVictim := make(map[table.TxnID]*Resolution, len(d.resolutions))
-	for i := range d.resolutions {
-		r := &d.resolutions[i]
-		if !r.TDR2 {
-			byVictim[r.Victim] = r
-		}
 	}
 	for _, v := range d.verts {
 		res.Edges += len(v.edges)
 	}
 	clear(d.grantSet)
-	grantSet := d.grantSet
-	record := func(gs []table.Grant) {
-		for _, g := range gs {
-			grantSet[g.Txn] = true
-		}
-		res.Granted = append(res.Granted, gs...)
-	}
 	for i := len(d.abortion) - 1; i >= 0; i-- {
-		v := d.abortion[i]
-		if grantSet[v] {
+		r := &d.resolutions[d.abortion[i]]
+		v := r.Victim
+		if d.grantSet[v] {
 			d.emit(TraceEvent{Kind: TraceSalvage, From: v})
-			res.Salvaged = append(res.Salvaged, v)
-			if r := byVictim[v]; r != nil {
-				r.Salvaged = true
-			}
+			d.salvaged = append(d.salvaged, v)
+			r.Salvaged = true
 			continue
 		}
 		d.emit(TraceEvent{Kind: TraceAbort, From: v})
-		record(d.tb.Abort(v))
-		res.Aborted = append(res.Aborted, v)
+		d.record(d.tb.Abort(v))
+		d.aborted = append(d.aborted, v)
 	}
 	for _, rid := range d.change {
-		record(d.tb.ScheduleQueue(rid))
+		d.record(d.tb.ScheduleQueue(rid))
 	}
+	// Clipped, so a caller's append copies instead of writing into the
+	// detector's storage.
+	res.Aborted = slices.Clip(d.aborted)
+	res.Salvaged = slices.Clip(d.salvaged)
+	res.Repositioned = slices.Clip(d.reposs)
+	res.Resolutions = slices.Clip(d.resolutions)
+	res.Granted = slices.Clip(d.granted)
 	return res
+}
+
+// record notes grants made during Step 3.
+func (d *Detector) record(gs []table.Grant) {
+	for _, g := range gs {
+		d.grantSet[g.Txn] = true
+	}
+	d.granted = append(d.granted, gs...)
 }
 
 // String identifies the detector in logs.

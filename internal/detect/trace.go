@@ -95,6 +95,6 @@ func (e TraceEvent) String() string {
 // emit sends an event to the configured trace hook, if any.
 func (d *Detector) emit(e TraceEvent) {
 	if d.cfg.Trace != nil {
-		d.cfg.Trace(e)
+		d.cfg.Trace(e) //hwlint:allow allocbudget -- optional narration hook, unset in the manager; a nil guard on a func field is not elided as an interface one is
 	}
 }

@@ -10,8 +10,31 @@ type candidate struct {
 	junction table.TxnID
 	cost     float64
 	tdr2     bool
-	av, st   []table.QueueEntry // TDR-2 only
-	resource table.ResourceID   // TDR-2 only
+	resource table.ResourceID // TDR-2 only
+}
+
+// better reports whether candidate c beats the best so far (best.cost <
+// 0: none yet). A cost tie prefers the resolution that aborts nobody,
+// unless preferAbort; then the lower junction id wins.
+func better(c, best candidate, preferAbort bool) bool {
+	switch {
+	case best.cost < 0:
+		return true
+	case c.cost != best.cost:
+		return c.cost < best.cost
+	case c.tdr2 != best.tdr2:
+		return c.tdr2 != preferAbort
+	default:
+		return c.junction < best.junction
+	}
+}
+
+// outEdge is the cycle edge leaving u: the edge its cursor points at
+// (cursors only advance past skipped edges, so the tree edge and the
+// closing edge are still current).
+func (d *Detector) outEdge(u table.TxnID) wedge {
+	vu := d.verts[u]
+	return vu.edges[vu.cur]
 }
 
 // victimSelection resolves the cycle closed by the edge v -> w, where the
@@ -37,74 +60,60 @@ type candidate struct {
 // queued at two resources, and two such transactions adjacent in
 // opposite orders make a cycle of W edges alone. That is no deadlock,
 // and the caller steps over the edge that closed it.
+//
+// The cycle, its evidence and the AV/ST split are appended to the
+// detector's arenas, so once they have grown to an activation's size a
+// resolution allocates nothing.
+//
+//hwlint:hotpath allocs=0
 func (d *Detector) victimSelection(v, w table.TxnID) bool {
-	// outEdge(u) is the cycle edge leaving u: the edge its cursor points
-	// at (cursors only advance past skipped edges, so the tree edge and
-	// the closing edge are still current).
-	outEdge := func(u table.TxnID) wedge {
-		vu := d.verts[u]
-		return vu.edges[vu.cur]
-	}
-
 	// The cycle's vertices are v and its ancestors up to w; the edge
 	// v -> w closes it. A junction is one whose cycle edge is H-labeled.
-	junction := outEdge(w).Mode == lock.NL
+	junction := d.outEdge(w).Mode == lock.NL
 	for u := v; u != w && !junction; u = d.verts[u].ancestor {
-		junction = outEdge(u).Mode == lock.NL
+		junction = d.outEdge(u).Mode == lock.NL
 	}
 	if !junction {
 		return false
 	}
 
 	// Reconstruct the cycle in cycle order: w, ..., v.
-	var rev []table.TxnID
+	d.rev = d.rev[:0]
 	for u := v; u != w; u = d.verts[u].ancestor {
-		rev = append(rev, u)
+		d.rev = append(d.rev, u)
 	}
-	cycle := make([]table.TxnID, 0, len(rev)+1)
-	cycle = append(cycle, w)
-	for i := len(rev) - 1; i >= 0; i-- {
-		cycle = append(cycle, rev[i])
+	start := len(d.cycleVerts)
+	d.cycleVerts = append(d.cycleVerts, w)
+	for i := len(d.rev) - 1; i >= 0; i-- {
+		d.cycleVerts = append(d.cycleVerts, d.rev[i])
 	}
+	cycle := d.cycleVerts[start:len(d.cycleVerts):len(d.cycleVerts)]
 	d.emit(TraceEvent{Kind: TraceCycle, From: v, To: w, Cycle: cycle})
 
 	// Capture the cycle's edge evidence (for snapshot callers to
 	// re-verify): the edge leaving cycle[i] targets cycle[i+1], with the
 	// inducing resource recorded at Step 1 (or by a TDR-2 rewire).
-	evidence := make([]CycleEdge, len(cycle))
+	start = len(d.evidence)
 	for i, u := range cycle {
-		e := outEdge(u)
-		evidence[i] = CycleEdge{
+		e := d.outEdge(u)
+		d.evidence = append(d.evidence, CycleEdge{
 			From:     u,
 			To:       cycle[(i+1)%len(cycle)],
 			Resource: e.rsrc,
 			Mode:     e.Mode,
-		}
+		})
 	}
+	evidence := d.evidence[start:len(d.evidence):len(d.evidence)]
 
 	best := candidate{cost: -1}
-	better := func(c candidate) bool {
-		switch {
-		case best.cost < 0:
-			return true
-		case c.cost != best.cost:
-			return c.cost < best.cost
-		case c.tdr2 != best.tdr2:
-			// Tie: prefer the resolution that aborts nobody, unless
-			// configured otherwise.
-			return c.tdr2 != d.cfg.PreferAbortOnTie
-		default:
-			return c.junction < best.junction
-		}
-	}
 	for i, u := range cycle {
-		if outEdge(u).Mode != lock.NL {
+		if d.outEdge(u).Mode != lock.NL {
 			continue // outgoing cycle edge is W-labeled: u is mid-TRRP
 		}
 		// u is a junction: TDR-1 candidate.
 		c1 := candidate{junction: u, cost: d.cfg.cost(u)}
 		d.emit(TraceEvent{Kind: TraceCandidate, From: u, Cost: c1.cost})
-		if better(c1) {
+		if better(c1, best, d.cfg.PreferAbortOnTie) {
 			best = c1
 		}
 		if d.cfg.DisableTDR2 {
@@ -113,7 +122,7 @@ func (d *Detector) victimSelection(v, w table.TxnID) bool {
 		// Incoming cycle edge: from the predecessor in cycle order (the
 		// closing edge v -> w for the first vertex).
 		prev := cycle[(i+len(cycle)-1)%len(cycle)]
-		if outEdge(prev).Mode == lock.NL {
+		if d.outEdge(prev).Mode == lock.NL {
 			continue // incoming edge is H-labeled: TDR-2 does not apply
 		}
 		vu := d.verts[u]
@@ -128,7 +137,8 @@ func (d *Detector) victimSelection(v, w table.TxnID) bool {
 		if !ok || !lock.Comp(bm, r.TotalMode()) {
 			continue
 		}
-		av, st := d.tb.PeekAVST(vu.pr, u)
+		av, st := d.tb.PeekAVST(vu.pr, u, d.peekAV[:0], d.peekST[:0])
+		d.peekAV, d.peekST = av, st
 		if len(av) == 0 || av[len(av)-1].Txn != u {
 			// On a consistent table the junction closes its own AV (its
 			// blocked mode was just checked against the total mode). A
@@ -142,9 +152,9 @@ func (d *Detector) victimSelection(v, w table.TxnID) bool {
 		for _, q := range st {
 			sum += d.cfg.cost(q.Txn)
 		}
-		c := candidate{junction: u, cost: sum / 2, tdr2: true, av: av, st: st, resource: vu.pr}
+		c := candidate{junction: u, cost: sum / 2, tdr2: true, resource: vu.pr}
 		d.emit(TraceEvent{Kind: TraceCandidate, From: u, Cost: c.cost, TDR2: true})
-		if better(c) {
+		if better(c, best, d.cfg.PreferAbortOnTie) {
 			best = c
 		}
 	}
@@ -153,7 +163,7 @@ func (d *Detector) victimSelection(v, w table.TxnID) bool {
 
 	// Backtracking: clear the ancestor of every backtracked vertex
 	// except w.
-	for _, u := range rev {
+	for _, u := range d.rev {
 		d.verts[u].ancestor = 0
 	}
 	return true
@@ -167,7 +177,7 @@ func (d *Detector) apply(c candidate, evidence []CycleEdge) {
 		// dead for the rest of the walk.
 		d.emit(TraceEvent{Kind: TraceVictimTDR1, From: c.junction})
 		d.kill(c.junction)
-		d.abortion = append(d.abortion, c.junction)
+		d.abortion = append(d.abortion, len(d.resolutions))
 		d.resolutions = append(d.resolutions, Resolution{Cycle: evidence, Victim: c.junction})
 		return
 	}
@@ -176,8 +186,16 @@ func (d *Detector) apply(c candidate, evidence []CycleEdge) {
 	// resource's W edges to the new order, boost ST costs so the same
 	// requests are not repositioned forever, remember the resource for
 	// Step 3 scheduling, and kill the AV vertices (Lemma 4.1: they can
-	// no longer be in any deadlock cycle).
-	av, st := d.tb.RepositionAVST(c.resource, c.junction)
+	// no longer be in any deadlock cycle). AV and ST are split into the
+	// scratch and kept in the queued-entry arena, which the Result
+	// points into.
+	av, st := d.tb.RepositionAVST(c.resource, c.junction, d.peekAV[:0], d.peekST[:0])
+	d.peekAV, d.peekST = av, st
+	start := len(d.queued)
+	d.queued = append(d.queued, av...)
+	mid := len(d.queued)
+	d.queued = append(d.queued, st...)
+	av, st = d.queued[start:mid:mid], d.queued[mid:len(d.queued):len(d.queued)]
 	d.rewireQueue(c.resource)
 	if d.cfg.Costs != nil {
 		for _, q := range st {

@@ -34,7 +34,9 @@ func (p *ParkResolver) Name() string { return p.label }
 // OnBlocked is a no-op: the algorithm is periodic.
 func (p *ParkResolver) OnBlocked(table.TxnID, int64) []table.TxnID { return nil }
 
-// OnTick performs one periodic activation.
+// OnTick performs one periodic activation. The victims slice is the
+// detector's, valid until the next OnTick; the simulator consumes it at
+// once.
 func (p *ParkResolver) OnTick(now int64) []table.TxnID {
 	res := p.d.Run()
 	p.stats.Repositionings += len(res.Repositioned)

@@ -92,7 +92,7 @@ func FuzzTableOps(f *testing.F) {
 				if !lock.Comp(j.Blocked, r.TotalMode()) {
 					continue // not a TDR-2 junction (Definition 4.1)
 				}
-				tb.RepositionAVST(rid, j.Txn)
+				tb.RepositionAVST(rid, j.Txn, nil, nil)
 				// Between Step 2 and Step 3 the queue head is grantable by
 				// design; the active set must already be right.
 				if err := tb.validateActive(); err != nil {

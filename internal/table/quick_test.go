@@ -119,7 +119,7 @@ func TestQuickRepositionPreservesQueue(t *testing.T) {
 		}
 		before := r.Queue()
 		j := before[int(pick)%len(before)].Txn
-		av, st := tb.RepositionAVST(r.ID(), j)
+		av, st := tb.RepositionAVST(r.ID(), j, nil, nil)
 		after := r.Queue()
 		if tb.validateActive() != nil {
 			return false

@@ -116,7 +116,8 @@ func (t *Table) rescheduleAfterHolderRemoval(r *Resource) {
 		}
 		// Grant: substitute bm for gm, clear bm, move the entry to the
 		// head of the granted suffix ("put after the blocked holders").
-		r.holders = r.holders[1:]
+		// Shifting down rather than reslicing keeps the list's capacity.
+		r.holders = r.holders[:copy(r.holders, r.holders[1:])]
 		granted := HolderEntry{Txn: h.Txn, Granted: h.Blocked}
 		r.insertGranted(granted)
 		st := t.state(h.Txn)
@@ -136,11 +137,13 @@ func (t *Table) rescheduleAfterHolderRemoval(r *Resource) {
 // grantFromQueue grants queue members from the front while the first
 // waiter's blocked mode is compatible with the total mode, as Section 3
 // prescribes for both rescheduling cases, appending the grants to the
-// scratch buffer.
+// scratch buffer. The granted prefix is shifted out, not resliced away,
+// so the queue keeps its capacity: a recycled Resource comes back able
+// to queue without allocating.
 func (t *Table) grantFromQueue(r *Resource) {
-	for len(r.queue) > 0 && lock.Comp(r.queue[0].Blocked, r.total) {
-		q := r.queue[0]
-		r.queue = r.queue[1:]
+	n := 0
+	for ; n < len(r.queue) && lock.Comp(r.queue[n].Blocked, r.total); n++ {
+		q := r.queue[n]
 		r.insertGranted(HolderEntry{Txn: q.Txn, Granted: q.Blocked})
 		r.total = lock.Conv(r.total, q.Blocked)
 		st := t.state(q.Txn)
@@ -148,6 +151,9 @@ func (t *Table) grantFromQueue(r *Resource) {
 		st.waitingOn = nil
 		st.upgrading = false
 		t.grantBuf = append(t.grantBuf, Grant{Txn: q.Txn, Resource: r.id, Mode: q.Blocked})
+	}
+	if n > 0 {
+		r.queue = r.queue[:copy(r.queue, r.queue[n:])]
 	}
 	t.deactivate(r)
 }
@@ -170,16 +176,19 @@ func (t *Table) ScheduleQueue(rid ResourceID) []Grant {
 // TDR-2 (Definition 4.1) on resource rid: among the queue entries from
 // the front up to and including transaction j, AV holds those whose
 // blocked modes are compatible with the total mode and ST the
-// incompatible ones, both in queue order. Victim selection uses this to
-// price a TDR-2 candidate (cost = sum of ST costs / 2) before deciding.
-func (t *Table) PeekAVST(rid ResourceID, j TxnID) (av, st []QueueEntry) {
+// incompatible ones, both in queue order. The entries are appended to
+// av and st, which are returned extended (unchanged when rid is not
+// locked or j is not queued there), so a caller that brings its own
+// buffers allocates nothing. Victim selection uses this to price a
+// TDR-2 candidate (cost = sum of ST costs / 2) before deciding.
+func (t *Table) PeekAVST(rid ResourceID, j TxnID, av, st []QueueEntry) ([]QueueEntry, []QueueEntry) {
 	r := t.resources[rid]
 	if r == nil {
-		return nil, nil
+		return av, st
 	}
 	end := r.queueIndex(j)
 	if end < 0 {
-		return nil, nil
+		return av, st
 	}
 	for _, q := range r.queue[:end+1] {
 		if lock.Comp(q.Blocked, r.total) {
@@ -196,23 +205,14 @@ func (t *Table) PeekAVST(rid ResourceID, j TxnID) (av, st []QueueEntry) {
 // including transaction j, the entries whose blocked modes are compatible
 // with the total mode (the set AV) move to the front keeping their
 // relative order, followed by the incompatible ones (the set ST), followed
-// by the untouched suffix. It returns copies of AV and ST. It does not
-// grant anything; call ScheduleQueue afterwards (the algorithm defers that
-// to Step 3 via the change-list).
-func (t *Table) RepositionAVST(rid ResourceID, j TxnID) (av, st []QueueEntry) {
-	r := t.resources[rid]
-	if r == nil {
-		return nil, nil
+// by the untouched suffix. It appends AV and ST to av and st as PeekAVST
+// does and returns them. It does not grant anything; call ScheduleQueue
+// afterwards (the algorithm defers that to Step 3 via the change-list).
+func (t *Table) RepositionAVST(rid ResourceID, j TxnID, av, st []QueueEntry) ([]QueueEntry, []QueueEntry) {
+	a, s := len(av), len(st)
+	av, st = t.PeekAVST(rid, j, av, st)
+	if r := t.resources[rid]; r != nil {
+		copy(r.queue[copy(r.queue, av[a:]):], st[s:])
 	}
-	end := r.queueIndex(j)
-	if end < 0 {
-		return nil, nil
-	}
-	av, st = t.PeekAVST(rid, j)
-	reordered := make([]QueueEntry, 0, len(r.queue))
-	reordered = append(reordered, av...)
-	reordered = append(reordered, st...)
-	reordered = append(reordered, r.queue[end+1:]...)
-	copy(r.queue, reordered)
 	return av, st
 }

@@ -297,7 +297,7 @@ func (s *Snapshot) touch(r *Resource) {
 		if !sub.valid {
 			continue
 		}
-		if i, ok := slices.BinarySearchFunc(sub.recs, r, compareID); ok && sub.recs[i] == r {
+		if i, ok := slices.BinarySearchFunc(sub.recs, r, compareID); ok && sub.recs[i] == r { //hwlint:allow allocbudget -- slices.BinarySearchFunc searches in place but is not in the audited table (only BinarySearch is)
 			sub.valid = false
 			return
 		}
@@ -356,14 +356,14 @@ func (v *SnapView) WaitingOn(txn TxnID) (ResourceID, lock.Mode, bool) {
 }
 
 // PeekAVST delegates to the merged table.
-func (v *SnapView) PeekAVST(rid ResourceID, j TxnID) (av, st []QueueEntry) {
-	return v.s.tb.PeekAVST(rid, j)
+func (v *SnapView) PeekAVST(rid ResourceID, j TxnID, av, st []QueueEntry) ([]QueueEntry, []QueueEntry) {
+	return v.s.tb.PeekAVST(rid, j, av, st)
 }
 
 // RepositionAVST applies TDR-2 queue surgery to the snapshot.
-func (v *SnapView) RepositionAVST(rid ResourceID, j TxnID) (av, st []QueueEntry) {
+func (v *SnapView) RepositionAVST(rid ResourceID, j TxnID, av, st []QueueEntry) ([]QueueEntry, []QueueEntry) {
 	v.touchID(rid)
-	return v.s.tb.RepositionAVST(rid, j)
+	return v.s.tb.RepositionAVST(rid, j, av, st)
 }
 
 // Abort applies a TDR-1 abort to the snapshot. It rewrites every record

@@ -502,7 +502,7 @@ func TestSnapshotIncrementalRoundAllocs(t *testing.T) {
 		}
 		v := s.View()
 		v.Abort(1)
-		v.RepositionAVST("tab0/q", 19)
+		v.RepositionAVST("tab0/q", 19, nil, nil)
 		v.ScheduleQueue("tab0/q")
 	}
 	round()

@@ -253,6 +253,16 @@ type Table struct {
 // arbitrary amount of memory forever.
 const freeListCap = 256
 
+// mintCap is the held-list capacity a transaction's state gets when a
+// freelist miss mints it. The list takes an entry at once, so the make
+// costs no more allocations than the first append would; and since the
+// freelist hands states out LIFO, each with the capacity its last use
+// left it, a common floor keeps a state recycled into a busier
+// transaction from growing long after warm-up. Resource records get no
+// such floor: most hold one entry (a bystander's lock), and the spare
+// slots would cost ~5 % of the live heap of a table of 2048 of them.
+const mintCap = 4
+
 // New returns an empty lock table.
 func New() *Table {
 	return &Table{
@@ -288,7 +298,7 @@ func (t *Table) state(txn TxnID) *txnState {
 			st = t.stFree[n-1]
 			t.stFree = t.stFree[:n-1]
 		} else {
-			st = &txnState{} //hwlint:allow allocbudget -- freelist miss: recycled by retireState, amortized out of steady-state allocs/op (BENCH_PR8)
+			st = &txnState{held: make([]*Resource, 0, mintCap)} //hwlint:allow allocbudget -- freelist miss: recycled by retireState, amortized out of steady-state allocs/op (BENCH_PR8)
 		}
 		t.txns[txn] = st
 	}

@@ -110,7 +110,7 @@ func TestExample41State(t *testing.T) {
 // scheduling and the resulting modified situation of Figure 4.2.
 func TestExample41TDR2(t *testing.T) {
 	tb := buildExample41(t)
-	av, st := tb.RepositionAVST("R2", 3)
+	av, st := tb.RepositionAVST("R2", 3, nil, nil)
 	if len(av) != 2 || av[0].Txn != 9 || av[1].Txn != 3 {
 		t.Fatalf("AV = %v, want [(T9, IX) (T3, S)]", av)
 	}
@@ -560,16 +560,16 @@ func TestWaitingOnNotBlocked(t *testing.T) {
 
 func TestRepositionAVSTEdgeCases(t *testing.T) {
 	tb := New()
-	if av, st := tb.RepositionAVST("nope", 1); av != nil || st != nil {
+	if av, st := tb.RepositionAVST("nope", 1, nil, nil); av != nil || st != nil {
 		t.Fatal("missing resource must return nil, nil")
 	}
 	mustGrant(t, tb, 1, "A", lock.S)
 	mustBlock(t, tb, 2, "A", lock.X)
-	if av, st := tb.RepositionAVST("A", 99); av != nil || st != nil {
+	if av, st := tb.RepositionAVST("A", 99, nil, nil); av != nil || st != nil {
 		t.Fatal("txn not in queue must return nil, nil")
 	}
 	// Prefix of a single incompatible entry: AV empty, ST = {T2}.
-	av, st := tb.RepositionAVST("A", 2)
+	av, st := tb.RepositionAVST("A", 2, nil, nil)
 	if len(av) != 0 || len(st) != 1 || st[0].Txn != 2 {
 		t.Fatalf("av=%v st=%v", av, st)
 	}

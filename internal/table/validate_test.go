@@ -183,7 +183,7 @@ func TestActiveSetEnterLeave(t *testing.T) {
 		},
 		"reposition and schedule": {
 			{req(1, lock.IS), false}, {req(2, lock.X), true}, {req(3, lock.S), true},
-			{func(tb *Table) { tb.RepositionAVST("a", 3) }, true},
+			{func(tb *Table) { tb.RepositionAVST("a", 3, nil, nil) }, true},
 			{func(tb *Table) { tb.ScheduleQueue("a") }, true}, // T3 granted, T2 still queued
 			{abort(2), false},
 		},

@@ -186,7 +186,7 @@ func TestExample51Graph(t *testing.T) {
 // (Figure 4.2) — here built through the table operations directly.
 func TestExample41ModifiedAcyclic(t *testing.T) {
 	tb := example41(t)
-	tb.RepositionAVST("R2", 3)
+	tb.RepositionAVST("R2", 3, nil, nil)
 	tb.ScheduleQueue("R2")
 	g := Build(tb)
 	if g.HasCycle() {

@@ -47,9 +47,10 @@ func (h *History) Entries() []HistoryEntry {
 	return out
 }
 
-// record appends one committed transaction. Called under the store's
-// data mutex, so commit order here equals apply order.
-func (h *History) record(reads map[string]string, writes map[string]*string) {
+// record appends one committed transaction, copying the sets it is
+// handed (the transaction keeps them). Called under the store's data
+// mutex, so commit order here equals apply order.
+func (h *History) record(reads map[string]string, writes map[string]wval) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.seq++
@@ -61,12 +62,12 @@ func (h *History) record(reads map[string]string, writes map[string]*string) {
 	for k, v := range reads {
 		e.Reads[k] = v
 	}
-	for k, v := range writes {
-		if v == nil {
+	for k, w := range writes {
+		if w.del {
 			e.Writes[k] = nil
 		} else {
-			vv := *v
-			e.Writes[k] = &vv
+			v := w.v
+			e.Writes[k] = &v
 		}
 	}
 	h.entries = append(h.entries, e)

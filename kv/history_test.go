@@ -44,16 +44,15 @@ func TestHistoryRecordsFootprints(t *testing.T) {
 
 func TestCheckSerializableDetectsViolations(t *testing.T) {
 	h := NewHistory()
-	one := "1"
-	h.record(nil, map[string]*string{"a": &one})
+	h.record(nil, map[string]wval{"a": {v: "1"}})
 	h.record(map[string]string{"a": "WRONG"}, nil)
 	if err := h.CheckSerializable(); err == nil {
 		t.Fatal("fabricated anomaly not detected")
 	}
 	// Deletes replay as absence.
 	h2 := NewHistory()
-	h2.record(nil, map[string]*string{"a": &one})
-	h2.record(nil, map[string]*string{"a": nil})
+	h2.record(nil, map[string]wval{"a": {v: "1"}})
+	h2.record(nil, map[string]wval{"a": {del: true}})
 	h2.record(map[string]string{"a": ""}, nil)
 	if err := h2.CheckSerializable(); err != nil {
 		t.Fatal(err)

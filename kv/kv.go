@@ -128,15 +128,46 @@ var ErrTooManyRetries = errors.New("kv: transaction exceeded retry budget")
 type Tx struct {
 	s      *Store
 	t      *hwtwbg.Txn
-	root   hwtwbg.Mode        // strongest mode granted on the store root so far
-	writes map[string]*string // made by the first write; nil value = delete
-	reads  map[string]string  // first-read values, for the history auditor
+	root   hwtwbg.Mode       // strongest mode granted on the store root so far
+	writes map[string]wval   // made by the first write
+	reads  map[string]string // first-read values, for the history auditor
+}
+
+// wval is one buffered write: a value, or a deletion.
+type wval struct {
+	v   string
+	del bool
 }
 
 // Begin starts a transaction. Prefer Update/View, which handle retry
 // and commit.
 func (s *Store) Begin() *Tx {
 	return &Tx{s: s, t: s.lm.Begin()}
+}
+
+// txPool recycles the Tx structs of retry's transactions, with their
+// write and read sets cleared but kept. Begin's never enter it: only
+// retry owns a Tx's whole lifecycle.
+var txPool sync.Pool
+
+// begin is Begin from txPool.
+func (s *Store) begin() *Tx {
+	tx, _ := txPool.Get().(*Tx)
+	if tx == nil {
+		tx = &Tx{}
+	}
+	tx.s, tx.t = s, s.lm.Begin()
+	return tx
+}
+
+// recycle hands a finished retry transaction back to txPool, and its
+// Txn to the manager's pool.
+func (tx *Tx) recycle() {
+	tx.t.Recycle() // no-op unless the transaction reached a terminal state
+	clear(tx.writes)
+	clear(tx.reads)
+	*tx = Tx{writes: tx.writes, reads: tx.reads}
+	txPool.Put(tx)
 }
 
 // lockRoot makes the transaction hold m on the store root, calling the
@@ -174,12 +205,12 @@ func (tx *Tx) lockBatch(ctx context.Context, m, keyMode hwtwbg.Mode, keys []stri
 	return nil
 }
 
-// buffer records a write (nil = delete) in the write set.
-func (tx *Tx) buffer(key string, v *string) {
+// buffer records a write in the write set.
+func (tx *Tx) buffer(key string, w wval) {
 	if tx.writes == nil {
-		tx.writes = make(map[string]*string)
+		tx.writes = make(map[string]wval)
 	}
-	tx.writes[key] = v
+	tx.writes[key] = w
 }
 
 // SetOpTag attaches an application-defined operation tag to the
@@ -195,10 +226,7 @@ func (tx *Tx) SetOpTag(tag uint64) { tx.t.SetTag(tag) }
 //hwlint:hotpath allocs=1
 func (tx *Tx) Get(ctx context.Context, key string) (string, bool, error) {
 	if w, ok := tx.writes[key]; ok {
-		if w == nil {
-			return "", false, nil
-		}
-		return *w, true, nil
+		return w.v, !w.del, nil
 	}
 	if err := tx.lockRoot(ctx, hwtwbg.IS); err != nil {
 		return "", false, err
@@ -257,8 +285,8 @@ func (tx *Tx) GetAll(ctx context.Context, keys ...string) (map[string]string, er
 	}
 	tx.s.mu.RUnlock()
 	for _, k := range keys {
-		if w, ok := tx.writes[k]; ok && w != nil {
-			out[k] = *w
+		if w, ok := tx.writes[k]; ok && !w.del {
+			out[k] = w.v
 		}
 	}
 	return out, nil
@@ -280,8 +308,7 @@ func (tx *Tx) PutAll(ctx context.Context, kvs map[string]string) error {
 		return err
 	}
 	for _, k := range keys {
-		v := kvs[k]
-		tx.buffer(k, &v)
+		tx.buffer(k, wval{v: kvs[k]})
 	}
 	return nil
 }
@@ -291,8 +318,7 @@ func (tx *Tx) Put(ctx context.Context, key, value string) error {
 	if err := tx.lockWrite(ctx, key); err != nil {
 		return err
 	}
-	v := value
-	tx.buffer(key, &v)
+	tx.buffer(key, wval{v: value})
 	return nil
 }
 
@@ -301,7 +327,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	if err := tx.lockWrite(ctx, key); err != nil {
 		return err
 	}
-	tx.buffer(key, nil)
+	tx.buffer(key, wval{del: true})
 	return nil
 }
 
@@ -330,10 +356,10 @@ func (tx *Tx) Scan(ctx context.Context) ([]KV, error) {
 	}
 	tx.s.mu.RUnlock()
 	for k, w := range tx.writes {
-		if w == nil {
+		if w.del {
 			delete(merged, k)
 		} else {
-			merged[k] = *w
+			merged[k] = w.v
 		}
 	}
 	out := make([]KV, 0, len(merged))
@@ -368,10 +394,10 @@ func (tx *Tx) Commit() error {
 		tx.s.opts.History.record(tx.reads, tx.writes)
 	}
 	for k, w := range tx.writes {
-		if w == nil {
+		if w.del {
 			delete(tx.s.data, k)
 		} else {
-			tx.s.data[k] = *w
+			tx.s.data[k] = w.v
 		}
 	}
 	return nil
@@ -386,14 +412,17 @@ func (tx *Tx) Err() error { return tx.t.Err() }
 // Update runs fn inside a read-write transaction, committing on success
 // and retrying (with jittered backoff) when the transaction is chosen
 // as a deadlock victim. fn may be invoked multiple times and must not
-// keep side effects outside the transaction.
+// keep side effects outside the transaction. fn must not retain tx
+// after returning: the Tx is recycled for a later transaction, as
+// hwtwbg.Txn.Recycle recycles a Txn.
 func (s *Store) Update(ctx context.Context, fn func(tx *Tx) error) error {
 	return s.retry(ctx, fn)
 }
 
 // View runs fn inside a transaction for reading. It is identical to
 // Update except in name; writes performed by fn are still applied (the
-// name documents intent).
+// name documents intent). As with Update, fn must not retain tx after
+// returning.
 func (s *Store) View(ctx context.Context, fn func(tx *Tx) error) error {
 	return s.retry(ctx, fn)
 }
@@ -403,18 +432,17 @@ func (s *Store) View(ctx context.Context, fn func(tx *Tx) error) error {
 // top-level functions: an un-aborted transaction touches no random state.
 func (s *Store) retry(ctx context.Context, fn func(tx *Tx) error) error {
 	for attempt := 1; attempt <= s.opts.MaxRetries; attempt++ {
-		tx := s.Begin()
+		tx := s.begin()
 		err := fn(tx)
 		if err == nil {
 			err = tx.Commit()
-			if err == nil {
-				tx.t.Recycle()
-				return nil
-			}
 		} else {
 			tx.Abort()
 		}
-		tx.t.Recycle() // no-op unless the transaction reached a terminal state
+		tx.recycle()
+		if err == nil {
+			return nil
+		}
 		if !errors.Is(err, hwtwbg.ErrAborted) {
 			return err
 		}

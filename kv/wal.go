@@ -81,7 +81,7 @@ func (w *WAL) Records() []Record {
 // across the lock-level commit, the log append and the data apply — so
 // log order equals apply order equals the serialization order of
 // conflicting transactions.
-func (w *WAL) logCommit(writes map[string]*string) {
+func (w *WAL) logCommit(writes map[string]wval) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.txns++
@@ -100,10 +100,10 @@ func (w *WAL) logCommit(writes map[string]*string) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if val := writes[k]; val == nil {
+		if val := writes[k]; val.del {
 			app(RecDelete, k, "")
 		} else {
-			app(RecWrite, k, *val)
+			app(RecWrite, k, val.v)
 		}
 	}
 	app(RecCommit, "", "")

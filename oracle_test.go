@@ -61,7 +61,7 @@ func (o *stwOracle) Detect() Stats {
 	res := o.det.Run()
 	resolved := time.Now()
 	for _, v := range res.Aborted {
-		m.condemned.Store(v, struct{}{})
+		m.condemned.add(v)
 		for _, s := range m.shards {
 			s.wake(v)
 		}
@@ -129,15 +129,15 @@ func (mt *multiTable) WaitingOn(txn table.TxnID) (table.ResourceID, Mode, bool) 
 }
 
 // PeekAVST dispatches to the owning shard.
-func (mt *multiTable) PeekAVST(rid table.ResourceID, j table.TxnID) (av, st []table.QueueEntry) {
-	return mt.shardTable(rid).PeekAVST(rid, j)
+func (mt *multiTable) PeekAVST(rid table.ResourceID, j table.TxnID, av, st []table.QueueEntry) ([]table.QueueEntry, []table.QueueEntry) {
+	return mt.shardTable(rid).PeekAVST(rid, j, av, st)
 }
 
 // RepositionAVST dispatches the TDR-2 queue surgery to the owning shard.
-func (mt *multiTable) RepositionAVST(rid table.ResourceID, j table.TxnID) (av, st []table.QueueEntry) {
+func (mt *multiTable) RepositionAVST(rid table.ResourceID, j table.TxnID, av, st []table.QueueEntry) ([]table.QueueEntry, []table.QueueEntry) {
 	s := mt.shardFor(rid)
 	s.epoch.bump()
-	return s.tb.RepositionAVST(rid, j)
+	return s.tb.RepositionAVST(rid, j, av, st)
 }
 
 // Abort removes txn from every shard it touches, collecting the grants.

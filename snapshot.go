@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"hwtwbg/internal/detect"
+	"hwtwbg/internal/table"
 )
 
 // The snapshot detector is the manager's answer to
@@ -135,6 +136,19 @@ type replayOutcome struct {
 	validations  int
 }
 
+// replayScratch is the validate-then-act phase's storage, kept across
+// activations under detMu like the detector's own arenas: the outcome's
+// lists, the locked shard set, the confirmed TDR-1 resolutions and the
+// live repositioning's AV/ST split. An outcome is consumed by
+// recordActivation before Detect returns, so the next activation may
+// overwrite it.
+type replayScratch struct {
+	out       replayOutcome
+	idx       []uint32
+	confirmed []int // indexes of the validated TDR-1 resolutions, ascending
+	av, st    []table.QueueEntry
+}
+
 // applyResolutions replays the snapshot detector's resolutions against
 // the live shards, re-validating each one first. The replay reproduces
 // the STW activation's order on an unchanged state, so the two
@@ -152,33 +166,33 @@ type replayOutcome struct {
 //
 // Resolutions the snapshot's own Step 3 already salvaged need no live
 // action (an earlier abort in the same activation unblocks the victim
-// here exactly as it did in the snapshot).
+// here exactly as it did in the snapshot). The outcome lives in
+// m.replay until the next activation.
+//
+//hwlint:hotpath allocs=0
 func (m *Manager) applyResolutions(rs []detect.Resolution) replayOutcome {
-	var out replayOutcome
-	if len(rs) == 0 {
-		return out
-	}
-	confirmed := make([]bool, len(rs))
-	var idx []uint32
+	sc := &m.replay
+	out := replayOutcome{aborted: sc.out.aborted[:0], repositioned: sc.out.repositioned[:0], salvaged: sc.out.salvaged[:0]}
+	sc.confirmed = sc.confirmed[:0]
 	for i := range rs {
 		r := &rs[i]
 		if r.Salvaged {
 			out.salvaged = append(out.salvaged, r.Victim)
 			continue
 		}
-		idx = m.cycleShards(idx, r.Cycle)
-		m.lockShards(idx)
+		sc.idx = m.cycleShards(sc.idx, r.Cycle)
+		m.lockShards(sc.idx)
 		out.validations++
 		ok := m.cycleHolds(r.Cycle)
 		if ok && r.TDR2 {
 			ok = m.tdr2Holds(r)
 			if ok {
 				sh := m.shardFor(r.Resource)
-				sh.tb.RepositionAVST(r.Resource, r.Victim)
+				sc.av, sc.st = sh.tb.RepositionAVST(r.Resource, r.Victim, sc.av[:0], sc.st[:0])
 				sh.epoch.bump()
 			}
 		}
-		m.unlockShards(idx)
+		m.unlockShards(sc.idx)
 		if !ok {
 			out.falseCycles++
 			continue
@@ -186,17 +200,15 @@ func (m *Manager) applyResolutions(rs []detect.Resolution) replayOutcome {
 		if r.TDR2 {
 			out.repositioned = append(out.repositioned, *r)
 		} else {
-			confirmed[i] = true
+			sc.confirmed = append(sc.confirmed, i)
 		}
 	}
-	for i := len(rs) - 1; i >= 0; i-- {
-		if !confirmed[i] {
-			continue
-		}
-		if m.abortVictim(&rs[i]) {
-			out.aborted = append(out.aborted, rs[i])
+	for j := len(sc.confirmed) - 1; j >= 0; j-- {
+		r := &rs[sc.confirmed[j]]
+		if m.abortVictim(r) {
+			out.aborted = append(out.aborted, *r)
 		} else {
-			out.salvaged = append(out.salvaged, rs[i].Victim)
+			out.salvaged = append(out.salvaged, r.Victim)
 		}
 	}
 	for i := range out.repositioned {
@@ -207,6 +219,7 @@ func (m *Manager) applyResolutions(rs []detect.Resolution) replayOutcome {
 		s.epoch.bump()
 		s.mu.Unlock()
 	}
+	sc.out = out
 	return out
 }
 
@@ -233,17 +246,20 @@ func waitResource(r *detect.Resolution) ResourceID {
 // locks the victim holds elsewhere (the abortTables discipline: safe
 // because an aborted transaction never blocks again, so the
 // intermediate states cannot look like a deadlock). Reports whether the
-// victim was actually aborted.
+// victim was actually aborted. The shard set is built in m.replay.idx.
+//
+//hwlint:hotpath allocs=0
 func (m *Manager) abortVictim(r *detect.Resolution) bool {
 	victim := r.Victim
 	ws := m.shardFor(waitResource(r))
-	idx := m.cycleShards(nil, r.Cycle)
+	m.replay.idx = m.cycleShards(m.replay.idx, r.Cycle)
+	idx := m.replay.idx
 	m.lockShards(idx)
 	if !ws.tb.Blocked(victim) {
 		m.unlockShards(idx)
 		return false
 	}
-	m.condemned.Store(victim, struct{}{})
+	m.condemned.add(victim)
 	for _, i := range idx {
 		s := m.shards[i]
 		s.wakeGrants(s.tb.Abort(victim))

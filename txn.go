@@ -179,11 +179,7 @@ func (t *Txn) ID() TxnID { return t.id }
 // (deadlock victim, Close) is pending for this transaction, consuming
 // the mark. Owner goroutine only.
 func (t *Txn) consumeCondemned() bool {
-	if _, ok := t.m.condemned.Load(t.id); ok {
-		t.m.condemned.Delete(t.id)
-		return true
-	}
-	return false
+	return t.m.condemned.take(t.id)
 }
 
 // noteShard remembers that this transaction has state in s.
@@ -580,7 +576,7 @@ func (t *Txn) abortTables() {
 	}
 	t.clearTouched()
 	// Consume any abort mark that raced in; we are aborted either way.
-	t.m.condemned.Delete(t.id)
+	t.m.condemned.take(t.id)
 }
 
 // Err returns the transaction's terminal error: nil while live,
@@ -591,8 +587,9 @@ func (t *Txn) Err() error {
 
 // checkLive reports the transaction's error state, consuming any
 // pending externally-initiated abort (deadlock victim, Close). Owner
-// goroutine only; takes no locks — the condemned check is a lock-free
-// load on a map that is empty unless a deadlock was just broken.
+// goroutine only; takes no locks unless a mark is pending somewhere —
+// the condemned check is one atomic load of a count that is zero unless
+// a deadlock was just broken.
 func (t *Txn) checkLive() error {
 	if t.state == live && t.consumeCondemned() {
 		t.state = abortedState

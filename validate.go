@@ -1,7 +1,7 @@
 package hwtwbg
 
 import (
-	"sort"
+	"slices"
 
 	"hwtwbg/internal/detect"
 	"hwtwbg/internal/lock"
@@ -24,19 +24,22 @@ import (
 // cycleShards returns the sorted, deduplicated shard indices owning the
 // cycle's inducing resources, reusing buf. Sorted order is what makes
 // lockShards deadlock-free against stopTheWorld and other cycle sets.
+//
+//hwlint:hotpath allocs=0
 func (m *Manager) cycleShards(buf []uint32, cycle []detect.CycleEdge) []uint32 {
 	buf = buf[:0]
 	for _, e := range cycle {
 		buf = append(buf, shardIndex(e.Resource, m.mask))
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	out := buf[:0]
-	for i, v := range buf {
-		if i == 0 || v != buf[i-1] {
-			out = append(out, v)
+	slices.Sort(buf)
+	n := 0
+	for _, v := range buf {
+		if n == 0 || v != buf[n-1] {
+			buf[n] = v
+			n++
 		}
 	}
-	return out
+	return buf[:n]
 }
 
 // cycleHolds re-verifies a snapshot-detected cycle edge by edge against
