@@ -190,6 +190,40 @@ func TestJournalEventSequence(t *testing.T) {
 	}
 }
 
+// TestLockFreeTxnJournalsNoEnd: a transaction that never requested a
+// lock has no begin record, so its commit or abort writes none either —
+// an end record without a begin is what Analyze counts as ring loss.
+func TestLockFreeTxnJournalsNoEnd(t *testing.T) {
+	m := Open(Options{Shards: 1})
+	defer m.Close()
+	ctx := context.Background()
+	m.Begin().Commit()
+	m.Begin().Abort()
+	tx := m.Begin()
+	if err := tx.Lock(ctx, "r", X); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
+	tx = m.Begin()
+	if err := tx.Lock(ctx, "r", X); err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
+	recs := m.Journal().Snapshot()
+	if rep := journal.Analyze(recs); rep.Orphans != 0 || rep.Txns != 2 {
+		t.Fatalf("Analyze: orphans %d, txns %d; want 0 and 2", rep.Orphans, rep.Txns)
+	}
+	want := []jev{
+		{journal.KindBegin, 3, "", 0},
+		{journal.KindGrant, 3, "r", 0},
+		{journal.KindCommit, 3, "", 0},
+		{journal.KindBegin, 4, "", 0},
+		{journal.KindGrant, 4, "r", 0},
+		{journal.KindAbort, 4, "", 0},
+	}
+	diffSeq(t, summarize(recs), want)
+}
+
 // TestJournalPostmortem drives a plain write-write deadlock (no
 // compatible junction, so TDR-2 cannot apply and a victim dies) and
 // checks the postmortem read back from the journal: the victim, the

@@ -13,7 +13,8 @@ import (
 // server answers before the client's read returns): nothing, except
 // the one string a name-bearing request line becomes on the server.
 // Each row is a whole transaction so the manager's state returns to
-// where it started.
+// where it started; its BEGIN went out with the previous COMMIT, whose
+// two replies are both counted.
 func TestWireVerbAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector allocates")

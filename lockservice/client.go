@@ -26,6 +26,13 @@ type Client struct {
 	r    *bufio.Reader
 	buf  []byte // the request being sent, reused
 
+	// next is the transaction the server began behind the last Commit or
+	// Abort, which the next Begin hands out; 0 when there is none (the
+	// manager numbers transactions from 1). nextTag is the op tag its
+	// BEGIN carried. Guarded by mu.
+	next    hwtwbg.TxnID
+	nextTag uint64
+
 	// tag is the sticky op tag appended to transaction-scoped requests
 	// (SetOpTag); 0 = none.
 	tag atomic.Uint64
@@ -78,7 +85,8 @@ func (c *Client) SetOpTag(tag uint64) { c.tag.Store(tag) }
 func (c *Client) OpTag() uint64 { return c.tag.Load() }
 
 // call does one request/reply exchange under c.mu; every verb goes
-// through it. req appends the request line, newline excluded, to the
+// through it or, if it acts on the transaction, through txnCall, end or
+// begin. req appends the request line, newline excluded, to the
 // client's reused buffer, which goes out in one conn.Write. reply
 // classifies the trimmed reply line while c.mu is still held: the line
 // is the reader's buffer and lives only until the next read, which is
@@ -86,10 +94,45 @@ func (c *Client) OpTag() uint64 { return c.tag.Load() }
 func (c *Client) call(req func([]byte) []byte, reply func([]byte) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.exchange(req, reply)
+}
+
+// txnCall is call for the verbs that act on the caller's transaction.
+// While the transaction begun behind the last Commit or Abort waits for
+// Begin, the caller has none, and the request is refused here with the
+// error the server gives a session without one.
+func (c *Client) txnCall(noTxn error, req func([]byte) []byte, reply func([]byte) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.next != 0 {
+		return noTxn
+	}
+	return c.exchange(req, reply)
+}
+
+// The server's replies to a transaction verb from a session without a
+// transaction, as the client reports them.
+var (
+	errNoTxnLock   = errors.New("lockservice: no transaction; BEGIN first")
+	errNoTxnCommit = errors.New("lockservice: no transaction")
+)
+
+// exchange is call's body; c.mu is held.
+func (c *Client) exchange(req func([]byte) []byte, reply func([]byte) error) error {
 	c.buf = append(req(c.buf[:0]), '\n')
 	if _, err := c.conn.Write(c.buf); err != nil {
 		return err
 	}
+	line, err := c.readLine()
+	if err != nil {
+		return err
+	}
+	return reply(line)
+}
+
+// readLine reads one reply line and trims it. The line is the reader's
+// buffer and lives only until the next read; c.mu is held.
+func (c *Client) readLine() ([]byte, error) {
 	line, err := c.r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		// Longer than the reader's buffer (a long ERR message, a broken
@@ -102,16 +145,41 @@ func (c *Client) call(req func([]byte) []byte, reply func([]byte) error) error {
 		line = long
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return reply(bytes.TrimSpace(line))
+	return bytes.TrimSpace(line), nil
 }
 
-// appendTag appends the sticky tag as the request's trailing ` tag=<n>`
-// field, if one is set.
-func (c *Client) appendTag(b []byte) []byte {
-	if t := c.tag.Load(); t != 0 {
-		b = strconv.AppendUint(append(b, " tag="...), t, 10)
+// endAndBegin ends the transaction with verb (COMMIT or ABORT) and
+// begins the next one in the same write: the two requests are the bytes
+// the verb and a later Begin would have sent. It returns verb's outcome
+// and keeps the new transaction for Begin; if the BEGIN failed, none is
+// kept and Begin makes its own round trip. c.mu is held.
+func (c *Client) endAndBegin(verb string) error {
+	c.next, c.nextTag = 0, c.tag.Load()
+	b := append(append(c.buf[:0], verb...), "\nBEGIN"...)
+	c.buf = append(appendTag(b, c.nextTag), '\n')
+	if _, err := c.conn.Write(c.buf); err != nil {
+		return err
+	}
+	line, err := c.readLine()
+	if err != nil {
+		return err
+	}
+	err = replyErr(line)
+	if line, rerr := c.readLine(); rerr == nil {
+		if id, berr := beginReply(line); berr == nil {
+			c.next = id
+		}
+	}
+	return err
+}
+
+// appendTag appends tag as the request's trailing ` tag=<n>` field, if
+// it is set.
+func appendTag(b []byte, tag uint64) []byte {
+	if tag != 0 {
+		b = strconv.AppendUint(append(b, " tag="...), tag, 10)
 	}
 	return b
 }
@@ -155,34 +223,55 @@ func (c *Client) Ping() error {
 	return c.observe(VerbPing, start, err)
 }
 
-// Begin starts a transaction and returns its server-side id.
+// beginReply parses the reply to BEGIN.
+func beginReply(line []byte) (hwtwbg.TxnID, error) {
+	if err := replyErr(line); err != nil {
+		return 0, err
+	}
+	n, err := strconv.Atoi(string(okPayload(line)))
+	if err != nil {
+		return 0, fmt.Errorf("lockservice: malformed BEGIN reply %q", line)
+	}
+	return hwtwbg.TxnID(n), nil
+}
+
+// Begin starts a transaction and returns its server-side id. After a
+// Commit or Abort the server has begun it already, and Begin returns it
+// without a round trip — unless SetOpTag changed the tag since, in which
+// case that transaction is aborted and one with the current tag begun
+// in its place, in one round trip.
 func (c *Client) Begin() (hwtwbg.TxnID, error) {
 	start := time.Now()
-	var id int
-	err := c.call(func(b []byte) []byte { return c.appendTag(append(b, "BEGIN"...)) }, func(line []byte) error {
-		if err := replyErr(line); err != nil {
-			return err
+	id, err := c.begin()
+	return id, c.observe(VerbBegin, start, err)
+}
+
+func (c *Client) begin() (hwtwbg.TxnID, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.next != 0 && c.nextTag != c.tag.Load() {
+		if err := c.endAndBegin("ABORT"); err != nil {
+			return 0, err
 		}
-		n, err := strconv.Atoi(string(okPayload(line)))
-		if err != nil {
-			return fmt.Errorf("lockservice: malformed BEGIN reply %q", line)
-		}
-		id = n
-		return nil
-	})
-	if err != nil {
-		return 0, c.observe(VerbBegin, start, err)
 	}
-	c.observe(VerbBegin, start, nil)
-	return hwtwbg.TxnID(id), nil
+	if id := c.next; id != 0 {
+		c.next = 0
+		return id, nil
+	}
+	var id hwtwbg.TxnID
+	err := c.exchange(func(b []byte) []byte { return appendTag(append(b, "BEGIN"...), c.tag.Load()) }, func(line []byte) (err error) {
+		id, err = beginReply(line)
+		return err
+	})
+	return id, err
 }
 
 // Lock blocks until the lock is granted, returning ErrAborted if the
 // transaction was chosen as a deadlock victim.
 func (c *Client) Lock(resource string, mode hwtwbg.Mode) error {
 	start := time.Now()
-	err := c.call(func(b []byte) []byte {
-		return c.appendTag(appendLock(append(b, "LOCK"...), resource, mode))
+	err := c.txnCall(errNoTxnLock, func(b []byte) []byte {
+		return appendTag(appendLock(append(b, "LOCK"...), resource, mode), c.tag.Load())
 	}, replyErr)
 	return c.observe(VerbLock, start, err)
 }
@@ -198,12 +287,12 @@ func (c *Client) LockAll(reqs []hwtwbg.LockRequest) error {
 		return nil
 	}
 	start := time.Now()
-	err := c.call(func(b []byte) []byte {
+	err := c.txnCall(errNoTxnLock, func(b []byte) []byte {
 		b = append(b, "LOCKALL"...)
 		for _, rq := range reqs {
 			b = appendLock(b, string(rq.Resource), rq.Mode)
 		}
-		return c.appendTag(b)
+		return appendTag(b, c.tag.Load())
 	}, replyErr)
 	return c.observe(VerbLockAll, start, err)
 }
@@ -212,24 +301,38 @@ func (c *Client) LockAll(reqs []hwtwbg.LockRequest) error {
 // have blocked (and was not queued).
 func (c *Client) TryLock(resource string, mode hwtwbg.Mode) error {
 	start := time.Now()
-	err := c.call(func(b []byte) []byte {
-		return c.appendTag(appendLock(append(b, "TRYLOCK"...), resource, mode))
+	err := c.txnCall(errNoTxnLock, func(b []byte) []byte {
+		return appendTag(appendLock(append(b, "TRYLOCK"...), resource, mode), c.tag.Load())
 	}, replyErr)
 	return c.observe(VerbTryLock, start, err)
 }
 
-// Commit commits the transaction, releasing every lock.
+// Commit commits the transaction, releasing every lock. The next
+// transaction's BEGIN goes out with the COMMIT (see Begin); the commit's
+// outcome is what Commit returns.
 func (c *Client) Commit() error {
 	start := time.Now()
-	err := c.call(func(b []byte) []byte { return append(b, "COMMIT"...) }, replyErr)
-	return c.observe(VerbCommit, start, err)
+	return c.observe(VerbCommit, start, c.end("COMMIT", errNoTxnCommit))
 }
 
-// Abort rolls the transaction back.
+// Abort rolls the transaction back. The next transaction's BEGIN goes
+// out with the ABORT (see Begin); if that one is still waiting for
+// Begin, there is nothing to roll back and Abort returns nil, as the
+// server answers ABORT without a transaction.
 func (c *Client) Abort() error {
 	start := time.Now()
-	err := c.call(func(b []byte) []byte { return append(b, "ABORT"...) }, replyErr)
-	return c.observe(VerbAbort, start, err)
+	return c.observe(VerbAbort, start, c.end("ABORT", nil))
+}
+
+// end is txnCall for COMMIT and ABORT, which begin the next transaction
+// as they go.
+func (c *Client) end(verb string, noTxn error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.next != 0 {
+		return noTxn
+	}
+	return c.endAndBegin(verb)
 }
 
 // Stats is the server's detector statistics plus the service-level
@@ -414,15 +517,17 @@ func (c *Client) dumpJournal() ([]journal.Record, error) {
 			return err
 		}
 		n, err := strconv.Atoi(string(okPayload(head)))
-		if err != nil {
+		if err != nil || n < 0 {
 			return fmt.Errorf("lockservice: malformed DUMP header %q", head)
 		}
-		recs = make([]journal.Record, n)
-		for i := range recs {
+		// The slice grows with the records that arrive: the header's
+		// count is the server's word, not a size to allocate.
+		for i := 0; i < n; i++ {
 			line, err := c.r.ReadString('\n')
 			if err != nil {
-				return err
+				return fmt.Errorf("lockservice: DUMP record %d of %d: %w", i, n, err)
 			}
+			recs = append(recs, journal.Record{})
 			if err := recs[i].UnmarshalText([]byte(strings.TrimSpace(line))); err != nil {
 				return fmt.Errorf("lockservice: DUMP record %d: %w", i, err)
 			}

@@ -94,19 +94,48 @@ func TestClientReplyEquivalence(t *testing.T) {
 			wantID, wantErr := want(strings.TrimSpace(reply))
 			c := fakeServer(t, reply)
 			id, err := v.call(c)
-			label := fmt.Sprintf("%s → %.40q", v.name, reply)
-			switch {
-			case (err == nil) != (wantErr == nil):
-				t.Errorf("%s: err = %v, want %v", label, err, wantErr)
-			case err != nil && err.Error() != wantErr.Error():
-				t.Errorf("%s: err = %q, want %q", label, err, wantErr)
-			case errors.Is(err, ErrAborted) != errors.Is(wantErr, ErrAborted),
-				errors.Is(err, ErrBusy) != errors.Is(wantErr, ErrBusy):
-				t.Errorf("%s: err = %v, want %v (sentinel identity)", label, err, wantErr)
-			case id != wantID:
-				t.Errorf("%s: id = %d, want %d", label, id, wantID)
+			checkOutcome(t, fmt.Sprintf("%s → %.40q", v.name, reply), id, err, wantID, wantErr)
+		}
+	}
+	// COMMIT and ABORT read two replies, their own and the next BEGIN's.
+	// The first decides what they return; the second decides whether the
+	// Begin after them returns its id or makes its own round trip, which
+	// the third reply answers.
+	for _, end := range []struct {
+		name string
+		call func(*Client) error
+	}{{"COMMIT", (*Client).Commit}, {"ABORT", (*Client).Abort}} {
+		for _, first := range replies {
+			for _, second := range replies {
+				label := fmt.Sprintf("%s → %.40q, %.40q", end.name, first, second)
+				c := fakeServer(t, first, second, "OK 99")
+				checkOutcome(t, label, 0, end.call(c), 0, parentParseErr(strings.TrimSpace(first)))
+				wantID, err := parentBegin(strings.TrimSpace(second))
+				if err != nil {
+					wantID = 99
+				}
+				id, err := c.Begin()
+				checkOutcome(t, label+", then BEGIN", id, err, wantID, nil)
 			}
 		}
+	}
+}
+
+// checkOutcome compares a verb's outcome with the string classifier's:
+// the same nil-ness, the same message, the same ErrAborted/ErrBusy
+// identity and the same id.
+func checkOutcome(t *testing.T, label string, id hwtwbg.TxnID, err error, wantID hwtwbg.TxnID, wantErr error) {
+	t.Helper()
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Errorf("%s: err = %v, want %v", label, err, wantErr)
+	case err != nil && err.Error() != wantErr.Error():
+		t.Errorf("%s: err = %q, want %q", label, err, wantErr)
+	case errors.Is(err, ErrAborted) != errors.Is(wantErr, ErrAborted),
+		errors.Is(err, ErrBusy) != errors.Is(wantErr, ErrBusy):
+		t.Errorf("%s: err = %v, want %v (sentinel identity)", label, err, wantErr)
+	case id != wantID:
+		t.Errorf("%s: id = %d, want %d", label, id, wantID)
 	}
 }
 
@@ -133,8 +162,10 @@ func (w *writeLog) take() []string {
 }
 
 // TestClientRequestGolden pins the bytes of every request, with and
-// without a sticky tag, and that each goes out in exactly one Write:
-// hwbench counts requests and bytes per transaction at the connection.
+// without a sticky tag, and that each verb makes exactly one Write —
+// COMMIT and ABORT carrying the next BEGIN, which the Begin after them
+// does not send again — or none: hwbench counts requests and bytes per
+// transaction at the connection.
 func TestClientRequestGolden(t *testing.T) {
 	cs, ss := net.Pipe()
 	go func() {
@@ -163,44 +194,64 @@ func TestClientRequestGolden(t *testing.T) {
 	c := NewClient(wl)
 	defer c.Close()
 	reqs := []hwtwbg.LockRequest{{Resource: "a/1", Mode: hwtwbg.IS}, {Resource: "b", Mode: hwtwbg.SIX}, {Resource: "c", Mode: hwtwbg.NL}}
+	begin := func() error { _, err := c.Begin(); return err }
 	verbs := []struct {
-		call     func() error
-		untagged string
-		tagged   string // "" when the verb carries no tag
+		call func() error
+		want string // {tag} stands for the ` tag=<n>` field; "" means no write
 	}{
-		{c.Ping, "PING\n", ""},
-		{func() error { _, err := c.Begin(); return err }, "BEGIN\n", "BEGIN tag=%d\n"},
-		{func() error { return c.Lock("acct/7", hwtwbg.X) }, "LOCK acct/7 X\n", "LOCK acct/7 X tag=%d\n"},
-		{func() error { return c.Lock("r", hwtwbg.Mode(9)) }, "LOCK r Mode(9)\n", "LOCK r Mode(9) tag=%d\n"},
-		{func() error { return c.TryLock("acct/7", hwtwbg.S) }, "TRYLOCK acct/7 S\n", "TRYLOCK acct/7 S tag=%d\n"},
-		{func() error { return c.LockAll(reqs) }, "LOCKALL a/1 IS b SIX c NL\n", "LOCKALL a/1 IS b SIX c NL tag=%d\n"},
-		{c.Commit, "COMMIT\n", ""},
-		{c.Abort, "ABORT\n", ""},
-		{func() error { _, err := c.Stats(); return err }, "STATS\n", ""},
-		{func() error { _, err := c.Snapshot(); return err }, "SNAPSHOT\n", ""},
-		{func() error { c.DumpJournal(); return nil }, "DUMP\n", ""},
-		{func() error { c.TailJournal(TailOptions{}); return nil }, "TAIL from=now\n", ""},
+		{c.Ping, "PING\n"},
+		{begin, "BEGIN{tag}\n"},
+		{func() error { return c.Lock("acct/7", hwtwbg.X) }, "LOCK acct/7 X{tag}\n"},
+		{func() error { return c.Lock("r", hwtwbg.Mode(9)) }, "LOCK r Mode(9){tag}\n"},
+		{func() error { return c.TryLock("acct/7", hwtwbg.S) }, "TRYLOCK acct/7 S{tag}\n"},
+		{func() error { return c.LockAll(reqs) }, "LOCKALL a/1 IS b SIX c NL{tag}\n"},
+		{c.Commit, "COMMIT\nBEGIN{tag}\n"},
+		{begin, ""},
+		{c.Abort, "ABORT\nBEGIN{tag}\n"},
+		{begin, ""},
+		{func() error { _, err := c.Stats(); return err }, "STATS\n"},
+		{func() error { _, err := c.Snapshot(); return err }, "SNAPSHOT\n"},
+		{func() error { c.DumpJournal(); return nil }, "DUMP\n"},
+		{func() error { c.TailJournal(TailOptions{}); return nil }, "TAIL from=now\n"},
 		{func() error {
 			c.TailJournal(TailOptions{FromOldest: true, Max: 5, Heartbeat: 250 * time.Millisecond})
 			return nil
-		}, "TAIL from=oldest max=5 hb=250ms\n", ""},
-		{func() error { c.TailJournal(TailOptions{Cursor: TailCursor{1, 2}}); return nil }, "TAIL cursor=1,2\n", ""},
+		}, "TAIL from=oldest max=5 hb=250ms\n"},
+		{func() error { c.TailJournal(TailOptions{Cursor: TailCursor{1, 2}}); return nil }, "TAIL cursor=1,2\n"},
+	}
+	check := func(tag uint64, call func() error, want string) {
+		t.Helper()
+		field := ""
+		if tag != 0 {
+			field = fmt.Sprintf(" tag=%d", tag)
+		}
+		want = strings.ReplaceAll(want, "{tag}", field)
+		if err := call(); err != nil {
+			t.Fatalf("%q: %v", want, err)
+		}
+		got := wl.take()
+		switch {
+		case want == "" && len(got) != 0:
+			t.Errorf("tag %d: writes %q, want none", tag, got)
+		case want != "" && (len(got) != 1 || got[0] != want):
+			t.Errorf("tag %d: writes %q, want exactly [%q]", tag, got, want)
+		}
 	}
 	for _, tag := range []uint64{0, 42, 1<<64 - 1} {
 		c.SetOpTag(tag)
 		for _, v := range verbs {
-			want := v.untagged
-			if tag != 0 && v.tagged != "" {
-				want = fmt.Sprintf(v.tagged, tag)
-			}
-			if err := v.call(); err != nil {
-				t.Fatalf("%q: %v", want, err)
-			}
-			if got := wl.take(); len(got) != 1 || got[0] != want {
-				t.Errorf("tag %d: writes %q, want exactly [%q]", tag, got, want)
-			}
+			check(tag, v.call, v.want)
 		}
 	}
+	// A Begin after the tag changed replaces the transaction begun with
+	// the old one, in one write.
+	c.SetOpTag(7)
+	check(7, c.Commit, "COMMIT\nBEGIN{tag}\n")
+	c.SetOpTag(0)
+	check(0, begin, "ABORT\nBEGIN\n")
+	check(0, c.Commit, "COMMIT\nBEGIN\n")
+	c.SetOpTag(7)
+	check(7, begin, "ABORT\nBEGIN{tag}\n")
 	c.SetOpTag(0)
 	c.Close()
 	if got := wl.take(); len(got) != 1 || got[0] != "QUIT\n" {

@@ -117,15 +117,38 @@ func maskStats(replies []byte) []byte {
 	return bytes.Join(lines, []byte("\n"))
 }
 
+// chunk splits a request stream into the writes that send it, as cuts
+// says: the whole stream in one write when cuts is empty, one line per
+// write when it starts with 0, and otherwise one write of cuts[i] bytes
+// (at least 1) for each i, cutting lines anywhere, then the rest.
+func chunk(reqs, cuts []byte) [][]byte {
+	switch {
+	case len(cuts) == 0:
+		return [][]byte{reqs}
+	case cuts[0] == 0:
+		return bytes.SplitAfter(reqs, []byte("\n"))
+	}
+	var out [][]byte
+	for _, c := range cuts {
+		n := min(max(int(c), 1), len(reqs))
+		out, reqs = append(out, reqs[:n]), reqs[n:]
+	}
+	return append(out, reqs)
+}
+
 // FuzzDispatch sends decoded request streams through a real connection
 // to a fresh server and through the old string dispatcher on a fresh
 // manager, and requires byte-identical reply streams (STATS values
 // masked): the byte tokenizer, verb matching, tag and mode parsing, the
 // line limit and the reply formatting all answer as the string path did.
-// Its seed corpus is testdata/fuzz/FuzzDispatch.
+// The stream goes out in the writes cuts decodes to, and the oracle
+// answers one line at a time, so however the requests are pipelined the
+// replies are the same bytes in the same order — including the replies
+// owed when QUIT or an over-long line ends the session. Its seed corpus
+// is testdata/fuzz/FuzzDispatch.
 func FuzzDispatch(f *testing.F) {
 	opts := hwtwbg.Options{Shards: 2, JournalSize: 64}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
 		reqs := decodeRequests(data)
 
 		lm := hwtwbg.Open(opts)
@@ -147,8 +170,12 @@ func FuzzDispatch(f *testing.F) {
 		conn.SetDeadline(time.Now().Add(20 * time.Second))
 		go func() {
 			// After QUIT or an over-long line the server closes with our
-			// bytes unread, so this write may fail; the replies decide.
-			conn.Write(reqs)
+			// bytes unread, so these writes may fail; the replies decide.
+			for _, c := range chunk(reqs, cuts) {
+				if _, err := conn.Write(c); err != nil {
+					break
+				}
+			}
 			conn.(*net.TCPConn).CloseWrite()
 		}()
 		got, err := io.ReadAll(conn)

@@ -1,9 +1,11 @@
 package lockservice
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -88,6 +90,37 @@ func TestDumpJournalMalformedReplies(t *testing.T) {
 	c = fakeServer(t, "OK 1\n!!!not-base64!!!")
 	if _, err := c.DumpJournal(); err == nil || !strings.Contains(err.Error(), "DUMP record 0") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestDumpJournalUntrustedCount: the DUMP header's count is the
+// server's word. A negative one is malformed, and a count larger than
+// the records that follow — however large — costs no more than those
+// records and ends in an error when the connection does.
+func TestDumpJournalUntrustedCount(t *testing.T) {
+	rec := journal.Record{Kind: journal.KindBegin, Txn: 1}
+	txt, err := rec.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ reply, want string }{
+		{"OK -1", "malformed DUMP header"},
+		{"OK 4611686018427387904\n" + string(txt), "DUMP record 1 of 4611686018427387904"},
+		{"OK 3\n" + string(txt) + "\n" + string(txt), "DUMP record 2 of 3"},
+	} {
+		// The server sends its reply and hangs up.
+		cs, ss := net.Pipe()
+		go func() {
+			bufio.NewReader(ss).ReadString('\n')
+			fmt.Fprintf(ss, "%s\n", tc.reply)
+			ss.Close()
+		}()
+		c := NewClient(cs)
+		recs, err := c.DumpJournal()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || recs != nil {
+			t.Errorf("%.30q: %d records, err %v; want none and %q", tc.reply, len(recs), err, tc.want)
+		}
+		c.Close()
 	}
 }
 

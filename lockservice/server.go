@@ -67,6 +67,23 @@
 // hwtwbg.Txn.SetTag): the flight recorder journals it, and postmortems,
 // `hwtrace report` and near-miss output group wait chains by it.
 //
+// Pipelining. A client may write several requests before it reads a
+// reply; the server answers them exactly as if they had come one at a
+// time, under three rules:
+//
+//   - replies leave in request order, one per non-blank request line;
+//   - a LOCK or LOCKALL that blocks stalls only the replies behind it:
+//     the replies owed to earlier lines are flushed before it waits;
+//   - after ABORTED, every later line already sent gets its one defined
+//     reply: LOCK, LOCKALL, TRYLOCK and COMMIT answer ABORTED (COMMIT
+//     then ends the transaction), ABORT answers OK and BEGIN OK <txn-id>.
+//
+// The server flushes its replies when no complete request line is left
+// in its read buffer, so a batch costs it one write and a client that
+// waits for each reply sees each reply as soon as it is made. Client
+// uses this for one thing only: Commit and Abort send the next
+// transaction's BEGIN in the same write.
+//
 // Modes are the paper's spellings: IS, IX, S, SIX, X. ABORTED means the
 // transaction was sacrificed to break a deadlock; the client should
 // retry it from the start.
@@ -218,12 +235,19 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	w := bufio.NewWriter(conn)
+	defer w.Flush() // replies owed when the session ends still go out
 	r := bufio.NewReaderSize(conn, bufSize)
 	// long accumulates a line that outgrows r's buffer; it is dropped
 	// once served so one long line does not pin its size for the
 	// connection's lifetime.
 	var long []byte
 	for {
+		// Replies wait in w until the next read could block: a client
+		// that pipelines gets one write for its batch, one that waits for
+		// each reply gets each reply as before.
+		if w.Buffered() > 0 && !lineBuffered(r) && w.Flush() != nil {
+			return
+		}
 		line, err := r.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
 			if long = append(long, line...); len(long) >= maxLine {
@@ -252,11 +276,26 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// serve answers one non-blank request line; false closes the
-// connection.
+// lineBuffered reports whether r holds a complete line, so the next
+// ReadSlice returns without reading the connection.
+func lineBuffered(r *bufio.Reader) bool {
+	b, _ := r.Peek(r.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// serve answers one non-blank request line into w, which handle
+// flushes; false closes the connection.
 func (sess *session) serve(w *bufio.Writer, line []byte) bool {
 	sess.fields = appendFields(sess.fields[:0], line)
 	cmd := verb(sess.fields[0])
+	switch cmd {
+	case "LOCK", "LOCKALL", "TAIL":
+		// These can wait, on a lock or on the journal: the replies owed
+		// to earlier lines leave first.
+		if w.Buffered() > 0 && w.Flush() != nil {
+			return false
+		}
+	}
 	// TAIL streams many lines, so it bypasses the one-line dispatch path
 	// and owns the writer until the stream ends.
 	if cmd == "TAIL" {
@@ -274,7 +313,7 @@ func (sess *session) serve(w *bufio.Writer, line []byte) bool {
 	if cap(sess.out) > bufSize {
 		sess.out = nil // a DUMP or SNAPSHOT reply: do not keep its size
 	}
-	return w.Flush() == nil && !quit
+	return !quit
 }
 
 // appendFields appends line's fields to dst, split exactly where

@@ -134,7 +134,7 @@ func (t *Txn) Recycle() {
 // use keeps Begin a pair of cheap atomics and matches the manager's
 // view of the world: a transaction that never requests a lock never
 // existed as far as the lock table — or the flight recorder — is
-// concerned.
+// concerned, so its commit or abort journals nothing either.
 //
 // ts is the request's own start timestamp; the begin record is stamped
 // one nanosecond earlier so a merged snapshot (sorted by timestamp,
@@ -164,12 +164,16 @@ func (m *Manager) journalControl(kind journal.Kind, id TxnID, ts int64, arg uint
 // observeAbort is the owner's one exit for an abort it has just
 // observed — its own Abort, a cancelled wait, or an external verdict
 // (deadlock victim, Close): the abort is journaled, and when it ended a
-// wait in shard s (nil otherwise) the wait is counted as aborted.
+// wait in shard s (nil otherwise) the wait is counted as aborted. Like
+// Commit's, the end record is written only for a transaction whose
+// begin record was (see journalBegin).
 func (t *Txn) observeAbort(s *shard) {
 	if s != nil {
 		s.met.waitAborts.Inc()
 	}
-	t.m.journalControl(journal.KindAbort, t.id, 0, 0)
+	if t.begun {
+		t.m.journalControl(journal.KindAbort, t.id, 0, 0)
+	}
 }
 
 // ID returns the transaction identifier.
@@ -540,7 +544,9 @@ func (t *Txn) Commit() error {
 	}
 	t.state = committedState
 	t.clearTouched()
-	t.m.journalControl(journal.KindCommit, t.id, 0, 0)
+	if t.begun {
+		t.m.journalControl(journal.KindCommit, t.id, 0, 0)
+	}
 	return nil
 }
 
