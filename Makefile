@@ -1,10 +1,6 @@
 GO ?= go
 
-# The archived bench run, BENCH_<tag>.{txt,json}: `bench` rewrites it,
-# `benchsmoke` gates allocs/op against it.
-BENCH_OUT ?= BENCH_PR8
-
-.PHONY: all build vet test race lint audit fuzzsmoke bench benchsmoke benchcheck ci
+.PHONY: all build vet test race lint audit fuzzsmoke benchcheck ci
 
 all: ci
 
@@ -14,6 +10,9 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The plain suite. It carries the allocation gates: TestAllocationPins
+# (public API and detector activations), TestWireVerbAllocs and
+# TestKVTxnAllocs, which -race skips.
 test:
 	$(GO) test ./...
 
@@ -45,24 +44,6 @@ audit:
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz FuzzTableOps -fuzztime 10s ./internal/table
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./lockservice
-
-# Full bench sweep with allocation stats; the text output is archived
-# alongside a JSON rendering (cmd/benchjson) for diffing across PRs.
-bench:
-	$(GO) test -run xxx -bench . -benchtime 200ms -benchmem ./... | tee $(BENCH_OUT).txt | $(GO) run ./cmd/benchjson > $(BENCH_OUT).json
-
-# Quick harness check used by CI: the public-API benchmarks (uncontended,
-# conflict hand-off, group acquisition) and the detector activations
-# (snapshot rounds, storm rounds among bystanders, a bare steady-state
-# Run — all allocation-free once warm) piped straight into the archived
-# allocs-only gate (E22 showed cross-run ns/op on this host is
-# environment-dominated, so only allocs/op growth fails), so an alloc
-# regression on the hot path fails CI even between full bench sweeps. Time-based -benchtime so warm-up allocations
-# (pools, freelists, first map growth) amortize out of allocs/op; -cpu 1
-# because the archive was recorded at procs: 1 and MetricsSnapshot's
-# allocs/op depends on the shard count, which follows GOMAXPROCS.
-benchsmoke:
-	$(GO) test -run xxx -bench 'BenchmarkManagerUncontended|BenchmarkManagerConflict$$|BenchmarkManagerLockAll|BenchmarkMetricsSnapshot|BenchmarkDetectorActivation|BenchmarkDetectSteadyState' -benchtime 50ms -benchmem -cpu 1 . | $(GO) run ./cmd/benchjson compare -allocs-only $(BENCH_OUT).json -
 
 # hwbench (bench/, a module of its own that imports this one through a
 # replace directive) is outside `./...`: vet it and run its smoke and

@@ -171,19 +171,25 @@ func BenchmarkTDR2Rate(b *testing.B) {
 func BenchmarkManagerUncontended(b *testing.B) {
 	lm := Open(Options{})
 	defer lm.Close()
-	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := lm.Begin()
-		if err := t.Lock(ctx, "r1", S); err != nil {
-			b.Fatal(err)
-		}
-		if err := t.Lock(ctx, "r2", X); err != nil {
-			b.Fatal(err)
-		}
-		if err := t.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		uncontendedTxn(b, lm)
+	}
+}
+
+// uncontendedTxn is one transaction on the fast path: two locks no one
+// else wants, then commit.
+func uncontendedTxn(tb testing.TB, lm *Manager) {
+	ctx := context.Background()
+	t := lm.Begin()
+	if err := t.Lock(ctx, "r1", S); err != nil {
+		tb.Fatal(err)
+	}
+	if err := t.Lock(ctx, "r2", X); err != nil {
+		tb.Fatal(err)
+	}
+	if err := t.Commit(); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -200,27 +206,33 @@ func BenchmarkManagerConflict(b *testing.B) {
 // manager, shared by BenchmarkManagerConflict and the journal on/off
 // comparison.
 func runManagerConflict(b *testing.B, lm *Manager) {
-	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		a := lm.Begin()
-		if err := a.Lock(ctx, "hot", X); err != nil {
-			b.Fatal(err)
-		}
-		c := lm.Begin()
-		done := make(chan error, 1)
-		go func() { done <- c.Lock(ctx, "hot", X) }()
-		for !lm.Blocked(c.ID()) {
-			runtime.Gosched()
-		}
-		if err := a.Commit(); err != nil {
-			b.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		conflictRound(b, lm)
+	}
+}
+
+// conflictRound hands one X lock from a holder to a waiter parked on
+// its own goroutine.
+func conflictRound(tb testing.TB, lm *Manager) {
+	ctx := context.Background()
+	a := lm.Begin()
+	if err := a.Lock(ctx, "hot", X); err != nil {
+		tb.Fatal(err)
+	}
+	c := lm.Begin()
+	done := make(chan error, 1)
+	go func() { done <- c.Lock(ctx, "hot", X) }()
+	for !lm.Blocked(c.ID()) {
+		runtime.Gosched()
+	}
+	if err := a.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Commit(); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -243,7 +255,6 @@ func benchLockAllReqs() []LockRequest {
 // quantity group acquisition exists to shrink: the batch takes each
 // shard's mutex once per round instead of once per lock.
 func BenchmarkManagerLockAll(b *testing.B) {
-	ctx := context.Background()
 	reqs := benchLockAllReqs()
 	mutexRounds := func(lm *Manager) uint64 {
 		var n uint64
@@ -258,16 +269,7 @@ func BenchmarkManagerLockAll(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			t := lm.Begin()
-			for _, rq := range reqs {
-				if err := t.Lock(ctx, rq.Resource, rq.Mode); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := t.Commit(); err != nil {
-				b.Fatal(err)
-			}
-			t.Recycle()
+			lockEachTxn(b, lm, reqs)
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(mutexRounds(lm))/float64(b.N), "mutexacq/op")
@@ -278,18 +280,40 @@ func BenchmarkManagerLockAll(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			t := lm.Begin()
-			if err := t.LockAll(ctx, reqs); err != nil {
-				b.Fatal(err)
-			}
-			if err := t.Commit(); err != nil {
-				b.Fatal(err)
-			}
-			t.Recycle()
+			lockAllTxn(b, lm, reqs)
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(mutexRounds(lm))/float64(b.N), "mutexacq/op")
 	})
+}
+
+// lockEachTxn takes reqs one Lock call at a time, commits and recycles
+// the transaction.
+func lockEachTxn(tb testing.TB, lm *Manager, reqs []LockRequest) {
+	ctx := context.Background()
+	t := lm.Begin()
+	for _, rq := range reqs {
+		if err := t.Lock(ctx, rq.Resource, rq.Mode); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := t.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	t.Recycle()
+}
+
+// lockAllTxn takes reqs in one LockAll batch, commits and recycles the
+// transaction.
+func lockAllTxn(tb testing.TB, lm *Manager, reqs []LockRequest) {
+	t := lm.Begin()
+	if err := t.LockAll(context.Background(), reqs); err != nil {
+		tb.Fatal(err)
+	}
+	if err := t.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	t.Recycle()
 }
 
 // BenchmarkLockAllAB is the in-process A/B micro-harness: every
@@ -302,33 +326,16 @@ func BenchmarkManagerLockAll(b *testing.B) {
 func BenchmarkLockAllAB(b *testing.B) {
 	lm := Open(Options{Shards: 1})
 	defer lm.Close()
-	ctx := context.Background()
 	reqs := benchLockAllReqs()
 	var seqNs, batNs time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		t := lm.Begin()
-		for _, rq := range reqs {
-			if err := t.Lock(ctx, rq.Resource, rq.Mode); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := t.Commit(); err != nil {
-			b.Fatal(err)
-		}
-		t.Recycle()
+		lockEachTxn(b, lm, reqs)
 		seqNs += time.Since(start)
 
 		start = time.Now()
-		t = lm.Begin()
-		if err := t.LockAll(ctx, reqs); err != nil {
-			b.Fatal(err)
-		}
-		if err := t.Commit(); err != nil {
-			b.Fatal(err)
-		}
-		t.Recycle()
+		lockAllTxn(b, lm, reqs)
 		batNs += time.Since(start)
 	}
 	b.StopTimer()
@@ -424,21 +431,28 @@ func BenchmarkManagerParallel(b *testing.B) {
 // BenchmarkMetricsSnapshot prices reading the full metric set while the
 // manager is live (the debug-endpoint path; must not stop the world).
 func BenchmarkMetricsSnapshot(b *testing.B) {
-	lm := Open(Options{})
+	lm := openMetricsSnapshot(b)
 	defer lm.Close()
-	ctx := context.Background()
-	t := lm.Begin()
-	if err := t.Lock(ctx, "r", X); err != nil {
-		b.Fatal(err)
-	}
-	defer t.Commit()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap := lm.MetricsSnapshot()
-		if snap.Total.Grants == 0 {
-			b.Fatal("lost grants")
-		}
+		metricsSnapshot(b, lm)
+	}
+}
+
+// openMetricsSnapshot opens a one-shard manager with one lock held.
+// The shard count is fixed because a snapshot's allocations follow it.
+func openMetricsSnapshot(tb testing.TB) *Manager {
+	lm := Open(Options{Shards: 1})
+	if err := lm.Begin().Lock(context.Background(), "r", X); err != nil {
+		tb.Fatal(err)
+	}
+	return lm
+}
+
+func metricsSnapshot(tb testing.TB, lm *Manager) {
+	if lm.MetricsSnapshot().Total.Grants == 0 {
+		tb.Fatal("lost grants")
 	}
 }
 
@@ -463,37 +477,14 @@ func BenchmarkDetectorActivation(b *testing.B) {
 		{"dirty90", 29},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			const shards = 32
-			m := Open(Options{Shards: shards})
+			m, churn := openChurned(b, tc.dirty)
 			defer m.Close()
-			ctx := context.Background()
-			pin := m.Begin()
-			for i := 0; i < shards; i++ {
-				for j := 0; j < 8; j++ {
-					if err := pin.Lock(ctx, shardResource(b, m, uint32(i), j), S); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			churn := make([]ResourceID, tc.dirty)
-			for i := range churn {
-				churn[i] = shardResource(b, m, uint32(i), 100)
-			}
 			m.Detect() // warm-up: the one full copy
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				for _, r := range churn {
-					tx := m.Begin()
-					if err := tx.Lock(ctx, r, X); err != nil {
-						b.Fatal(err)
-					}
-					if err := tx.Commit(); err != nil {
-						b.Fatal(err)
-					}
-					tx.Recycle()
-				}
+				churn()
 				b.StartTimer()
 				m.Detect()
 			}
@@ -520,6 +511,33 @@ func BenchmarkDetectorActivation(b *testing.B) {
 				s.drain(b)
 			}
 		})
+	}
+}
+
+// openChurned opens a 32-shard manager with eight S locks pinned in
+// every shard, and returns it with a churn function that runs one
+// transaction in each of the first dirty shards, so the next activation
+// finds exactly those shards changed.
+func openChurned(tb testing.TB, dirty int) (*Manager, func()) {
+	const shards = 32
+	m := Open(Options{Shards: shards})
+	ctx := context.Background()
+	pin := m.Begin()
+	for i := 0; i < shards; i++ {
+		for j := 0; j < 8; j++ {
+			if err := pin.Lock(ctx, shardResource(tb, m, uint32(i), j), S); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	churn := make([]ResourceID, dirty)
+	for i := range churn {
+		churn[i] = shardResource(tb, m, uint32(i), 100)
+	}
+	return m, func() {
+		for _, r := range churn {
+			lockEachTxn(tb, m, []LockRequest{{Resource: r, Mode: X}})
+		}
 	}
 }
 
@@ -639,15 +657,24 @@ func (s *ringStorm) drain(tb testing.TB) {
 // the vertex pool, maps and arenas are recycled across runs and a
 // steady-state activation allocates nothing.
 func BenchmarkDetectSteadyState(b *testing.B) {
-	tb := synth.Chain(200)
-	d := detect.New(tb, detect.Config{})
-	d.Run() // warm-up: the storage grows to the table's size
+	d := newSteadyDetector()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := d.Run()
-		if res.CyclesSearched != 0 {
-			b.Fatal("chain must stay clean")
-		}
+		steadyRun(b, d)
+	}
+}
+
+// newSteadyDetector returns a detector over a 200-transaction chain,
+// warmed up: its storage has grown to the table's size.
+func newSteadyDetector() *detect.Detector {
+	d := detect.New(synth.Chain(200), detect.Config{})
+	d.Run()
+	return d
+}
+
+func steadyRun(tb testing.TB, d *detect.Detector) {
+	if d.Run().CyclesSearched != 0 {
+		tb.Fatal("chain must stay clean")
 	}
 }

@@ -9,7 +9,7 @@
 //	hwtrace report -slo commit:p95=10ms journal.bin # ([kind:]pNN=dur, comma-separated)
 //	hwtrace nearmiss journal.bin      # predictive partial-order pass alone
 //	hwtrace postmortems journal.bin   # each resolved deadlock: cycle, edge evidence, participant tail
-//	hwtrace postmortems -json journal.bin  # the same view the debug server's /postmortems serves
+//	hwtrace postmortems -json journal.bin  # the same view as JSON
 //	hwtrace perfetto journal.bin > trace.json   # convert for ui.perfetto.dev
 //	hwtrace cat journal.bin           # print every record, one per line
 //	hwtrace tail localhost:7679       # live: refreshing summary off the TAIL stream

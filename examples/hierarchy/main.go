@@ -5,91 +5,108 @@
 // by the same H/W-TWBG detector ("integrates without changes into a
 // system that supports a resource hierarchy", Section 2 of the paper).
 //
+// The managers run with no background detector (Period 0), so the
+// deadlock stands until the example calls Detect.
+//
 //	go run ./examples/hierarchy
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime"
 
-	"hwtwbg/internal/detect"
-	"hwtwbg/internal/lock"
-	"hwtwbg/internal/mgl"
-	"hwtwbg/internal/table"
-	"hwtwbg/internal/twbg"
+	"hwtwbg"
+	"hwtwbg/granularity"
 )
 
+var ctx = context.Background()
+
 func main() {
-	h := mgl.NewHierarchy()
-	check(h.AddRoot("db"))
-	for _, tbl := range []table.ResourceID{"orders", "users"} {
-		check(h.Add(tbl, "db"))
+	g := granularity.New()
+	check(g.AddRoot("db"))
+	for _, tbl := range []hwtwbg.ResourceID{"orders", "users"} {
+		check(g.Add(tbl, "db"))
 		for i := 1; i <= 3; i++ {
-			check(h.Add(table.ResourceID(fmt.Sprintf("%s/row%d", tbl, i)), tbl))
+			check(g.Add(hwtwbg.ResourceID(fmt.Sprintf("%s/row%d", tbl, i)), tbl))
 		}
 	}
 
-	tb := table.New()
-	l := mgl.NewLocker(tb, h)
+	lm := hwtwbg.Open(hwtwbg.Options{})
+	defer lm.Close()
 
 	fmt.Println("=== fine-grained concurrency through intention locks ===")
-	mustLock(l, 1, "orders/row1", lock.X)
-	mustLock(l, 2, "orders/row2", lock.S)
-	fmt.Println("T1 writes orders/row1, T2 reads orders/row2 — no conflict:")
-	fmt.Print(tb.String())
+	t1, t2 := lm.Begin(), lm.Begin()
+	check(g.Lock(ctx, t1, "orders/row1", hwtwbg.X))
+	check(g.Lock(ctx, t2, "orders/row2", hwtwbg.S))
+	fmt.Printf("%v writes orders/row1, %v reads orders/row2 — no conflict:\n", t1.ID(), t2.ID())
+	fmt.Print(lm.Snapshot())
 
 	fmt.Println("\n=== an SIX scan-and-update ===")
-	mustLock(l, 3, "users", lock.S)
-	mustLock(l, 3, "users", lock.IX) // S + IX = SIX on the table
-	fmt.Printf("T3 holds %v on users (scan all rows, update some)\n", tb.HeldMode(3, "users"))
-	if g, err := l.Lock(4, "users/row1", lock.X); err != nil {
-		panic(err)
-	} else if g {
-		panic("T4 should have blocked")
+	t3, t4 := lm.Begin(), lm.Begin()
+	check(g.Lock(ctx, t3, "users", hwtwbg.S))
+	check(g.Lock(ctx, t3, "users", hwtwbg.IX)) // S + IX = SIX on the table
+	fmt.Printf("%v holds %v on users (scan all rows, update some)\n", t3.ID(), t3.Mode("users"))
+	write := park(lm, t4, g, "users/row1", hwtwbg.X)
+	fmt.Printf("%v's row write holds %v on db and blocks at users (IX vs SIX)\n", t4.ID(), t4.Mode("db"))
+	check(t3.Commit())
+	check(<-write)
+	fmt.Printf("%v commits; %v's write completes with %v on users/row1\n", t3.ID(), t4.ID(), t4.Mode("users/row1"))
+	for _, t := range []*hwtwbg.Txn{t1, t2, t4} {
+		check(t.Commit())
 	}
-	rid, _, _ := tb.WaitingOn(4)
-	fmt.Printf("T4's row write blocks at %s (IX vs SIX)\n", rid)
 
 	fmt.Println("\n=== a deadlock through intention locks ===")
-	tb2 := table.New()
-	l2 := mgl.NewLocker(tb2, h)
-	mustLock(l2, 1, "orders", lock.S) // T1 reads all of orders
-	mustLock(l2, 2, "users", lock.S)  // T2 reads all of users
-	blocked(l2, 1, "users/row1", lock.X)
-	blocked(l2, 2, "orders/row1", lock.X)
-	fmt.Println("T1: S(orders) then X(users/row1); T2: S(users) then X(orders/row1):")
-	fmt.Print(tb2.String())
-	fmt.Printf("deadlocked: %v\n", twbg.Deadlocked(tb2))
+	lm2 := hwtwbg.Open(hwtwbg.Options{})
+	defer lm2.Close()
+	a, b := lm2.Begin(), lm2.Begin()
+	check(g.Lock(ctx, a, "orders", hwtwbg.S)) // a reads all of orders
+	check(g.Lock(ctx, b, "users", hwtwbg.S))  // b reads all of users
+	done := map[*hwtwbg.Txn]<-chan error{
+		a: park(lm2, a, g, "users/row1", hwtwbg.X),
+		b: park(lm2, b, g, "orders/row1", hwtwbg.X),
+	}
+	fmt.Printf("%v: S(orders) then X(users/row1); %v: S(users) then X(orders/row1):\n", a.ID(), b.ID())
+	fmt.Print(lm2.Snapshot())
+	fmt.Printf("deadlocked: %v\n", lm2.Deadlocked())
 
-	res := detect.New(tb2, detect.Config{}).Run()
-	fmt.Printf("detector aborted %v; deadlocked now: %v\n", res.Aborted, twbg.Deadlocked(tb2))
-	for _, v := range res.Aborted {
-		l2.Drop(v)
+	st := lm2.Detect()
+	var victim, survivor *hwtwbg.Txn
+	for _, t := range []*hwtwbg.Txn{a, b} {
+		switch err := <-done[t]; {
+		case errors.Is(err, hwtwbg.ErrAborted):
+			victim = t
+		case err == nil:
+			survivor = t
+		default:
+			check(err)
+		}
 	}
-	survivor := table.TxnID(3) - res.Aborted[0]
-	if l2.Pending(survivor) {
-		done, err := l2.Resume(survivor)
-		check(err)
-		fmt.Printf("survivor %v resumed its acquisition: complete=%v\n", survivor, done)
-	} else {
-		fmt.Printf("survivor %v already finished its acquisition\n", survivor)
+	if st.Aborted != 1 || victim == nil || survivor == nil {
+		panic(fmt.Sprintf("want one victim and one survivor, detector did %+v", st))
 	}
-	fmt.Print(tb2.String())
+	victim.Abort()
+	fmt.Printf("detector aborted %v; deadlocked now: %v\n", victim.ID(), lm2.Deadlocked())
+	fmt.Printf("survivor %v completed its acquisition:\n", survivor.ID())
+	fmt.Print(lm2.Snapshot())
+	check(survivor.Commit())
 }
 
-func mustLock(l *mgl.Locker, txn table.TxnID, id table.ResourceID, m lock.Mode) {
-	g, err := l.Lock(txn, id, m)
-	check(err)
-	if !g {
-		panic(fmt.Sprintf("%v blocked unexpectedly on %s", txn, id))
+// park runs g.Lock for t on its own goroutine, returns once t is blocked,
+// and delivers the Lock's result on the channel.
+func park(lm *hwtwbg.Manager, t *hwtwbg.Txn, g *granularity.Graph, id hwtwbg.ResourceID, m hwtwbg.Mode) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- g.Lock(ctx, t, id, m) }()
+	for !lm.Blocked(t.ID()) {
+		select {
+		case err := <-done:
+			panic(fmt.Sprintf("%v was not blocked on %s: %v", t.ID(), id, err))
+		default:
+			runtime.Gosched()
+		}
 	}
-}
-
-func blocked(l *mgl.Locker, txn table.TxnID, id table.ResourceID, m lock.Mode) {
-	g, err := l.Lock(txn, id, m)
-	check(err)
-	if g {
-		panic(fmt.Sprintf("%v was granted %s unexpectedly", txn, id))
-	}
+	return done
 }
 
 func check(err error) {

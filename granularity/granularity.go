@@ -12,8 +12,9 @@
 //
 // The paper's Section 2 claims its model "integrates without changes
 // into a system that supports a resource hierarchy"; this package is
-// that integration on the concurrent API (internal/mgl is the
-// deterministic equivalent used by the simulator).
+// that integration, and the only one: deadlocks that form through
+// intention locks alone are found and resolved by the manager's
+// detector unchanged.
 package granularity
 
 import (

@@ -12,13 +12,14 @@ import (
 // AllocBudget enforces //hwlint:hotpath allocs=N annotations: a
 // function so marked may reach at most N distinct heap-allocation
 // sites, counted over everything it (transitively) calls through the
-// module callgraph. The 6/1/0 allocs/op numbers the benchmarks gate on
-// (BENCH_PR6/PR8) become a compile-time property instead of a
-// bench-only one: a new make/append/escape/external call on the hot
-// path fails lint, naming the site and the call chain that reaches it.
+// module callgraph. The 6/1/0 allocs/op numbers the runtime pins hold
+// (the root package's TestAllocationPins) become a compile-time
+// property instead of a test-only one: a new make/append/escape/external
+// call on the hot path fails lint, naming the site and the call chain
+// that reaches it.
 //
 // Counting is by site, not by execution: a site inside a loop counts
-// once (dynamic growth stays benchsmoke's job), shared sites reached
+// once (dynamic growth stays the runtime pins' job), shared sites reached
 // through several paths count once, and recursion adds nothing beyond
 // the cycle's own sites. An unresolved external call (fmt, sort with
 // closures, anything outside the loaded source set that is not in the

@@ -25,9 +25,9 @@ package analysis
 // iteration: the effect lattice is a finite union, so recursion — an
 // SCC in the callgraph — simply converges to the cycle's joint
 // summary). Allocation accounting is a reachable-site count: a site in
-// a loop still counts once (dynamic growth stays benchsmoke's job; the
-// static gate catches new sites), and recursion adds no sites beyond
-// the SCC's own.
+// a loop still counts once (dynamic growth stays the job of the runtime
+// AllocsPerRun pins; the static gate catches new sites), and recursion
+// adds no sites beyond the SCC's own.
 
 import (
 	"fmt"

@@ -43,7 +43,7 @@ type Preventer struct {
 	tb     *table.Table
 	scheme Scheme
 	// Priority maps a transaction to its timestamp (smaller = older).
-	// Required; the simulator supplies Manager.PriorityOf.
+	// Required; the simulator supplies its terminals' priorities.
 	Priority func(table.TxnID) int64
 }
 

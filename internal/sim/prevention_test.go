@@ -40,9 +40,9 @@ func TestPreventionNeverDeadlocks(t *testing.T) {
 		s := New(cfg, f)
 		for i := int64(0); i < cfg.Duration; i++ {
 			s.Tick()
-			if (s.mgr.Clock()-1)%cfg.Period == 0 {
-				if twbg.Deadlocked(s.mgr.Table()) {
-					t.Fatalf("%s: deadlock survived a period boundary at tick %d", f(s.mgr).Name(), i)
+			if (s.now-1)%cfg.Period == 0 {
+				if twbg.Deadlocked(s.tb) {
+					t.Fatalf("%s: deadlock survived a period boundary at tick %d", s.resolver.Name(), i)
 				}
 			}
 		}

@@ -16,13 +16,13 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"hwtwbg/internal/lock"
 	"hwtwbg/internal/table"
 	"hwtwbg/internal/twbg"
-	"hwtwbg/internal/txn"
 )
 
 // Resolver is the deadlock-handling strategy interface. The periodic
@@ -125,15 +125,16 @@ type Metrics struct {
 	ResolverEdgeVisit int   // cumulative Step 2 edge visits (Park resolver only)
 }
 
-// WaitPercentile returns the p-th percentile (0 < p <= 100) of
-// individual completed wait durations, or 0 when nothing ever waited.
+// WaitPercentile returns the nearest-rank p-th percentile (0 < p <= 100)
+// of individual completed wait durations: the smallest one with at least
+// p % of them at or below it. It is 0 when nothing ever waited.
 func (m Metrics) WaitPercentile(p float64) int64 {
 	if len(m.waits) == 0 {
 		return 0
 	}
-	sorted := append([]int64(nil), m.waits...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p/100*float64(len(sorted))) - 1
+	sorted := slices.Clone(m.waits)
+	slices.Sort(sorted)
+	idx := int(math.Ceil(p*float64(len(sorted))/100)) - 1
 	if idx < 0 {
 		idx = 0
 	}
@@ -169,9 +170,10 @@ func (m Metrics) String() string {
 		m.Strategy, m.Commits, m.Aborts, m.WastedOps, m.WaitTicks, m.Throughput())
 }
 
-// Factory builds a Resolver bound to a freshly created manager. The
-// manager supplies both the lock table and the cost metrics.
-type Factory func(m *txn.Manager) Resolver
+// Factory builds a Resolver bound to a freshly created simulation, which
+// supplies the lock table, the victim costs and the prevention
+// timestamps.
+type Factory func(s *Sim) Resolver
 
 // op is one scripted transaction step.
 type op struct {
@@ -180,9 +182,18 @@ type op struct {
 	commit bool
 }
 
-// terminal is one closed-loop client.
+// terminal is one closed-loop client and the transaction it runs now.
+// A restarted transaction gets a fresh id but keeps its priority.
 type terminal struct {
-	cur          *txn.Txn
+	id table.TxnID
+	// priority is the timestamp prevention schemes (wait-die, wound-wait)
+	// order by, smaller being older: start<<32 | id for a fresh
+	// transaction, the id breaking ties between transactions born on the
+	// same tick. Inheriting it across restarts is what makes the schemes
+	// livelock-free.
+	priority     int64
+	ops          int // lock requests issued (granted or not)
+	restarts     int // times this logical transaction was aborted and restarted
 	plan         []op
 	next         int
 	nextAt       int64
@@ -195,10 +206,12 @@ type terminal struct {
 type Sim struct {
 	cfg      Config
 	rng      *rand.Rand
-	mgr      *txn.Manager
+	tb       *table.Table
+	now      int64       // logical clock
+	nextID   table.TxnID // the next transaction's id
 	resolver Resolver
 	term     []*terminal
-	owner    map[table.TxnID]*terminal
+	owner    map[table.TxnID]*terminal // live transactions only
 	metrics  Metrics
 	deadAt   int64 // tick the current deadlock episode began, -1 if none
 }
@@ -209,16 +222,17 @@ func New(cfg Config, f Factory) *Sim {
 	s := &Sim{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		mgr:    txn.NewManager(),
+		tb:     table.New(),
+		nextID: 1,
 		owner:  make(map[table.TxnID]*terminal),
 		deadAt: -1,
 	}
-	s.resolver = f(s.mgr)
+	s.resolver = f(s)
 	s.metrics.Strategy = s.resolver.Name()
 	s.metrics.Config = cfg
 	for i := 0; i < cfg.Terminals; i++ {
 		t := &terminal{}
-		s.begin(t)
+		s.begin(t, false)
 		t.nextAt = int64(i) % cfg.ThinkTime // stagger start-up
 		s.term = append(s.term, t)
 	}
@@ -237,12 +251,9 @@ func Run(cfg Config, f Factory) Metrics {
 // Metrics returns the counters accumulated so far.
 func (s *Sim) Metrics() Metrics { return s.metrics }
 
-// Manager exposes the underlying transaction manager (tests observe it).
-func (s *Sim) Manager() *txn.Manager { return s.mgr }
-
 // Tick advances the simulation by one logical time unit.
 func (s *Sim) Tick() {
-	now := s.mgr.Clock()
+	now := s.now
 
 	for _, t := range s.term {
 		s.step(t, now)
@@ -254,7 +265,7 @@ func (s *Sim) Tick() {
 	if s.cfg.MeasureLatency {
 		s.trackDeadlock(now)
 	}
-	s.mgr.Tick()
+	s.now++
 }
 
 // step lets one terminal act if it is due.
@@ -263,32 +274,29 @@ func (s *Sim) step(t *terminal, now int64) {
 		if now < t.restartAt {
 			return
 		}
-		old := t.cur
-		t.cur = s.mgr.Restart(old)
-		s.owner[t.cur.ID] = t
-		t.plan = s.makePlan()
-		t.next = 0
-		t.restartAt = 0
+		s.begin(t, true)
 		t.nextAt = now
 		s.metrics.Restarts++
-		if t.cur.Restarts > s.metrics.MaxRestarts {
-			s.metrics.MaxRestarts = t.cur.Restarts
+		if t.restarts > s.metrics.MaxRestarts {
+			s.metrics.MaxRestarts = t.restarts
 		}
 	}
-	if t.blocked || t.cur.Done() || now < t.nextAt {
+	if t.blocked || now < t.nextAt {
 		return
 	}
 	o := t.plan[t.next]
 	if o.commit {
-		if err := s.mgr.Commit(t.cur); err != nil {
+		if _, err := s.tb.Release(t.id); err != nil {
 			panic("sim: commit failed: " + err.Error())
 		}
+		delete(s.owner, t.id)
 		s.metrics.Commits++
-		s.begin(t)
+		s.begin(t, false)
 		t.nextAt = now + s.cfg.ThinkTime
 		return
 	}
-	granted, err := s.mgr.Request(t.cur, o.rid, o.mode)
+	t.ops++
+	granted, err := s.tb.Request(t.id, o.rid, o.mode)
 	if err != nil {
 		panic("sim: request failed: " + err.Error())
 	}
@@ -299,17 +307,42 @@ func (s *Sim) step(t *terminal, now int64) {
 	}
 	t.blocked = true
 	t.blockedSince = now
-	s.applyVictims(s.resolver.OnBlocked(t.cur.ID, now), now)
+	s.applyVictims(s.resolver.OnBlocked(t.id, now), now)
 }
 
-// begin starts a fresh transaction on a terminal.
-func (s *Sim) begin(t *terminal) {
-	t.cur = s.mgr.Begin()
+// begin starts a transaction on a terminal: a fresh one, or with restart
+// the successor of the one a resolver aborted, which inherits its
+// priority and counts one more restart.
+func (s *Sim) begin(t *terminal, restart bool) {
+	t.id = s.nextID
+	s.nextID++
+	if restart {
+		t.restarts++
+	} else {
+		t.restarts = 0
+		t.priority = s.now<<32 | int64(t.id)
+	}
+	t.ops = 0
 	t.plan = s.makePlan()
 	t.next = 0
 	t.blocked = false
 	t.restartAt = 0
-	s.owner[t.cur.ID] = t
+	s.owner[t.id] = t
+}
+
+// lockCost prices a victim by the locks it holds, +1 so that no cost is
+// 0: the first of Section 5's metrics, "number of locks it holds".
+func (s *Sim) lockCost(id table.TxnID) float64 {
+	return float64(len(s.tb.Held(id)) + 1)
+}
+
+// priority returns id's prevention timestamp (smaller is older);
+// transactions no terminal is running rank newest.
+func (s *Sim) priority(id table.TxnID) int64 {
+	if t := s.owner[id]; t != nil {
+		return t.priority
+	}
+	return 1 << 62
 }
 
 // makePlan scripts one transaction: TxnLength lock requests followed by
@@ -368,14 +401,14 @@ func (s *Sim) pickResource() table.ResourceID {
 // terminals that own them.
 func (s *Sim) applyVictims(victims []table.TxnID, now int64) {
 	for _, v := range victims {
-		s.mgr.MarkAborted(v)
 		s.resolver.Forget(v)
 		t := s.owner[v]
 		if t == nil {
 			continue
 		}
+		delete(s.owner, v)
 		s.metrics.Aborts++
-		s.metrics.WastedOps += t.cur.Ops
+		s.metrics.WastedOps += t.ops
 		if t.blocked {
 			s.metrics.WaitTicks += now - t.blockedSince
 			s.metrics.waits = append(s.metrics.waits, now-t.blockedSince)
@@ -394,26 +427,21 @@ func (s *Sim) applyVictims(victims []table.TxnID, now int64) {
 // sweep notices grants: blocked terminals whose transactions the table
 // no longer blocks resume at the next think boundary.
 func (s *Sim) sweep(now int64) {
-	tb := s.mgr.Table()
 	for _, t := range s.term {
-		if !t.blocked || t.cur.Done() {
-			continue
-		}
-		if tb.Blocked(t.cur.ID) {
+		if !t.blocked || s.tb.Blocked(t.id) {
 			continue
 		}
 		t.blocked = false
 		s.metrics.WaitTicks += now - t.blockedSince
 		s.metrics.waits = append(s.metrics.waits, now-t.blockedSince)
 		t.nextAt = now + s.cfg.ThinkTime
-		s.resolver.Forget(t.cur.ID)
+		s.resolver.Forget(t.id)
 	}
-	s.mgr.Sync()
 }
 
 // trackDeadlock measures deadlock persistence against the oracle.
 func (s *Sim) trackDeadlock(now int64) {
-	dead := twbg.Deadlocked(s.mgr.Table())
+	dead := twbg.Deadlocked(s.tb)
 	switch {
 	case dead && s.deadAt < 0:
 		s.deadAt = now

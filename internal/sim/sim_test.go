@@ -3,8 +3,9 @@ package sim
 import (
 	"testing"
 
+	"hwtwbg/internal/lock"
+	"hwtwbg/internal/table"
 	"hwtwbg/internal/twbg"
-	"hwtwbg/internal/txn"
 )
 
 // contention is a deadlock-prone workload used across the tests.
@@ -70,8 +71,8 @@ func TestNoDeadlockSurvivesTheRun(t *testing.T) {
 		s.Tick()
 		// At every period boundary the table must be deadlock-free
 		// right after the tick.
-		if (s.mgr.Clock()-1)%contention.Period == 0 {
-			if twbg.Deadlocked(s.mgr.Table()) {
+		if (s.now-1)%contention.Period == 0 {
+			if twbg.Deadlocked(s.tb) {
 				t.Fatalf("tick %d: deadlock survived a period boundary", i)
 			}
 		}
@@ -182,8 +183,7 @@ func TestMetricsHelpers(t *testing.T) {
 }
 
 func TestParkResolverDirect(t *testing.T) {
-	m := txn.NewManager()
-	r := Park(m)
+	r := Park(&Sim{tb: table.New()})
 	if r.Name() != "park-hwtwbg" {
 		t.Errorf("Name = %q", r.Name())
 	}
@@ -197,6 +197,166 @@ func TestParkResolverDirect(t *testing.T) {
 	pr := r.(*ParkResolver)
 	if pr.Park() != (ParkStats{}) {
 		t.Errorf("stats = %+v", pr.Park())
+	}
+}
+
+// TestLifecycle: transactions get ids in begin order, older ones smaller
+// priorities, and a committed transaction is forgotten, so the
+// simulation tracks only the live transaction of each terminal.
+func TestLifecycle(t *testing.T) {
+	s := New(Config{Terminals: 2, TxnLength: 1}, Park)
+	a, b := s.term[0], s.term[1]
+	if a.id != 1 || b.id != 2 || s.priority(a.id) >= s.priority(b.id) {
+		t.Fatalf("ids %v, %v with priorities %d, %d", a.id, b.id, a.priority, b.priority)
+	}
+	for s.Metrics().Commits < 10 {
+		s.Tick()
+	}
+	if a.id <= 2 || b.id <= 2 {
+		t.Fatalf("ids %v, %v after 10 commits, want successors", a.id, b.id)
+	}
+	for id := table.TxnID(1); id < s.nextID; id++ {
+		_, live := s.owner[id]
+		if want := id == a.id || id == b.id; live != want {
+			t.Errorf("T%d tracked = %v, want %v", id, live, want)
+		}
+	}
+	if s.priority(1) != 1<<62 {
+		t.Error("a committed transaction must rank newest")
+	}
+}
+
+// TestCostMetrics: a victim costs the locks it holds plus one, so that
+// no cost is 0; a conversion does not count twice.
+func TestCostMetrics(t *testing.T) {
+	s := New(Config{Terminals: 2}, Park)
+	a, b := s.term[0].id, s.term[1].id
+	if got := s.lockCost(a); got != 1 {
+		t.Fatalf("lockCost before any lock = %v, want 1", got)
+	}
+	for _, r := range []struct {
+		id   table.TxnID
+		rid  table.ResourceID
+		mode lock.Mode
+	}{{a, "R1", lock.S}, {a, "R2", lock.IX}, {a, "R1", lock.X}, {b, "R3", lock.S}} {
+		if g, err := s.tb.Request(r.id, r.rid, r.mode); err != nil || !g {
+			t.Fatalf("%v %v on %s: %v %v", r.id, r.mode, r.rid, g, err)
+		}
+	}
+	if s.lockCost(a) != 3 || s.lockCost(b) != 2 || s.lockCost(99) != 1 {
+		t.Fatalf("lockCost = %v, %v, unknown %v; want 3, 2, 1", s.lockCost(a), s.lockCost(b), s.lockCost(99))
+	}
+}
+
+// TestRestartCarriesCount: a victim's successor has a fresh id, its
+// predecessor's priority and one more restart, while the aborted
+// transaction is forgotten.
+func TestRestartCarriesCount(t *testing.T) {
+	s := New(Config{Terminals: 2}, Park)
+	a := s.term[0]
+	prio := a.priority
+	for restarts := 1; restarts <= 2; restarts++ {
+		if _, err := s.tb.Request(a.id, "R", lock.X); err != nil {
+			t.Fatal(err)
+		}
+		old := a.id
+		s.tb.Abort(old) // as a resolver would, before reporting the victim
+		s.applyVictims([]table.TxnID{old}, s.now)
+		if s.priority(old) != 1<<62 {
+			t.Fatal("an aborted transaction must rank newest")
+		}
+		for a.restartAt > 0 {
+			s.Tick()
+		}
+		if a.id == old || a.restarts != restarts || a.priority != prio || s.priority(a.id) != prio {
+			t.Fatalf("successor = id %v, %d restarts, priority %d; want a fresh id, %d restarts, priority %d",
+				a.id, a.restarts, a.priority, restarts, prio)
+		}
+	}
+	if m := s.Metrics(); m.Aborts != 2 || m.Restarts != 2 || m.MaxRestarts != 2 {
+		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+// block issues a request that must wait and marks the terminal blocked,
+// as step does.
+func block(t *testing.T, s *Sim, term *terminal, rid table.ResourceID, mode lock.Mode) {
+	t.Helper()
+	if g, err := s.tb.Request(term.id, rid, mode); err != nil || g {
+		t.Fatalf("%v %v on %s: granted %v, err %v; want a wait", term.id, mode, rid, g, err)
+	}
+	term.blocked = true
+	term.blockedSince = s.now
+}
+
+// TestDetectorIntegration: two terminals' transactions deadlock; the
+// periodic detector, pricing victims by locks held, aborts the one
+// holding fewer, the simulation schedules its restart, and the sweep
+// resumes the survivor, which now holds both resources.
+func TestDetectorIntegration(t *testing.T) {
+	s := New(Config{Terminals: 2}, Park)
+	a, b := s.term[0], s.term[1]
+	for _, r := range []struct {
+		id  table.TxnID
+		rid table.ResourceID
+	}{{a.id, "RA"}, {a.id, "RC"}, {b.id, "RB"}} {
+		if g, err := s.tb.Request(r.id, r.rid, lock.X); err != nil || !g {
+			t.Fatalf("%v on %s: %v %v", r.id, r.rid, g, err)
+		}
+	}
+	block(t, s, a, "RB", lock.X)
+	block(t, s, b, "RA", lock.X)
+	s.applyVictims(s.resolver.OnTick(s.now), s.now)
+	if b.restartAt == 0 || a.restartAt != 0 {
+		t.Fatalf("restarts scheduled at %d (a) and %d (b), want b's only", a.restartAt, b.restartAt)
+	}
+	s.sweep(s.now)
+	if a.blocked || s.tb.HeldMode(a.id, "RB") != lock.X {
+		t.Fatalf("survivor blocked %v, holds %v on RB", a.blocked, s.tb.HeldMode(a.id, "RB"))
+	}
+	if m := s.Metrics(); m.Aborts != 1 || m.Waits() != 2 {
+		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+// TestSweepAfterTDR2: a deadlock resolved by TDR-2 repositioning aborts
+// nobody; the sweep resumes the one terminal whose transaction the
+// repositioning granted and leaves the others blocked.
+func TestSweepAfterTDR2(t *testing.T) {
+	s := New(Config{Terminals: 9}, ParkUniformCost)
+	term := func(n int) *terminal { return s.term[n-1] }
+	for _, r := range []struct {
+		n    int
+		rid  table.ResourceID
+		mode lock.Mode
+		wait bool
+	}{
+		{1, "R1", lock.IX, false}, {2, "R1", lock.IS, false}, {3, "R1", lock.IX, false},
+		{4, "R1", lock.IS, false}, {7, "R2", lock.IS, false}, {2, "R1", lock.S, true},
+		{1, "R1", lock.S, true}, {5, "R1", lock.IX, true}, {6, "R1", lock.S, true},
+		{7, "R1", lock.IX, true}, {8, "R2", lock.X, true}, {9, "R2", lock.IX, true},
+		{3, "R2", lock.S, true}, {4, "R2", lock.X, true},
+	} {
+		if r.wait {
+			block(t, s, term(r.n), r.rid, r.mode)
+		} else if g, err := s.tb.Request(term(r.n).id, r.rid, r.mode); err != nil || !g {
+			t.Fatalf("T%d %v on %s: %v %v", r.n, r.mode, r.rid, g, err)
+		}
+	}
+	if victims := s.resolver.OnTick(s.now); len(victims) != 0 {
+		t.Fatalf("victims = %v, want none", victims)
+	}
+	if st := s.resolver.(*ParkResolver).Park(); st.Repositionings != 1 {
+		t.Fatalf("stats = %+v, want one repositioning", st)
+	}
+	s.sweep(s.now)
+	if term(9).blocked {
+		t.Fatal("T9 must resume after the TDR-2 grant")
+	}
+	for _, n := range []int{1, 2, 3, 5, 6, 8} {
+		if !term(n).blocked {
+			t.Errorf("T%d resumed, want blocked", n)
+		}
 	}
 }
 
@@ -238,5 +398,25 @@ func TestWaitPercentiles(t *testing.T) {
 	var zero Metrics
 	if zero.WaitPercentile(50) != 0 || zero.Waits() != 0 {
 		t.Fatal("zero-value metrics percentile")
+	}
+}
+
+// TestWaitPercentileNearestRank: the p-th percentile is the smallest
+// sample with at least p % of the samples at or below it, as in
+// journal's latency percentiles, so p99 of two samples is the larger.
+func TestWaitPercentileNearestRank(t *testing.T) {
+	two := Metrics{waits: []int64{9, 1}}
+	ten := Metrics{waits: []int64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}}
+	for _, c := range []struct {
+		m    Metrics
+		p    float64
+		want int64
+	}{
+		{two, 50, 1}, {two, 99, 9}, {two, 100, 9},
+		{ten, 1, 1}, {ten, 50, 5}, {ten, 90, 9}, {ten, 99, 10}, {ten, 100, 10},
+	} {
+		if got := c.m.WaitPercentile(c.p); got != c.want {
+			t.Errorf("p%v of %d samples = %d, want %d", c.p, len(c.m.waits), got, c.want)
+		}
 	}
 }

@@ -32,7 +32,7 @@ func TestSoak(t *testing.T) {
 					for i := int64(0); i < cfg.Duration; i++ {
 						s.Tick()
 					}
-					if err := s.mgr.Table().Validate(); err != nil {
+					if err := s.tb.Validate(); err != nil {
 						t.Fatalf("mix %d seed %d: table invariant broken: %v", mi, seed, err)
 					}
 					m := s.Metrics()
@@ -52,14 +52,14 @@ func TestSoak(t *testing.T) {
 						// No end-state guarantee: missed detection is
 						// the point of this baseline.
 					case "timeout":
-						s.resolver.OnTick(s.mgr.Clock() + 10*cfg.Period + 1)
-						if twbg.Deadlocked(s.mgr.Table()) {
-							t.Errorf("mix %d seed %d: deadlock survived the timeout limit:\n%s", mi, seed, s.mgr.Table())
+						s.resolver.OnTick(s.now + 10*cfg.Period + 1)
+						if twbg.Deadlocked(s.tb) {
+							t.Errorf("mix %d seed %d: deadlock survived the timeout limit:\n%s", mi, seed, s.tb)
 						}
 					default:
-						s.resolver.OnTick(s.mgr.Clock())
-						if twbg.Deadlocked(s.mgr.Table()) {
-							t.Errorf("mix %d seed %d: deadlock at end of run:\n%s", mi, seed, s.mgr.Table())
+						s.resolver.OnTick(s.now)
+						if twbg.Deadlocked(s.tb) {
+							t.Errorf("mix %d seed %d: deadlock at end of run:\n%s", mi, seed, s.tb)
 						}
 					}
 				}

@@ -10,7 +10,6 @@ import (
 	"hwtwbg/internal/continuous"
 	"hwtwbg/internal/detect"
 	"hwtwbg/internal/table"
-	"hwtwbg/internal/txn"
 )
 
 // ParkStats accumulates the Park-specific counters across activations.
@@ -53,27 +52,27 @@ func (p *ParkResolver) Park() ParkStats { return p.stats }
 
 // Park is the reference strategy: the paper's periodic H/W-TWBG
 // detector with locks-held victim costs.
-func Park(m *txn.Manager) Resolver {
+func Park(s *Sim) Resolver {
 	return &ParkResolver{
 		label: "park-hwtwbg",
-		d:     detect.New(m.Table(), detect.Config{Cost: m.CostByLocks}),
+		d:     detect.New(s.tb, detect.Config{Cost: s.lockCost}),
 	}
 }
 
 // ParkNoTDR2 is the ablation: identical except TDR-2 is disabled, so
 // every deadlock is resolved by abort.
-func ParkNoTDR2(m *txn.Manager) Resolver {
+func ParkNoTDR2(s *Sim) Resolver {
 	return &ParkResolver{
 		label: "park-no-tdr2",
-		d:     detect.New(m.Table(), detect.Config{Cost: m.CostByLocks, DisableTDR2: true}),
+		d:     detect.New(s.tb, detect.Config{Cost: s.lockCost, DisableTDR2: true}),
 	}
 }
 
 // ParkUniformCost is the ablation with constant victim costs.
-func ParkUniformCost(m *txn.Manager) Resolver {
+func ParkUniformCost(s *Sim) Resolver {
 	return &ParkResolver{
 		label: "park-uniform-cost",
-		d:     detect.New(m.Table(), detect.Config{}),
+		d:     detect.New(s.tb, detect.Config{}),
 	}
 }
 
@@ -91,62 +90,62 @@ func (c continuousResolver) Park() ParkStats {
 
 // ParkContinuous is the reconstruction of the COMPSAC'91 continuous
 // companion: the same H/W-TWBG + TDR machinery activated on every block.
-func ParkContinuous(m *txn.Manager) Resolver {
-	d := continuous.New(m.Table())
-	d.Cost = m.CostByLocks
+func ParkContinuous(s *Sim) Resolver {
+	d := continuous.New(s.tb)
+	d.Cost = s.lockCost
 	return continuousResolver{d}
 }
 
 // WFGContinuous is the textbook continuous wait-for-graph detector with
 // min-cost victims.
-func WFGContinuous(m *txn.Manager) Resolver {
-	d := wfg.New(m.Table())
-	d.Cost = m.CostByLocks
+func WFGContinuous(s *Sim) Resolver {
+	d := wfg.New(s.tb)
+	d.Cost = s.lockCost
 	return d
 }
 
 // WFGPeriodic is the same detector activated periodically.
-func WFGPeriodic(m *txn.Manager) Resolver {
-	d := wfg.New(m.Table())
-	d.Cost = m.CostByLocks
+func WFGPeriodic(s *Sim) Resolver {
+	d := wfg.New(s.tb)
+	d.Cost = s.lockCost
 	d.Periodic = true
 	return d
 }
 
 // Agrawal is the single-edge periodic detector of Agrawal/Carey/DeWitt.
-func Agrawal(m *txn.Manager) Resolver {
-	d := agrawal.New(m.Table())
-	d.Cost = m.CostByLocks
+func Agrawal(s *Sim) Resolver {
+	d := agrawal.New(s.tb)
+	d.Cost = s.lockCost
 	return d
 }
 
 // Elmagarmid is the continuous abort-the-requester detector.
-func Elmagarmid(m *txn.Manager) Resolver {
-	return elmagarmid.New(m.Table())
+func Elmagarmid(s *Sim) Resolver {
+	return elmagarmid.New(s.tb)
 }
 
 // Jiang is the continuous matrix-based detector.
-func Jiang(m *txn.Manager) Resolver {
-	d := jiang.New(m.Table())
-	d.Cost = m.CostByLocks
+func Jiang(s *Sim) Resolver {
+	d := jiang.New(s.tb)
+	d.Cost = s.lockCost
 	return d
 }
 
 // WaitDie is the non-preemptive timestamp prevention scheme of
 // Rosenkrantz et al. (the detection-vs-prevention axis of reference [2]).
-func WaitDie(m *txn.Manager) Resolver {
-	return prevent.New(m.Table(), prevent.WaitDie, m.PriorityOf)
+func WaitDie(s *Sim) Resolver {
+	return prevent.New(s.tb, prevent.WaitDie, s.priority)
 }
 
 // WoundWait is the preemptive timestamp prevention scheme.
-func WoundWait(m *txn.Manager) Resolver {
-	return prevent.New(m.Table(), prevent.WoundWait, m.PriorityOf)
+func WoundWait(s *Sim) Resolver {
+	return prevent.New(s.tb, prevent.WoundWait, s.priority)
 }
 
 // Timeout builds the graph-free strategy with the given wait limit.
 func Timeout(limit int64) Factory {
-	return func(m *txn.Manager) Resolver {
-		return timeout.New(m.Table(), limit)
+	return func(s *Sim) Resolver {
+		return timeout.New(s.tb, limit)
 	}
 }
 

@@ -38,10 +38,11 @@ type RequestResult struct {
 // manager uses it to maintain per-shard counters (conversions vs fresh
 // requests, queue depth at enqueue) without a second table probe.
 //
-// The budget is the uncontended-path gate (BENCH_PR8: 1 alloc/op): the
-// one countable site is the Resource record minted on a freelist miss;
-// everything else rides on recycled capacity (freelists, per-record
-// slice reuse, map writes amortized by Go's runtime).
+// The budget is the uncontended-path gate (1 alloc/op in the root
+// package's TestAllocationPins): the one countable site is the Resource
+// record minted on a freelist miss; everything else rides on recycled
+// capacity (freelists, per-record slice reuse, map writes amortized by
+// Go's runtime).
 //
 //hwlint:hotpath allocs=1
 func (t *Table) RequestEx(txn TxnID, rid ResourceID, m lock.Mode) (RequestResult, error) {

@@ -298,7 +298,7 @@ func (t *Table) state(txn TxnID) *txnState {
 			st = t.stFree[n-1]
 			t.stFree = t.stFree[:n-1]
 		} else {
-			st = &txnState{held: make([]*Resource, 0, mintCap)} //hwlint:allow allocbudget -- freelist miss: recycled by retireState, amortized out of steady-state allocs/op (BENCH_PR8)
+			st = &txnState{held: make([]*Resource, 0, mintCap)} //hwlint:allow allocbudget -- freelist miss: recycled by retireState, amortized out of steady-state allocs/op (TestAllocationPins)
 		}
 		t.txns[txn] = st
 	}

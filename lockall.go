@@ -57,7 +57,7 @@ type batchScratch struct {
 // sets should not rely on argument order for deadlock avoidance; the
 // detector resolves whatever cycles arise either way.
 //
-// The budget is the BENCH_PR8 group-acquisition gate made static:
+// The budget is TestAllocationPins' group-acquisition gate made static:
 // three sites are provable — the two batch-scratch growth appends
 // (t.batch.ord / t.batch.pend, which grow to the batch high-water mark
 // once and are reused thereafter) and the table's Resource first-touch

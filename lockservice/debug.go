@@ -18,13 +18,7 @@ import (
 //	/metrics     Prometheus text exposition (counters, histograms,
 //	             detector phase breakdown)
 //	/snapshot    full MetricsSnapshot as JSON
-//	/history     victim, reposition and salvage events (with activation
-//	             seq) decoded from the flight recorder, as JSON
 //	/activations recent detector activation reports as JSON
-//	/postmortems deadlock postmortems as JSON (per resolved cycle: the
-//	             edge evidence and the journal events that formed it),
-//	             rebuilt from the flight recorder when asked; "incomplete"
-//	             counts resolutions whose records were partly overwritten
 //	/costmodel   scheduling cost-model state as JSON: deadlock formation
 //	             rate, detection and persistence cost estimates, and the
 //	             derived cost-minimizing detection period
@@ -37,18 +31,17 @@ import (
 //	             cursor-based ring tail as the wire TAIL verb ("batch",
 //	             "heartbeat" and "end" events with JSON payloads); query
 //	             from=oldest|now, max=<n>, hb=<duration>
-//	/journal.bin flight-recorder snapshot in the binary dump format
-//	             (replay with cmd/hwtrace)
+//	/journal.bin flight-recorder snapshot in the binary dump format;
+//	             cmd/hwtrace replays it offline, and its postmortems
+//	             command rebuilds each resolved deadlock from it
 //	/twbg.dot    the current H/W-TWBG in Graphviz format (stop-the-world)
 //	/locktable   the lock table in the paper's notation (stop-the-world)
 //	/debug/vars  expvar (process-global registry)
 //	/debug/pprof profiling endpoints
 //
-// The flight-recorder endpoints (/history, /postmortems, /trace.json,
-// /journal.bin, /nearmiss, /journal/stream) answer 404 when the
-// manager's journal is disabled (hwtwbg.Options.JournalSize < 0). The
-// "total" of /history and /postmortems is the manager's counters', so it
-// keeps counting what the rings no longer hold.
+// The flight-recorder endpoints (/trace.json, /journal.bin, /nearmiss,
+// /journal/stream) answer 404 when the manager's journal is disabled
+// (hwtwbg.Options.JournalSize < 0).
 //
 // The stop-the-world endpoints (/twbg.dot, /locktable) pause every
 // shard exactly like a detector activation; keep them off hot
@@ -75,9 +68,7 @@ func DebugHandler(lm *hwtwbg.Manager) http.Handler {
 <h1>lockd debug</h1><ul>
 <li><a href="/metrics">/metrics</a> — Prometheus text exposition</li>
 <li><a href="/snapshot">/snapshot</a> — metrics snapshot (JSON)</li>
-<li><a href="/history">/history</a> — detector decisions decoded from the flight recorder (JSON)</li>
 <li><a href="/activations">/activations</a> — detector activation reports (JSON)</li>
-<li><a href="/postmortems">/postmortems</a> — deadlock postmortems rebuilt from the flight recorder (JSON)</li>
 <li><a href="/costmodel">/costmodel</a> — scheduling cost-model state (JSON)</li>
 <li><a href="/nearmiss">/nearmiss</a> — predictive lock-order reversal analysis (JSON)</li>
 <li><a href="/trace.json">/trace.json</a> — flight recorder as Perfetto/Chrome trace JSON</li>
@@ -97,19 +88,9 @@ func DebugHandler(lm *hwtwbg.Manager) http.Handler {
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, lm.MetricsSnapshot())
 	})
-	journaled("/history", func(w http.ResponseWriter, jr *journal.Journal) {
-		events, _ := journal.Resolutions(jr.Control().Snapshot(nil))
-		st := lm.Stats()
-		writeJSON(w, map[string]any{"total": st.Aborted + st.Repositioned + st.Salvaged, "events": events})
-	})
 	mux.HandleFunc("/activations", func(w http.ResponseWriter, r *http.Request) {
 		reports, total := lm.Activations()
 		writeJSON(w, map[string]any{"total": total, "activations": reports})
-	})
-	journaled("/postmortems", func(w http.ResponseWriter, jr *journal.Journal) {
-		reports, incomplete := journal.Postmortems(jr.Snapshot())
-		st := lm.Stats()
-		writeJSON(w, map[string]any{"total": st.Aborted + st.Repositioned, "incomplete": incomplete, "postmortems": reports})
 	})
 	mux.HandleFunc("/costmodel", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, lm.CostModel())

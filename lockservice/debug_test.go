@@ -136,25 +136,6 @@ func TestDebugHandlerJSONEndpoints(t *testing.T) {
 		t.Fatalf("snapshot detector=%+v total=%+v", snap.Detector, snap.Total)
 	}
 
-	var hist struct {
-		Total  int `json:"total"`
-		Events []struct {
-			Kind       string `json:"kind"`
-			Txn        int    `json:"txn"`
-			Activation int    `json:"activation"`
-		} `json:"events"`
-	}
-	body, _ = get(t, srv, "/history")
-	if err := json.Unmarshal([]byte(body), &hist); err != nil {
-		t.Fatal(err)
-	}
-	if hist.Total != 1 || len(hist.Events) != 1 {
-		t.Fatalf("/history = %s", body)
-	}
-	if ev := hist.Events[0]; ev.Kind != "victim" || ev.Txn == 0 || ev.Activation != 1 {
-		t.Fatalf("/history event = %+v", ev)
-	}
-
 	var acts struct {
 		Total       int                       `json:"total"`
 		Activations []hwtwbg.ActivationReport `json:"activations"`

@@ -2,7 +2,6 @@ package lockservice
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -135,47 +134,36 @@ func journaledDebugManager(t *testing.T) *hwtwbg.Manager {
 	return lm
 }
 
-// TestDebugHandlerFlightRecorder covers the three flight-recorder
-// endpoints against a manager with one resolved deadlock.
+// TestDebugHandlerFlightRecorder covers the flight-recorder endpoints
+// against a manager with one resolved deadlock. The deadlock's story is
+// read from /journal.bin with the functions hwtrace runs offline: the
+// detector's one decision, and its postmortem with evidence.
 func TestDebugHandlerFlightRecorder(t *testing.T) {
 	lm := journaledDebugManager(t)
 	srv := httptest.NewServer(DebugHandler(lm))
 	defer srv.Close()
 
-	// /postmortems: the resolved cycle with evidence.
-	body, ctype := get(t, srv, "/postmortems")
-	if !strings.HasPrefix(ctype, "application/json") {
-		t.Fatalf("/postmortems content type %q", ctype)
+	body, ctype := get(t, srv, "/journal.bin")
+	if ctype != "application/octet-stream" {
+		t.Fatalf("/journal.bin content type %q", ctype)
 	}
-	var pm struct {
-		Total       int  `json:"total"`
-		Incomplete  *int `json:"incomplete"`
-		Postmortems []struct {
-			Victim int  `json:"victim"`
-			TDR2   bool `json:"tdr2"`
-			Cycle  []struct {
-				From     int    `json:"from"`
-				To       int    `json:"to"`
-				Resource string `json:"resource"`
-			} `json:"cycle"`
-			Tail []json.RawMessage `json:"tail"`
-		} `json:"postmortems"`
+	recs, err := journal.Decode(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("decoding /journal.bin: %v", err)
 	}
-	if err := json.Unmarshal([]byte(body), &pm); err != nil {
-		t.Fatalf("/postmortems JSON: %v\n%s", err, body)
+	res, incomplete := journal.Resolutions(recs)
+	if incomplete != 0 || len(res) != 1 {
+		t.Fatalf("resolutions = %+v (%d incomplete), want one", res, incomplete)
 	}
-	if pm.Total < 1 || len(pm.Postmortems) < 1 {
-		t.Fatalf("/postmortems empty: %s", body)
+	if r := res[0]; r.Kind != "victim" || r.Txn == 0 || r.Activation != 1 {
+		t.Fatalf("resolution = %+v, want activation 1's victim", r)
 	}
-	if pm.Incomplete == nil || *pm.Incomplete != 0 {
-		t.Fatalf("/postmortems incomplete = %v, want 0 on a quiescent, unwrapped journal: %s", pm.Incomplete, body)
+	pms, incomplete := journal.Postmortems(recs)
+	if incomplete != 0 || len(pms) != 1 {
+		t.Fatalf("%d postmortems (%d incomplete), want one on a quiescent, unwrapped journal", len(pms), incomplete)
 	}
-	first := pm.Postmortems[0]
-	if first.TDR2 || first.Victim == 0 {
-		t.Fatalf("postmortem = %+v, want a victim abort", first)
-	}
-	if len(first.Cycle) == 0 || len(first.Tail) == 0 {
-		t.Fatalf("postmortem missing cycle or tail: %s", body)
+	if pm := pms[0]; pm.TDR2 || pm.Victim != res[0].Txn || len(pm.Cycle) == 0 || len(pm.Tail) == 0 {
+		t.Fatalf("postmortem = %+v, want the victim abort with its cycle and tail", pm)
 	}
 
 	// /trace.json: Chrome trace-event schema (see journal.BuildTrace).
@@ -201,17 +189,6 @@ func TestDebugHandlerFlightRecorder(t *testing.T) {
 			t.Fatalf("trace event %d missing ph or name: %+v", i, ev)
 		}
 	}
-
-	// /journal.bin: binary dump, decodable by the journal package (and
-	// therefore by cmd/hwtrace).
-	body, _ = get(t, srv, "/journal.bin")
-	recs, err := journal.Decode(bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatalf("decoding /journal.bin: %v", err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("/journal.bin decoded to zero records")
-	}
 }
 
 // TestDebugHandlerFlightRecorderDisabled pins the 404 contract when
@@ -228,7 +205,7 @@ func TestDebugHandlerFlightRecorderDisabled(t *testing.T) {
 	}
 	srv := httptest.NewServer(DebugHandler(lm))
 	defer srv.Close()
-	for _, path := range []string{"/history", "/postmortems", "/trace.json", "/journal.bin", "/nearmiss"} {
+	for _, path := range []string{"/trace.json", "/journal.bin", "/nearmiss"} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

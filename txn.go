@@ -238,12 +238,12 @@ func (t *Txn) clearTouched() {
 // locking cannot retract a single queued request), and ErrDone if the
 // transaction already finished.
 //
-// The allocation budget below is the BENCH_PR8 gate made static: the
-// allocbudget analyzer counts every heap-allocation site reachable
+// The allocation budget below is TestAllocationPins' gate made static:
+// the allocbudget analyzer counts every heap-allocation site reachable
 // from here across the whole call tree, and exactly one is provable —
-// the table's Resource first-touch literal. (The dynamic 6 allocs/op
-// of BenchmarkManagerConflict stays benchsmoke's job; the static gate
-// catches anyone adding a new site to the path.)
+// the table's Resource first-touch literal. (The dynamic allocs/op of
+// the ManagerConflict row stays TestAllocationPins' job; the static
+// gate catches anyone adding a new site to the path.)
 //
 //hwlint:hotpath allocs=1
 func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
