@@ -30,8 +30,9 @@ lint: vet
 
 # Runtime invariant audit: the whole test suite with the invariants
 # build tag, which arms the paper-property auditor (internal/audit) on
-# every Audit-enabled manager — each detector activation is re-verified
-# against Theorem 1/3.1/4.1 and Lemma 4.1 from scratch.
+# every manager a test opens with the audit hook — each detector
+# activation is re-verified against Theorem 1/3.1/4.1 and Lemma 4.1
+# from scratch.
 audit:
 	$(GO) test -tags=invariants ./...
 

@@ -3,7 +3,7 @@
 package hwtwbg
 
 // Tests that only exist in `go test -tags=invariants` runs: they arm
-// Options.Audit and require the runtime invariant auditor to check
+// the Options.audit hook and require the runtime invariant auditor to check
 // every detector activation — TDR-1 aborts, TDR-2 repositionings and
 // idle passes, under both the production detector and the STW oracle —
 // and to find nothing.
@@ -52,7 +52,7 @@ func auditedDeadlock(t *testing.T, m *Manager) chan error {
 func TestAuditorChecksEveryActivation(t *testing.T) {
 	for _, det := range []string{"stw", "snapshot"} {
 		t.Run(det, func(t *testing.T) {
-			m := Open(Options{Shards: 4, Audit: true})
+			m := Open(Options{Shards: 4, audit: true})
 			defer m.Close()
 			detect := auditedDetectors(m)[det]
 			errs := auditedDeadlock(t, m)
@@ -64,10 +64,10 @@ func TestAuditorChecksEveryActivation(t *testing.T) {
 			if st := detect(); st.CyclesSearched != 0 {
 				t.Fatalf("second activation = %+v, want idle", st)
 			}
-			if n := m.AuditRuns(); n != 2 {
-				t.Fatalf("AuditRuns = %d, want 2 (one per activation)", n)
+			n, reps := m.audits()
+			if n != 2 {
+				t.Fatalf("%d audited runs, want 2 (one per activation)", n)
 			}
-			reps := m.AuditReports()
 			if len(reps) != 2 {
 				t.Fatalf("got %d audit reports, want 2", len(reps))
 			}
@@ -93,7 +93,7 @@ func TestAuditorChecksEveryActivation(t *testing.T) {
 func TestAuditorTDR2Activation(t *testing.T) {
 	for _, det := range []string{"stw", "snapshot"} {
 		t.Run(det, func(t *testing.T) {
-			m := Open(Options{Audit: true})
+			m := Open(Options{audit: true})
 			defer m.Close()
 			detect := auditedDetectors(m)[det]
 			ctx := context.Background()
@@ -114,8 +114,8 @@ func TestAuditorTDR2Activation(t *testing.T) {
 			if st := detect(); st.Repositioned != 1 || st.Aborted != 0 {
 				t.Fatalf("activation = %+v, want one repositioning and no aborts", st)
 			}
-			if n := m.AuditRuns(); n != 1 {
-				t.Fatalf("AuditRuns = %d, want 1", n)
+			if n, _ := m.audits(); n != 1 {
+				t.Fatalf("%d audited runs, want 1", n)
 			}
 			assertAuditClean(t, m)
 		})
@@ -123,7 +123,7 @@ func TestAuditorTDR2Activation(t *testing.T) {
 }
 
 // TestAuditorRequiresOption checks the auditor stays dormant — even in
-// an invariants build — unless Options.Audit is set.
+// an invariants build — unless Options.audit is set.
 func TestAuditorRequiresOption(t *testing.T) {
 	m := Open(Options{Shards: 4})
 	defer m.Close()
@@ -133,10 +133,7 @@ func TestAuditorRequiresOption(t *testing.T) {
 	}
 	<-errs
 	<-errs
-	if n := m.AuditRuns(); n != 0 {
-		t.Fatalf("AuditRuns = %d without Options.Audit, want 0", n)
-	}
-	if reps := m.AuditReports(); len(reps) != 0 {
-		t.Fatalf("AuditReports = %v without Options.Audit, want none", reps)
+	if n, reps := m.audits(); n != 0 || len(reps) != 0 {
+		t.Fatalf("%d audited runs, reports %v without Options.audit, want none", n, reps)
 	}
 }

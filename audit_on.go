@@ -4,7 +4,8 @@ package hwtwbg
 
 // This file is the runtime invariant auditor's attachment to the
 // manager, compiled only under the `invariants` build tag (and inert
-// even then unless Options.Audit is set). Each detector activation is
+// even then unless the test hook Options.audit is set). Each detector
+// activation is
 // bracketed: the pre hook captures the activation's input state — the
 // snapshot arena — and the post hook re-derives the paper's properties
 // from that capture plus the detector's reported resolutions (see
@@ -38,7 +39,7 @@ type auditState struct {
 // the live multiTable in the three-way differential, and by
 // internal/table's TestActiveCopyEquivalence.
 func (m *Manager) auditPreSnapshot() *auditState {
-	if !m.opts.Audit {
+	if !m.opts.audit {
 		return nil
 	}
 	tb := m.snap.ActiveTable()

@@ -15,7 +15,7 @@ import (
 // auditPreSTW captures the pre-activation state. The world is stopped,
 // so merging every shard into one table yields a consistent view.
 func (m *Manager) auditPreSTW() *auditState {
-	if !m.opts.Audit {
+	if !m.opts.audit {
 		return nil
 	}
 	snap := table.NewSnapshot()

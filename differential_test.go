@@ -13,11 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hwtwbg/internal/audit"
 	"hwtwbg/internal/table"
 	"hwtwbg/journal"
 )
@@ -65,14 +67,25 @@ func applyWorkload(t *testing.T, m *Manager, oracle *table.Table, ops []diffOp, 
 	return txns, errs
 }
 
+// audits returns how many detector activations the runtime invariant
+// auditor has checked and its retained reports, oldest first (the most
+// recent 256, clean ones included). Both stay empty unless the test
+// binary was built with -tags=invariants and m opened with audit set.
+func (m *Manager) audits() (runs int, reports []audit.Report) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.auditRuns, slices.Clone(m.auditReports)
+}
+
 // assertAuditClean fails the test if the runtime invariant auditor
 // recorded any violation on m. In a plain build (no `invariants` tag)
 // the report list is empty and the check is vacuous; under
-// `go test -tags=invariants` every Audit-armed manager in this file is
+// `go test -tags=invariants` every audit-armed manager in this file is
 // re-verified activation by activation.
 func assertAuditClean(t *testing.T, m *Manager) {
 	t.Helper()
-	for _, rep := range m.AuditReports() {
+	_, reports := m.audits()
+	for _, rep := range reports {
 		if !rep.Ok() {
 			t.Errorf("invariant auditor: %s", rep)
 		}
@@ -128,9 +141,9 @@ func TestDifferentialSTWvsSnapshot(t *testing.T) {
 				}
 			}
 
-			mSTW := Open(Options{Shards: 4, Audit: true})
-			mSnap := Open(Options{Shards: 4, Audit: true})
-			mInc := Open(Options{Shards: 4, Audit: true})
+			mSTW := Open(Options{Shards: 4, audit: true})
+			mSnap := Open(Options{Shards: 4, audit: true})
+			mInc := Open(Options{Shards: 4, audit: true})
 			stw := newSTWOracle(mSTW)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer func() {
@@ -228,8 +241,8 @@ func shardResource(t testing.TB, m *Manager, idx uint32, salt int) ResourceID {
 // recopied.
 func TestDifferentialChurnSkewed(t *testing.T) {
 	const shards = 16
-	mFull := Open(Options{Shards: shards, Audit: true})
-	mInc := Open(Options{Shards: shards, Audit: true})
+	mFull := Open(Options{Shards: shards, audit: true})
+	mInc := Open(Options{Shards: shards, audit: true})
 	defer mFull.Close()
 	defer mInc.Close()
 	ctx := context.Background()
@@ -380,7 +393,7 @@ func TestIncrementalSnapshotHammer(t *testing.T) {
 // must drop it: FalseCycles counts it, nobody is aborted, and the
 // survivor's pending request completes normally.
 func TestSnapshotFalseCycle(t *testing.T) {
-	m := Open(Options{Shards: 4, Audit: true})
+	m := Open(Options{Shards: 4, audit: true})
 	defer m.Close()
 	rs := distinctShardResources(t, m, 2)
 	x, y := rs[0], rs[1]
@@ -440,13 +453,29 @@ func TestSnapshotFalseCycle(t *testing.T) {
 
 // TestSnapshotNoSpuriousAborts hammers a manager whose workers acquire
 // resources in ascending order — so no real deadlock can ever form —
-// while the snapshot detector runs at an aggressive period over
-// constantly-torn copies. Any abort would be spurious. Under -race this
-// also exercises the copy-out and validation paths against full
-// grant/release traffic.
+// while the snapshot detector runs back to back over constantly-torn
+// copies. Any abort would be spurious. The test drives the background
+// loop's ticks itself, and worker 0 waits halfway for an activation to
+// finish, so at least one provably overlaps the workload however the
+// scheduler treats timers. Under -race this also exercises the copy-out
+// and validation paths against full grant/release traffic.
 func TestSnapshotNoSpuriousAborts(t *testing.T) {
-	m := Open(Options{Period: 200 * time.Microsecond, Shards: 8})
+	tick := make(chan time.Time)
+	notify := make(chan time.Duration, 1)
+	m := Open(Options{Period: 200 * time.Microsecond, Shards: 8, schedTick: tick, schedNotify: notify})
 	defer m.Close()
+	stop := make(chan struct{})
+	ticking := make(chan struct{})
+	go func() {
+		defer close(ticking)
+		for {
+			select {
+			case tick <- time.Time{}:
+			case <-stop:
+				return
+			}
+		}
+	}()
 	const (
 		workers   = 8
 		resources = 16
@@ -462,6 +491,9 @@ func TestSnapshotNoSpuriousAborts(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w) + 100))
 			for i := 0; i < rounds; i++ {
+				if w == 0 && i == rounds/2 {
+					awaitActivation(t, notify)
+				}
 				tx := m.Begin()
 				// Lock a few consecutive resources in ascending order.
 				k := 1 + rng.Intn(3)
@@ -488,6 +520,8 @@ func TestSnapshotNoSpuriousAborts(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-ticking
 	if n := aborts.Load(); n != 0 {
 		t.Fatalf("%d aborts under ordered acquisition — every one is spurious (stats %+v)", n, m.Stats())
 	}
@@ -495,7 +529,19 @@ func TestSnapshotNoSpuriousAborts(t *testing.T) {
 	if st.Aborted != 0 || st.Repositioned != 0 {
 		t.Fatalf("detector resolved nonexistent deadlocks: %+v", st)
 	}
-	if st.Runs == 0 {
-		t.Fatal("background detector never ran")
+}
+
+// awaitActivation blocks until the background loop finishes an
+// activation that ends after the call: it drops a notification already
+// buffered, then waits for a fresh one.
+func awaitActivation(t *testing.T, notify <-chan time.Duration) {
+	select {
+	case <-notify:
+	default:
+	}
+	select {
+	case <-notify:
+	case <-time.After(10 * time.Second):
+		t.Error("no detector activation completed while the workload ran")
 	}
 }

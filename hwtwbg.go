@@ -58,14 +58,8 @@ import (
 	"hwtwbg/journal"
 )
 
-// AuditReport is one activation's runtime-invariant audit outcome; see
-// Options.Audit. AuditViolation is one broken invariant within it.
-type (
-	AuditReport    = audit.Report
-	AuditViolation = audit.Violation
-)
-
-// auditReportCap bounds the audit-report ring kept by AuditReports.
+// auditReportCap bounds the audit-report ring the invariant auditor
+// keeps.
 const auditReportCap = 256
 
 // Mode is a lock mode; see the Comp and Conv tables of the MGL protocol.
@@ -158,22 +152,19 @@ type Options struct {
 	// writes never allocate or block, so leaving it on costs a few dozen
 	// nanoseconds per lock event; see Journal.
 	JournalSize int
-	// Audit arms the runtime invariant auditor: after every detector
-	// activation the paper's proved properties are re-verified from
-	// scratch against the tables and the resolutions the detector
-	// reported (see internal/audit). The auditor only exists in builds
-	// tagged `invariants` — in a plain build this field is accepted but
-	// inert — and it is expensive (it re-runs the reachability oracle per
-	// activation), so it is meant for tests, never production.
-	Audit bool
 
 	// Test hooks (package-internal; zero values select production
-	// behavior). schedTick replaces the background loop's timer — the
-	// loop runs one activation per value received, so tests drive the
-	// scheduler without wall-clock sleeps. schedNotify, when non-nil,
-	// receives the period chosen after each background activation
-	// (non-blocking send; size the channel for the ticks driven). now
-	// replaces the cost model's clock.
+	// behavior). audit arms the runtime invariant auditor: after every
+	// detector activation the paper's proved properties are re-verified
+	// from scratch against the tables and the resolutions the detector
+	// reported (see internal/audit); it only exists in builds tagged
+	// `invariants` and is inert otherwise. schedTick replaces the
+	// background loop's timer — the loop runs one activation per value
+	// received, so tests drive the scheduler without wall-clock sleeps.
+	// schedNotify, when non-nil, receives the period chosen after each
+	// background activation (non-blocking send; size the channel for the
+	// ticks driven). now replaces the cost model's clock.
+	audit       bool
 	schedTick   <-chan time.Time
 	schedNotify chan<- time.Duration
 	now         func() time.Time
@@ -674,25 +665,6 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// AuditRuns reports how many detector activations the runtime invariant
-// auditor has checked. It stays zero unless the binary was built with
-// -tags=invariants and the manager was opened with Options.Audit.
-func (m *Manager) AuditRuns() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.auditRuns
-}
-
-// AuditReports returns the invariant auditor's per-activation reports,
-// oldest first (the most recent 256 are kept; clean reports included so
-// tests can assert the auditor actually ran). Empty unless built with
-// -tags=invariants and opened with Options.Audit.
-func (m *Manager) AuditReports() []AuditReport {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]AuditReport(nil), m.auditReports...)
 }
 
 // ShardStats returns per-shard activity counters, one entry per shard

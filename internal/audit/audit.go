@@ -4,8 +4,8 @@
 // every cycle, TDR-2 without creating new ones — Theorem 4.1 / Lemma
 // 4.1; queues keep the UPR and total-mode invariants — Theorem 3.1) and
 // the code carries them as comments. This package carries them as
-// checks: after every detector activation (build tag `invariants` +
-// Options.Audit on the manager) each property is recomputed from
+// checks: after every detector activation (build tag `invariants` + the
+// manager's test-only audit hook) each property is recomputed from
 // scratch — the graph rebuilt by the ECR rules, deadlocks re-derived by
 // the Definition-1 oracle, tables re-validated — and any divergence
 // between what the detector did and what the theorems allow becomes a

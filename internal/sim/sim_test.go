@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
+	"hwtwbg/internal/detect"
 	"hwtwbg/internal/lock"
 	"hwtwbg/internal/table"
 	"hwtwbg/internal/twbg"
@@ -418,5 +420,173 @@ func TestWaitPercentileNearestRank(t *testing.T) {
 		if got := c.m.WaitPercentile(c.p); got != c.want {
 			t.Errorf("p%v of %d samples = %d, want %d", c.p, len(c.m.waits), got, c.want)
 		}
+	}
+}
+
+// TestContinuousResolvesOnBlock: two terminals cross. The first block
+// closes no cycle, so the continuous companion aborts nobody; the second
+// closes one, and OnBlocked itself returns the victim — the transaction
+// holding fewer locks — leaving the table deadlock-free. Its OnTick does
+// nothing.
+func TestContinuousResolvesOnBlock(t *testing.T) {
+	s := New(Config{Terminals: 2}, ParkContinuous)
+	a, b := s.term[0], s.term[1]
+	for _, r := range []struct {
+		id  table.TxnID
+		rid table.ResourceID
+	}{{a.id, "RA"}, {a.id, "RC"}, {b.id, "RB"}} {
+		if g, err := s.tb.Request(r.id, r.rid, lock.X); err != nil || !g {
+			t.Fatalf("%v on %s: %v %v", r.id, r.rid, g, err)
+		}
+	}
+	block(t, s, a, "RB", lock.X)
+	if v := s.resolver.OnBlocked(a.id, s.now); len(v) != 0 {
+		t.Fatalf("no deadlock yet, aborted %v", v)
+	}
+	block(t, s, b, "RA", lock.X)
+	if v := s.resolver.OnBlocked(b.id, s.now); len(v) != 1 || v[0] != b.id {
+		t.Fatalf("victims = %v, want [%v]", v, b.id)
+	}
+	if twbg.Deadlocked(s.tb) {
+		t.Fatal("deadlock remains")
+	}
+	if s.resolver.Name() != "park-continuous" {
+		t.Errorf("Name = %q", s.resolver.Name())
+	}
+	if v := s.resolver.OnTick(s.now); v != nil {
+		t.Errorf("OnTick acted: %v", v)
+	}
+}
+
+// TestContinuousCostDrivenVictim: the continuous companion picks its victim by cost,
+// not by which transaction blocked last. Here the transaction whose block
+// closes the cycle holds more locks, so the other one is aborted.
+func TestContinuousCostDrivenVictim(t *testing.T) {
+	s := New(Config{Terminals: 2}, ParkContinuous)
+	a, b := s.term[0], s.term[1]
+	for _, r := range []struct {
+		id  table.TxnID
+		rid table.ResourceID
+	}{{a.id, "RA"}, {b.id, "RB"}, {b.id, "RC"}, {b.id, "RD"}} {
+		if g, err := s.tb.Request(r.id, r.rid, lock.X); err != nil || !g {
+			t.Fatalf("%v on %s: %v %v", r.id, r.rid, g, err)
+		}
+	}
+	block(t, s, a, "RB", lock.X)
+	if v := s.resolver.OnBlocked(a.id, s.now); len(v) != 0 {
+		t.Fatalf("no deadlock yet, aborted %v", v)
+	}
+	block(t, s, b, "RA", lock.X)
+	if v := s.resolver.OnBlocked(b.id, s.now); len(v) != 1 || v[0] != a.id {
+		t.Fatalf("victims = %v, want the cheaper %v", v, a.id)
+	}
+	if twbg.Deadlocked(s.tb) {
+		t.Fatal("deadlock remains")
+	}
+}
+
+// continuousChecker runs ParkContinuous's activation on every block, as
+// its OnBlocked does, and checks the invariant of continuous operation
+// afterwards: the table is deadlock-free, and every cycle the activation
+// resolved ran through the transaction that just blocked (before it
+// blocked the table was deadlock-free, so no other cycle can exist).
+type continuousChecker struct {
+	*ParkResolver
+	t        *testing.T
+	tb       *table.Table
+	resolved int
+}
+
+func (c *continuousChecker) OnBlocked(txn table.TxnID, now int64) []table.TxnID {
+	c.t.Helper()
+	res := c.activate()
+	if twbg.Deadlocked(c.tb) {
+		c.t.Fatalf("tick %d: deadlock survived the activation for %v:\n%s", now, txn, c.tb)
+	}
+	for _, r := range res.Resolutions {
+		if !slices.ContainsFunc(r.Cycle, func(e detect.CycleEdge) bool { return e.From == txn }) {
+			c.t.Fatalf("tick %d: resolved cycle %v misses the blocked %v", now, r.Cycle, txn)
+		}
+	}
+	c.resolved += len(res.Resolutions)
+	return res.Aborted
+}
+
+// TestContinuousInvariant: across seeds and the S/X, MGL-mode and
+// conversion mixes, every continuous activation leaves the table
+// deadlock-free and resolves only cycles through the transaction that
+// just blocked; between them they exercise TDR-1, TDR-2 and Step 3
+// salvage.
+func TestContinuousInvariant(t *testing.T) {
+	mix := map[string]func(*Config){
+		"sx":   func(*Config) {},
+		"mgl":  func(c *Config) { c.MGLModes = true },
+		"conv": func(c *Config) { c.ConvFrac = 0.3 },
+	}
+	var total Metrics
+	for name, set := range mix {
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg := contention
+			cfg.Duration = 1500
+			cfg.Seed = seed
+			set(&cfg)
+			var c *continuousChecker
+			m := Run(cfg, func(s *Sim) Resolver {
+				c = &continuousChecker{ParkResolver: ParkContinuous(s).(*ParkResolver), t: t, tb: s.tb}
+				return c
+			})
+			if c.resolved == 0 {
+				t.Errorf("%s seed %d: no cycle resolved; the check is vacuous", name, seed)
+			}
+			total.Aborts += m.Aborts
+			total.Repositionings += m.Repositionings
+			total.SalvagedVictims += m.SalvagedVictims
+		}
+	}
+	if total.Aborts == 0 || total.Repositionings == 0 || total.SalvagedVictims == 0 {
+		t.Errorf("aborts %d, TDR-2 %d, salvaged %d: every resolution kind must occur",
+			total.Aborts, total.Repositionings, total.SalvagedVictims)
+	}
+}
+
+// TestContinuousExample41TDR2 replays the paper's Example 4.1 with the
+// continuous companion activated on every block. The block that closes
+// the cycle is T3's S on R2 (T4's X afterwards joins none); it is
+// resolved by TDR-2, aborting nobody, and Step 3 grants T9 at once.
+func TestContinuousExample41TDR2(t *testing.T) {
+	s := New(Config{Terminals: 9}, ParkContinuous)
+	term := func(n int) *terminal { return s.term[n-1] }
+	for _, r := range []struct {
+		n    int
+		rid  table.ResourceID
+		mode lock.Mode
+		wait bool
+	}{
+		{1, "R1", lock.IX, false}, {2, "R1", lock.IS, false}, {3, "R1", lock.IX, false},
+		{4, "R1", lock.IS, false}, {7, "R2", lock.IS, false}, {2, "R1", lock.S, true},
+		{1, "R1", lock.S, true}, {5, "R1", lock.IX, true}, {6, "R1", lock.S, true},
+		{7, "R1", lock.IX, true}, {8, "R2", lock.X, true}, {9, "R2", lock.IX, true},
+		{3, "R2", lock.S, true}, {4, "R2", lock.X, true},
+	} {
+		if !r.wait {
+			if g, err := s.tb.Request(term(r.n).id, r.rid, r.mode); err != nil || !g {
+				t.Fatalf("T%d %v on %s: %v %v", r.n, r.mode, r.rid, g, err)
+			}
+			continue
+		}
+		block(t, s, term(r.n), r.rid, r.mode)
+		if v := s.resolver.OnBlocked(term(r.n).id, s.now); len(v) != 0 {
+			t.Fatalf("T%d on %s: victims %v, want TDR-2 only", r.n, r.rid, v)
+		}
+		if twbg.Deadlocked(s.tb) {
+			t.Fatalf("deadlock persisted after the activation for T%d on %s", r.n, r.rid)
+		}
+	}
+	if st := s.resolver.(*ParkResolver).Park(); st.Repositionings != 1 {
+		t.Fatalf("stats = %+v, want one repositioning", st)
+	}
+	want := "R2(IX): Holder((T9, IX, NL) (T7, IS, NL)) Queue((T3, S) (T8, X) (T4, X))"
+	if got := s.tb.Resource("R2").String(); got != want {
+		t.Fatalf("R2:\n got  %s\n want %s", got, want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"hwtwbg/internal/baseline/prevent"
 	"hwtwbg/internal/baseline/timeout"
 	"hwtwbg/internal/baseline/wfg"
-	"hwtwbg/internal/continuous"
 	"hwtwbg/internal/detect"
 	"hwtwbg/internal/table"
 )
@@ -19,29 +18,48 @@ type ParkStats struct {
 	EdgeVisits     int
 }
 
-// ParkResolver adapts the periodic H/W-TWBG detection-resolution
-// algorithm (internal/detect) to the Resolver interface.
+// ParkResolver adapts the H/W-TWBG detection-resolution algorithm
+// (internal/detect) to the Resolver interface. One detector serves every
+// activation; onBlock picks when it runs: on every period boundary (the
+// paper's periodic algorithm) or right after every block (its continuous
+// companion).
 type ParkResolver struct {
-	d     *detect.Detector
-	label string
-	stats ParkStats
+	d       *detect.Detector
+	label   string
+	onBlock bool
+	stats   ParkStats
 }
 
 // Name identifies the strategy in reports.
 func (p *ParkResolver) Name() string { return p.label }
 
-// OnBlocked is a no-op: the algorithm is periodic.
-func (p *ParkResolver) OnBlocked(table.TxnID, int64) []table.TxnID { return nil }
+// OnBlocked performs one activation for the continuous companion and is
+// a no-op for the periodic strategies.
+func (p *ParkResolver) OnBlocked(table.TxnID, int64) []table.TxnID {
+	if !p.onBlock {
+		return nil
+	}
+	return p.activate().Aborted
+}
 
-// OnTick performs one periodic activation. The victims slice is the
-// detector's, valid until the next OnTick; the simulator consumes it at
-// once.
-func (p *ParkResolver) OnTick(now int64) []table.TxnID {
+// OnTick performs one periodic activation; it is a no-op for the
+// continuous companion.
+func (p *ParkResolver) OnTick(int64) []table.TxnID {
+	if p.onBlock {
+		return nil
+	}
+	return p.activate().Aborted
+}
+
+// activate runs the detector once and accumulates its counters. The
+// Result is the detector's, valid until the next activation; the
+// simulator consumes its victims at once.
+func (p *ParkResolver) activate() detect.Result {
 	res := p.d.Run()
 	p.stats.Repositionings += len(res.Repositioned)
 	p.stats.Salvaged += len(res.Salvaged)
 	p.stats.EdgeVisits += res.EdgeVisits
-	return res.Aborted
+	return res
 }
 
 // Forget is a no-op: the detector rebuilds its state each activation.
@@ -76,24 +94,17 @@ func ParkUniformCost(s *Sim) Resolver {
 	}
 }
 
-// continuousResolver adapts the continuous detector so the simulator
-// can also harvest its TDR-2 statistics.
-type continuousResolver struct {
-	*continuous.Detector
-}
-
-// Park exposes the continuous detector's counters in ParkStats form.
-func (c continuousResolver) Park() ParkStats {
-	_, _, reps := c.Stats()
-	return ParkStats{Repositionings: reps}
-}
-
-// ParkContinuous is the reconstruction of the COMPSAC'91 continuous
-// companion: the same H/W-TWBG + TDR machinery activated on every block.
+// ParkContinuous reconstructs the COMPSAC'91 continuous algorithm the
+// paper names as its companion: Park's detector, activated right after
+// every block instead of on every period boundary. Between activations
+// the table is deadlock-free, so every cycle an activation finds passes
+// through the transaction that just blocked.
 func ParkContinuous(s *Sim) Resolver {
-	d := continuous.New(s.tb)
-	d.Cost = s.lockCost
-	return continuousResolver{d}
+	return &ParkResolver{
+		label:   "park-continuous",
+		onBlock: true,
+		d:       detect.New(s.tb, detect.Config{Cost: s.lockCost}),
+	}
 }
 
 // WFGContinuous is the textbook continuous wait-for-graph detector with

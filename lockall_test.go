@@ -21,7 +21,7 @@ import (
 )
 
 func TestLockAllBasic(t *testing.T) {
-	m := Open(Options{Shards: 4, Audit: true})
+	m := Open(Options{Shards: 4, audit: true})
 	defer m.Close()
 	ctx := context.Background()
 	tx := m.Begin()
@@ -56,7 +56,7 @@ func TestLockAllBasic(t *testing.T) {
 // exactly that one wait edge (Lemma 4.1), and resumes the remainder
 // after the grant.
 func TestLockAllPartialBlock(t *testing.T) {
-	m := Open(Options{Shards: 1, Audit: true})
+	m := Open(Options{Shards: 1, audit: true})
 	defer m.Close()
 	ctx := context.Background()
 
@@ -341,7 +341,7 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 			// the same effective sequence; batched switches grantable runs
 			// from sequential Lock calls to LockAll.
 			replay := func(batched bool) *Manager {
-				m := Open(Options{Shards: 4, Audit: true})
+				m := Open(Options{Shards: 4, audit: true})
 				oracle := table.New()
 				txns := make([]*Txn, nTxns)
 				for i := range txns {
@@ -479,7 +479,7 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 // the invariants auditor armed. No transaction may abort, and under
 // real parallelism the contention must exercise the combining slots.
 func TestLockAllHammer(t *testing.T) {
-	m := Open(Options{Shards: 1, Audit: true})
+	m := Open(Options{Shards: 1, audit: true})
 	defer m.Close()
 	ctx := context.Background()
 	keys := make([]ResourceID, 10)
@@ -546,7 +546,7 @@ func TestLockAllHammer(t *testing.T) {
 // invariants auditor re-verifying every activation. Aborts are expected
 // and must always surface as ErrAborted.
 func TestLockAllDetectorHammer(t *testing.T) {
-	m := Open(Options{Shards: 4, Period: 500 * time.Microsecond, Audit: true})
+	m := Open(Options{Shards: 4, Period: 500 * time.Microsecond, audit: true})
 	defer m.Close()
 	ctx := context.Background()
 	const workers = 8

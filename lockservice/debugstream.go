@@ -1,6 +1,7 @@
 package lockservice
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -81,108 +82,66 @@ func serveJournalStream(lm *hwtwbg.Manager, w http.ResponseWriter, r *http.Reque
 		http.Error(w, "bad from= (want oldest or now)", http.StatusBadRequest)
 		return
 	}
-	max := 0
+	t := ringTail{lm: lm, jr: jr, hb: defaultTailHeartbeat}
 	if v := q.Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			http.Error(w, "bad max= count", http.StatusBadRequest)
 			return
 		}
-		max = n
+		t.max = n
 	}
-	hb := defaultTailHeartbeat
 	if v := q.Get("hb"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			http.Error(w, "bad hb= duration", http.StatusBadRequest)
 			return
 		}
-		hb = d
+		t.hb = d
 	}
-
-	nr := jr.NumRings()
-	cursors := make([]uint64, nr)
-	for i := 0; i < nr; i++ {
-		if fromOldest {
-			cursors[i] = jr.Ring(i).Oldest()
-		} else {
-			cursors[i] = jr.Ring(i).Head()
-		}
-	}
+	t.cursors = startCursors(jr, fromOldest)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-
-	ctx := r.Context()
-	var (
-		total  int
-		lagged uint64
-		hbSeq  uint64
-		buf    []journal.Record
-		lastHB = time.Now()
-	)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		progressed := false
-		for i := 0; i < nr && !(max > 0 && total >= max); i++ {
-			limit := tailBatchCap
-			if max > 0 && max-total < limit {
-				limit = max - total
-			}
-			recs, next, lost := jr.Ring(i).ReadFrom(cursors[i], limit, buf[:0])
-			if len(recs) == 0 && lost == 0 {
-				continue
-			}
-			cursors[i] = next
-			lagged += lost
-			b := sseBatch{Ring: i, Next: next, Lost: lost, Records: make([]journal.RecordView, len(recs))}
-			for j := range recs {
-				b.Records[j] = recs[j].View()
-			}
-			if writeSSE(w, "batch", b) != nil {
-				return
-			}
-			total += len(recs)
-			progressed = true
-			buf = recs[:0]
-		}
-		if max > 0 && total >= max {
-			writeSSE(w, "end", map[string]int{"records": total})
-			fl.Flush()
-			return
-		}
-		if time.Since(lastHB) >= hb {
-			hbSeq++
-			st := lm.Stats()
-			var grants uint64
-			for _, sh := range lm.ShardStats() {
-				grants += sh.Grants
-			}
-			js := jr.Stats()
-			cm := lm.CostModel()
-			ev := sseHeartbeat{
-				Seq: hbSeq, Emitted: js.Emitted, Overwritten: js.Overwritten,
-				TornReads: js.TornReads, Grants: grants,
-				Runs: st.Runs, Cycles: st.CyclesSearched, Aborted: st.Aborted,
-				Lagged: lagged, PeriodNs: lm.CurrentPeriod().Nanoseconds(),
-				CostModelPeriod: cm.Period.Nanoseconds(),
-			}
-			if writeSSE(w, "heartbeat", ev) != nil {
-				return
-			}
-			progressed = true
-			lastHB = time.Now()
-		}
-		if progressed {
-			fl.Flush()
-			continue
-		}
-		time.Sleep(tailPollInterval)
-	}
+	t.run(sseFrames{w: w, fl: fl, ctx: r.Context()})
 }
+
+// sseFrames frames the ring sweep as server-sent events.
+type sseFrames struct {
+	w   http.ResponseWriter
+	fl  http.Flusher
+	ctx context.Context
+}
+
+func (f sseFrames) batch(ring int, recs []journal.Record, next, lost uint64) error {
+	b := sseBatch{Ring: ring, Next: next, Lost: lost, Records: make([]journal.RecordView, len(recs))}
+	for j := range recs {
+		b.Records[j] = recs[j].View()
+	}
+	return writeSSE(f.w, "batch", b)
+}
+
+func (f sseFrames) heartbeat(hb TailHeartbeat) error {
+	return writeSSE(f.w, "heartbeat", sseHeartbeat{
+		Seq: hb.Seq, Emitted: hb.Emitted, Overwritten: hb.Overwritten,
+		TornReads: hb.Torn, Grants: hb.Grants,
+		Runs: hb.Runs, Cycles: hb.Cycles, Aborted: hb.Aborted,
+		Lagged: hb.Lagged, PeriodNs: hb.Period.Nanoseconds(),
+		CostModelPeriod: hb.CostModelPeriod.Nanoseconds(),
+	})
+}
+
+func (f sseFrames) end(records int) error {
+	err := writeSSE(f.w, "end", map[string]int{"records": records})
+	f.fl.Flush()
+	return err
+}
+
+func (f sseFrames) flush() error {
+	f.fl.Flush()
+	return nil
+}
+
+func (f sseFrames) stopped() bool { return f.ctx.Err() != nil }

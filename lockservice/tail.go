@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"hwtwbg"
 	"hwtwbg/journal"
 )
 
@@ -18,7 +19,8 @@ import (
 // left off — every record lost to ring overwrite in between is counted
 // in the BATCH lost field and the hb_lagged heartbeat key, never
 // silently absent. Emit is untouched: tailing is reader-side only and
-// adds nothing to the journal hot path.
+// adds nothing to the journal hot path. The ring sweep itself (ringTail)
+// also drives /journal/stream; each transport supplies only its framing.
 
 const (
 	// defaultTailHeartbeat is the HB cadence when the client does not
@@ -55,30 +57,160 @@ func tailBatchHeader(ring, n int, next, lost uint64) string {
 	return fmt.Sprintf("BATCH ring=%d n=%d next=%d lost=%d", ring, n, next, lost)
 }
 
-// writeTailHeartbeat emits one HB frame: the detector and journal
-// counters a live dashboard needs between batches, plus this session's
-// cumulative lag. Every key wears the hb_ prefix — the wireschema
-// analyzer holds the vocabulary equal to the client's
+// ringTail is the cursor-based ring sweep both live transports share:
+// the TAIL verb frames what it finds as BATCH/HB/END lines on the lock
+// protocol connection, /journal/stream as server-sent events.
+type ringTail struct {
+	lm      *hwtwbg.Manager
+	jr      *journal.Journal
+	cursors []uint64      // per-ring resume positions, advanced as batches go out
+	max     int           // records before the end frame; 0 streams until stopped
+	hb      time.Duration // heartbeat cadence
+}
+
+// tailFramer is one transport's framing of the ring sweep. An error
+// from any frame ends the stream.
+type tailFramer interface {
+	batch(ring int, recs []journal.Record, next, lost uint64) error
+	heartbeat(TailHeartbeat) error
+	end(records int) error
+	flush() error
+	// stopped reports that the stream must end without an end frame:
+	// the server is closing or the consumer went away.
+	stopped() bool
+}
+
+// startCursors positions every ring at its oldest retained record or
+// at its emit head ("now").
+func startCursors(jr *journal.Journal, fromOldest bool) []uint64 {
+	cursors := make([]uint64, jr.NumRings())
+	for i := range cursors {
+		if fromOldest {
+			cursors[i] = jr.Ring(i).Oldest()
+		} else {
+			cursors[i] = jr.Ring(i).Head()
+		}
+	}
+	return cursors
+}
+
+// heartbeat snapshots the detector and journal counters one heartbeat
+// carries, plus the session's cumulative lag.
+func (t *ringTail) heartbeat(seq, lagged uint64) TailHeartbeat {
+	st := t.lm.Stats()
+	var grants uint64
+	for _, sh := range t.lm.ShardStats() {
+		grants += sh.Grants
+	}
+	js := t.jr.Stats()
+	return TailHeartbeat{
+		Seq: seq, Emitted: js.Emitted, Overwritten: js.Overwritten, Torn: js.TornReads,
+		Grants: grants, Runs: st.Runs, Cycles: st.CyclesSearched, Aborted: st.Aborted,
+		Lagged: lagged, Period: t.lm.CurrentPeriod(), CostModelPeriod: t.lm.CostModel().Period,
+	}
+}
+
+// run sweeps the rings until max records have gone out, a frame fails
+// or the framer stops the stream. Each sweep reads every ring from its
+// cursor, at most tailBatchCap records per frame, and heartbeats fire
+// on schedule even when batches flow nonstop — a busy stream still
+// needs the counter deltas. run reports whether the stream ended with
+// its end frame delivered.
+func (t *ringTail) run(f tailFramer) bool {
+	var (
+		total  int
+		lagged uint64
+		hbSeq  uint64
+		buf    []journal.Record
+		lastHB = time.Now()
+	)
+	for !f.stopped() {
+		progressed := false
+		for i := 0; i < len(t.cursors) && !(t.max > 0 && total >= t.max); i++ {
+			limit := tailBatchCap
+			if t.max > 0 && t.max-total < limit {
+				limit = t.max - total
+			}
+			recs, next, lost := t.jr.Ring(i).ReadFrom(t.cursors[i], limit, buf[:0])
+			if len(recs) == 0 && lost == 0 {
+				continue
+			}
+			t.cursors[i] = next
+			lagged += lost
+			if f.batch(i, recs, next, lost) != nil {
+				return false
+			}
+			total += len(recs)
+			progressed = true
+			buf = recs[:0]
+		}
+		if t.max > 0 && total >= t.max {
+			return f.end(total) == nil
+		}
+		if time.Since(lastHB) >= t.hb {
+			hbSeq++
+			if f.heartbeat(t.heartbeat(hbSeq, lagged)) != nil {
+				return false
+			}
+			progressed = true
+			lastHB = time.Now()
+		}
+		if progressed {
+			if f.flush() != nil {
+				return false
+			}
+			continue
+		}
+		time.Sleep(tailPollInterval)
+	}
+	return false
+}
+
+// tailLines frames the sweep for the TAIL verb.
+type tailLines struct {
+	srv *Server
+	w   *bufio.Writer
+}
+
+func (f tailLines) batch(ring int, recs []journal.Record, next, lost uint64) error {
+	if lost > 0 {
+		f.srv.tailLagged.Add(lost)
+	}
+	fmt.Fprintf(f.w, "%s\n", tailBatchHeader(ring, len(recs), next, lost))
+	for j := range recs {
+		txt, err := recs[j].MarshalText()
+		if err != nil {
+			return err
+		}
+		f.w.Write(txt)
+		f.w.WriteByte('\n')
+	}
+	return nil
+}
+
+// heartbeat emits one HB frame. Every key wears the hb_ prefix — the
+// wireschema analyzer holds the vocabulary equal to the client's
 // parseTailHeartbeat by that prefix.
 //
 //hwlint:wire emit tailhb prefix=hb_
-func (sess *session) writeTailHeartbeat(w *bufio.Writer, seq, lagged uint64) {
-	s := sess.srv
-	st := s.lm.Stats()
-	var shardGrants uint64
-	for _, sh := range s.lm.ShardStats() {
-		shardGrants += sh.Grants
-	}
-	cm := s.lm.CostModel()
-	var js journal.RingStats
-	if jr := s.lm.Journal(); jr != nil {
-		js = jr.Stats()
-	}
-	fmt.Fprintf(w, "HB hb_seq=%d hb_emitted=%d hb_overwritten=%d hb_torn=%d hb_grants=%d hb_runs=%d hb_cycles=%d hb_aborted=%d hb_lagged=%d hb_period_ns=%d hb_cm_period_ns=%d\n",
-		seq, js.Emitted, js.Overwritten, js.TornReads, shardGrants,
-		st.Runs, st.CyclesSearched, st.Aborted, lagged,
-		s.lm.CurrentPeriod().Nanoseconds(), cm.Period.Nanoseconds())
+func (f tailLines) heartbeat(hb TailHeartbeat) error {
+	fmt.Fprintf(f.w, "HB hb_seq=%d hb_emitted=%d hb_overwritten=%d hb_torn=%d hb_grants=%d hb_runs=%d hb_cycles=%d hb_aborted=%d hb_lagged=%d hb_period_ns=%d hb_cm_period_ns=%d\n",
+		hb.Seq, hb.Emitted, hb.Overwritten, hb.Torn, hb.Grants,
+		hb.Runs, hb.Cycles, hb.Aborted, hb.Lagged,
+		hb.Period.Nanoseconds(), hb.CostModelPeriod.Nanoseconds())
+	return nil
 }
+
+func (f tailLines) end(records int) error {
+	fmt.Fprintf(f.w, "END records=%d\n", records)
+	return f.w.Flush()
+}
+
+func (f tailLines) flush() error { return f.w.Flush() }
+
+// stopped ends the stream at server shutdown: the connection is about
+// to die, and ending here keeps Close from waiting on an idle tail.
+func (f tailLines) stopped() bool { return f.srv.isClosed() }
 
 // serveTail runs one TAIL session on the connection's writer. It
 // returns false when the connection is unusable (the handler then
@@ -95,8 +227,7 @@ func (sess *session) serveTail(w *bufio.Writer, args []string) bool {
 	}
 	nr := jr.NumRings()
 	fromOldest := true
-	max := 0
-	hb := defaultTailHeartbeat
+	t := ringTail{lm: s.lm, jr: jr, hb: defaultTailHeartbeat}
 	var resume []uint64
 	for _, a := range args {
 		k, v, ok := strings.Cut(a, "=")
@@ -118,13 +249,13 @@ func (sess *session) serveTail(w *bufio.Writer, args []string) bool {
 			if err != nil || n < 0 {
 				return fail("bad max= value")
 			}
-			max = n
+			t.max = n
 		case "hb":
 			d, err := time.ParseDuration(v)
 			if err != nil || d <= 0 {
 				return fail("bad hb= value")
 			}
-			hb = d
+			t.hb = d
 		case "cursor":
 			resume = resume[:0]
 			for _, p := range strings.Split(v, ",") {
@@ -138,89 +269,21 @@ func (sess *session) serveTail(w *bufio.Writer, args []string) bool {
 			return fail("unknown TAIL argument " + k)
 		}
 	}
-	cursors := make([]uint64, nr)
 	if resume != nil {
 		if len(resume) != nr {
 			return fail(fmt.Sprintf("cursor has %d positions, server has %d rings", len(resume), nr))
 		}
-		copy(cursors, resume)
+		t.cursors = resume
 	} else {
-		for i := 0; i < nr; i++ {
-			if fromOldest {
-				cursors[i] = jr.Ring(i).Oldest()
-			} else {
-				cursors[i] = jr.Ring(i).Head()
-			}
-		}
+		t.cursors = startCursors(jr, fromOldest)
 	}
 	s.tailSessions.Inc()
 	// The OK header names the stream's starting positions, so even a
 	// session that dies before its first BATCH leaves the consumer a
 	// cursor to resume from.
-	fmt.Fprintf(w, "OK rings=%d cursor=%s\n", nr, cursorString(cursors))
+	fmt.Fprintf(w, "OK rings=%d cursor=%s\n", nr, cursorString(t.cursors))
 	if w.Flush() != nil {
 		return false
 	}
-
-	var (
-		total  int
-		lagged uint64
-		hbSeq  uint64
-		buf    []journal.Record
-		lastHB = time.Now()
-	)
-	for {
-		if s.isClosed() {
-			// Server shutdown: the connection is about to die; ending the
-			// stream here keeps Close from waiting on an idle tail.
-			return false
-		}
-		progressed := false
-		for i := 0; i < nr && !(max > 0 && total >= max); i++ {
-			limit := tailBatchCap
-			if max > 0 && max-total < limit {
-				limit = max - total
-			}
-			recs, next, lost := jr.Ring(i).ReadFrom(cursors[i], limit, buf[:0])
-			if len(recs) == 0 && lost == 0 {
-				continue
-			}
-			cursors[i] = next
-			lagged += lost
-			if lost > 0 {
-				s.tailLagged.Add(lost)
-			}
-			fmt.Fprintf(w, "%s\n", tailBatchHeader(i, len(recs), next, lost))
-			for j := range recs {
-				txt, err := recs[j].MarshalText()
-				if err != nil {
-					return false
-				}
-				w.Write(txt)
-				w.WriteByte('\n')
-			}
-			total += len(recs)
-			progressed = true
-			buf = recs[:0]
-		}
-		if max > 0 && total >= max {
-			fmt.Fprintf(w, "END records=%d\n", total)
-			return w.Flush() == nil
-		}
-		// Heartbeats fire on schedule even when batches flow nonstop — a
-		// busy stream still needs the counter deltas.
-		if time.Since(lastHB) >= hb {
-			hbSeq++
-			sess.writeTailHeartbeat(w, hbSeq, lagged)
-			progressed = true
-			lastHB = time.Now()
-		}
-		if progressed {
-			if w.Flush() != nil {
-				return false
-			}
-			continue
-		}
-		time.Sleep(tailPollInterval)
-	}
+	return t.run(tailLines{srv: s, w: w})
 }

@@ -112,7 +112,7 @@ func parseTailBatchHeader(line string) (ring, n int, next, lost uint64, err erro
 // hb_ prefix; unknown hb_ keys from a newer server are skipped, keys a
 // server does not send stay zero — the same forward/backward contract
 // as STATS. The wireschema analyzer holds the hb_ vocabulary equal to
-// the server's writeTailHeartbeat.
+// the server's tailLines.heartbeat.
 //
 //hwlint:wire parse tailhb prefix=hb_
 func parseTailHeartbeat(line string) (TailHeartbeat, error) {

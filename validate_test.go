@@ -24,7 +24,7 @@ import (
 // cycle re-forms as T1→T2→T3→T1), so the next activation must resolve
 // it — by TDR-2, nobody aborted.
 func TestValidateWAdjacencyDrift(t *testing.T) {
-	m := Open(Options{Shards: 4, Audit: true})
+	m := Open(Options{Shards: 4, audit: true})
 	defer m.Close()
 	bg := context.Background()
 	t1, t2, t3, t4 := m.Begin(), m.Begin(), m.Begin(), m.Begin()
@@ -102,7 +102,7 @@ func TestValidateWAdjacencyDrift(t *testing.T) {
 // the resolution; T2's departure also dissolved the deadlock, so
 // nothing remains to resolve.
 func TestValidateECR2FirstConflictDrift(t *testing.T) {
-	m := Open(Options{Shards: 4, Audit: true})
+	m := Open(Options{Shards: 4, audit: true})
 	defer m.Close()
 	bg := context.Background()
 	t1, t2, t4 := m.Begin(), m.Begin(), m.Begin()
@@ -168,7 +168,7 @@ func TestValidateECR2FirstConflictDrift(t *testing.T) {
 // conflict — is gone. Validation must drop the resolution without
 // aborting anyone.
 func TestValidateECR1ConversionDrift(t *testing.T) {
-	m := Open(Options{Shards: 4, Audit: true})
+	m := Open(Options{Shards: 4, audit: true})
 	defer m.Close()
 	bg := context.Background()
 	t2, t3 := m.Begin(), m.Begin()
@@ -226,7 +226,7 @@ func TestValidateECR1ConversionDrift(t *testing.T) {
 // finds no live resource behind the evidence at all and must drop the
 // resolution.
 func TestValidateEvaporatedResource(t *testing.T) {
-	m := Open(Options{Shards: 4, Audit: true})
+	m := Open(Options{Shards: 4, audit: true})
 	defer m.Close()
 	bg := context.Background()
 	a, b := m.Begin(), m.Begin()
@@ -431,7 +431,7 @@ func TestValidateWindowActiveCopy(t *testing.T) {
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			m := Open(Options{Shards: 4, Audit: true})
+			m := Open(Options{Shards: 4, audit: true})
 			defer m.Close()
 			rs := distinctShardResources(t, m, 4)
 			a, b := m.Begin(), m.Begin()
