@@ -114,11 +114,14 @@ func CheckGraph(g *twbg.Graph) []Violation {
 // CheckTables verifies the queue invariants on every shard table —
 // blocked-prefix shape, total-mode fold, pairwise-compatible grants, no
 // stranded grantable upgrader (Theorem 3.1), UPR positioning, wait
-// bookkeeping (table.Validate) — plus the cross-shard half of Axiom 1:
-// a transaction waits in at most one shard.
+// bookkeeping and stamps (table.Validate) — plus their cross-shard
+// halves: a transaction waits in at most one shard (Axiom 1), and its
+// wait's stamp, the victim price, counts at least the locks it holds
+// across all of them.
 func CheckTables(tables []*table.Table) []Violation {
 	var out []Violation
 	waits := map[table.TxnID]int{}
+	stamps := map[table.TxnID]int{}
 	var ids []table.TxnID
 	for i, tb := range tables {
 		if err := tb.Validate(); err != nil {
@@ -130,6 +133,7 @@ func CheckTables(tables []*table.Table) []Violation {
 					ids = append(ids, id)
 				}
 				waits[id]++
+				stamps[id] = tb.WaitHeld(id)
 			}
 		}
 	}
@@ -137,6 +141,13 @@ func CheckTables(tables []*table.Table) []Violation {
 	for _, id := range ids {
 		if waits[id] > 1 {
 			out = append(out, Violation{"single-wait", fmt.Sprintf("%v waits in %d shards; a sequential transaction has at most one outstanding request (Axiom 1)", id, waits[id])})
+		}
+		held := 0
+		for _, tb := range tables {
+			held += tb.HeldCount(id)
+		}
+		if stamps[id] < held {
+			out = append(out, Violation{"stamp", fmt.Sprintf("%v's wait is stamped %d, but it holds %d locks across the shards", id, stamps[id], held)})
 		}
 	}
 	return out

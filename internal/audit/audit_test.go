@@ -87,6 +87,26 @@ func TestCheckTablesFlagsDoubleWait(t *testing.T) {
 	}
 }
 
+func TestCheckTablesFlagsShortStamp(t *testing.T) {
+	// T2 holds A in one shard and blocks on B in the other, stamped as
+	// if it held nothing — each shard on its own looks fine, but the
+	// detector would price it below the lock it holds.
+	tb1 := table.New()
+	tb1.Request(2, "A", lock.X)
+	tb2 := table.New()
+	tb2.Request(3, "B", lock.X)
+	tb2.Request(2, "B", lock.X)
+	vs := CheckTables([]*table.Table{tb1, tb2})
+	if len(vs) != 1 || vs[0].Rule != "stamp" {
+		t.Fatalf("CheckTables on a short stamp = %v, want one stamp violation", vs)
+	}
+	tb2.Abort(2)
+	tb2.RequestHeld(2, "B", lock.X, 1)
+	if vs := CheckTables([]*table.Table{tb1, tb2}); len(vs) != 0 {
+		t.Fatalf("CheckTables on the manager's stamp = %v, want none", vs)
+	}
+}
+
 func TestCheckResolutionsFlagsFabricatedCycles(t *testing.T) {
 	tb := deadlockedPair(t)
 	g := twbg.Build(tb)

@@ -77,8 +77,9 @@ func TestTornSnapshotDanglingWaitTerminates(t *testing.T) {
 	for _, req := range []struct {
 		txn  table.TxnID
 		mode lock.Mode
-	}{{1, lock.IS}, {2, lock.X}, {3, lock.S}} {
-		if _, err := a.Request(req.txn, "q", req.mode); err != nil {
+		held int // locks held across both shards, as a manager stamps the request
+	}{{1, lock.IS, 0}, {2, lock.X, 0}, {3, lock.S, 1}} {
+		if _, err := a.RequestHeld(req.txn, "q", req.mode, req.held); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +106,8 @@ func TestTornSnapshotDanglingWaitTerminates(t *testing.T) {
 	if res.CyclesSearched != 0 || len(res.Resolutions) != 0 || len(res.Aborted) != 0 {
 		t.Fatalf("result = %+v, want nothing found on half a cycle", res)
 	}
-	// The count a victim would be priced by is whole all the same.
+	// The count a victim would be priced by is whole all the same: T3's
+	// wait on q carries its lock on h.
 	if n := s.HeldCount(3); n != 1 {
 		t.Fatalf("HeldCount(3) = %d, want the lock on h counted", n)
 	}

@@ -67,7 +67,8 @@ func activate(src detect.Table, graph twbg.Source, held func(table.TxnID) int) a
 // snapshot's view has exactly the edges of the one built from a clone of
 // the whole table, one activation over each makes the same decisions
 // (cycle evidence, victims, TDR-2 junctions with their AV/ST, salvages),
-// and Snapshot.HeldCount agrees with the sources for every graph vertex.
+// and Snapshot.HeldCount agrees with the sources for every graph vertex
+// that waits — the only ones a detector prices — and is 0 for the rest.
 //
 // Each table then lives on for a second round: the first activation's
 // surgery stays in the snapshot (as if validation had dropped every
@@ -119,6 +120,12 @@ func TestActiveCopyEquivalence(t *testing.T) {
 			}
 			for _, e := range want.Edges {
 				for _, v := range []table.TxnID{e.From, e.To} {
+					if _, _, waits := snap.View().WaitingOn(v); !waits {
+						if n := snap.HeldCount(v); n != 0 {
+							t.Fatalf("table %d %s: HeldCount(%v) = %d for a transaction that does not wait", i, name, v, n)
+						}
+						continue
+					}
 					sum := 0
 					for _, tb := range shards {
 						sum += tb.HeldCount(v)

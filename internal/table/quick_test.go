@@ -46,8 +46,9 @@ func replay(s opSeq) *Table { return replaySharded(s, 1)[0] }
 
 // replaySharded drives n fresh tables as the shards of one lock manager:
 // resource k lives in table k%n, a transaction blocked in one shard
-// issues nothing in any, and a commit or abort reaches every shard. The
-// tables together hold exactly what the single table of n = 1 holds.
+// issues nothing in any, a request carries the transaction's locks in
+// every shard as its stamp, and a commit or abort reaches every shard.
+// The tables together hold exactly what the single table of n = 1 holds.
 func replaySharded(s opSeq, n int) []*Table {
 	tbs := make([]*Table, n)
 	for i := range tbs {
@@ -90,7 +91,11 @@ func applyOps(tbs []*Table, s opSeq, touched func(shard int)) {
 				continue
 			}
 			k := int(code>>6) % len(replayResources)
-			tbs[k%len(tbs)].Request(txn, replayResources[k], replayModes[int(code>>8)%len(replayModes)])
+			held := 0
+			for _, tb := range tbs {
+				held += tb.HeldCount(txn)
+			}
+			tbs[k%len(tbs)].RequestHeld(txn, replayResources[k], replayModes[int(code>>8)%len(replayModes)], held)
 			if touched != nil {
 				touched(k % len(tbs))
 			}

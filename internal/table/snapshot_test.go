@@ -89,14 +89,19 @@ func TestSnapshotFullCopy(t *testing.T) {
 				txn, gotRid, gotMode, gotOk, wantRid, wantMode, wantOk)
 		}
 		// Held lists are restricted to active resources; the count the
-		// victim cost needs is kept whole, beside them.
+		// victim cost needs rides whole on every wait, and only waiters
+		// are priced.
 		held := got.Held(txn)
 		slices.Sort(held)
 		if want := activeHeld(src, txn); !slices.Equal(held, want) {
 			t.Errorf("Held(%d): snapshot %v, source's active %v", txn, held, want)
 		}
-		if a, b := s.HeldCount(txn), src.HeldCount(txn); a != b {
-			t.Errorf("HeldCount(%d): snapshot %d, source %d", txn, a, b)
+		want := 0
+		if wantOk {
+			want = src.HeldCount(txn)
+		}
+		if a := s.HeldCount(txn); a != want {
+			t.Errorf("HeldCount(%d): snapshot %d, want %d", txn, a, want)
 		}
 		if got.Upgrading(txn) != src.Upgrading(txn) {
 			t.Errorf("Upgrading(%d) differs", txn)
@@ -114,7 +119,9 @@ func TestSnapshotFullCopy(t *testing.T) {
 }
 
 func TestSnapshotMergesShardedTables(t *testing.T) {
-	// Two "shards": T1 holds in a and waits in b; T2 the reverse.
+	// Two "shards": T1 holds in a and waits in b; T2 the reverse. Each
+	// blocks holding one lock in the other shard, the stamp a manager
+	// gives the wait.
 	a, b := New(), New()
 	if g, _ := a.Request(1, "Ra", lock.X); !g {
 		t.Fatal("setup: T1 should hold Ra")
@@ -122,10 +129,10 @@ func TestSnapshotMergesShardedTables(t *testing.T) {
 	if g, _ := b.Request(2, "Rb", lock.X); !g {
 		t.Fatal("setup: T2 should hold Rb")
 	}
-	if g, _ := b.Request(1, "Rb", lock.X); g {
+	if res, _ := b.RequestHeld(1, "Rb", lock.X, 1); res.Granted {
 		t.Fatal("setup: T1 should block on Rb")
 	}
-	if g, _ := a.Request(2, "Ra", lock.X); g {
+	if res, _ := a.RequestHeld(2, "Ra", lock.X, 1); res.Granted {
 		t.Fatal("setup: T2 should block on Ra")
 	}
 
@@ -323,8 +330,11 @@ func TestSnapshotIncrementalSkipReuse(t *testing.T) {
 	if err := s.ActiveTable().Validate(); err != nil {
 		t.Fatalf("incremental merge invalid: %v", err)
 	}
-	if n := s.HeldCount(22); n != 1 {
-		t.Fatalf("HeldCount(22) = %d, want 1 (H2 is inactive, its holder still counted)", n)
+	if n := s.HeldCount(5); n != 1 {
+		t.Fatalf("HeldCount(5) = %d, want 1 (R3 is inactive; T5's wait in the skipped shard still counts it)", n)
+	}
+	if n := s.HeldCount(23); n != 0 {
+		t.Fatalf("HeldCount(23) = %d, want 0 (T23 waits holding nothing)", n)
 	}
 	if s.ActiveTable().Resource("R1") != coldRes {
 		t.Fatal("skipped shard's resource was recopied, not reused in place")
@@ -338,7 +348,7 @@ func TestSnapshotIncrementalSkipReuse(t *testing.T) {
 }
 
 // TestSnapshotIncrementalDeletes drives the merge in the delete
-// direction: resources, transactions and held counts that vanish from a
+// direction: resources, transactions and waits that vanish from a
 // recopied shard must vanish from the merge.
 func TestSnapshotIncrementalDeletes(t *testing.T) {
 	a, b := New(), New()
@@ -349,7 +359,7 @@ func TestSnapshotIncrementalDeletes(t *testing.T) {
 
 	s := NewSnapshot()
 	fullCopy(s, []*Table{a, b}, 1)
-	if s.ActiveTable().Resource("Rb1") == nil || !s.ActiveTable().Blocked(3) || s.HeldCount(2) != 2 {
+	if s.ActiveTable().Resource("Rb1") == nil || !s.ActiveTable().Blocked(3) || s.ActiveTable().HeldCount(2) != 1 {
 		t.Fatal("setup: first round incomplete")
 	}
 
@@ -364,11 +374,8 @@ func TestSnapshotIncrementalDeletes(t *testing.T) {
 	if r := s.ActiveTable().Resource("Rb1"); r != nil {
 		t.Fatalf("Rb1 survived its last waiter: %v", r)
 	}
-	if s.HeldCount(2) != 0 || s.ActiveTable().HeldCount(2) != 0 || s.ActiveTable().Blocked(3) {
+	if s.HeldCount(3) != 0 || s.ActiveTable().HeldCount(2) != 0 || s.ActiveTable().Blocked(3) {
 		t.Fatal("aborted transactions survived the incremental merge")
-	}
-	if s.HeldCount(1) != 1 {
-		t.Fatal("skipped shard's held count lost")
 	}
 	if got := s.ActiveTable().String(); got != "" {
 		t.Fatalf("merge not empty after the last waiter left:\n%s", got)
@@ -380,14 +387,14 @@ func TestSnapshotIncrementalDeletes(t *testing.T) {
 
 // TestSnapshotViewActiveFilter checks what a copy takes: only resources
 // that can contribute graph elements (a queue or a blocked conversion)
-// reach the merged table and the detection view; of the rest, only the
-// per-transaction held counts.
+// reach the merged table and the detection view, and nothing of the
+// rest — not even held counts: only a waiter is priced, by its stamp.
 func TestSnapshotViewActiveFilter(t *testing.T) {
 	quiet, busy := New(), New()
 	quiet.Request(1, "Q1", lock.S) // held, nobody waiting
 	quiet.Request(2, "Q2", lock.X) // held, nobody waiting
 	busy.Request(3, "B1", lock.X)
-	busy.Request(4, "B1", lock.S) // waiter -> active
+	busy.RequestHeld(4, "B1", lock.S, 2) // waiter -> active, holding two locks elsewhere
 
 	s := NewSnapshot()
 	fullCopy(s, []*Table{quiet, busy}, 1)
@@ -403,8 +410,8 @@ func TestSnapshotViewActiveFilter(t *testing.T) {
 	if s.ActiveTable().Resource("Q1") != nil || s.ActiveTable().Resource("Q2") != nil {
 		t.Fatal("quiet resources were copied into the merged table")
 	}
-	if s.HeldCount(1) != 1 || s.HeldCount(2) != 1 || s.HeldCount(3) != 1 || s.HeldCount(4) != 0 {
-		t.Fatalf("held counts = %d %d %d %d, want 1 1 1 0",
+	if s.HeldCount(1) != 0 || s.HeldCount(2) != 0 || s.HeldCount(3) != 0 || s.HeldCount(4) != 2 {
+		t.Fatalf("held counts = %d %d %d %d, want 0 0 0 2 (only the waiter is priced)",
 			s.HeldCount(1), s.HeldCount(2), s.HeldCount(3), s.HeldCount(4))
 	}
 

@@ -47,3 +47,17 @@ func (t *Table) HeldCount(txn TxnID) int {
 	}
 	return len(st.held)
 }
+
+// WaitHeld returns the stamp of txn's wait (HolderEntry.Held), or 0 when
+// txn does not wait.
+func (t *Table) WaitHeld(txn TxnID) int {
+	st, ok := t.txns[txn]
+	if !ok || st.waitingOn == nil {
+		return 0
+	}
+	r := st.waitingOn
+	if st.upgrading {
+		return int(r.holders[r.holderIndex(txn)].Held)
+	}
+	return int(r.queue[r.queueIndex(txn)].Held)
+}

@@ -116,7 +116,7 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 		for pos < end {
 			e := ord[pos]
 			rq := reqs[e.idx]
-			res, err := s.tb.RequestEx(t.id, rq.Resource, rq.Mode)
+			res, err := s.tb.RequestHeld(t.id, rq.Resource, rq.Mode, t.held)
 			if err != nil {
 				applyErr = err
 				break
@@ -133,6 +133,9 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 				s.waiters[t.id] = blockedCh
 				break
 			}
+			// Counted at once, so a block later in this round is
+			// stamped with the grants before it.
+			t.noteGrant(res.Conversion)
 		}
 		if len(pend) > 0 {
 			s.epoch.bump() // one bump covers the whole batch round

@@ -77,6 +77,7 @@ type fcRequest struct {
 	txn  TxnID
 	rid  ResourceID
 	mode Mode
+	held int           // the requester's Txn.held: the wait's stamp if the request blocks
 	ch   chan struct{} // waiter channel the combiner registers if the request blocks
 
 	res  table.RequestResult
@@ -85,10 +86,11 @@ type fcRequest struct {
 }
 
 // prepare readies the record for a new publication.
-func (f *fcRequest) prepare(txn TxnID, rid ResourceID, mode Mode, ch chan struct{}) {
+func (f *fcRequest) prepare(txn TxnID, rid ResourceID, mode Mode, held int, ch chan struct{}) {
 	f.txn = txn
 	f.rid = rid
 	f.mode = mode
+	f.held = held
 	f.ch = ch
 	f.res = table.RequestResult{}
 	f.err = nil
@@ -126,7 +128,7 @@ func (s *shard) drainPending() {
 //
 //hwlint:hotpath allocs=1
 func (s *shard) applyPublished(req *fcRequest) {
-	res, err := s.tb.RequestEx(req.txn, req.rid, req.mode)
+	res, err := s.tb.RequestHeld(req.txn, req.rid, req.mode, req.held)
 	s.met.flatCombined.Inc()
 	if err == nil {
 		s.epoch.bump()

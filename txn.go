@@ -37,6 +37,13 @@ type Txn struct {
 	// tag is the application-defined operation tag (SetTag); 0 = none.
 	tag uint64
 
+	// held counts the locks granted to this transaction, in every
+	// shard; conversions add none. It is the stamp every request of
+	// this transaction carries into its shard table, where a request
+	// that blocks keeps it as the victim price the detector reads
+	// (table.HolderEntry.Held). Owner goroutine only.
+	held int
+
 	// The touched-shard set: shards where this txn holds or waits, in
 	// first-use order. An inline array covers the common case, so
 	// noting a shard allocates nothing until a transaction spans more
@@ -82,6 +89,7 @@ func (m *Manager) Begin() *Txn {
 	t.state = live
 	t.begun = false
 	t.tag = 0
+	t.held = 0
 	return t
 }
 
@@ -210,6 +218,14 @@ func (t *Txn) noteShard(s *shard) {
 	t.ntouched++
 }
 
+// noteGrant counts a granted request into held; a conversion adds no
+// lock.
+func (t *Txn) noteGrant(conv bool) {
+	if !conv {
+		t.held++
+	}
+}
+
 // touchedAt returns the i-th touched shard in first-use order.
 func (t *Txn) touchedAt(i int) *shard {
 	if i < maxInlineShards {
@@ -271,7 +287,7 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 		s.mu.Unlock()
 		return err
 	}
-	res, err := s.tb.RequestEx(t.id, r, mode)
+	res, err := s.tb.RequestHeld(t.id, r, mode, t.held)
 	if err != nil {
 		s.drainPending()
 		s.mu.Unlock()
@@ -285,6 +301,7 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	if res.Granted {
 		s.drainPending()
 		s.mu.Unlock()
+		t.noteGrant(res.Conversion)
 		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, false)
 		return nil
 	}
@@ -319,7 +336,7 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 //hwlint:hotpath allocs=1
 func (t *Txn) lockPublished(ctx context.Context, s *shard, r ResourceID, mode Mode, start time.Time) (handled bool, err error) {
 	req := &t.fcr
-	req.prepare(t.id, r, mode, getWaiter())
+	req.prepare(t.id, r, mode, t.held, getWaiter())
 	published := false
 	for i := range s.fc {
 		if s.fc[i].CompareAndSwap(nil, req) {
@@ -354,6 +371,7 @@ func (t *Txn) lockPublished(ctx context.Context, s *shard, r ResourceID, mode Mo
 	if res.Granted {
 		putWaiter(req.ch)
 		req.ch = nil
+		t.noteGrant(res.Conversion)
 		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, false)
 		return true, nil
 	}
@@ -431,6 +449,7 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 			s.drainPending()
 			s.mu.Unlock()
 			putWaiter(ch)
+			t.noteGrant(conv)
 			wait := time.Since(start)
 			s.granted(t.id, r, mode, start, wait, wait, conv, false)
 			return nil
@@ -471,7 +490,7 @@ func (t *Txn) TryLock(r ResourceID, mode Mode) (bool, error) {
 		s.refused(t.id, r, mode, start)
 		return false, nil
 	}
-	res, err := s.tb.RequestEx(t.id, r, mode)
+	res, err := s.tb.RequestHeld(t.id, r, mode, t.held)
 	if res.Granted {
 		s.epoch.bump()
 		t.noteShard(s)
@@ -480,6 +499,7 @@ func (t *Txn) TryLock(r ResourceID, mode Mode) (bool, error) {
 		s.met.count(&c)
 		s.drainPending()
 		s.mu.Unlock()
+		t.noteGrant(res.Conversion)
 		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, true)
 		return true, err
 	}

@@ -278,11 +278,13 @@ func TestValidateEvaporatedResource(t *testing.T) {
 
 // TestValidateWindowActiveCopy enumerates what the active-only copy
 // adds to the window between copy and act, one mutation per row. A
-// snapshot now holds a resource only while somebody waits on it, and of
-// everything else only per-transaction lock counts, so the ways it can
-// be out of date are: a resource that was not worth copying becomes the
-// missing half of a cycle (a), a copied one drains (b), a count goes
-// stale while every record stays right (c), and — across shards, where
+// snapshot now holds a resource only while somebody waits on it, each
+// wait stamped with its transaction's lock count, so the ways it can be
+// out of date are: a resource that was not worth copying becomes the
+// missing half of a cycle (a), a copied one drains (b), a waiter's
+// stamp goes stale — an abort sweeping its shards one at a time is the
+// only way a waiter loses a lock — while every record stays right (c),
+// and — across shards, where
 // an epoch load racing a bump lets one sub-snapshot be a round older
 // than its neighbour — a waiter stays on record behind a holder that no
 // longer exists anywhere (d). In each the detector may act only on what
