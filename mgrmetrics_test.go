@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -330,4 +333,124 @@ func TestActivationPhasesCoverTotal(t *testing.T) {
 	if best < 0.95 {
 		t.Fatalf("named phases cover %.1f%% of Total, want >= 95%%: %v", 100*best, bestRep)
 	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden files from the current output")
+
+// checkGolden compares got with testdata/<name>, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s (rerun with -update if intended):\n%s", path, got)
+	}
+}
+
+// metricsWorkload drives a manager with no detector timer through a
+// fixed script that touches every counter /metrics renders: fresh and
+// conversion requests, a TryLock refusal, a blocked request granted at
+// commit, a wait ended by cancellation, and two cross-shard deadlocks
+// each broken by one Detect.
+func metricsWorkload(t *testing.T) *Manager {
+	t.Helper()
+	m := Open(Options{Shards: 2, JournalSize: 1 << 10})
+	t.Cleanup(m.Close)
+	ctx := context.Background()
+	res := func(shard uint32, salt int) ResourceID { return shardResource(t, m, shard, salt) }
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := m.Begin(), m.Begin()
+	must(a.Lock(ctx, res(0, 1), X))
+	must(a.Lock(ctx, res(1, 2), IS))
+	must(a.Lock(ctx, res(1, 2), IX))
+	if ok, err := b.TryLock(res(0, 1), S); ok || err != nil {
+		t.Fatalf("TryLock behind an X = %v, %v", ok, err)
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- b.Lock(ctx, res(0, 1), S) }()
+	waitBlocked(t, m, b.ID())
+	must(a.Commit())
+	must(<-granted)
+
+	cctx, cancel := context.WithCancel(ctx)
+	c := m.Begin()
+	cancelled := make(chan error, 1)
+	go func() { cancelled <- c.Lock(cctx, res(0, 1), X) }()
+	waitBlocked(t, m, c.ID())
+	cancel()
+	if err := <-cancelled; err == nil {
+		t.Fatal("cancelled wait was granted")
+	}
+	must(b.Commit())
+
+	for i := 0; i < 2; i++ {
+		f, g := m.Begin(), m.Begin()
+		must(f.Lock(ctx, res(0, 10+i), X))
+		must(g.Lock(ctx, res(1, 20+i), X))
+		cyc := make(chan error, 2)
+		go func() { cyc <- f.Lock(ctx, res(1, 20+i), X) }()
+		waitBlocked(t, m, f.ID())
+		go func() { cyc <- g.Lock(ctx, res(0, 10+i), X) }()
+		waitBlocked(t, m, g.ID())
+		if st := m.Detect(); st.Aborted != 1 {
+			t.Fatalf("Detect() = %+v, want one victim", st)
+		}
+		<-cyc
+		<-cyc
+		for _, tx := range []*Txn{f, g} {
+			if tx.Err() == nil {
+				must(tx.Commit())
+			}
+		}
+	}
+	return m
+}
+
+// TestPrometheusExpositionGolden pins the whole /metrics exposition —
+// every name, HELP and TYPE line, label set and their order — on a
+// deterministic workload. Samples whose values are timings are masked:
+// their values read T, and a timing histogram keeps only its +Inf
+// bucket (which finite buckets appear depends on the timings).
+func TestPrometheusExpositionGolden(t *testing.T) {
+	m := metricsWorkload(t)
+	var buf bytes.Buffer
+	if err := m.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		name, labels, _ := strings.Cut(name, "{")
+		// The live period is configuration (zero: no timer), not a timing.
+		timed := (strings.Contains(name, "seconds") || strings.HasSuffix(name, "_hz")) &&
+			name != "hwtwbg_detector_period_seconds"
+		if strings.HasPrefix(line, "#") || !timed {
+			out.WriteString(line + "\n")
+			continue
+		}
+		if strings.HasSuffix(name, "_bucket") && !strings.Contains(labels, `le="+Inf"`) {
+			continue
+		}
+		if strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_count") {
+			out.WriteString(line + "\n") // counts, not timings
+			continue
+		}
+		out.WriteString(line[:strings.LastIndexByte(line, ' ')] + " T\n")
+	}
+	checkGolden(t, "metrics.golden", out.String())
 }
