@@ -1,6 +1,6 @@
 // Package wireschema is the fixture for the wireschema analyzer:
-// emit/parse marker pairs that agree, drift between their switches,
-// go stale, leave coverage gaps, or point at nothing.
+// emit/parse marker pairs that agree, go stale, leave coverage gaps, or
+// point at nothing.
 package wireschema
 
 import "fmt"
@@ -12,16 +12,10 @@ func emitOK(a, b, c int) string {
 	return fmt.Sprintf("a=%d b=%d c=%d", a, b, c)
 }
 
-// parseOK consumes every emitted key with both switches in step: no
-// findings.
+// parseOK consumes every emitted key: no findings.
 //
 //hwlint:wire parse metrics
 func parseOK(k string) (a, b, c bool) {
-	switch k {
-	case "a", "b", "c":
-	default:
-		return
-	}
 	switch k {
 	case "a":
 		a = true
@@ -29,30 +23,6 @@ func parseOK(k string) (a, b, c bool) {
 		b = true
 	case "c":
 		c = true
-	}
-	return
-}
-
-//hwlint:wire emit drift
-func emitDrift(a, b, c int) string {
-	return fmt.Sprintf("d1=%d d2=%d d3=%d", a, b, c)
-}
-
-// parseDrift's validate switch knows d3 but the assign switch lost it:
-// the two-switch skew that silently drops a field.
-//
-//hwlint:wire parse drift
-func parseDrift(k string) (n int) { // want "a switch handles 2 of this parser's 3"
-	switch k {
-	case "d1", "d2", "d3":
-	default:
-		return
-	}
-	switch k {
-	case "d1":
-		n = 1
-	case "d2":
-		n = 2
 	}
 	return
 }
@@ -115,36 +85,6 @@ func emitGhost(v int) string { // want "has an emitter but no parser"
 //hwlint:wire emit hollow // want "extracted no keys"
 func emitHollow() string { // want "has an emitter but no parser"
 	return "no key directives here"
-}
-
-// emitProm and parseProm agree on the prefix-extracted series names.
-//
-//hwlint:wire emit series prefix=prom_
-func emitProm() string {
-	return "# HELP prom_up\nprom_up 1\nprom_queue_depth 3\n"
-}
-
-//hwlint:wire parse series prefix=prom_
-func parseProm(line string) bool {
-	return line == "prom_up" || line == "prom_queue_depth"
-}
-
-// emitStream and parseStream model a streaming heartbeat frame: the
-// emitter's prefix vocabulary gained hb_lost but the consumer never
-// learned it — the gap that makes a live tail silently under-report.
-//
-//hwlint:wire emit stream prefix=hb_
-func emitStream(seq, n, lost int) string {
-	return fmt.Sprintf("HB hb_seq=%d hb_n=%d hb_lost=%d", seq, n, lost)
-}
-
-//hwlint:wire parse stream prefix=hb_
-func parseStream(k string) bool { // want "does not handle emitted"
-	switch k {
-	case "hb_seq", "hb_n":
-		return true
-	}
-	return false
 }
 
 //hwlint:wire sideways nochan // want "malformed annotation"

@@ -11,21 +11,19 @@ import (
 )
 
 // WireSchema cross-checks the keys two sides of a wire format agree
-// on: the STATS key=value line the lockservice server builds against
-// the switches in Client.Stats that consume it, the detector's
-// ActivationReport JSON against the PhaseTotals mirror that re-parses
-// a subset, the hwtrace report schema against the manifest CI greps —
-// the copy_ns/acquire_ns drift PR 8 fixed by hand is exactly the bug
-// class this kills at lint time.
+// on: the BATCH frame header the lockservice server writes against the
+// switch in the client that reads it, the detector's ActivationReport
+// JSON against the PhaseTotals mirror that re-parses a subset, the
+// hwtrace report schema against the manifest CI greps.
 //
 // Endpoints declare themselves with a marker:
 //
-//	//hwlint:wire emit <channel> [prefix=<p>]
-//	//hwlint:wire parse <channel> [subset] [prefix=<p>]
+//	//hwlint:wire emit <channel>
+//	//hwlint:wire parse <channel> [subset]
 //
-// placed on a function declaration (keys are extracted from its string
-// literals: every `key=%` directive, or every token starting with the
-// given prefix), on a struct type declaration (keys are the fields'
+// placed on a function declaration (an emitter's keys are the `key=%`
+// directives in its string literals, a parser's the string labels of
+// its switch cases), on a struct type declaration (keys are the fields'
 // json tags), or on a []string variable (the literal elements — a
 // manifest). The analyzer then enforces, per channel:
 //
@@ -35,11 +33,7 @@ import (
 //     the server no longer sends is dead wire code;
 //   - a parser not marked `subset` covers the full emit set: a new
 //     emitted key must be consumed (or the parser downgraded to subset
-//     deliberately);
-//   - switch drift inside one parser: when a parsing function holds
-//     several switches over the same keys (validate + assign), any
-//     switch covering more than half the function's key set must cover
-//     all of it — the two-switch skew that silently drops a field.
+//     deliberately).
 var WireSchema = &Analyzer{
 	Name:   "wireschema",
 	Doc:    "emitted wire/schema keys and the code that parses them stay in sync",
@@ -62,11 +56,7 @@ type wireEndpoint struct {
 	channel string
 	parse   bool
 	subset  bool
-	prefix  string
 	keys    map[string]bool
-	// switches holds each switch statement's own key set when the
-	// endpoint is a parsing function, for the drift check.
-	switches []map[string]bool
 }
 
 func runWireSchema(p *Pass) {
@@ -163,7 +153,7 @@ func parseWireMarker(p *Pass, doc *ast.CommentGroup, name string) *wireEndpoint 
 		fields := strings.Fields(text)
 		ep := &wireEndpoint{pos: c.Pos(), name: name, keys: map[string]bool{}}
 		bad := func() *wireEndpoint {
-			p.Reportf(c.Pos(), "malformed annotation %q: want %s emit|parse <channel> [subset] [prefix=<p>]", c.Text, wirePrefix)
+			p.Reportf(c.Pos(), "malformed annotation %q: want %s emit|parse <channel> [subset]", c.Text, wirePrefix)
 			return nil
 		}
 		if len(fields) < 2 {
@@ -177,87 +167,54 @@ func parseWireMarker(p *Pass, doc *ast.CommentGroup, name string) *wireEndpoint 
 			return bad()
 		}
 		ep.channel = fields[1]
-		prefix := ""
 		for _, f := range fields[2:] {
-			switch {
-			case f == "subset" && ep.parse:
-				ep.subset = true
-			case strings.HasPrefix(f, "prefix="):
-				prefix = strings.TrimPrefix(f, "prefix=")
-			default:
+			if f != "subset" || !ep.parse {
 				return bad()
 			}
+			ep.subset = true
 		}
-		ep.prefix = prefix
 		return ep
 	}
 	return nil
 }
 
-// extractFuncKeys pulls the key set out of a marked function: `key=%`
-// directives in its string literals (or prefix-matched tokens), plus
-// each switch statement's case-label strings when parsing.
+// extractFuncKeys pulls the key set out of a marked function: the
+// `key=%` directives in an emitter's string literals, the switch case
+// labels of a parser.
 func extractFuncKeys(p *Pass, fd *ast.FuncDecl, ep *wireEndpoint) {
-	var tokenRe *regexp.Regexp
-	if ep.prefix != "" {
-		tokenRe = regexp.MustCompile(regexp.QuoteMeta(ep.prefix) + `[A-Za-z0-9_]+`)
-	}
-	addLit := func(lit *ast.BasicLit, into map[string]bool) {
-		if lit.Kind != token.STRING {
-			return
-		}
-		s, err := strconv.Unquote(lit.Value)
-		if err != nil {
-			return
-		}
-		if tokenRe != nil {
-			for _, m := range tokenRe.FindAllString(s, -1) {
-				into[m] = true
-			}
-			return
-		}
-		for _, m := range keyDirectiveRe.FindAllStringSubmatch(s, -1) {
-			into[m[1]] = true
-		}
-	}
-	if ep.parse && ep.prefix == "" {
-		// A parsing function's keys are its switch case labels — the
-		// label string is the key verbatim; plain literals elsewhere
-		// (error messages) are not keys.
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if !ok {
-				return true
-			}
-			set := map[string]bool{}
-			for _, cc := range sw.Body.List {
-				for _, e := range cc.(*ast.CaseClause).List {
-					if lit, ok := unparen(e).(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						if s, err := strconv.Unquote(lit.Value); err == nil && keyTokenRe.MatchString(s) {
-							set[s] = true
-						}
-					}
-				}
-			}
-			if len(set) > 0 {
-				ep.switches = append(ep.switches, set)
-				for k := range set {
-					ep.keys[k] = true
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if !ep.parse {
+			if s, ok := stringLit(n); ok {
+				for _, m := range keyDirectiveRe.FindAllStringSubmatch(s, -1) {
+					ep.keys[m[1]] = true
 				}
 			}
 			return true
-		})
-	} else {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.BasicLit); ok {
-				addLit(lit, ep.keys)
+		}
+		// A parser's keys are its switch case labels verbatim; plain
+		// literals elsewhere (error messages) are not keys.
+		if cc, ok := n.(*ast.CaseClause); ok {
+			for _, e := range cc.List {
+				if s, ok := stringLit(unparen(e)); ok && keyTokenRe.MatchString(s) {
+					ep.keys[s] = true
+				}
 			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 	if len(ep.keys) == 0 {
 		p.Reportf(ep.pos, "%s: wire marker extracted no keys; the marker is on the wrong declaration or the format moved", ep.name)
 	}
+}
+
+// stringLit returns the value of a string literal node.
+func stringLit(n ast.Node) (string, bool) {
+	lit, ok := n.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }
 
 // extractTagKeys reads a struct's json tags.
@@ -286,10 +243,8 @@ func extractManifestKeys(spec *ast.ValueSpec, ep *wireEndpoint) {
 			continue
 		}
 		for _, el := range lit.Elts {
-			if bl, ok := unparen(el).(*ast.BasicLit); ok && bl.Kind == token.STRING {
-				if s, err := strconv.Unquote(bl.Value); err == nil {
-					ep.keys[s] = true
-				}
+			if s, ok := stringLit(unparen(el)); ok {
+				ep.keys[s] = true
 			}
 		}
 	}
@@ -332,14 +287,6 @@ func checkChannel(p *Pass, name string, eps []*wireEndpoint) {
 				p.Reportf(ep.decl, "%s: does not handle emitted %q key(s) %s; consume them or mark the parser `subset`",
 					ep.name, name, strings.Join(missing, ", "))
 			}
-		}
-		for _, sw := range ep.switches {
-			if len(sw) == len(ep.keys) || 2*len(sw) <= len(ep.keys) {
-				continue
-			}
-			missing := minus(ep.keys, sw)
-			p.Reportf(ep.decl, "%s: a switch handles %d of this parser's %d %q keys; missing: %s — the validate/assign switches drifted apart",
-				ep.name, len(sw), len(ep.keys), name, strings.Join(missing, ", "))
 		}
 	}
 }

@@ -343,11 +343,6 @@ type Stats struct {
 	hwtwbg.Stats
 	ShardGrants uint64        // lock grants summed across every shard
 	Period      time.Duration // server's live detection interval (zero: disabled or old server)
-	// LastFalseCycles and LastValidations describe the most recent
-	// detector activation alone (the lifetime FalseCycles/Validations
-	// promote from the embedded Stats); zero from an old server.
-	LastFalseCycles int
-	LastValidations int
 	// The scheduling cost model's state (hwtwbg.CostModelState, wire
 	// keys cm_*): activations sampled, cycles observed, estimated
 	// deadlock formation rate (deadlocks/sec, from the cm_rate_uhz
@@ -367,13 +362,6 @@ type Stats struct {
 	JournalEmitted     uint64
 	JournalOverwritten uint64
 	JournalTornReads   uint64
-	// LastCopy and LastAcquire describe the most recent detector
-	// activation alone (wire keys copy_ns/acquire_ns): its snapshot
-	// copy-out time and its summed shard-mutex acquisition wait. The
-	// lifetime ShardsCopied/ShardsSkipped incremental-snapshot totals
-	// promote from the embedded Stats. Zero from an old server.
-	LastCopy    time.Duration
-	LastAcquire time.Duration
 	// Live-telemetry counters (wire keys tail_sessions, tail_lagged,
 	// op_tags): TAIL sessions ever started, records those sessions lost
 	// to ring overwrite before delivery, and op tags attached via the
@@ -388,10 +376,6 @@ type Stats struct {
 // stay zero (old server, new client) and unknown key=value fields are
 // skipped (new server, old client semantics); a known key with a
 // non-integer value is a malformed reply.
-//
-// The wireschema analyzer holds this parser's key vocabulary equal to
-// the server's STATS emitter — both the recognition switch and the
-// assignment switch below must cover every emitted key.
 func (c *Client) Stats() (Stats, error) {
 	start := time.Now()
 	st, err := c.stats()
@@ -399,105 +383,75 @@ func (c *Client) Stats() (Stats, error) {
 	return st, err
 }
 
-// stats does the STATS round trip and parse; the wireschema marker
-// lives here, on the function holding the recognition and assignment
-// switches.
-//
-//hwlint:wire parse stats
 func (c *Client) stats() (Stats, error) {
-	var st Stats
 	var payload string
 	err := c.call(func(b []byte) []byte { return append(b, "STATS"...) }, func(line []byte) error {
 		payload = string(okPayload(line))
 		return replyErr(line)
 	})
 	if err != nil {
-		return st, err
+		return Stats{}, err
 	}
+	var snap hwtwbg.MetricsSnapshot
+	var st Stats
 	for _, f := range strings.Fields(payload) {
 		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			continue // not a key=value field; tolerate
-		}
-		switch k {
-		case "runs", "cycles", "aborted", "repositioned", "salvaged",
-			"hold_last_ns", "hold_max_ns", "shard_grants",
-			"false_cycles", "validations", "period_ns",
-			"last_false_cycles", "last_validations",
-			"cm_samples", "cm_deadlocks", "cm_rate_uhz",
-			"cm_detect_ns", "cm_persist_ns", "cm_period_ns",
-			"journal_emitted", "journal_overwritten", "journal_torn_reads",
-			"copy_ns", "acquire_ns", "shards_copied", "shards_skipped",
-			"tail_sessions", "tail_lagged", "op_tags":
-		default:
-			continue // unknown key from a newer server; tolerate
+		d, server := metricByStat[k], serverStat(&st, k)
+		if !ok || d == nil && server == nil {
+			continue // a bare flag, or a key from a newer server
 		}
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return st, fmt.Errorf("lockservice: malformed STATS field %q", f)
+			return Stats{}, fmt.Errorf("lockservice: malformed STATS field %q", f)
 		}
-		switch k {
-		case "runs":
-			st.Runs = int(n)
-		case "cycles":
-			st.CyclesSearched = int(n)
-		case "aborted":
-			st.Aborted = int(n)
-		case "repositioned":
-			st.Repositioned = int(n)
-		case "salvaged":
-			st.Salvaged = int(n)
-		case "hold_last_ns":
-			st.ShardHoldLast = time.Duration(n)
-		case "hold_max_ns":
-			st.ShardHoldMax = time.Duration(n)
-		case "shard_grants":
-			st.ShardGrants = uint64(n)
-		case "false_cycles":
-			st.FalseCycles = int(n)
-		case "validations":
-			st.Validations = int(n)
-		case "period_ns":
-			st.Period = time.Duration(n)
-		case "last_false_cycles":
-			st.LastFalseCycles = int(n)
-		case "last_validations":
-			st.LastValidations = int(n)
-		case "cm_samples":
-			st.CostModelSamples = int(n)
-		case "cm_deadlocks":
-			st.CostModelDeadlocks = uint64(n)
-		case "cm_rate_uhz":
-			st.CostModelRate = float64(n) * 1e-6
-		case "cm_detect_ns":
-			st.CostModelDetect = time.Duration(n)
-		case "cm_persist_ns":
-			st.CostModelPersist = time.Duration(n)
-		case "cm_period_ns":
-			st.CostModelPeriod = time.Duration(n)
-		case "journal_emitted":
-			st.JournalEmitted = uint64(n)
-		case "journal_overwritten":
-			st.JournalOverwritten = uint64(n)
-		case "journal_torn_reads":
-			st.JournalTornReads = uint64(n)
-		case "copy_ns":
-			st.LastCopy = time.Duration(n)
-		case "acquire_ns":
-			st.LastAcquire = time.Duration(n)
-		case "shards_copied":
-			st.ShardsCopied = int(n)
-		case "shards_skipped":
-			st.ShardsSkipped = int(n)
-		case "tail_sessions":
-			st.TailSessions = uint64(n)
-		case "tail_lagged":
-			st.TailLagged = uint64(n)
-		case "op_tags":
-			st.OpTags = uint64(n)
+		if d != nil {
+			d.SetWire(&snap, n)
+		} else {
+			*server = uint64(n)
 		}
 	}
+	st.Stats = snap.Detector
+	st.ShardGrants = snap.Total.Grants
+	st.Period = snap.Period
+	st.CostModelSamples = snap.CostModel.Samples
+	st.CostModelDeadlocks = snap.CostModel.Deadlocks
+	st.CostModelRate = snap.CostModel.RatePerSec
+	st.CostModelDetect = snap.CostModel.DetectCost
+	st.CostModelPersist = snap.CostModel.PersistCost
+	st.CostModelPeriod = snap.CostModel.Period
+	st.JournalEmitted = snap.Journal.Emitted
+	st.JournalOverwritten = snap.Journal.Overwritten
+	st.JournalTornReads = snap.Journal.TornReads
 	return st, nil
+}
+
+// serverStat returns st's field for the server's own STATS key k, or
+// nil.
+func serverStat(st *Stats, k string) *uint64 {
+	for _, c := range serverStats {
+		if c.key == k {
+			return c.field(st)
+		}
+	}
+	return nil
+}
+
+// metricByStat and metricByHB index hwtwbg.Metrics by STATS key and by
+// heartbeat key.
+var metricByStat, metricByHB = indexMetrics()
+
+func indexMetrics() (byStat, byHB map[string]*hwtwbg.Metric) {
+	byStat, byHB = map[string]*hwtwbg.Metric{}, map[string]*hwtwbg.Metric{}
+	for i := range hwtwbg.Metrics {
+		d := &hwtwbg.Metrics[i]
+		if d.Stat != "" {
+			byStat[d.Stat] = d
+		}
+		if d.HB != "" {
+			byHB[d.HB] = d
+		}
+	}
+	return byStat, byHB
 }
 
 // DumpJournal fetches the server's flight-recorder contents: a merged,

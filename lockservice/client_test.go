@@ -117,15 +117,11 @@ func TestClientStatsParsing(t *testing.T) {
 			wantErr: "malformed",
 		},
 		{
-			// A post-flight-recorder server appends the last activation's
-			// validation outcome; a current client reads it.
+			// An older server still sends the last activation's validation
+			// outcome; those keys are unknown now and skipped.
 			name:  "last activation keys",
 			reply: "OK runs=4 last_false_cycles=1 last_validations=3",
-			want: Stats{
-				Stats:           hwtwbg.Stats{Runs: 4},
-				LastFalseCycles: 1,
-				LastValidations: 3,
-			},
+			want:  Stats{Stats: hwtwbg.Stats{Runs: 4}},
 		},
 		{
 			// An old server that predates the last_* keys: the fields
@@ -136,9 +132,10 @@ func TestClientStatsParsing(t *testing.T) {
 			want:  Stats{Stats: hwtwbg.Stats{Runs: 4, FalseCycles: 2}},
 		},
 		{
-			name:    "last activation key with non-integer value",
-			reply:   "OK last_validations=lots",
-			wantErr: "malformed",
+			// Unknown keys are skipped with their values unparsed.
+			name:  "last activation key with non-integer value",
+			reply: "OK last_validations=lots",
+			want:  Stats{},
 		},
 		{
 			// A cost-model-era server: cm_* carries the scheduling cost
@@ -165,17 +162,14 @@ func TestClientStatsParsing(t *testing.T) {
 			wantErr: "malformed",
 		},
 		{
-			// An incremental-snapshot-era server: copy_ns/acquire_ns are
-			// the last activation's copy-out and mutex-wait phases, and
-			// shards_copied/shards_skipped the lifetime skip totals (the
-			// latter promote through the embedded hwtwbg.Stats).
+			// An incremental-snapshot-era server: shards_copied and
+			// shards_skipped are the lifetime skip totals (they promote
+			// through the embedded hwtwbg.Stats). An older one also sent
+			// the last activation's copy_ns/acquire_ns, unknown now and
+			// skipped.
 			name:  "incremental snapshot keys",
 			reply: "OK runs=6 copy_ns=250000 acquire_ns=30000 shards_copied=48 shards_skipped=912",
-			want: Stats{
-				Stats:       hwtwbg.Stats{Runs: 6, ShardsCopied: 48, ShardsSkipped: 912},
-				LastCopy:    250 * time.Microsecond,
-				LastAcquire: 30 * time.Microsecond,
-			},
+			want:  Stats{Stats: hwtwbg.Stats{Runs: 6, ShardsCopied: 48, ShardsSkipped: 912}},
 		},
 		{
 			// An old server that predates the incremental-snapshot keys:
@@ -185,9 +179,10 @@ func TestClientStatsParsing(t *testing.T) {
 			want:  Stats{Stats: hwtwbg.Stats{Runs: 6, ShardHoldLast: 120 * time.Microsecond}},
 		},
 		{
-			name:    "incremental snapshot key with non-integer value",
-			reply:   "OK copy_ns=slow",
-			wantErr: "malformed",
+			// Unknown keys are skipped with their values unparsed.
+			name:  "incremental snapshot key with non-integer value",
+			reply: "OK copy_ns=slow",
+			want:  Stats{},
 		},
 		{
 			name:    "shard count key with non-integer value",

@@ -25,22 +25,6 @@ type sseBatch struct {
 	Records []journal.RecordView `json:"records"`
 }
 
-// sseHeartbeat is the "heartbeat" event payload: the counter deltas a
-// dashboard needs between batches (the SSE shape of the TAIL HB frame).
-type sseHeartbeat struct {
-	Seq             uint64 `json:"seq"`
-	Emitted         uint64 `json:"emitted"`
-	Overwritten     uint64 `json:"overwritten"`
-	TornReads       uint64 `json:"torn_reads"`
-	Grants          uint64 `json:"grants"`
-	Runs            int    `json:"runs"`
-	Cycles          int    `json:"cycles"`
-	Aborted         int    `json:"aborted"`
-	Lagged          uint64 `json:"lagged"`
-	PeriodNs        int64  `json:"period_ns"`
-	CostModelPeriod int64  `json:"cm_period_ns"`
-}
-
 // writeSSE emits one server-sent event with a JSON data line.
 func writeSSE(w http.ResponseWriter, event string, v any) error {
 	data, err := json.Marshal(v)
@@ -123,14 +107,8 @@ func (f sseFrames) batch(ring int, recs []journal.Record, next, lost uint64) err
 	return writeSSE(f.w, "batch", b)
 }
 
-func (f sseFrames) heartbeat(hb TailHeartbeat) error {
-	return writeSSE(f.w, "heartbeat", sseHeartbeat{
-		Seq: hb.Seq, Emitted: hb.Emitted, Overwritten: hb.Overwritten,
-		TornReads: hb.Torn, Grants: hb.Grants,
-		Runs: hb.Runs, Cycles: hb.Cycles, Aborted: hb.Aborted,
-		Lagged: hb.Lagged, PeriodNs: hb.Period.Nanoseconds(),
-		CostModelPeriod: hb.CostModelPeriod.Nanoseconds(),
-	})
+func (f sseFrames) heartbeat(b *beat) error {
+	return writeSSE(f.w, "heartbeat", b.view())
 }
 
 func (f sseFrames) end(records int) error {

@@ -186,24 +186,22 @@ func (sess *refSession) dispatch(line string) (resp string, quit bool) {
 		for _, sh := range sess.srv.lm.ShardStats() {
 			shardGrants += sh.Grants
 		}
-		last, _ := sess.srv.lm.LastActivation() // zero report when none has run
 		cm := sess.srv.lm.CostModel()
 		var js journal.RingStats
 		if jr := sess.srv.lm.Journal(); jr != nil {
 			js = jr.Stats()
 		}
-		return fmt.Sprintf("OK runs=%d cycles=%d aborted=%d repositioned=%d salvaged=%d hold_last_ns=%d hold_max_ns=%d shard_grants=%d false_cycles=%d validations=%d period_ns=%d last_false_cycles=%d last_validations=%d"+
+		return fmt.Sprintf("OK runs=%d cycles=%d aborted=%d repositioned=%d salvaged=%d hold_last_ns=%d hold_max_ns=%d shard_grants=%d false_cycles=%d validations=%d period_ns=%d"+
 			" cm_samples=%d cm_deadlocks=%d cm_rate_uhz=%d cm_detect_ns=%d cm_persist_ns=%d cm_period_ns=%d"+
 			" journal_emitted=%d journal_overwritten=%d journal_torn_reads=%d"+
-			" copy_ns=%d acquire_ns=%d shards_copied=%d shards_skipped=%d"+
+			" shards_copied=%d shards_skipped=%d"+
 			" tail_sessions=%d tail_lagged=%d op_tags=%d",
 			st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged,
 			st.ShardHoldLast.Nanoseconds(), st.ShardHoldMax.Nanoseconds(), shardGrants,
 			st.FalseCycles, st.Validations, sess.srv.lm.CurrentPeriod().Nanoseconds(),
-			last.FalseCycles, last.Validations,
 			cm.Samples, cm.Deadlocks, int64(cm.RatePerSec*1e6), cm.DetectCost.Nanoseconds(), cm.PersistCost.Nanoseconds(), cm.Period.Nanoseconds(),
 			js.Emitted, js.Overwritten, js.TornReads,
-			last.Copy.Nanoseconds(), last.Acquire.Nanoseconds(), st.ShardsCopied, st.ShardsSkipped,
+			st.ShardsCopied, st.ShardsSkipped,
 			sess.srv.tailSessions.Load(), sess.srv.tailLagged.Load(), sess.srv.opTags.Load()), false
 	case "DUMP":
 		jr := sess.srv.lm.Journal()

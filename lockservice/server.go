@@ -16,25 +16,14 @@
 //	TRYLOCK <resource> <mode> -> OK | BUSY | ABORTED | ERR <msg>
 //	COMMIT                -> OK | ERR <msg>
 //	ABORT                 -> OK
-//	STATS                 -> OK runs=<n> cycles=<n> aborted=<n> repositioned=<n> salvaged=<n>
-//	                            hold_last_ns=<n> hold_max_ns=<n> shard_grants=<n>
-//	                            false_cycles=<n> validations=<n> period_ns=<n>
-//	                            last_false_cycles=<n> last_validations=<n>
-//	                            cm_samples=<n> cm_deadlocks=<n> cm_rate_uhz=<n>
-//	                            cm_detect_ns=<n> cm_persist_ns=<n> cm_period_ns=<n>
-//	                            journal_emitted=<n> journal_overwritten=<n> journal_torn_reads=<n>
-//	                            copy_ns=<n> acquire_ns=<n> shards_copied=<n> shards_skipped=<n>
-//	                            tail_sessions=<n> tail_lagged=<n> op_tags=<n>
-//	                         (one line; clients must skip unknown key=value fields,
-//	                         so the list can grow; last_* report the most recent
-//	                         detector activation alone, as do copy_ns and
-//	                         acquire_ns — its snapshot copy-out and shard-mutex
-//	                         wait; cm_* is the scheduling cost model — rate in
-//	                         micro-deadlocks/sec — journal_* the flight
-//	                         recorder's ring counters, so silent ring overwrite
-//	                         is visible on the wire, and shards_copied/
-//	                         shards_skipped the lifetime incremental-snapshot
-//	                         totals)
+//	STATS                 -> OK <key>=<n> ...
+//	                         (one line: the STATS key of every row of
+//	                         hwtwbg.Metrics that has one, in table order —
+//	                         runs, cycles, aborted, ..., shards_skipped —
+//	                         then tail_sessions, tail_lagged and op_tags;
+//	                         durations in nanoseconds, cm_rate_uhz in
+//	                         micro-deadlocks/sec. Clients must skip unknown
+//	                         key=value fields, so the list can grow)
 //	SNAPSHOT              -> OK <n-lines> followed by n lines of lock table
 //	DUMP                  -> OK <n-records> followed by n lines, each one flight-
 //	                         recorder record in its base64 text form (see
@@ -103,7 +92,6 @@ import (
 	"unicode/utf8"
 
 	"hwtwbg"
-	"hwtwbg/journal"
 	"hwtwbg/metrics"
 )
 
@@ -112,10 +100,9 @@ type Server struct {
 	lm *hwtwbg.Manager
 	ln net.Listener
 
-	// Wire-level telemetry (STATS keys tail_sessions, tail_lagged,
-	// op_tags): TAIL sessions ever started, records those sessions lost
-	// to ring overwrite before delivery, and op tags attached via the
-	// trailing tag= field.
+	// Wire-level telemetry (serverStats): TAIL sessions ever started,
+	// records those sessions lost to ring overwrite before delivery, and
+	// op tags attached via the trailing tag= field.
 	tailSessions metrics.Counter
 	tailLagged   metrics.Counter
 	opTags       metrics.Counter
@@ -522,7 +509,7 @@ func (sess *session) dispatch(line []byte, cmd string) (quit bool) {
 		}
 		sess.reply("OK")
 	case "STATS":
-		sess.reply(sess.stats())
+		sess.out = sess.srv.appendStats(sess.out)
 	case "DUMP":
 		sess.reply(sess.dump())
 	case "SNAPSHOT":
@@ -533,38 +520,31 @@ func (sess *session) dispatch(line []byte, cmd string) (quit bool) {
 	return false
 }
 
-// stats renders the STATS reply.
-//
-// Its key=value vocabulary is the wire contract checked by the
-// wireschema analyzer against Client.Stats: adding a key here without
-// teaching the client parser (or vice versa) fails lint.
-//
-//hwlint:wire emit stats
-func (sess *session) stats() string {
-	st := sess.srv.lm.Stats()
-	var shardGrants uint64
-	for _, sh := range sess.srv.lm.ShardStats() {
-		shardGrants += sh.Grants
+// serverStats are the STATS keys the server counts itself, after the
+// manager's rows of hwtwbg.Metrics.
+var serverStats = []struct {
+	key     string
+	counter func(*Server) *metrics.Counter
+	field   func(*Stats) *uint64
+}{
+	{"tail_sessions", func(s *Server) *metrics.Counter { return &s.tailSessions }, func(st *Stats) *uint64 { return &st.TailSessions }},
+	{"tail_lagged", func(s *Server) *metrics.Counter { return &s.tailLagged }, func(st *Stats) *uint64 { return &st.TailLagged }},
+	{"op_tags", func(s *Server) *metrics.Counter { return &s.opTags }, func(st *Stats) *uint64 { return &st.OpTags }},
+}
+
+// appendStats appends the STATS reply to b.
+func (s *Server) appendStats(b []byte) []byte {
+	snap := s.lm.MetricsSnapshot()
+	b = append(b, "OK"...)
+	for i := range hwtwbg.Metrics {
+		if d := &hwtwbg.Metrics[i]; d.Stat != "" {
+			b = fmt.Appendf(b, " %s=%d", d.Stat, d.Wire(&snap))
+		}
 	}
-	last, _ := sess.srv.lm.LastActivation() // zero report when none has run
-	cm := sess.srv.lm.CostModel()
-	var js journal.RingStats
-	if jr := sess.srv.lm.Journal(); jr != nil {
-		js = jr.Stats()
+	for _, c := range serverStats {
+		b = fmt.Appendf(b, " %s=%d", c.key, c.counter(s).Load())
 	}
-	return fmt.Sprintf("OK runs=%d cycles=%d aborted=%d repositioned=%d salvaged=%d hold_last_ns=%d hold_max_ns=%d shard_grants=%d false_cycles=%d validations=%d period_ns=%d last_false_cycles=%d last_validations=%d"+
-		" cm_samples=%d cm_deadlocks=%d cm_rate_uhz=%d cm_detect_ns=%d cm_persist_ns=%d cm_period_ns=%d"+
-		" journal_emitted=%d journal_overwritten=%d journal_torn_reads=%d"+
-		" copy_ns=%d acquire_ns=%d shards_copied=%d shards_skipped=%d"+
-		" tail_sessions=%d tail_lagged=%d op_tags=%d",
-		st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged,
-		st.ShardHoldLast.Nanoseconds(), st.ShardHoldMax.Nanoseconds(), shardGrants,
-		st.FalseCycles, st.Validations, sess.srv.lm.CurrentPeriod().Nanoseconds(),
-		last.FalseCycles, last.Validations,
-		cm.Samples, cm.Deadlocks, int64(cm.RatePerSec*1e6), cm.DetectCost.Nanoseconds(), cm.PersistCost.Nanoseconds(), cm.Period.Nanoseconds(),
-		js.Emitted, js.Overwritten, js.TornReads,
-		last.Copy.Nanoseconds(), last.Acquire.Nanoseconds(), st.ShardsCopied, st.ShardsSkipped,
-		sess.srv.tailSessions.Load(), sess.srv.tailLagged.Load(), sess.srv.opTags.Load())
+	return b
 }
 
 // dump renders the DUMP reply: a header and one line per record.

@@ -72,7 +72,7 @@ type ringTail struct {
 // from any frame ends the stream.
 type tailFramer interface {
 	batch(ring int, recs []journal.Record, next, lost uint64) error
-	heartbeat(TailHeartbeat) error
+	heartbeat(*beat) error
 	end(records int) error
 	flush() error
 	// stopped reports that the stream must end without an end frame:
@@ -94,19 +94,43 @@ func startCursors(jr *journal.Journal, fromOldest bool) []uint64 {
 	return cursors
 }
 
-// heartbeat snapshots the detector and journal counters one heartbeat
-// carries, plus the session's cumulative lag.
-func (t *ringTail) heartbeat(seq, lagged uint64) TailHeartbeat {
-	st := t.lm.Stats()
-	var grants uint64
-	for _, sh := range t.lm.ShardStats() {
-		grants += sh.Grants
+// beat is one heartbeat: the session's sequence number and cumulative
+// lag, and the manager snapshot whose rows of hwtwbg.Metrics with an HB
+// key it carries.
+type beat struct {
+	seq, lagged uint64
+	snap        hwtwbg.MetricsSnapshot
+}
+
+// The heartbeat keys of the session's own facts.
+const hbSeq, hbLagged = "hb_seq", "hb_lagged"
+
+// line renders the HB frame.
+func (b *beat) line() []byte {
+	out := fmt.Appendf(nil, "HB %s=%d", hbSeq, b.seq)
+	for i := range hwtwbg.Metrics {
+		if d := &hwtwbg.Metrics[i]; d.HB != "" {
+			out = fmt.Appendf(out, " %s=%d", d.HB, d.Wire(&b.snap))
+		}
 	}
-	js := t.jr.Stats()
+	return fmt.Appendf(out, " %s=%d\n", hbLagged, b.lagged)
+}
+
+// view is the heartbeat as a TailHeartbeat.
+func (b *beat) view() TailHeartbeat {
+	s := &b.snap
 	return TailHeartbeat{
-		Seq: seq, Emitted: js.Emitted, Overwritten: js.Overwritten, Torn: js.TornReads,
-		Grants: grants, Runs: st.Runs, Cycles: st.CyclesSearched, Aborted: st.Aborted,
-		Lagged: lagged, Period: t.lm.CurrentPeriod(), CostModelPeriod: t.lm.CostModel().Period,
+		Seq:             b.seq,
+		Emitted:         s.Journal.Emitted,
+		Overwritten:     s.Journal.Overwritten,
+		Torn:            s.Journal.TornReads,
+		Grants:          s.Total.Grants,
+		Runs:            s.Detector.Runs,
+		Cycles:          s.Detector.CyclesSearched,
+		Aborted:         s.Detector.Aborted,
+		Lagged:          b.lagged,
+		Period:          s.Period,
+		CostModelPeriod: s.CostModel.Period,
 	}
 }
 
@@ -149,7 +173,7 @@ func (t *ringTail) run(f tailFramer) bool {
 		}
 		if time.Since(lastHB) >= t.hb {
 			hbSeq++
-			if f.heartbeat(t.heartbeat(hbSeq, lagged)) != nil {
+			if f.heartbeat(&beat{seq: hbSeq, lagged: lagged, snap: t.lm.MetricsSnapshot()}) != nil {
 				return false
 			}
 			progressed = true
@@ -188,17 +212,9 @@ func (f tailLines) batch(ring int, recs []journal.Record, next, lost uint64) err
 	return nil
 }
 
-// heartbeat emits one HB frame. Every key wears the hb_ prefix — the
-// wireschema analyzer holds the vocabulary equal to the client's
-// parseTailHeartbeat by that prefix.
-//
-//hwlint:wire emit tailhb prefix=hb_
-func (f tailLines) heartbeat(hb TailHeartbeat) error {
-	fmt.Fprintf(f.w, "HB hb_seq=%d hb_emitted=%d hb_overwritten=%d hb_torn=%d hb_grants=%d hb_runs=%d hb_cycles=%d hb_aborted=%d hb_lagged=%d hb_period_ns=%d hb_cm_period_ns=%d\n",
-		hb.Seq, hb.Emitted, hb.Overwritten, hb.Torn, hb.Grants,
-		hb.Runs, hb.Cycles, hb.Aborted, hb.Lagged,
-		hb.Period.Nanoseconds(), hb.CostModelPeriod.Nanoseconds())
-	return nil
+func (f tailLines) heartbeat(b *beat) error {
+	_, err := f.w.Write(b.line())
+	return err
 }
 
 func (f tailLines) end(records int) error {

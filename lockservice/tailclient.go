@@ -45,19 +45,19 @@ type TailBatch struct {
 // the server interleaves with batches, plus the session's cumulative
 // lag (records lost across all rings since the session began).
 type TailHeartbeat struct {
-	Seq         uint64 // heartbeat number within the session, from 1
-	Emitted     uint64 // journal records ever emitted
-	Overwritten uint64 // lost to ring wrap before any snapshot saw them
-	Torn        uint64 // snapshot copies discarded as torn
-	Grants      uint64 // lock grants summed across every shard
-	Runs        int    // detector activations
-	Cycles      int    // cycles searched
-	Aborted     int    // victims aborted
-	Lagged      uint64 // records this tail session lost to overwrite
+	Seq         uint64 `json:"seq"`         // heartbeat number within the session, from 1
+	Emitted     uint64 `json:"emitted"`     // journal records ever emitted
+	Overwritten uint64 `json:"overwritten"` // lost to ring wrap before any snapshot saw them
+	Torn        uint64 `json:"torn_reads"`  // snapshot copies discarded as torn
+	Grants      uint64 `json:"grants"`      // lock grants summed across every shard
+	Runs        int    `json:"runs"`        // detector activations
+	Cycles      int    `json:"cycles"`      // cycles searched
+	Aborted     int    `json:"aborted"`     // victims aborted
+	Lagged      uint64 `json:"lagged"`      // records this tail session lost to overwrite
 	// Period and CostModelPeriod are the live detection interval and the
 	// cost model's derived optimum.
-	Period          time.Duration
-	CostModelPeriod time.Duration
+	Period          time.Duration `json:"period_ns"`
+	CostModelPeriod time.Duration `json:"cm_period_ns"`
 }
 
 // TailOptions configures one TailJournal session.
@@ -111,12 +111,9 @@ func parseTailBatchHeader(line string) (ring, n int, next, lost uint64, err erro
 // parseTailHeartbeat parses one HB frame. Every counter key wears the
 // hb_ prefix; unknown hb_ keys from a newer server are skipped, keys a
 // server does not send stay zero — the same forward/backward contract
-// as STATS. The wireschema analyzer holds the hb_ vocabulary equal to
-// the server's tailLines.heartbeat.
-//
-//hwlint:wire parse tailhb prefix=hb_
+// as STATS.
 func parseTailHeartbeat(line string) (TailHeartbeat, error) {
-	var hb TailHeartbeat
+	var b beat
 	for _, f := range strings.Fields(strings.TrimPrefix(line, "HB ")) {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok || !strings.HasPrefix(k, "hb_") {
@@ -124,34 +121,20 @@ func parseTailHeartbeat(line string) (TailHeartbeat, error) {
 		}
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return hb, fmt.Errorf("lockservice: malformed HB field %q", f)
+			return TailHeartbeat{}, fmt.Errorf("lockservice: malformed HB field %q", f)
 		}
 		switch k {
-		case "hb_seq":
-			hb.Seq = uint64(n)
-		case "hb_emitted":
-			hb.Emitted = uint64(n)
-		case "hb_overwritten":
-			hb.Overwritten = uint64(n)
-		case "hb_torn":
-			hb.Torn = uint64(n)
-		case "hb_grants":
-			hb.Grants = uint64(n)
-		case "hb_runs":
-			hb.Runs = int(n)
-		case "hb_cycles":
-			hb.Cycles = int(n)
-		case "hb_aborted":
-			hb.Aborted = int(n)
-		case "hb_lagged":
-			hb.Lagged = uint64(n)
-		case "hb_period_ns":
-			hb.Period = time.Duration(n)
-		case "hb_cm_period_ns":
-			hb.CostModelPeriod = time.Duration(n)
+		case hbSeq:
+			b.seq = uint64(n)
+		case hbLagged:
+			b.lagged = uint64(n)
+		default:
+			if d := metricByHB[k]; d != nil {
+				d.SetWire(&b.snap, n)
+			}
 		}
 	}
-	return hb, nil
+	return b.view(), nil
 }
 
 // TailJournal subscribes to the server's flight recorder and delivers

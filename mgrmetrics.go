@@ -195,6 +195,8 @@ type MetricsSnapshot struct {
 	// CostModel is the detection-scheduling cost model's state (see
 	// Manager.CostModel).
 	CostModel CostModelState `json:"cost_model"`
+	// Period is the live detection interval (Manager.CurrentPeriod).
+	Period time.Duration `json:"period_ns"`
 }
 
 // MetricsSnapshot collects the current metrics without taking any shard
@@ -217,17 +219,184 @@ func (m *Manager) MetricsSnapshot() MetricsSnapshot {
 		snap.Journal = m.jr.Stats()
 	}
 	snap.CostModel = m.CostModel()
+	snap.Period = m.CurrentPeriod()
 	return snap
 }
 
+// Metric is one scalar fact of a MetricsSnapshot with every name it
+// goes by. Metrics lists them: the lockservice STATS reply and TAIL
+// heartbeat, and WritePrometheus, render from that table, and the
+// lockservice client parses through it, so a counter is added to all of
+// them by adding a row.
+type Metric struct {
+	Stat string // STATS key; "" when STATS omits the fact
+	HB   string // TAIL heartbeat key; "" when the heartbeat omits it
+	// Prom and Help name the /metrics series; Prom is "" when /metrics
+	// omits the fact or renders it as a labelled family of its own.
+	Prom, Help string
+	Gauge      bool // Prometheus TYPE gauge; otherwise counter
+
+	// field points at the fact in a snapshot: an *int, *uint64,
+	// *time.Duration or *float64. Reads and writes both go through it.
+	field func(*MetricsSnapshot) any
+	group promGroup
+}
+
+// promGroup places a row's /metrics sample among the labelled families
+// WritePrometheus writes itself; rows keep table order within a group.
+type promGroup uint8
+
+const (
+	promRequests   promGroup = iota // after the request and grant-by-mode families
+	promDetector                    // after the latency histograms
+	promScheduling                  // after the detector phase family
+)
+
+// Wire returns the fact as the STATS reply and the TAIL heartbeat carry
+// it: an integer, durations in nanoseconds and rates (float64 facts) in
+// millionths.
+func (d *Metric) Wire(s *MetricsSnapshot) int64 {
+	switch p := d.field(s).(type) {
+	case *int:
+		return int64(*p)
+	case *uint64:
+		return int64(*p)
+	case *time.Duration:
+		return p.Nanoseconds()
+	case *float64:
+		return int64(*p * 1e6)
+	}
+	panic("hwtwbg: Metric field of unsupported type")
+}
+
+// SetWire stores a Wire value into s.
+func (d *Metric) SetWire(s *MetricsSnapshot, n int64) {
+	switch p := d.field(s).(type) {
+	case *int:
+		*p = int(n)
+	case *uint64:
+		*p = uint64(n)
+	case *time.Duration:
+		*p = time.Duration(n)
+	case *float64:
+		*p = float64(n) * 1e-6
+	default:
+		panic("hwtwbg: Metric field of unsupported type")
+	}
+}
+
+// Value returns the fact as /metrics exposes it: durations in seconds.
+func (d *Metric) Value(s *MetricsSnapshot) float64 {
+	switch p := d.field(s).(type) {
+	case *int:
+		return float64(*p)
+	case *uint64:
+		return float64(*p)
+	case *time.Duration:
+		return p.Seconds()
+	case *float64:
+		return *p
+	}
+	panic("hwtwbg: Metric field of unsupported type")
+}
+
+// Metrics is the descriptor table, in STATS order.
+var Metrics = []Metric{
+	{Prom: "hwtwbg_immediate_grants_total", Help: "Requests granted without blocking.",
+		field: func(s *MetricsSnapshot) any { return &s.Total.Immediate }},
+	{Prom: "hwtwbg_blocked_requests_total", Help: "Requests that enqueued.",
+		field: func(s *MetricsSnapshot) any { return &s.Total.Blocked }},
+	{Prom: "hwtwbg_wait_aborts_total", Help: "Blocked waits ended by abort or cancellation.",
+		field: func(s *MetricsSnapshot) any { return &s.Total.WaitAborts }},
+	{Prom: "hwtwbg_trylock_refused_total", Help: "TryLock refusals (would have blocked).",
+		field: func(s *MetricsSnapshot) any { return &s.Total.TryRefused }},
+	{Prom: "hwtwbg_shard_mutex_acquires_total", Help: "Hot-path shard-mutex acquisition rounds.",
+		field: func(s *MetricsSnapshot) any { return &s.Total.MutexAcquires }},
+	{Prom: "hwtwbg_flat_combined_total", Help: "Lock requests applied by another goroutine's flat-combining drain.",
+		field: func(s *MetricsSnapshot) any { return &s.Total.FlatCombined }},
+
+	{Stat: "runs", HB: "hb_runs", Prom: "hwtwbg_detector_runs_total", Help: "Detector activations.",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.Runs }, group: promDetector},
+	{Stat: "cycles", HB: "hb_cycles", Prom: "hwtwbg_detector_cycles_total", Help: "Cycles found and resolved (the paper's c', summed).",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.CyclesSearched }, group: promDetector},
+	{Stat: "aborted", HB: "hb_aborted", Prom: "hwtwbg_detector_victims_total", Help: "Transactions aborted by the detector (TDR-1).",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.Aborted }, group: promDetector},
+	{Stat: "repositioned", Prom: "hwtwbg_detector_repositions_total", Help: "Deadlocks resolved without any abort (TDR-2).",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.Repositioned }, group: promDetector},
+	{Stat: "salvaged", Prom: "hwtwbg_detector_salvaged_total", Help: "Victims rescued at Step 3.",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.Salvaged }, group: promDetector},
+	{Stat: "hold_last_ns", Prom: "hwtwbg_detector_shard_hold_last_seconds", Gauge: true,
+		Help:  "Most recent activation's longest single-shard copy hold (its worst grant-path stall).",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.ShardHoldLast }, group: promScheduling},
+	{Stat: "hold_max_ns", Prom: "hwtwbg_detector_shard_hold_max_seconds", Gauge: true, Help: "Worst single-shard copy hold of any activation.",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.ShardHoldMax }, group: promScheduling},
+	// /metrics breaks grants down by shard, a family of its own.
+	{Stat: "shard_grants", HB: "hb_grants",
+		field: func(s *MetricsSnapshot) any { return &s.Total.Grants }},
+	{Stat: "false_cycles", Prom: "hwtwbg_detector_false_cycles_total", Help: "Resolutions dropped at validation (torn-snapshot artifacts).",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.FalseCycles }, group: promDetector},
+	{Stat: "validations", Prom: "hwtwbg_detector_validations_total", Help: "Validate-then-act attempts (applied + dropped).",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.Validations }, group: promDetector},
+	{Stat: "period_ns", HB: "hb_period_ns", Prom: "hwtwbg_detector_period_seconds", Gauge: true,
+		Help:  "Live detection interval (self-tuned when Scheduling is costmodel).",
+		field: func(s *MetricsSnapshot) any { return &s.Period }, group: promScheduling},
+
+	{Stat: "cm_samples", Prom: "hwtwbg_costmodel_samples_total", Help: "Detector activations folded into the scheduling cost model.",
+		field: func(s *MetricsSnapshot) any { return &s.CostModel.Samples }, group: promScheduling},
+	{Stat: "cm_deadlocks", Prom: "hwtwbg_costmodel_deadlocks_total", Help: "Deadlock cycles observed by the scheduling cost model.",
+		field: func(s *MetricsSnapshot) any { return &s.CostModel.Deadlocks }, group: promScheduling},
+	{Prom: "hwtwbg_costmodel_victim_waits_total", Help: "Victim wait-span samples folded into the persistence-cost estimate.",
+		field: func(s *MetricsSnapshot) any { return &s.CostModel.VictimWaits }, group: promScheduling},
+	{Stat: "cm_rate_uhz", Prom: "hwtwbg_costmodel_rate_hz", Gauge: true, Help: "Estimated deadlock formation rate (exponentially time-decayed).",
+		field: func(s *MetricsSnapshot) any { return &s.CostModel.RatePerSec }, group: promScheduling},
+	{Stat: "cm_detect_ns", Prom: "hwtwbg_costmodel_detect_cost_seconds", Gauge: true, Help: "EWMA cost of one detector activation.",
+		field: func(s *MetricsSnapshot) any { return &s.CostModel.DetectCost }, group: promScheduling},
+	{Stat: "cm_persist_ns", Prom: "hwtwbg_costmodel_persist_cost_seconds", Gauge: true,
+		Help:  "EWMA deadlock victim wait span (persistence cost per caught deadlock).",
+		field: func(s *MetricsSnapshot) any { return &s.CostModel.PersistCost }, group: promScheduling},
+	{Prom: "hwtwbg_costmodel_stall_rate", Gauge: true, Help: "Estimated stalled-transaction accrual rate of a persisting deadlock.",
+		field: func(s *MetricsSnapshot) any { return &s.CostModel.StallRate }, group: promScheduling},
+	{Stat: "cm_period_ns", HB: "hb_cm_period_ns", Prom: "hwtwbg_costmodel_period_seconds", Gauge: true,
+		Help:  "Cost-minimizing detection period sqrt(2D/(lambda*rho)), clamped.",
+		field: func(s *MetricsSnapshot) any { return &s.CostModel.Period }, group: promScheduling},
+
+	{Stat: "journal_emitted", HB: "hb_emitted", Prom: "hwtwbg_journal_records_total", Help: "Flight-recorder records emitted across all rings.",
+		field: func(s *MetricsSnapshot) any { return &s.Journal.Emitted }, group: promScheduling},
+	{Stat: "journal_overwritten", HB: "hb_overwritten", Prom: "hwtwbg_journal_overwritten_total",
+		Help:  "Flight-recorder records overwritten before any snapshot saw them.",
+		field: func(s *MetricsSnapshot) any { return &s.Journal.Overwritten }, group: promScheduling},
+	{Stat: "journal_torn_reads", HB: "hb_torn", Prom: "hwtwbg_journal_torn_reads_total", Help: "Snapshot reads that discarded a torn record.",
+		field: func(s *MetricsSnapshot) any { return &s.Journal.TornReads }, group: promScheduling},
+	{Prom: "hwtwbg_journal_capacity_records", Gauge: true, Help: "Flight-recorder capacity in records, summed across rings.",
+		field: func(s *MetricsSnapshot) any { return &s.Journal.Cap }, group: promScheduling},
+
+	{Stat: "shards_copied", Prom: "hwtwbg_detector_shards_copied_total", Help: "Shards copied into the incremental snapshot (dirty at activation).",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.ShardsCopied }, group: promDetector},
+	{Stat: "shards_skipped", Prom: "hwtwbg_detector_shards_skipped_total", Help: "Shards skipped by the incremental snapshot (clean since last copy).",
+		field: func(s *MetricsSnapshot) any { return &s.Detector.ShardsSkipped }, group: promDetector},
+}
+
 // WritePrometheus writes the current metrics in Prometheus text
-// exposition format: request/grant counters (aggregate per mode and
-// per shard), the wait-latency, time-to-grant and queue-depth
-// histograms (aggregated across shards), and the detector's lifetime
-// counters with the per-phase stop-the-world breakdown.
+// exposition format: the rows of Metrics that name a series, plus the
+// labelled families — requests by kind, grants by mode and by shard,
+// the detector's per-phase wall clock — and the wait-latency,
+// time-to-grant and queue-depth histograms (aggregated across shards).
 func (m *Manager) WritePrometheus(w io.Writer) error {
 	snap := m.MetricsSnapshot()
 	bw := &errWriter{w: w}
+	scalars := func(g promGroup) {
+		for i := range Metrics {
+			d := &Metrics[i]
+			if d.Prom == "" || d.group != g {
+				continue
+			}
+			if d.Gauge {
+				metrics.WriteGauge(bw, d.Prom, d.Help, nil, d.Value(&snap))
+			} else {
+				metrics.WriteCounter(bw, d.Prom, d.Help, nil, uint64(d.Wire(&snap)))
+			}
+		}
+	}
 
 	metrics.WriteHeader(bw, "hwtwbg_lock_requests_total", "Lock requests by kind.", "counter")
 	metrics.WriteCounterSample(bw, "hwtwbg_lock_requests_total", map[string]string{"kind": "fresh"}, snap.Total.Fresh)
@@ -239,13 +408,7 @@ func (m *Manager) WritePrometheus(w io.Writer) error {
 			metrics.WriteCounterSample(bw, "hwtwbg_lock_grants_total", map[string]string{"mode": mode.String()}, v)
 		}
 	}
-
-	metrics.WriteCounter(bw, "hwtwbg_immediate_grants_total", "Requests granted without blocking.", nil, snap.Total.Immediate)
-	metrics.WriteCounter(bw, "hwtwbg_blocked_requests_total", "Requests that enqueued.", nil, snap.Total.Blocked)
-	metrics.WriteCounter(bw, "hwtwbg_wait_aborts_total", "Blocked waits ended by abort or cancellation.", nil, snap.Total.WaitAborts)
-	metrics.WriteCounter(bw, "hwtwbg_trylock_refused_total", "TryLock refusals (would have blocked).", nil, snap.Total.TryRefused)
-	metrics.WriteCounter(bw, "hwtwbg_shard_mutex_acquires_total", "Hot-path shard-mutex acquisition rounds.", nil, snap.Total.MutexAcquires)
-	metrics.WriteCounter(bw, "hwtwbg_flat_combined_total", "Lock requests applied by another goroutine's flat-combining drain.", nil, snap.Total.FlatCombined)
+	scalars(promRequests)
 
 	metrics.WriteHeader(bw, "hwtwbg_shard_grants_total", "Lock grants per shard.", "counter")
 	for i, s := range snap.Shards {
@@ -255,17 +418,7 @@ func (m *Manager) WritePrometheus(w io.Writer) error {
 	metrics.WriteHistogram(bw, "hwtwbg_lock_wait_seconds", "Time blocked before grant (blocked requests only).", nil, snap.Total.WaitNs, 1e-9)
 	metrics.WriteHistogram(bw, "hwtwbg_time_to_grant_seconds", "Request-to-grant latency, every granted request.", nil, snap.Total.GrantNs, 1e-9)
 	metrics.WriteHistogram(bw, "hwtwbg_queue_depth_enqueue", "Requests in line at enqueue, including the newcomer.", nil, snap.Total.QueueDepth, 1)
-
-	st := snap.Detector
-	metrics.WriteCounter(bw, "hwtwbg_detector_runs_total", "Detector activations.", nil, uint64(st.Runs))
-	metrics.WriteCounter(bw, "hwtwbg_detector_cycles_total", "Cycles found and resolved (the paper's c', summed).", nil, uint64(st.CyclesSearched))
-	metrics.WriteCounter(bw, "hwtwbg_detector_victims_total", "Transactions aborted by the detector (TDR-1).", nil, uint64(st.Aborted))
-	metrics.WriteCounter(bw, "hwtwbg_detector_repositions_total", "Deadlocks resolved without any abort (TDR-2).", nil, uint64(st.Repositioned))
-	metrics.WriteCounter(bw, "hwtwbg_detector_salvaged_total", "Victims rescued at Step 3.", nil, uint64(st.Salvaged))
-	metrics.WriteCounter(bw, "hwtwbg_detector_false_cycles_total", "Resolutions dropped at validation (torn-snapshot artifacts).", nil, uint64(st.FalseCycles))
-	metrics.WriteCounter(bw, "hwtwbg_detector_validations_total", "Validate-then-act attempts (applied + dropped).", nil, uint64(st.Validations))
-	metrics.WriteCounter(bw, "hwtwbg_detector_shards_copied_total", "Shards copied into the incremental snapshot (dirty at activation).", nil, uint64(st.ShardsCopied))
-	metrics.WriteCounter(bw, "hwtwbg_detector_shards_skipped_total", "Shards skipped by the incremental snapshot (clean since last copy).", nil, uint64(st.ShardsSkipped))
+	scalars(promDetector)
 
 	metrics.WriteHeader(bw, "hwtwbg_detector_phase_seconds_total", "Cumulative detector wall clock per phase.", "counter")
 	for _, ph := range []struct {
@@ -282,25 +435,7 @@ func (m *Manager) WritePrometheus(w io.Writer) error {
 	} {
 		fmt.Fprintf(bw, "hwtwbg_detector_phase_seconds_total{phase=%q} %.9g\n", ph.name, ph.d.Seconds())
 	}
-	metrics.WriteGauge(bw, "hwtwbg_detector_shard_hold_last_seconds", "Most recent activation's longest single-shard copy hold (its worst grant-path stall).", nil, st.ShardHoldLast.Seconds())
-	metrics.WriteGauge(bw, "hwtwbg_detector_shard_hold_max_seconds", "Worst single-shard copy hold of any activation.", nil, st.ShardHoldMax.Seconds())
-	metrics.WriteGauge(bw, "hwtwbg_detector_period_seconds", "Live detection interval (self-tuned when Scheduling is costmodel).", nil, m.CurrentPeriod().Seconds())
-
-	cm := snap.CostModel
-	metrics.WriteCounter(bw, "hwtwbg_costmodel_samples_total", "Detector activations folded into the scheduling cost model.", nil, uint64(cm.Samples))
-	metrics.WriteCounter(bw, "hwtwbg_costmodel_deadlocks_total", "Deadlock cycles observed by the scheduling cost model.", nil, cm.Deadlocks)
-	metrics.WriteCounter(bw, "hwtwbg_costmodel_victim_waits_total", "Victim wait-span samples folded into the persistence-cost estimate.", nil, cm.VictimWaits)
-	metrics.WriteGauge(bw, "hwtwbg_costmodel_rate_hz", "Estimated deadlock formation rate (exponentially time-decayed).", nil, cm.RatePerSec)
-	metrics.WriteGauge(bw, "hwtwbg_costmodel_detect_cost_seconds", "EWMA cost of one detector activation.", nil, cm.DetectCost.Seconds())
-	metrics.WriteGauge(bw, "hwtwbg_costmodel_persist_cost_seconds", "EWMA deadlock victim wait span (persistence cost per caught deadlock).", nil, cm.PersistCost.Seconds())
-	metrics.WriteGauge(bw, "hwtwbg_costmodel_stall_rate", "Estimated stalled-transaction accrual rate of a persisting deadlock.", nil, cm.StallRate)
-	metrics.WriteGauge(bw, "hwtwbg_costmodel_period_seconds", "Cost-minimizing detection period sqrt(2D/(lambda*rho)), clamped.", nil, cm.Period.Seconds())
-
-	js := snap.Journal
-	metrics.WriteCounter(bw, "hwtwbg_journal_records_total", "Flight-recorder records emitted across all rings.", nil, js.Emitted)
-	metrics.WriteCounter(bw, "hwtwbg_journal_overwritten_total", "Flight-recorder records overwritten before any snapshot saw them.", nil, js.Overwritten)
-	metrics.WriteCounter(bw, "hwtwbg_journal_torn_reads_total", "Snapshot reads that discarded a torn record.", nil, js.TornReads)
-	metrics.WriteGauge(bw, "hwtwbg_journal_capacity_records", "Flight-recorder capacity in records, summed across rings.", nil, float64(js.Cap))
+	scalars(promScheduling)
 	return bw.err
 }
 
