@@ -1,7 +1,7 @@
 // Hwtrace replays a flight-recorder dump offline: no live manager is
 // needed, so a journal pulled off a production box (curl the debug
-// server's /journal.bin, or save a lockservice DUMP) can be dissected
-// anywhere.
+// server's /journal.bin, or journal.Encode a Client.DumpJournal result)
+// can be dissected anywhere.
 //
 //	hwtrace report journal.bin        # depths, convoys, contention, latency percentiles, near misses
 //	hwtrace report -json journal.bin  # the same analysis as JSON
@@ -11,6 +11,7 @@
 //	hwtrace postmortems journal.bin   # each resolved deadlock: cycle, edge evidence, participant tail
 //	hwtrace postmortems -json journal.bin  # the same view as JSON
 //	hwtrace perfetto journal.bin > trace.json   # convert for ui.perfetto.dev
+//	curl -s localhost:7655/journal.bin | hwtrace perfetto - > trace.json
 //	hwtrace cat journal.bin           # print every record, one per line
 //	hwtrace tail localhost:7679       # live: refreshing summary off the TAIL stream
 //	hwtrace tail -raw -count 100 localhost:7679  # live: NDJSON, stop after 100 records

@@ -46,21 +46,6 @@ type rawLag struct {
 	Lost uint64 `json:"lost"`
 }
 
-// rawHeartbeat is one NDJSON heartbeat line (the TAIL HB frame).
-type rawHeartbeat struct {
-	Type        string `json:"type"`
-	Seq         uint64 `json:"seq"`
-	Emitted     uint64 `json:"emitted"`
-	Overwritten uint64 `json:"overwritten"`
-	Torn        uint64 `json:"torn"`
-	Grants      uint64 `json:"grants"`
-	Runs        int    `json:"runs"`
-	Cycles      int    `json:"cycles"`
-	Aborted     int    `json:"aborted"`
-	Lagged      uint64 `json:"lagged"`
-	PeriodNs    int64  `json:"period_ns"`
-}
-
 // tailSummary aggregates the stream between heartbeats for the
 // terminal rendering.
 type tailSummary struct {
@@ -208,12 +193,11 @@ func runTail(args []string, stdout, stderr io.Writer) int {
 			return nil
 		}
 		opts.OnHeartbeat = func(hb lockservice.TailHeartbeat) error {
-			return enc.Encode(rawHeartbeat{
-				Type: "heartbeat", Seq: hb.Seq,
-				Emitted: hb.Emitted, Overwritten: hb.Overwritten, Torn: hb.Torn,
-				Grants: hb.Grants, Runs: hb.Runs, Cycles: hb.Cycles, Aborted: hb.Aborted,
-				Lagged: hb.Lagged, PeriodNs: hb.Period.Nanoseconds(),
-			})
+			// A heartbeat line is {"type":"heartbeat",...TailHeartbeat}.
+			return enc.Encode(struct {
+				Type string `json:"type"`
+				lockservice.TailHeartbeat
+			}{"heartbeat", hb})
 		}
 	} else {
 		sum := &tailSummary{out: stdout}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +110,89 @@ func TestTailRawNDJSON(t *testing.T) {
 	if records != 8 {
 		t.Fatalf("emitted %d record lines, want 8", records)
 	}
+}
+
+// TestTailRawHeartbeatKeys: a `tail -raw` heartbeat line is
+// {"type":"heartbeat",...TailHeartbeat}, so its keys are "type" and
+// then, in order, the keys of lockservice's TailHeartbeat JSON golden.
+func TestTailRawHeartbeatKeys(t *testing.T) {
+	golden, err := os.ReadFile("../../lockservice/testdata/tail_heartbeat.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{"type"}, jsonKeys(t, golden)...)
+
+	addr := tailServer(t)
+	// A tail from now with a 1ms heartbeat emits heartbeats while idle,
+	// and ends once the background transactions supply one record.
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		c, err := lockservice.Dial(addr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer c.Close()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if _, err := c.Begin(); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := c.Lock("hb-res", hwtwbg.X); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := c.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var out, errb bytes.Buffer
+	code := run([]string{"tail", "-raw", "-count", "1", "-from", "now", "-interval", "1ms", addr}, &out, &errb)
+	close(done)
+	<-exited
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		if !strings.HasPrefix(line, `{"type":"heartbeat"`) {
+			continue
+		}
+		if got := jsonKeys(t, []byte(line)); !slices.Equal(got, want) {
+			t.Fatalf("heartbeat keys %q, want %q", got, want)
+		}
+		return
+	}
+	t.Fatalf("no heartbeat line in:\n%s", out.String())
+}
+
+// jsonKeys returns the top-level keys of one JSON object, in order.
+func jsonKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); tok != json.Delim('{') {
+		t.Fatalf("%s: not a JSON object (%v)", data, err)
+	}
+	var keys []string
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatalf("%s: %v", data, err)
+		}
+		keys = append(keys, k.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
 
 // TestTailSummary checks the human rendering: a bounded tail with a

@@ -168,7 +168,7 @@ func (cm *costModel) rateLocked() float64 {
 // detection and persistence costs, and the cost-minimizing period those
 // estimates imply. Exposed via Manager.CostModel, MetricsSnapshot, the
 // hwtwbg_costmodel_* Prometheus series, the STATS wire keys and the
-// debug server's /costmodel endpoint.
+// cost_model object of the debug server's /snapshot.
 type CostModelState struct {
 	// Samples counts detector activations folded into the model;
 	// Deadlocks the cycles they carried; VictimWaits the victim

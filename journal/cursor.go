@@ -1,8 +1,7 @@
 package journal
 
 // Cursor-based ring reads: the live-telemetry layer (the lockservice
-// TAIL verb, the debug server's /journal/stream SSE endpoint) tails the
-// rings with a per-ring sequence position instead of re-snapshotting,
+// TAIL verb) tails the rings with a per-ring sequence position instead of re-snapshotting,
 // so a consumer that reconnects resumes exactly where it left off and
 // every record it missed to ring overwrite is accounted for explicitly
 // rather than silently absent. Reads reuse the checksum-validated slot

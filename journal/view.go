@@ -1,8 +1,7 @@
 package journal
 
-// RecordView is the JSON rendering of one record, shared by the debug
-// server's /journal/stream SSE frames and `hwtrace tail -raw` NDJSON.
-// The json tags are the live-telemetry record vocabulary scripts key
+// RecordView is the JSON rendering of one record: the record lines of
+// `hwtrace tail -raw` NDJSON. The json tags are the live-telemetry record vocabulary scripts key
 // on; cmd/hwtrace pins the stable subset in its tailSchemaKeys
 // manifest, and the wireschema analyzer holds the two in agreement.
 //

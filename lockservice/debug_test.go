@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -148,38 +150,17 @@ func TestDebugHandlerJSONEndpoints(t *testing.T) {
 		t.Fatalf("/activations = %s", body)
 	}
 
-	var cm hwtwbg.CostModelState
-	body, _ = get(t, srv, "/costmodel")
-	if err := json.Unmarshal([]byte(body), &cm); err != nil {
-		t.Fatal(err)
-	}
 	// The manual Detect was observed (one sample, one cycle) and the
 	// victim's wait span landed in the persistence estimate.
+	cm := snap.CostModel
 	if cm.Samples != 1 || cm.Deadlocks != 1 {
-		t.Fatalf("/costmodel = %s", body)
+		t.Fatalf("/snapshot cost_model = %+v", cm)
 	}
 	if cm.VictimWaits != 1 || cm.PersistCost <= 0 {
-		t.Fatalf("/costmodel missing victim wait: %s", body)
+		t.Fatalf("/snapshot cost_model missing victim wait: %+v", cm)
 	}
 	if cm.Period <= 0 {
-		t.Fatalf("/costmodel derived no period: %s", body)
-	}
-
-	var nm struct {
-		TxnsAnalyzed int               `json:"txns_analyzed"`
-		Reversals    []json.RawMessage `json:"reversals"`
-	}
-	body, ctype = get(t, srv, "/nearmiss")
-	if !strings.HasPrefix(ctype, "application/json") {
-		t.Fatalf("/nearmiss content type %q", ctype)
-	}
-	if err := json.Unmarshal([]byte(body), &nm); err != nil {
-		t.Fatal(err)
-	}
-	// The survivor still holds both locks (never committed), so no
-	// partial order closed — the endpoint answers, with empty results.
-	if len(nm.Reversals) != 0 {
-		t.Fatalf("/nearmiss = %s", body)
+		t.Fatalf("/snapshot cost_model derived no period: %+v", cm)
 	}
 }
 
@@ -189,20 +170,39 @@ func TestDebugHandlerIndexAndPprof(t *testing.T) {
 	defer srv.Close()
 
 	index, _ := get(t, srv, "/")
-	for _, link := range []string{"/metrics", "/twbg.dot", "/debug/pprof/"} {
-		if !strings.Contains(index, link) {
-			t.Errorf("index missing link %s", link)
+	links := regexp.MustCompile(`href="([^"]*)"`).FindAllStringSubmatch(index, -1)
+	if len(links) == 0 {
+		t.Fatalf("index links nothing:\n%s", index)
+	}
+	for _, m := range links {
+		if code := status(t, srv, m[1]); code == http.StatusNotFound {
+			t.Errorf("index links %s, which answers 404", m[1])
 		}
 	}
 	if pprofIdx, _ := get(t, srv, "/debug/pprof/"); !strings.Contains(pprofIdx, "goroutine") {
 		t.Error("/debug/pprof/ index missing goroutine profile")
 	}
-	resp, err := srv.Client().Get(srv.URL + "/nope")
+	for _, tc := range []struct{ path, why string }{
+		{"/nope", "never served"},
+		{"/journal/stream", "removed: the live stream is the wire TAIL verb"},
+		{"/trace.json", "removed: hwtrace perfetto renders /journal.bin"},
+		{"/nearmiss", "removed: hwtrace nearmiss reads /journal.bin"},
+		{"/costmodel", "removed: /snapshot carries cost_model"},
+	} {
+		if code := status(t, srv, tc.path); code != http.StatusNotFound {
+			t.Errorf("GET %s (%s): status %d, want 404", tc.path, tc.why, code)
+		}
+	}
+}
+
+// status GETs path and returns the response status.
+func status(t *testing.T, h *httptest.Server, path string) int {
+	t.Helper()
+	resp, err := h.Client().Get(h.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Errorf("unknown path status %d, want 404", resp.StatusCode)
-	}
+	return resp.StatusCode
 }

@@ -3,7 +3,6 @@ package lockservice
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http/httptest"
@@ -134,7 +133,7 @@ func journaledDebugManager(t *testing.T) *hwtwbg.Manager {
 	return lm
 }
 
-// TestDebugHandlerFlightRecorder covers the flight-recorder endpoints
+// TestDebugHandlerFlightRecorder covers the flight-recorder endpoint
 // against a manager with one resolved deadlock. The deadlock's story is
 // read from /journal.bin with the functions hwtrace runs offline: the
 // detector's one decision, and its postmortem with evidence.
@@ -165,30 +164,6 @@ func TestDebugHandlerFlightRecorder(t *testing.T) {
 	if pm := pms[0]; pm.TDR2 || pm.Victim != res[0].Txn || len(pm.Cycle) == 0 || len(pm.Tail) == 0 {
 		t.Fatalf("postmortem = %+v, want the victim abort with its cycle and tail", pm)
 	}
-
-	// /trace.json: Chrome trace-event schema (see journal.BuildTrace).
-	body, ctype = get(t, srv, "/trace.json")
-	if !strings.HasPrefix(ctype, "application/json") {
-		t.Fatalf("/trace.json content type %q", ctype)
-	}
-	var trace struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Pid  int    `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(body), &trace); err != nil {
-		t.Fatalf("/trace.json JSON: %v", err)
-	}
-	if len(trace.TraceEvents) == 0 {
-		t.Fatal("/trace.json has no events")
-	}
-	for i, ev := range trace.TraceEvents {
-		if ev.Ph == "" || ev.Name == "" {
-			t.Fatalf("trace event %d missing ph or name: %+v", i, ev)
-		}
-	}
 }
 
 // TestDebugHandlerFlightRecorderDisabled pins the 404 contract when
@@ -205,7 +180,7 @@ func TestDebugHandlerFlightRecorderDisabled(t *testing.T) {
 	}
 	srv := httptest.NewServer(DebugHandler(lm))
 	defer srv.Close()
-	for _, path := range []string{"/trace.json", "/journal.bin", "/nearmiss"} {
+	for _, path := range []string{"/journal.bin"} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -215,12 +190,12 @@ func TestDebugHandlerFlightRecorderDisabled(t *testing.T) {
 			t.Errorf("GET %s with journal disabled: status %d, want 404", path, resp.StatusCode)
 		}
 	}
-	// The rest of the handler still works — /costmodel does not depend
-	// on the journal.
+	// The rest of the handler still works: the metrics and the cost
+	// model do not depend on the journal.
 	if body, _ := get(t, srv, "/metrics"); body == "" {
 		t.Error("/metrics empty")
 	}
-	if body, _ := get(t, srv, "/costmodel"); body == "" {
-		t.Error("/costmodel empty")
+	if body, _ := get(t, srv, "/snapshot"); !strings.Contains(body, `"cost_model"`) {
+		t.Errorf("/snapshot lacks cost_model: %s", body)
 	}
 }

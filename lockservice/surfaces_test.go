@@ -1,12 +1,10 @@
 package lockservice
 
 import (
-	"bufio"
-	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -89,38 +87,21 @@ func TestHeartbeatKeysGolden(t *testing.T) {
 	}
 }
 
-// TestJournalStreamHeartbeatGolden pins the /journal/stream heartbeat
-// event byte for byte, on a manager whose counters are deterministic.
-func TestJournalStreamHeartbeatGolden(t *testing.T) {
-	srv := httptest.NewServer(DebugHandler(journaledDebugManager(t)))
-	defer srv.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", srv.URL+"/journal/stream?from=now&hb=1ms", nil)
+// TestTailHeartbeatJSONGolden pins TailHeartbeat's JSON, the shape
+// `hwtrace tail -raw` embeds in its heartbeat lines: one HB frame
+// rendered from a manager whose counters are deterministic, parsed
+// back and marshalled.
+func TestTailHeartbeatJSONGolden(t *testing.T) {
+	b := beat{seq: 1, snap: journaledDebugManager(t).MetricsSnapshot()}
+	hb, err := parseTailHeartbeat(string(b.line()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := srv.Client().Do(req)
+	data, err := json.Marshal(hb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	r := bufio.NewReader(resp.Body)
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if line != "event: heartbeat\n" {
-			continue
-		}
-		data, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "sse_heartbeat.golden", line+data)
-		return
-	}
+	checkGolden(t, "tail_heartbeat.golden", string(data)+"\n")
 }
 
 // wireDeadlock has c1 and c2 each lock one resource and then request

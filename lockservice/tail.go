@@ -19,8 +19,7 @@ import (
 // left off — every record lost to ring overwrite in between is counted
 // in the BATCH lost field and the hb_lagged heartbeat key, never
 // silently absent. Emit is untouched: tailing is reader-side only and
-// adds nothing to the journal hot path. The ring sweep itself (ringTail)
-// also drives /journal/stream; each transport supplies only its framing.
+// adds nothing to the journal hot path.
 
 const (
 	// defaultTailHeartbeat is the HB cadence when the client does not
@@ -57,41 +56,15 @@ func tailBatchHeader(ring, n int, next, lost uint64) string {
 	return fmt.Sprintf("BATCH ring=%d n=%d next=%d lost=%d", ring, n, next, lost)
 }
 
-// ringTail is the cursor-based ring sweep both live transports share:
-// the TAIL verb frames what it finds as BATCH/HB/END lines on the lock
-// protocol connection, /journal/stream as server-sent events.
+// ringTail is one TAIL session's cursor-based ring sweep, framed as
+// BATCH/HB/END lines on the lock protocol connection.
 type ringTail struct {
-	lm      *hwtwbg.Manager
+	srv     *Server
+	w       *bufio.Writer
 	jr      *journal.Journal
 	cursors []uint64      // per-ring resume positions, advanced as batches go out
-	max     int           // records before the end frame; 0 streams until stopped
+	max     int           // records before the END frame; 0 streams until stopped
 	hb      time.Duration // heartbeat cadence
-}
-
-// tailFramer is one transport's framing of the ring sweep. An error
-// from any frame ends the stream.
-type tailFramer interface {
-	batch(ring int, recs []journal.Record, next, lost uint64) error
-	heartbeat(*beat) error
-	end(records int) error
-	flush() error
-	// stopped reports that the stream must end without an end frame:
-	// the server is closing or the consumer went away.
-	stopped() bool
-}
-
-// startCursors positions every ring at its oldest retained record or
-// at its emit head ("now").
-func startCursors(jr *journal.Journal, fromOldest bool) []uint64 {
-	cursors := make([]uint64, jr.NumRings())
-	for i := range cursors {
-		if fromOldest {
-			cursors[i] = jr.Ring(i).Oldest()
-		} else {
-			cursors[i] = jr.Ring(i).Head()
-		}
-	}
-	return cursors
 }
 
 // beat is one heartbeat: the session's sequence number and cumulative
@@ -116,31 +89,15 @@ func (b *beat) line() []byte {
 	return fmt.Appendf(out, " %s=%d\n", hbLagged, b.lagged)
 }
 
-// view is the heartbeat as a TailHeartbeat.
-func (b *beat) view() TailHeartbeat {
-	s := &b.snap
-	return TailHeartbeat{
-		Seq:             b.seq,
-		Emitted:         s.Journal.Emitted,
-		Overwritten:     s.Journal.Overwritten,
-		Torn:            s.Journal.TornReads,
-		Grants:          s.Total.Grants,
-		Runs:            s.Detector.Runs,
-		Cycles:          s.Detector.CyclesSearched,
-		Aborted:         s.Detector.Aborted,
-		Lagged:          b.lagged,
-		Period:          s.Period,
-		CostModelPeriod: s.CostModel.Period,
-	}
-}
-
-// run sweeps the rings until max records have gone out, a frame fails
-// or the framer stops the stream. Each sweep reads every ring from its
-// cursor, at most tailBatchCap records per frame, and heartbeats fire
-// on schedule even when batches flow nonstop — a busy stream still
-// needs the counter deltas. run reports whether the stream ended with
-// its end frame delivered.
-func (t *ringTail) run(f tailFramer) bool {
+// run sweeps the rings until max records have gone out, a write fails
+// or the server closes. Each sweep reads every ring from its cursor, at
+// most tailBatchCap records per BATCH frame, and heartbeats fire on
+// schedule even when batches flow nonstop — a busy stream still needs
+// the counter deltas. run reports whether the stream ended with its END
+// frame delivered. Server shutdown ends it without one: the connection
+// is about to die, and ending here keeps Close from waiting on an idle
+// tail.
+func (t *ringTail) run() bool {
 	var (
 		total  int
 		lagged uint64
@@ -148,7 +105,7 @@ func (t *ringTail) run(f tailFramer) bool {
 		buf    []journal.Record
 		lastHB = time.Now()
 	)
-	for !f.stopped() {
+	for !t.srv.isClosed() {
 		progressed := false
 		for i := 0; i < len(t.cursors) && !(t.max > 0 && total >= t.max); i++ {
 			limit := tailBatchCap
@@ -161,26 +118,37 @@ func (t *ringTail) run(f tailFramer) bool {
 			}
 			t.cursors[i] = next
 			lagged += lost
-			if f.batch(i, recs, next, lost) != nil {
-				return false
+			if lost > 0 {
+				t.srv.tailLagged.Add(lost)
+			}
+			fmt.Fprintf(t.w, "%s\n", tailBatchHeader(i, len(recs), next, lost))
+			for j := range recs {
+				txt, err := recs[j].MarshalText()
+				if err != nil {
+					return false
+				}
+				t.w.Write(txt)
+				t.w.WriteByte('\n')
 			}
 			total += len(recs)
 			progressed = true
 			buf = recs[:0]
 		}
 		if t.max > 0 && total >= t.max {
-			return f.end(total) == nil
+			fmt.Fprintf(t.w, "END records=%d\n", total)
+			return t.w.Flush() == nil
 		}
 		if time.Since(lastHB) >= t.hb {
 			hbSeq++
-			if f.heartbeat(&beat{seq: hbSeq, lagged: lagged, snap: t.lm.MetricsSnapshot()}) != nil {
-				return false
-			}
+			b := beat{seq: hbSeq, lagged: lagged, snap: t.srv.lm.MetricsSnapshot()}
+			t.w.Write(b.line())
 			progressed = true
 			lastHB = time.Now()
 		}
 		if progressed {
-			if f.flush() != nil {
+			// A failed write is sticky in the bufio.Writer, so Flush
+			// reports it for every frame of the sweep.
+			if t.w.Flush() != nil {
 				return false
 			}
 			continue
@@ -189,44 +157,6 @@ func (t *ringTail) run(f tailFramer) bool {
 	}
 	return false
 }
-
-// tailLines frames the sweep for the TAIL verb.
-type tailLines struct {
-	srv *Server
-	w   *bufio.Writer
-}
-
-func (f tailLines) batch(ring int, recs []journal.Record, next, lost uint64) error {
-	if lost > 0 {
-		f.srv.tailLagged.Add(lost)
-	}
-	fmt.Fprintf(f.w, "%s\n", tailBatchHeader(ring, len(recs), next, lost))
-	for j := range recs {
-		txt, err := recs[j].MarshalText()
-		if err != nil {
-			return err
-		}
-		f.w.Write(txt)
-		f.w.WriteByte('\n')
-	}
-	return nil
-}
-
-func (f tailLines) heartbeat(b *beat) error {
-	_, err := f.w.Write(b.line())
-	return err
-}
-
-func (f tailLines) end(records int) error {
-	fmt.Fprintf(f.w, "END records=%d\n", records)
-	return f.w.Flush()
-}
-
-func (f tailLines) flush() error { return f.w.Flush() }
-
-// stopped ends the stream at server shutdown: the connection is about
-// to die, and ending here keeps Close from waiting on an idle tail.
-func (f tailLines) stopped() bool { return f.srv.isClosed() }
 
 // serveTail runs one TAIL session on the connection's writer. It
 // returns false when the connection is unusable (the handler then
@@ -243,7 +173,7 @@ func (sess *session) serveTail(w *bufio.Writer, args []string) bool {
 	}
 	nr := jr.NumRings()
 	fromOldest := true
-	t := ringTail{lm: s.lm, jr: jr, hb: defaultTailHeartbeat}
+	t := ringTail{srv: s, w: w, jr: jr, hb: defaultTailHeartbeat}
 	var resume []uint64
 	for _, a := range args {
 		k, v, ok := strings.Cut(a, "=")
@@ -291,7 +221,14 @@ func (sess *session) serveTail(w *bufio.Writer, args []string) bool {
 		}
 		t.cursors = resume
 	} else {
-		t.cursors = startCursors(jr, fromOldest)
+		t.cursors = make([]uint64, nr)
+		for i := range t.cursors {
+			if fromOldest {
+				t.cursors[i] = jr.Ring(i).Oldest()
+			} else {
+				t.cursors[i] = jr.Ring(i).Head()
+			}
+		}
 	}
 	s.tailSessions.Inc()
 	// The OK header names the stream's starting positions, so even a
@@ -301,5 +238,5 @@ func (sess *session) serveTail(w *bufio.Writer, args []string) bool {
 	if w.Flush() != nil {
 		return false
 	}
-	return t.run(tailLines{srv: s, w: w})
+	return t.run()
 }

@@ -48,7 +48,7 @@ type TailHeartbeat struct {
 	Seq         uint64 `json:"seq"`         // heartbeat number within the session, from 1
 	Emitted     uint64 `json:"emitted"`     // journal records ever emitted
 	Overwritten uint64 `json:"overwritten"` // lost to ring wrap before any snapshot saw them
-	Torn        uint64 `json:"torn_reads"`  // snapshot copies discarded as torn
+	Torn        uint64 `json:"torn"`        // snapshot copies discarded as torn
 	Grants      uint64 `json:"grants"`      // lock grants summed across every shard
 	Runs        int    `json:"runs"`        // detector activations
 	Cycles      int    `json:"cycles"`      // cycles searched
@@ -134,7 +134,20 @@ func parseTailHeartbeat(line string) (TailHeartbeat, error) {
 			}
 		}
 	}
-	return b.view(), nil
+	s := &b.snap
+	return TailHeartbeat{
+		Seq:             b.seq,
+		Emitted:         s.Journal.Emitted,
+		Overwritten:     s.Journal.Overwritten,
+		Torn:            s.Journal.TornReads,
+		Grants:          s.Total.Grants,
+		Runs:            s.Detector.Runs,
+		Cycles:          s.Detector.CyclesSearched,
+		Aborted:         s.Detector.Aborted,
+		Lagged:          b.lagged,
+		Period:          s.Period,
+		CostModelPeriod: s.CostModel.Period,
+	}, nil
 }
 
 // TailJournal subscribes to the server's flight recorder and delivers
