@@ -12,7 +12,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"sync"
 	"time"
 
@@ -62,6 +64,17 @@ func acct(i int) hwtwbg.ResourceID {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run moves money between the accounts, reports to w, and returns an
+// error when a transfer fails for any reason but a deadlock abort or
+// when the total balance is not conserved. Each worker draws its
+// transfers from its own seeded source.
+func run(w io.Writer) error {
 	lm := hwtwbg.Open(hwtwbg.Options{Period: 2 * time.Millisecond})
 	defer lm.Close()
 
@@ -71,9 +84,10 @@ func main() {
 	}
 
 	var retries, commits int64
+	var firstErr error
 	var statMu sync.Mutex
 
-	transfer := func(rng *rand.Rand) {
+	transfer := func(rng *rand.Rand) error {
 		from := rng.Intn(accounts)
 		to := rng.Intn(accounts)
 		for to == from {
@@ -118,39 +132,51 @@ func main() {
 				continue // the whole transfer retries
 			}
 			if err != nil {
-				panic(err)
+				t.Abort()
+				return err
 			}
 			if err := t.Commit(); err != nil {
-				panic(err)
+				return err
 			}
 			statMu.Lock()
 			commits++
 			statMu.Unlock()
-			return
+			return nil
 		}
 	}
 
-	fmt.Printf("running %d workers x %d transfers over %d accounts...\n", workers, transfersEach, accounts)
+	fmt.Fprintf(w, "running %d workers x %d transfers over %d accounts...\n", workers, transfersEach, accounts)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < transfersEach; i++ {
-				transfer(rng)
+			for j := 0; j < transfersEach; j++ {
+				if err := transfer(rng); err != nil {
+					statMu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					statMu.Unlock()
+					return
+				}
 			}
-		}(int64(w + 1))
+		}(int64(i + 1))
 	}
 	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
 
 	st := lm.Stats()
-	fmt.Printf("committed %d transfers with %d deadlock retries\n", commits, retries)
-	fmt.Printf("detector: %d runs, %d cycles, %d aborts, %d TDR-2 repositionings, %d salvaged\n",
+	fmt.Fprintf(w, "committed %d transfers with %d deadlock retries\n", commits, retries)
+	fmt.Fprintf(w, "detector: %d runs, %d cycles, %d aborts, %d TDR-2 repositionings, %d salvaged\n",
 		st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged)
-	if got, want := b.total(), accounts*initialBalance; got != want {
-		fmt.Printf("INVARIANT VIOLATED: total = %d, want %d\n", got, want)
-	} else {
-		fmt.Printf("invariant holds: total balance = %d\n", got)
+	got, want := b.total(), accounts*initialBalance
+	if got != want {
+		return fmt.Errorf("invariant violated: total = %d, want %d", got, want)
 	}
+	fmt.Fprintf(w, "invariant holds: total balance = %d\n", got)
+	return nil
 }

@@ -205,7 +205,9 @@ type Stats struct {
 type ShardStat struct {
 	Grants        uint64 // lock requests granted by this shard (immediate and hand-off)
 	MutexAcquires uint64 // hot-path shard-mutex rounds (lock/commit/abort/wake re-checks)
-	FlatCombined  uint64 // published requests applied by a combiner's drain
+
+	// Deprecated: requests are no longer combined; always zero.
+	FlatCombined uint64
 }
 
 // ActivationReport decomposes one detector activation: when it ran,
@@ -681,7 +683,6 @@ func (m *Manager) ShardStats() []ShardStat {
 		out[i] = ShardStat{
 			Grants:        s.met.grants.Load(),
 			MutexAcquires: s.met.mutexAcquires.Load(),
-			FlatCombined:  s.met.flatCombined.Load(),
 		}
 	}
 	return out

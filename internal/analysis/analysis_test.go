@@ -84,10 +84,10 @@ func TestFixtures(t *testing.T) {
 		// (callbacklock) and the ring internals behind their methods
 		// (atomics).
 		{"journalemit", []*Analyzer{CallbackUnderLock, AtomicsOnly}},
-		// The flat-combining fixture is likewise checked by two: the
-		// combiner's drain loop must do no observer work under the
-		// shard mutex (callbacklock), and the batch path's walks over
-		// shards must ascend by index (lockorder).
+		// The flat-combining fixture is likewise checked by two: a
+		// drain loop must do no observer work under the shard mutex
+		// (callbacklock), and walks over shards must ascend by index
+		// (lockorder).
 		{"flatcombine", []*Analyzer{CallbackUnderLock, LockOrder}},
 		// The interprocedural gates: //hwlint:hotpath budgets counted
 		// through helpers, recursion and devirtualized calls, and the

@@ -1,10 +1,9 @@
-// Package flatcombine is the fixture for the group-acquisition and
-// flat-combining discipline, checked by two analyzers at once:
-// callbacklock proves a combiner's drain loop does no observer work
-// (journal emission, histogram observation) while it holds the shard
-// mutex — the requester performs all of that on its own
-// side after `done` is published — and lockorder proves the batch
-// path's lock-accumulating walks over shards ascend by index.
+// Package flatcombine is a fixture for two analyzers at once, built
+// around a flat-combining drain loop (the manager itself has none):
+// callbacklock proves a loop that holds the shard mutex does no
+// observer work (journal emission, histogram observation) — that
+// happens after the mutex is released — and lockorder proves
+// lock-accumulating walks over shards ascend by index.
 package flatcombine
 
 import (
@@ -28,9 +27,8 @@ type shard struct {
 	cnt  metrics.Counter
 }
 
-// goodDrain is the shipped combiner shape: table work and counter bumps
-// only. The requester spins on done and does its own observer work
-// after the publication fence.
+// goodDrain does table work and counter bumps only under the mutex,
+// and its observer work after releasing it.
 func (s *shard) goodDrain() {
 	s.mu.Lock()
 	for i := range s.fc {

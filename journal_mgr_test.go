@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"hwtwbg/journal"
 )
@@ -320,31 +319,6 @@ func TestJournalStatsInMetrics(t *testing.T) {
 	}
 }
 
-// lockCombined issues tx.Lock(r, mode) from its own goroutine while the
-// test holds r's shard mutex, so the request has to publish into a
-// flat-combining slot, and drains the slot on the locker's behalf (what
-// any mutex holder does before unlocking). The Lock result arrives on
-// the returned channel.
-func lockCombined(t *testing.T, m *Manager, tx *Txn, r ResourceID, mode Mode) <-chan error {
-	t.Helper()
-	s := m.shardFor(r)
-	done := make(chan error, 1)
-	s.mu.Lock()
-	before := s.met.flatCombined.Load()
-	go func() { done <- tx.Lock(context.Background(), r, mode) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.met.flatCombined.Load() == before {
-		if time.Now().After(deadline) {
-			s.mu.Unlock()
-			t.Fatal("locker never published into a combining slot")
-		}
-		time.Sleep(50 * time.Microsecond)
-		s.drainPending()
-	}
-	s.mu.Unlock()
-	return done
-}
-
 // TestJournalConversionFlagOnWaitedGrant pins the UPR case on every
 // route into waitGrant: T1 and T2 share S on r, T1 asks for X (blocking
 // as an upgrader), T2 commits. Both the block record and the waited
@@ -356,9 +330,6 @@ func TestJournalConversionFlagOnWaitedGrant(t *testing.T) {
 			done := make(chan error, 1)
 			go func() { done <- t1.Lock(ctx, "r", X) }()
 			return done
-		},
-		"lockPublished": func(m *Manager, t1 *Txn) <-chan error {
-			return lockCombined(t, m, t1, "r", X)
 		},
 		"LockAll": func(m *Manager, t1 *Txn) <-chan error {
 			done := make(chan error, 1)
@@ -483,20 +454,17 @@ func TestTelemetryReconciles(t *testing.T) {
 	must(<-batch)
 	must(<-upgrade)
 
-	// Forced flat combining: one published request granted, one blocked
-	// behind it and granted at commit.
+	// One X granted, one S blocked behind it and granted at commit.
 	d, e := m.Begin(), m.Begin()
-	must(<-lockCombined(t, m, d, res(0, 6), X))
-	blockedPub := lockCombined(t, m, e, res(0, 6), S)
+	must(d.Lock(ctx, res(0, 6), X))
+	blockedS := make(chan error, 1)
+	go func() { blockedS <- e.Lock(ctx, res(0, 6), S) }()
 	waitBlocked(t, m, e.ID())
 	must(d.Commit())
-	must(<-blockedPub)
+	must(<-blockedS)
 	must(b.Commit())
 	must(c.Commit())
 	must(e.Commit())
-	if m.MetricsSnapshot().Total.FlatCombined != 2 {
-		t.Fatalf("flat combined = %d, want 2", m.MetricsSnapshot().Total.FlatCombined)
-	}
 
 	// One deadlock victim: a cross-shard two-cycle, resolved by hand.
 	f, g := m.Begin(), m.Begin()

@@ -102,7 +102,6 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 		s.mu.Lock()
 		s.met.mutexAcquires.Inc()
 		if err := t.checkLive(); err != nil {
-			s.drainPending()
 			s.mu.Unlock()
 			return err
 		}
@@ -140,7 +139,6 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 		if len(pend) > 0 {
 			s.epoch.bump() // one bump covers the whole batch round
 		}
-		s.drainPending()
 		s.mu.Unlock()
 		s.met.count(&tally)
 		t.batch.pend = pend
@@ -151,7 +149,7 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 		if blockedCh != nil {
 			p := pend[len(pend)-1]
 			rq := reqs[p.idx]
-			if err := t.waitGrant(ctx, s, blockedCh, start, rq.Resource, rq.Mode, p.res.Conversion, false); err != nil {
+			if err := t.waitGrant(ctx, s, blockedCh, start, rq.Resource, rq.Mode, p.res.Conversion); err != nil {
 				return err
 			}
 		}

@@ -1,7 +1,6 @@
-// Tests for the group-acquisition path (LockAll), the per-shard flat
-// combiner it shares the table with, and transaction recycling: unit
-// coverage of partial blocking and error handling, a white-box
-// flat-combining test, a mutex-round accounting check, differential
+// Tests for the group-acquisition path (LockAll) and transaction
+// recycling: unit coverage of partial blocking and error handling, a
+// mutex-round accounting check, differential
 // equivalence of batched vs sequential acquisition under both
 // detectors, and -race hammers mixing batched and single requests with
 // the invariants auditor armed.
@@ -217,44 +216,6 @@ func TestLockAllMutexRounds(t *testing.T) {
 	}
 	if got := acquires(mSeq) - base; got != n {
 		t.Fatalf("sequential acquisition of %d keys took %d mutex rounds, want %d", n, got, n)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFlatCombiningPublish drives the combining protocol
-// deterministically: the test holds the shard mutex, so the locker's
-// TryLock fails and it publishes into a combining slot; the test then
-// drains the slot on its behalf — exactly what a real mutex holder does
-// before unlocking — and the locker must observe the grant without ever
-// taking the mutex itself.
-func TestFlatCombiningPublish(t *testing.T) {
-	m := Open(Options{Shards: 1})
-	defer m.Close()
-	s := m.shards[0]
-	tx := m.Begin()
-	done := make(chan error, 1)
-	s.mu.Lock()
-	go func() { done <- tx.Lock(context.Background(), "fc-key", X) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.drainPending()
-		if m.ShardStats()[0].FlatCombined > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			s.mu.Unlock()
-			t.Fatal("locker never published into a combining slot")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	s.mu.Unlock()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if tx.Mode("fc-key") != X {
-		t.Fatal("combined request granted but lock not held")
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -536,7 +497,7 @@ func TestLockAllHammer(t *testing.T) {
 	}
 	wg.Wait()
 	st := m.ShardStats()[0]
-	t.Logf("shard 0: grants=%d mutexAcquires=%d flatCombined=%d", st.Grants, st.MutexAcquires, st.FlatCombined)
+	t.Logf("shard 0: grants=%d mutexAcquires=%d", st.Grants, st.MutexAcquires)
 	assertAuditClean(t, m)
 }
 

@@ -30,7 +30,6 @@ type shardMetrics struct {
 	waitAborts    metrics.Counter                  // waits ended by abort/cancel instead of grant
 	tryRefused    metrics.Counter                  // TryLock refusals (would have blocked)
 	mutexAcquires metrics.Counter                  // hot-path shard-mutex rounds (lock/commit/abort/wake re-checks)
-	flatCombined  metrics.Counter                  // published requests applied by a combiner's drain
 	queueDepth    metrics.Histogram                // depth in line at enqueue (incl. self)
 	wait          metrics.Histogram                // ns blocked until grant (blocked requests only)
 	grant         metrics.Histogram                // ns request→grant, every granted request
@@ -38,7 +37,7 @@ type shardMetrics struct {
 }
 
 // requestTally says which request counters a table round touched: one
-// request (Lock, TryLock, applyPublished) or a whole shard round
+// request (Lock, TryLock) or a whole shard round
 // (LockAll). Each touched counter then takes exactly one Add.
 type requestTally struct {
 	fresh, conversions, blocked uint64
@@ -95,7 +94,6 @@ type ShardMetricsSnapshot struct {
 	WaitAborts    uint64                    `json:"wait_aborts"`
 	TryRefused    uint64                    `json:"trylock_refused"`
 	MutexAcquires uint64                    `json:"mutex_acquires"`
-	FlatCombined  uint64                    `json:"flat_combined"`
 	QueueDepth    metrics.HistogramSnapshot `json:"queue_depth_at_enqueue"`
 	WaitNs        metrics.HistogramSnapshot `json:"lock_wait_ns"`
 	GrantNs       metrics.HistogramSnapshot `json:"time_to_grant_ns"`
@@ -114,7 +112,6 @@ func (s *ShardMetricsSnapshot) merge(o ShardMetricsSnapshot) {
 	s.WaitAborts += o.WaitAborts
 	s.TryRefused += o.TryRefused
 	s.MutexAcquires += o.MutexAcquires
-	s.FlatCombined += o.FlatCombined
 	s.QueueDepth.Merge(o.QueueDepth)
 	s.WaitNs.Merge(o.WaitNs)
 	s.GrantNs.Merge(o.GrantNs)
@@ -132,7 +129,6 @@ func (sm *shardMetrics) snapshot() ShardMetricsSnapshot {
 		WaitAborts:    sm.waitAborts.Load(),
 		TryRefused:    sm.tryRefused.Load(),
 		MutexAcquires: sm.mutexAcquires.Load(),
-		FlatCombined:  sm.flatCombined.Load(),
 		QueueDepth:    sm.queueDepth.Snapshot(),
 		WaitNs:        sm.wait.Snapshot(),
 		GrantNs:       sm.grant.Snapshot(),
@@ -312,8 +308,6 @@ var Metrics = []Metric{
 		field: func(s *MetricsSnapshot) any { return &s.Total.TryRefused }},
 	{Prom: "hwtwbg_shard_mutex_acquires_total", Help: "Hot-path shard-mutex acquisition rounds.",
 		field: func(s *MetricsSnapshot) any { return &s.Total.MutexAcquires }},
-	{Prom: "hwtwbg_flat_combined_total", Help: "Lock requests applied by another goroutine's flat-combining drain.",
-		field: func(s *MetricsSnapshot) any { return &s.Total.FlatCombined }},
 
 	{Stat: "runs", HB: "hb_runs", Prom: "hwtwbg_detector_runs_total", Help: "Detector activations.",
 		field: func(s *MetricsSnapshot) any { return &s.Detector.Runs }, group: promDetector},

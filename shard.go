@@ -24,24 +24,15 @@ type shard struct {
 	met     *shardMetrics           // this shard's padded metric block (atomic; readable without mu)
 	jr      *journal.Ring           // this shard's flight-recorder ring (lock-free; nil when disabled)
 	epoch   shardEpoch              // mutation version of tb; see shardEpoch
-
-	// fc is the shard's flat-combining publication array: a requester
-	// that finds mu contended CASes its request record into a nil slot
-	// and spins on the record's done flag; whoever holds the mutex
-	// drains the slots before unlocking (drainPending), applying the
-	// published requests on its own mutex round. MPSC by construction —
-	// publishers only CAS nil→req, and only the mutex holder swaps a
-	// slot back to nil.
-	fc [fcSlots]atomic.Pointer[fcRequest]
 }
 
 // shardEpoch is a shard table's mutation version: a monotonically
 // increasing counter bumped — while holding the owning shard's mutex —
 // by every mutex round that mutates the shard's lock table (grant,
-// block, conversion, release, abort, LockAll batch, flat-combining
-// apply, detector surgery). The incremental snapshot detector loads it
-// without the mutex to decide whether the copy it took of the shard
-// last activation is still current; an unchanged epoch proves the
+// block, conversion, release, abort, LockAll batch, detector surgery).
+// The incremental snapshot detector loads it without the mutex to
+// decide whether the copy it took of the shard last activation is
+// still current; an unchanged epoch proves the
 // table is byte-identical to that copy. A load racing a bump simply
 // observes the previous value: the detector then reuses a one-round-
 // stale (but internally consistent) copy, which validate-then-act
@@ -59,90 +50,6 @@ func (e *shardEpoch) bump() { e.v.Add(1) }
 
 // load reads the epoch; callers need no lock (see shardEpoch).
 func (e *shardEpoch) load() uint64 { return e.v.Load() }
-
-// fcSlots sizes each shard's flat-combining publication array. Eight
-// slots cover the realistic burst of simultaneously contending
-// requesters per shard; when all are taken the requester simply falls
-// back to queueing on the mutex, so the size is a throughput knob, not
-// a correctness bound.
-const fcSlots = 8
-
-// fcRequest is one published lock request. The record is owned by the
-// requesting transaction (inlined in Txn, so publication allocates
-// nothing) and handed to the combiner by pointer; the combiner writes
-// the outcome into res/err and then publishes those writes with the
-// atomic done store, which the spinning requester's done load
-// synchronizes with.
-type fcRequest struct {
-	txn  TxnID
-	rid  ResourceID
-	mode Mode
-	held int           // the requester's Txn.held: the wait's stamp if the request blocks
-	ch   chan struct{} // waiter channel the combiner registers if the request blocks
-
-	res  table.RequestResult
-	err  error
-	done atomic.Uint32
-}
-
-// prepare readies the record for a new publication.
-func (f *fcRequest) prepare(txn TxnID, rid ResourceID, mode Mode, held int, ch chan struct{}) {
-	f.txn = txn
-	f.rid = rid
-	f.mode = mode
-	f.held = held
-	f.ch = ch
-	f.res = table.RequestResult{}
-	f.err = nil
-	f.done.Store(0)
-}
-
-// drainPending applies every currently published request. Called with
-// mu held by whichever goroutine is about to release it on a hot-path
-// exit (or by a spinning publisher that found the mutex free and became
-// the combiner). Results travel back through the request record: plain
-// writes first, then the done flag's atomic store makes them visible to
-// the spinning owner. All observer work for the drained requests —
-// histogram observations, journal records — happens on the owner's side
-// after it sees done (the emission seam below), so nothing here blocks
-// or calls out while the shard is locked.
-func (s *shard) drainPending() {
-	for i := range s.fc {
-		req := s.fc[i].Load()
-		if req == nil {
-			continue
-		}
-		s.fc[i].Store(nil)
-		s.applyPublished(req)
-	}
-}
-
-// applyPublished runs one published request through the table,
-// maintaining the same counters the direct path maintains and
-// registering the waiter channel when the request blocks — so a
-// combined request is indistinguishable, table- and detector-wise, from
-// one issued under the requester's own mutex round. Called with mu
-// held.
-//
-// The one budgeted site is the table's Resource first-touch literal.
-//
-//hwlint:hotpath allocs=1
-func (s *shard) applyPublished(req *fcRequest) {
-	res, err := s.tb.RequestHeld(req.txn, req.rid, req.mode, req.held)
-	s.met.flatCombined.Inc()
-	if err == nil {
-		s.epoch.bump()
-		var c requestTally
-		c.note(res, req.mode)
-		s.met.count(&c)
-		if !res.Granted {
-			s.waiters[req.txn] = req.ch
-		}
-	}
-	req.res = res
-	req.err = err
-	req.done.Store(1)
-}
 
 // The emission seam: the only place a lock-path journal record is built
 // and the grant, wait and queue-depth histograms are observed. The

@@ -451,7 +451,12 @@ func TestCrossShardStress(t *testing.T) {
 }
 
 // TestCloseUnderFire closes the manager while workers are mid-flight
-// and checks every blocked Lock returns promptly with a terminal error.
+// and checks every Lock returns promptly with a terminal error: the
+// ones already blocked, and the ones racing Close to enqueue. A request
+// checks liveness and enqueues in one shard-mutex round, so Close
+// either finds it waiting or it finds the manager closed; one that
+// slipped in after Close's sweep would be granted the lock Close just
+// freed, or wait forever behind one that was.
 func TestCloseUnderFire(t *testing.T) {
 	m := Open(Options{Shards: 8})
 	ctx := context.Background()
@@ -459,22 +464,32 @@ func TestCloseUnderFire(t *testing.T) {
 	if err := holder.Lock(ctx, "gate", X); err != nil {
 		t.Fatal(err)
 	}
-	const blocked = 8
-	errs := make(chan error, blocked)
+	const blocked, racing = 8, 8
+	errs := make(chan error, blocked+racing)
 	for i := 0; i < blocked; i++ {
 		tx := m.Begin()
 		go func() { errs <- tx.Lock(ctx, "gate", S) }()
 		waitBlocked(t, m, tx.ID())
 	}
+	var started sync.WaitGroup
+	for i := 0; i < racing; i++ {
+		tx := m.Begin()
+		started.Add(1)
+		go func() {
+			started.Done()
+			errs <- tx.Lock(ctx, "gate", S)
+		}()
+	}
+	started.Wait()
 	m.Close()
-	for i := 0; i < blocked; i++ {
+	for i := 0; i < blocked+racing; i++ {
 		select {
 		case err := <-errs:
 			if !errors.Is(err, ErrAborted) && !errors.Is(err, ErrClosed) {
-				t.Fatalf("blocked lock returned %v", err)
+				t.Fatalf("lock returned %v", err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("blocked Lock did not return after Close")
+			t.Fatal("a Lock did not return after Close")
 		}
 	}
 }

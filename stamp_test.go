@@ -101,17 +101,6 @@ func TestStampCoversEveryBlockingPath(t *testing.T) {
 		finish(t, f, done)
 	})
 
-	t.Run("FlatCombined", func(t *testing.T) {
-		f := setup(t)
-		for i := 1; i < 4; i++ {
-			mustLock(t, f.a, f.rs[i])
-		}
-		done := lockCombined(t, f.m, f.a, f.rs[0], X)
-		waitBlocked(t, f.m, f.a.ID())
-		checkStamps(t, f.m, map[TxnID]int{f.a.ID(): 3})
-		finish(t, f, done)
-	})
-
 	t.Run("LockAllMidBatch", func(t *testing.T) {
 		// One shard round grants two requests and blocks on the third.
 		f := setup(t)

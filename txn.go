@@ -3,7 +3,6 @@ package hwtwbg
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,8 +54,6 @@ type Txn struct {
 	heldBuf []ResourceID // scratch returned by Held, reused across calls
 
 	batch batchScratch // LockAll's sort and flush scratch, reused across batches
-
-	fcr fcRequest // this transaction's flat-combining publication record
 
 	// epoch counts pooled incarnations of this struct: Begin bumps it
 	// when reviving a recycled Txn, so a stale handle that survived a
@@ -266,30 +263,14 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	s := t.m.shardFor(r)
 	start := time.Now()
 	t.journalBegin(start.UnixNano())
-	if !s.mu.TryLock() {
-		// Contended: publish into the shard's flat-combining slots so
-		// the current mutex holder applies the request on its own mutex
-		// round, instead of this goroutine piling onto the mutex. The
-		// liveness check happens before publication — only the owner may
-		// consume a condemned mark, and only blocked transactions are
-		// ever condemned (Close excepted; see waitGrant's re-check).
-		if err := t.checkLive(); err != nil {
-			return err
-		}
-		if handled, err := t.lockPublished(ctx, s, r, mode, start); handled {
-			return err
-		}
-		s.mu.Lock() // every slot occupied: fall back to the plain mutex path
-	}
+	s.mu.Lock()
 	s.met.mutexAcquires.Inc()
 	if err := t.checkLive(); err != nil {
-		s.drainPending()
 		s.mu.Unlock()
 		return err
 	}
 	res, err := s.tb.RequestHeld(t.id, r, mode, t.held)
 	if err != nil {
-		s.drainPending()
 		s.mu.Unlock()
 		return err
 	}
@@ -299,7 +280,6 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	c.note(res, mode)
 	s.met.count(&c)
 	if res.Granted {
-		s.drainPending()
 		s.mu.Unlock()
 		t.noteGrant(res.Conversion)
 		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, false)
@@ -314,117 +294,41 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	// putWaiter for why that order makes reuse safe).
 	ch := getWaiter()
 	s.waiters[t.id] = ch
-	s.drainPending()
 	s.mu.Unlock()
 	s.blocked(t.id, r, mode, start, res.QueueDepth, res.Conversion)
-	return t.waitGrant(ctx, s, ch, start, r, mode, res.Conversion, false)
-}
-
-// lockPublished runs one contended request through the shard's
-// flat-combining slots: publish the request record, then wait for a
-// mutex holder's drain to apply it — self-serving by becoming the
-// combiner whenever the mutex happens to be free. handled is false when
-// every slot was occupied; the caller falls back to the plain mutex
-// path. On handled requests the combiner has already updated the
-// request counters and, for a blocked request, registered the waiter
-// channel; this goroutine reports the outcome through the shard's
-// emission seam after the hand-off, outside any shard mutex.
-//
-// The one budgeted site is the table's Resource first-touch literal,
-// reached through the combiner's drain.
-//
-//hwlint:hotpath allocs=1
-func (t *Txn) lockPublished(ctx context.Context, s *shard, r ResourceID, mode Mode, start time.Time) (handled bool, err error) {
-	req := &t.fcr
-	req.prepare(t.id, r, mode, t.held, getWaiter())
-	published := false
-	for i := range s.fc {
-		if s.fc[i].CompareAndSwap(nil, req) {
-			published = true
-			break
-		}
-	}
-	if !published {
-		putWaiter(req.ch) // never registered: safe to recycle directly
-		req.ch = nil
-		return false, nil
-	}
-	// Wait for a combiner to apply the request; whenever the mutex is
-	// free, take one round ourselves so a published request can never
-	// be stranded behind an idle mutex.
-	for req.done.Load() == 0 {
-		if s.mu.TryLock() {
-			s.met.mutexAcquires.Inc()
-			s.drainPending()
-			s.mu.Unlock()
-			continue
-		}
-		runtime.Gosched()
-	}
-	res := req.res
-	if req.err != nil {
-		putWaiter(req.ch) // a failed request registers nothing
-		req.ch = nil
-		return true, req.err
-	}
-	t.noteShard(s)
-	if res.Granted {
-		putWaiter(req.ch)
-		req.ch = nil
-		t.noteGrant(res.Conversion)
-		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, false)
-		return true, nil
-	}
-	s.blocked(t.id, r, mode, start, res.QueueDepth, res.Conversion)
-	ch := req.ch
-	req.ch = nil
-	return true, t.waitGrant(ctx, s, ch, start, r, mode, res.Conversion, true)
+	return t.waitGrant(ctx, s, ch, start, r, mode, res.Conversion)
 }
 
 // waitGrant parks the owner goroutine of a blocked request until the
 // request is granted, the transaction is aborted or cancelled, or the
-// manager closes. ch is the registered waiter channel — registered
-// under the shard mutex by the round that blocked the request, whether
-// this goroutine's own or a combiner's — and conv is the request's
-// Conversion fact from that round, for the grant report. recheck forces
-// one immediate table re-check before the first channel wait: the
-// flat-combining path enqueues on another goroutine's mutex round after
-// this goroutine's liveness check, so a concurrent Close (the one event
-// that can condemn a transaction that is not blocked) could otherwise
-// slip between the check and the park. Paths that enqueue under their
-// own mutex round (Lock, LockAll) pass recheck=false — their liveness
-// check and the enqueue are atomic under the shard mutex.
-func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start time.Time, r ResourceID, mode Mode, conv, recheck bool) error {
+// manager closes. ch is the waiter channel registered under the shard
+// mutex by the round that blocked the request, and conv is the
+// request's Conversion fact from that round, for the grant report.
+func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start time.Time, r ResourceID, mode Mode, conv bool) error {
 	for {
-		if recheck {
-			recheck = false
-		} else {
-			select {
-			case <-ctx.Done():
-				// Abort the whole transaction: a queued request cannot be
-				// retracted in isolation under strict 2PL. abortTables
-				// unregisters our waiter entry in s (a touched shard), but a
-				// pending externally-initiated abort skips it, so unregister
-				// explicitly before recycling the channel.
-				if t.checkLive() == nil {
-					t.abortTables()
-					t.state = abortedState
-				}
-				s.mu.Lock()
-				delete(s.waiters, t.id)
-				s.drainPending()
-				s.mu.Unlock()
-				putWaiter(ch)
-				t.observeAbort(s)
-				return ctx.Err()
-			case <-ch:
+		select {
+		case <-ctx.Done():
+			// Abort the whole transaction: a queued request cannot be
+			// retracted in isolation under strict 2PL. abortTables
+			// unregisters our waiter entry in s (a touched shard), but a
+			// pending externally-initiated abort skips it, so unregister
+			// explicitly before recycling the channel.
+			if t.checkLive() == nil {
+				t.abortTables()
+				t.state = abortedState
 			}
+			s.mu.Lock()
+			delete(s.waiters, t.id)
+			s.mu.Unlock()
+			putWaiter(ch)
+			t.observeAbort(s)
+			return ctx.Err()
+		case <-ch:
 		}
 		s.mu.Lock()
 		s.met.mutexAcquires.Inc()
 		if err := t.checkLive(); err != nil {
 			delete(s.waiters, t.id)
-			s.drainPending()
 			s.mu.Unlock()
 			putWaiter(ch)
 			if !errors.Is(err, ErrAborted) {
@@ -446,7 +350,6 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 			// Granted. The hand-off grant itself was counted (per mode)
 			// by the granting shard; the waiter observes its latency.
 			delete(s.waiters, t.id)
-			s.drainPending()
 			s.mu.Unlock()
 			putWaiter(ch)
 			t.noteGrant(conv)
@@ -454,8 +357,7 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 			s.granted(t.id, r, mode, start, wait, wait, conv, false)
 			return nil
 		}
-		// Spurious wake, or a first-pass re-check that found us still
-		// blocked: (re-)register and wait. Drain any token deposited
+		// Spurious wake: re-register and wait. Drain any token deposited
 		// while the channel was out of the map first, so a registered
 		// channel is always empty.
 		select {
@@ -463,7 +365,6 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 		default:
 		}
 		s.waiters[t.id] = ch
-		s.drainPending()
 		s.mu.Unlock()
 	}
 }
@@ -479,13 +380,11 @@ func (t *Txn) TryLock(r ResourceID, mode Mode) (bool, error) {
 	s.mu.Lock()
 	s.met.mutexAcquires.Inc()
 	if err := t.checkLive(); err != nil {
-		s.drainPending()
 		s.mu.Unlock()
 		return false, err
 	}
 	if !s.tb.WouldGrant(t.id, r, mode) {
 		s.met.tryRefused.Inc()
-		s.drainPending()
 		s.mu.Unlock()
 		s.refused(t.id, r, mode, start)
 		return false, nil
@@ -497,13 +396,11 @@ func (t *Txn) TryLock(r ResourceID, mode Mode) (bool, error) {
 		var c requestTally
 		c.note(res, mode)
 		s.met.count(&c)
-		s.drainPending()
 		s.mu.Unlock()
 		t.noteGrant(res.Conversion)
 		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, true)
 		return true, err
 	}
-	s.drainPending()
 	s.mu.Unlock()
 	return res.Granted, err
 }
@@ -553,7 +450,6 @@ func (t *Txn) Commit() error {
 		}
 		s.epoch.bump()
 		s.wakeGrants(grants)
-		s.drainPending()
 		s.mu.Unlock()
 	}
 	// Close may have raced with the releases above; honor its verdict.
@@ -597,7 +493,6 @@ func (t *Txn) abortTables() {
 		grants := s.tb.Abort(t.id)
 		s.epoch.bump()
 		s.wakeGrants(grants)
-		s.drainPending()
 		s.mu.Unlock()
 	}
 	t.clearTouched()
