@@ -241,7 +241,8 @@ type ActivationReport struct {
 	// victim's abort, each stamped by its own goroutine's clock —
 	// follows it. The activation's end would not order that way: a
 	// waiter woken by the first resolution can stamp its grant before
-	// the last one is applied.
+	// the last one is applied. It is read from the manager's clock, the
+	// time base of every journal stamp.
 	Time time.Time `json:"time"`
 	Seq  int       `json:"seq"` // 1-based activation number
 
@@ -338,6 +339,11 @@ type Manager struct {
 	nextID    atomic.Int64
 	condemned condemnedSet
 
+	// clockBase is the clock reading taken at Open, wall and monotonic,
+	// and clockBaseNs its wall part; see now.
+	clockBase   time.Time
+	clockBaseNs int64
+
 	stop chan struct{}
 	done chan struct{}
 }
@@ -395,6 +401,8 @@ func Open(opts Options) *Manager {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	m.clockBase = time.Now()
+	m.clockBaseNs = m.clockBase.UnixNano()
 	for i := range m.shards {
 		m.shards[i] = &shard{tb: table.New(), waiters: make(map[TxnID]chan struct{}), met: &shardMetrics{}}
 	}
@@ -430,6 +438,14 @@ func Open(opts Options) *Manager {
 	}
 	return m
 }
+
+// now is the manager's clock, in nanoseconds since the Unix epoch: the
+// wall reading taken at Open plus the monotonic time elapsed since. It
+// costs one clock read (time.Now costs two) and never steps backwards,
+// so every journal ring shares one time base; it drifts from the
+// system clock only by that clock's slew since Open. Every stamp and
+// phase timing the manager makes comes from here.
+func (m *Manager) now() int64 { return m.clockBaseNs + int64(time.Since(m.clockBase)) }
 
 // defaultCost is the default victim metric, locks held + 1. It prices
 // a candidate from the snapshot itself, since the live shards are
@@ -681,7 +697,7 @@ func (m *Manager) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(m.shards))
 	for i, s := range m.shards {
 		out[i] = ShardStat{
-			Grants:        s.met.grants.Load(),
+			Grants:        s.met.grants(),
 			MutexAcquires: s.met.mutexAcquires.Load(),
 		}
 	}

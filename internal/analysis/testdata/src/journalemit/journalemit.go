@@ -39,6 +39,24 @@ func (s *shard) badEmit(txn int64) {
 	s.mu.Unlock()
 }
 
+// contendedEmit takes the mutex the way the lock path does: TryLock
+// first, Lock only when it is held. The round's record must still be
+// emitted after Unlock; one seeded before it is reported.
+func (s *shard) contendedEmit(txn int64) {
+	var waited bool
+	if !s.mu.TryLock() {
+		waited = true
+		s.mu.Lock()
+	}
+	rec := journal.Record{Txn: txn, Kind: journal.KindGrant}
+	if waited {
+		rec.Flags = 1
+	}
+	s.jr.Emit(&rec) // want "journal.Ring.Emit while a shard mutex is held"
+	s.mu.Unlock()
+	s.jr.Emit(&rec)
+}
+
 // deferredEmit is held to function end by the deferred unlock.
 func (s *shard) deferredEmit(txn int64) {
 	s.mu.Lock()

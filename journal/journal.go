@@ -139,7 +139,12 @@ const (
 // is the packed [Words]uint64 form (see Pack); this struct is the
 // unpacked working form.
 type Record struct {
-	TS    int64  // wall clock, nanoseconds since the Unix epoch
+	// TS is nanoseconds since the Unix epoch on the writer's one time
+	// base: the lock manager stamps every record from its own clock,
+	// the wall reading at Open plus monotonic time since, so the stamps
+	// of all its rings never step backwards and drift from the system
+	// clock only by that clock's slew since Open.
+	TS    int64
 	Txn   int64  // transaction id (or activation seq for KindDetect)
 	Arg   uint64 // kind-specific: queue depth, wait ns, waited-by txn, ...
 	RHash uint64 // FNV-1a 64 of the resource id; 0 when no resource
@@ -310,18 +315,16 @@ func NewRing(size int, ringIndex uint8) *Ring {
 func (r *Ring) Cap() int { return len(r.slots) }
 
 // Emit appends one record: claim a slot, store the payload, publish.
-// The record's TS (when zero) and Shard fields are stamped here. Emit
-// is wait-free apart from the single atomic fetch-add — and allocation-
-// free: the caller's record is packed into a stack scratch array and
-// copied into the pre-sized ring, a property the allocbudget analyzer
-// now proves (the hot path journals on every grant, so a single stray
-// allocation here would show up on every benchmark).
+// The record's Shard field is stamped here; its TS is the caller's, so
+// Emit reads no clock. Emit is wait-free apart from the single atomic
+// fetch-add — and allocation-free: the caller's record is packed into
+// a stack scratch array and copied into the pre-sized ring, a property
+// the allocbudget analyzer now proves (the hot path journals on every
+// grant, so a single stray allocation here would show up on every
+// benchmark).
 //
 //hwlint:hotpath allocs=0
 func (r *Ring) Emit(rec *Record) {
-	if rec.TS == 0 {
-		rec.TS = time.Now().UnixNano()
-	}
 	rec.Shard = r.ring
 	var w [Words]uint64
 	rec.Pack(&w)

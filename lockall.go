@@ -97,9 +97,14 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 			end++
 		}
 		s := m.shards[sIdx]
-		start := time.Now()
-		t.journalBegin(start.UnixNano())
-		s.mu.Lock()
+		// One clock read per round, as in Lock: it stamps the round
+		// under the mutex, and only a contended mutex costs a read
+		// before the wait for it.
+		var start int64
+		if !s.mu.TryLock() {
+			start = m.now()
+			s.mu.Lock()
+		}
 		s.met.mutexAcquires.Inc()
 		if err := t.checkLive(); err != nil {
 			s.mu.Unlock()
@@ -136,20 +141,25 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 			// stamped with the grants before it.
 			t.noteGrant(res.Conversion)
 		}
+		var ts int64
 		if len(pend) > 0 {
-			s.epoch.bump() // one bump covers the whole batch round
+			ts = m.now()   // one stamp covers the whole batch round
+			s.epoch.bump() // and so does one bump
+			if start == 0 {
+				start = ts
+			}
 		}
 		s.mu.Unlock()
 		s.met.count(&tally)
 		t.batch.pend = pend
-		t.flushBatch(s, reqs, pend, start)
+		t.flushBatch(s, reqs, pend, ts, time.Duration(ts-start))
 		if applyErr != nil {
 			return applyErr
 		}
 		if blockedCh != nil {
 			p := pend[len(pend)-1]
 			rq := reqs[p.idx]
-			if err := t.waitGrant(ctx, s, blockedCh, start, rq.Resource, rq.Mode, p.res.Conversion); err != nil {
+			if err := t.waitGrant(ctx, s, blockedCh, start, ts, rq.Resource, rq.Mode, p.res.Conversion); err != nil {
 				return err
 			}
 		}
@@ -166,15 +176,20 @@ func less(a, b batchEnt) bool {
 // emission seam, in request order, after the shard mutex is released.
 // Each request is reported individually, exactly as the single-request
 // path reports it, so postmortems and differential replays cannot tell a
-// batch from a run of single requests.
-func (t *Txn) flushBatch(s *shard, reqs []LockRequest, pend []pendOutcome, start time.Time) {
-	elapsed := time.Since(start) // one clock read prices the whole round
+// batch from a run of single requests. Every record carries the round's
+// stamp ts, and every grant the round's wait for the shard mutex. A
+// round that requested nothing reports nothing, not even a begin.
+func (t *Txn) flushBatch(s *shard, reqs []LockRequest, pend []pendOutcome, ts int64, elapsed time.Duration) {
+	if len(pend) == 0 {
+		return
+	}
+	t.journalBegin(ts)
 	for _, p := range pend {
 		rq := reqs[p.idx]
 		if p.res.Granted {
-			s.granted(t.id, rq.Resource, rq.Mode, start, elapsed, 0, p.res.Conversion, false)
+			s.granted(t.id, rq.Resource, rq.Mode, ts, elapsed, 0, p.res.Conversion, false)
 		} else {
-			s.blocked(t.id, rq.Resource, rq.Mode, start, p.res.QueueDepth, p.res.Conversion)
+			s.blocked(t.id, rq.Resource, rq.Mode, ts, p.res.QueueDepth, p.res.Conversion)
 		}
 	}
 }

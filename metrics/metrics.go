@@ -1,7 +1,7 @@
 // Package metrics provides the lock-free instrumentation primitives of
 // the hwtwbg lock manager: cache-line-friendly atomic counters and
-// log₂-bucketed histograms that cost a handful of atomic adds on the
-// hot path and never allocate.
+// log₂-bucketed histograms that cost two atomic adds on the hot path
+// and never allocate.
 //
 // The design follows the per-core stats counters of production
 // transaction engines (Gray & Reuter's lock-manager accounting;
@@ -49,12 +49,12 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 const NumBuckets = 34
 
 // Histogram is a log₂-bucketed histogram of non-negative integer
-// observations (typically nanoseconds or queue depths). Observe is
-// three atomic adds and no allocation; the zero value is ready to use.
+// observations (typically nanoseconds or queue depths). Observe is two
+// atomic adds and no allocation; the count is the sum of the buckets,
+// kept by no counter of its own. The zero value is ready to use.
 //
 // hwlint:atomics-only — fields may only be touched via their methods.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [NumBuckets]atomic.Uint64
 }
@@ -80,20 +80,20 @@ func BucketUpper(i int) uint64 {
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
 // Snapshot returns an atomic-read copy of the histogram. Concurrent
 // observers may land between the bucket loads, so the snapshot is not a
 // point-in-time cut, but every recorded value appears in at most one
-// snapshot bucket and counters never run backwards.
+// snapshot bucket and counters never run backwards. Count is the sum
+// of the buckets loaded, so Count == ΣBuckets holds in every snapshot.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

@@ -21,19 +21,21 @@ import (
 //
 // hwlint:atomics-only — fields may only be touched via their methods.
 type shardMetrics struct {
-	grants        metrics.Counter                  // every grant: immediate and hand-off
-	grantsByMode  [len(lock.Modes)]metrics.Counter // indexed by Mode
-	fresh         metrics.Counter                  // first-time requests
-	conversions   metrics.Counter                  // re-requests by an existing holder
-	immediate     metrics.Counter                  // requests granted without blocking
-	blocked       metrics.Counter                  // requests that enqueued
-	waitAborts    metrics.Counter                  // waits ended by abort/cancel instead of grant
-	tryRefused    metrics.Counter                  // TryLock refusals (would have blocked)
-	mutexAcquires metrics.Counter                  // hot-path shard-mutex rounds (lock/commit/abort/wake re-checks)
-	queueDepth    metrics.Histogram                // depth in line at enqueue (incl. self)
-	wait          metrics.Histogram                // ns blocked until grant (blocked requests only)
-	grant         metrics.Histogram                // ns request→grant, every granted request
-	_             [64]byte
+	// Grants are counted once, by mode and by route; every other grant
+	// count (Grants, Immediate, GrantsByMode) is a sum of these, so the
+	// sums agree by construction and a grant costs one atomic add.
+	immediateByMode [len(lock.Modes)]metrics.Counter // granted without blocking, indexed by Mode
+	handoffByMode   [len(lock.Modes)]metrics.Counter // granted by a release or the detector, by effective Mode
+	fresh           metrics.Counter                  // first-time requests
+	conversions     metrics.Counter                  // re-requests by an existing holder
+	blocked         metrics.Counter                  // requests that enqueued
+	waitAborts      metrics.Counter                  // waits ended by abort/cancel instead of grant
+	tryRefused      metrics.Counter                  // TryLock refusals (would have blocked)
+	mutexAcquires   metrics.Counter                  // hot-path shard-mutex rounds (lock/commit/abort/wake re-checks)
+	queueDepth      metrics.Histogram                // depth in line at enqueue (incl. self)
+	wait            metrics.Histogram                // ns blocked until grant (blocked requests only)
+	grant           metrics.Histogram                // ns from the request to its grant stamp, every granted request
+	_               [64]byte
 }
 
 // requestTally says which request counters a table round touched: one
@@ -69,17 +71,20 @@ func (sm *shardMetrics) count(c *requestTally) {
 	if c.blocked > 0 {
 		sm.blocked.Add(c.blocked)
 	}
-	var grants uint64
 	for m, n := range c.granted {
 		if n > 0 {
-			sm.grantsByMode[m].Add(n)
-			grants += n
+			sm.immediateByMode[m].Add(n)
 		}
 	}
-	if grants > 0 {
-		sm.grants.Add(grants)
-		sm.immediate.Add(grants)
+}
+
+// grants sums the shard's grant counters: immediate and hand-off.
+func (sm *shardMetrics) grants() uint64 {
+	var n uint64
+	for m := range sm.immediateByMode {
+		n += sm.immediateByMode[m].Load() + sm.handoffByMode[m].Load()
 	}
+	return n
 }
 
 // ShardMetricsSnapshot is a plain-value copy of one shard's counters
@@ -96,7 +101,11 @@ type ShardMetricsSnapshot struct {
 	MutexAcquires uint64                    `json:"mutex_acquires"`
 	QueueDepth    metrics.HistogramSnapshot `json:"queue_depth_at_enqueue"`
 	WaitNs        metrics.HistogramSnapshot `json:"lock_wait_ns"`
-	GrantNs       metrics.HistogramSnapshot `json:"time_to_grant_ns"`
+	// GrantNs is time_to_grant: from the request to the stamp of its
+	// grant, for every granted request. An immediate grant is stamped
+	// by the clock read that starts it when the shard mutex is free, so
+	// it observes 0; only a contended mutex or a wait in line shows.
+	GrantNs metrics.HistogramSnapshot `json:"time_to_grant_ns"`
 }
 
 // merge adds o into s.
@@ -120,11 +129,9 @@ func (s *ShardMetricsSnapshot) merge(o ShardMetricsSnapshot) {
 // snapshot copies the atomic counters into plain values.
 func (sm *shardMetrics) snapshot() ShardMetricsSnapshot {
 	s := ShardMetricsSnapshot{
-		Grants:        sm.grants.Load(),
 		GrantsByMode:  make(map[string]uint64, len(lock.Modes)),
 		Fresh:         sm.fresh.Load(),
 		Conversions:   sm.conversions.Load(),
-		Immediate:     sm.immediate.Load(),
 		Blocked:       sm.blocked.Load(),
 		WaitAborts:    sm.waitAborts.Load(),
 		TryRefused:    sm.tryRefused.Load(),
@@ -134,7 +141,11 @@ func (sm *shardMetrics) snapshot() ShardMetricsSnapshot {
 		GrantNs:       sm.grant.Snapshot(),
 	}
 	for _, m := range lock.Modes {
-		if v := sm.grantsByMode[m].Load(); v > 0 {
+		imm := sm.immediateByMode[m].Load()
+		v := imm + sm.handoffByMode[m].Load()
+		s.Immediate += imm
+		s.Grants += v
+		if v > 0 {
 			s.GrantsByMode[m.String()] = v
 		}
 	}
@@ -410,7 +421,7 @@ func (m *Manager) WritePrometheus(w io.Writer) error {
 	}
 
 	metrics.WriteHistogram(bw, "hwtwbg_lock_wait_seconds", "Time blocked before grant (blocked requests only).", nil, snap.Total.WaitNs, 1e-9)
-	metrics.WriteHistogram(bw, "hwtwbg_time_to_grant_seconds", "Request-to-grant latency, every granted request.", nil, snap.Total.GrantNs, 1e-9)
+	metrics.WriteHistogram(bw, "hwtwbg_time_to_grant_seconds", "Request-to-grant latency, every granted request; 0 for an immediate grant on a free shard mutex.", nil, snap.Total.GrantNs, 1e-9)
 	metrics.WriteHistogram(bw, "hwtwbg_queue_depth_enqueue", "Requests in line at enqueue, including the newcomer.", nil, snap.Total.QueueDepth, 1)
 	scalars(promDetector)
 

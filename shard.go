@@ -54,37 +54,43 @@ func (e *shardEpoch) load() uint64 { return e.v.Load() }
 // The emission seam: the only place a lock-path journal record is built
 // and the grant, wait and queue-depth histograms are observed. The
 // requester calls it after the shard mutex is released (hwlint's
-// callbacklock proves it is never reached with one held), passing its
-// own start clock read, so no report costs a clock read of its own.
+// callbacklock proves it is never reached with one held), passing the
+// stamp it read from the manager's clock inside the round that decided
+// the request, so no report costs a clock read of its own and one
+// shard's records carry their stamps in table order.
 
-// granted reports a grant, elapsed after start. A grant at once (wait
-// zero) is stamped at the request; a waited grant is stamped at the
-// grant and carries its wait, so the blocked span can be rebuilt from
-// it alone once the block record is overwritten. try marks a TryLock.
+// granted reports a grant stamped ts, elapsed after the request. An
+// immediate grant is stamped in the round that granted it, and elapsed
+// is the wait for a contended shard mutex (0 when it was free). A
+// waited grant is stamped at the waiter's wake and carries wait, its
+// time blocked, so the blocked span can be rebuilt from it alone once
+// the block record is overwritten. try marks a TryLock.
 //
 //hwlint:hotpath allocs=0
-func (s *shard) granted(id TxnID, r ResourceID, mode Mode, start time.Time, elapsed, wait time.Duration, conv, try bool) {
+func (s *shard) granted(id TxnID, r ResourceID, mode Mode, ts int64, elapsed, wait time.Duration, conv, try bool) {
 	s.met.grant.Observe(uint64(elapsed))
 	if wait > 0 {
 		s.met.wait.Observe(uint64(wait))
 	}
-	s.emit(journal.Record{TS: start.UnixNano() + int64(wait), Txn: int64(id), Arg: uint64(wait), Kind: journal.KindGrant, Mode: uint8(mode), Flags: requestFlags(conv, try)}, r)
+	s.emit(journal.Record{TS: ts, Txn: int64(id), Arg: uint64(wait), Kind: journal.KindGrant, Mode: uint8(mode), Flags: requestFlags(conv, try)}, r)
 }
 
-// blocked reports a request enqueued depth deep in line, itself included.
+// blocked reports a request enqueued depth deep in line, itself
+// included, stamped ts in the round that enqueued it.
 //
 //hwlint:hotpath allocs=0
-func (s *shard) blocked(id TxnID, r ResourceID, mode Mode, start time.Time, depth int, conv bool) {
+func (s *shard) blocked(id TxnID, r ResourceID, mode Mode, ts int64, depth int, conv bool) {
 	s.met.queueDepth.Observe(uint64(depth))
-	s.emit(journal.Record{TS: start.UnixNano(), Txn: int64(id), Arg: uint64(depth), Kind: journal.KindBlock, Mode: uint8(mode), Flags: requestFlags(conv, false)}, r)
+	s.emit(journal.Record{TS: ts, Txn: int64(id), Arg: uint64(depth), Kind: journal.KindBlock, Mode: uint8(mode), Flags: requestFlags(conv, false)}, r)
 }
 
 // refused reports a TryLock probe that would have blocked: nothing was
-// granted or enqueued, so the record is a bare request.
+// granted or enqueued, so the record is a bare request, stamped ts in
+// the round that refused it.
 //
 //hwlint:hotpath allocs=0
-func (s *shard) refused(id TxnID, r ResourceID, mode Mode, start time.Time) {
-	s.emit(journal.Record{TS: start.UnixNano(), Txn: int64(id), Kind: journal.KindRequest, Mode: uint8(mode), Flags: journal.FlagTry}, r)
+func (s *shard) refused(id TxnID, r ResourceID, mode Mode, ts int64) {
+	s.emit(journal.Record{TS: ts, Txn: int64(id), Kind: journal.KindRequest, Mode: uint8(mode), Flags: journal.FlagTry}, r)
 }
 
 // emit writes a lock-path record about r to the shard's ring.
@@ -171,9 +177,8 @@ func (s *shard) wakeGrants(grants []table.Grant) {
 // hand-off) and the stopped-world detector may call this.
 func (s *shard) countGrants(grants []table.Grant) {
 	for _, g := range grants {
-		s.met.grants.Inc()
-		if int(g.Mode) < len(s.met.grantsByMode) {
-			s.met.grantsByMode[g.Mode].Inc()
+		if int(g.Mode) < len(s.met.handoffByMode) {
+			s.met.handoffByMode[g.Mode].Inc()
 		}
 	}
 }

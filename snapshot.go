@@ -69,17 +69,18 @@ func (m *Manager) copySnapshot() snapCopy {
 	if len(dirty) == 0 {
 		return cp
 	}
-	prev := time.Now()
+	prev := m.now()
 	for _, i := range dirty {
 		s := m.shards[i]
 		s.mu.Lock()
-		t1 := time.Now()
+		t1 := m.now()
 		m.snap.CopyShard(s.tb, i, s.epoch.load())
 		s.mu.Unlock()
-		t2 := time.Now()
-		cp.acquire += t1.Sub(prev)
-		cp.maxHold = max(cp.maxHold, t2.Sub(t1))
-		cp.hold += t2.Sub(t1)
+		t2 := m.now()
+		hold := time.Duration(t2 - t1)
+		cp.acquire += time.Duration(t1 - prev)
+		cp.maxHold = max(cp.maxHold, hold)
+		cp.hold += hold
 		prev = t2
 	}
 	for _, i := range dirty {
@@ -91,28 +92,28 @@ func (m *Manager) copySnapshot() snapCopy {
 
 // detectSnapshot is one activation. Caller holds detMu.
 func (m *Manager) detectSnapshot() Stats {
-	start := time.Now()
+	start := m.now()
 	cp := m.copySnapshot()
-	copied := time.Now()
+	copied := m.now()
 	if hook := m.testHookAfterCopy; hook != nil {
 		hook()
 	}
 	pre := m.auditPreSnapshot()
 	res := m.snapDet.Run()
-	vstart := time.Now()
+	vstart := m.now()
 	out := m.applyResolutions(res.Resolutions)
 	m.auditPostSnapshot(pre, res)
-	now := time.Now()
+	end := m.now()
 
 	rep := ActivationReport{
-		Time:           vstart,
+		Time:           time.Unix(0, vstart),
 		Acquire:        cp.acquire,
-		Copy:           copied.Sub(start) - cp.acquire,
+		Copy:           time.Duration(copied-start) - cp.acquire,
 		Build:          res.BuildTime,
 		Search:         res.SearchTime,
 		Resolve:        res.ResolveTime,
-		Validate:       now.Sub(vstart),
-		Total:          now.Sub(start),
+		Validate:       time.Duration(end - vstart),
+		Total:          time.Duration(end - start),
 		MaxShardHold:   cp.maxHold,
 		Vertices:       res.Vertices,
 		Edges:          res.Edges,

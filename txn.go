@@ -141,11 +141,11 @@ func (t *Txn) Recycle() {
 // existed as far as the lock table — or the flight recorder — is
 // concerned, so its commit or abort journals nothing either.
 //
-// ts is the request's own start timestamp; the begin record is stamped
-// one nanosecond earlier so a merged snapshot (sorted by timestamp,
-// ties broken by ring index, with the control ring last) orders the
-// begin strictly before the request's grant or block records. Reusing
-// the caller's clock read keeps the record free.
+// ts is the stamp of the round that decided the first request; the
+// begin record is stamped one nanosecond earlier so a merged snapshot
+// (sorted by timestamp, ties broken by ring index, with the control
+// ring last) orders the begin strictly before the request's grant or
+// block records. Reusing the round's clock read keeps the record free.
 func (t *Txn) journalBegin(ts int64) {
 	if t.begun {
 		return
@@ -156,11 +156,15 @@ func (t *Txn) journalBegin(ts int64) {
 
 // journalControl writes one transaction-lifecycle record (begin, op tag,
 // commit, abort) to the flight recorder's control ring; a zero ts is
-// stamped at emission. No-op when the journal is disabled; never takes
-// a lock, never allocates, never blocks.
+// read from the manager's clock here, so a disabled journal costs no
+// clock read. No-op when the journal is disabled; never takes a lock,
+// never allocates, never blocks.
 func (m *Manager) journalControl(kind journal.Kind, id TxnID, ts int64, arg uint64) {
 	if m.jr == nil {
 		return
+	}
+	if ts == 0 {
+		ts = m.now()
 	}
 	rec := journal.Record{TS: ts, Txn: int64(id), Arg: arg, Kind: kind}
 	m.jr.Control().Emit(&rec)
@@ -261,9 +265,15 @@ func (t *Txn) clearTouched() {
 //hwlint:hotpath allocs=1
 func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	s := t.m.shardFor(r)
-	start := time.Now()
-	t.journalBegin(start.UnixNano())
-	s.mu.Lock()
+	// One clock read per request: it stamps the round right after the
+	// table operation, under the mutex. Only a contended mutex costs a
+	// second read, before the wait for it, so time_to_grant prices the
+	// wait.
+	var start int64
+	if !s.mu.TryLock() {
+		start = t.m.now()
+		s.mu.Lock()
+	}
 	s.met.mutexAcquires.Inc()
 	if err := t.checkLive(); err != nil {
 		s.mu.Unlock()
@@ -274,6 +284,10 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 		s.mu.Unlock()
 		return err
 	}
+	ts := t.m.now()
+	if start == 0 {
+		start = ts
+	}
 	s.epoch.bump()
 	t.noteShard(s)
 	var c requestTally
@@ -281,8 +295,9 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	s.met.count(&c)
 	if res.Granted {
 		s.mu.Unlock()
+		t.journalBegin(ts)
 		t.noteGrant(res.Conversion)
-		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, false)
+		s.granted(t.id, r, mode, ts, time.Duration(ts-start), 0, res.Conversion, false)
 		return nil
 	}
 	// Blocked: register a waiter channel and park in waitGrant. The
@@ -295,16 +310,20 @@ func (t *Txn) Lock(ctx context.Context, r ResourceID, mode Mode) error {
 	ch := getWaiter()
 	s.waiters[t.id] = ch
 	s.mu.Unlock()
-	s.blocked(t.id, r, mode, start, res.QueueDepth, res.Conversion)
-	return t.waitGrant(ctx, s, ch, start, r, mode, res.Conversion)
+	t.journalBegin(ts)
+	s.blocked(t.id, r, mode, ts, res.QueueDepth, res.Conversion)
+	return t.waitGrant(ctx, s, ch, start, ts, r, mode, res.Conversion)
 }
 
 // waitGrant parks the owner goroutine of a blocked request until the
 // request is granted, the transaction is aborted or cancelled, or the
 // manager closes. ch is the waiter channel registered under the shard
-// mutex by the round that blocked the request, and conv is the
-// request's Conversion fact from that round, for the grant report.
-func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start time.Time, r ResourceID, mode Mode, conv bool) error {
+// mutex by the round that blocked the request; start is the request's
+// start and blockedAt that round's stamp, both from the manager's
+// clock; conv is the request's Conversion fact from that round, for
+// the grant report. The clock is read once more, at the wake that ends
+// the wait.
+func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start, blockedAt int64, r ResourceID, mode Mode, conv bool) error {
 	for {
 		select {
 		case <-ctx.Done():
@@ -341,20 +360,21 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 				// A deadlock victim: its wait span is the persistence-
 				// cost sample for the scheduling cost model (Close also
 				// condemns, but arrives with closed already set).
-				t.m.cost.observeVictimWait(time.Since(start), t.m.CurrentPeriod())
+				t.m.cost.observeVictimWait(time.Duration(t.m.now()-blockedAt), t.m.CurrentPeriod())
 			}
 			t.observeAbort(s)
 			return err
 		}
 		if !s.tb.Blocked(t.id) {
 			// Granted. The hand-off grant itself was counted (per mode)
-			// by the granting shard; the waiter observes its latency.
+			// by the granting shard; the waiter stamps it in this round
+			// and observes its latency.
+			wake := t.m.now()
 			delete(s.waiters, t.id)
 			s.mu.Unlock()
 			putWaiter(ch)
 			t.noteGrant(conv)
-			wait := time.Since(start)
-			s.granted(t.id, r, mode, start, wait, wait, conv, false)
+			s.granted(t.id, r, mode, wake, time.Duration(wake-start), time.Duration(wake-blockedAt), conv, false)
 			return nil
 		}
 		// Spurious wake: re-register and wait. Drain any token deposited
@@ -372,12 +392,14 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 // TryLock attempts the request without blocking and reports whether the
 // lock was granted. A request that would block is refused outright (it
 // is never queued), so TryLock never deadlocks and never leaves the
-// transaction waiting.
+// transaction waiting. It reads the clock as Lock does.
 func (t *Txn) TryLock(r ResourceID, mode Mode) (bool, error) {
 	s := t.m.shardFor(r)
-	start := time.Now()
-	t.journalBegin(start.UnixNano())
-	s.mu.Lock()
+	var start int64
+	if !s.mu.TryLock() {
+		start = t.m.now()
+		s.mu.Lock()
+	}
 	s.met.mutexAcquires.Inc()
 	if err := t.checkLive(); err != nil {
 		s.mu.Unlock()
@@ -385,20 +407,27 @@ func (t *Txn) TryLock(r ResourceID, mode Mode) (bool, error) {
 	}
 	if !s.tb.WouldGrant(t.id, r, mode) {
 		s.met.tryRefused.Inc()
+		ts := t.m.now()
 		s.mu.Unlock()
-		s.refused(t.id, r, mode, start)
+		t.journalBegin(ts)
+		s.refused(t.id, r, mode, ts)
 		return false, nil
 	}
 	res, err := s.tb.RequestHeld(t.id, r, mode, t.held)
 	if res.Granted {
+		ts := t.m.now()
+		if start == 0 {
+			start = ts
+		}
 		s.epoch.bump()
 		t.noteShard(s)
 		var c requestTally
 		c.note(res, mode)
 		s.met.count(&c)
 		s.mu.Unlock()
+		t.journalBegin(ts)
 		t.noteGrant(res.Conversion)
-		s.granted(t.id, r, mode, start, time.Since(start), 0, res.Conversion, true)
+		s.granted(t.id, r, mode, ts, time.Duration(ts-start), 0, res.Conversion, true)
 		return true, err
 	}
 	s.mu.Unlock()
