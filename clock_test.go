@@ -170,3 +170,64 @@ func TestStampsFollowTableOrder(t *testing.T) {
 	}
 	diffSeq(t, got, want)
 }
+
+// TestEndRecordStampedBeforeRelease pins where a commit's and an
+// abort's end record is stamped: in the first release round, before
+// any lock is released. The holder holds one resource on each of two
+// shards and the waiter queues on the first; the test holds the second
+// shard's mutex while the holder ends, so the waiter is granted — and
+// stamps its hand-off grant — before the holder's second round can
+// run. The end record must not sort after that grant, or the journal
+// would show the two X locks overlapping.
+func TestEndRecordStampedBeforeRelease(t *testing.T) {
+	ctx := context.Background()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, end := range []journal.Kind{journal.KindCommit, journal.KindAbort} {
+		m := Open(Options{Shards: 2})
+		res := [2]ResourceID{shardResource(t, m, 0, 1), shardResource(t, m, 1, 2)}
+		h, w := m.Begin(), m.Begin()
+		must(h.Lock(ctx, res[0], X))
+		must(h.Lock(ctx, res[1], X))
+		wDone := make(chan error, 1)
+		go func() { wDone <- w.Lock(ctx, res[0], X) }()
+		waitBlocked(t, m, w.ID())
+
+		second := m.shards[1]
+		second.mu.Lock()
+		hDone := make(chan error, 1)
+		go func() {
+			if end == journal.KindCommit {
+				hDone <- h.Commit()
+				return
+			}
+			h.Abort()
+			hDone <- nil
+		}()
+		must(<-wDone) // granted by the first round; the second waits for us
+		second.mu.Unlock()
+		must(<-hDone)
+		must(w.Commit())
+
+		var endTS, grantTS int64
+		for _, rec := range m.Journal().Snapshot() {
+			switch {
+			case rec.Kind == end && rec.Txn == int64(h.ID()):
+				endTS = rec.TS
+			case rec.Kind == journal.KindGrant && rec.Txn == int64(w.ID()):
+				grantTS = rec.TS
+			}
+		}
+		if endTS == 0 || grantTS == 0 {
+			t.Fatalf("%v: journal lacks the end record (%d) or the waiter's grant (%d)", end, endTS, grantTS)
+		}
+		if endTS > grantTS {
+			t.Errorf("%v of T%d stamped %dns after the grant its first release caused", end, h.ID(), endTS-grantTS)
+		}
+		m.Close()
+	}
+}

@@ -23,8 +23,9 @@ import (
 // All three inputs are measured online from the detector's own
 // telemetry — the same records the flight recorder journals:
 //
-//   - λ from cycle counts per activation over elapsed wall clock
-//     (KindDetect records carry the cycle count), kept as an
+//   - λ from cycle counts per activation (KindDetect records carry
+//     the cycle count) over the time between activation stamps
+//     (ActivationReport.Time, the manager's clock), kept as an
 //     exponentially time-decayed window so the estimate tracks workload
 //     shifts instead of averaging over the process lifetime;
 //   - D as an EWMA of ActivationReport.Total (the full activation,
@@ -39,10 +40,8 @@ import (
 // the derived period clamps to the scheduler's maximum — the model
 // checks as rarely as allowed until conflict pressure reappears.
 type costModel struct {
-	now func() time.Time
-
 	mu      sync.Mutex
-	lastObs time.Time // previous activation observation (zero until first)
+	lastObs time.Time // previous activation's ActivationReport.Time (zero until first)
 
 	// Exponentially time-decayed observation window for the rate.
 	obsNs  float64 // decayed observed nanoseconds
@@ -66,13 +65,6 @@ const (
 	costDecayTau  = 30 * time.Second
 )
 
-func newCostModel(now func() time.Time) *costModel {
-	if now == nil {
-		now = time.Now
-	}
-	return &costModel{now: now}
-}
-
 func ewma(prev, sample float64) float64 {
 	if prev == 0 {
 		return sample
@@ -82,20 +74,20 @@ func ewma(prev, sample float64) float64 {
 
 // observeActivation folds one finished detector activation into the
 // model: the activation's cost into D̂ and its cycle count — over the
-// wall clock elapsed since the previous activation — into λ̂.
+// time elapsed since the previous activation, both read from the
+// reports' stamps (the manager's clock) — into λ̂.
 func (cm *costModel) observeActivation(rep ActivationReport) {
-	now := cm.now()
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
 	if !cm.lastObs.IsZero() {
-		dt := now.Sub(cm.lastObs)
+		dt := rep.Time.Sub(cm.lastObs)
 		if dt > 0 {
 			decay := math.Exp(-float64(dt) / float64(costDecayTau))
 			cm.obsNs = cm.obsNs*decay + float64(dt)
 			cm.cycles = cm.cycles*decay + float64(rep.CyclesSearched)
 		}
 	}
-	cm.lastObs = now
+	cm.lastObs = rep.Time
 	cm.detectNs = ewma(cm.detectNs, float64(rep.Total))
 	cm.samples++
 	cm.deadlocks += uint64(rep.CyclesSearched)
@@ -166,7 +158,7 @@ func (cm *costModel) rateLocked() float64 {
 // CostModelState is a point-in-time view of the detection-scheduling
 // cost model: the estimated deadlock formation rate, the measured
 // detection and persistence costs, and the cost-minimizing period those
-// estimates imply. Exposed via Manager.CostModel, MetricsSnapshot, the
+// estimates imply. Exposed via MetricsSnapshot.CostModel, the
 // hwtwbg_costmodel_* Prometheus series, the STATS wire keys and the
 // cost_model object of the debug server's /snapshot.
 type CostModelState struct {

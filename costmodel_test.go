@@ -7,7 +7,8 @@ import (
 	"time"
 )
 
-// fakeClock hands out timestamps advancing a fixed step per call.
+// fakeClock hands out activation stamps advancing a fixed step per
+// call.
 type fakeClock struct {
 	t    time.Time
 	step time.Duration
@@ -19,16 +20,16 @@ func (c *fakeClock) now() time.Time {
 }
 
 // TestCostModelConvergence drives the estimator with a synthetic,
-// perfectly regular workload under an injected clock and checks the
+// perfectly regular workload stamped from a fake clock and checks the
 // derived period converges to the closed form T* = sqrt(2·D/(λ·ρ)):
 // one deadlock every 10ms (λ = 100/s), activations costing D = 1ms,
 // victim spans of 5ms under a 10ms period (ρ = 2·5/10 = 1), giving
 // T* = sqrt(2·10⁶ / (10⁻⁷·1)) ns ≈ 4.472ms.
 func TestCostModelConvergence(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0), step: 10 * time.Millisecond}
-	cm := newCostModel(clk.now)
+	cm := &costModel{}
 	for i := 0; i < 200; i++ {
-		cm.observeActivation(ActivationReport{Total: time.Millisecond, CyclesSearched: 1})
+		cm.observeActivation(ActivationReport{Time: clk.now(), Total: time.Millisecond, CyclesSearched: 1})
 		cm.observeVictimWait(5*time.Millisecond, 10*time.Millisecond)
 	}
 	st := cm.state(10*time.Millisecond, 100*time.Microsecond, time.Second)
@@ -57,9 +58,9 @@ func TestCostModelConvergence(t *testing.T) {
 // and the period pins to the scheduler's maximum.
 func TestCostModelIdleClampsToMax(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0), step: 10 * time.Millisecond}
-	cm := newCostModel(clk.now)
+	cm := &costModel{}
 	for i := 0; i < 10; i++ {
-		cm.observeActivation(ActivationReport{Total: time.Millisecond})
+		cm.observeActivation(ActivationReport{Time: clk.now(), Total: time.Millisecond})
 	}
 	if got := cm.period(10*time.Millisecond, time.Millisecond, 80*time.Millisecond); got != 80*time.Millisecond {
 		t.Fatalf("idle period = %v, want clamped to 80ms max", got)
@@ -70,9 +71,9 @@ func TestCostModelIdleClampsToMax(t *testing.T) {
 // derived period below the scheduler's floor.
 func TestCostModelClampsToMin(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0), step: time.Millisecond}
-	cm := newCostModel(clk.now)
+	cm := &costModel{}
 	for i := 0; i < 100; i++ {
-		cm.observeActivation(ActivationReport{Total: 10 * time.Microsecond, CyclesSearched: 8})
+		cm.observeActivation(ActivationReport{Time: clk.now(), Total: 10 * time.Microsecond, CyclesSearched: 8})
 		cm.observeVictimWait(4*time.Millisecond, time.Millisecond)
 	}
 	if got := cm.period(time.Millisecond, 500*time.Microsecond, 80*time.Millisecond); got != 500*time.Microsecond {
@@ -85,15 +86,15 @@ func TestCostModelClampsToMin(t *testing.T) {
 // derived period) back toward idle.
 func TestCostModelRateDecays(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0), step: 10 * time.Millisecond}
-	cm := newCostModel(clk.now)
+	cm := &costModel{}
 	for i := 0; i < 50; i++ {
-		cm.observeActivation(ActivationReport{Total: time.Millisecond, CyclesSearched: 1})
+		cm.observeActivation(ActivationReport{Time: clk.now(), Total: time.Millisecond, CyclesSearched: 1})
 	}
 	burst := cm.state(10*time.Millisecond, 100*time.Microsecond, time.Hour).RatePerSec
 	// Quiet: several decay constants of idle activations.
 	clk.step = 30 * time.Second
 	for i := 0; i < 10; i++ {
-		cm.observeActivation(ActivationReport{Total: time.Millisecond})
+		cm.observeActivation(ActivationReport{Time: clk.now(), Total: time.Millisecond})
 	}
 	quiet := cm.state(10*time.Millisecond, 100*time.Microsecond, time.Hour).RatePerSec
 	if quiet >= burst/100 {
@@ -105,7 +106,7 @@ func TestCostModelRateDecays(t *testing.T) {
 // Detect (no background loop, period 0) still updates P̂ but cannot
 // contribute a stall-rate sample.
 func TestCostModelVictimWaitWithoutPeriod(t *testing.T) {
-	cm := newCostModel(nil)
+	cm := &costModel{}
 	cm.observeVictimWait(3*time.Millisecond, 0)
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
@@ -128,7 +129,6 @@ func TestCostModelVictimWaitWithoutPeriod(t *testing.T) {
 func TestSchedulingCostModel(t *testing.T) {
 	tick := make(chan time.Time)
 	notify := make(chan time.Duration, 1)
-	clk := &fakeClock{t: time.Unix(0, 0), step: 10 * time.Millisecond}
 	m := Open(Options{
 		Period:      4 * time.Millisecond,
 		MaxPeriod:   32 * time.Millisecond,
@@ -136,7 +136,6 @@ func TestSchedulingCostModel(t *testing.T) {
 		Shards:      1,
 		schedTick:   tick,
 		schedNotify: notify,
-		now:         clk.now,
 	})
 	defer m.Close()
 	step := func() time.Duration {
@@ -181,7 +180,7 @@ func TestSchedulingCostModel(t *testing.T) {
 	<-errs
 	<-errs
 
-	st := m.CostModel()
+	st := m.MetricsSnapshot().CostModel
 	if st.Deadlocks == 0 {
 		t.Fatalf("cost model saw no deadlock: %+v", st)
 	}
@@ -216,8 +215,8 @@ func TestSchedulingFixedKeepsPeriod(t *testing.T) {
 			tick <- time.Time{}
 			select {
 			case got := <-notify:
-				if got != 4*time.Millisecond || m.CurrentPeriod() != got {
-					t.Errorf("Scheduling %q tick %d: period = %v (CurrentPeriod %v), want 4ms", sched, i, got, m.CurrentPeriod())
+				if live := m.MetricsSnapshot().Period; got != 4*time.Millisecond || live != got {
+					t.Errorf("Scheduling %q tick %d: period = %v (MetricsSnapshot().Period %v), want 4ms", sched, i, got, live)
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatalf("Scheduling %q: scheduler never reported a period", sched)

@@ -222,7 +222,7 @@ func e25CostRun(t *testing.T, detect func(*Manager) Stats, rounds int) (CostMode
 	if victims == 0 {
 		t.Fatal("no victims recorded")
 	}
-	return m.CostModel(), time.Duration(victimNs / int64(victims))
+	return m.MetricsSnapshot().CostModel, time.Duration(victimNs / int64(victims))
 }
 
 // TestE25CostModelFeedthrough checks the scheduling chain: the

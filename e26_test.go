@@ -69,7 +69,7 @@ func bystanderRatio(t *testing.T, small, large *ringStorm) float64 {
 				if st := s.m.Detect(); st.Aborted != stormRings || st.FalseCycles != 0 {
 					t.Fatalf("activation = %+v, want %d aborts and no false cycle", st, stormRings)
 				}
-				rep, _ := s.m.LastActivation()
+				rep := lastActivation(t, s.m)
 				total[i] = rep.Total
 				s.drain(t)
 			}
@@ -122,7 +122,7 @@ func TestResolutionInvalidatesOnlyTouchedShards(t *testing.T) {
 		if st.Aborted != 1 || st.FalseCycles != 0 {
 			t.Fatalf("round %d: activation = %+v, want one abort", round, st)
 		}
-		if rep, _ := m.LastActivation(); rep.ShardsCopied > 2 {
+		if rep := lastActivation(t, m); rep.ShardsCopied > 2 {
 			t.Fatalf("round %d: resolving activation copied %d shards, want the deadlock's 2", round, rep.ShardsCopied)
 		}
 		for i := 0; i < 2; i++ {
@@ -134,7 +134,7 @@ func TestResolutionInvalidatesOnlyTouchedShards(t *testing.T) {
 		b.Abort()
 
 		m.Detect()
-		rep, _ := m.LastActivation()
+		rep := lastActivation(t, m)
 		if rep.ShardsCopied > 2 || rep.ShardsSkipped < shards-2 {
 			t.Fatalf("round %d: activation after the resolution copied %d shards and reused %d, want at most 2 copied",
 				round, rep.ShardsCopied, rep.ShardsSkipped)

@@ -14,14 +14,3 @@ func (m *Manager) Activations() (reports []ActivationReport, total int) {
 	}
 	return reports, total
 }
-
-// LastActivation returns the most recent detector activation report and
-// whether any activation has been recorded.
-func (m *Manager) LastActivation() (ActivationReport, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stats.Runs == 0 {
-		return ActivationReport{}, false
-	}
-	return m.activations[(m.stats.Runs-1)%len(m.activations)], true
-}

@@ -111,7 +111,8 @@ const (
 	// SchedulingCostModel derives the period from the online cost model
 	// (Ling/Chen/Chiang): T* = sqrt(2·D̂/(λ̂·ρ̂)) from the measured
 	// deadlock formation rate, detection cost and deadlock persistence
-	// cost, clamped to [Period/8 (≥100µs), MaxPeriod]. See CostModel.
+	// cost, clamped to [Period/8 (≥100µs), MaxPeriod]. See
+	// MetricsSnapshot.CostModel.
 	SchedulingCostModel = "costmodel"
 )
 
@@ -124,8 +125,8 @@ type Options struct {
 	// between activations: SchedulingFixed (the paper's; default, also
 	// chosen by "" and by any unknown value) or SchedulingCostModel (the
 	// Ling/Chen/Chiang cost-minimizing period, derived online; see
-	// CostModel). It has no effect when Period is zero. CurrentPeriod
-	// reports the live value.
+	// MetricsSnapshot.CostModel). It has no effect when Period is zero.
+	// MetricsSnapshot.Period reports the live value.
 	Scheduling string
 	// MaxPeriod caps the cost-model period (default 8×Period).
 	MaxPeriod time.Duration
@@ -163,11 +164,10 @@ type Options struct {
 	// received, so tests drive the scheduler without wall-clock sleeps.
 	// schedNotify, when non-nil, receives the period chosen after each
 	// background activation (non-blocking send; size the channel for the
-	// ticks driven). now replaces the cost model's clock.
+	// ticks driven).
 	audit       bool
 	schedTick   <-chan time.Time
 	schedNotify chan<- time.Duration
-	now         func() time.Time
 }
 
 // Stats accumulates detector activity over the manager's lifetime.
@@ -428,7 +428,7 @@ func Open(opts Options) *Manager {
 	// resources that can contribute graph edges (exactly output-
 	// preserving; see table.SnapView).
 	m.snapDet = detect.New(m.snap.View(), detect.Config{Cost: cost, DisableTDR2: opts.DisableTDR2})
-	m.cost = newCostModel(opts.now)
+	m.cost = &costModel{}
 	m.schedMin, m.schedMax = schedBounds(opts.Period, opts.MaxPeriod)
 	m.curPeriod.Store(int64(opts.Period))
 	if opts.Period > 0 {
@@ -520,21 +520,19 @@ func (m *Manager) loop(period time.Duration) {
 	}
 }
 
-// CurrentPeriod returns the live detection interval: Options.Period, or
-// the self-tuned value when Scheduling is costmodel. Zero means the
+// currentPeriod is the live detection interval: Options.Period, or the
+// self-tuned value when Scheduling is costmodel. Zero means the
 // background detector is disabled.
-func (m *Manager) CurrentPeriod() time.Duration {
+func (m *Manager) currentPeriod() time.Duration {
 	return time.Duration(m.curPeriod.Load())
 }
 
-// CostModel returns the online detection-scheduling cost model's state:
-// the estimated deadlock formation rate, measured detection and
-// persistence costs, and the cost-minimizing period they imply. The
+// costModelState is the online detection-scheduling cost model's state,
+// with the period it would choose under the scheduler's bounds. The
 // model is always maintained; it only *drives* the detector under
-// Options.Scheduling "costmodel" (otherwise the reported period is what
-// the model would choose).
-func (m *Manager) CostModel() CostModelState {
-	cur := m.CurrentPeriod()
+// Options.Scheduling "costmodel".
+func (m *Manager) costModelState() CostModelState {
+	cur := m.currentPeriod()
 	if cur <= 0 {
 		cur = m.opts.Period
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hwtwbg/internal/twbg"
 	"hwtwbg/journal"
 )
 
@@ -467,6 +468,16 @@ func TestHistory(t *testing.T) {
 	}
 }
 
+// liveEdges builds the H/W-TWBG over the stopped world, as DOT does.
+func liveEdges(m *Manager) []twbg.Edge {
+	m.stopTheWorld()
+	defer m.resumeTheWorld()
+	return twbg.Build(m.mt).Edges()
+}
+
+// TestEdgesExport checks the live graph a blocked request induces: one
+// H edge from the holder to the waiter, which DOT renders, and none
+// once the wait is granted.
 func TestEdgesExport(t *testing.T) {
 	m := Open(Options{})
 	defer m.Close()
@@ -478,19 +489,22 @@ func TestEdgesExport(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- b.Lock(context.Background(), "r", S) }()
 	waitBlocked(t, m, b.ID())
-	edges := m.Edges()
+	edges := liveEdges(m)
 	if len(edges) != 1 {
 		t.Fatalf("edges = %v", edges)
 	}
 	e := edges[0]
-	if e.From != a.ID() || e.To != b.ID() || e.Resource != "r" || !e.Holder {
+	if e.From != a.ID() || e.To != b.ID() || e.Resource != "r" || e.Label != twbg.H {
 		t.Fatalf("edge = %+v", e)
+	}
+	if dot := m.DOT(); !strings.Contains(dot, fmt.Sprintf("T%d -> T%d", a.ID(), b.ID())) {
+		t.Fatalf("DOT lacks the edge:\n%s", dot)
 	}
 	a.Commit()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Edges(); len(got) != 0 {
+	if got := liveEdges(m); len(got) != 0 {
 		t.Fatalf("edges after grant = %v", got)
 	}
 	b.Commit()

@@ -7,7 +7,7 @@ import (
 
 // NondeterministicRange guards every place where Go's randomized map
 // iteration order could leak into observable behavior: wire replies,
-// DOT dumps, WAL records, victim choices. The detector's whole
+// DOT dumps, journal views, victim choices. The detector's whole
 // determinism story (differential STW-vs-snapshot testing, byte-
 // identical reruns) rests on id-sorted iteration, so a `for range` over
 // a map is flagged when its body

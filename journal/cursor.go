@@ -49,7 +49,7 @@ func (r *Ring) ReadFrom(seq uint64, max int, dst []Record) (recs []Record, next 
 		lost += lo - seq
 		seq = lo
 	}
-	var w [Words]uint64
+	var w [recordWords]uint64
 	n := 0
 	for seq < hi {
 		if max > 0 && n >= max {
@@ -77,7 +77,7 @@ func (r *Ring) ReadFrom(seq uint64, max int, dst []Record) (recs []Record, next 
 			w[i] = s.loadPayload(i)
 		}
 		sum := s.loadSum()
-		if s.commit() != seq+1 || sum != Checksum(seq, &w) {
+		if s.commit() != seq+1 || sum != checksum(seq, &w) {
 			// Torn by a lapping writer mid-copy: rejected by the checksum,
 			// counted, never surfaced.
 			r.at.noteTorn()
@@ -86,7 +86,7 @@ func (r *Ring) ReadFrom(seq uint64, max int, dst []Record) (recs []Record, next 
 			continue
 		}
 		var rec Record
-		rec.Unpack(&w)
+		rec.unpack(&w)
 		dst = append(dst, rec)
 		n++
 		seq++

@@ -113,13 +113,13 @@ func TestReadFromStopsAtInFlightSlot(t *testing.T) {
 	// the late record and the one after it — no gap, no loss.
 	rec := mkRec(3)
 	rec.Shard = 0
-	var w [Words]uint64
-	rec.Pack(&w)
+	var w [recordWords]uint64
+	rec.pack(&w)
 	s := &r.slots[claimed&r.mask]
 	for i, v := range w {
 		s.storePayload(i, v)
 	}
-	s.storeSum(Checksum(claimed, &w))
+	s.storeSum(checksum(claimed, &w))
 	s.publish(claimed)
 	recs, next, lost = r.ReadFrom(next, 0, nil)
 	if len(recs) != 2 || next != 5 || lost != 0 {
@@ -203,10 +203,10 @@ func TestStreamedFormatMatchesDump(t *testing.T) {
 		t.Fatalf("dump decoded %d records, want %d", len(fromDump), len(recs))
 	}
 	for i := range recs {
-		var a, b, c [Words]uint64
-		recs[i].Pack(&a)
-		fromDump[i].Pack(&b)
-		fromStream[i].Pack(&c)
+		var a, b, c [recordWords]uint64
+		recs[i].pack(&a)
+		fromDump[i].pack(&b)
+		fromStream[i].pack(&c)
 		if a != b {
 			t.Fatalf("record %d: dump round trip not byte-identical: %x vs %x", i, a, b)
 		}

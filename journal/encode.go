@@ -12,18 +12,18 @@ import (
 // what the wire DUMP command carries (base64 per record, no header),
 // and what cmd/hwtrace replays.
 
-// Magic is the dump header: format name plus version.
-var Magic = [8]byte{'H', 'W', 'J', 'R', 'N', 'L', '0', '1'}
+// dumpMagic is the dump header: format name plus version.
+var dumpMagic = [8]byte{'H', 'W', 'J', 'R', 'N', 'L', '0', '1'}
 
 // Encode writes the dump header followed by every record.
 func Encode(w io.Writer, recs []Record) error {
-	if _, err := w.Write(Magic[:]); err != nil {
+	if _, err := w.Write(dumpMagic[:]); err != nil {
 		return err
 	}
-	var buf [RecordBytes]byte
-	var words [Words]uint64
+	var buf [recordBytes]byte
+	var words [recordWords]uint64
 	for i := range recs {
-		recs[i].Pack(&words)
+		recs[i].pack(&words)
 		for k, v := range words {
 			binary.LittleEndian.PutUint64(buf[8*k:], v)
 		}
@@ -40,12 +40,12 @@ func Decode(r io.Reader) ([]Record, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("journal: reading dump header: %w", err)
 	}
-	if magic != Magic {
+	if magic != dumpMagic {
 		return nil, fmt.Errorf("journal: bad dump magic %q", magic[:])
 	}
 	var out []Record
-	var buf [RecordBytes]byte
-	var words [Words]uint64
+	var buf [recordBytes]byte
+	var words [recordWords]uint64
 	for {
 		_, err := io.ReadFull(r, buf[:])
 		if err == io.EOF {
@@ -58,7 +58,7 @@ func Decode(r io.Reader) ([]Record, error) {
 			words[k] = binary.LittleEndian.Uint64(buf[8*k:])
 		}
 		var rec Record
-		rec.Unpack(&words)
+		rec.unpack(&words)
 		out = append(out, rec)
 	}
 }
@@ -66,32 +66,32 @@ func Decode(r io.Reader) ([]Record, error) {
 // MarshalText renders one record as base64 of its packed form — the
 // wire DUMP line format.
 func (r *Record) MarshalText() ([]byte, error) {
-	var words [Words]uint64
-	r.Pack(&words)
-	var buf [RecordBytes]byte
+	var words [recordWords]uint64
+	r.pack(&words)
+	var buf [recordBytes]byte
 	for k, v := range words {
 		binary.LittleEndian.PutUint64(buf[8*k:], v)
 	}
-	out := make([]byte, base64.StdEncoding.EncodedLen(RecordBytes))
+	out := make([]byte, base64.StdEncoding.EncodedLen(recordBytes))
 	base64.StdEncoding.Encode(out, buf[:])
 	return out, nil
 }
 
 // UnmarshalText parses the base64 line format back into a record.
 func (r *Record) UnmarshalText(text []byte) error {
-	var buf [RecordBytes]byte
+	var buf [recordBytes]byte
 	n, err := base64.StdEncoding.Decode(buf[:], text)
 	if err != nil {
 		return fmt.Errorf("journal: bad record line: %w", err)
 	}
-	if n != RecordBytes {
-		return fmt.Errorf("journal: record line is %d bytes, want %d", n, RecordBytes)
+	if n != recordBytes {
+		return fmt.Errorf("journal: record line is %d bytes, want %d", n, recordBytes)
 	}
-	var words [Words]uint64
+	var words [recordWords]uint64
 	for k := range words {
 		words[k] = binary.LittleEndian.Uint64(buf[8*k:])
 	}
-	r.Unpack(&words)
+	r.unpack(&words)
 	return nil
 }
 

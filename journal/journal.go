@@ -117,26 +117,26 @@ const (
 	// (lock conversion) rather than a fresh request.
 	FlagConversion uint8 = 1 << iota
 	// FlagTruncated: the resource id was longer than the inline prefix;
-	// Res holds the first PrefixSize bytes and RHash the full hash.
+	// Res holds the first prefixSize bytes and RHash the full hash.
 	FlagTruncated
 	// FlagTry: the request came from TryLock rather than Lock.
 	FlagTry
 )
 
-// PrefixSize is how many leading bytes of the resource id a record
+// prefixSize is how many leading bytes of the resource id a record
 // stores inline. Longer ids keep their full FNV-1a hash in RHash (the
 // stable identity) and set FlagTruncated.
-const PrefixSize = 16
+const prefixSize = 16
 
-// Words is the packed size of a Record in 64-bit words; RecordBytes its
-// size in the dump encoding.
+// recordWords is the packed size of a Record in 64-bit words;
+// recordBytes its size in the dump encoding.
 const (
-	Words       = 7
-	RecordBytes = Words * 8
+	recordWords = 7
+	recordBytes = recordWords * 8
 )
 
 // Record is one journal event. The in-ring and on-disk representation
-// is the packed [Words]uint64 form (see Pack); this struct is the
+// is the packed [recordWords]uint64 form (see pack); this struct is the
 // unpacked working form.
 type Record struct {
 	// TS is nanoseconds since the Unix epoch on the writer's one time
@@ -153,14 +153,14 @@ type Record struct {
 	Shard uint8 // ring index the record was written to
 	Flags uint8
 	Aux   uint32           // kind-specific: activation sequence
-	Res   [PrefixSize]byte // resource id prefix, NUL padded
+	Res   [prefixSize]byte // resource id prefix, NUL padded
 }
 
 // Resource renders the stored resource id prefix; truncated ids get a
 // trailing "…". Empty for records with no resource.
 func (r *Record) Resource() string {
 	n := 0
-	for n < PrefixSize && r.Res[n] != 0 {
+	for n < prefixSize && r.Res[n] != 0 {
 		n++
 	}
 	if r.Flags&FlagTruncated != 0 {
@@ -199,8 +199,8 @@ func (r *Record) SetResource(res string) {
 	}
 }
 
-// Pack serializes the record into its seven-word wire form.
-func (r *Record) Pack(w *[Words]uint64) {
+// pack serializes the record into its seven-word wire form.
+func (r *Record) pack(w *[recordWords]uint64) {
 	w[0] = uint64(r.TS)
 	w[1] = uint64(r.Txn)
 	w[2] = r.Arg
@@ -210,8 +210,8 @@ func (r *Record) Pack(w *[Words]uint64) {
 	w[6] = leWord(r.Res[8:16])
 }
 
-// Unpack deserializes the seven-word wire form.
-func (r *Record) Unpack(w *[Words]uint64) {
+// unpack deserializes the seven-word wire form.
+func (r *Record) unpack(w *[recordWords]uint64) {
 	r.TS = int64(w[0])
 	r.Txn = int64(w[1])
 	r.Arg = w[2]
@@ -236,10 +236,10 @@ func putLeWord(b []byte, v uint64) {
 	}
 }
 
-// Checksum mixes a slot's sequence number and payload words into the
+// checksum mixes a slot's sequence number and payload words into the
 // value stored alongside the record, so a reader can reject a torn copy
 // even if it raced the commit-word protocol.
-func Checksum(seq uint64, w *[Words]uint64) uint64 {
+func checksum(seq uint64, w *[recordWords]uint64) uint64 {
 	h := seq*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 	for _, v := range w {
 		h ^= v
@@ -255,7 +255,7 @@ func Checksum(seq uint64, w *[Words]uint64) uint64 {
 }
 
 // slot is one ring entry: commit word (seq+1 once published, 0 while
-// never written), Words payload words, then the checksum. A writer
+// never written), recordWords payload words, then the checksum. A writer
 // overwriting a slot does not clear the commit word first — the
 // classic seqlock "odd phase" store is deliberately omitted, saving
 // one full-barrier store per Emit. A reader that races the overwrite
@@ -267,15 +267,15 @@ func Checksum(seq uint64, w *[Words]uint64) uint64 {
 //
 // hwlint:atomics-only — fields may only be touched via their methods.
 type slot struct {
-	words [Words + 2]atomic.Uint64
+	words [recordWords + 2]atomic.Uint64
 }
 
 func (s *slot) publish(seq uint64)           { s.words[0].Store(seq + 1) }
 func (s *slot) commit() uint64               { return s.words[0].Load() }
 func (s *slot) storePayload(i int, v uint64) { s.words[1+i].Store(v) }
 func (s *slot) loadPayload(i int) uint64     { return s.words[1+i].Load() }
-func (s *slot) storeSum(v uint64)            { s.words[1+Words].Store(v) }
-func (s *slot) loadSum() uint64              { return s.words[1+Words].Load() }
+func (s *slot) storeSum(v uint64)            { s.words[1+recordWords].Store(v) }
+func (s *slot) loadSum() uint64              { return s.words[1+recordWords].Load() }
 
 // ringAtomics is the ring's mutable lock-free state.
 //
@@ -326,14 +326,14 @@ func (r *Ring) Cap() int { return len(r.slots) }
 //hwlint:hotpath allocs=0
 func (r *Ring) Emit(rec *Record) {
 	rec.Shard = r.ring
-	var w [Words]uint64
-	rec.Pack(&w)
+	var w [recordWords]uint64
+	rec.pack(&w)
 	seq := r.at.claim()
 	s := &r.slots[seq&r.mask]
 	for i, v := range w {
 		s.storePayload(i, v)
 	}
-	s.storeSum(Checksum(seq, &w))
+	s.storeSum(checksum(seq, &w))
 	s.publish(seq)
 }
 
@@ -366,7 +366,7 @@ func (r *Ring) Snapshot(dst []Record) []Record {
 	if hi > uint64(len(r.slots)) {
 		lo = hi - uint64(len(r.slots))
 	}
-	var w [Words]uint64
+	var w [recordWords]uint64
 	for seq := lo; seq < hi; seq++ {
 		s := &r.slots[seq&r.mask]
 		if s.commit() != seq+1 {
@@ -376,12 +376,12 @@ func (r *Ring) Snapshot(dst []Record) []Record {
 			w[i] = s.loadPayload(i)
 		}
 		sum := s.loadSum()
-		if s.commit() != seq+1 || sum != Checksum(seq, &w) {
+		if s.commit() != seq+1 || sum != checksum(seq, &w) {
 			r.at.noteTorn()
 			continue
 		}
 		var rec Record
-		rec.Unpack(&w)
+		rec.unpack(&w)
 		dst = append(dst, rec)
 	}
 	return dst

@@ -23,10 +23,10 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		Aux:   0xDEADBEEF,
 	}
 	in.SetResource("accounts/0042")
-	var w [Words]uint64
-	in.Pack(&w)
+	var w [recordWords]uint64
+	in.pack(&w)
 	var out Record
-	out.Unpack(&w)
+	out.unpack(&w)
 	if out != in {
 		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, out)
 	}
@@ -45,7 +45,7 @@ func TestSetResourceTruncation(t *testing.T) {
 	if r.RHash != Hash(long) {
 		t.Fatal("hash must cover the full id, not the prefix")
 	}
-	if got, want := r.Resource(), long[:PrefixSize]+"…"; got != want {
+	if got, want := r.Resource(), long[:prefixSize]+"…"; got != want {
 		t.Fatalf("Resource() = %q, want %q", got, want)
 	}
 	var short Record
@@ -186,7 +186,7 @@ func TestRingConcurrentHammer(t *testing.T) {
 	}
 	const perWriter = 20000
 	sig := func(txn, ts int64) uint64 {
-		return Checksum(uint64(txn), &[Words]uint64{uint64(ts)})
+		return checksum(uint64(txn), &[recordWords]uint64{uint64(ts)})
 	}
 	var stop atomic.Bool
 	readerDone := make(chan struct{})

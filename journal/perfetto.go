@@ -15,8 +15,8 @@ import (
 // resolutions as instants ("i"), and detector activations as spans on
 // their own "detector" process track.
 
-// TraceEvent is one Chrome trace-event entry.
-type TraceEvent struct {
+// traceEvent is one Chrome trace-event entry.
+type traceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	TS   float64        `json:"ts"` // microseconds
@@ -27,22 +27,22 @@ type TraceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Trace is the exported document ({"traceEvents": [...]}).
-type Trace struct {
-	TraceEvents     []TraceEvent `json:"traceEvents"`
+// trace is the exported document ({"traceEvents": [...]}).
+type trace struct {
+	TraceEvents     []traceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
 // Trace process ids.
 const (
-	PIDTransactions = 1
-	PIDDetector     = 2
+	pidTransactions = 1
+	pidDetector     = 2
 )
 
-// BuildTrace converts journal records into trace events. Timestamps
+// buildTrace converts journal records into trace events. Timestamps
 // are rebased to the earliest record so the trace starts near zero.
-func BuildTrace(recs []Record) Trace {
-	tr := Trace{DisplayTimeUnit: "ms", TraceEvents: []TraceEvent{}}
+func buildTrace(recs []Record) trace {
+	tr := trace{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{}}
 	if len(recs) == 0 {
 		return tr
 	}
@@ -55,7 +55,7 @@ func BuildTrace(recs []Record) Trace {
 	us := func(ns int64) float64 { return float64(ns-base) / 1e3 }
 
 	tids := map[int64]bool{}
-	add := func(e TraceEvent) { tr.TraceEvents = append(tr.TraceEvents, e) }
+	add := func(e traceEvent) { tr.TraceEvents = append(tr.TraceEvents, e) }
 	for _, r := range recs {
 		switch r.Kind {
 		case KindBegin, KindRequest, KindBlock, KindGrant, KindAbort, KindCommit:
@@ -68,30 +68,30 @@ func BuildTrace(recs []Record) Trace {
 				// The grant record carries its wait, so the blocked span
 				// reconstructs without pairing block/grant records (the
 				// block record may have been overwritten).
-				add(TraceEvent{Name: "wait " + name, Ph: "X", TS: us(r.TS - int64(r.Arg)), Dur: float64(r.Arg) / 1e3,
-					PID: PIDTransactions, TID: r.Txn, Args: map[string]any{"wait_ns": r.Arg}})
+				add(traceEvent{Name: "wait " + name, Ph: "X", TS: us(r.TS - int64(r.Arg)), Dur: float64(r.Arg) / 1e3,
+					PID: pidTransactions, TID: r.Txn, Args: map[string]any{"wait_ns": r.Arg}})
 			} else {
-				add(TraceEvent{Name: "grant " + name, Ph: "i", TS: us(r.TS), PID: PIDTransactions, TID: r.Txn, S: "t"})
+				add(traceEvent{Name: "grant " + name, Ph: "i", TS: us(r.TS), PID: pidTransactions, TID: r.Txn, S: "t"})
 			}
 		case KindBegin:
-			add(TraceEvent{Name: "begin", Ph: "i", TS: us(r.TS), PID: PIDTransactions, TID: r.Txn, S: "t"})
+			add(traceEvent{Name: "begin", Ph: "i", TS: us(r.TS), PID: pidTransactions, TID: r.Txn, S: "t"})
 		case KindCommit:
-			add(TraceEvent{Name: "commit", Ph: "i", TS: us(r.TS), PID: PIDTransactions, TID: r.Txn, S: "t"})
+			add(traceEvent{Name: "commit", Ph: "i", TS: us(r.TS), PID: pidTransactions, TID: r.Txn, S: "t"})
 		case KindAbort:
-			add(TraceEvent{Name: "abort", Ph: "i", TS: us(r.TS), PID: PIDTransactions, TID: r.Txn, S: "t"})
+			add(traceEvent{Name: "abort", Ph: "i", TS: us(r.TS), PID: pidTransactions, TID: r.Txn, S: "t"})
 		case KindDetect:
 			// Stamped where the activation began to act, so the slice
 			// of one that resolved something leads its true span by the
 			// acting time; the markers and wake-ups line up with its end.
-			add(TraceEvent{Name: fmt.Sprintf("activation %d", r.Txn), Ph: "X",
+			add(traceEvent{Name: fmt.Sprintf("activation %d", r.Txn), Ph: "X",
 				TS: us(r.TS - int64(r.Arg)), Dur: float64(r.Arg) / 1e3,
-				PID: PIDDetector, TID: 0, Args: map[string]any{"cycles": r.Aux}})
+				PID: pidDetector, TID: 0, Args: map[string]any{"cycles": r.Aux}})
 		case KindVictim:
-			add(TraceEvent{Name: fmt.Sprintf("victim T%d", r.Txn), Ph: "i", TS: us(r.TS), PID: PIDDetector, TID: 0, S: "p"})
+			add(traceEvent{Name: fmt.Sprintf("victim T%d", r.Txn), Ph: "i", TS: us(r.TS), PID: pidDetector, TID: 0, S: "p"})
 		case KindReposition:
-			add(TraceEvent{Name: fmt.Sprintf("reposition %s at T%d", r.Resource(), r.Txn), Ph: "i", TS: us(r.TS), PID: PIDDetector, TID: 0, S: "p"})
+			add(traceEvent{Name: fmt.Sprintf("reposition %s at T%d", r.Resource(), r.Txn), Ph: "i", TS: us(r.TS), PID: pidDetector, TID: 0, S: "p"})
 		case KindSalvage:
-			add(TraceEvent{Name: fmt.Sprintf("salvage T%d", r.Txn), Ph: "i", TS: us(r.TS), PID: PIDDetector, TID: 0, S: "p"})
+			add(traceEvent{Name: fmt.Sprintf("salvage T%d", r.Txn), Ph: "i", TS: us(r.TS), PID: pidDetector, TID: 0, S: "p"})
 		}
 	}
 
@@ -101,13 +101,13 @@ func BuildTrace(recs []Record) Trace {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	meta := []TraceEvent{
-		{Name: "process_name", Ph: "M", PID: PIDTransactions, TID: 0, Args: map[string]any{"name": "transactions"}},
-		{Name: "process_name", Ph: "M", PID: PIDDetector, TID: 0, Args: map[string]any{"name": "detector"}},
-		{Name: "thread_name", Ph: "M", PID: PIDDetector, TID: 0, Args: map[string]any{"name": "activations"}},
+	meta := []traceEvent{
+		{Name: "process_name", Ph: "M", PID: pidTransactions, TID: 0, Args: map[string]any{"name": "transactions"}},
+		{Name: "process_name", Ph: "M", PID: pidDetector, TID: 0, Args: map[string]any{"name": "detector"}},
+		{Name: "thread_name", Ph: "M", PID: pidDetector, TID: 0, Args: map[string]any{"name": "activations"}},
 	}
 	for _, id := range ids {
-		meta = append(meta, TraceEvent{Name: "thread_name", Ph: "M", PID: PIDTransactions, TID: id,
+		meta = append(meta, traceEvent{Name: "thread_name", Ph: "M", PID: pidTransactions, TID: id,
 			Args: map[string]any{"name": fmt.Sprintf("txn %d", id)}})
 	}
 	tr.TraceEvents = append(meta, tr.TraceEvents...)
@@ -118,5 +118,5 @@ func BuildTrace(recs []Record) Trace {
 // document.
 func WriteTrace(w io.Writer, recs []Record) error {
 	enc := json.NewEncoder(w)
-	return enc.Encode(BuildTrace(recs))
+	return enc.Encode(buildTrace(recs))
 }

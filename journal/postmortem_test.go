@@ -192,7 +192,7 @@ func TestPostmortemsJoin(t *testing.T) {
 	if got := kinds(pm.Cycle[0].Evidence); got != "grant:1 block:2 " {
 		t.Errorf("edge 1→2 evidence = %q", got)
 	}
-	if pm.Cycle[0].Resource != long[:PrefixSize]+"…" || pm.Cycle[0].Mode != "NL" {
+	if pm.Cycle[0].Resource != long[:prefixSize]+"…" || pm.Cycle[0].Mode != "NL" {
 		t.Errorf("edge 1→2 = %+v", pm.Cycle[0])
 	}
 	if got := kinds(pm.Cycle[1].Evidence); got != "grant:2 block:1 " {

@@ -61,10 +61,6 @@ type Options struct {
 	// records per ring (0 = default, negative = disabled; see
 	// hwtwbg.Options.JournalSize).
 	JournalSize int
-	// WAL, when non-nil, receives a redo record batch for every commit;
-	// Recover rebuilds a store from it (the paper's "atomic with
-	// respect to the recovery" substrate).
-	WAL *WAL
 	// History, when non-nil, records every committed transaction's
 	// read/write footprint for serializability auditing.
 	History *History
@@ -75,7 +71,6 @@ type Options struct {
 type Store struct {
 	lm   *hwtwbg.Manager
 	opts Options
-	wal  *WAL
 
 	mu   sync.RWMutex
 	data map[string]string
@@ -94,7 +89,6 @@ func Open(opts Options) *Store {
 			Period: opts.DetectEvery, Shards: opts.Shards, JournalSize: opts.JournalSize,
 		}),
 		opts: opts,
-		wal:  opts.WAL,
 		data: make(map[string]string),
 	}
 }
@@ -106,12 +100,9 @@ func (s *Store) Close() { s.lm.Close() }
 func (s *Store) Stats() hwtwbg.Stats { return s.lm.Stats() }
 
 // Manager exposes the underlying lock manager, for wiring the store
-// into diagnostics (lockservice.DebugHandler).
+// into diagnostics (lockservice.DebugHandler) and reading its metrics
+// (Manager().MetricsSnapshot()).
 func (s *Store) Manager() *hwtwbg.Manager { return s.lm }
-
-// MetricsSnapshot returns the lock manager's full metrics snapshot
-// (per-shard counters, latency histograms, detector phase breakdown).
-func (s *Store) MetricsSnapshot() hwtwbg.MetricsSnapshot { return s.lm.MetricsSnapshot() }
 
 // Len returns the number of keys (unlocked, diagnostic).
 func (s *Store) Len() int {
@@ -386,9 +377,6 @@ func (tx *Tx) Commit() error {
 	defer tx.s.mu.Unlock()
 	if err := tx.t.Commit(); err != nil {
 		return err
-	}
-	if tx.s.wal != nil && len(tx.writes) > 0 {
-		tx.s.wal.logCommit(tx.writes)
 	}
 	if tx.s.opts.History != nil {
 		tx.s.opts.History.record(tx.reads, tx.writes)

@@ -338,7 +338,7 @@ func TestMetricsSnapshotAndManager(t *testing.T) {
 	if s.Manager() == nil {
 		t.Fatal("Manager() = nil")
 	}
-	snap := s.MetricsSnapshot()
+	snap := s.Manager().MetricsSnapshot()
 	// The Update took IX on the root and X on the key: at least two
 	// fresh requests, both granted immediately.
 	if snap.Total.Fresh < 2 || snap.Total.Grants < 2 || snap.Total.Immediate < 2 {

@@ -35,7 +35,7 @@ func rootGrants(s *Store) []hwtwbg.Mode {
 func TestRootLockedOncePerTxn(t *testing.T) {
 	s := open(t)
 	ctx := context.Background()
-	before := s.MetricsSnapshot().Total
+	before := s.Manager().MetricsSnapshot().Total
 	tx := s.Begin()
 	for _, k := range []string{"a", "b", "c", "d"} {
 		if _, _, err := tx.Get(ctx, k); err != nil {
@@ -50,7 +50,7 @@ func TestRootLockedOncePerTxn(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	after := s.MetricsSnapshot().Total
+	after := s.Manager().MetricsSnapshot().Total
 	if fresh, conv := after.Fresh-before.Fresh, after.Conversions-before.Conversions; fresh != 4+2+1 || conv != 1 {
 		t.Errorf("requests: %d fresh, %d conversions; want 7 (6 keys + root IS) and 1 (root IS→IX)", fresh, conv)
 	}

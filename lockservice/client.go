@@ -81,9 +81,6 @@ func (c *Client) Close() error {
 // tagged LOCK requests, so only set a tag against current servers.
 func (c *Client) SetOpTag(tag uint64) { c.tag.Store(tag) }
 
-// OpTag returns the sticky operation tag (0 when none).
-func (c *Client) OpTag() uint64 { return c.tag.Load() }
-
 // call does one request/reply exchange under c.mu; every verb goes
 // through it or, if it acts on the transaction, through txnCall, end or
 // begin. req appends the request line, newline excluded, to the

@@ -186,7 +186,8 @@ func (sess *refSession) dispatch(line string) (resp string, quit bool) {
 		for _, sh := range sess.srv.lm.ShardStats() {
 			shardGrants += sh.Grants
 		}
-		cm := sess.srv.lm.CostModel()
+		snap := sess.srv.lm.MetricsSnapshot()
+		cm := snap.CostModel
 		var js journal.RingStats
 		if jr := sess.srv.lm.Journal(); jr != nil {
 			js = jr.Stats()
@@ -198,7 +199,7 @@ func (sess *refSession) dispatch(line string) (resp string, quit bool) {
 			" tail_sessions=%d tail_lagged=%d op_tags=%d",
 			st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged,
 			st.ShardHoldLast.Nanoseconds(), st.ShardHoldMax.Nanoseconds(), shardGrants,
-			st.FalseCycles, st.Validations, sess.srv.lm.CurrentPeriod().Nanoseconds(),
+			st.FalseCycles, st.Validations, snap.Period.Nanoseconds(),
 			cm.Samples, cm.Deadlocks, int64(cm.RatePerSec*1e6), cm.DetectCost.Nanoseconds(), cm.PersistCost.Nanoseconds(), cm.Period.Nanoseconds(),
 			js.Emitted, js.Overwritten, js.TornReads,
 			st.ShardsCopied, st.ShardsSkipped,

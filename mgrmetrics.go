@@ -199,10 +199,14 @@ type MetricsSnapshot struct {
 	// Journal sums the flight recorder's ring counters (all zero when
 	// the journal is disabled).
 	Journal journal.RingStats `json:"journal"`
-	// CostModel is the detection-scheduling cost model's state (see
-	// Manager.CostModel).
+	// CostModel is the detection-scheduling cost model's state: the
+	// estimated deadlock formation rate, the measured detection and
+	// persistence costs, and the cost-minimizing period they imply (see
+	// CostModelState).
 	CostModel CostModelState `json:"cost_model"`
-	// Period is the live detection interval (Manager.CurrentPeriod).
+	// Period is the live detection interval: Options.Period, or the
+	// self-tuned value under Scheduling "costmodel"; zero when the
+	// background detector is disabled.
 	Period time.Duration `json:"period_ns"`
 }
 
@@ -225,8 +229,8 @@ func (m *Manager) MetricsSnapshot() MetricsSnapshot {
 	if m.jr != nil {
 		snap.Journal = m.jr.Stats()
 	}
-	snap.CostModel = m.CostModel()
-	snap.Period = m.CurrentPeriod()
+	snap.CostModel = m.costModelState()
+	snap.Period = m.currentPeriod()
 	return snap
 }
 

@@ -308,14 +308,14 @@ func TestActivationPhasesCoverTotal(t *testing.T) {
 		if st := m.Detect(); st.Aborted != 1 {
 			t.Fatalf("activation = %+v, want one abort", st)
 		}
-		resolving, _ := m.LastActivation()
+		resolving := lastActivation(t, m)
 		<-errs
 		<-errs
 		a.Abort()
 		b.Abort()
 
 		m.Detect()
-		after, _ := m.LastActivation()
+		after := lastActivation(t, m)
 		if after.ShardsCopied > 2 {
 			t.Fatalf("activation after a resolution copied %d shards, want at most the deadlock's 2", after.ShardsCopied)
 		}

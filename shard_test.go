@@ -424,7 +424,7 @@ func TestCrossShardStress(t *testing.T) {
 			m.Detect()
 			_ = m.Snapshot()
 			_ = m.Deadlocked()
-			_ = m.Edges()
+			_ = m.DOT()
 			_ = m.ShardStats()
 			time.Sleep(200 * time.Microsecond)
 		}

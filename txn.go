@@ -173,16 +173,32 @@ func (m *Manager) journalControl(kind journal.Kind, id TxnID, ts int64, arg uint
 // observeAbort is the owner's one exit for an abort it has just
 // observed — its own Abort, a cancelled wait, or an external verdict
 // (deadlock victim, Close): the abort is journaled, and when it ended a
-// wait in shard s (nil otherwise) the wait is counted as aborted. Like
+// wait in shard s (nil otherwise) the wait is counted as aborted. ts is
+// the end record's stamp from endStamp when the owner released its
+// locks itself, zero (read here) when the detector or Close did. Like
 // Commit's, the end record is written only for a transaction whose
 // begin record was (see journalBegin).
-func (t *Txn) observeAbort(s *shard) {
+func (t *Txn) observeAbort(s *shard, ts int64) {
 	if s != nil {
 		s.met.waitAborts.Inc()
 	}
 	if t.begun {
-		t.m.journalControl(journal.KindAbort, t.id, 0, 0)
+		t.m.journalControl(journal.KindAbort, t.id, ts, 0)
 	}
+}
+
+// endStamp reads the stamp of the transaction's end record (commit or
+// abort). Commit and abortTables call it under the first shard mutex
+// they take, before any lock is released: a waiter that a release wakes
+// stamps its hand-off grant in a later round of that shard, and every
+// later shard is released later still, so the end record sorts before
+// every grant it caused. Zero — no clock read — when nothing will be
+// journaled.
+func (t *Txn) endStamp() int64 {
+	if !t.begun || t.m.jr == nil {
+		return 0
+	}
+	return t.m.now()
 }
 
 // ID returns the transaction identifier.
@@ -332,15 +348,16 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start, 
 			// unregisters our waiter entry in s (a touched shard), but a
 			// pending externally-initiated abort skips it, so unregister
 			// explicitly before recycling the channel.
+			var ts int64
 			if t.checkLive() == nil {
-				t.abortTables()
+				ts = t.abortTables()
 				t.state = abortedState
 			}
 			s.mu.Lock()
 			delete(s.waiters, t.id)
 			s.mu.Unlock()
 			putWaiter(ch)
-			t.observeAbort(s)
+			t.observeAbort(s, ts)
 			return ctx.Err()
 		case <-ch:
 		}
@@ -360,9 +377,9 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start, 
 				// A deadlock victim: its wait span is the persistence-
 				// cost sample for the scheduling cost model (Close also
 				// condemns, but arrives with closed already set).
-				t.m.cost.observeVictimWait(time.Duration(t.m.now()-blockedAt), t.m.CurrentPeriod())
+				t.m.cost.observeVictimWait(time.Duration(t.m.now()-blockedAt), t.m.currentPeriod())
 			}
-			t.observeAbort(s)
+			t.observeAbort(s, 0)
 			return err
 		}
 		if !s.tb.Blocked(t.id) {
@@ -463,14 +480,19 @@ func (t *Txn) Mode(r ResourceID) Mode {
 // Transactions waiting on those locks are granted and woken. The
 // shards are released one at a time — no global lock is taken; the
 // detector never mistakes the intermediate states for a deadlock
-// because a committing transaction is never blocked.
+// because a committing transaction is never blocked. The commit record
+// is stamped in the first round, before any release (see endStamp).
 func (t *Txn) Commit() error {
 	if err := t.checkLive(); err != nil {
 		return err
 	}
+	var ts int64
 	for i := 0; i < t.ntouched; i++ {
 		s := t.touchedAt(i)
 		s.mu.Lock()
+		if i == 0 {
+			ts = t.endStamp()
+		}
 		s.met.mutexAcquires.Inc()
 		grants, err := s.tb.Release(t.id)
 		if err != nil {
@@ -484,13 +506,13 @@ func (t *Txn) Commit() error {
 	// Close may have raced with the releases above; honor its verdict.
 	if t.consumeCondemned() {
 		t.state = abortedState
-		t.observeAbort(nil)
+		t.observeAbort(nil, ts)
 		return ErrAborted
 	}
 	t.state = committedState
 	t.clearTouched()
 	if t.begun {
-		t.m.journalControl(journal.KindCommit, t.id, 0, 0)
+		t.m.journalControl(journal.KindCommit, t.id, ts, 0)
 	}
 	return nil
 }
@@ -501,20 +523,25 @@ func (t *Txn) Abort() {
 	if t.checkLive() != nil {
 		return
 	}
-	t.abortTables()
+	ts := t.abortTables()
 	t.state = abortedState
-	t.observeAbort(nil)
+	t.observeAbort(nil, ts)
 }
 
 // abortTables removes the transaction from every shard it touched,
-// waking the requests its departure grants. Called by the owner
-// goroutine; shard locks are taken one at a time, which is safe because
-// the detector only aborts blocked transactions and this one is live in
-// its owner's hands.
-func (t *Txn) abortTables() {
+// waking the requests its departure grants, and returns the abort
+// record's stamp, read in the first round (see endStamp). Called by the
+// owner goroutine; shard locks are taken one at a time, which is safe
+// because the detector only aborts blocked transactions and this one is
+// live in its owner's hands.
+func (t *Txn) abortTables() int64 {
+	var ts int64
 	for i := 0; i < t.ntouched; i++ {
 		s := t.touchedAt(i)
 		s.mu.Lock()
+		if i == 0 {
+			ts = t.endStamp()
+		}
 		s.met.mutexAcquires.Inc()
 		// Unregister our own waiter entry, if any; the channel itself is
 		// recycled by the wait loop that owns it.
@@ -527,6 +554,7 @@ func (t *Txn) abortTables() {
 	t.clearTouched()
 	// Consume any abort mark that raced in; we are aborted either way.
 	t.m.condemned.take(t.id)
+	return ts
 }
 
 // Err returns the transaction's terminal error: nil while live,

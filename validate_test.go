@@ -420,7 +420,7 @@ func TestValidateWindowActiveCopy(t *testing.T) {
 					sx.epoch.bump()
 					sx.mu.Unlock()
 					m.Detect()
-					if rep, _ := m.LastActivation(); rep.Vertices != 0 {
+					if rep := lastActivation(t, m); rep.Vertices != 0 {
 						t.Errorf("graph still has %d vertices once the stale shard is recopied", rep.Vertices)
 					}
 					if err := b.Commit(); err != nil {
@@ -449,7 +449,7 @@ func TestValidateWindowActiveCopy(t *testing.T) {
 			}
 			// Every scene shows the detector two transactions, whether
 			// they are both still there or not.
-			if rep, _ := m.LastActivation(); rep.Vertices != 2 {
+			if rep := lastActivation(t, m); rep.Vertices != 2 {
 				t.Errorf("first activation's graph has %d vertices, want 2", rep.Vertices)
 			}
 			st = m.Detect()
