@@ -178,7 +178,8 @@ func TestStampsFollowTableOrder(t *testing.T) {
 // shard's mutex while the holder ends, so the waiter is granted — and
 // stamps its hand-off grant — before the holder's second round can
 // run. The end record must not sort after that grant, or the journal
-// would show the two X locks overlapping.
+// would show the two X locks overlapping. The victim row checks the
+// same of a deadlock victim's abort record.
 func TestEndRecordStampedBeforeRelease(t *testing.T) {
 	ctx := context.Background()
 	must := func(err error) {
@@ -229,5 +230,95 @@ func TestEndRecordStampedBeforeRelease(t *testing.T) {
 			t.Errorf("%v of T%d stamped %dns after the grant its first release caused", end, h.ID(), endTS-grantTS)
 		}
 		m.Close()
+	}
+
+	t.Run("victim", func(t *testing.T) {
+		m := Open(Options{Shards: 2})
+		defer m.Close()
+		res := [2]ResourceID{shardResource(t, m, 0, 1), shardResource(t, m, 1, 2)}
+		a, b := m.Begin(), m.Begin()
+		must(a.Lock(ctx, res[0], X))
+		must(b.Lock(ctx, res[1], X))
+		type result struct {
+			tx  *Txn
+			err error
+		}
+		results := make(chan result, 2)
+		go func() { results <- result{a, a.Lock(ctx, res[1], X)} }()
+		waitBlocked(t, m, a.ID())
+		go func() { results <- result{b, b.Lock(ctx, res[0], X)} }()
+		waitBlocked(t, m, b.ID())
+
+		// A woken victim samples its wait into the cost model before its
+		// Lock returns. Holding the model's mutex parks the victim there
+		// while the survivor is granted the lock the abort released, so a
+		// victim that stamped its own abort record once woken would sort
+		// after that grant.
+		m.cost.mu.Lock()
+		detected := make(chan Stats, 1)
+		go func() { detected <- m.Detect() }()
+		survivor := <-results
+		m.cost.mu.Unlock()
+		victim := <-results
+		if survivor.err != nil || !errors.Is(victim.err, ErrAborted) {
+			t.Fatalf("lock results %v (first) / %v, want nil then ErrAborted", survivor.err, victim.err)
+		}
+		if st := <-detected; st.Aborted != 1 {
+			t.Fatalf("Detect aborted %d, want 1", st.Aborted)
+		}
+		must(survivor.tx.Commit())
+
+		var aborts int
+		var endTS, grantTS int64
+		for _, rec := range m.Journal().Snapshot() {
+			switch {
+			case rec.Kind == journal.KindAbort && rec.Txn == int64(victim.tx.ID()):
+				aborts++
+				endTS = rec.TS
+			case rec.Kind == journal.KindGrant && rec.Txn == int64(survivor.tx.ID()) && rec.Arg > 0:
+				grantTS = rec.TS
+			}
+		}
+		if aborts != 1 || grantTS == 0 {
+			t.Fatalf("journal holds %d abort records of victim T%d and waited grant %d, want one and a grant", aborts, victim.tx.ID(), grantTS)
+		}
+		if endTS > grantTS {
+			t.Errorf("abort of victim T%d stamped %dns after the grant its abort caused", victim.tx.ID(), endTS-grantTS)
+		}
+	})
+}
+
+// TestCloseJournalsOneAbortEach: Close writes the one abort record of
+// every transaction it aborts — a holder between lock calls as well as
+// a waiter — and their owners, when they next call in, write none.
+func TestCloseJournalsOneAbortEach(t *testing.T) {
+	ctx := context.Background()
+	m := Open(Options{Shards: 2})
+	res := [2]ResourceID{shardResource(t, m, 0, 1), shardResource(t, m, 1, 2)}
+	h, w := m.Begin(), m.Begin()
+	for _, r := range res {
+		if err := h.Lock(ctx, r, X); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wDone := make(chan error, 1)
+	go func() { wDone <- w.Lock(ctx, res[0], X) }()
+	waitBlocked(t, m, w.ID())
+	m.Close()
+	if err := <-wDone; !errors.Is(err, ErrAborted) {
+		t.Fatalf("waiter's Lock returned %v, want ErrAborted", err)
+	}
+	if err := h.Commit(); !errors.Is(err, ErrAborted) {
+		t.Fatalf("holder's Commit returned %v, want ErrAborted", err)
+	}
+	h.Abort()
+	aborts := map[int64]int{}
+	for _, rec := range m.Journal().Snapshot() {
+		if rec.Kind == journal.KindAbort {
+			aborts[rec.Txn]++
+		}
+	}
+	if len(aborts) != 2 || aborts[int64(h.ID())] != 1 || aborts[int64(w.ID())] != 1 {
+		t.Fatalf("abort records by txn %v, want one each for T%d and T%d", aborts, h.ID(), w.ID())
 	}
 }

@@ -361,14 +361,16 @@ type condemnedSet struct {
 	m  map[TxnID]struct{}
 }
 
-// add marks id for abort.
-func (c *condemnedSet) add(id TxnID) {
+// add marks id for abort, reporting whether it was not marked yet.
+func (c *condemnedSet) add(id TxnID) bool {
 	c.mu.Lock()
-	if _, ok := c.m[id]; !ok {
+	_, ok := c.m[id]
+	if !ok {
 		c.m[id] = struct{}{}
 		c.n.Add(1)
 	}
 	c.mu.Unlock()
+	return !ok
 }
 
 // take consumes id's mark, reporting whether there was one.
@@ -541,6 +543,8 @@ func (m *Manager) costModelState() CostModelState {
 
 // Close stops the background detector and aborts every live
 // transaction. Lock calls in flight return ErrAborted (or ErrClosed).
+// Close writes each aborted transaction's one end record, stamped
+// while every shard is held, before any lock is released.
 func (m *Manager) Close() {
 	m.detMu.Lock()
 	if m.closed.Load() {
@@ -550,15 +554,25 @@ func (m *Manager) Close() {
 	m.closed.Store(true)
 	close(m.stop)
 	m.stopTheWorld()
+	var ts int64
+	if m.jr != nil {
+		ts = m.now()
+	}
+	var ended []TxnID
 	for _, s := range m.shards {
 		for _, id := range s.tb.Txns() {
 			s.tb.Abort(id)
-			m.condemned.add(id)
+			if m.condemned.add(id) {
+				ended = append(ended, id)
+			}
 		}
 		s.epoch.bump()
 		s.wakeAll()
 	}
 	m.resumeTheWorld()
+	for _, id := range ended {
+		m.journalControl(journal.KindAbort, id, ts, 0)
+	}
 	m.detMu.Unlock()
 	<-m.done
 }
@@ -582,13 +596,13 @@ func (m *Manager) Detect() Stats {
 // recordActivation folds one finished activation into the cumulative
 // stats, phase totals and activation ring, then — outside all locks —
 // journals it and fires the OnVictim hook. The activation path only
-// emits: aborted and repositioned carry the resolutions it validated
-// and acted on (application order, each with its cycle evidence),
-// salvaged the victims that needed no action; readers reconstruct what
-// happened from those records on demand (journal.Resolutions,
-// journal.Postmortems). The returned Stats describes this activation
-// alone.
-func (m *Manager) recordActivation(rep ActivationReport, aborted, repositioned []detect.Resolution, salvaged []TxnID) Stats {
+// emits: out's aborted and repositioned carry the resolutions it
+// validated and acted on (application order, each with its cycle
+// evidence), salvaged the victims that needed no action; readers
+// reconstruct what happened from those records on demand
+// (journal.Resolutions, journal.Postmortems). The returned Stats
+// describes this activation alone.
+func (m *Manager) recordActivation(rep ActivationReport, out *replayOutcome) Stats {
 	activation := Stats{
 		Runs:           1,
 		CyclesSearched: rep.CyclesSearched,
@@ -622,11 +636,11 @@ func (m *Manager) recordActivation(rep ActivationReport, aborted, repositioned [
 	m.mu.Unlock()
 
 	m.cost.observeActivation(rep)
-	m.journalActivation(rep, aborted, repositioned, salvaged)
+	m.journalActivation(rep, out)
 
 	if cb := m.opts.OnVictim; cb != nil {
-		for i := range aborted {
-			cb(aborted[i].Victim)
+		for i := range out.aborted {
+			cb(out.aborted[i].Victim)
 		}
 	}
 	return activation
@@ -640,8 +654,11 @@ func (m *Manager) recordActivation(rep ActivationReport, aborted, repositioned [
 // one activation can share a vertex). Called outside all manager locks.
 // The records share the report's stamp (see ActivationReport.Time), so
 // in timestamp order the group sits between its evidence and its
-// effects whatever the scheduler does.
-func (m *Manager) journalActivation(rep ActivationReport, aborted, repositioned []detect.Resolution, salvaged []TxnID) {
+// effects whatever the scheduler does. Last come the victims' abort
+// records, each with the stamp abortVictim read before releasing
+// anything, so they sort after the group and before the grants the
+// aborts caused.
+func (m *Manager) journalActivation(rep ActivationReport, out *replayOutcome) {
 	if m.jr == nil {
 		return
 	}
@@ -664,15 +681,18 @@ func (m *Manager) journalActivation(rep ActivationReport, aborted, repositioned 
 			ctl.Emit(&r)
 		}
 	}
-	for i := range aborted {
-		resolution(journal.KindVictim, &aborted[i])
+	for i := range out.aborted {
+		resolution(journal.KindVictim, &out.aborted[i])
 	}
-	for i := range repositioned {
-		resolution(journal.KindReposition, &repositioned[i])
+	for i := range out.repositioned {
+		resolution(journal.KindReposition, &out.repositioned[i])
 	}
-	for _, v := range salvaged {
+	for _, v := range out.salvaged {
 		r := journal.Record{TS: ts, Txn: int64(v), Kind: journal.KindSalvage, Aux: seq}
 		ctl.Emit(&r)
+	}
+	for i := range out.aborted {
+		m.journalControl(journal.KindAbort, out.aborted[i].Victim, out.abortTS[i], 0)
 	}
 }
 

@@ -4,9 +4,10 @@ package journal
 // TAIL verb) tails the rings with a per-ring sequence position instead of re-snapshotting,
 // so a consumer that reconnects resumes exactly where it left off and
 // every record it missed to ring overwrite is accounted for explicitly
-// rather than silently absent. Reads reuse the checksum-validated slot
-// protocol of Snapshot; Emit is untouched — tailing adds no hot-path
-// work and no allocations on the writer side.
+// rather than silently absent. Reads copy each slot under its lock
+// word, as Snapshot does; tailing adds no work and no allocations on
+// the writer side beyond the brief wait of a writer that laps onto the
+// slot being copied.
 
 // Head returns the ring's current head sequence: the position a tail
 // session starting "now" resumes from (the next record emitted will
@@ -35,12 +36,14 @@ func (r *Ring) Oldest() uint64 {
 //     to dst or counted in lost. A slot that has been claimed by a
 //     writer but not yet published stops the read — next points at it,
 //     and the record is delivered by a later call once the writer
-//     publishes — so an in-flight record is never skipped over.
+//     publishes — so an in-flight record is never skipped over. A slot
+//     whose lock word stays held (its writer mid-copy) stops the read
+//     the same way.
 //   - Lag is explicit: when seq has already been overwritten (the
 //     consumer fell more than Cap() records behind), the read restarts
 //     at the oldest retained record and lost counts the overwritten
-//     span. A record torn mid-copy by a lapping writer is likewise
-//     counted lost (and in Stats.TornReads), never surfaced corrupt.
+//     span. Every record delivered is whole: it is copied under its
+//     slot's lock word.
 //   - Monotone: next >= seq always, and calling again from next never
 //     re-delivers a record already returned.
 func (r *Ring) ReadFrom(seq uint64, max int, dst []Record) (recs []Record, next uint64, lost uint64) {
@@ -55,14 +58,8 @@ func (r *Ring) ReadFrom(seq uint64, max int, dst []Record) (recs []Record, next 
 		if max > 0 && n >= max {
 			break
 		}
-		s := &r.slots[seq&r.mask]
-		c := s.commit()
-		if c < seq+1 {
-			// Claimed (or never written) but not yet published: the record
-			// is still in flight. Stop here; it is delivered next call.
-			break
-		}
-		if c > seq+1 {
+		ok, gone := r.slots[seq&r.mask].read(seq, &w)
+		if gone {
 			// Already overwritten by a later lap: this record is gone.
 			// Everything up to the new oldest is gone with it.
 			lo := r.Oldest()
@@ -73,17 +70,11 @@ func (r *Ring) ReadFrom(seq uint64, max int, dst []Record) (recs []Record, next 
 			seq = lo
 			continue
 		}
-		for i := range w {
-			w[i] = s.loadPayload(i)
-		}
-		sum := s.loadSum()
-		if s.commit() != seq+1 || sum != checksum(seq, &w) {
-			// Torn by a lapping writer mid-copy: rejected by the checksum,
-			// counted, never surfaced.
-			r.at.noteTorn()
-			lost++
-			seq++
-			continue
+		if !ok {
+			// Claimed (or never written) but not yet published, or held
+			// by its writer: the record is still in flight. Stop here; it
+			// is delivered next call.
+			break
 		}
 		var rec Record
 		rec.unpack(&w)

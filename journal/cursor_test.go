@@ -98,8 +98,8 @@ func TestReadFromCountsFullOverwriteAsLost(t *testing.T) {
 func TestReadFromStopsAtInFlightSlot(t *testing.T) {
 	r := NewRing(8, 0)
 	emitN(r, 0, 3)
-	// A writer claims seq 3 but has not published yet; a later writer
-	// has already published seq 4.
+	// A writer claims seq 3 but has not locked its slot yet; a later
+	// writer has already published seq 4.
 	claimed := r.at.claim()
 	if claimed != 3 {
 		t.Fatalf("claimed seq %d, want 3", claimed)
@@ -107,46 +107,33 @@ func TestReadFromStopsAtInFlightSlot(t *testing.T) {
 	emitN(r, 4, 1) // publishes seq 4
 	recs, next, lost := r.ReadFrom(0, 0, nil)
 	if len(recs) != 3 || next != 3 || lost != 0 {
-		t.Fatalf("read across in-flight slot = %d recs next=%d lost=%d, want stop at 3 with 3/3/0", len(recs), next, lost)
+		t.Fatalf("read across claimed slot = %d recs next=%d lost=%d, want stop at 3 with 3/3/0", len(recs), next, lost)
 	}
-	// The in-flight writer publishes; the stalled cursor now drains both
-	// the late record and the one after it — no gap, no loss.
+	// The writer now holds the slot's lock word, mid-copy: the read
+	// still stops there rather than copy a half-written record.
+	s := &r.slots[claimed&r.mask]
+	old := s.state.lock()
+	recs, next, lost = r.ReadFrom(next, 0, nil)
+	if len(recs) != 0 || next != 3 || lost != 0 {
+		t.Fatalf("read at locked slot = %d recs next=%d lost=%d, want 0/3/0", len(recs), next, lost)
+	}
+	if got := r.Snapshot(nil); len(got) != 4 {
+		t.Fatalf("snapshot with one slot locked surfaced %d records, want the 4 others", len(got))
+	}
+	// The writer publishes; the stalled cursor now drains both the late
+	// record and the one after it — no gap, no loss.
+	s.state.unlock(old)
 	rec := mkRec(3)
 	rec.Shard = 0
 	var w [recordWords]uint64
 	rec.pack(&w)
-	s := &r.slots[claimed&r.mask]
-	for i, v := range w {
-		s.storePayload(i, v)
-	}
-	s.storeSum(checksum(claimed, &w))
-	s.publish(claimed)
+	s.write(claimed, &w)
 	recs, next, lost = r.ReadFrom(next, 0, nil)
 	if len(recs) != 2 || next != 5 || lost != 0 {
 		t.Fatalf("after publish = %d recs next=%d lost=%d, want 2/5/0", len(recs), next, lost)
 	}
 	if recs[0].Arg != 3 || recs[1].Arg != 4 {
 		t.Fatalf("drained records are %d,%d, want 3,4", recs[0].Arg, recs[1].Arg)
-	}
-}
-
-func TestReadFromCountsTornSlot(t *testing.T) {
-	r := NewRing(8, 0)
-	emitN(r, 0, 3)
-	// Corrupt seq 1's checksum, simulating a copy torn by a lapping
-	// writer: the record must be counted lost, never surfaced.
-	s := &r.slots[1&r.mask]
-	s.storeSum(s.loadSum() ^ 0xdeadbeef)
-	before := r.Stats().TornReads
-	recs, next, lost := r.ReadFrom(0, 0, nil)
-	if len(recs) != 2 || next != 3 || lost != 1 {
-		t.Fatalf("read over torn slot = %d recs next=%d lost=%d, want 2/3/1", len(recs), next, lost)
-	}
-	if recs[0].Arg != 0 || recs[1].Arg != 2 {
-		t.Fatalf("surviving records are %d,%d, want 0,2", recs[0].Arg, recs[1].Arg)
-	}
-	if after := r.Stats().TornReads; after != before+1 {
-		t.Fatalf("TornReads = %d, want %d", after, before+1)
 	}
 }
 

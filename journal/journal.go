@@ -1,25 +1,29 @@
 // Package journal is the hwtwbg flight recorder: a per-shard,
-// fixed-size, lock-free ring of compact binary events written from the
-// lock manager's hot path with zero allocations and no mutexes. It is
-// the black box behind deadlock postmortems, the Perfetto trace export
-// and the offline cmd/hwtrace analyzer: aggregates (the metrics
-// package) tell you *that* a latency spike or a deadlock happened; the
-// journal retains the event interleaving that produced it.
+// fixed-size ring of compact binary events written from the lock
+// manager's hot path with zero allocations and no mutexes. It is the
+// black box behind deadlock postmortems, the Perfetto trace export and
+// the offline cmd/hwtrace analyzer: aggregates (the metrics package)
+// tell you *that* a latency spike or a deadlock happened; the journal
+// retains the event interleaving that produced it.
 //
-// A Record is seven 64-bit words. Writers claim a slot with one atomic
-// fetch-add on the ring cursor, store the payload words with plain
-// atomic stores, then publish the slot by storing seq+1 into its commit
-// word (a per-slot seqlock) together with a checksum over the payload.
-// Readers never block writers: a snapshot validates each slot's commit
-// word before and after copying the payload and re-derives the
-// checksum, so a record that was being overwritten mid-read is
-// discarded as torn rather than surfacing corrupt — under overwrite
-// pressure the ring silently keeps only the newest Cap() records per
-// ring, with the loss observable via RingStats.Overwritten.
+// A Record is seven 64-bit words, and a ring slot is one 64-byte cache
+// line: a lock word followed by those seven words. A writer claims a
+// sequence number with one atomic fetch-add on the ring cursor, sets
+// the slot's lock bit with a compare-and-swap, copies the payload with
+// plain stores and publishes by storing seq+1 into the lock word, which
+// also clears the lock bit. A reader copies a record only while holding
+// the same lock bit, so no reader can ever see a half-written slot. A
+// writer waits only for a reader copying that same slot (or a writer of
+// another lap of it) and yields the processor after a bounded spin; a
+// reader that finds a slot held past its own bounded spin treats the
+// record as still in flight. Under overwrite pressure the ring keeps
+// only the newest Cap() records per ring, with the loss observable via
+// RingStats.Overwritten.
 package journal
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -236,64 +240,114 @@ func putLeWord(b []byte, v uint64) {
 	}
 }
 
-// checksum mixes a slot's sequence number and payload words into the
-// value stored alongside the record, so a reader can reject a torn copy
-// even if it raced the commit-word protocol.
-func checksum(seq uint64, w *[recordWords]uint64) uint64 {
-	h := seq*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
-	for _, v := range w {
-		h ^= v
-		h *= 0x9E3779B97F4A7C15
-		h ^= h >> 29
-	}
-	// A checksum of zero would be indistinguishable from an unwritten
-	// slot word; fold it away.
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
+// lockBit marks a slot's lock word while a writer fills the slot or a
+// reader copies it; the remaining bits are seq+1 of the record the slot
+// last published (0 while never written).
+const lockBit = 1 << 63
 
-// slot is one ring entry: commit word (seq+1 once published, 0 while
-// never written), recordWords payload words, then the checksum. A writer
-// overwriting a slot does not clear the commit word first — the
-// classic seqlock "odd phase" store is deliberately omitted, saving
-// one full-barrier store per Emit. A reader that races the overwrite
-// is still caught: either the commit-word re-check sees the new
-// publish, or the checksum — which mixes the slot's sequence number —
-// rejects the copy (a torn mix fails outright; a complete copy of the
-// *new* payload carries the new sequence's checksum, which cannot
-// verify against the sequence the reader asked for).
+// spinTries bounds a waiter's busy loop on a held lock word: a writer
+// yields the processor after that many tries, so a holder preempted
+// mid-copy cannot stall it for a time slice, and a reader gives up and
+// treats the slot as in flight.
+const spinTries = 64
+
+// lockWord is a slot's state: seq+1 of the published record, with
+// lockBit set while someone holds the slot. Its acquire (the CAS) and
+// release (the store) order every plain payload access.
 //
 // hwlint:atomics-only — fields may only be touched via their methods.
-type slot struct {
-	words [recordWords + 2]atomic.Uint64
+type lockWord struct {
+	v atomic.Uint64
 }
 
-func (s *slot) publish(seq uint64)           { s.words[0].Store(seq + 1) }
-func (s *slot) commit() uint64               { return s.words[0].Load() }
-func (s *slot) storePayload(i int, v uint64) { s.words[1+i].Store(v) }
-func (s *slot) loadPayload(i int) uint64     { return s.words[1+i].Load() }
-func (s *slot) storeSum(v uint64)            { s.words[1+recordWords].Store(v) }
-func (s *slot) loadSum() uint64              { return s.words[1+recordWords].Load() }
+// lock sets the lock bit, spinning while another holder has it, and
+// returns the state it replaced.
+func (l *lockWord) lock() uint64 {
+	for i := 1; ; i++ {
+		v := l.v.Load()
+		if v&lockBit == 0 && l.v.CompareAndSwap(v, v|lockBit) {
+			return v
+		}
+		if i%spinTries == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// lockAt sets the lock bit only while the state is want, waiting out a
+// brief hold by another reader or writer. On failure it returns the
+// last state it saw, which may still carry lockBit.
+func (l *lockWord) lockAt(want uint64) (uint64, bool) {
+	var v uint64
+	for i := 0; i < spinTries; i++ {
+		v = l.v.Load()
+		if v&lockBit != 0 {
+			continue
+		}
+		if v != want {
+			return v, false
+		}
+		if l.v.CompareAndSwap(want, want|lockBit) {
+			return want, true
+		}
+	}
+	return v, false
+}
+
+// unlock stores v, which carries no lock bit, releasing the slot.
+func (l *lockWord) unlock(v uint64) { l.v.Store(v) }
+
+// slot is one ring entry, exactly one cache line: a []slot of 512 B or
+// more comes from a size class that is a multiple of 64 B, so it starts
+// on a line boundary. The payload is plain memory, touched only while
+// the lock word is held.
+type slot struct {
+	state   lockWord
+	payload [recordWords]uint64
+}
+
+// write publishes w as record seq: lock, copy, then one store of seq+1
+// that both publishes and unlocks. A slot that already holds a later
+// lap keeps it; the record dropped is one Overwritten already counts.
+func (s *slot) write(seq uint64, w *[recordWords]uint64) {
+	if old := s.state.lock(); old > seq+1 {
+		s.state.unlock(old)
+		return
+	}
+	s.payload = *w
+	s.state.unlock(seq + 1)
+}
+
+// read copies record seq into w. When the record is not there it
+// reports false and whether it is gone for good: a slot whose state
+// names a later lap was overwritten; any other state means the record
+// is still in flight.
+func (s *slot) read(seq uint64, w *[recordWords]uint64) (ok, gone bool) {
+	v, ok := s.state.lockAt(seq + 1)
+	if !ok {
+		return false, v&^lockBit > seq+1
+	}
+	*w = s.payload
+	s.state.unlock(v)
+	return true, false
+}
 
 // ringAtomics is the ring's mutable lock-free state.
 //
 // hwlint:atomics-only — fields may only be touched via their methods.
 type ringAtomics struct {
 	cursor atomic.Uint64 // next sequence to claim; also the emit count
-	torn   atomic.Uint64 // snapshot reads discarded as torn
 }
 
-func (a *ringAtomics) claim() uint64    { return a.cursor.Add(1) - 1 }
-func (a *ringAtomics) load() uint64     { return a.cursor.Load() }
-func (a *ringAtomics) noteTorn()        { a.torn.Add(1) }
-func (a *ringAtomics) tornLoad() uint64 { return a.torn.Load() }
+func (a *ringAtomics) claim() uint64 { return a.cursor.Add(1) - 1 }
+func (a *ringAtomics) load() uint64  { return a.cursor.Load() }
 
-// Ring is one fixed-size lock-free event ring. Emit never blocks,
-// never allocates and never takes a lock, so it is safe from any
-// goroutine, including under the lock manager's shard mutexes; when
-// the ring is full the oldest records are overwritten.
+// Ring is one fixed-size event ring. Emit never allocates and takes no
+// mutex, so it is safe from any goroutine, including under the lock
+// manager's shard mutexes: it waits only while a reader copies the same
+// slot (or a writer a lap ahead or behind fills it), and yields the
+// processor after a bounded spin. When the ring is full the oldest
+// records are overwritten.
 type Ring struct {
 	at    ringAtomics
 	slots []slot
@@ -314,14 +368,14 @@ func NewRing(size int, ringIndex uint8) *Ring {
 // Cap returns the ring's record capacity.
 func (r *Ring) Cap() int { return len(r.slots) }
 
-// Emit appends one record: claim a slot, store the payload, publish.
-// The record's Shard field is stamped here; its TS is the caller's, so
-// Emit reads no clock. Emit is wait-free apart from the single atomic
-// fetch-add — and allocation-free: the caller's record is packed into
-// a stack scratch array and copied into the pre-sized ring, a property
-// the allocbudget analyzer now proves (the hot path journals on every
-// grant, so a single stray allocation here would show up on every
-// benchmark).
+// Emit appends one record: claim a sequence number (a fetch-add), lock
+// its slot (a CAS), copy the payload and publish (one store): three
+// locked instructions. The record's Shard field is stamped here; its TS
+// is the caller's, so Emit reads no clock. Emit is allocation-free: the
+// caller's record is packed into a stack scratch array and copied into
+// the pre-sized ring, a property the allocbudget analyzer proves (the
+// hot path journals on every grant, so a single stray allocation here
+// would show up on every benchmark).
 //
 //hwlint:hotpath allocs=0
 func (r *Ring) Emit(rec *Record) {
@@ -329,19 +383,13 @@ func (r *Ring) Emit(rec *Record) {
 	var w [recordWords]uint64
 	rec.pack(&w)
 	seq := r.at.claim()
-	s := &r.slots[seq&r.mask]
-	for i, v := range w {
-		s.storePayload(i, v)
-	}
-	s.storeSum(checksum(seq, &w))
-	s.publish(seq)
+	r.slots[seq&r.mask].write(seq, &w)
 }
 
 // RingStats describes one ring's lifetime activity.
 type RingStats struct {
 	Emitted     uint64 `json:"emitted"`     // records ever written
 	Overwritten uint64 `json:"overwritten"` // records lost to ring wrap
-	TornReads   uint64 `json:"torn_reads"`  // snapshot copies discarded mid-overwrite
 	Cap         int    `json:"cap"`         // ring capacity in records
 }
 
@@ -352,14 +400,14 @@ func (r *Ring) Stats() RingStats {
 	if emitted > uint64(len(r.slots)) {
 		over = emitted - uint64(len(r.slots))
 	}
-	return RingStats{Emitted: emitted, Overwritten: over, TornReads: r.at.tornLoad(), Cap: len(r.slots)}
+	return RingStats{Emitted: emitted, Overwritten: over, Cap: len(r.slots)}
 }
 
 // Snapshot appends the ring's currently retained records to dst in
-// sequence order (oldest first) and returns the extended slice. Slots
-// being overwritten while we copy are detected by the commit-word
-// re-check plus the checksum and skipped (counted in Stats.TornReads);
-// writers are never stalled.
+// sequence order (oldest first) and returns the extended slice. A
+// record still in flight, or overwritten while we walk, is skipped;
+// every record copied is whole, because it is copied under its slot's
+// lock word.
 func (r *Ring) Snapshot(dst []Record) []Record {
 	hi := r.at.load()
 	lo := uint64(0)
@@ -368,16 +416,7 @@ func (r *Ring) Snapshot(dst []Record) []Record {
 	}
 	var w [recordWords]uint64
 	for seq := lo; seq < hi; seq++ {
-		s := &r.slots[seq&r.mask]
-		if s.commit() != seq+1 {
-			continue // overwritten (or still in flight) — not torn, just gone
-		}
-		for i := range w {
-			w[i] = s.loadPayload(i)
-		}
-		sum := s.loadSum()
-		if s.commit() != seq+1 || sum != checksum(seq, &w) {
-			r.at.noteTorn()
+		if ok, _ := r.slots[seq&r.mask].read(seq, &w); !ok {
 			continue
 		}
 		var rec Record
@@ -421,7 +460,6 @@ func (j *Journal) Stats() RingStats {
 		st := r.Stats()
 		out.Emitted += st.Emitted
 		out.Overwritten += st.Overwritten
-		out.TornReads += st.TornReads
 		out.Cap += st.Cap
 	}
 	return out

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestPackUnpackRoundTrip(t *testing.T) {
@@ -172,65 +173,162 @@ func TestRecordTextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRingConcurrentHammer drives GOMAXPROCS writers into one small
-// ring (forcing constant wraparound and slot reuse) while a reader
-// drains snapshots, asserting under -race that every surfaced record is
-// internally consistent — i.e. no torn event ever escapes the
-// commit-word + checksum validation. Each writer encodes a
-// self-checking payload: Arg must equal a hash of (Txn, TS).
+// TestLateWriterKeepsNewerLap: a writer that claimed a sequence but
+// reaches its slot only after a writer one lap ahead has published
+// there drops its record instead of overwriting the newer one; the
+// loss is the one Overwritten already counts.
+func TestLateWriterKeepsNewerLap(t *testing.T) {
+	r := NewRing(8, 0)
+	late := r.at.claim() // seq 0, slot 0
+	for i := 1; i <= 8; i++ {
+		r.Emit(&Record{Kind: KindCommit, Txn: int64(i)}) // seq 8 laps onto slot 0
+	}
+	var w [recordWords]uint64
+	(&Record{Kind: KindAbort, Txn: 99}).pack(&w)
+	r.slots[late&r.mask].write(late, &w)
+	recs := r.Snapshot(nil)
+	if len(recs) != 8 || recs[7].Txn != 8 {
+		t.Fatalf("snapshot = %d records ending with T%d, want 8 ending with T8", len(recs), recs[len(recs)-1].Txn)
+	}
+	if st := r.Stats(); st.Emitted != 9 || st.Overwritten != 1 {
+		t.Fatalf("stats = %+v, want 9 emitted, 1 overwritten", st)
+	}
+}
+
+// TestSlotIsOneCacheLine pins the slot layout the ring's cost rests on:
+// one lock word plus the seven payload words fill exactly one 64-byte
+// line, and a ring's slots start on a line boundary.
+func TestSlotIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 64 {
+		t.Fatalf("slot is %d bytes, want 64", n)
+	}
+	for _, size := range []int{8, 64, 1000, 4096} {
+		r := NewRing(size, 0)
+		if a := uintptr(unsafe.Pointer(&r.slots[0])) % 64; a != 0 {
+			t.Fatalf("ring of %d slots starts %d bytes into a cache line", r.Cap(), a)
+		}
+	}
+}
+
+// hammerRec builds a self-checking record: every one of its seven
+// packed words is a different function of (writer, i), so a copy mixing
+// words of two records fails hammerOK.
+func hammerRec(writer, i int) Record {
+	k := uint64(writer)<<32 | uint64(i)
+	r := Record{
+		TS:    int64(i),
+		Txn:   int64(writer),
+		Arg:   k * 0x9E3779B97F4A7C15,
+		RHash: ^k,
+		Kind:  KindGrant,
+		Mode:  uint8(k),
+		Flags: uint8(k >> 8),
+		Aux:   uint32(k ^ k>>32),
+	}
+	putLeWord(r.Res[0:8], k+1)
+	putLeWord(r.Res[8:16], k*3)
+	return r
+}
+
+func hammerOK(rec Record) bool {
+	want := hammerRec(int(rec.Txn), int(rec.TS))
+	want.Shard = rec.Shard
+	return rec == want
+}
+
+// TestRingConcurrentHammer laps several writers around an 8-slot ring
+// — constant slot reuse, writers of different laps meeting on one slot
+// — while one reader drains snapshots and another tails the ring with
+// ReadFrom. Under -race it asserts that every surfaced record is
+// whole (the self-checking payload of hammerRec) and that ReadFrom
+// delivers each writer's records in emit order without duplicates,
+// accounting for every sequence it passes as delivered or lost.
 func TestRingConcurrentHammer(t *testing.T) {
-	r := NewRing(64, 0) // small: maximal overwrite pressure
-	writers := runtime.GOMAXPROCS(0)
-	if writers < 2 {
-		writers = 2
-	}
+	r := NewRing(8, 0)
+	writers := max(runtime.GOMAXPROCS(0), 4)
 	const perWriter = 20000
-	sig := func(txn, ts int64) uint64 {
-		return checksum(uint64(txn), &[recordWords]uint64{uint64(ts)})
-	}
 	var stop atomic.Bool
-	readerDone := make(chan struct{})
-	go func() { // reader: drains snapshots continuously, validating each
-		defer close(readerDone)
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() { // snapshot reader
+		defer readers.Done()
 		for !stop.Load() {
 			for _, rec := range r.Snapshot(nil) {
-				if rec.Kind != KindGrant {
-					t.Errorf("snapshot surfaced record with kind %v", rec.Kind)
-					return
-				}
-				if rec.Arg != sig(rec.Txn, rec.TS) {
-					t.Errorf("torn record escaped validation: %+v", rec)
+				if !hammerOK(rec) {
+					t.Errorf("snapshot surfaced an inconsistent record: %+v", rec)
 					return
 				}
 			}
 		}
 	}()
+	var tailed, tailLost, tailNext uint64
+	go func() { // tail consumer
+		defer readers.Done()
+		last := make([]int64, writers)
+		for i := range last {
+			last[i] = -1
+		}
+		var seq uint64
+		var buf []Record
+		for done := false; !done; {
+			done = stop.Load() // one more full drain after the writers finish
+			for {
+				recs, next, lost := r.ReadFrom(seq, 0, buf[:0])
+				buf = recs
+				if next == seq {
+					break
+				}
+				for _, rec := range recs {
+					if !hammerOK(rec) {
+						t.Errorf("ReadFrom delivered an inconsistent record: %+v", rec)
+						return
+					}
+					if rec.TS <= last[rec.Txn] {
+						t.Errorf("ReadFrom delivered writer %d's record %d after its record %d", rec.Txn, rec.TS, last[rec.Txn])
+						return
+					}
+					last[rec.Txn] = rec.TS
+				}
+				tailed += uint64(len(recs))
+				tailLost += lost
+				seq = next
+			}
+		}
+		tailNext = seq
+	}()
 	var wg sync.WaitGroup
 	wg.Add(writers)
 	for wtr := 0; wtr < writers; wtr++ {
-		go func(wtr int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				txn := int64(wtr*perWriter + i + 1)
-				ts := int64(i + 1)
-				r.Emit(&Record{Kind: KindGrant, Txn: txn, TS: ts, Arg: sig(txn, ts)})
+				rec := hammerRec(wtr, i)
+				r.Emit(&rec)
 			}
-		}(wtr)
+		}()
 	}
 	wg.Wait()
 	stop.Store(true)
-	<-readerDone
-	if st := r.Stats(); st.Emitted != uint64(writers*perWriter) {
-		t.Fatalf("emitted %d, want %d", st.Emitted, writers*perWriter)
+	readers.Wait()
+	if t.Failed() {
+		return
 	}
-	// Quiescent: the ring is full and every retained slot must surface
-	// and validate — the newest Cap() records, each self-consistent.
+	total := uint64(writers * perWriter)
+	if st := r.Stats(); st.Emitted != total {
+		t.Fatalf("emitted %d, want %d", st.Emitted, total)
+	}
+	if tailNext != total || tailed+tailLost != total {
+		t.Fatalf("tail ended at %d with %d delivered + %d lost, want all %d sequences accounted for", tailNext, tailed, tailLost, total)
+	}
+	t.Logf("%d writers, %d records: tail delivered %d, lost %d", writers, total, tailed, tailLost)
+	// Quiescent: every slot holds the newest lap of its class, so the
+	// snapshot surfaces the full ring, each record whole.
 	final := r.Snapshot(nil)
 	if len(final) != r.Cap() {
 		t.Fatalf("quiescent snapshot surfaced %d records, want the full ring of %d", len(final), r.Cap())
 	}
 	for _, rec := range final {
-		if rec.Arg != sig(rec.Txn, rec.TS) {
+		if !hammerOK(rec) {
 			t.Fatalf("quiescent snapshot holds inconsistent record: %+v", rec)
 		}
 	}

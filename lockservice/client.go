@@ -352,13 +352,12 @@ type Stats struct {
 	CostModelPersist   time.Duration
 	CostModelPeriod    time.Duration
 	// Flight-recorder ring counters (wire keys journal_*): records ever
-	// emitted, records lost to ring wrap before any snapshot saw them,
-	// and snapshot copies discarded as torn. Nonzero Overwritten means
+	// emitted and records lost to ring wrap before any snapshot saw
+	// them. Nonzero Overwritten means
 	// journal-derived analyses saw a truncated trace. Zero from an old
 	// server or a journal-disabled one.
 	JournalEmitted     uint64
 	JournalOverwritten uint64
-	JournalTornReads   uint64
 	// Live-telemetry counters (wire keys tail_sessions, tail_lagged,
 	// op_tags): TAIL sessions ever started, records those sessions lost
 	// to ring overwrite before delivery, and op tags attached via the
@@ -418,7 +417,6 @@ func (c *Client) stats() (Stats, error) {
 	st.CostModelPeriod = snap.CostModel.Period
 	st.JournalEmitted = snap.Journal.Emitted
 	st.JournalOverwritten = snap.Journal.Overwritten
-	st.JournalTornReads = snap.Journal.TornReads
 	return st, nil
 }
 

@@ -194,14 +194,14 @@ func (sess *refSession) dispatch(line string) (resp string, quit bool) {
 		}
 		return fmt.Sprintf("OK runs=%d cycles=%d aborted=%d repositioned=%d salvaged=%d hold_last_ns=%d hold_max_ns=%d shard_grants=%d false_cycles=%d validations=%d period_ns=%d"+
 			" cm_samples=%d cm_deadlocks=%d cm_rate_uhz=%d cm_detect_ns=%d cm_persist_ns=%d cm_period_ns=%d"+
-			" journal_emitted=%d journal_overwritten=%d journal_torn_reads=%d"+
+			" journal_emitted=%d journal_overwritten=%d"+
 			" shards_copied=%d shards_skipped=%d"+
 			" tail_sessions=%d tail_lagged=%d op_tags=%d",
 			st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged,
 			st.ShardHoldLast.Nanoseconds(), st.ShardHoldMax.Nanoseconds(), shardGrants,
 			st.FalseCycles, st.Validations, snap.Period.Nanoseconds(),
 			cm.Samples, cm.Deadlocks, int64(cm.RatePerSec*1e6), cm.DetectCost.Nanoseconds(), cm.PersistCost.Nanoseconds(), cm.Period.Nanoseconds(),
-			js.Emitted, js.Overwritten, js.TornReads,
+			js.Emitted, js.Overwritten,
 			st.ShardsCopied, st.ShardsSkipped,
 			sess.srv.tailSessions.Load(), sess.srv.tailLagged.Load(), sess.srv.opTags.Load()), false
 	case "DUMP":

@@ -36,8 +36,8 @@
 //	                           BATCH ring=<i> n=<k> next=<seq> lost=<m>
 //	                             followed by k record lines (base64, the DUMP
 //	                             line format); next is the resume cursor for
-//	                             that ring, lost counts records overwritten or
-//	                             torn before they could be delivered
+//	                             that ring, lost counts records overwritten
+//	                             before they could be delivered
 //	                           HB hb_<key>=<value> ...   (periodic heartbeat:
 //	                             detector/journal counters and session lag)
 //	                           END records=<n>           (bounded tails only;

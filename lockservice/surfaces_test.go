@@ -206,7 +206,7 @@ func TestCountersReconcile(t *testing.T) {
 		Samples: st.CostModelSamples, Deadlocks: st.CostModelDeadlocks, RatePerSec: st.CostModelRate,
 		DetectCost: st.CostModelDetect, PersistCost: st.CostModelPersist, Period: st.CostModelPeriod,
 	}
-	viaStats.Journal = journal.RingStats{Emitted: st.JournalEmitted, Overwritten: st.JournalOverwritten, TornReads: st.JournalTornReads}
+	viaStats.Journal = journal.RingStats{Emitted: st.JournalEmitted, Overwritten: st.JournalOverwritten}
 
 	var hb TailHeartbeat
 	if _, err := dial(t, addr).TailJournal(TailOptions{
@@ -216,7 +216,7 @@ func TestCountersReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var viaHB hwtwbg.MetricsSnapshot
-	viaHB.Journal = journal.RingStats{Emitted: hb.Emitted, Overwritten: hb.Overwritten, TornReads: hb.Torn}
+	viaHB.Journal = journal.RingStats{Emitted: hb.Emitted, Overwritten: hb.Overwritten}
 	viaHB.Total.Grants = hb.Grants
 	viaHB.Detector.Runs, viaHB.Detector.CyclesSearched, viaHB.Detector.Aborted = hb.Runs, hb.Cycles, hb.Aborted
 	viaHB.Period, viaHB.CostModel.Period = hb.Period, hb.CostModelPeriod

@@ -287,7 +287,7 @@ func TestTailBadArguments(t *testing.T) {
 
 // TestTailConcurrentWithWorkload hammers the manager with lock traffic
 // while bounded TAIL sessions and /journal.bin snapshots read the same
-// journal: the reader-side seqlock discipline must hold under the race
+// journal: the readers' slot lock-word discipline must hold under the race
 // detector.
 func TestTailConcurrentWithWorkload(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -32,8 +32,7 @@ func (c TailCursor) String() string { return cursorString(c) }
 // TailBatch is one BATCH frame: a run of records from one ring, plus
 // the position to resume that ring from and how many records between
 // the previous cursor and Next were lost for good (overwritten by ring
-// wrap, or torn by a lapping writer) — the tail contract makes loss
-// explicit, never silent.
+// wrap) — the tail contract makes loss explicit, never silent.
 type TailBatch struct {
 	Ring    int
 	Next    uint64
@@ -48,7 +47,6 @@ type TailHeartbeat struct {
 	Seq         uint64 `json:"seq"`         // heartbeat number within the session, from 1
 	Emitted     uint64 `json:"emitted"`     // journal records ever emitted
 	Overwritten uint64 `json:"overwritten"` // lost to ring wrap before any snapshot saw them
-	Torn        uint64 `json:"torn"`        // snapshot copies discarded as torn
 	Grants      uint64 `json:"grants"`      // lock grants summed across every shard
 	Runs        int    `json:"runs"`        // detector activations
 	Cycles      int    `json:"cycles"`      // cycles searched
@@ -139,7 +137,6 @@ func parseTailHeartbeat(line string) (TailHeartbeat, error) {
 		Seq:             b.seq,
 		Emitted:         s.Journal.Emitted,
 		Overwritten:     s.Journal.Overwritten,
-		Torn:            s.Journal.TornReads,
 		Grants:          s.Total.Grants,
 		Runs:            s.Detector.Runs,
 		Cycles:          s.Detector.CyclesSearched,

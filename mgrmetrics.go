@@ -374,8 +374,6 @@ var Metrics = []Metric{
 	{Stat: "journal_overwritten", HB: "hb_overwritten", Prom: "hwtwbg_journal_overwritten_total",
 		Help:  "Flight-recorder records overwritten before any snapshot saw them.",
 		field: func(s *MetricsSnapshot) any { return &s.Journal.Overwritten }, group: promScheduling},
-	{Stat: "journal_torn_reads", HB: "hb_torn", Prom: "hwtwbg_journal_torn_reads_total", Help: "Snapshot reads that discarded a torn record.",
-		field: func(s *MetricsSnapshot) any { return &s.Journal.TornReads }, group: promScheduling},
 	{Prom: "hwtwbg_journal_capacity_records", Gauge: true, Help: "Flight-recorder capacity in records, summed across rings.",
 		field: func(s *MetricsSnapshot) any { return &s.Journal.Cap }, group: promScheduling},
 

@@ -60,7 +60,15 @@ func (o *stwOracle) Detect() Stats {
 	pre := m.auditPreSTW()
 	res := o.det.Run()
 	resolved := time.Now()
+	// The victims' end records are stamped before any release, as
+	// abortVictim stamps them.
+	var out replayOutcome
+	var ts int64
+	if m.jr != nil {
+		ts = m.now()
+	}
 	for _, v := range res.Aborted {
+		out.abortTS = append(out.abortTS, ts)
 		m.condemned.add(v)
 		for _, s := range m.shards {
 			s.wake(v)
@@ -102,11 +110,12 @@ func (o *stwOracle) Detect() Stats {
 			byVictim[r.Victim] = r
 		}
 	}
-	aborted := make([]detect.Resolution, len(res.Aborted))
+	out.aborted = make([]detect.Resolution, len(res.Aborted))
 	for i, v := range res.Aborted {
-		aborted[i] = byVictim[v]
+		out.aborted[i] = byVictim[v]
 	}
-	return m.recordActivation(rep, aborted, repositioned, res.Salvaged)
+	out.repositioned, out.salvaged = repositioned, res.Salvaged
+	return m.recordActivation(rep, &out)
 }
 
 // The rest of detect.Table over the sharded tables — the mutating half

@@ -127,13 +127,14 @@ func (m *Manager) detectSnapshot() Stats {
 		ShardsCopied:   cp.dirty,
 		ShardsSkipped:  cp.skipped,
 	}
-	return m.recordActivation(rep, out.aborted, out.repositioned, out.salvaged)
+	return m.recordActivation(rep, &out)
 }
 
 // replayOutcome summarizes the live replay of one snapshot activation's
 // resolutions.
 type replayOutcome struct {
 	aborted      []detect.Resolution // TDR-1 resolutions whose victim was aborted, in application order
+	abortTS      []int64             // each aborted victim's end-record stamp (see abortVictim)
 	repositioned []detect.Resolution // TDR-2 resolutions applied live
 	salvaged     []TxnID             // victims that needed no action after all
 	falseCycles  int
@@ -176,7 +177,7 @@ type replayScratch struct {
 //hwlint:hotpath allocs=0
 func (m *Manager) applyResolutions(rs []detect.Resolution) replayOutcome {
 	sc := &m.replay
-	out := replayOutcome{aborted: sc.out.aborted[:0], repositioned: sc.out.repositioned[:0], salvaged: sc.out.salvaged[:0]}
+	out := replayOutcome{aborted: sc.out.aborted[:0], abortTS: sc.out.abortTS[:0], repositioned: sc.out.repositioned[:0], salvaged: sc.out.salvaged[:0]}
 	sc.confirmed = sc.confirmed[:0]
 	for i := range rs {
 		r := &rs[i]
@@ -209,8 +210,9 @@ func (m *Manager) applyResolutions(rs []detect.Resolution) replayOutcome {
 	}
 	for j := len(sc.confirmed) - 1; j >= 0; j-- {
 		r := &rs[sc.confirmed[j]]
-		if m.abortVictim(r) {
+		if ts, ok := m.abortVictim(r); ok {
 			out.aborted = append(out.aborted, *r)
+			out.abortTS = append(out.abortTS, ts)
 		} else {
 			out.salvaged = append(out.salvaged, r.Victim)
 		}
@@ -252,8 +254,14 @@ func waitResource(r *detect.Resolution) ResourceID {
 // intermediate states cannot look like a deadlock). Reports whether the
 // victim was actually aborted. The shard set is built in m.replay.idx.
 //
+// It also returns the stamp of the victim's abort record, read under
+// the cycle's shard locks before any release, so the record sorts
+// before every grant the abort causes; journalActivation writes it (the
+// victim's woken owner journals nothing). Zero — no clock read — when
+// the journal is off.
+//
 //hwlint:hotpath allocs=0
-func (m *Manager) abortVictim(r *detect.Resolution) bool {
+func (m *Manager) abortVictim(r *detect.Resolution) (int64, bool) {
 	victim := r.Victim
 	ws := m.shardFor(waitResource(r))
 	m.replay.idx = m.cycleShards(m.replay.idx, r.Cycle)
@@ -261,7 +269,11 @@ func (m *Manager) abortVictim(r *detect.Resolution) bool {
 	m.lockShards(idx)
 	if !ws.tb.Blocked(victim) {
 		m.unlockShards(idx)
-		return false
+		return 0, false
+	}
+	var ts int64
+	if m.jr != nil {
+		ts = m.now()
 	}
 	m.condemned.add(victim)
 	for _, i := range idx {
@@ -284,7 +296,7 @@ func (m *Manager) abortVictim(r *detect.Resolution) bool {
 		}
 		s.mu.Unlock()
 	}
-	return true
+	return ts, true
 }
 
 // containsIdx reports whether the sorted index set holds i.

@@ -172,17 +172,17 @@ func (m *Manager) journalControl(kind journal.Kind, id TxnID, ts int64, arg uint
 
 // observeAbort is the owner's one exit for an abort it has just
 // observed — its own Abort, a cancelled wait, or an external verdict
-// (deadlock victim, Close): the abort is journaled, and when it ended a
-// wait in shard s (nil otherwise) the wait is counted as aborted. ts is
-// the end record's stamp from endStamp when the owner released its
-// locks itself, zero (read here) when the detector or Close did. Like
-// Commit's, the end record is written only for a transaction whose
-// begin record was (see journalBegin).
+// (deadlock victim, Close): when it ended a wait in shard s (nil
+// otherwise) the wait is counted as aborted, and the abort is journaled
+// if ts, the end record's stamp from endStamp, is set. It is set only
+// when the owner released its locks itself: the detector and Close
+// journal the aborts they decide (see abortVictim), and endStamp is
+// zero for a transaction with no begin record.
 func (t *Txn) observeAbort(s *shard, ts int64) {
 	if s != nil {
 		s.met.waitAborts.Inc()
 	}
-	if t.begun {
+	if ts != 0 {
 		t.m.journalControl(journal.KindAbort, t.id, ts, 0)
 	}
 }
@@ -503,10 +503,11 @@ func (t *Txn) Commit() error {
 		s.wakeGrants(grants)
 		s.mu.Unlock()
 	}
-	// Close may have raced with the releases above; honor its verdict.
+	// Close may have raced with the releases above; honor its verdict
+	// (Close journaled the abort).
 	if t.consumeCondemned() {
 		t.state = abortedState
-		t.observeAbort(nil, ts)
+		t.observeAbort(nil, 0)
 		return ErrAborted
 	}
 	t.state = committedState
