@@ -41,10 +41,12 @@ audit:
 # arbitrary order, the table's invariants — the maintained active set
 # among them — checked after every operation. FuzzDispatch: wire request
 # streams answered by a live server and by the old string dispatcher,
-# reply for reply.
+# reply for reply. FuzzTailStream: arbitrary frames after a TAIL header
+# read by the client, which must not panic or trust a BATCH count.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz FuzzTableOps -fuzztime 10s ./internal/table
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./lockservice
+	$(GO) test -run xxx -fuzz FuzzTailStream -fuzztime 10s ./lockservice
 
 # hwbench (bench/, a module of its own that imports this one through a
 # replace directive) is outside `./...`: vet it and run its smoke and

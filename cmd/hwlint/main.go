@@ -1,7 +1,7 @@
 // Command hwlint runs the project's static analyzers over the module:
 // the concurrency-discipline rules of internal/analysis (lockorder,
-// callbacklock, maprange, atomics) plus the interprocedural gates
-// (allocbudget, wireschema). It exits non-zero when any finding
+// callbacklock, maprange, atomics) plus the interprocedural gate
+// allocbudget. It exits non-zero when any finding
 // survives the //hwlint:allow annotations, including malformed or
 // stale annotations themselves.
 //

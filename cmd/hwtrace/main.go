@@ -34,25 +34,6 @@ import (
 	"hwtwbg/journal"
 )
 
-// reportSchemaKeys is the stable subset of the `report -json` schema
-// that downstream tooling depends on: CI greps these keys out of the
-// fixture replay, and dashboards select them by name. The wireschema
-// analyzer checks each against journal.Report's json tags, so renaming
-// a Report field that something downstream reads fails lint here.
-//
-//hwlint:wire parse reportjson subset
-var reportSchemaKeys = []string{
-	"records",
-	"txns",
-	"deadlocks",
-	"victims",
-	"latencies",
-	"near_misses",
-	"resources",
-	"depth_distribution",
-	"op_tags",
-}
-
 func usage(w io.Writer) {
 	fmt.Fprintf(w, `usage:
   hwtrace report [-json] [-slo spec] <dump>

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +15,28 @@ import (
 	"hwtwbg"
 	"hwtwbg/journal"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden files from the current output")
+
+// checkGolden compares got with testdata/<name>, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s (rerun with -update if intended):\n%s", path, got)
+	}
+}
 
 // dumpFile runs a small workload with one resolved deadlock, encodes
 // the manager's journal in the binary dump format, and writes it where
@@ -271,9 +294,10 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestFixtureSchema replays the checked-in deterministic dump (made by
-// testdata/genjournal) through every subcommand, pinning the JSON
-// schema CI greps for: a stable fixture means `hwtrace report -json`
-// output only changes when the analysis intentionally does.
+// testdata/genjournal) through every subcommand. `hwtrace report -json`
+// over it is pinned whole as testdata/report.golden: a stable fixture
+// means the output, and the keys CI greps from it, only change when
+// the analysis intentionally does.
 func TestFixtureSchema(t *testing.T) {
 	fixture := filepath.Join("testdata", "journal_fixture.bin")
 	if _, err := os.Stat(fixture); err != nil {
@@ -283,6 +307,7 @@ func TestFixtureSchema(t *testing.T) {
 	if code := run([]string{"report", "-json", fixture}, &out, &errOut); code != 0 {
 		t.Fatalf("report -json over fixture: exit %d, stderr %q", code, errOut.String())
 	}
+	checkGolden(t, "report.golden", out.String())
 	var rep journal.Report
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("fixture report: %v", err)

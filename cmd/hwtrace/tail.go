@@ -17,20 +17,6 @@ import (
 // refreshing one-line-per-heartbeat summary for terminals, or with
 // -raw as NDJSON for scripts and dashboards.
 
-// tailSchemaKeys is the stable subset of the `tail -raw` record-object
-// schema that downstream scripts key on (CI greps them out of the live
-// tail smoke). The wireschema analyzer checks each against
-// journal.RecordView's json tags, so renaming a streamed field that
-// something downstream reads fails lint here.
-//
-//hwlint:wire parse tailjson subset
-var tailSchemaKeys = []string{
-	"ts",
-	"kind",
-	"txn",
-	"shard",
-}
-
 // rawRecord is one NDJSON record line: {"type":"record",...RecordView}.
 type rawRecord struct {
 	Type string `json:"type"`

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hwtwbg"
+	"hwtwbg/journal"
 	"hwtwbg/lockservice"
 )
 
@@ -77,10 +78,43 @@ func tailServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
+// TestTailRawRecordGolden pins one `tail -raw` record line. The record
+// has every field set, so every omitempty key shows, and it travels the
+// way a tailed record does: the server's text form, the client's parse,
+// then the raw consumer's rendering.
+func TestTailRawRecordGolden(t *testing.T) {
+	rec := journal.Record{
+		TS: 1700000000123456789, Txn: 42, Arg: 3, Kind: journal.KindGrant,
+		Mode: uint8(hwtwbg.SIX), Shard: 2, Aux: 5,
+		Flags: journal.FlagConversion | journal.FlagTry,
+	}
+	rec.SetResource("accounts/7")
+	txt, err := rec.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got journal.Record
+	if err := got.UnmarshalText(txt); err != nil {
+		t.Fatal(err)
+	}
+	line, err := json.Marshal(rawRecord{Type: "record", RecordView: got.View()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "tail_record.golden", string(line)+"\n")
+}
+
 // TestTailRawNDJSON runs the real subcommand against a live server:
 // `hwtrace tail -raw -count 8 -from oldest` must exit 0 and emit one
-// well-formed NDJSON object per line carrying the stable schema keys.
+// well-formed NDJSON object per line. A record line's keys are those of
+// the tail_record.golden line, in its order, less the omitted empty
+// ones.
 func TestTailRawNDJSON(t *testing.T) {
+	golden, err := os.ReadFile("testdata/tail_record.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocab := jsonKeys(t, golden)
 	addr := tailServer(t)
 	var out, errb bytes.Buffer
 	code := run([]string{"tail", "-raw", "-count", "8", "-from", "oldest", "-interval", "50ms", addr}, &out, &errb)
@@ -97,10 +131,13 @@ func TestTailRawNDJSON(t *testing.T) {
 		switch typ {
 		case "record":
 			records++
-			for _, k := range tailSchemaKeys {
-				if _, ok := obj[k]; !ok {
-					t.Fatalf("record line missing schema key %q: %s", k, line)
+			rest := vocab
+			for _, k := range jsonKeys(t, []byte(line)) {
+				i := slices.Index(rest, k)
+				if i < 0 {
+					t.Fatalf("record line key %q is not in tail_record.golden's %q, or out of order: %s", k, vocab, line)
 				}
+				rest = rest[i+1:]
 			}
 		case "heartbeat", "lag":
 		default:

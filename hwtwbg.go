@@ -227,12 +227,9 @@ type ShardStat struct {
 // no locks held, and Validate covers re-verifying every resolution
 // against the live shards and applying the survivors, including their
 // wakeups. Wake is always zero; the field is kept for report consumers
-// that read it by name.
-//
-// The json tags are the activation wire vocabulary; the wireschema
-// analyzer checks the PhaseTotals accumulator's subset against them.
-//
-//hwlint:wire emit actphase
+// that read it by name. The phase fields are the embedded PhaseTotals,
+// the same struct the manager sums them into, so their json keys
+// flatten into the report and cannot drift from the lifetime totals.
 type ActivationReport struct {
 	// Time is the instant the activation turned from searching to
 	// acting: it began Total−Validate earlier and ended Validate later.
@@ -246,14 +243,8 @@ type ActivationReport struct {
 	Time time.Time `json:"time"`
 	Seq  int       `json:"seq"` // 1-based activation number
 
-	Acquire  time.Duration `json:"acquire_ns"`
-	Copy     time.Duration `json:"copy_ns"` // dirty scan + summed copy-out + merge
-	Build    time.Duration `json:"build_ns"`
-	Search   time.Duration `json:"search_ns"`
-	Resolve  time.Duration `json:"resolve_ns"`
-	Validate time.Duration `json:"validate_ns"` // validate-then-act, wakeups included
-	Wake     time.Duration `json:"wake_ns"`     // always zero
-	Total    time.Duration `json:"total_ns"`    // the full activation
+	PhaseTotals
+	Total time.Duration `json:"total_ns"` // the full activation
 
 	// MaxShardHold is the longest any single shard mutex was held by
 	// this activation's copy-out.
@@ -631,7 +622,7 @@ func (m *Manager) recordActivation(rep ActivationReport, out *replayOutcome) Sta
 		m.stats.ShardHoldMax = rep.MaxShardHold
 	}
 	rep.Seq = m.stats.Runs
-	m.phases.add(rep)
+	m.phases.add(rep.PhaseTotals)
 	m.activations[(rep.Seq-1)%len(m.activations)] = rep
 	m.mu.Unlock()
 

@@ -18,9 +18,6 @@
 //	allocbudget   //hwlint:hotpath allocs=N functions stay within N
 //	              reachable allocation sites, counted over the whole
 //	              call tree with recursion widened conservatively
-//	wireschema    //hwlint:wire emit/parse endpoints of a channel agree
-//	              on their key vocabulary (emitter format strings vs
-//	              parser switch labels, json tags, manifests)
 //
 // The interprocedural rules share one module-wide index (Module): a
 // callgraph over static calls plus method-set devirtualized interface
@@ -73,7 +70,7 @@ type Analyzer struct {
 }
 
 // All is the analyzer set cmd/hwlint runs.
-var All = []*Analyzer{LockOrder, CallbackUnderLock, NondeterministicRange, AtomicsOnly, AllocBudget, WireSchema}
+var All = []*Analyzer{LockOrder, CallbackUnderLock, NondeterministicRange, AtomicsOnly, AllocBudget}
 
 // Pass carries one package's parsed and type-checked state to an
 // analyzer, plus the sink diagnostics are reported into. Mod is the

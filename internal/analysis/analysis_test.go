@@ -89,11 +89,9 @@ func TestFixtures(t *testing.T) {
 		// (callbacklock), and walks over shards must ascend by index
 		// (lockorder).
 		{"flatcombine", []*Analyzer{CallbackUnderLock, LockOrder}},
-		// The interprocedural gates: //hwlint:hotpath budgets counted
-		// through helpers, recursion and devirtualized calls, and the
-		// emit/parse wire-vocabulary agreement.
+		// The interprocedural gate: //hwlint:hotpath budgets counted
+		// through helpers, recursion and devirtualized calls.
 		{"allocbudget", []*Analyzer{AllocBudget}},
-		{"wireschema", []*Analyzer{WireSchema}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -77,13 +77,10 @@ const (
 	LatencyAbort  = "abort"
 )
 
-// Report is the offline analysis of one journal dump.
-//
-// The json tags are the `hwtrace analyze -json` wire vocabulary; the
-// wireschema analyzer checks cmd/hwtrace's reportSchemaKeys manifest
-// (the keys CI and downstream dashboards grep for) against them.
-//
-//hwlint:wire emit reportjson
+// Report is the offline analysis of one journal dump. The json tags
+// are the `hwtrace report -json` vocabulary that CI and dashboards
+// select by name; cmd/hwtrace pins the report of its checked-in
+// fixture as a golden.
 type Report struct {
 	Records     int           `json:"records"`
 	Span        time.Duration `json:"span"` // first to last record

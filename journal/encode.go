@@ -79,7 +79,13 @@ func (r *Record) MarshalText() ([]byte, error) {
 
 // UnmarshalText parses the base64 line format back into a record.
 func (r *Record) UnmarshalText(text []byte) error {
-	var buf [recordBytes]byte
+	// Decode panics on a buffer too short for its input, so an
+	// over-long line is refused first, and the buffer has room for the
+	// one extra byte a full-length line without padding decodes to.
+	var buf [recordBytes + 1]byte
+	if want := base64.StdEncoding.EncodedLen(recordBytes); len(text) > want {
+		return fmt.Errorf("journal: record line is %d characters, want %d", len(text), want)
+	}
 	n, err := base64.StdEncoding.Decode(buf[:], text)
 	if err != nil {
 		return fmt.Errorf("journal: bad record line: %w", err)

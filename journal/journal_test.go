@@ -171,6 +171,14 @@ func TestRecordTextRoundTrip(t *testing.T) {
 	if err := out.UnmarshalText([]byte("AAAA")); err == nil {
 		t.Fatal("short record accepted")
 	}
+	// Lines that decode to more than a record are refused, not decoded
+	// past the buffer: one of full length without padding, and one
+	// longer than any record line.
+	for _, n := range []int{len(text), len(text) + 1, 4096} {
+		if err := out.UnmarshalText(bytes.Repeat([]byte("0"), n)); err == nil {
+			t.Fatalf("%d-character record line accepted", n)
+		}
+	}
 }
 
 // TestLateWriterKeepsNewerLap: a writer that claimed a sequence but

@@ -1,11 +1,9 @@
 package journal
 
 // RecordView is the JSON rendering of one record: the record lines of
-// `hwtrace tail -raw` NDJSON. The json tags are the live-telemetry record vocabulary scripts key
-// on; cmd/hwtrace pins the stable subset in its tailSchemaKeys
-// manifest, and the wireschema analyzer holds the two in agreement.
-//
-//hwlint:wire emit tailjson
+// `hwtrace tail -raw` NDJSON. The json tags are the live-telemetry
+// record vocabulary scripts key on; cmd/hwtrace pins one rendered line
+// as a golden.
 type RecordView struct {
 	TS   int64  `json:"ts"` // wall clock, nanoseconds since the Unix epoch
 	Kind string `json:"kind"`

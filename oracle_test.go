@@ -83,12 +83,14 @@ func (o *stwOracle) Detect() Stats {
 	pause := now.Sub(start)
 
 	rep := ActivationReport{
-		Time:           resolved,
-		Acquire:        acquired.Sub(start),
-		Build:          res.BuildTime,
-		Search:         res.SearchTime,
-		Resolve:        res.ResolveTime,
-		Wake:           now.Sub(resolved),
+		Time: resolved,
+		PhaseTotals: PhaseTotals{
+			Acquire: acquired.Sub(start),
+			Build:   res.BuildTime,
+			Search:  res.SearchTime,
+			Resolve: res.ResolveTime,
+			Wake:    now.Sub(resolved),
+		},
 		Total:          pause,
 		MaxShardHold:   pause,
 		Vertices:       res.Vertices,

@@ -106,13 +106,15 @@ func (m *Manager) detectSnapshot() Stats {
 	end := m.now()
 
 	rep := ActivationReport{
-		Time:           time.Unix(0, vstart),
-		Acquire:        cp.acquire,
-		Copy:           time.Duration(copied-start) - cp.acquire,
-		Build:          res.BuildTime,
-		Search:         res.SearchTime,
-		Resolve:        res.ResolveTime,
-		Validate:       time.Duration(end - vstart),
+		Time: time.Unix(0, vstart),
+		PhaseTotals: PhaseTotals{
+			Acquire:  cp.acquire,
+			Copy:     time.Duration(copied-start) - cp.acquire,
+			Build:    res.BuildTime,
+			Search:   res.SearchTime,
+			Resolve:  res.ResolveTime,
+			Validate: time.Duration(end - vstart),
+		},
 		Total:          time.Duration(end - start),
 		MaxShardHold:   cp.maxHold,
 		Vertices:       res.Vertices,
