@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"hwtwbg/internal/jview"
 	"hwtwbg/journal"
 )
 
@@ -149,7 +150,7 @@ func TestJournaledCyclesMatchTheirActivation(t *testing.T) {
 			at(r.Aux).edges[edge{r.Txn, int64(r.Arg), r.Resource(), Mode(r.Mode)}]++
 		}
 	}
-	res, incomplete := journal.Resolutions(recs)
+	res, incomplete := jview.Resolutions(recs)
 	if incomplete != 0 {
 		t.Fatalf("%d resolution groups did not close", incomplete)
 	}

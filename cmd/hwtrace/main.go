@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 
+	"hwtwbg/internal/jview"
 	"hwtwbg/journal"
 )
 
@@ -110,10 +111,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	var slos []journal.SLO
+	var slos []jview.SLO
 	if sloSpec != nil && *sloSpec != "" {
 		var err error
-		if slos, err = journal.ParseSLOs(*sloSpec); err != nil {
+		if slos, err = jview.ParseSLOs(*sloSpec); err != nil {
 			fmt.Fprintf(stderr, "hwtrace: %v\n\n", err)
 			usage(stderr)
 			return 2
@@ -135,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // execute runs one validated subcommand over already-loaded records,
 // returning the exit status (0, or 1 for a violated SLO).
-func execute(cmd string, asJSON bool, slos []journal.SLO, recs []journal.Record, out io.Writer) (int, error) {
+func execute(cmd string, asJSON bool, slos []jview.SLO, recs []journal.Record, out io.Writer) (int, error) {
 	writeJSON := func(v any) error {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
@@ -143,12 +144,12 @@ func execute(cmd string, asJSON bool, slos []journal.SLO, recs []journal.Record,
 	}
 	switch cmd {
 	case "report":
-		rep := journal.Analyze(recs)
+		rep := jview.Analyze(recs)
 		results := rep.CheckSLOs(slos)
 		if asJSON {
 			doc := struct {
-				journal.Report
-				SLOs []journal.SLOResult `json:"slos,omitempty"`
+				jview.Report
+				SLOs []jview.SLOResult `json:"slos,omitempty"`
 			}{Report: rep, SLOs: results}
 			if err := writeJSON(doc); err != nil {
 				return 1, err
@@ -157,7 +158,7 @@ func execute(cmd string, asJSON bool, slos []journal.SLO, recs []journal.Record,
 			rep.WriteReport(out)
 			if len(results) > 0 {
 				fmt.Fprintln(out)
-				journal.WriteSLOResults(out, results)
+				jview.WriteSLOResults(out, results)
 			}
 		}
 		for _, r := range results {
@@ -166,22 +167,22 @@ func execute(cmd string, asJSON bool, slos []journal.SLO, recs []journal.Record,
 			}
 		}
 	case "nearmiss":
-		rep := journal.NearMisses(recs)
+		rep := jview.NearMisses(recs)
 		if asJSON {
 			return 0, writeJSON(rep)
 		}
 		rep.WriteReport(out)
 	case "postmortems":
-		pms, incomplete := journal.Postmortems(recs)
+		pms, incomplete := jview.Postmortems(recs)
 		if asJSON {
 			return 0, writeJSON(struct {
-				Incomplete  int                  `json:"incomplete"`
-				Postmortems []journal.Postmortem `json:"postmortems"`
+				Incomplete  int                `json:"incomplete"`
+				Postmortems []jview.Postmortem `json:"postmortems"`
 			}{incomplete, pms})
 		}
 		writePostmortems(out, pms, incomplete)
 	case "perfetto":
-		return 0, journal.WriteTrace(out, recs)
+		return 0, jview.WriteTrace(out, recs)
 	case "cat":
 		for i := range recs {
 			fmt.Fprintf(out, "%s %s\n", recs[i].Time().Format("15:04:05.000000"), recs[i].String())
@@ -192,7 +193,7 @@ func execute(cmd string, asJSON bool, slos []journal.SLO, recs []journal.Record,
 
 // writePostmortems renders the postmortem view as text for terminals:
 // one line per resolved cycle, one per edge (-json has the evidence).
-func writePostmortems(w io.Writer, pms []journal.Postmortem, incomplete int) {
+func writePostmortems(w io.Writer, pms []jview.Postmortem, incomplete int) {
 	fmt.Fprintf(w, "deadlock postmortems: %d resolved cycles reconstructed, %d incomplete (records overwritten)\n", len(pms), incomplete)
 	for _, pm := range pms {
 		how := "aborted"

@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"hwtwbg/internal/audit"
+	"hwtwbg/internal/jview"
 	"hwtwbg/internal/table"
-	"hwtwbg/journal"
 )
 
 // diffOp is one scripted lock request: txns[txn] asks for rid in mode.
@@ -95,9 +95,9 @@ func assertAuditClean(t *testing.T, m *Manager) {
 // decisions decodes every resolution m's detector has journaled —
 // victims, repositions and salvages in decision order — from the
 // control ring, failing the test if any group is incomplete.
-func decisions(t testing.TB, m *Manager) []journal.Resolution {
+func decisions(t testing.TB, m *Manager) []jview.Resolution {
 	t.Helper()
-	evs, incomplete := journal.Resolutions(m.Journal().Control().Snapshot(nil))
+	evs, incomplete := jview.Resolutions(m.Journal().Control().Snapshot(nil))
 	if incomplete != 0 {
 		t.Fatalf("%d incomplete resolution groups in a quiescent control ring", incomplete)
 	}

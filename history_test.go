@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hwtwbg/internal/jview"
 	"hwtwbg/journal"
 )
 
@@ -83,7 +84,7 @@ func repositionOnce(t *testing.T, m *Manager, round int) {
 
 // cycleClosed reports whether a postmortem's edges form a cycle: each
 // edge's To is the next edge's From, the last returning to the first.
-func cycleClosed(pm journal.Postmortem) bool {
+func cycleClosed(pm jview.Postmortem) bool {
 	if len(pm.Cycle) == 0 {
 		return false
 	}
@@ -147,7 +148,7 @@ func TestDetectorViewReconciles(t *testing.T) {
 	}
 	snap := m.Journal().Snapshot()
 	counts := map[string]int{}
-	events, incomplete := journal.Resolutions(snap)
+	events, incomplete := jview.Resolutions(snap)
 	if incomplete != 0 {
 		t.Fatalf("%d incomplete groups on an unwrapped, quiescent ring", incomplete)
 	}
@@ -158,7 +159,7 @@ func TestDetectorViewReconciles(t *testing.T) {
 		t.Fatalf("decoded %v, stats %+v", counts, st)
 	}
 
-	pms, incomplete := journal.Postmortems(snap)
+	pms, incomplete := jview.Postmortems(snap)
 	if len(pms) != st.Aborted+st.Repositioned || incomplete != 0 {
 		t.Fatalf("%d postmortems (%d incomplete), want %d", len(pms), incomplete, st.Aborted+st.Repositioned)
 	}
@@ -241,7 +242,7 @@ func TestDetectorViewAccountsForRingLoss(t *testing.T) {
 				before = rep.Aborted + rep.Repositioned
 			}
 		}
-		pms, incomplete := journal.Postmortems(snap)
+		pms, incomplete := jview.Postmortems(snap)
 		whole, partial := 0, 0
 		for _, pm := range pms {
 			if !cycleClosed(pm) {
@@ -310,11 +311,11 @@ func TestDetectorViewGroupsByEmissionOrder(t *testing.T) {
 	if st.CyclesSearched != 2 || st.Aborted != 2 {
 		t.Fatalf("Detect() = %+v, want two cycles, two victims", st)
 	}
-	pms, incomplete := journal.Postmortems(m.Journal().Snapshot())
+	pms, incomplete := jview.Postmortems(m.Journal().Snapshot())
 	if len(pms) != 2 || incomplete != 0 {
 		t.Fatalf("%d postmortems (%d incomplete), want 2", len(pms), incomplete)
 	}
-	members := func(pm journal.Postmortem) map[int64]bool {
+	members := func(pm jview.Postmortem) map[int64]bool {
 		s := map[int64]bool{}
 		for _, e := range pm.Cycle {
 			s[e.From] = true
@@ -385,13 +386,13 @@ func TestDetectorViewConcurrentWithDetect(t *testing.T) {
 				default:
 				}
 				snap := m.Journal().Snapshot()
-				pms, _ := journal.Postmortems(snap)
+				pms, _ := jview.Postmortems(snap)
 				for _, pm := range pms {
 					if !cycleClosed(pm) {
 						t.Errorf("open cycle: %+v", pm)
 					}
 				}
-				events, _ := journal.Resolutions(snap)
+				events, _ := jview.Resolutions(snap)
 				if len(events) < len(pms) {
 					t.Errorf("%d events for %d postmortems of one snapshot", len(events), len(pms))
 				}

@@ -213,8 +213,9 @@ type ShardStat struct {
 // ActivationReport decomposes one detector activation: when it ran,
 // what its time was spent on, and what the algorithm saw and did. The
 // most recent reports are kept in a ring (see Activations); what each
-// activation decided is journaled and read back through
-// journal.Resolutions and journal.Postmortems.
+// activation decided is journaled, and `hwtrace postmortems` reads it
+// back from a dump of the journal (/journal.bin, or a DumpJournal
+// result passed to journal.Encode).
 //
 // Total ≈ Acquire + Copy + Build + Search + Resolve + Validate: Acquire
 // is the summed wait to take each shard mutex one at a time, Copy the
@@ -591,7 +592,7 @@ func (m *Manager) Detect() Stats {
 // validated and acted on (application order, each with its cycle
 // evidence), salvaged the victims that needed no action; readers
 // reconstruct what happened from those records on demand
-// (journal.Resolutions, journal.Postmortems). The returned Stats
+// (internal/jview's Resolutions and Postmortems). The returned Stats
 // describes this activation alone.
 func (m *Manager) recordActivation(rep ActivationReport, out *replayOutcome) Stats {
 	activation := Stats{

@@ -1,10 +1,12 @@
 // Package journal is the hwtwbg flight recorder: a per-shard,
 // fixed-size ring of compact binary events written from the lock
-// manager's hot path with zero allocations and no mutexes. It is the
-// black box behind deadlock postmortems, the Perfetto trace export and
-// the offline cmd/hwtrace analyzer: aggregates (the metrics package)
-// tell you *that* a latency spike or a deadlock happened; the journal
-// retains the event interleaving that produced it.
+// manager's hot path with zero allocations and no mutexes, and the dump
+// encoding that carries them off the box. Aggregates (the metrics
+// package) tell you *that* a latency spike or a deadlock happened; the
+// journal retains the event interleaving that produced it. It is only
+// the recorder: the views over its records (the offline report, SLO
+// checks, near misses, deadlock postmortems and the Perfetto export)
+// live in internal/jview, and cmd/hwtrace renders them.
 //
 // A Record is seven 64-bit words, and a ring slot is one 64-byte cache
 // line: a lock word followed by those seven words. A writer claims a

@@ -1,16 +1,18 @@
-package journal
+package journal_test
 
 import (
 	"bytes"
 	"strings"
 	"testing"
 
+	"hwtwbg/internal/jview"
 	"hwtwbg/internal/lock"
+	"hwtwbg/journal"
 )
 
 // nmRec builds one record for near-miss replay tests.
-func nmRec(kind Kind, txn int64, res string, mode lock.Mode, ts int64) Record {
-	r := Record{Kind: kind, Txn: txn, Mode: uint8(mode), TS: ts}
+func nmRec(kind journal.Kind, txn int64, res string, mode lock.Mode, ts int64) journal.Record {
+	r := journal.Record{Kind: kind, Txn: txn, Mode: uint8(mode), TS: ts}
 	if res != "" {
 		r.SetResource(res)
 	}
@@ -22,15 +24,15 @@ func nmRec(kind Kind, txn int64, res string, mode lock.Mode, ts int64) Record {
 // modes — sequentially, so no deadlock ever formed — must be flagged
 // as a near miss.
 func TestNearMissFlagsReversal(t *testing.T) {
-	recs := []Record{
-		nmRec(KindGrant, 1, "a", lock.X, 10),
-		nmRec(KindGrant, 1, "b", lock.X, 20),
-		nmRec(KindCommit, 1, "", 0, 30),
-		nmRec(KindGrant, 2, "b", lock.X, 40),
-		nmRec(KindGrant, 2, "a", lock.X, 50),
-		nmRec(KindCommit, 2, "", 0, 60),
+	recs := []journal.Record{
+		nmRec(journal.KindGrant, 1, "a", lock.X, 10),
+		nmRec(journal.KindGrant, 1, "b", lock.X, 20),
+		nmRec(journal.KindCommit, 1, "", 0, 30),
+		nmRec(journal.KindGrant, 2, "b", lock.X, 40),
+		nmRec(journal.KindGrant, 2, "a", lock.X, 50),
+		nmRec(journal.KindCommit, 2, "", 0, 60),
 	}
-	rep := NearMisses(recs)
+	rep := jview.NearMisses(recs)
 	if rep.TxnsAnalyzed != 2 || rep.OrderedPairs != 2 {
 		t.Fatalf("analyzed %d txns, %d ordered pairs, want 2/2", rep.TxnsAnalyzed, rep.OrderedPairs)
 	}
@@ -59,28 +61,28 @@ func TestNearMissFlagsReversal(t *testing.T) {
 // compatible modes (shared on both sides) cannot deadlock and must not
 // be reported.
 func TestNearMissCompatibleModesNotFlagged(t *testing.T) {
-	recs := []Record{
-		nmRec(KindGrant, 1, "a", lock.S, 10),
-		nmRec(KindGrant, 1, "b", lock.S, 20),
-		nmRec(KindCommit, 1, "", 0, 30),
-		nmRec(KindGrant, 2, "b", lock.S, 40),
-		nmRec(KindGrant, 2, "a", lock.S, 50),
-		nmRec(KindCommit, 2, "", 0, 60),
+	recs := []journal.Record{
+		nmRec(journal.KindGrant, 1, "a", lock.S, 10),
+		nmRec(journal.KindGrant, 1, "b", lock.S, 20),
+		nmRec(journal.KindCommit, 1, "", 0, 30),
+		nmRec(journal.KindGrant, 2, "b", lock.S, 40),
+		nmRec(journal.KindGrant, 2, "a", lock.S, 50),
+		nmRec(journal.KindCommit, 2, "", 0, 60),
 	}
-	if rep := NearMisses(recs); len(rep.Reversals) != 0 {
+	if rep := jview.NearMisses(recs); len(rep.Reversals) != 0 {
 		t.Fatalf("compatible reversal flagged: %+v", rep.Reversals)
 	}
 	// Conflict on only one of the two resources is not enough either:
 	// T2 can wait for a but T1 never waits for b.
-	recs = []Record{
-		nmRec(KindGrant, 1, "a", lock.X, 10),
-		nmRec(KindGrant, 1, "b", lock.S, 20),
-		nmRec(KindCommit, 1, "", 0, 30),
-		nmRec(KindGrant, 2, "b", lock.S, 40),
-		nmRec(KindGrant, 2, "a", lock.X, 50),
-		nmRec(KindCommit, 2, "", 0, 60),
+	recs = []journal.Record{
+		nmRec(journal.KindGrant, 1, "a", lock.X, 10),
+		nmRec(journal.KindGrant, 1, "b", lock.S, 20),
+		nmRec(journal.KindCommit, 1, "", 0, 30),
+		nmRec(journal.KindGrant, 2, "b", lock.S, 40),
+		nmRec(journal.KindGrant, 2, "a", lock.X, 50),
+		nmRec(journal.KindCommit, 2, "", 0, 60),
 	}
-	if rep := NearMisses(recs); len(rep.Reversals) != 0 {
+	if rep := jview.NearMisses(recs); len(rep.Reversals) != 0 {
 		t.Fatalf("single-sided conflict flagged: %+v", rep.Reversals)
 	}
 }
@@ -88,15 +90,15 @@ func TestNearMissCompatibleModesNotFlagged(t *testing.T) {
 // TestNearMissSameOrderNotFlagged: transactions that agree on the
 // acquisition order cannot cross, whatever the modes.
 func TestNearMissSameOrderNotFlagged(t *testing.T) {
-	recs := []Record{
-		nmRec(KindGrant, 1, "a", lock.X, 10),
-		nmRec(KindGrant, 1, "b", lock.X, 20),
-		nmRec(KindCommit, 1, "", 0, 30),
-		nmRec(KindGrant, 2, "a", lock.X, 40),
-		nmRec(KindGrant, 2, "b", lock.X, 50),
-		nmRec(KindCommit, 2, "", 0, 60),
+	recs := []journal.Record{
+		nmRec(journal.KindGrant, 1, "a", lock.X, 10),
+		nmRec(journal.KindGrant, 1, "b", lock.X, 20),
+		nmRec(journal.KindCommit, 1, "", 0, 30),
+		nmRec(journal.KindGrant, 2, "a", lock.X, 40),
+		nmRec(journal.KindGrant, 2, "b", lock.X, 50),
+		nmRec(journal.KindCommit, 2, "", 0, 60),
 	}
-	rep := NearMisses(recs)
+	rep := jview.NearMisses(recs)
 	if len(rep.Reversals) != 0 {
 		t.Fatalf("same-order pair flagged: %+v", rep.Reversals)
 	}
@@ -109,16 +111,16 @@ func TestNearMissSameOrderNotFlagged(t *testing.T) {
 // held resource) strengthens the mode but must not create a second
 // order entry — and the strengthened mode is what conflicts.
 func TestNearMissConversionKeepsOrder(t *testing.T) {
-	recs := []Record{
-		nmRec(KindGrant, 1, "a", lock.S, 10),
-		nmRec(KindGrant, 1, "b", lock.X, 20),
-		nmRec(KindGrant, 1, "a", lock.X, 25), // conversion S->X on a
-		nmRec(KindCommit, 1, "", 0, 30),
-		nmRec(KindGrant, 2, "b", lock.X, 40),
-		nmRec(KindGrant, 2, "a", lock.S, 50),
-		nmRec(KindCommit, 2, "", 0, 60),
+	recs := []journal.Record{
+		nmRec(journal.KindGrant, 1, "a", lock.S, 10),
+		nmRec(journal.KindGrant, 1, "b", lock.X, 20),
+		nmRec(journal.KindGrant, 1, "a", lock.X, 25), // conversion S->X on a
+		nmRec(journal.KindCommit, 1, "", 0, 30),
+		nmRec(journal.KindGrant, 2, "b", lock.X, 40),
+		nmRec(journal.KindGrant, 2, "a", lock.S, 50),
+		nmRec(journal.KindCommit, 2, "", 0, 60),
 	}
-	rep := NearMisses(recs)
+	rep := jview.NearMisses(recs)
 	if rep.OrderedPairs != 2 {
 		t.Fatalf("ordered pairs = %d, want 2 (conversion must not add one)", rep.OrderedPairs)
 	}
@@ -133,18 +135,18 @@ func TestNearMissConversionKeepsOrder(t *testing.T) {
 // resolved-cycle evidence the pair is a deadlock that happened, not a
 // near miss.
 func TestNearMissMaterialized(t *testing.T) {
-	ce1 := nmRec(KindCycleEdge, 1, "a", lock.X, 25)
-	ce2 := nmRec(KindCycleEdge, 2, "b", lock.X, 26)
-	recs := []Record{
-		nmRec(KindGrant, 1, "a", lock.X, 10),
-		nmRec(KindGrant, 1, "b", lock.X, 20),
+	ce1 := nmRec(journal.KindCycleEdge, 1, "a", lock.X, 25)
+	ce2 := nmRec(journal.KindCycleEdge, 2, "b", lock.X, 26)
+	recs := []journal.Record{
+		nmRec(journal.KindGrant, 1, "a", lock.X, 10),
+		nmRec(journal.KindGrant, 1, "b", lock.X, 20),
 		ce1, ce2,
-		nmRec(KindCommit, 1, "", 0, 30),
-		nmRec(KindGrant, 2, "b", lock.X, 40),
-		nmRec(KindGrant, 2, "a", lock.X, 50),
-		nmRec(KindAbort, 2, "", 0, 60), // aborts close the order too
+		nmRec(journal.KindCommit, 1, "", 0, 30),
+		nmRec(journal.KindGrant, 2, "b", lock.X, 40),
+		nmRec(journal.KindGrant, 2, "a", lock.X, 50),
+		nmRec(journal.KindAbort, 2, "", 0, 60), // aborts close the order too
 	}
-	rep := NearMisses(recs)
+	rep := jview.NearMisses(recs)
 	if len(rep.Reversals) != 1 || !rep.Reversals[0].Materialized {
 		t.Fatalf("reversals = %+v, want one materialized", rep.Reversals)
 	}
@@ -158,15 +160,15 @@ func TestNearMissMaterialized(t *testing.T) {
 // TestNearMissRanking: reversals sort by recurrence, most conflicting
 // transaction pairs first.
 func TestNearMissRanking(t *testing.T) {
-	var recs []Record
+	var recs []journal.Record
 	ts := int64(0)
 	add := func(txn int64, first, second string) {
 		ts += 10
-		recs = append(recs, nmRec(KindGrant, txn, first, lock.X, ts))
+		recs = append(recs, nmRec(journal.KindGrant, txn, first, lock.X, ts))
 		ts += 10
-		recs = append(recs, nmRec(KindGrant, txn, second, lock.X, ts))
+		recs = append(recs, nmRec(journal.KindGrant, txn, second, lock.X, ts))
 		ts += 10
-		recs = append(recs, nmRec(KindCommit, txn, "", 0, ts))
+		recs = append(recs, nmRec(journal.KindCommit, txn, "", 0, ts))
 	}
 	// Pair {c,d}: 2×2 cross pairs = 4; pair {a,b}: 1×1 = 1.
 	add(1, "c", "d")
@@ -175,7 +177,7 @@ func TestNearMissRanking(t *testing.T) {
 	add(4, "d", "c")
 	add(5, "a", "b")
 	add(6, "b", "a")
-	rep := NearMisses(recs)
+	rep := jview.NearMisses(recs)
 	if len(rep.Reversals) != 2 {
 		t.Fatalf("reversals = %+v, want two pairs", rep.Reversals)
 	}
@@ -188,15 +190,15 @@ func TestNearMissRanking(t *testing.T) {
 // trace (in flight at snapshot, or its end lost to ring wrap) must not
 // contribute orders — its final lock set is unknown.
 func TestNearMissOpenTxnIgnored(t *testing.T) {
-	recs := []Record{
-		nmRec(KindGrant, 1, "a", lock.X, 10),
-		nmRec(KindGrant, 1, "b", lock.X, 20),
-		nmRec(KindCommit, 1, "", 0, 30),
-		nmRec(KindGrant, 2, "b", lock.X, 40),
-		nmRec(KindGrant, 2, "a", lock.X, 50),
+	recs := []journal.Record{
+		nmRec(journal.KindGrant, 1, "a", lock.X, 10),
+		nmRec(journal.KindGrant, 1, "b", lock.X, 20),
+		nmRec(journal.KindCommit, 1, "", 0, 30),
+		nmRec(journal.KindGrant, 2, "b", lock.X, 40),
+		nmRec(journal.KindGrant, 2, "a", lock.X, 50),
 		// no commit for txn 2
 	}
-	rep := NearMisses(recs)
+	rep := jview.NearMisses(recs)
 	if rep.TxnsAnalyzed != 1 || len(rep.Reversals) != 0 {
 		t.Fatalf("open txn contributed: %+v", rep)
 	}

@@ -1,23 +1,25 @@
-package journal
+package journal_test
 
 import (
 	"os"
 	"path/filepath"
 	"testing"
 
+	"hwtwbg/internal/jview"
 	"hwtwbg/internal/lock"
+	"hwtwbg/journal"
 )
 
 // activation builds the detector records of one resolving activation in
 // emission order: detect, then per cycle the head followed by its edges.
 // A cycle is a vertex list; vertex i is waited by vertex i+1 on
 // resource "r<i>", and the first vertex is the victim.
-func activation(seq uint32, ts int64, cycles ...[]int64) []Record {
-	recs := []Record{{Kind: KindDetect, Txn: int64(seq), TS: ts, Aux: uint32(len(cycles))}}
+func activation(seq uint32, ts int64, cycles ...[]int64) []journal.Record {
+	recs := []journal.Record{{Kind: journal.KindDetect, Txn: int64(seq), TS: ts, Aux: uint32(len(cycles))}}
 	for _, c := range cycles {
-		recs = append(recs, Record{Kind: KindVictim, Txn: c[0], TS: ts, Aux: seq})
+		recs = append(recs, journal.Record{Kind: journal.KindVictim, Txn: c[0], TS: ts, Aux: seq})
 		for i, from := range c {
-			e := Record{Kind: KindCycleEdge, Txn: from, Arg: uint64(c[(i+1)%len(c)]), TS: ts, Aux: seq}
+			e := journal.Record{Kind: journal.KindCycleEdge, Txn: from, Arg: uint64(c[(i+1)%len(c)]), TS: ts, Aux: seq}
 			e.SetResource("r" + string(rune('0'+i)))
 			recs = append(recs, e)
 		}
@@ -25,7 +27,14 @@ func activation(seq uint32, ts int64, cycles ...[]int64) []Record {
 	return recs
 }
 
-func checkClosed(t *testing.T, pm Postmortem) {
+// The bounds Postmortems documents: the most recent maxPostmortems
+// resolutions, each with a tail of at most postmortemTailCap events.
+const (
+	maxPostmortems    = 128
+	postmortemTailCap = 64
+)
+
+func checkClosed(t *testing.T, pm jview.Postmortem) {
 	t.Helper()
 	if len(pm.Cycle) == 0 {
 		t.Fatalf("postmortem without a cycle: %+v", pm)
@@ -45,11 +54,11 @@ func TestPostmortemsFixtureGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := Decode(f)
+	recs, err := journal.Decode(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pms, incomplete := Postmortems(recs)
+	pms, incomplete := jview.Postmortems(recs)
 	if len(pms) != 1 || incomplete != 0 {
 		t.Fatalf("%d postmortems, %d incomplete, want 1/0", len(pms), incomplete)
 	}
@@ -79,7 +88,7 @@ func TestPostmortemsFixtureGolden(t *testing.T) {
 			t.Errorf("tail event %+v is later than the resolving activation", ev)
 		}
 	}
-	events, _ := Resolutions(recs)
+	events, _ := jview.Resolutions(recs)
 	if len(events) != 1 || events[0].Kind != "victim" || events[0].Txn != pm.Victim || events[0].Activation != 1 {
 		t.Fatalf("Resolutions = %+v", events)
 	}
@@ -92,7 +101,7 @@ func TestResolutionsSkipAndCountBrokenGroups(t *testing.T) {
 	whole := activation(2, 200, []int64{1, 2, 3}, []int64{3, 4})
 	cases := []struct {
 		name       string
-		recs       []Record
+		recs       []journal.Record
 		victims    []int64
 		incomplete int
 	}{
@@ -105,13 +114,13 @@ func TestResolutionsSkipAndCountBrokenGroups(t *testing.T) {
 		{"mid-emission", whole[:len(whole)-1], []int64{1}, 1},
 		{"head only", whole[:2], nil, 1},
 		// A torn read dropped a middle edge of the first cycle.
-		{"edge torn away", append(append([]Record{}, whole[:3]...), whole[4:]...), []int64{3}, 1},
+		{"edge torn away", append(append([]journal.Record{}, whole[:3]...), whole[4:]...), []int64{3}, 1},
 		// The tail end of an older activation whose head is gone.
-		{"older headless edges", append(append([]Record{}, activation(1, 100, []int64{7, 8})[3:]...), whole...), []int64{1, 3}, 1},
+		{"older headless edges", append(append([]journal.Record{}, activation(1, 100, []int64{7, 8})[3:]...), whole...), []int64{1, 3}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pms, incomplete := Postmortems(tc.recs)
+			pms, incomplete := jview.Postmortems(tc.recs)
 			if incomplete != tc.incomplete || len(pms) != len(tc.victims) {
 				t.Fatalf("%d postmortems, %d incomplete, want %d/%d", len(pms), incomplete, len(tc.victims), tc.incomplete)
 			}
@@ -121,7 +130,7 @@ func TestResolutionsSkipAndCountBrokenGroups(t *testing.T) {
 					t.Fatalf("postmortem %d = %+v, want victim T%d", i, pm, tc.victims[i])
 				}
 			}
-			events, inc := Resolutions(tc.recs)
+			events, inc := jview.Resolutions(tc.recs)
 			if inc != tc.incomplete || len(events) != len(tc.victims) {
 				t.Fatalf("Resolutions: %d events, %d incomplete", len(events), inc)
 			}
@@ -129,7 +138,7 @@ func TestResolutionsSkipAndCountBrokenGroups(t *testing.T) {
 	}
 	// Grouping is by emission order: victim T3 is a vertex of T1's cycle
 	// too, and must still come back with its own two-edge cycle.
-	pms, _ := Postmortems(whole)
+	pms, _ := jview.Postmortems(whole)
 	if len(pms[0].Cycle) != 3 || len(pms[1].Cycle) != 2 {
 		t.Fatalf("cycle lengths %d/%d, want 3/2", len(pms[0].Cycle), len(pms[1].Cycle))
 	}
@@ -142,39 +151,39 @@ func TestResolutionsSkipAndCountBrokenGroups(t *testing.T) {
 func TestPostmortemsJoin(t *testing.T) {
 	long := "accounts/0123456789/a" // shares its 16-byte prefix with the next
 	other := "accounts/0123456789/b"
-	var recs []Record
+	var recs []journal.Record
 	ts := int64(0)
-	emit := func(kind Kind, txn int64, res string, mode lock.Mode, arg uint64) {
+	emit := func(kind journal.Kind, txn int64, res string, mode lock.Mode, arg uint64) {
 		ts++
-		r := Record{Kind: kind, Txn: txn, Mode: uint8(mode), TS: ts, Arg: arg}
+		r := journal.Record{Kind: kind, Txn: txn, Mode: uint8(mode), TS: ts, Arg: arg}
 		r.SetResource(res)
 		recs = append(recs, r)
 	}
-	emit(KindBegin, 1, "", 0, 0)
-	emit(KindOpTag, 1, "", 0, 41)
-	emit(KindOpTag, 1, "", 0, 42) // the later tag wins
-	emit(KindGrant, 1, long, lock.X, 0)
-	emit(KindGrant, 1, other, lock.X, 0) // same prefix, different hash: not evidence
-	emit(KindGrant, 9, long, lock.S, 0)  // a bystander on the same resource
+	emit(journal.KindBegin, 1, "", 0, 0)
+	emit(journal.KindOpTag, 1, "", 0, 41)
+	emit(journal.KindOpTag, 1, "", 0, 42) // the later tag wins
+	emit(journal.KindGrant, 1, long, lock.X, 0)
+	emit(journal.KindGrant, 1, other, lock.X, 0) // same prefix, different hash: not evidence
+	emit(journal.KindGrant, 9, long, lock.S, 0)  // a bystander on the same resource
 	for i := 0; i < 100; i++ {
-		emit(KindGrant, 2, "pad", lock.S, 0)
+		emit(journal.KindGrant, 2, "pad", lock.S, 0)
 	}
-	emit(KindGrant, 2, "y", lock.X, 0)
-	emit(KindBlock, 2, long, lock.X, 1)
-	emit(KindBlock, 1, "y", lock.X, 1)
+	emit(journal.KindGrant, 2, "y", lock.X, 0)
+	emit(journal.KindBlock, 2, long, lock.X, 1)
+	emit(journal.KindBlock, 1, "y", lock.X, 1)
 	ts++
 	cut := ts
-	head := Record{Kind: KindVictim, Txn: 2, TS: cut, Aux: 1}
-	e1 := Record{Kind: KindCycleEdge, Txn: 1, Arg: 2, TS: cut, Aux: 1}
+	head := journal.Record{Kind: journal.KindVictim, Txn: 2, TS: cut, Aux: 1}
+	e1 := journal.Record{Kind: journal.KindCycleEdge, Txn: 1, Arg: 2, TS: cut, Aux: 1}
 	e1.SetResource(long)
-	e2 := Record{Kind: KindCycleEdge, Txn: 2, Arg: 1, TS: cut, Aux: 1}
+	e2 := journal.Record{Kind: journal.KindCycleEdge, Txn: 2, Arg: 1, TS: cut, Aux: 1}
 	e2.SetResource("y")
-	recs = append(recs, Record{Kind: KindDetect, Txn: 1, TS: cut, Aux: 1}, head, e1, e2,
-		Record{Kind: KindSalvage, Txn: 5, TS: cut, Aux: 1})
-	emit(KindAbort, 2, "", 0, 0)        // after the activation: cut off
-	emit(KindGrant, 1, "y", lock.X, 99) // likewise
+	recs = append(recs, journal.Record{Kind: journal.KindDetect, Txn: 1, TS: cut, Aux: 1}, head, e1, e2,
+		journal.Record{Kind: journal.KindSalvage, Txn: 5, TS: cut, Aux: 1})
+	emit(journal.KindAbort, 2, "", 0, 0)        // after the activation: cut off
+	emit(journal.KindGrant, 1, "y", lock.X, 99) // likewise
 
-	pms, incomplete := Postmortems(recs)
+	pms, incomplete := jview.Postmortems(recs)
 	if len(pms) != 1 || incomplete != 0 {
 		t.Fatalf("%d postmortems, %d incomplete", len(pms), incomplete)
 	}
@@ -182,7 +191,7 @@ func TestPostmortemsJoin(t *testing.T) {
 	if pm.Victim != 2 || pm.TDR2 || pm.Time.UnixNano() != cut {
 		t.Fatalf("postmortem = %+v", pm)
 	}
-	kinds := func(evs []PostmortemEvent) string {
+	kinds := func(evs []jview.PostmortemEvent) string {
 		s := ""
 		for _, ev := range evs {
 			s += ev.Kind + ":" + string(rune('0'+ev.Txn)) + " "
@@ -192,7 +201,7 @@ func TestPostmortemsJoin(t *testing.T) {
 	if got := kinds(pm.Cycle[0].Evidence); got != "grant:1 block:2 " {
 		t.Errorf("edge 1→2 evidence = %q", got)
 	}
-	if pm.Cycle[0].Resource != long[:prefixSize]+"…" || pm.Cycle[0].Mode != "NL" {
+	if pm.Cycle[0].Resource != long[:len(recs[0].Res)]+"…" || pm.Cycle[0].Mode != "NL" {
 		t.Errorf("edge 1→2 = %+v", pm.Cycle[0])
 	}
 	if got := kinds(pm.Cycle[1].Evidence); got != "grant:2 block:1 " {
@@ -212,16 +221,16 @@ func TestPostmortemsJoin(t *testing.T) {
 	if len(pm.OpTags) != 1 || pm.OpTags[1] != 42 {
 		t.Errorf("op tags = %v, want T1's latest tag 42", pm.OpTags)
 	}
-	events, _ := Resolutions(recs)
+	events, _ := jview.Resolutions(recs)
 	if len(events) != 2 || events[1].Kind != "salvage" || events[1].Txn != 5 {
 		t.Fatalf("Resolutions = %+v, want the victim then the salvage", events)
 	}
 
-	var many []Record
+	var many []journal.Record
 	for seq := uint32(1); seq <= maxPostmortems+7; seq++ {
 		many = append(many, activation(seq, int64(seq)*10, []int64{1, 2})...)
 	}
-	pms, incomplete = Postmortems(many)
+	pms, incomplete = jview.Postmortems(many)
 	if len(pms) != maxPostmortems || incomplete != 0 || pms[0].Activation != 8 || pms[len(pms)-1].Activation != maxPostmortems+7 {
 		t.Fatalf("%d postmortems spanning activations %d..%d", len(pms), pms[0].Activation, pms[len(pms)-1].Activation)
 	}

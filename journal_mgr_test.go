@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"hwtwbg/internal/jview"
 	"hwtwbg/journal"
 )
 
@@ -209,7 +210,7 @@ func TestLockFreeTxnJournalsNoEnd(t *testing.T) {
 	}
 	tx.Abort()
 	recs := m.Journal().Snapshot()
-	if rep := journal.Analyze(recs); rep.Orphans != 0 || rep.Txns != 2 {
+	if rep := jview.Analyze(recs); rep.Orphans != 0 || rep.Txns != 2 {
 		t.Fatalf("Analyze: orphans %d, txns %d; want 0 and 2", rep.Orphans, rep.Txns)
 	}
 	want := []jev{
@@ -255,7 +256,7 @@ func TestJournalPostmortem(t *testing.T) {
 		t.Fatalf("lock results %v / %v, want exactly one ErrAborted", err1, err2)
 	}
 
-	pms, incomplete := journal.Postmortems(m.Journal().Snapshot())
+	pms, incomplete := jview.Postmortems(m.Journal().Snapshot())
 	if len(pms) != 1 || incomplete != 0 {
 		t.Fatalf("Postmortems = %d reports (%d incomplete), want 1", len(pms), incomplete)
 	}
@@ -357,8 +358,8 @@ func TestJournalConversionFlagOnWaitedGrant(t *testing.T) {
 					continue
 				}
 				seen[rec.Kind]++
-				if rec.Flags&journal.FlagConversion == 0 || !rec.View().Conv {
-					t.Errorf("%v record of the blocked upgrade lacks FlagConversion: %+v", rec.Kind, rec.View())
+				if rec.Flags&journal.FlagConversion == 0 {
+					t.Errorf("%v record of the blocked upgrade lacks FlagConversion: %v", rec.Kind, &rec)
 				}
 			}
 			if seen[journal.KindBlock] != 1 || seen[journal.KindGrant] != 1 || len(seen) != 2 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hwtwbg"
+	"hwtwbg/internal/jview"
 	"hwtwbg/journal"
 )
 
@@ -127,7 +128,7 @@ func TestDumpJournalUntrustedCount(t *testing.T) {
 func journaledDebugManager(t *testing.T) *hwtwbg.Manager {
 	t.Helper()
 	lm := debugManager(t)
-	if pms, _ := journal.Postmortems(lm.Journal().Snapshot()); len(pms) == 0 {
+	if pms, _ := jview.Postmortems(lm.Journal().Snapshot()); len(pms) == 0 {
 		t.Fatal("debugManager produced no postmortem")
 	}
 	return lm
@@ -150,14 +151,14 @@ func TestDebugHandlerFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding /journal.bin: %v", err)
 	}
-	res, incomplete := journal.Resolutions(recs)
+	res, incomplete := jview.Resolutions(recs)
 	if incomplete != 0 || len(res) != 1 {
 		t.Fatalf("resolutions = %+v (%d incomplete), want one", res, incomplete)
 	}
 	if r := res[0]; r.Kind != "victim" || r.Txn == 0 || r.Activation != 1 {
 		t.Fatalf("resolution = %+v, want activation 1's victim", r)
 	}
-	pms, incomplete := journal.Postmortems(recs)
+	pms, incomplete := jview.Postmortems(recs)
 	if incomplete != 0 || len(pms) != 1 {
 		t.Fatalf("%d postmortems (%d incomplete), want one on a quiescent, unwrapped journal", len(pms), incomplete)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hwtwbg"
+	"hwtwbg/internal/jview"
 	"hwtwbg/journal"
 )
 
@@ -295,7 +296,7 @@ func TestPreBegunTxnLeavesNoOrphans(t *testing.T) {
 	c.Close()
 	srv.Close() // waits for the session's end, which aborts the pre-begun transaction
 	recs := srv.Manager().Journal().Snapshot()
-	if rep := journal.Analyze(recs); rep.Orphans != 0 || rep.Txns != 2 {
+	if rep := jview.Analyze(recs); rep.Orphans != 0 || rep.Txns != 2 {
 		t.Fatalf("Analyze: orphans %d, txns %d; want 0 and 2", rep.Orphans, rep.Txns)
 	}
 	ends := map[journal.Kind]int{}

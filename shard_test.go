@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"hwtwbg/journal"
+	"hwtwbg/internal/jview"
 )
 
 // distinctShardResources returns n resource ids that all land in
@@ -178,7 +178,7 @@ func TestCrossShardDeadlockTDR2(t *testing.T) {
 // tableau — a TDR-2 junction on q/h plus a plain two-cycle on x/y with
 // asymmetric held counts (so the cost metric picks a unique victim) —
 // runs one activation, and reports what the detector decided.
-func runShardScenario(t *testing.T, shards int) (victims []TxnID, activation Stats, events []journal.Resolution, snapshot string) {
+func runShardScenario(t *testing.T, shards int) (victims []TxnID, activation Stats, events []jview.Resolution, snapshot string) {
 	t.Helper()
 	var mu sync.Mutex
 	m := Open(Options{
