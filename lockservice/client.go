@@ -504,13 +504,13 @@ func (c *Client) snapshot() (string, error) {
 			return err
 		}
 		n, err := strconv.Atoi(string(okPayload(head)))
-		if err != nil {
+		if err != nil || n < 0 {
 			return fmt.Errorf("lockservice: malformed SNAPSHOT header %q", head)
 		}
 		for i := 0; i < n; i++ {
 			line, err := c.r.ReadString('\n')
 			if err != nil {
-				return err
+				return fmt.Errorf("lockservice: SNAPSHOT line %d of %d: %w", i, n, err)
 			}
 			b.WriteString(line)
 		}
