@@ -43,10 +43,13 @@ audit:
 # streams answered by a live server and by the old string dispatcher,
 # reply for reply. FuzzTailStream: arbitrary frames after a TAIL header
 # read by the client, which must not panic or trust a BATCH count.
+# FuzzViews: arbitrary HWJRNL01 dumps decoded and run through every
+# journal view, none of which may panic.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz FuzzTableOps -fuzztime 10s ./internal/table
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./lockservice
 	$(GO) test -run xxx -fuzz FuzzTailStream -fuzztime 10s ./lockservice
+	$(GO) test -run xxx -fuzz FuzzViews -fuzztime 10s ./internal/jview
 
 # hwbench (bench/, a module of its own that imports this one through a
 # replace directive) is outside `./...`: vet it and run its smoke and
