@@ -11,14 +11,14 @@ import (
 // deadlock victim.
 var ErrTooManyRetries = errors.New("hwtwbg: transaction exceeded retry budget")
 
+// maxBackoff caps the jittered backoff between DoWith's retries.
+const maxBackoff = 50 * time.Millisecond
+
 // DoOptions tunes Manager.Do.
 type DoOptions struct {
 	// MaxRetries bounds how many times a victimized transaction is
 	// retried (default 100).
 	MaxRetries int
-	// MaxBackoff caps the jittered backoff between retries (default
-	// 50ms).
-	MaxBackoff time.Duration
 }
 
 // Do runs fn inside a transaction, committing when fn returns nil and
@@ -35,41 +35,41 @@ func (m *Manager) Do(ctx context.Context, fn func(*Txn) error) error {
 	return m.DoWith(ctx, DoOptions{}, fn)
 }
 
-// DoWith is Do with explicit retry tuning. The backoff's jitter is drawn
-// on the abort branch only, from math/rand's top-level functions
-// (auto-seeded, safe for concurrent use), so a call that is never
-// aborted touches no random state.
+// DoWith is Do with explicit retry tuning. The backoff grows with the
+// attempt and is capped at 50ms. Its jitter is drawn on the abort branch
+// only, from math/rand's top-level functions (auto-seeded, safe for
+// concurrent use), so a call that is never aborted touches no random
+// state.
+//
+// fn may commit its transaction itself, for a commit that must do more
+// than Txn.Commit (kv's applies the buffered writes under its data
+// mutex): when fn returns nil with the transaction committed, DoWith
+// returns nil without committing again. A commit that fails inside fn
+// is fn's error, and an ErrAborted one retries.
 func (m *Manager) DoWith(ctx context.Context, opts DoOptions, fn func(*Txn) error) error {
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 100
 	}
-	if opts.MaxBackoff == 0 {
-		opts.MaxBackoff = 50 * time.Millisecond
-	}
 	for attempt := 1; attempt <= opts.MaxRetries; attempt++ {
 		t := m.Begin()
 		err := fn(t)
-		if err == nil {
-			err = t.Commit()
-			if err == nil {
-				t.Recycle()
-				return nil
-			}
-		} else {
+		if err != nil {
 			t.Abort()
+		} else if t.state != committedState {
+			err = t.Commit()
 		}
 		t.Recycle() // no-op unless the transaction reached a terminal state
+		if err == nil {
+			return nil
+		}
 		if !errors.Is(err, ErrAborted) {
 			return err
 		}
 		backoff := time.Duration(rand.Int63n(int64(attempt)*int64(500*time.Microsecond))) + 100*time.Microsecond
-		if backoff > opts.MaxBackoff {
-			backoff = opts.MaxBackoff
-		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(backoff):
+		case <-time.After(min(backoff, maxBackoff)):
 		}
 	}
 	return ErrTooManyRetries

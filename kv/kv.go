@@ -9,8 +9,8 @@
 // deletes, because every writer holds IX on the root). Deadlocks —
 // including the classic read-then-upgrade conversion deadlock — are
 // resolved by the store's background H/W-TWBG detector; victims surface
-// as hwtwbg.ErrAborted, and the Update/View helpers retry them with
-// jittered backoff.
+// as hwtwbg.ErrAborted, and the Update/View helpers restart them through
+// the manager's one restart loop, hwtwbg.Manager.DoWith.
 //
 // A transaction asks the manager for the root only when the mode it
 // needs adds to what it already holds there: k accesses are k+1 lock
@@ -25,8 +25,6 @@ package kv
 
 import (
 	"context"
-	"errors"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -55,7 +53,7 @@ type Options struct {
 	// of two (0 derives it from GOMAXPROCS; see hwtwbg.Options.Shards).
 	Shards int
 	// MaxRetries bounds Update/View retries after deadlock
-	// victimization (default 100).
+	// victimization (default 100; see hwtwbg.DoOptions.MaxRetries).
 	MaxRetries int
 	// JournalSize is the lock manager's flight-recorder capacity in
 	// records per ring (0 = default, negative = disabled; see
@@ -80,9 +78,6 @@ type Store struct {
 func Open(opts Options) *Store {
 	if opts.DetectEvery == 0 {
 		opts.DetectEvery = 10 * time.Millisecond
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 100
 	}
 	return &Store{
 		lm: hwtwbg.Open(hwtwbg.Options{
@@ -111,10 +106,6 @@ func (s *Store) Len() int {
 	return len(s.data)
 }
 
-// ErrTooManyRetries is returned by Update/View when a closure keeps
-// being chosen as a deadlock victim.
-var ErrTooManyRetries = errors.New("kv: transaction exceeded retry budget")
-
 // Tx is one transaction. Use it from a single goroutine.
 type Tx struct {
 	s      *Store
@@ -136,25 +127,24 @@ func (s *Store) Begin() *Tx {
 	return &Tx{s: s, t: s.lm.Begin()}
 }
 
-// txPool recycles the Tx structs of retry's transactions, with their
+// txPool recycles the Tx structs of Update's transactions, with their
 // write and read sets cleared but kept. Begin's never enter it: only
-// retry owns a Tx's whole lifecycle.
+// Update owns a Tx's whole lifecycle.
 var txPool sync.Pool
 
-// begin is Begin from txPool.
-func (s *Store) begin() *Tx {
+// wrap is a Tx from txPool around t, one attempt of Update's.
+func (s *Store) wrap(t *hwtwbg.Txn) *Tx {
 	tx, _ := txPool.Get().(*Tx)
 	if tx == nil {
 		tx = &Tx{}
 	}
-	tx.s, tx.t = s, s.lm.Begin()
+	tx.s, tx.t = s, t
 	return tx
 }
 
-// recycle hands a finished retry transaction back to txPool, and its
-// Txn to the manager's pool.
+// recycle hands a finished Update transaction back to txPool. Its Txn
+// is DoWith's to recycle.
 func (tx *Tx) recycle() {
-	tx.t.Recycle() // no-op unless the transaction reached a terminal state
 	clear(tx.writes)
 	clear(tx.reads)
 	*tx = Tx{writes: tx.writes, reads: tx.reads}
@@ -397,50 +387,28 @@ func (tx *Tx) Abort() { tx.t.Abort() }
 // Err reports the transaction's terminal error (nil while live).
 func (tx *Tx) Err() error { return tx.t.Err() }
 
-// Update runs fn inside a read-write transaction, committing on success
-// and retrying (with jittered backoff) when the transaction is chosen
-// as a deadlock victim. fn may be invoked multiple times and must not
-// keep side effects outside the transaction. fn must not retain tx
-// after returning: the Tx is recycled for a later transaction, as
-// hwtwbg.Txn.Recycle recycles a Txn.
+// Update runs fn inside a read-write transaction, one per attempt of
+// hwtwbg.Manager.DoWith: it commits through Tx.Commit when fn returns
+// nil, so a failed commit applies nothing, and reruns fn on a fresh
+// transaction when it is chosen as a deadlock victim
+// (hwtwbg.ErrTooManyRetries once MaxRetries runs out). fn must keep its
+// side effects inside the transaction and must not retain tx after
+// returning: the Tx is recycled for a later transaction.
 func (s *Store) Update(ctx context.Context, fn func(tx *Tx) error) error {
-	return s.retry(ctx, fn)
-}
-
-// View runs fn inside a transaction for reading. It is identical to
-// Update except in name; writes performed by fn are still applied (the
-// name documents intent). As with Update, fn must not retain tx after
-// returning.
-func (s *Store) View(ctx context.Context, fn func(tx *Tx) error) error {
-	return s.retry(ctx, fn)
-}
-
-// retry is the restart loop behind Update and View. Only a deadlock abort
-// backs off, with jitter from math/rand's auto-seeded, goroutine-safe
-// top-level functions: an un-aborted transaction touches no random state.
-func (s *Store) retry(ctx context.Context, fn func(tx *Tx) error) error {
-	for attempt := 1; attempt <= s.opts.MaxRetries; attempt++ {
-		tx := s.begin()
+	return s.lm.DoWith(ctx, hwtwbg.DoOptions{MaxRetries: s.opts.MaxRetries}, func(t *hwtwbg.Txn) error {
+		tx := s.wrap(t)
 		err := fn(tx)
 		if err == nil {
 			err = tx.Commit()
-		} else {
-			tx.Abort()
 		}
 		tx.recycle()
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, hwtwbg.ErrAborted) {
-			return err
-		}
-		// Deadlock victim: back off and retry.
-		backoff := time.Duration(rand.Intn(attempt*500)+100) * time.Microsecond
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
-		}
-	}
-	return ErrTooManyRetries
+		return err
+	})
+}
+
+// View is Update under another name: writes performed by fn are still
+// applied (the name documents intent). As with Update, fn must not
+// retain tx after returning.
+func (s *Store) View(ctx context.Context, fn func(tx *Tx) error) error {
+	return s.Update(ctx, fn)
 }

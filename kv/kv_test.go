@@ -280,11 +280,37 @@ func TestRetryBudget(t *testing.T) {
 		attempts++
 		return hwtwbg.ErrAborted // simulate perpetual victimization
 	})
-	if !errors.Is(err, ErrTooManyRetries) {
+	if !errors.Is(err, hwtwbg.ErrTooManyRetries) {
 		t.Fatalf("err = %v", err)
 	}
 	if attempts != 2 {
 		t.Fatalf("attempts = %d", attempts)
+	}
+}
+
+// TestFailedCommitAppliesNothing pins Update's commit contract: the
+// buffered writes are applied only by a commit that succeeds. The
+// closure's first attempt closes the store after its Put, so the commit
+// fails; the retry finds the manager closed.
+func TestFailedCommitAppliesNothing(t *testing.T) {
+	s := Open(Options{DetectEvery: time.Millisecond})
+	ctx := context.Background()
+	attempts := 0
+	err := s.Update(ctx, func(tx *Tx) error {
+		attempts++
+		if err := tx.Put(ctx, "k", "v"); err != nil {
+			return err
+		}
+		if attempts == 1 {
+			s.Close()
+		}
+		return nil
+	})
+	if !errors.Is(err, hwtwbg.ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len() = %d after a failed commit, want 0", n)
 	}
 }
 
@@ -402,8 +428,8 @@ func TestGetAllPutAll(t *testing.T) {
 
 // TestPutAllConflictSerializes checks the batch write path under
 // contention: two Update transactions batch-writing the same keys must
-// serialize (the second blocks on the first's X locks), with the retry
-// loop absorbing any deadlock abort.
+// serialize (the second blocks on the first's X locks), with Update's
+// restarts absorbing any deadlock abort.
 func TestPutAllConflictSerializes(t *testing.T) {
 	s := open(t)
 	ctx := context.Background()

@@ -234,9 +234,9 @@ func TestRootNamespaceKeysAreOrdinaryKeys(t *testing.T) {
 }
 
 // TestKVTxnAllocs pins what a transaction through View/Update allocates
-// on a warm store: nothing. retry takes its Tx from a pool with the
+// on a warm store: nothing. Update takes its Tx from a pool with the
 // write set cleared but kept, and a buffered write is stored by value.
-// The wall-clock-seeded rand.Rand that retry used to build per call was
+// The wall-clock-seeded rand.Rand that Update used to build per call was
 // one allocation of 5.4 KB, so no RNG state fits under these budgets.
 func TestKVTxnAllocs(t *testing.T) {
 	if raceEnabled() {
@@ -272,7 +272,7 @@ func TestKVTxnAllocs(t *testing.T) {
 }
 
 // TestBeginTxNeverPooled: a Tx from Store.Begin is the caller's, so it
-// must never enter the pool retry recycles through. After its commit it
+// must never enter the pool Update recycles through. After its commit it
 // keeps reporting ErrDone however many pooled transactions the store
 // runs, which it would not if it had been handed out again.
 func TestBeginTxNeverPooled(t *testing.T) {

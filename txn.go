@@ -116,9 +116,9 @@ func (t *Txn) Tag() uint64 { return t.tag }
 
 // Recycle hands a finished transaction's struct back to the allocation
 // pool. It is purely an allocation optimization for callers that own
-// the handle's entire lifecycle (Do/DoWith, the lockservice session
-// loop, kv's retry loop use it); everyone else can simply drop the
-// handle. The caller must not touch t after Recycle — the next Begin
+// the handle's entire lifecycle (Do/DoWith, and so kv's Update and View,
+// and the lockservice session loop use it); everyone else can simply
+// drop the handle. The caller must not touch t after Recycle — the next Begin
 // may revive the struct for an unrelated transaction (a new
 // incarnation epoch). Recycling a live transaction is a no-op, as is a
 // second Recycle of the same incarnation.
