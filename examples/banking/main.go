@@ -10,7 +10,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -94,55 +93,42 @@ func run(w io.Writer) error {
 			to = rng.Intn(accounts)
 		}
 		amount := 1 + rng.Intn(50)
-		for attempt := 1; ; attempt++ {
-			t := lm.Begin()
-			err := func() error {
-				// Read both balances under S locks...
-				if err := t.Lock(context.Background(), acct(from), hwtwbg.S); err != nil {
-					return err
-				}
-				if err := t.Lock(context.Background(), acct(to), hwtwbg.S); err != nil {
-					return err
-				}
-				if b.read(from) < amount {
-					return nil // insufficient funds: empty transfer, still commits
-				}
-				time.Sleep(holdTime) // simulate work between read and write
-				// ...then upgrade to X to write: lock conversions that
-				// can deadlock against other upgraders.
-				if err := t.Lock(context.Background(), acct(from), hwtwbg.X); err != nil {
-					return err
-				}
-				if err := t.Lock(context.Background(), acct(to), hwtwbg.X); err != nil {
-					return err
-				}
-				b.move(from, to, amount)
-				return nil
-			}()
-			if errors.Is(err, hwtwbg.ErrAborted) {
-				statMu.Lock()
-				retries++
-				statMu.Unlock()
-				// Back off with jitter before retrying. Without this the
-				// read-then-upgrade pattern can thrash: the retried
-				// transaction re-takes its S locks immediately and
-				// recreates the same conversion deadlock every period.
-				backoff := time.Duration(rng.Intn(attempt*500)+100) * time.Microsecond
-				time.Sleep(backoff)
-				continue // the whole transfer retries
-			}
-			if err != nil {
-				t.Abort()
+		// Do backs off with jitter before each retry. Without that the
+		// read-then-upgrade pattern can thrash: the retried transaction
+		// re-takes its S locks immediately and recreates the same
+		// conversion deadlock every period.
+		attempts := 0
+		err := lm.Do(context.Background(), func(t *hwtwbg.Txn) error {
+			attempts++
+			// Read both balances under S locks...
+			if err := t.Lock(context.Background(), acct(from), hwtwbg.S); err != nil {
 				return err
 			}
-			if err := t.Commit(); err != nil {
+			if err := t.Lock(context.Background(), acct(to), hwtwbg.S); err != nil {
 				return err
 			}
-			statMu.Lock()
-			commits++
-			statMu.Unlock()
+			if b.read(from) < amount {
+				return nil // insufficient funds: empty transfer, still commits
+			}
+			time.Sleep(holdTime) // simulate work between read and write
+			// ...then upgrade to X to write: lock conversions that
+			// can deadlock against other upgraders.
+			if err := t.Lock(context.Background(), acct(from), hwtwbg.X); err != nil {
+				return err
+			}
+			if err := t.Lock(context.Background(), acct(to), hwtwbg.X); err != nil {
+				return err
+			}
+			b.move(from, to, amount)
 			return nil
+		})
+		statMu.Lock()
+		defer statMu.Unlock()
+		retries += int64(attempts - 1) // Do starts a new attempt only after a deadlock abort
+		if err == nil {
+			commits++
 		}
+		return err
 	}
 
 	fmt.Fprintf(w, "running %d workers x %d transfers over %d accounts...\n", workers, transfersEach, accounts)

@@ -12,8 +12,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -32,6 +35,16 @@ func stockKey(i int) string    { return fmt.Sprintf("stock/%d", i) }
 func reservedKey(i int) string { return fmt.Sprintf("reserved/%d", i) }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run places the orders, audits the books while they are placed and
+// once after, reports to w, and returns an error when an order fails or
+// an audit finds the books unbalanced.
+func run(w io.Writer) error {
 	store := kv.Open(kv.Options{DetectEvery: 2 * time.Millisecond, MaxRetries: 5000})
 	defer store.Close()
 	ctx := context.Background()
@@ -48,7 +61,7 @@ func main() {
 		}
 		return nil
 	}); err != nil {
-		panic(err)
+		return err
 	}
 
 	audit := func(tx *kv.Tx) error {
@@ -72,7 +85,8 @@ func main() {
 
 	var wg sync.WaitGroup
 	placed := make([]int, workers)
-	for w := 0; w < workers; w++ {
+	orderErrs := make([]error, workers)
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
@@ -109,11 +123,12 @@ func main() {
 					}
 					return nil
 				}); err != nil {
-					panic(err)
+					orderErrs[id] = fmt.Errorf("worker %d: %w", id, err)
+					return
 				}
 				placed[id]++
 			}
-		}(w)
+		}(i)
 	}
 
 	// The auditor runs concurrently with the order traffic.
@@ -140,19 +155,21 @@ func main() {
 	wg.Wait()
 	close(stopAudit)
 	if err := <-auditErrs; err != nil {
-		fmt.Println("AUDIT FAILED:", err)
-		return
+		return fmt.Errorf("audit failed: %w", err)
+	}
+	if err := errors.Join(orderErrs...); err != nil {
+		return err
 	}
 	if err := store.View(ctx, audit); err != nil {
-		fmt.Println("FINAL AUDIT FAILED:", err)
-		return
+		return fmt.Errorf("final audit failed: %w", err)
 	}
 	total := 0
 	for _, p := range placed {
 		total += p
 	}
 	st := store.Stats()
-	fmt.Printf("placed %d orders across %d workers; every audit balanced\n", total, workers)
-	fmt.Printf("detector: %d runs, %d cycles, %d aborts, %d TDR-2 repositionings, %d salvaged\n",
+	fmt.Fprintf(w, "placed %d orders across %d workers; every audit balanced\n", total, workers)
+	fmt.Fprintf(w, "detector: %d runs, %d cycles, %d aborts, %d TDR-2 repositionings, %d salvaged\n",
 		st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged)
+	return nil
 }
