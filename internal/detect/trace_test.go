@@ -50,16 +50,24 @@ func TestTraceExample51(t *testing.T) {
 }
 
 // TestTraceExample41TDR2 checks the TDR-2 selection event fires for the
-// uniform-cost Example 4.1 run.
+// uniform-cost Example 4.1 run, and pins the run's decisions: the
+// cycle the paper walks, the TDR-1 candidates {T1, T2, T7, T3} at cost
+// 1, and the TDR-2 candidate at junction T3 at cost 1/2, which wins.
 func TestTraceExample41TDR2(t *testing.T) {
 	tb := example41(t)
 	var events []TraceEvent
 	New(tb, Config{Trace: func(e TraceEvent) { events = append(events, e) }}).Run()
+	var decisions []string
 	var sawTDR2, sawVisit, sawSkip, sawBacktrack bool
 	for _, e := range events {
 		switch e.Kind {
+		case TraceCycle, TraceCandidate, TraceVictimTDR1, TraceAbort, TraceSalvage:
+			decisions = append(decisions, e.String())
+		}
+		switch e.Kind {
 		case TraceVictimTDR2:
 			sawTDR2 = true
+			decisions = append(decisions, e.String())
 			if e.From != 3 {
 				t.Errorf("TDR-2 at junction %v, want T3", e.From)
 			}
@@ -74,6 +82,18 @@ func TestTraceExample41TDR2(t *testing.T) {
 	if !sawTDR2 || !sawVisit || !sawSkip || !sawBacktrack {
 		t.Fatalf("missing event kinds: tdr2=%v visit=%v skip=%v backtrack=%v",
 			sawTDR2, sawVisit, sawSkip, sawBacktrack)
+	}
+	want := []string{
+		"cycle detected: T1 T2 T5 T6 T7 T8 T9 T3",
+		"candidate TDR-1 T1 (cost 1.00)",
+		"candidate TDR-1 T2 (cost 1.00)",
+		"candidate TDR-1 T7 (cost 1.00)",
+		"candidate TDR-1 T3 (cost 1.00)",
+		"candidate TDR-2 at junction T3 (cost 0.50)",
+		"selected TDR-2 repositioning at junction T3",
+	}
+	if got := strings.Join(decisions, "\n"); got != strings.Join(want, "\n") {
+		t.Errorf("decisions:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package script implements a small line-oriented scenario language for
 // describing lock-table histories — the situations the paper prints in
 // its examples — so they can be replayed by tests and the command-line
-// tools (lockstep, twbgdot).
+// scenario tool (cmd/lockstep).
 //
 // Syntax (one statement per line; '#' starts a comment):
 //
