@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint audit fuzzsmoke benchcheck ci
+.PHONY: all build vet test race lint audit fuzzsmoke benchcheck mains ci
 
 all: ci
 
@@ -59,7 +59,14 @@ fuzzsmoke:
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# Every main package has a test file, so `go test ./...` runs each
+# example and tool instead of only compiling it. cmd/hwlint is exempt:
+# `make lint` runs it, and internal/analysis tests its analyzers.
+mains:
+	@untested="$$($(GO) list -f '{{if and (eq .Name "main") (not .TestGoFiles)}}{{.ImportPath}}{{end}}' ./... | grep -vx -e '' -e 'hwtwbg/cmd/hwlint')"; \
+	test -z "$$untested" || { echo "main packages without a test file:"; echo "$$untested"; exit 1; }
+
 # The gate CI runs: everything must pass, including the race detector
 # over the cross-shard stress tests, the static analyzers, and the
 # invariants-tagged audit suite.
-ci: build lint test race audit fuzzsmoke benchcheck
+ci: build lint mains test race audit fuzzsmoke benchcheck

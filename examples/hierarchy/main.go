@@ -15,6 +15,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"runtime"
 
 	"hwtwbg"
@@ -24,54 +26,98 @@ import (
 var ctx = context.Background()
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run builds the hierarchy, plays the three scenes and narrates them to
+// w. Every step is deterministic: the one deadlock is broken by a
+// Detect call, not a timer.
+func run(w io.Writer) error {
 	g := granularity.New()
-	check(g.AddRoot("db"))
+	if err := g.AddRoot("db"); err != nil {
+		return err
+	}
 	for _, tbl := range []hwtwbg.ResourceID{"orders", "users"} {
-		check(g.Add(tbl, "db"))
+		if err := g.Add(tbl, "db"); err != nil {
+			return err
+		}
 		for i := 1; i <= 3; i++ {
-			check(g.Add(hwtwbg.ResourceID(fmt.Sprintf("%s/row%d", tbl, i)), tbl))
+			if err := g.Add(hwtwbg.ResourceID(fmt.Sprintf("%s/row%d", tbl, i)), tbl); err != nil {
+				return err
+			}
 		}
 	}
+	if err := intentions(w, g); err != nil {
+		return err
+	}
+	return deadlock(w, g)
+}
 
+// intentions shows fine-grained transactions coexisting under intention
+// locks, then an SIX scan-and-update holding back a row write.
+func intentions(w io.Writer, g *granularity.Graph) error {
 	lm := hwtwbg.Open(hwtwbg.Options{})
 	defer lm.Close()
 
-	fmt.Println("=== fine-grained concurrency through intention locks ===")
+	fmt.Fprintln(w, "=== fine-grained concurrency through intention locks ===")
 	t1, t2 := lm.Begin(), lm.Begin()
-	check(g.Lock(ctx, t1, "orders/row1", hwtwbg.X))
-	check(g.Lock(ctx, t2, "orders/row2", hwtwbg.S))
-	fmt.Printf("%v writes orders/row1, %v reads orders/row2 — no conflict:\n", t1.ID(), t2.ID())
-	fmt.Print(lm.Snapshot())
+	if err := errors.Join(g.Lock(ctx, t1, "orders/row1", hwtwbg.X), g.Lock(ctx, t2, "orders/row2", hwtwbg.S)); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%v writes orders/row1, %v reads orders/row2 — no conflict:\n", t1.ID(), t2.ID())
+	fmt.Fprint(w, lm.Snapshot())
 
-	fmt.Println("\n=== an SIX scan-and-update ===")
+	fmt.Fprintln(w, "\n=== an SIX scan-and-update ===")
 	t3, t4 := lm.Begin(), lm.Begin()
-	check(g.Lock(ctx, t3, "users", hwtwbg.S))
-	check(g.Lock(ctx, t3, "users", hwtwbg.IX)) // S + IX = SIX on the table
-	fmt.Printf("%v holds %v on users (scan all rows, update some)\n", t3.ID(), t3.Mode("users"))
-	write := park(lm, t4, g, "users/row1", hwtwbg.X)
-	fmt.Printf("%v's row write holds %v on db and blocks at users (IX vs SIX)\n", t4.ID(), t4.Mode("db"))
-	check(t3.Commit())
-	check(<-write)
-	fmt.Printf("%v commits; %v's write completes with %v on users/row1\n", t3.ID(), t4.ID(), t4.Mode("users/row1"))
-	for _, t := range []*hwtwbg.Txn{t1, t2, t4} {
-		check(t.Commit())
+	if err := g.Lock(ctx, t3, "users", hwtwbg.S); err != nil {
+		return err
 	}
-
-	fmt.Println("\n=== a deadlock through intention locks ===")
-	lm2 := hwtwbg.Open(hwtwbg.Options{})
-	defer lm2.Close()
-	a, b := lm2.Begin(), lm2.Begin()
-	check(g.Lock(ctx, a, "orders", hwtwbg.S)) // a reads all of orders
-	check(g.Lock(ctx, b, "users", hwtwbg.S))  // b reads all of users
-	done := map[*hwtwbg.Txn]<-chan error{
-		a: park(lm2, a, g, "users/row1", hwtwbg.X),
-		b: park(lm2, b, g, "orders/row1", hwtwbg.X),
+	if err := g.Lock(ctx, t3, "users", hwtwbg.IX); err != nil { // S + IX = SIX on the table
+		return err
 	}
-	fmt.Printf("%v: S(orders) then X(users/row1); %v: S(users) then X(orders/row1):\n", a.ID(), b.ID())
-	fmt.Print(lm2.Snapshot())
-	fmt.Printf("deadlocked: %v\n", lm2.Deadlocked())
+	fmt.Fprintf(w, "%v holds %v on users (scan all rows, update some)\n", t3.ID(), t3.Mode("users"))
+	write, err := park(lm, t4, g, "users/row1", hwtwbg.X)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%v's row write holds %v on db and blocks at users (IX vs SIX)\n", t4.ID(), t4.Mode("db"))
+	if err := t3.Commit(); err != nil {
+		return err
+	}
+	if err := <-write; err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%v commits; %v's write completes with %v on users/row1\n", t3.ID(), t4.ID(), t4.Mode("users/row1"))
+	return errors.Join(t1.Commit(), t2.Commit(), t4.Commit())
+}
 
-	st := lm2.Detect()
+// deadlock builds a cycle that runs only through intention locks and
+// lets one Detect call break it.
+func deadlock(w io.Writer, g *granularity.Graph) error {
+	fmt.Fprintln(w, "\n=== a deadlock through intention locks ===")
+	lm := hwtwbg.Open(hwtwbg.Options{})
+	defer lm.Close()
+	a, b := lm.Begin(), lm.Begin()
+	if err := errors.Join(g.Lock(ctx, a, "orders", hwtwbg.S), g.Lock(ctx, b, "users", hwtwbg.S)); err != nil {
+		return err // a reads all of orders, b all of users
+	}
+	aWrite, err := park(lm, a, g, "users/row1", hwtwbg.X)
+	if err != nil {
+		return err
+	}
+	bWrite, err := park(lm, b, g, "orders/row1", hwtwbg.X)
+	if err != nil {
+		return err
+	}
+	done := map[*hwtwbg.Txn]<-chan error{a: aWrite, b: bWrite}
+	fmt.Fprintf(w, "%v: S(orders) then X(users/row1); %v: S(users) then X(orders/row1):\n", a.ID(), b.ID())
+	fmt.Fprint(w, lm.Snapshot())
+	fmt.Fprintf(w, "deadlocked: %v\n", lm.Deadlocked())
+
+	st := lm.Detect()
 	var victim, survivor *hwtwbg.Txn
 	for _, t := range []*hwtwbg.Txn{a, b} {
 		switch err := <-done[t]; {
@@ -80,37 +126,31 @@ func main() {
 		case err == nil:
 			survivor = t
 		default:
-			check(err)
+			return err
 		}
 	}
 	if st.Aborted != 1 || victim == nil || survivor == nil {
-		panic(fmt.Sprintf("want one victim and one survivor, detector did %+v", st))
+		return fmt.Errorf("want one victim and one survivor, detector did %+v", st)
 	}
 	victim.Abort()
-	fmt.Printf("detector aborted %v; deadlocked now: %v\n", victim.ID(), lm2.Deadlocked())
-	fmt.Printf("survivor %v completed its acquisition:\n", survivor.ID())
-	fmt.Print(lm2.Snapshot())
-	check(survivor.Commit())
+	fmt.Fprintf(w, "detector aborted %v; deadlocked now: %v\n", victim.ID(), lm.Deadlocked())
+	fmt.Fprintf(w, "survivor %v completed its acquisition:\n", survivor.ID())
+	fmt.Fprint(w, lm.Snapshot())
+	return survivor.Commit()
 }
 
 // park runs g.Lock for t on its own goroutine, returns once t is blocked,
 // and delivers the Lock's result on the channel.
-func park(lm *hwtwbg.Manager, t *hwtwbg.Txn, g *granularity.Graph, id hwtwbg.ResourceID, m hwtwbg.Mode) <-chan error {
+func park(lm *hwtwbg.Manager, t *hwtwbg.Txn, g *granularity.Graph, id hwtwbg.ResourceID, m hwtwbg.Mode) (<-chan error, error) {
 	done := make(chan error, 1)
 	go func() { done <- g.Lock(ctx, t, id, m) }()
 	for !lm.Blocked(t.ID()) {
 		select {
 		case err := <-done:
-			panic(fmt.Sprintf("%v was not blocked on %s: %v", t.ID(), id, err))
+			return nil, fmt.Errorf("%v was not blocked on %s: %v", t.ID(), id, err)
 		default:
 			runtime.Gosched()
 		}
 	}
-	return done
-}
-
-func check(err error) {
-	if err != nil {
-		panic(err)
-	}
+	return done, nil
 }
