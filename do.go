@@ -45,7 +45,8 @@ func (m *Manager) Do(ctx context.Context, fn func(*Txn) error) error {
 // than Txn.Commit (kv's applies the buffered writes under its data
 // mutex): when fn returns nil with the transaction committed, DoWith
 // returns nil without committing again. A commit that fails inside fn
-// is fn's error, and an ErrAborted one retries.
+// is fn's error, and an ErrAborted one retries. An abort on a closed
+// manager does not: DoWith returns ErrClosed at once.
 func (m *Manager) DoWith(ctx context.Context, opts DoOptions, fn func(*Txn) error) error {
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 100
@@ -64,6 +65,10 @@ func (m *Manager) DoWith(ctx context.Context, opts DoOptions, fn func(*Txn) erro
 		}
 		if !errors.Is(err, ErrAborted) {
 			return err
+		}
+		if m.closed.Load() {
+			// Close condemned the transaction: no attempt can commit.
+			return ErrClosed
 		}
 		backoff := time.Duration(rand.Int63n(int64(attempt)*int64(500*time.Microsecond))) + 100*time.Microsecond
 		select {

@@ -105,6 +105,25 @@ func TestDoRetryBudget(t *testing.T) {
 	}
 }
 
+// TestDoStopsOnClose: a transaction that Close condemns fails its
+// commit with ErrAborted, and DoWith returns ErrClosed without running
+// fn again.
+func TestDoStopsOnClose(t *testing.T) {
+	m := Open(Options{})
+	attempts := 0
+	err := m.Do(context.Background(), func(tx *Txn) error {
+		attempts++
+		if err := tx.Lock(context.Background(), "r", X); err != nil {
+			return err
+		}
+		m.Close()
+		return nil
+	})
+	if !errors.Is(err, ErrClosed) || attempts != 1 {
+		t.Fatalf("err = %v after %d attempts, want ErrClosed after 1", err, attempts)
+	}
+}
+
 func TestDoContextCancelBetweenRetries(t *testing.T) {
 	m := Open(Options{})
 	defer m.Close()

@@ -290,8 +290,8 @@ func TestRetryBudget(t *testing.T) {
 
 // TestFailedCommitAppliesNothing pins Update's commit contract: the
 // buffered writes are applied only by a commit that succeeds. The
-// closure's first attempt closes the store after its Put, so the commit
-// fails; the retry finds the manager closed.
+// closure closes the store after its Put, so the commit fails, and the
+// closed manager ends Update without a second attempt.
 func TestFailedCommitAppliesNothing(t *testing.T) {
 	s := Open(Options{DetectEvery: time.Millisecond})
 	ctx := context.Background()
@@ -306,8 +306,8 @@ func TestFailedCommitAppliesNothing(t *testing.T) {
 		}
 		return nil
 	})
-	if !errors.Is(err, hwtwbg.ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	if !errors.Is(err, hwtwbg.ErrClosed) || attempts != 1 {
+		t.Fatalf("err = %v after %d attempts, want ErrClosed after 1", err, attempts)
 	}
 	if n := s.Len(); n != 0 {
 		t.Fatalf("Len() = %d after a failed commit, want 0", n)

@@ -461,25 +461,10 @@ func (c *Client) DumpJournal() ([]journal.Record, error) {
 
 func (c *Client) dumpJournal() ([]journal.Record, error) {
 	var recs []journal.Record
-	err := c.call(func(b []byte) []byte { return append(b, "DUMP"...) }, func(head []byte) error {
-		if err := replyErr(head); err != nil {
-			return err
-		}
-		n, err := strconv.Atoi(string(okPayload(head)))
-		if err != nil || n < 0 {
-			return fmt.Errorf("lockservice: malformed DUMP header %q", head)
-		}
-		// The slice grows with the records that arrive: the header's
-		// count is the server's word, not a size to allocate.
-		for i := 0; i < n; i++ {
-			line, err := c.r.ReadString('\n')
-			if err != nil {
-				return fmt.Errorf("lockservice: DUMP record %d of %d: %w", i, n, err)
-			}
-			recs = append(recs, journal.Record{})
-			if err := recs[i].UnmarshalText([]byte(strings.TrimSpace(line))); err != nil {
-				return fmt.Errorf("lockservice: DUMP record %d: %w", i, err)
-			}
+	err := c.callLines("DUMP", "record", func(i int, line string) error {
+		recs = append(recs, journal.Record{})
+		if err := recs[i].UnmarshalText([]byte(strings.TrimSpace(line))); err != nil {
+			return fmt.Errorf("lockservice: DUMP record %d: %w", i, err)
 		}
 		return nil
 	})
@@ -499,25 +484,38 @@ func (c *Client) Snapshot() (string, error) {
 
 func (c *Client) snapshot() (string, error) {
 	var b strings.Builder
-	err := c.call(func(b []byte) []byte { return append(b, "SNAPSHOT"...) }, func(head []byte) error {
-		if err := replyErr(head); err != nil {
-			return err
-		}
-		n, err := strconv.Atoi(string(okPayload(head)))
-		if err != nil || n < 0 {
-			return fmt.Errorf("lockservice: malformed SNAPSHOT header %q", head)
-		}
-		for i := 0; i < n; i++ {
-			line, err := c.r.ReadString('\n')
-			if err != nil {
-				return fmt.Errorf("lockservice: SNAPSHOT line %d of %d: %w", i, n, err)
-			}
-			b.WriteString(line)
-		}
+	err := c.callLines("SNAPSHOT", "line", func(_ int, line string) error {
+		b.WriteString(line)
 		return nil
 	})
 	if err != nil {
 		return "", err
 	}
 	return b.String(), nil
+}
+
+// callLines sends verb and reads its multi-line reply: an `OK n`
+// header, then n lines, each handed to line with its index. The header's
+// count is the server's word, not a size to allocate. what names a line
+// in the error that reports a short reply.
+func (c *Client) callLines(verb, what string, line func(i int, s string) error) error {
+	return c.call(func(b []byte) []byte { return append(b, verb...) }, func(head []byte) error {
+		if err := replyErr(head); err != nil {
+			return err
+		}
+		n, err := strconv.Atoi(string(okPayload(head)))
+		if err != nil || n < 0 {
+			return fmt.Errorf("lockservice: malformed %s header %q", verb, head)
+		}
+		for i := 0; i < n; i++ {
+			s, err := c.r.ReadString('\n')
+			if err != nil {
+				return fmt.Errorf("lockservice: %s %s %d of %d: %w", verb, what, i, n, err)
+			}
+			if err := line(i, s); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
