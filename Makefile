@@ -43,12 +43,15 @@ audit:
 # streams answered by a live server and by the old string dispatcher,
 # reply for reply. FuzzTailStream: arbitrary frames after a TAIL header
 # read by the client, which must not panic or trust a BATCH count.
+# FuzzClientReplies: arbitrary replies to STATS, DUMP and SNAPSHOT, which
+# must return once the server closes and not trust an `OK n` count.
 # FuzzViews: arbitrary HWJRNL01 dumps decoded and run through every
 # journal view, none of which may panic.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz FuzzTableOps -fuzztime 10s ./internal/table
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./lockservice
 	$(GO) test -run xxx -fuzz FuzzTailStream -fuzztime 10s ./lockservice
+	$(GO) test -run xxx -fuzz FuzzClientReplies -fuzztime 10s ./lockservice
 	$(GO) test -run xxx -fuzz FuzzViews -fuzztime 10s ./internal/jview
 
 # hwbench (bench/, a module of its own that imports this one through a

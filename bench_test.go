@@ -285,6 +285,23 @@ func BenchmarkManagerLockAll(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(mutexRounds(lm))/float64(b.N), "mutexacq/op")
 	})
+	// A kv PutAll-sized batch over two shards: the ordering pass is
+	// linear in the batch, so ns/lock stays flat as batches grow.
+	b.Run("batched1000", func(b *testing.B) {
+		lm := Open(Options{Shards: 2})
+		defer lm.Close()
+		big := make([]LockRequest, 1000)
+		for i := range big {
+			big[i] = LockRequest{Resource: ResourceID(fmt.Sprintf("bb%04d", i)), Mode: X}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lockAllTxn(b, lm, big)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(big)), "ns/lock")
+	})
 }
 
 // lockEachTxn takes reqs one Lock call at a time, commits and recycles

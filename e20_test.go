@@ -17,12 +17,22 @@ import (
 // stop-the-world pause into the documented phases. Run with -v to see
 // the report EXPERIMENTS.md E20 quotes.
 func TestExample51PhaseReport(t *testing.T) {
-	paperCosts := map[TxnID]float64{1: 6, 2: 4, 3: 1}
-	m := Open(Options{Cost: func(id TxnID) float64 { return paperCosts[id] }})
+	m := Open(Options{})
 	defer m.Close()
 	ctx := context.Background()
 
 	t1, t2, t3 := m.Begin(), m.Begin(), m.Begin()
+	// The paper prices T1 at 6, T2 at 4 and T3 at 1; the manager prices
+	// a victim at the locks it holds + 1. T3 holds one lock, so it costs
+	// 2, and T2 must cost more than 4 for aborting T3 to stay cheaper
+	// than repositioning T2 behind T3 (priced at half of T2). T1 takes
+	// five locks besides R1 and T2 three besides R2: 7, 5 and 2 make
+	// every choice the paper's costs make.
+	for i, tx := range []*Txn{t1, t1, t1, t1, t1, t2, t2, t2} {
+		if err := tx.Lock(ctx, ResourceID(fmt.Sprintf("own%d", i)), X); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := t1.Lock(ctx, "R1", S); err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +55,9 @@ func TestExample51PhaseReport(t *testing.T) {
 	waitBlocked(t, m, t1.ID())
 
 	st := m.Detect()
-	// The paper's resolution: T3 (cost 1) picked for the big cycle, T2
-	// (cost 4) for {T1,T2}; Step 3 aborts T2 first, which unblocks T3 —
-	// T3 is salvaged and only T2 dies.
+	// The paper's resolution: T3 (the cheapest) picked for the big
+	// cycle, T2 (cheaper than T1) for {T1,T2}; Step 3 aborts T2 first,
+	// which unblocks T3 — T3 is salvaged and only T2 dies.
 	if st.Aborted != 1 || st.Salvaged != 1 {
 		t.Fatalf("stats = %+v, want 1 abort and 1 salvage\n%s", st, m.Snapshot())
 	}

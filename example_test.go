@@ -33,13 +33,10 @@ func ExampleManager() {
 	// table/users(IX): Holder((T1, IX, NL)) Queue()
 }
 
-// ExampleManager_Detect resolves a deadlock manually and shows which
+// ExampleManager_Detect resolves a deadlock manually and shows that one
 // transaction was sacrificed.
 func ExampleManager_Detect() {
-	lm := hwtwbg.Open(hwtwbg.Options{
-		// Make T1 precious so T2 is always the victim.
-		Cost: func(id hwtwbg.TxnID) float64 { return float64(id) },
-	})
+	lm := hwtwbg.Open(hwtwbg.Options{})
 	defer lm.Close()
 	ctx := context.Background()
 

@@ -134,11 +134,6 @@ type Options struct {
 	// of two. Zero derives it from runtime.GOMAXPROCS(0). One shard
 	// reproduces the serial facade (every resource behind one mutex).
 	Shards int
-	// Cost prices victim candidates. Nil selects the built-in metric
-	// (locks held + 1), so younger transactions die first. Cost is
-	// called from the detector with no shard lock held and must not call
-	// back into the Manager.
-	Cost func(TxnID) float64
 	// DisableTDR2 turns off resolution-by-repositioning; every deadlock
 	// is then resolved by aborting a victim.
 	DisableTDR2 bool
@@ -414,14 +409,10 @@ func Open(opts Options) *Manager {
 	m.mt = &multiTable{shards: m.shards}
 	m.activations = make([]ActivationReport, 128)
 	m.snap = table.NewSnapshot()
-	cost := opts.Cost
-	if cost == nil {
-		cost = m.defaultCost
-	}
 	// The detector runs over the snapshot's view, which holds only the
 	// resources that can contribute graph edges (exactly output-
 	// preserving; see table.SnapView).
-	m.snapDet = detect.New(m.snap.View(), detect.Config{Cost: cost, DisableTDR2: opts.DisableTDR2})
+	m.snapDet = detect.New(m.snap.View(), detect.Config{Cost: m.defaultCost, DisableTDR2: opts.DisableTDR2})
 	m.cost = &costModel{}
 	m.schedMin, m.schedMax = schedBounds(opts.Period, opts.MaxPeriod)
 	m.curPeriod.Store(int64(opts.Period))
@@ -441,11 +432,12 @@ func Open(opts Options) *Manager {
 // phase timing the manager makes comes from here.
 func (m *Manager) now() int64 { return m.clockBaseNs + int64(time.Since(m.clockBase)) }
 
-// defaultCost is the default victim metric, locks held + 1. It prices
-// a candidate from the snapshot itself, since the live shards are
-// unlocked while the algorithm runs, by the stamp of the candidate's
-// wait: every transaction a detector prices waits — a TDR-1 junction or
-// a TDR-2 ST member (TestCostPricesOnlyWaiters).
+// defaultCost is the victim metric, locks held + 1, so younger
+// transactions die first. It prices a candidate from the snapshot
+// itself, since the live shards are unlocked while the algorithm runs,
+// by the stamp of the candidate's wait: every transaction a detector
+// prices waits — a TDR-1 junction or a TDR-2 ST member
+// (TestCostPricesOnlyWaiters).
 func (m *Manager) defaultCost(id TxnID) float64 { return float64(m.snap.HeldCount(id) + 1) }
 
 // schedBounds derives the clamp on the cost-model period: min is

@@ -32,7 +32,6 @@ import (
 type Table interface {
 	EachResource(f func(*table.Resource) bool)
 	Resource(rid table.ResourceID) *table.Resource
-	WaitingOn(txn table.TxnID) (table.ResourceID, lock.Mode, bool)
 	PeekAVST(rid table.ResourceID, j table.TxnID, av, st []table.QueueEntry) ([]table.QueueEntry, []table.QueueEntry)
 	RepositionAVST(rid table.ResourceID, j table.TxnID, av, st []table.QueueEntry) ([]table.QueueEntry, []table.QueueEntry)
 	Abort(txn table.TxnID) []table.Grant
@@ -79,7 +78,7 @@ func (c Config) cost(t table.TxnID) float64 {
 		return c.Costs.Cost(t)
 	}
 	if c.Cost != nil {
-		return c.Cost(t) //hwlint:allow allocbudget -- caller-supplied price; the manager's default reads the snapshot's held counts without allocating
+		return c.Cost(t) //hwlint:allow allocbudget -- caller-supplied price; the manager's reads the snapshot's held counts without allocating
 	}
 	return 1
 }
@@ -267,19 +266,20 @@ type Detector struct {
 	peekAV     []table.QueueEntry
 	peekST     []table.QueueEntry
 
-	// wireW and wireH are Step 1's EachResource visitors, bound once:
-	// a method value made per run would be allocated per run.
-	wireW, wireH func(*table.Resource) bool
+	// rules is Step 1's scratch for one resource's edges. wireR is its
+	// EachResource visitor, bound once: a method value made per run
+	// would be allocated per run.
+	rules []CycleEdge
+	wireR func(*table.Resource) bool
 }
 
 // vertex is one TST entry: the waited adjacency list (W edge first, then
 // H edges), the resumable edge cursor, and the ancestor mark.
 type vertex struct {
 	edges    []wedge
-	cur      int         // index into edges; len(edges) plays the role of current = nil
-	ancestor table.TxnID // 0 unvisited, rootMark for the walk root, else the DFS parent
-	pr       table.ResourceID
-	inQueue  bool
+	cur      int              // index into edges; len(edges) plays the role of current = nil
+	ancestor table.TxnID      // 0 unvisited, rootMark for the walk root, else the DFS parent
+	pr       table.ResourceID // the resource whose queue it waits in, "" when none
 }
 
 // wedge is one waited-list edge: (lock, tid) in the paper's encoding,
@@ -304,7 +304,7 @@ func New(tb Table, cfg Config) *Detector {
 		verts:    make(map[table.TxnID]*vertex),
 		grantSet: make(map[table.TxnID]bool),
 	}
-	d.wireW, d.wireH = d.wireQueue, d.wireHolders
+	d.wireR = d.wire
 	return d
 }
 
@@ -323,7 +323,6 @@ func (d *Detector) allocVertex() *vertex {
 	v.cur = 0
 	v.ancestor = 0
 	v.pr = ""
-	v.inQueue = false
 	return v
 }
 
@@ -349,9 +348,9 @@ func (d *Detector) Run() Result {
 	return res
 }
 
-// step1 constructs the per-run TST: W edges from every queue (always
-// conceptually present), H edges by ECR-1 and ECR-2 over every resource,
-// and initializes ancestor/current plus the global lists and arenas.
+// step1 constructs the per-run TST from the edges every resource
+// induces by the Edge Construction Rules (RuleEdges), and initializes
+// ancestor/current plus the global lists and arenas.
 func (d *Detector) step1() {
 	clear(d.verts)
 	d.usedVerts = 0
@@ -369,11 +368,7 @@ func (d *Detector) step1() {
 	d.cycles = 0
 	d.edgeVisits = 0
 
-	// W edges first so they sit at the front of each waited list
-	// ("the edge whose lock is not NL is put at the front").
-	d.tb.EachResource(d.wireW)
-	// H edges by ECR-1 and ECR-2.
-	d.tb.EachResource(d.wireH)
+	d.tb.EachResource(d.wireR)
 	slices.Sort(d.order)
 	// ancestor and current start clean: ancestor = 0, current = waited.
 	// (vertex zero values already satisfy this.)
@@ -390,56 +385,32 @@ func (d *Detector) vertex(id table.TxnID) *vertex {
 	return v
 }
 
-// wireQueue adds the W edge of every member of r's queue.
-func (d *Detector) wireQueue(r *table.Resource) bool {
-	qn := r.QueueLen()
-	for i := 0; i < qn; i++ {
-		entry := r.QueueAt(i)
-		v := d.vertex(entry.Txn)
-		v.pr = r.ID()
-		v.inQueue = true
-		next := table.TxnID(0)
-		if i+1 < qn {
-			next = r.QueueAt(i + 1).Txn
+// wire adds the edges r induces to the TST. A W edge goes to the front
+// of its source's waited list ("the edge whose lock is not NL is put at
+// the front"), behind any W edge already there: only a snapshot merged
+// from shards copied at different instants can queue one transaction
+// twice, and then its W edges keep resource order.
+func (d *Detector) wire(r *table.Resource) bool {
+	d.rules = RuleEdges(d.rules[:0], r)
+	for _, e := range d.rules {
+		w := wedge{Mode: e.Mode, To: e.To, rsrc: e.Resource}
+		if !e.W() {
+			d.vertex(e.To) // an H edge's target exists as a vertex
+			v := d.vertex(e.From)
+			v.edges = append(v.edges, w)
+			continue
 		}
-		v.edges = append(v.edges, wedge{Mode: entry.Blocked, To: next, rsrc: r.ID()})
+		v := d.vertex(e.From)
+		v.pr = e.Resource
+		i := 0
+		for i < len(v.edges) && v.edges[i].Mode != lock.NL {
+			i++
+		}
+		v.edges = append(v.edges, wedge{})
+		copy(v.edges[i+1:], v.edges[i:])
+		v.edges[i] = w
 	}
 	return true
-}
-
-// wireHolders adds the H edges r induces by ECR-1 and ECR-2.
-func (d *Detector) wireHolders(r *table.Resource) bool {
-	hn, qn := r.NumHolders(), r.QueueLen()
-	for i := 0; i < hn; i++ {
-		hi := r.HolderAt(i)
-		for j := i + 1; j < hn; j++ {
-			hj := r.HolderAt(j)
-			if !lock.Comp(hi.Granted, hj.Blocked) || !lock.Comp(hi.Blocked, hj.Blocked) {
-				d.addH(hi.Txn, hj.Txn, r.ID())
-			}
-			if !lock.Comp(hi.Blocked, hj.Granted) {
-				d.addH(hj.Txn, hi.Txn, r.ID())
-			}
-		}
-	}
-	for i := 0; i < hn; i++ {
-		h := r.HolderAt(i)
-		for j := 0; j < qn; j++ {
-			w := r.QueueAt(j)
-			if !lock.Comp(w.Blocked, h.Granted) || !lock.Comp(w.Blocked, h.Blocked) {
-				d.addH(h.Txn, w.Txn, r.ID())
-				break
-			}
-		}
-	}
-	return true
-}
-
-// addH adds the H edge from -> to induced at rid.
-func (d *Detector) addH(from, to table.TxnID, rid table.ResourceID) {
-	d.vertex(to) // ensure the target exists as a vertex
-	v := d.vertex(from)
-	v.edges = append(v.edges, wedge{Mode: lock.NL, To: to, rsrc: rid})
 }
 
 // step2 is the directed walk of the paper: for each transaction in id
@@ -455,7 +426,11 @@ func (d *Detector) step2() {
 			if vv.cur >= len(vv.edges) { // current = nil
 				w := vv.ancestor
 				vv.ancestor = 0
-				d.emit(TraceEvent{Kind: TraceBacktrack, From: v, To: w})
+				to := w
+				if w == rootMark {
+					to = 0 // the root's walk is done
+				}
+				d.emit(TraceEvent{Kind: TraceBacktrack, From: v, To: to})
 				v = w
 				continue
 			}

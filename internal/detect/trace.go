@@ -18,7 +18,8 @@ const (
 	// exhausted/killed target, or — on a torn snapshot only — one that
 	// would close a cycle of W edges alone, which is no deadlock).
 	TraceSkip
-	// TraceBacktrack: the walk retreated to the vertex's ancestor.
+	// TraceBacktrack: the walk retreated to the vertex's ancestor; To
+	// is 0 when the vertex was the walk's root, whose walk is done.
 	TraceBacktrack
 	// TraceCycle: an edge reached a vertex with a non-zero ancestor —
 	// a deadlock cycle was detected.
@@ -68,6 +69,9 @@ func (e TraceEvent) String() string {
 	case TraceSkip:
 		return fmt.Sprintf("skip edge %v -> %v", e.From, e.To)
 	case TraceBacktrack:
+		if e.To == 0 {
+			return fmt.Sprintf("backtrack %v (root done)", e.From)
+		}
 		return fmt.Sprintf("backtrack %v -> %v", e.From, e.To)
 	case TraceCycle:
 		s := "cycle detected:"

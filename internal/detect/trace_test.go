@@ -103,6 +103,7 @@ func TestTraceStrings(t *testing.T) {
 		"visit T1 -> T2":                              {Kind: TraceVisit, From: 1, To: 2},
 		"skip edge T1 -> T0":                          {Kind: TraceSkip, From: 1, To: 0},
 		"backtrack T2 -> T1":                          {Kind: TraceBacktrack, From: 2, To: 1},
+		"backtrack T1 (root done)":                    {Kind: TraceBacktrack, From: 1},
 		"cycle detected: T1 T2":                       {Kind: TraceCycle, Cycle: []table.TxnID{1, 2}},
 		"candidate TDR-1 T3 (cost 2.50)":              {Kind: TraceCandidate, From: 3, Cost: 2.5},
 		"candidate TDR-2 at junction T3 (cost 0.50)":  {Kind: TraceCandidate, From: 3, Cost: 0.5, TDR2: true},

@@ -125,34 +125,17 @@ func (d *Detector) victimSelection(v, w table.TxnID) bool {
 		if d.outEdge(prev).Mode == lock.NL {
 			continue // incoming edge is H-labeled: TDR-2 does not apply
 		}
-		vu := d.verts[u]
-		if !vu.inQueue {
+		pr := d.verts[u].pr
+		if !TDR2Applies(d.tb, u, pr) {
 			continue
 		}
-		r := d.tb.Resource(vu.pr)
-		if r == nil {
-			continue
-		}
-		_, bm, ok := d.tb.WaitingOn(u)
-		if !ok || !lock.Comp(bm, r.TotalMode()) {
-			continue
-		}
-		av, st := d.tb.PeekAVST(vu.pr, u, d.peekAV[:0], d.peekST[:0])
+		av, st := d.tb.PeekAVST(pr, u, d.peekAV[:0], d.peekST[:0])
 		d.peekAV, d.peekST = av, st
-		if len(av) == 0 || av[len(av)-1].Txn != u {
-			// On a consistent table the junction closes its own AV (its
-			// blocked mode was just checked against the total mode). A
-			// torn snapshot can show u queued at two resources, with the
-			// mode from one checked against the queue of the other; then
-			// repositioning would move and kill nothing, and the walk
-			// would find this cycle again forever. TDR-1 still applies.
-			continue
-		}
 		sum := 0.0
 		for _, q := range st {
 			sum += d.cfg.cost(q.Txn)
 		}
-		c := candidate{junction: u, cost: sum / 2, tdr2: true, resource: vu.pr}
+		c := candidate{junction: u, cost: sum / 2, tdr2: true, resource: pr}
 		d.emit(TraceEvent{Kind: TraceCandidate, From: u, Cost: c.cost, TDR2: true})
 		if better(c, best, d.cfg.PreferAbortOnTie) {
 			best = c
@@ -211,24 +194,18 @@ func (d *Detector) apply(c candidate, evidence []CycleEdge) {
 }
 
 // rewireQueue refreshes the W edges of rid's queue members after a
-// repositioning. A queue member's W edge is always the first entry of
-// its waited list; only its successor changes.
+// repositioning, from the ECR-3 edges RuleEdges yields for the new
+// order. A queue member's W edge is always the first entry of its
+// waited list; only its successor changes.
 func (d *Detector) rewireQueue(rid table.ResourceID) {
 	r := d.tb.Resource(rid)
 	if r == nil {
 		return
 	}
-	qn := r.QueueLen()
-	for i := 0; i < qn; i++ {
-		entry := r.QueueAt(i)
-		v, ok := d.verts[entry.Txn]
-		if !ok || len(v.edges) == 0 || v.edges[0].Mode == lock.NL {
-			continue
+	d.rules = RuleEdges(d.rules[:0], r)
+	for _, e := range d.rules {
+		if v, ok := d.verts[e.From]; ok && e.W() && len(v.edges) > 0 && v.edges[0].Mode != lock.NL {
+			v.edges[0].To = e.To
 		}
-		next := table.TxnID(0)
-		if i+1 < qn {
-			next = r.QueueAt(i + 1).Txn
-		}
-		v.edges[0].To = next
 	}
 }

@@ -120,7 +120,7 @@ func TestActiveCopyEquivalence(t *testing.T) {
 			}
 			for _, e := range want.Edges {
 				for _, v := range []table.TxnID{e.From, e.To} {
-					if _, _, waits := snap.View().WaitingOn(v); !waits {
+					if _, _, waits := snap.ActiveTable().WaitingOn(v); !waits {
 						if n := snap.HeldCount(v); n != 0 {
 							t.Fatalf("table %d %s: HeldCount(%v) = %d for a transaction that does not wait", i, name, v, n)
 						}

@@ -111,7 +111,7 @@ func (t *Table) rescheduleAfterHolderRemoval(r *Resource) {
 			break
 		}
 		h := r.holders[0]
-		if !t.compatibleWithOtherHolders(r, h.Txn, h.Blocked) {
+		if !r.compatibleWithOthers(h.Txn, h.Blocked) {
 			break
 		}
 		// Grant: substitute bm for gm, clear bm, move the entry to the

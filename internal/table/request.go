@@ -108,14 +108,12 @@ func stamp(st *txnState, held int) int32 {
 // convert handles a re-request by an existing holder (a lock conversion).
 func (t *Table) convert(st *txnState, r *Resource, i int, m lock.Mode, held int) bool {
 	h := &r.holders[i]
-	newMode := lock.Conv(h.Granted, m)
-	if newMode == h.Granted {
-		// The held mode already covers the request; nothing to do.
-		return true
-	}
-	if t.compatibleWithOtherHolders(r, h.Txn, newMode) {
-		h.Granted = newMode
-		r.total = lock.Conv(r.total, m)
+	newMode, ok := r.grants(i, m)
+	if ok {
+		if newMode != h.Granted { // else the held mode already covers the request
+			h.Granted = newMode
+			r.total = lock.Conv(r.total, m)
+		}
 		return true
 	}
 	// Block the conversion: record bm, fold the request into tm, and
@@ -139,7 +137,7 @@ func (t *Table) convert(st *txnState, r *Resource, i int, m lock.Mode, held int)
 
 // newRequest handles a request by a transaction that holds nothing on r.
 func (t *Table) newRequest(st *txnState, r *Resource, txn TxnID, m lock.Mode, held int) bool {
-	if len(r.queue) == 0 && lock.Comp(m, r.total) {
+	if _, ok := r.grants(-1, m); ok {
 		// Immediate grants of new requestors keep arrival order at the
 		// end of the holder list (the paper's initial example states).
 		r.holders = append(r.holders, HolderEntry{Txn: txn, Granted: m})
@@ -155,10 +153,29 @@ func (t *Table) newRequest(st *txnState, r *Resource, txn TxnID, m lock.Mode, he
 	return false
 }
 
-// compatibleWithOtherHolders reports whether mode m is compatible with the
+// grants is the grant test of Section 3's scheduling policy for a
+// request of mode m on r, by the holder at index i (a conversion) or,
+// with i < 0, by a transaction holding nothing on r (a new requestor):
+//
+//   - a conversion is granted when the combined mode Conv(gm, m) equals
+//     the current gm, or is compatible with every other holder's gm;
+//   - a new requestor is granted when the queue is empty and m is
+//     compatible with the total mode.
+//
+// It returns the mode the requestor would then hold.
+func (r *Resource) grants(i int, m lock.Mode) (lock.Mode, bool) {
+	if i < 0 {
+		return m, len(r.queue) == 0 && lock.Comp(m, r.total)
+	}
+	h := r.holders[i]
+	newMode := lock.Conv(h.Granted, m)
+	return newMode, newMode == h.Granted || r.compatibleWithOthers(h.Txn, newMode)
+}
+
+// compatibleWithOthers reports whether mode m is compatible with the
 // granted mode of every holder of r other than txn (the grant test for
 // conversions, Section 3).
-func (t *Table) compatibleWithOtherHolders(r *Resource, txn TxnID, m lock.Mode) bool {
+func (r *Resource) compatibleWithOthers(txn TxnID, m lock.Mode) bool {
 	for _, h := range r.holders {
 		if h.Txn != txn && !lock.Comp(m, h.Granted) {
 			return false

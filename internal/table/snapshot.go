@@ -290,11 +290,6 @@ func (v *SnapView) EachResource(f func(*Resource) bool) {
 // Resource returns the merged table entry for rid, or nil.
 func (v *SnapView) Resource(rid ResourceID) *Resource { return v.s.tb.Resource(rid) }
 
-// WaitingOn reports the merged wait state of txn.
-func (v *SnapView) WaitingOn(txn TxnID) (ResourceID, lock.Mode, bool) {
-	return v.s.tb.WaitingOn(txn)
-}
-
 // PeekAVST delegates to the merged table.
 func (v *SnapView) PeekAVST(rid ResourceID, j TxnID, av, st []QueueEntry) ([]QueueEntry, []QueueEntry) {
 	return v.s.tb.PeekAVST(rid, j, av, st)

@@ -3,18 +3,12 @@ package table
 import "hwtwbg/internal/lock"
 
 // WouldGrant predicts, without mutating anything, whether Request(txn,
-// rid, m) would be granted immediately. It mirrors the grant tests of
-// the scheduling policy (Section 3) exactly:
-//
-//   - a conversion is granted when the combined mode Conv(gm, m) equals
-//     the current gm, or is compatible with every other holder's gm;
-//   - a new requestor is granted when the queue is empty and m is
-//     compatible with the total mode.
-//
-// A request the table would refuse with an error (blocked requestor,
-// bad mode, null txn) reports false. TryLock is built on this
-// prediction; the crosscheck test in wouldgrant_test.go verifies it
-// against actual Request outcomes over randomized tables.
+// rid, m) would be granted immediately: it asks the grant test Request
+// itself decides by (Resource.grants). A request the table would refuse
+// with an error (blocked requestor, bad mode, null txn) reports false.
+// TryLock is built on this prediction; the crosscheck test in
+// wouldgrant_test.go verifies it against actual Request outcomes over
+// randomized tables.
 func (t *Table) WouldGrant(txn TxnID, rid ResourceID, m lock.Mode) bool {
 	if txn == None || !m.Valid() || m == lock.NL {
 		return false
@@ -26,15 +20,8 @@ func (t *Table) WouldGrant(txn TxnID, rid ResourceID, m lock.Mode) bool {
 	if r == nil {
 		return true
 	}
-	if i := r.holderIndex(txn); i >= 0 {
-		h := r.holders[i]
-		newMode := lock.Conv(h.Granted, m)
-		if newMode == h.Granted {
-			return true
-		}
-		return t.compatibleWithOtherHolders(r, txn, newMode)
-	}
-	return len(r.queue) == 0 && lock.Comp(m, r.total)
+	_, ok := r.grants(r.holderIndex(txn), m)
+	return ok
 }
 
 // HeldCount returns the number of resources on which txn has a holder

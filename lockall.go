@@ -30,7 +30,7 @@ type pendOutcome struct {
 // batchScratch is LockAll's reusable sort and flush scratch, inlined
 // into the Txn so steady-state batches allocate nothing.
 type batchScratch struct {
-	ord  []batchEnt
+	ord  []batchEnt // see order
 	pend []pendOutcome
 }
 
@@ -73,18 +73,7 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 	}
 	m := t.m
 
-	// Sort the batch by (shard, original index). Batches are small;
-	// insertion sort beats sort.Slice here and allocates nothing.
-	ord := t.batch.ord[:0]
-	for i := range reqs {
-		ord = append(ord, batchEnt{shard: shardIndex(reqs[i].Resource, m.mask), idx: int32(i)})
-	}
-	for i := 1; i < len(ord); i++ {
-		for j := i; j > 0 && less(ord[j], ord[j-1]); j-- {
-			ord[j], ord[j-1] = ord[j-1], ord[j]
-		}
-	}
-	t.batch.ord = ord
+	ord := t.batch.order(reqs, m.mask, len(m.shards))
 
 	pos := 0
 	for pos < len(ord) {
@@ -167,9 +156,32 @@ func (t *Txn) LockAll(ctx context.Context, reqs []LockRequest) error {
 	return nil
 }
 
-// less orders batch entries by (shard, original index).
-func less(a, b batchEnt) bool {
-	return a.shard < b.shard || (a.shard == b.shard && a.idx < b.idx)
+// order returns reqs' entries sorted by (shard, original index) with a
+// stable counting sort, O(len(reqs) + shards). The scratch holds three
+// regions, so that one growth site serves them all: the keys in request
+// order, one counter per shard (in its idx field) and the sorted order
+// the keys are placed into, which is what is returned.
+func (b *batchScratch) order(reqs []LockRequest, mask uint32, shards int) []batchEnt {
+	n := len(reqs)
+	buf := b.ord[:0]
+	for range 2*n + shards {
+		buf = append(buf, batchEnt{})
+	}
+	b.ord = buf
+	keys, next, ord := buf[:n], buf[n:n+shards], buf[n+shards:]
+	for i := range reqs {
+		keys[i] = batchEnt{shard: shardIndex(reqs[i].Resource, mask), idx: int32(i)}
+		next[keys[i].shard].idx++
+	}
+	start := int32(0)
+	for s := range next {
+		start, next[s].idx = start+next[s].idx, start
+	}
+	for _, e := range keys {
+		ord[next[e.shard].idx] = e
+		next[e.shard].idx++
+	}
+	return ord
 }
 
 // flushBatch reports one shard round of a batch through the shard's

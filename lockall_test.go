@@ -7,10 +7,12 @@
 package hwtwbg
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,6 +218,50 @@ func TestLockAllMutexRounds(t *testing.T) {
 	}
 	if got := acquires(mSeq) - base; got != n {
 		t.Fatalf("sequential acquisition of %d keys took %d mutex rounds, want %d", n, got, n)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLockAllOrder pins the acquisition order of a 1,000-request batch
+// over 8 shards: every request once, by shard, and in argument order
+// within a shard — what a stable sort by shard gives — and the batch
+// takes its locks in that order.
+func TestLockAllOrder(t *testing.T) {
+	m := Open(Options{Shards: 8})
+	defer m.Close()
+	reqs := make([]LockRequest, 1000)
+	for i := range reqs {
+		reqs[i] = LockRequest{Resource: ResourceID(fmt.Sprintf("o%d", i)), Mode: X}
+	}
+	tx := m.Begin()
+	ord := tx.batch.order(reqs, m.mask, len(m.shards))
+	want := make([]batchEnt, len(reqs))
+	for i := range reqs {
+		want[i] = batchEnt{shard: shardIndex(reqs[i].Resource, m.mask), idx: int32(i)}
+	}
+	slices.SortStableFunc(want, func(a, b batchEnt) int { return cmp.Compare(a.shard, b.shard) })
+	if !slices.Equal(ord, want) {
+		t.Fatalf("order differs from the stable sort by shard:\n got %v\nwant %v", ord, want)
+	}
+	if want[0].shard == want[len(want)-1].shard {
+		t.Fatalf("all 1000 requests on shard %d: the order tests nothing", want[0].shard)
+	}
+
+	if err := tx.LockAll(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	// Held lists the shards in first-use order and each shard's locks
+	// in grant order.
+	held := tx.Held()
+	if len(held) != len(want) {
+		t.Fatalf("holds %d locks, want %d", len(held), len(want))
+	}
+	for i, e := range want {
+		if held[i] != reqs[e.idx].Resource {
+			t.Fatalf("lock %d taken was %s, want %s", i, held[i], reqs[e.idx].Resource)
+		}
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)

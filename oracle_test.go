@@ -33,10 +33,7 @@ type stwOracle struct {
 }
 
 func newSTWOracle(m *Manager) *stwOracle {
-	cost := m.opts.Cost
-	if cost == nil {
-		cost = func(id TxnID) float64 { return float64(m.mt.heldCount(id) + 1) }
-	}
+	cost := func(id TxnID) float64 { return float64(m.mt.heldCount(id) + 1) }
 	return &stwOracle{m: m, det: detect.New(m.mt, detect.Config{Cost: cost, DisableTDR2: m.opts.DisableTDR2})}
 }
 

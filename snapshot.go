@@ -145,14 +145,16 @@ type replayOutcome struct {
 
 // replayScratch is the validate-then-act phase's storage, kept across
 // activations under detMu like the detector's own arenas: the outcome's
-// lists, the locked shard set, the confirmed TDR-1 resolutions and the
-// live repositioning's AV/ST split. An outcome is consumed by
+// lists, the locked shard set, the confirmed TDR-1 resolutions, the
+// live edges of the resource under validation and the live
+// repositioning's AV/ST split. An outcome is consumed by
 // recordActivation before Detect returns, so the next activation may
 // overwrite it.
 type replayScratch struct {
 	out       replayOutcome
 	idx       []uint32
 	confirmed []int // indexes of the validated TDR-1 resolutions, ascending
+	edges     []detect.CycleEdge
 	av, st    []table.QueueEntry
 }
 

@@ -4,8 +4,6 @@ import (
 	"slices"
 
 	"hwtwbg/internal/detect"
-	"hwtwbg/internal/lock"
-	"hwtwbg/internal/table"
 )
 
 // Validation: the snapshot detector finds cycles in a view assembled
@@ -48,80 +46,32 @@ func (m *Manager) cycleShards(buf []uint32, cycle []detect.CycleEdge) []uint32 {
 // checked against a single consistent instant.
 func (m *Manager) cycleHolds(cycle []detect.CycleEdge) bool {
 	for _, e := range cycle {
-		r := m.shardFor(e.Resource).tb.Resource(e.Resource)
-		if r == nil || !edgeHolds(r, e) {
+		if !m.edgeHolds(e) {
 			return false
 		}
 	}
 	return true
 }
 
-// edgeHolds re-checks one edge's evidence on the live resource. A W
-// edge asserts From still sits immediately before To in the queue,
-// blocked in the recorded mode; an H edge asserts the ECR-1 or ECR-2
-// conflict that induced it still holds (the same rules Step 1 wires
-// edges by). The check errs on the strict side: any drift fails the
-// edge and the whole cycle is dropped.
-func edgeHolds(r *table.Resource, e detect.CycleEdge) bool {
-	if e.W() {
-		qn := r.QueueLen()
-		for i := 0; i+1 < qn; i++ {
-			if q := r.QueueAt(i); q.Txn == e.From {
-				return q.Blocked == e.Mode && r.QueueAt(i+1).Txn == e.To
-			}
-		}
+// edgeHolds reports whether the live resource still induces e: the
+// Edge Construction Rules Step 1 wired the snapshot by, applied to the
+// resource now, yield it. So a W edge holds while From sits right
+// before To in the queue, blocked in the recorded mode, and an H edge
+// while the two are conflicting holders or To is the first waiter to
+// conflict with From. Any drift fails the edge, and the caller drops
+// the whole cycle.
+func (m *Manager) edgeHolds(e detect.CycleEdge) bool {
+	r := m.shardFor(e.Resource).tb.Resource(e.Resource)
+	if r == nil {
 		return false
 	}
-	// H edge: From must still hold (or hold-and-convert on) the resource.
-	hn := r.NumHolders()
-	from := -1
-	for i := 0; i < hn; i++ {
-		if r.HolderAt(i).Txn == e.From {
-			from = i
-			break
-		}
-	}
-	if from < 0 {
-		return false
-	}
-	hf := r.HolderAt(from)
-	// ECR-1: To is a fellow holder in conflict. The rule is ordered —
-	// which of the pair's conflicts induces From -> To depends on their
-	// holder-list positions, exactly as Step 1 wired it.
-	for i := 0; i < hn; i++ {
-		if r.HolderAt(i).Txn != e.To {
-			continue
-		}
-		ht := r.HolderAt(i)
-		if from < i {
-			return !lock.Comp(hf.Granted, ht.Blocked) || !lock.Comp(hf.Blocked, ht.Blocked)
-		}
-		return !lock.Comp(ht.Blocked, hf.Granted)
-	}
-	// ECR-2: To must be the FIRST queue member in conflict with From
-	// (Step 1 stops at the first, so a match further back is a different
-	// edge, not this one).
-	qn := r.QueueLen()
-	for j := 0; j < qn; j++ {
-		w := r.QueueAt(j)
-		if !lock.Comp(w.Blocked, hf.Granted) || !lock.Comp(w.Blocked, hf.Blocked) {
-			return w.Txn == e.To
-		}
-	}
-	return false
+	m.replay.edges = detect.RuleEdges(m.replay.edges[:0], r)
+	return slices.Contains(m.replay.edges, e)
 }
 
-// tdr2Holds re-checks the TDR-2 applicability condition live: the
-// junction is still queued on the recorded resource and its blocked
-// mode is compatible with the live total mode (Definition 4.1's AV/ST
-// split is only defined under that condition). Caller holds the owning
-// shard's mutex.
+// tdr2Holds re-checks TDR-2's precondition live (detect.TDR2Applies):
+// the junction still waits in the recorded queue, in a mode compatible
+// with the live total mode. Caller holds the owning shard's mutex.
 func (m *Manager) tdr2Holds(r *detect.Resolution) bool {
-	tb := m.shardFor(r.Resource).tb
-	rid, bm, ok := tb.WaitingOn(r.Victim)
-	if !ok || rid != r.Resource {
-		return false
-	}
-	res := tb.Resource(r.Resource)
-	return res != nil && lock.Comp(bm, res.TotalMode())
+	return detect.TDR2Applies(m.shardFor(r.Resource).tb, r.Victim, r.Resource)
 }

@@ -13,6 +13,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"hwtwbg/internal/detect"
 )
 
 // TestValidateWAdjacencyDrift breaks a cycle's W edge without touching
@@ -471,6 +473,64 @@ func TestValidateWindowActiveCopy(t *testing.T) {
 func mustLock(t *testing.T, tx *Txn, r ResourceID) {
 	t.Helper()
 	if err := tx.Lock(context.Background(), r, X); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateEdgeRules asks validation about each edge one resource
+// can be said to induce, on a live queue where it matters which waiter
+// conflicts first: A is held in X by T1, with T2 (X) and T3 (X) queued
+// behind it. Validation confirms exactly what Step 1 would wire — the
+// ECR-2 edge to the first conflicting waiter and the W edge down the
+// queue — and nothing else, an edge to a conflicting waiter further
+// back included.
+func TestValidateEdgeRules(t *testing.T) {
+	m := Open(Options{Shards: 1})
+	defer m.Close()
+	bg := context.Background()
+	t1, t2, t3 := m.Begin(), m.Begin(), m.Begin()
+	if err := t1.Lock(bg, "A", X); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for _, tx := range []*Txn{t2, t3} {
+		go func() { errs <- tx.Lock(bg, "A", X) }()
+		waitBlocked(t, m, tx.ID())
+	}
+	id1, id2, id3 := t1.ID(), t2.ID(), t3.ID()
+	for _, c := range []struct {
+		e    detect.CycleEdge
+		want bool
+	}{
+		{detect.CycleEdge{From: id1, To: id2, Resource: "A"}, true},           // ECR-2: the first conflicting waiter
+		{detect.CycleEdge{From: id1, To: id3, Resource: "A"}, false},          // a conflicting waiter, but not the first
+		{detect.CycleEdge{From: id2, To: id3, Resource: "A", Mode: X}, true},  // ECR-3
+		{detect.CycleEdge{From: id2, To: id3, Resource: "A", Mode: S}, false}, // ECR-3 in a mode T2 does not wait in
+		{detect.CycleEdge{From: id3, To: id2, Resource: "A", Mode: X}, false}, // against the queue's order
+		{detect.CycleEdge{From: id2, To: id1, Resource: "A"}, false},          // no rule points a waiter at the holder
+		{detect.CycleEdge{From: id1, To: id2, Resource: "B"}, false},          // no such resource
+	} {
+		s := m.shardFor("A")
+		s.mu.Lock()
+		got := m.cycleHolds([]detect.CycleEdge{c.e})
+		s.mu.Unlock()
+		if got != c.want {
+			t.Errorf("edge %+v holds = %v, want %v", c.e, got, c.want)
+		}
+	}
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if err := t2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if err := t3.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
