@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint audit fuzzsmoke benchcheck mains ci
+.PHONY: all build vet test race lint fuzzsmoke benchcheck mains ci
 
 all: ci
 
@@ -12,7 +12,10 @@ vet:
 
 # The plain suite. It carries the allocation gates: TestAllocationPins
 # (public API and detector activations), TestWireVerbAllocs and
-# TestKVTxnAllocs, which -race skips.
+# TestKVTxnAllocs, which -race skips. Every manager a test opens with
+# the audit hook set has the paper-property auditor (internal/audit)
+# re-verify each detector activation against Theorem 1/3.1/4.1 and
+# Lemma 4.1 from scratch, here and under -race alike.
 test:
 	$(GO) test ./...
 
@@ -27,14 +30,6 @@ race:
 lint: vet
 	test -z "$$(gofmt -l .)"
 	$(GO) run ./cmd/hwlint ./...
-
-# Runtime invariant audit: the whole test suite with the invariants
-# build tag, which arms the paper-property auditor (internal/audit) on
-# every manager a test opens with the audit hook — each detector
-# activation is re-verified against Theorem 1/3.1/4.1 and Lemma 4.1
-# from scratch.
-audit:
-	$(GO) test -tags=invariants ./...
 
 # Ten seconds of each fuzzer beyond its checked-in seeds. FuzzTableOps:
 # requests, commits, aborts and the detector's queue surgery in
@@ -70,6 +65,6 @@ mains:
 	test -z "$$untested" || { echo "main packages without a test file:"; echo "$$untested"; exit 1; }
 
 # The gate CI runs: everything must pass, including the race detector
-# over the cross-shard stress tests, the static analyzers, and the
-# invariants-tagged audit suite.
-ci: build lint mains test race audit fuzzsmoke benchcheck
+# over the cross-shard stress tests (audited, like the plain suite) and
+# the static analyzers.
+ci: build lint mains test race fuzzsmoke benchcheck

@@ -133,7 +133,7 @@ func TestJournaledCyclesMatchTheirActivation(t *testing.T) {
 		if st := s.m.Detect(); st.Aborted != a.victims || st.Repositioned != a.repositions {
 			t.Fatalf("round %d: activation = %+v", round, st)
 		}
-		want[s.m.Stats().Runs] = a
+		want[s.m.MetricsSnapshot().Detector.Runs] = a
 		s.drain(t)
 	}
 

@@ -1,19 +1,22 @@
-//go:build invariants
-
 package hwtwbg
 
-// Tests that only exist in `go test -tags=invariants` runs: they arm
-// the Options.audit hook and require the runtime invariant auditor to check
-// every detector activation — TDR-1 aborts, TDR-2 repositionings and
-// idle passes, under both the production detector and the STW oracle —
-// and to find nothing.
-// The differential and false-cycle tests in differential_test.go also
-// arm the auditor, so a tagged run re-verifies the paper's properties
-// across the whole randomized workload suite via assertAuditClean.
+// Tests of the runtime invariant auditor itself: they arm the
+// Options.audit hook and require the auditor to check every detector
+// activation — TDR-1 aborts, TDR-2 repositionings and idle passes,
+// under both the production detector and the STW oracle — and to find
+// nothing, to stay dormant without the hook, and to judge a snapshot
+// torn across shards only by the checks that do not presuppose Axiom 1.
+// The differential, drift and hammer tests also arm the auditor, so
+// every build re-verifies the paper's properties across the whole
+// randomized workload suite via assertAuditClean.
 
 import (
 	"context"
+	"slices"
 	"testing"
+
+	"hwtwbg/internal/audit"
+	"hwtwbg/internal/twbg"
 )
 
 // auditedDetectors returns the two activation entry points the auditor
@@ -122,8 +125,8 @@ func TestAuditorTDR2Activation(t *testing.T) {
 	}
 }
 
-// TestAuditorRequiresOption checks the auditor stays dormant — even in
-// an invariants build — unless Options.audit is set.
+// TestAuditorRequiresOption checks the auditor stays dormant unless
+// Options.audit is set, as it is for every production manager.
 func TestAuditorRequiresOption(t *testing.T) {
 	m := Open(Options{Shards: 4})
 	defer m.Close()
@@ -135,5 +138,88 @@ func TestAuditorRequiresOption(t *testing.T) {
 	<-errs
 	if n, reps := m.audits(); n != 0 || len(reps) != 0 {
 		t.Fatalf("%d audited runs, reports %v without Options.audit, want none", n, reps)
+	}
+}
+
+// TestAuditorTornSnapshot pins the torn input the auditor must not
+// judge by the paper's lemmas. Activation 1 copies shard A while T is
+// queued at rA behind a holder, a successor queued behind T; then T's
+// rA request is granted and T blocks at rB in shard B, again with a
+// successor behind it. Shard A's epoch is faked back, so activation 2
+// reuses A's stale copy next to B's fresh one: the merged snapshot
+// shows T waiting twice, with two W successors, which breaks Axiom 1
+// and which CheckGraph would report as a w-successor violation. The
+// auditor must record the snapshot as torn, skip the graph and
+// resolution checks for that activation only, and find nothing; the
+// activation must act on nothing.
+func TestAuditorTornSnapshot(t *testing.T) {
+	m := Open(Options{Shards: 4, audit: true})
+	defer m.Close()
+	ctx := context.Background()
+	rs := distinctShardResources(t, m, 2)
+	rA, rB := rs[0], rs[1]
+	hA, tx, sA, hB, sB := m.Begin(), m.Begin(), m.Begin(), m.Begin(), m.Begin()
+	mustLock(t, hA, rA)
+	mustLock(t, hB, rB)
+	park := func(w *Txn, r ResourceID) <-chan error {
+		errc := make(chan error, 1)
+		go func() { errc <- w.Lock(ctx, r, X) }()
+		waitBlocked(t, m, w.ID())
+		return errc
+	}
+	txA := park(tx, rA)
+	sAErr := park(sA, rA)
+	m.Detect() // shard A is copied with [T, successor] queued at rA
+	shA := m.shards[shardIndex(rA, m.mask)]
+	copied := shA.epoch.load()
+	if err := hA.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-txA; err != nil {
+		t.Fatalf("T's rA lock = %v, want it granted", err)
+	}
+	txB := park(tx, rB)
+	sBErr := park(sB, rB)
+	shA.epoch.v.Store(copied)
+
+	st := m.Detect()
+	if st.CyclesSearched != 0 || st.Validations != 0 || st.Aborted != 0 || st.Repositioned != 0 {
+		t.Fatalf("torn activation = %+v, want it to act on nothing", st)
+	}
+	if vs := audit.CheckGraph(twbg.Build(m.snap.ActiveTable())); len(vs) == 0 || vs[0].Rule != "w-successor" {
+		t.Fatalf("CheckGraph on the torn snapshot = %v, want a w-successor violation", vs)
+	}
+	// Recopy A: the next snapshot is consistent and judged strictly.
+	shA.mu.Lock()
+	shA.epoch.bump()
+	shA.mu.Unlock()
+	m.Detect()
+	_, reps := m.audits()
+	torn := 0
+	for _, rep := range reps {
+		if len(rep.Torn) > 0 {
+			torn++
+			if !slices.Equal(rep.Torn, []TxnID{tx.ID()}) || rep.Seq != 2 {
+				t.Errorf("torn report %s, want audit 2 naming only %v", rep, tx.ID())
+			}
+		}
+	}
+	if torn != 1 {
+		t.Errorf("%d torn snapshots in %v, want 1", torn, reps)
+	}
+	assertAuditClean(t, m)
+
+	for _, step := range []struct {
+		tx   *Txn
+		errc <-chan error
+	}{{hB, nil}, {tx, txB}, {sA, sAErr}, {sB, sBErr}} {
+		if step.errc != nil {
+			if err := <-step.errc; err != nil {
+				t.Fatalf("T%d's lock = %v, want it granted", step.tx.ID(), err)
+			}
+		}
+		if err := step.tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

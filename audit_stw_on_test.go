@@ -1,5 +1,3 @@
-//go:build invariants
-
 package hwtwbg
 
 // The invariant auditor's attachment to the STW oracle's activations
@@ -42,5 +40,5 @@ func (m *Manager) auditPostSTW(pre *auditState, res detect.Result) {
 	vs = append(vs, audit.CheckResolutions(pre.graph, pre.clone, res.Resolutions)...)
 	vs = append(vs, audit.CheckTables(m.shardTables())...)
 	vs = append(vs, audit.CheckAcyclic(m.mt)...)
-	m.recordAudit("stw", vs)
+	m.recordAudit(audit.Report{Detector: "stw", Violations: vs})
 }

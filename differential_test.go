@@ -69,8 +69,8 @@ func applyWorkload(t *testing.T, m *Manager, oracle *table.Table, ops []diffOp, 
 
 // audits returns how many detector activations the runtime invariant
 // auditor has checked and its retained reports, oldest first (the most
-// recent 256, clean ones included). Both stay empty unless the test
-// binary was built with -tags=invariants and m opened with audit set.
+// recent 256, clean ones included). Both stay empty unless m was opened
+// with the audit hook set.
 func (m *Manager) audits() (runs int, reports []audit.Report) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -78,13 +78,19 @@ func (m *Manager) audits() (runs int, reports []audit.Report) {
 }
 
 // assertAuditClean fails the test if the runtime invariant auditor
-// recorded any violation on m. In a plain build (no `invariants` tag)
-// the report list is empty and the check is vacuous; under
-// `go test -tags=invariants` every audit-armed manager in this file is
-// re-verified activation by activation.
+// recorded any violation on m, or checked a different number of
+// activations than m ran — so an audit-armed manager whose auditor went
+// quiet fails instead of passing vacuously. detMu holds any activation in flight back, so the
+// two counts are read between activations.
 func assertAuditClean(t *testing.T, m *Manager) {
 	t.Helper()
-	_, reports := m.audits()
+	m.detMu.Lock()
+	runs, reports := m.audits()
+	ran := m.MetricsSnapshot().Detector.Runs
+	m.detMu.Unlock()
+	if runs != ran {
+		t.Errorf("invariant auditor checked %d activations, the manager ran %d", runs, ran)
+	}
 	for _, rep := range reports {
 		if !rep.Ok() {
 			t.Errorf("invariant auditor: %s", rep)
@@ -308,7 +314,7 @@ func TestDifferentialChurnSkewed(t *testing.T) {
 	if frac := float64(copied) / float64(total); frac > 0.20 {
 		t.Fatalf("incremental detector copied %d of %d shard visits (%.0f%%), want <= 20%%", copied, total, 100*frac)
 	}
-	if stFull := mFull.Stats(); stFull.ShardsSkipped != 0 {
+	if stFull := mFull.MetricsSnapshot().Detector; stFull.ShardsSkipped != 0 {
 		t.Fatalf("full-copy manager skipped %d shards, want 0", stFull.ShardsSkipped)
 	}
 	assertAuditClean(t, mFull)
@@ -377,7 +383,7 @@ func TestIncrementalSnapshotHammer(t *testing.T) {
 	if n := aborts.Load(); n != 0 {
 		t.Fatalf("%d aborts under ordered acquisition — every one is spurious", n)
 	}
-	st := m.Stats()
+	st := m.MetricsSnapshot().Detector
 	if st.Aborted != 0 || st.Repositioned != 0 {
 		t.Fatalf("detector resolved nonexistent deadlocks: %+v", st)
 	}
@@ -523,9 +529,9 @@ func TestSnapshotNoSpuriousAborts(t *testing.T) {
 	close(stop)
 	<-ticking
 	if n := aborts.Load(); n != 0 {
-		t.Fatalf("%d aborts under ordered acquisition — every one is spurious (stats %+v)", n, m.Stats())
+		t.Fatalf("%d aborts under ordered acquisition — every one is spurious (stats %+v)", n, m.MetricsSnapshot().Detector)
 	}
-	st := m.Stats()
+	st := m.MetricsSnapshot().Detector
 	if st.Aborted != 0 || st.Repositioned != 0 {
 		t.Fatalf("detector resolved nonexistent deadlocks: %+v", st)
 	}

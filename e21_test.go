@@ -50,7 +50,7 @@ func stallStress(t *testing.T) (Stats, []ActivationReport) {
 	wg.Wait()
 
 	reps, _ := m.Activations()
-	return m.Stats(), reps
+	return m.MetricsSnapshot().Detector, reps
 }
 
 // TestE21StallComparison is the EXPERIMENTS.md E21 harness, minus its

@@ -74,7 +74,7 @@ func schedStress(t *testing.T, scheduling string) (Stats, CostModelState, time.D
 		}(int64(w + 1))
 	}
 	wg.Wait()
-	return m.Stats(), m.MetricsSnapshot().CostModel, time.Duration(totalVictimNs), time.Duration(worstVictimNs), int(victims)
+	return m.MetricsSnapshot().Detector, m.MetricsSnapshot().CostModel, time.Duration(totalVictimNs), time.Duration(worstVictimNs), int(victims)
 }
 
 // TestE24SchedulingComparison is the EXPERIMENTS.md E24 harness (its

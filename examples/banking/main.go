@@ -155,7 +155,7 @@ func run(w io.Writer) error {
 		return firstErr
 	}
 
-	st := lm.Stats()
+	st := lm.MetricsSnapshot().Detector
 	fmt.Fprintf(w, "committed %d transfers with %d deadlock retries\n", commits, retries)
 	fmt.Fprintf(w, "detector: %d runs, %d cycles, %d aborts, %d TDR-2 repositionings, %d salvaged\n",
 		st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged)

@@ -76,7 +76,7 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	st := lm.Stats()
+	st := lm.MetricsSnapshot().Detector
 	say("done. detector ran %d times, found %d cycle(s), aborted %d, repositioned %d.\n",
 		st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned)
 	return nil

@@ -142,7 +142,7 @@ func TestDetectorViewReconciles(t *testing.T) {
 	repositionOnce(t, m, 0)
 	m.Detect() // an activation that finds nothing
 
-	st := m.Stats()
+	st := m.MetricsSnapshot().Detector
 	if st.Aborted != deadlocks || st.Repositioned != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -412,7 +412,7 @@ func TestDetectorViewConcurrentWithDetect(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if st := m.Stats(); st.Aborted != rounds {
+	if st := m.MetricsSnapshot().Detector; st.Aborted != rounds {
 		t.Fatalf("aborted = %d, want %d", st.Aborted, rounds)
 	}
 }

@@ -150,11 +150,11 @@ type Options struct {
 	JournalSize int
 
 	// Test hooks (package-internal; zero values select production
-	// behavior). audit arms the runtime invariant auditor: after every
-	// detector activation the paper's proved properties are re-verified
-	// from scratch against the tables and the resolutions the detector
-	// reported (see internal/audit); it only exists in builds tagged
-	// `invariants` and is inert otherwise. schedTick replaces the
+	// behavior). audit arms the runtime invariant auditor in any build:
+	// after every detector activation the paper's proved properties are
+	// re-verified from scratch against the tables and the resolutions
+	// the detector reported (see internal/audit and audit_on.go);
+	// unset, an activation pays one branch for it. schedTick replaces the
 	// background loop's timer — the loop runs one activation per value
 	// received, so tests drive the scheduler without wall-clock sleeps.
 	// schedNotify, when non-nil, receives the period chosen after each
@@ -684,13 +684,6 @@ func (m *Manager) journalActivation(rep ActivationReport, out *replayOutcome) {
 // disabled (Options.JournalSize < 0). Snapshots taken from it are safe
 // at any rate — readers never block the hot path.
 func (m *Manager) Journal() *journal.Journal { return m.jr }
-
-// Stats returns the cumulative detector statistics.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
 
 // ShardStats returns per-shard activity counters, one entry per shard
 // in shard-index order. The counters are atomic, so no shard lock is

@@ -124,7 +124,7 @@ func TestDeadlockResolvedByBackgroundDetector(t *testing.T) {
 	if victims.Load() != 1 {
 		t.Fatalf("OnVictim called %d times", victims.Load())
 	}
-	st := m.Stats()
+	st := m.MetricsSnapshot().Detector
 	if st.Aborted != 1 || st.Runs == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -404,7 +404,7 @@ func TestStress(t *testing.T) {
 		t.Fatal("deadlock at end of stress run")
 	}
 	t.Logf("stress: %d commits, %d victim retries, stats %+v",
-		commits.Load(), victimRetries.Load(), m.Stats())
+		commits.Load(), victimRetries.Load(), m.MetricsSnapshot().Detector)
 }
 
 func TestConversionThroughPublicAPI(t *testing.T) {

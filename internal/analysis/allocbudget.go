@@ -14,8 +14,8 @@ import (
 // sites, counted over everything it (transitively) calls through the
 // module callgraph. The 6/1/0 allocs/op numbers the runtime pins hold
 // (the root package's TestAllocationPins) become a compile-time
-// property instead of a test-only one: a new make/append/escape/external
-// call on the hot path fails lint, naming the site and the call chain
+// property instead of a test-only one: a new make/append/escape/string
+// concatenation/external call on the hot path fails lint, naming the site and the call chain
 // that reaches it.
 //
 // Counting is by site, not by execution: a site inside a loop counts

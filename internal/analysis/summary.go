@@ -443,12 +443,48 @@ func (c *localCollector) walk(n ast.Node, elided bool) {
 				c.compositeSite(n, c.fn.Pkg.Info)
 			}
 			return true
+		case *ast.BinaryExpr:
+			if n.Op != token.ADD || !c.concat(n) {
+				return true
+			}
+			if !elided {
+				c.site(n.Pos(), "string concatenation allocates", false)
+			}
+			// One runtime concatenation builds the whole a + b + c
+			// chain: walk its operands, not the inner additions.
+			for _, x := range concatOperands(c.fn.Pkg.Info, n, nil) {
+				c.walk(x, elided)
+			}
+			return false
+		case *ast.AssignStmt:
+			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && c.concat(n.Lhs[0]) && !elided {
+				c.site(n.Pos(), "string concatenation allocates", false)
+			}
+			return true
 		case *ast.CallExpr:
 			c.call(n, elided)
 			return true
 		}
 		return true
 	})
+}
+
+// concat reports whether e is a string the program builds at run
+// time: string-typed and not folded to a constant by the compiler.
+func (c *localCollector) concat(e ast.Expr) bool {
+	tv, ok := c.fn.Pkg.Info.Types[e]
+	return ok && tv.Value == nil && tv.Type != nil && isString(tv.Type.Underlying())
+}
+
+// concatOperands appends the leaves of the string-addition chain e.
+func concatOperands(info *types.Info, e ast.Expr, dst []ast.Expr) []ast.Expr {
+	if b, ok := ast.Unparen(e).(*ast.BinaryExpr); ok && b.Op == token.ADD {
+		if tv, ok := info.Types[b]; ok && tv.Value == nil {
+			dst = concatOperands(info, b.X, dst)
+			return concatOperands(info, b.Y, dst)
+		}
+	}
+	return append(dst, e)
 }
 
 // call classifies one call expression.

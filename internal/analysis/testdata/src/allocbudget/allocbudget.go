@@ -115,5 +115,31 @@ func explain() error {
 	return fmt.Errorf("failed with %d pooled", len(free))
 }
 
+// joined builds its path at run time: the a + "/" + b chain is one
+// concatenation, one site, against a zero budget.
+//
+//hwlint:hotpath allocs=0
+func joined(a, b string) string { // want "allocs=0 exceeded: 1 reachable allocation sites; string concatenation allocates"
+	return a + "/" + b
+}
+
+// suffixed concatenates twice, once through +=.
+//
+//hwlint:hotpath allocs=1
+func suffixed(s string) string { // want "allocs=1 exceeded: 2 reachable allocation sites"
+	s += "!"
+	return s + "?"
+}
+
+const prefix = "kv:/"
+
+// rooted's concatenation is folded by the compiler and costs nothing;
+// its one charged site is the make.
+//
+//hwlint:hotpath allocs=0
+func rooted(n int) (string, []int) { // want "allocs=0 exceeded: 1 reachable allocation sites; make at"
+	return prefix + "root", make([]int, n)
+}
+
 //hwlint:hotpath allocs=lots // want "malformed annotation"
 func typo() {}

@@ -4,12 +4,15 @@
 // every cycle, TDR-2 without creating new ones — Theorem 4.1 / Lemma
 // 4.1; queues keep the UPR and total-mode invariants — Theorem 3.1) and
 // the code carries them as comments. This package carries them as
-// checks: after every detector activation (build tag `invariants` + the
-// manager's test-only audit hook) each property is recomputed from
-// scratch — the graph rebuilt by the ECR rules, deadlocks re-derived by
-// the Definition-1 oracle, tables re-validated — and any divergence
-// between what the detector did and what the theorems allow becomes a
-// structured Violation that fails the test run.
+// checks: after every activation of a manager opened with the test-only
+// audit hook, in every build, each property is recomputed from scratch —
+// the graph rebuilt by the ECR rules, deadlocks re-derived by the
+// Definition-1 oracle, tables re-validated — and any divergence between
+// what the detector did and what the theorems allow becomes a
+// structured Violation that fails the test run. The theorems assume
+// sequential transactions (Axiom 1: one wait per transaction), so the
+// graph and resolution checks judge only an input that satisfies it;
+// a snapshot torn across shards may not (see Report.Torn).
 //
 // The checks are deliberately independent of the detector's own
 // bookkeeping: they never read its TST, cursors or cost cache, only the
@@ -39,8 +42,14 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 
 // Report is one activation's audit outcome.
 type Report struct {
-	Seq        int    // 1-based audited-activation number
-	Detector   string // "stw" or "snapshot"
+	Seq      int    // 1-based audited-activation number
+	Detector string // "stw" or "snapshot"
+	// Torn lists, in id order, the transactions a snapshot activation's
+	// input showed waiting at more than one resource. Shards copied at
+	// different instants broke Axiom 1, which Theorem 1 and Lemma 4.1
+	// presuppose, so CheckGraph and CheckResolutions were skipped for
+	// this activation; the acyclicity and live-table checks still ran.
+	Torn       []table.TxnID
 	Violations []Violation
 }
 
@@ -48,14 +57,18 @@ type Report struct {
 func (r Report) Ok() bool { return len(r.Violations) == 0 }
 
 func (r Report) String() string {
+	s := fmt.Sprintf("audit %d (%s)", r.Seq, r.Detector)
+	if len(r.Torn) > 0 {
+		s += fmt.Sprintf(": torn snapshot, %v wait at more than one resource", r.Torn)
+	}
 	if r.Ok() {
-		return fmt.Sprintf("audit %d (%s): ok", r.Seq, r.Detector)
+		return s + ": ok"
 	}
 	parts := make([]string, len(r.Violations))
 	for i, v := range r.Violations {
 		parts[i] = v.String()
 	}
-	return fmt.Sprintf("audit %d (%s): %d violation(s): %s", r.Seq, r.Detector, len(r.Violations), strings.Join(parts, "; "))
+	return fmt.Sprintf("%s: %d violation(s): %s", s, len(r.Violations), strings.Join(parts, "; "))
 }
 
 // CheckGraph verifies the H/W-TWBG's structural lemmas on a graph built

@@ -67,7 +67,7 @@ func TestJournalDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadlockOnce(t, m, 0)
-	if st := m.Stats(); st.Aborted != 1 || st.Runs != 1 {
+	if st := m.MetricsSnapshot().Detector; st.Aborted != 1 || st.Runs != 1 {
 		t.Fatalf("stats = %+v, want the victim counted", st)
 	}
 	if len(victims) != 1 {

@@ -3,7 +3,7 @@
 // mutex-round accounting check, differential
 // equivalence of batched vs sequential acquisition under both
 // detectors, and -race hammers mixing batched and single requests with
-// the invariants auditor armed.
+// the invariant auditor armed.
 package hwtwbg
 
 import (
@@ -483,7 +483,7 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 // TestLockAllHammer mixes batched and single acquisitions from many
 // goroutines over an ascending key order on a single shard (where batch
 // order equals argument order, so the workload is deadlock-free) with
-// the invariants auditor armed. No transaction may abort, and under
+// the invariant auditor armed. No transaction may abort, and under
 // real parallelism the contention must exercise the combining slots.
 func TestLockAllHammer(t *testing.T) {
 	m := Open(Options{Shards: 1, audit: true})
@@ -550,7 +550,7 @@ func TestLockAllHammer(t *testing.T) {
 // TestLockAllDetectorHammer is the adversarial variant: batched and
 // single requests in random (deadlocking) orders across shards, with
 // the periodic detector resolving whatever cycles arise and the
-// invariants auditor re-verifying every activation. Aborts are expected
+// invariant auditor re-verifying every activation. Aborts are expected
 // and must always surface as ErrAborted.
 func TestLockAllDetectorHammer(t *testing.T) {
 	m := Open(Options{Shards: 4, Period: 500 * time.Microsecond, audit: true})

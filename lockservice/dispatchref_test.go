@@ -181,7 +181,7 @@ func (sess *refSession) dispatch(line string) (resp string, quit bool) {
 		}
 		return "OK", false
 	case "STATS":
-		st := sess.srv.lm.Stats()
+		st := sess.srv.lm.MetricsSnapshot().Detector
 		var shardGrants uint64
 		for _, sh := range sess.srv.lm.ShardStats() {
 			shardGrants += sh.Grants

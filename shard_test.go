@@ -438,7 +438,7 @@ func TestCrossShardStress(t *testing.T) {
 	if snap := m.Snapshot(); snap != "" {
 		t.Fatalf("residual lock state after stress:\n%s", snap)
 	}
-	st := m.Stats()
+	st := m.MetricsSnapshot().Detector
 	if st.Runs == 0 || st.ShardHoldMax <= 0 {
 		t.Fatalf("detector never ran? stats = %+v", st)
 	}

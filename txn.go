@@ -111,9 +111,6 @@ func (t *Txn) SetTag(tag uint64) {
 	}
 }
 
-// Tag returns the operation tag attached with SetTag (0 when none).
-func (t *Txn) Tag() uint64 { return t.tag }
-
 // Recycle hands a finished transaction's struct back to the allocation
 // pool. It is purely an allocation optimization for callers that own
 // the handle's entire lifecycle (Do/DoWith, and so kv's Update and View,
