@@ -38,8 +38,9 @@ lint: vet
 # streams answered by a live server and by the old string dispatcher,
 # reply for reply. FuzzTailStream: arbitrary frames after a TAIL header
 # read by the client, which must not panic or trust a BATCH count.
-# FuzzClientReplies: arbitrary replies to STATS, DUMP and SNAPSHOT, which
-# must return once the server closes and not trust an `OK n` count.
+# FuzzClientReplies: arbitrary replies to STATS, PING, BEGIN, LOCK and
+# COMMIT (with the BEGIN sent behind it), which must return once the
+# server closes.
 # FuzzViews: arbitrary HWJRNL01 dumps decoded and run through every
 # journal view, none of which may panic.
 fuzzsmoke:

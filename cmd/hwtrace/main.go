@@ -1,6 +1,6 @@
 // Hwtrace replays a flight-recorder dump offline: no live manager is
 // needed, so a journal pulled off a production box (curl the debug
-// server's /journal.bin, or journal.Encode a Client.DumpJournal result)
+// server's /journal.bin, or journal.Encode of Manager.Journal().Snapshot())
 // can be dissected anywhere.
 //
 //	hwtrace report journal.bin        # depths, convoys, contention, latency percentiles, near misses

@@ -1,10 +1,13 @@
 // Lockd serves the hwtwbg lock manager over TCP using the lockservice
 // protocol: BEGIN / LOCK / LOCKALL / TRYLOCK / COMMIT / ABORT / STATS /
-// SNAPSHOT / DUMP / TAIL / PING / QUIT, with a background H/W-TWBG
-// deadlock detector. Try it with netcat:
+// TAIL / PING / QUIT, with a background H/W-TWBG deadlock detector. The
+// lock table and the flight recorder are read over HTTP, on the debug
+// listener that -debug-addr starts (/locktable, /journal.bin). Try it
+// with netcat and curl:
 //
-//	lockd -addr :7654 &
+//	lockd -addr :7654 -debug-addr :7655 &
 //	printf 'BEGIN\nLOCK accounts/7 X\nCOMMIT\nQUIT\n' | nc localhost 7654
+//	curl localhost:7655/locktable
 package main
 
 import (
@@ -24,7 +27,7 @@ import (
 )
 
 // debugRoutes names what lockservice.DebugHandler serves.
-const debugRoutes = "/metrics, /snapshot, /activations, /journal.bin, /twbg.dot, /locktable, /debug/vars, /debug/pprof"
+const debugRoutes = "/metrics, /snapshot, /activations, /journal.bin, /twbg.dot, /locktable, /debug/pprof"
 
 // errUsage reports a bad command line, which run has already explained
 // on the flag set's output.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"regexp"
 	"strings"
 	"testing"
@@ -14,18 +15,18 @@ import (
 	"hwtwbg/lockservice"
 )
 
-// TestRunServesScriptedClient starts lockd on a free loopback port,
-// drives it with a scripted protocol client and stops it. The banner
-// must show the flags took effect, every request of the script must
-// succeed, and the server's own counts must agree with the client's:
-// STATS's grants, victims and op tags, and the commit records of its
-// journal dump.
+// TestRunServesScriptedClient starts lockd and its debug listener on
+// free loopback ports, drives it with a scripted protocol client and
+// stops it. The banners must show the flags took effect, every request
+// of the script must succeed, and the server's own counts must agree
+// with the client's: STATS's grants, victims and op tags, and the
+// commit records of the debug listener's /journal.bin.
 func TestRunServesScriptedClient(t *testing.T) {
 	pr, pw := io.Pipe()
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-shards", "4", "-period", "5ms"}, pw, stop)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-shards", "4", "-period", "5ms"}, pw, stop)
 		pw.Close()
 	}()
 	out := bufio.NewScanner(pr)
@@ -35,6 +36,13 @@ func TestRunServesScriptedClient(t *testing.T) {
 	banner := regexp.MustCompile(`^lockd: serving on (\S+) \(fixed scheduling, detection every 5ms, 4 shards\)$`).FindStringSubmatch(out.Text())
 	if banner == nil {
 		t.Fatalf("banner %q", out.Text())
+	}
+	if !out.Scan() {
+		t.Fatal("no debug banner")
+	}
+	debug := regexp.MustCompile(`^lockd: debug server on (http://\S+) \((.*)\)$`).FindStringSubmatch(out.Text())
+	if debug == nil || debug[2] != debugRoutes {
+		t.Fatalf("debug banner %q", out.Text())
 	}
 	rest := make(chan string, 1)
 	go func() {
@@ -105,9 +113,14 @@ func TestRunServesScriptedClient(t *testing.T) {
 		t.Errorf("STATS grants=%d aborted=%d op_tags=%d period=%v, the client saw %d grants, no victim, %d tags, period 5ms",
 			st.ShardGrants, st.Aborted, st.OpTags, st.Period, grants, txns)
 	}
-	recs, err := c.DumpJournal()
+	resp, err := http.Get(debug[1] + "/journal.bin")
 	if err != nil {
 		t.Fatal(err)
+	}
+	recs, err := journal.Decode(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /journal.bin: %v", err)
 	}
 	journaled := 0
 	for _, r := range recs {

@@ -209,8 +209,8 @@ type ShardStat struct {
 // what its time was spent on, and what the algorithm saw and did. The
 // most recent reports are kept in a ring (see Activations); what each
 // activation decided is journaled, and `hwtrace postmortems` reads it
-// back from a dump of the journal (/journal.bin, or a DumpJournal
-// result passed to journal.Encode).
+// back from a dump of the journal (/journal.bin, or Journal().Snapshot()
+// passed to journal.Encode).
 //
 // Total ≈ Acquire + Copy + Build + Search + Resolve + Validate: Acquire
 // is the summed wait to take each shard mutex one at a time, Copy the

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"hwtwbg/internal/lock"
 )
@@ -138,21 +139,23 @@ func (r *Resource) Holder(txn TxnID) (HolderEntry, bool) {
 // String prints the resource in the paper's notation, e.g.
 // "R1(SIX): Holder((T1, IX, SIX) (T2, IS, S)) Queue((T5, IX) (T6, S))".
 func (r *Resource) String() string {
-	s := fmt.Sprintf("%s(%v): Holder(", string(r.id), r.total)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s(%v): Holder(", string(r.id), r.total)
 	for i, h := range r.holders {
 		if i > 0 {
-			s += " "
+			b.WriteByte(' ')
 		}
-		s += h.String()
+		b.WriteString(h.String())
 	}
-	s += ") Queue("
+	b.WriteString(") Queue(")
 	for i, q := range r.queue {
 		if i > 0 {
-			s += " "
+			b.WriteByte(' ')
 		}
-		s += q.String()
+		b.WriteString(q.String())
 	}
-	return s + ")"
+	b.WriteByte(')')
+	return b.String()
 }
 
 func (r *Resource) holderIndex(txn TxnID) int {

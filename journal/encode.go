@@ -10,9 +10,9 @@ import (
 )
 
 // The dump encoding is the packed seven-word record, little-endian,
-// preceded by an 8-byte magic header. It is what /journal.bin serves,
-// what the wire DUMP command carries (base64 per record, no header),
-// and what cmd/hwtrace replays.
+// preceded by an 8-byte magic header. It is what /journal.bin serves
+// and what cmd/hwtrace replays; the wire TAIL stream carries the same
+// packed records, base64 per record line and no header (MarshalText).
 
 // dumpMagic is the dump header: format name plus version.
 var dumpMagic = [8]byte{'H', 'W', 'J', 'R', 'N', 'L', '0', '1'}
@@ -78,8 +78,8 @@ func (r *Record) decode(buf *[recordBytes]byte) error {
 	return nil
 }
 
-// MarshalText renders one record as base64 of its packed form — the
-// wire DUMP line format.
+// MarshalText renders one record as base64 of its packed form — a
+// record line of the wire TAIL stream.
 func (r *Record) MarshalText() ([]byte, error) {
 	var words [recordWords]uint64
 	r.pack(&words)

@@ -55,10 +55,6 @@ type Options struct {
 	// MaxRetries bounds Update/View retries after deadlock
 	// victimization (default 100; see hwtwbg.DoOptions.MaxRetries).
 	MaxRetries int
-	// JournalSize is the lock manager's flight-recorder capacity in
-	// records per ring (0 = default, negative = disabled; see
-	// hwtwbg.Options.JournalSize).
-	JournalSize int
 	// History, when non-nil, records every committed transaction's
 	// read/write footprint for serializability auditing.
 	History *History
@@ -81,7 +77,7 @@ func Open(opts Options) *Store {
 	}
 	return &Store{
 		lm: hwtwbg.Open(hwtwbg.Options{
-			Period: opts.DetectEvery, Shards: opts.Shards, JournalSize: opts.JournalSize,
+			Period: opts.DetectEvery, Shards: opts.Shards,
 		}),
 		opts: opts,
 		data: make(map[string]string),

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hwtwbg"
-	"hwtwbg/journal"
 )
 
 // Client speaks the lock protocol over one connection. A client carries
@@ -86,8 +85,7 @@ func (c *Client) SetOpTag(tag uint64) { c.tag.Store(tag) }
 // begin. req appends the request line, newline excluded, to the
 // client's reused buffer, which goes out in one conn.Write. reply
 // classifies the trimmed reply line while c.mu is still held: the line
-// is the reader's buffer and lives only until the next read, which is
-// also why multi-line replies are read inside reply.
+// is the reader's buffer and lives only until the next read.
 func (c *Client) call(req func([]byte) []byte, reply func([]byte) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -447,75 +445,4 @@ func indexMetrics() (byStat, byHB map[string]*hwtwbg.Metric) {
 		}
 	}
 	return byStat, byHB
-}
-
-// DumpJournal fetches the server's flight-recorder contents: a merged,
-// time-ordered snapshot of every ring. It returns an error when the
-// server's journal is disabled (or the server predates DUMP).
-func (c *Client) DumpJournal() ([]journal.Record, error) {
-	start := time.Now()
-	recs, err := c.dumpJournal()
-	c.observe(VerbDump, start, err)
-	return recs, err
-}
-
-func (c *Client) dumpJournal() ([]journal.Record, error) {
-	var recs []journal.Record
-	err := c.callLines("DUMP", "record", func(i int, line string) error {
-		recs = append(recs, journal.Record{})
-		if err := recs[i].UnmarshalText([]byte(strings.TrimSpace(line))); err != nil {
-			return fmt.Errorf("lockservice: DUMP record %d: %w", i, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// Snapshot fetches the lock table rendered in the paper's notation.
-func (c *Client) Snapshot() (string, error) {
-	start := time.Now()
-	snap, err := c.snapshot()
-	c.observe(VerbSnapshot, start, err)
-	return snap, err
-}
-
-func (c *Client) snapshot() (string, error) {
-	var b strings.Builder
-	err := c.callLines("SNAPSHOT", "line", func(_ int, line string) error {
-		b.WriteString(line)
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
-// callLines sends verb and reads its multi-line reply: an `OK n`
-// header, then n lines, each handed to line with its index. The header's
-// count is the server's word, not a size to allocate. what names a line
-// in the error that reports a short reply.
-func (c *Client) callLines(verb, what string, line func(i int, s string) error) error {
-	return c.call(func(b []byte) []byte { return append(b, verb...) }, func(head []byte) error {
-		if err := replyErr(head); err != nil {
-			return err
-		}
-		n, err := strconv.Atoi(string(okPayload(head)))
-		if err != nil || n < 0 {
-			return fmt.Errorf("lockservice: malformed %s header %q", verb, head)
-		}
-		for i := 0; i < n; i++ {
-			s, err := c.r.ReadString('\n')
-			if err != nil {
-				return fmt.Errorf("lockservice: %s %s %d of %d: %w", verb, what, i, n, err)
-			}
-			if err := line(i, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }

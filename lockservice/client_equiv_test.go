@@ -177,14 +177,12 @@ func TestClientRequestGolden(t *testing.T) {
 				return
 			}
 			// OK 1 satisfies every verb's reply; the journal-less answer
-			// ends DUMP and TAIL after their header.
+			// ends TAIL after its header.
 			reply := "OK 1"
 			switch strings.Fields(line)[0] {
 			case "PING":
 				reply = "PONG"
-			case "SNAPSHOT":
-				reply = "OK 0"
-			case "DUMP", "TAIL":
+			case "TAIL":
 				reply = "ERR journal disabled"
 			}
 			fmt.Fprintf(ss, "%s\n", reply)
@@ -210,8 +208,6 @@ func TestClientRequestGolden(t *testing.T) {
 		{c.Abort, "ABORT\nBEGIN{tag}\n"},
 		{begin, ""},
 		{func() error { _, err := c.Stats(); return err }, "STATS\n"},
-		{func() error { _, err := c.Snapshot(); return err }, "SNAPSHOT\n"},
-		{func() error { c.DumpJournal(); return nil }, "DUMP\n"},
 		{func() error { c.TailJournal(TailOptions{}); return nil }, "TAIL from=now\n"},
 		{func() error {
 			c.TailJournal(TailOptions{FromOldest: true, Max: 5, Heartbeat: 250 * time.Millisecond})

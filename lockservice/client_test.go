@@ -269,42 +269,6 @@ func TestClientStatsParsing(t *testing.T) {
 	}
 }
 
-func TestClientSnapshotMultiline(t *testing.T) {
-	c := fakeServer(t, "OK 2\nline one\nline two")
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap != "line one\nline two\n" {
-		t.Fatalf("snap = %q", snap)
-	}
-}
-
-func TestClientSnapshotBadHeader(t *testing.T) {
-	for _, head := range []string{"OK zebra", "OK -3"} {
-		c := fakeServer(t, head)
-		if _, err := c.Snapshot(); err == nil || !strings.Contains(err.Error(), "malformed SNAPSHOT header") {
-			t.Fatalf("%s: err = %v", head, err)
-		}
-	}
-}
-
-// TestClientSnapshotTruncated: a server that hangs up partway through
-// the lines its header announced fails the call, naming the line.
-func TestClientSnapshotTruncated(t *testing.T) {
-	cs, ss := net.Pipe()
-	go func() {
-		bufio.NewReader(ss).ReadString('\n')
-		fmt.Fprintf(ss, "OK 3\nline one\n")
-		ss.Close()
-	}()
-	c := NewClient(cs)
-	defer c.Close()
-	if snap, err := c.Snapshot(); err == nil || !strings.Contains(err.Error(), "SNAPSHOT line 1 of 3") || snap != "" {
-		t.Fatalf("snap %q, err %v", snap, err)
-	}
-}
-
 func TestClientConnectionDrop(t *testing.T) {
 	cs, ss := net.Pipe()
 	ss.Close()

@@ -25,8 +25,6 @@ const (
 	VerbCommit
 	VerbAbort
 	VerbStats
-	VerbSnapshot
-	VerbDump
 	VerbPing
 	VerbTail
 	numVerbs
@@ -34,7 +32,7 @@ const (
 
 var verbNames = [numVerbs]string{
 	"BEGIN", "LOCK", "LOCKALL", "TRYLOCK", "COMMIT", "ABORT",
-	"STATS", "SNAPSHOT", "DUMP", "PING", "TAIL",
+	"STATS", "PING", "TAIL",
 }
 
 func (v Verb) String() string {

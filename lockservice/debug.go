@@ -2,7 +2,6 @@ package lockservice
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -24,7 +23,6 @@ import (
 //	             command rebuilds each resolved deadlock from it
 //	/twbg.dot    the current H/W-TWBG in Graphviz format (stop-the-world)
 //	/locktable   the lock table in the paper's notation (stop-the-world)
-//	/debug/vars  expvar (process-global registry)
 //	/debug/pprof profiling endpoints
 //
 // The flight-recorder endpoint (/journal.bin) answers 404 when the
@@ -51,7 +49,6 @@ func DebugHandler(lm *hwtwbg.Manager) http.Handler {
 <li><a href="/journal.bin">/journal.bin</a> — flight recorder, binary dump (for cmd/hwtrace)</li>
 <li><a href="/twbg.dot">/twbg.dot</a> — H/W-TWBG in Graphviz format</li>
 <li><a href="/locktable">/locktable</a> — lock table, paper notation</li>
-<li><a href="/debug/vars">/debug/vars</a> — expvar</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — profiling</li>
 </ul></body></html>
 `)
@@ -85,7 +82,6 @@ func DebugHandler(lm *hwtwbg.Manager) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, lm.Snapshot())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -188,6 +188,7 @@ func TestDebugHandlerIndexAndPprof(t *testing.T) {
 		{"/trace.json", "removed: hwtrace perfetto renders /journal.bin"},
 		{"/nearmiss", "removed: hwtrace nearmiss reads /journal.bin"},
 		{"/costmodel", "removed: /snapshot carries cost_model"},
+		{"/debug/vars", "removed: /debug/pprof/cmdline and /debug/pprof/heap?debug=1 carry its two default vars"},
 	} {
 		if code := status(t, srv, tc.path); code != http.StatusNotFound {
 			t.Errorf("GET %s (%s): status %d, want 404", tc.path, tc.why, code)

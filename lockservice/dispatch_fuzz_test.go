@@ -17,8 +17,7 @@ import (
 // The fuzzer's alphabet. Verbs come in mixed case, with the dotless ı
 // and long ſ that strings.ToUpper maps to I and S, and with spellings
 // that upper-case to no verb (Cyrillic т, an invalid UTF-8 byte).
-// DUMP, SNAPSHOT and TAIL are left out: their replies are journal and
-// table dumps, not request parsing.
+// TAIL is left out: its reply is a journal stream, not request parsing.
 var (
 	fuzzVerbs = []string{
 		"BEGIN", "begin", "BeGiN", "begın",

@@ -16,8 +16,9 @@ import (
 // The string request path the server had before it parsed requests as
 // bytes, kept verbatim as FuzzDispatch's oracle: refServe is the old
 // handle loop over a byte stream, dispatch the old dispatcher. Only the
-// receiver type is renamed, the connection bookkeeping is gone and TAIL
-// (outside the fuzzer's alphabet) is not routed.
+// receiver type is renamed, the connection bookkeeping is gone, TAIL
+// (outside the fuzzer's alphabet) is not routed, and the DUMP and
+// SNAPSHOT arms left with the verbs.
 
 // refSession is the old per-connection state.
 type refSession struct {
@@ -204,36 +205,6 @@ func (sess *refSession) dispatch(line string) (resp string, quit bool) {
 			js.Emitted, js.Overwritten,
 			st.ShardsCopied, st.ShardsSkipped,
 			sess.srv.tailSessions.Load(), sess.srv.tailLagged.Load(), sess.srv.opTags.Load()), false
-	case "DUMP":
-		jr := sess.srv.lm.Journal()
-		if jr == nil {
-			return "ERR journal disabled", false
-		}
-		recs := jr.Snapshot()
-		var b strings.Builder
-		fmt.Fprintf(&b, "OK %d", len(recs))
-		for i := range recs {
-			txt, err := recs[i].MarshalText()
-			if err != nil {
-				return "ERR " + err.Error(), false
-			}
-			b.WriteString("\n")
-			b.Write(txt)
-		}
-		return b.String(), false
-	case "SNAPSHOT":
-		snap := sess.srv.lm.Snapshot()
-		lines := strings.Split(strings.TrimRight(snap, "\n"), "\n")
-		if snap == "" {
-			lines = nil
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "OK %d", len(lines))
-		for _, l := range lines {
-			b.WriteString("\n")
-			b.WriteString(l)
-		}
-		return b.String(), false
 	default:
 		return "ERR unknown command " + cmd, false
 	}

@@ -10,7 +10,9 @@ import (
 )
 
 // Example runs an in-process lock server and a client session against
-// it: the complete BEGIN / LOCK / SNAPSHOT / COMMIT round trip.
+// it: BEGIN, LOCK and COMMIT over the wire, and the lock table the
+// server holds in between, which lockd's debug listener serves as
+// /locktable.
 func Example() {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -31,11 +33,7 @@ func Example() {
 	if err := c.Lock("accounts/7", hwtwbg.X); err != nil {
 		panic(err)
 	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Print(snap)
+	fmt.Print(srv.Manager().Snapshot())
 	if err := c.Commit(); err != nil {
 		panic(err)
 	}

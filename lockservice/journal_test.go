@@ -1,10 +1,7 @@
 package lockservice
 
 import (
-	"bufio"
 	"context"
-	"fmt"
-	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -15,9 +12,10 @@ import (
 )
 
 // TestDumpJournalRoundTrip drives a real server over the wire: the
-// events of one transaction come back out of DUMP as decoded records.
+// events of one transaction come back out of the debug listener's
+// /journal.bin as decoded records.
 func TestDumpJournalRoundTrip(t *testing.T) {
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	c := dial(t, addr)
 	id, err := c.Begin()
 	if err != nil {
@@ -29,10 +27,7 @@ func TestDumpJournalRoundTrip(t *testing.T) {
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.DumpJournal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := journalBin(t, srv)
 	var sawBegin, sawGrant, sawCommit bool
 	for i := range recs {
 		r := &recs[i]
@@ -60,67 +55,18 @@ func TestDumpJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDumpJournalDisabled checks the wire error when the server's
-// recorder is off.
-func TestDumpJournalDisabled(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// journalBin fetches srv's flight recorder from /journal.bin, served by
+// DebugHandler over its manager, and decodes it.
+func journalBin(t *testing.T, srv *Server) []journal.Record {
+	t.Helper()
+	dbg := httptest.NewServer(DebugHandler(srv.Manager()))
+	defer dbg.Close()
+	body, _ := get(t, dbg, "/journal.bin")
+	recs, err := journal.Decode(strings.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("decoding /journal.bin: %v", err)
 	}
-	srv := Serve(ln, hwtwbg.Options{JournalSize: -1})
-	t.Cleanup(func() { srv.Close() })
-	c := dial(t, ln.Addr().String())
-	if _, err := c.DumpJournal(); err == nil || !strings.Contains(err.Error(), "journal disabled") {
-		t.Fatalf("DumpJournal error = %v, want journal disabled", err)
-	}
-	// The session survives the refused command.
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDumpJournalMalformedReplies exercises the client parser against
-// a hostile server.
-func TestDumpJournalMalformedReplies(t *testing.T) {
-	c := fakeServer(t, "OK notanumber")
-	if _, err := c.DumpJournal(); err == nil || !strings.Contains(err.Error(), "malformed") {
-		t.Fatalf("err = %v", err)
-	}
-	c = fakeServer(t, "OK 1\n!!!not-base64!!!")
-	if _, err := c.DumpJournal(); err == nil || !strings.Contains(err.Error(), "DUMP record 0") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestDumpJournalUntrustedCount: the DUMP header's count is the
-// server's word. A negative one is malformed, and a count larger than
-// the records that follow — however large — costs no more than those
-// records and ends in an error when the connection does.
-func TestDumpJournalUntrustedCount(t *testing.T) {
-	rec := journal.Record{Kind: journal.KindBegin, Txn: 1}
-	txt, err := rec.MarshalText()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ reply, want string }{
-		{"OK -1", "malformed DUMP header"},
-		{"OK 4611686018427387904\n" + string(txt), "DUMP record 1 of 4611686018427387904"},
-		{"OK 3\n" + string(txt) + "\n" + string(txt), "DUMP record 2 of 3"},
-	} {
-		// The server sends its reply and hangs up.
-		cs, ss := net.Pipe()
-		go func() {
-			bufio.NewReader(ss).ReadString('\n')
-			fmt.Fprintf(ss, "%s\n", tc.reply)
-			ss.Close()
-		}()
-		c := NewClient(cs)
-		recs, err := c.DumpJournal()
-		if err == nil || !strings.Contains(err.Error(), tc.want) || recs != nil {
-			t.Errorf("%.30q: %d records, err %v; want none and %q", tc.reply, len(recs), err, tc.want)
-		}
-		c.Close()
-	}
+	return recs
 }
 
 // journaledDebugManager is debugManager plus a guarantee the resolved

@@ -24,18 +24,14 @@
 //	                         durations in nanoseconds, cm_rate_uhz in
 //	                         micro-deadlocks/sec. Clients must skip unknown
 //	                         key=value fields, so the list can grow)
-//	SNAPSHOT              -> OK <n-lines> followed by n lines of lock table
-//	DUMP                  -> OK <n-records> followed by n lines, each one flight-
-//	                         recorder record in its base64 text form (see
-//	                         journal.Record.MarshalText); ERR when the journal
-//	                         is disabled
 //	TAIL [from=oldest|now] [max=<n>] [hb=<dur>] [cursor=<s0>,<s1>,...]
 //	                      -> OK rings=<R> cursor=<s0>,<s1>,...  then a stream of
 //	                         frames until max records have been delivered (END)
 //	                         or the connection closes:
 //	                           BATCH ring=<i> n=<k> next=<seq> lost=<m>
-//	                             followed by k record lines (base64, the DUMP
-//	                             line format); next is the resume cursor for
+//	                             followed by k record lines, each one record
+//	                             in its base64 text form (journal.Record.
+//	                             MarshalText); next is the resume cursor for
 //	                             that ring, lost counts records overwritten
 //	                             before they could be delivered
 //	                           HB hb_<key>=<value> ...   (periodic heartbeat:
@@ -50,6 +46,10 @@
 //	                         journal is disabled.
 //	PING                  -> PONG
 //	QUIT                  -> BYE (and the connection closes)
+//
+// The port carries no snapshot of server state: DebugHandler serves the
+// lock table (/locktable) and the flight recorder's contents
+// (/journal.bin) on a separate listener.
 //
 // BEGIN, LOCK, LOCKALL and TRYLOCK accept a trailing ` tag=<uint64>`
 // field attaching an application operation tag to the transaction (see
@@ -298,7 +298,9 @@ func (sess *session) serve(w *bufio.Writer, line []byte) bool {
 	sess.out = append(sess.out, '\n')
 	w.Write(sess.out)
 	if cap(sess.out) > bufSize {
-		sess.out = nil // a DUMP or SNAPSHOT reply: do not keep its size
+		// A reply echoing a long field, such as an unknown verb: do not
+		// keep its size.
+		sess.out = nil
 	}
 	return !quit
 }
@@ -333,7 +335,7 @@ func appendFields(dst [][]byte, line []byte) [][]byte {
 // verbs are the commands the server knows, in strings.ToUpper's case.
 var verbs = [...]string{
 	"BEGIN", "LOCK", "LOCKALL", "TRYLOCK", "COMMIT", "ABORT",
-	"STATS", "DUMP", "SNAPSHOT", "TAIL", "PING", "QUIT",
+	"STATS", "TAIL", "PING", "QUIT",
 }
 
 // verb returns strings.ToUpper of a request's first field: one of verbs,
@@ -510,10 +512,6 @@ func (sess *session) dispatch(line []byte, cmd string) (quit bool) {
 		sess.reply("OK")
 	case "STATS":
 		sess.out = sess.srv.appendStats(sess.out)
-	case "DUMP":
-		sess.reply(sess.dump())
-	case "SNAPSHOT":
-		sess.reply(sess.snapshot())
 	default:
 		sess.reply("ERR unknown command " + cmd)
 	}
@@ -545,40 +543,4 @@ func (s *Server) appendStats(b []byte) []byte {
 		b = fmt.Appendf(b, " %s=%d", c.key, c.counter(s).Load())
 	}
 	return b
-}
-
-// dump renders the DUMP reply: a header and one line per record.
-func (sess *session) dump() string {
-	jr := sess.srv.lm.Journal()
-	if jr == nil {
-		return "ERR journal disabled"
-	}
-	recs := jr.Snapshot()
-	var b strings.Builder
-	fmt.Fprintf(&b, "OK %d", len(recs))
-	for i := range recs {
-		txt, err := recs[i].MarshalText()
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		b.WriteString("\n")
-		b.Write(txt)
-	}
-	return b.String()
-}
-
-// snapshot renders the SNAPSHOT reply: a header and the lock table.
-func (sess *session) snapshot() string {
-	snap := sess.srv.lm.Snapshot()
-	lines := strings.Split(strings.TrimRight(snap, "\n"), "\n")
-	if snap == "" {
-		lines = nil
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "OK %d", len(lines))
-	for _, l := range lines {
-		b.WriteString("\n")
-		b.WriteString(l)
-	}
-	return b.String()
 }

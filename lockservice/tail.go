@@ -14,8 +14,8 @@ import (
 // Server side of the TAIL verb: live streaming of the flight recorder
 // over the lock protocol connection. A tail session polls every journal
 // ring with a per-ring sequence cursor (journal.Ring.ReadFrom), so a
-// consumer sees records as they are emitted instead of re-pulling DUMP
-// snapshots, and a consumer that reconnects resumes exactly where it
+// consumer sees records as they are emitted instead of re-pulling
+// /journal.bin snapshots, and a consumer that reconnects resumes exactly where it
 // left off — every record lost to ring overwrite in between is counted
 // in the BATCH lost field and the hb_lagged heartbeat key, never
 // silently absent. Emit is untouched: tailing is reader-side only and

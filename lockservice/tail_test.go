@@ -443,7 +443,7 @@ func TestTailConcurrentWithWorkload(t *testing.T) {
 }
 
 func TestOpTagJournaledOverWire(t *testing.T) {
-	_, addr := startTailServer(t, 1024)
+	srv, addr := startTailServer(t, 1024)
 	c := dial(t, addr)
 	c.SetOpTag(424242)
 	id, err := c.Begin()
@@ -457,10 +457,7 @@ func TestOpTagJournaledOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetOpTag(0)
-	recs, err := c.DumpJournal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := journalBin(t, srv)
 	found := false
 	for i := range recs {
 		if recs[i].Kind == journal.KindOpTag && recs[i].Txn == int64(id) {
@@ -533,7 +530,7 @@ func TestClientMetrics(t *testing.T) {
 	if m := byVerb["PING"]; m.Calls != 1 {
 		t.Fatalf("PING metrics = %+v", m)
 	}
-	if _, ok := byVerb["DUMP"]; ok {
-		t.Fatal("DUMP metrics present without any DUMP call")
+	if _, ok := byVerb["TAIL"]; ok {
+		t.Fatal("TAIL metrics present without any TAIL call")
 	}
 }

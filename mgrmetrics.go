@@ -1,7 +1,6 @@
 package hwtwbg
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -455,11 +454,4 @@ func (e *errWriter) Write(p []byte) (int, error) {
 	n, err := e.w.Write(p)
 	e.err = err
 	return n, err
-}
-
-// MarshalJSON renders the snapshot (used by the debug endpoints);
-// defined explicitly so the type stays stable if internals grow.
-func (s MetricsSnapshot) MarshalJSON() ([]byte, error) {
-	type alias MetricsSnapshot
-	return json.Marshal(alias(s))
 }

@@ -11,6 +11,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hwtwbg/internal/lock"
+	"hwtwbg/journal"
+	"hwtwbg/metrics"
 )
 
 func TestMetricsSnapshotCounters(t *testing.T) {
@@ -478,4 +482,52 @@ func TestActivationReportJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "activation_report.golden", string(data)+"\n")
+}
+
+// TestMetricsSnapshotJSONGolden pins the JSON /snapshot serves (indented
+// by two spaces, one trailing newline) for a snapshot with every field
+// set to a distinct value, so a renamed tag, a moved field or a custom
+// encoding shows as a diff.
+func TestMetricsSnapshotJSONGolden(t *testing.T) {
+	next := uint64(0)
+	n := func() uint64 { next++; return next }
+	hist := func() metrics.HistogramSnapshot {
+		h := metrics.HistogramSnapshot{Count: n(), Sum: n()}
+		for i := range h.Buckets {
+			h.Buckets[i] = n()
+		}
+		return h
+	}
+	shard := func() ShardMetricsSnapshot {
+		s := ShardMetricsSnapshot{Grants: n(), GrantsByMode: map[string]uint64{}}
+		for _, mode := range lock.Modes {
+			s.GrantsByMode[mode.String()] = n()
+		}
+		s.Fresh, s.Conversions, s.Immediate, s.Blocked = n(), n(), n(), n()
+		s.WaitAborts, s.TryRefused, s.MutexAcquires = n(), n(), n()
+		s.QueueDepth, s.WaitNs, s.GrantNs = hist(), hist(), hist()
+		return s
+	}
+	d := func() time.Duration { return time.Duration(n()) }
+	i := func() int { return int(n()) }
+	var s MetricsSnapshot
+	s.Shards = []ShardMetricsSnapshot{shard()}
+	s.Total = shard()
+	st := &s.Detector
+	st.Runs, st.CyclesSearched, st.Aborted, st.Repositioned, st.Salvaged = i(), i(), i(), i(), i()
+	st.FalseCycles, st.Validations, st.ShardsCopied, st.ShardsSkipped = i(), i(), i(), i()
+	st.ShardHoldLast, st.ShardHoldMax = d(), d()
+	p := &s.Phases
+	p.Acquire, p.Copy, p.Build, p.Search, p.Resolve, p.Validate, p.Wake = d(), d(), d(), d(), d(), d(), d()
+	s.Journal = journal.RingStats{Emitted: n(), Overwritten: n(), Cap: i()}
+	cm := &s.CostModel
+	cm.Samples, cm.Deadlocks, cm.VictimWaits = i(), n(), n()
+	cm.RatePerSec, cm.StallRate = 2.5, 0.125
+	cm.DetectCost, cm.PersistCost, cm.Period = d(), d(), d()
+	s.Period = d()
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "metrics_snapshot.golden", string(data)+"\n")
 }

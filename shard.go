@@ -2,6 +2,7 @@ package hwtwbg
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -275,13 +276,13 @@ func (mt *multiTable) EachResource(f func(*table.Resource) bool) {
 // String renders the merged table in the paper's notation, one resource
 // per line in id order.
 func (mt *multiTable) String() string {
-	out := ""
+	var b strings.Builder
 	mt.EachResource(func(r *table.Resource) bool {
-		if r.NumHolders() == 0 && r.QueueLen() == 0 {
-			return true
+		if r.NumHolders() > 0 || r.QueueLen() > 0 {
+			b.WriteString(r.String())
+			b.WriteByte('\n')
 		}
-		out += r.String() + "\n"
 		return true
 	})
-	return out
+	return b.String()
 }

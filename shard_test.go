@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -491,5 +493,52 @@ func TestCloseUnderFire(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("a Lock did not return after Close")
 		}
+	}
+}
+
+// TestSnapshotRenderLinear: Snapshot renders the lock table while every
+// shard is stopped, so its cost must grow with the table, not with the
+// table's square — whether the table is a few thousand resources or one
+// resource with a few thousand holders. One Snapshot may allocate only
+// a small multiple of the text it returns (about 3x for many resources,
+// 9x for many holders, whose short entries each cost a few fmt
+// allocations); a quadratic render allocates over a thousand times it.
+func TestSnapshotRenderLinear(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 3000
+	for _, tc := range []struct {
+		name string
+		txns int // the n locks are taken by this many transactions
+		rid  func(i int) ResourceID
+	}{
+		{"resources", 1, func(i int) ResourceID { return ResourceID(fmt.Sprintf("res/%d", i)) }},
+		{"holders", n, func(int) ResourceID { return "hot" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := Open(Options{Shards: 2})
+			defer m.Close()
+			txs := make([]*Txn, tc.txns)
+			for i := range txs {
+				txs[i] = m.Begin()
+			}
+			for i := 0; i < n; i++ {
+				if err := txs[i%tc.txns].Lock(context.Background(), tc.rid(i), S); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.Snapshot() // warm the merge scratch
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out := m.Snapshot()
+			runtime.ReadMemStats(&after)
+			if got := strings.Count(out, "(T"); got != n {
+				t.Fatalf("snapshot shows %d holders, want %d", got, n)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(out)) {
+				t.Errorf("Snapshot allocated %d bytes for %d bytes of text, want at most 16x", alloc, len(out))
+			}
+		})
 	}
 }
